@@ -13,6 +13,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use ecoscale_fpga::{Resources, SeuScrubber};
 use ecoscale_hls::{
@@ -223,7 +224,7 @@ impl SystemBuilder {
             library,
             kernels: parsed
                 .into_iter()
-                .map(|(k, _)| (k.name().to_owned(), k))
+                .map(|(k, _)| (k.name().to_owned(), Arc::new(k)))
                 .collect(),
             unilogic: UnilogicModel::default(),
             clock: Time::ZERO,
@@ -256,7 +257,7 @@ pub struct EcoscaleSystem {
     net: Network<TreeTopology>,
     mem: UnimemSystem,
     library: ModuleLibrary,
-    kernels: HashMap<String, ecoscale_hls::Kernel>,
+    kernels: HashMap<String, Arc<ecoscale_hls::Kernel>>,
     unilogic: UnilogicModel,
     clock: Time,
     energy: Energy,

@@ -27,6 +27,11 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
+echo "== tier-1: workspace tests (release) =="
+# `cargo test -q` runs only the root package; this adds every crate's unit
+# tests (the kernel interpreter, EcoscaleSystem::call, ...) and doctests.
+cargo test -q --workspace --release
+
 echo "== tier-1: smoke fault campaign =="
 # Small seeded FaultPlane campaign through the resilience sweeps: must
 # run clean, and a repeat must be byte-identical (campaign determinism).

@@ -877,6 +877,368 @@ fn kernel_print_parse_round_trip() {
 }
 
 // ----------------------------------------------------------------------
+// hls: slot-resolved interpreter vs the reference tree-walker
+// ----------------------------------------------------------------------
+
+/// The reference interpreter: walks the IR directly, resolving every name
+/// through a map at every use. `KernelArgs::run` compiles the kernel to
+/// slots first and must agree with this walker bit for bit, errors
+/// included.
+mod tree_walker {
+    use std::collections::HashMap;
+
+    use ecoscale::hls::{BinOp, ExecKernelError, Expr, Kernel, ParamKind, Stmt, UnOp};
+
+    struct Env<'a> {
+        arrays: &'a mut HashMap<String, Vec<f64>>,
+        locals: HashMap<String, f64>,
+        read_only: Vec<String>,
+    }
+
+    pub fn run(
+        kernel: &Kernel,
+        arrays: &mut HashMap<String, Vec<f64>>,
+        scalars: &HashMap<String, f64>,
+    ) -> Result<(), ExecKernelError> {
+        for p in kernel.params() {
+            let bound = if p.is_array() {
+                arrays.contains_key(&p.name)
+            } else {
+                scalars.contains_key(&p.name)
+            };
+            if !bound {
+                return Err(ExecKernelError::MissingArg {
+                    name: p.name.clone(),
+                });
+            }
+        }
+        let read_only = kernel
+            .params()
+            .iter()
+            .filter(|p| p.kind == ParamKind::ArrayIn)
+            .map(|p| p.name.clone())
+            .collect();
+        let mut env = Env {
+            arrays,
+            locals: scalars.clone(),
+            read_only,
+        };
+        exec_block(kernel.body(), &mut env)
+    }
+
+    fn truthy(v: f64) -> bool {
+        v != 0.0
+    }
+
+    fn eval(e: &Expr, env: &Env<'_>) -> Result<f64, ExecKernelError> {
+        match e {
+            Expr::Const(v) => Ok(*v),
+            Expr::Var(name) => env
+                .locals
+                .get(name)
+                .copied()
+                .ok_or_else(|| ExecKernelError::UnknownName { name: name.clone() }),
+            Expr::Load { array, index } => {
+                let idx = eval(index, env)? as i64;
+                let buf = env
+                    .arrays
+                    .get(array)
+                    .ok_or_else(|| ExecKernelError::UnknownName {
+                        name: array.clone(),
+                    })?;
+                if idx < 0 || idx as usize >= buf.len() {
+                    return Err(ExecKernelError::IndexOutOfBounds {
+                        array: array.clone(),
+                        index: idx,
+                        len: buf.len(),
+                    });
+                }
+                Ok(buf[idx as usize])
+            }
+            Expr::Unary(op, a) => {
+                let v = eval(a, env)?;
+                Ok(match op {
+                    UnOp::Neg => -v,
+                    UnOp::Sqrt => v.sqrt(),
+                    UnOp::Exp => v.exp(),
+                    UnOp::Log => v.ln(),
+                    UnOp::Abs => v.abs(),
+                    UnOp::Floor => v.floor(),
+                    UnOp::Not => {
+                        if truthy(v) {
+                            0.0
+                        } else {
+                            1.0
+                        }
+                    }
+                })
+            }
+            Expr::Binary(op, a, b) => {
+                let x = eval(a, env)?;
+                let y = eval(b, env)?;
+                Ok(match op {
+                    BinOp::Add => x + y,
+                    BinOp::Sub => x - y,
+                    BinOp::Mul => x * y,
+                    BinOp::Div => x / y,
+                    BinOp::Min => x.min(y),
+                    BinOp::Max => x.max(y),
+                    BinOp::Rem => x % y,
+                    BinOp::Lt => (x < y) as u8 as f64,
+                    BinOp::Le => (x <= y) as u8 as f64,
+                    BinOp::Gt => (x > y) as u8 as f64,
+                    BinOp::Ge => (x >= y) as u8 as f64,
+                    BinOp::Eq => (x == y) as u8 as f64,
+                    BinOp::And => (truthy(x) && truthy(y)) as u8 as f64,
+                    BinOp::Or => (truthy(x) || truthy(y)) as u8 as f64,
+                })
+            }
+            Expr::Select { cond, then, els } => {
+                if truthy(eval(cond, env)?) {
+                    eval(then, env)
+                } else {
+                    eval(els, env)
+                }
+            }
+        }
+    }
+
+    fn exec_block(stmts: &[Stmt], env: &mut Env<'_>) -> Result<(), ExecKernelError> {
+        for s in stmts {
+            match s {
+                Stmt::Assign { var, value } => {
+                    let v = eval(value, env)?;
+                    env.locals.insert(var.clone(), v);
+                }
+                Stmt::Store {
+                    array,
+                    index,
+                    value,
+                } => {
+                    if env.read_only.iter().any(|a| a == array) {
+                        return Err(ExecKernelError::WriteToInput {
+                            array: array.clone(),
+                        });
+                    }
+                    let idx = eval(index, env)? as i64;
+                    let v = eval(value, env)?;
+                    let buf =
+                        env.arrays
+                            .get_mut(array)
+                            .ok_or_else(|| ExecKernelError::UnknownName {
+                                name: array.clone(),
+                            })?;
+                    if idx < 0 || idx as usize >= buf.len() {
+                        return Err(ExecKernelError::IndexOutOfBounds {
+                            array: array.clone(),
+                            index: idx,
+                            len: buf.len(),
+                        });
+                    }
+                    buf[idx as usize] = v;
+                }
+                Stmt::For {
+                    var,
+                    start,
+                    end,
+                    body,
+                } => {
+                    let s0 = eval(start, env)? as i64;
+                    let e0 = eval(end, env)? as i64;
+                    for i in s0..e0 {
+                        env.locals.insert(var.clone(), i as f64);
+                        exec_block(body, env)?;
+                    }
+                }
+                Stmt::If { cond, then, els } => {
+                    if truthy(eval(cond, env)?) {
+                        exec_block(then, env)?;
+                    } else {
+                        exec_block(els, env)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Mutates a fuzzed body in place, each change with probability 1/2:
+/// renames a variable read or store target `from` to `to` for every pair
+/// in `renames`, and replaces a load's index with a fresh expression.
+/// Loop bounds are clamped to `[-3, 6]` so a fuzzed loop never runs long.
+fn mutate_stmts(stmts: &mut [ecoscale::hls::Stmt], rng: &mut SimRng, renames: &[(&str, &str)]) {
+    use ecoscale::hls::{BinOp, Expr, Stmt};
+    fn rename(name: &mut String, rng: &mut SimRng, renames: &[(&str, &str)]) {
+        for &(from, to) in renames {
+            if name == from && rng.gen_bool(0.5) {
+                *name = to.to_owned();
+                return;
+            }
+        }
+    }
+    fn expr(e: &mut Expr, rng: &mut SimRng, renames: &[(&str, &str)]) {
+        match e {
+            Expr::Const(_) => {}
+            Expr::Var(name) => rename(name, rng, renames),
+            Expr::Load { index, .. } => {
+                if rng.gen_bool(0.5) {
+                    **index = arb_expr(rng, 1);
+                }
+                expr(index, rng, renames);
+            }
+            Expr::Unary(_, a) => expr(a, rng, renames),
+            Expr::Binary(_, a, b) => {
+                expr(a, rng, renames);
+                expr(b, rng, renames);
+            }
+            Expr::Select { cond, then, els } => {
+                expr(cond, rng, renames);
+                expr(then, rng, renames);
+                expr(els, rng, renames);
+            }
+        }
+    }
+    for s in stmts {
+        match s {
+            Stmt::Assign { value, .. } => expr(value, rng, renames),
+            Stmt::Store {
+                array,
+                index,
+                value,
+            } => {
+                rename(array, rng, renames);
+                expr(index, rng, renames);
+                expr(value, rng, renames);
+            }
+            Stmt::For {
+                start, end, body, ..
+            } => {
+                expr(start, rng, renames);
+                expr(end, rng, renames);
+                let lo = std::mem::replace(start, Expr::Const(0.0));
+                *start = Expr::bin(BinOp::Max, lo, Expr::Const(-3.0));
+                let hi = std::mem::replace(end, Expr::Const(0.0));
+                *end = Expr::bin(BinOp::Min, hi, Expr::Const(6.0));
+                mutate_stmts(body, rng, renames);
+            }
+            Stmt::If { cond, then, els } => {
+                expr(cond, rng, renames);
+                mutate_stmts(then, rng, renames);
+                mutate_stmts(els, rng, renames);
+            }
+        }
+    }
+}
+
+/// The signature and bindings of one fuzzed interpreter case. Its body is
+/// kept apart, as the statement stream the shrinker reduces.
+#[derive(Debug, Clone)]
+struct InterpCase {
+    params: Vec<ecoscale::hls::Param>,
+    arrays: Vec<(&'static str, Vec<f64>)>,
+    scalars: Vec<(&'static str, f64)>,
+}
+
+impl InterpCase {
+    /// Draws a case of `family`: 0 plain, 1 stores to the `in` array `a`,
+    /// 2 reads the local `t` and loop variable `j` where they may be
+    /// unassigned, 3 short buffers (indices out of range), 4 as 2 with
+    /// one name unbound, left out of the signature, or both.
+    fn draw(rng: &mut SimRng, family: usize) -> (InterpCase, Vec<ecoscale::hls::Stmt>) {
+        use ecoscale::hls::{Param, ParamKind};
+        let mut body: Vec<_> = (0..rng.gen_range_usize(1, 5))
+            .map(|_| arb_stmt(rng, 2))
+            .collect();
+        let renames: &[(&str, &str)] = match family {
+            1 => &[("b", "a")],
+            2 | 4 => &[("x", "t"), ("i", "j")],
+            _ => &[],
+        };
+        mutate_stmts(&mut body, rng, renames);
+        let (min_len, max_len) = if family == 3 { (0, 3) } else { (6, 16) };
+        let buffer = |rng: &mut SimRng| -> Vec<f64> {
+            (0..rng.gen_range_usize(min_len, max_len))
+                .map(|_| rng.gen_range_f64(-4.0, 4.0))
+                .collect()
+        };
+        let mut case = InterpCase {
+            params: vec![
+                Param::new("a", ParamKind::ArrayIn),
+                Param::new("b", ParamKind::ArrayOut),
+                Param::new("x", ParamKind::Scalar),
+                Param::new("i", ParamKind::Scalar),
+            ],
+            arrays: vec![("a", buffer(rng)), ("b", buffer(rng))],
+            scalars: vec![
+                ("x", rng.gen_range_f64(-3.0, 3.0)),
+                ("i", rng.gen_range_u64(0, 8) as f64 - 1.0),
+            ],
+        };
+        if family == 4 {
+            let name = *rng.choose(&["a", "b", "x", "i"]);
+            let mode = rng.gen_range_usize(0, 3);
+            if mode != 1 {
+                case.arrays.retain(|(n, _)| *n != name);
+                case.scalars.retain(|(n, _)| *n != name);
+            }
+            if mode != 0 {
+                case.params.retain(|p| p.name != name);
+            }
+        }
+        (case, body)
+    }
+
+    /// Runs `body` under both interpreters; `None` if they agree on the
+    /// result and on every binding afterwards, bit for bit.
+    fn diverges(&self, body: &[ecoscale::hls::Stmt]) -> Option<String> {
+        use std::collections::HashMap;
+        let kernel = ecoscale::hls::Kernel::new("fz", self.params.clone(), body.to_vec());
+        let mut args = ecoscale::hls::KernelArgs::new();
+        let mut arrays = HashMap::new();
+        let mut scalars = HashMap::new();
+        for (name, data) in &self.arrays {
+            args.bind_array(name, data.clone());
+            arrays.insert(name.to_string(), data.clone());
+        }
+        for &(name, v) in &self.scalars {
+            args.bind_scalar(name, v);
+            scalars.insert(name.to_string(), v);
+        }
+        let got = args.run(&kernel);
+        let want = tree_walker::run(&kernel, &mut arrays, &scalars);
+        if got != want {
+            return Some(format!("result {got:?} != {want:?}\n{kernel}"));
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (name, _) in &self.arrays {
+            let got = args.array(name).map(bits);
+            let want = arrays.get(*name).map(|v| bits(v));
+            if got != want {
+                return Some(format!("array `{name}` {got:?} != {want:?}\n{kernel}"));
+            }
+        }
+        for &(name, v) in &self.scalars {
+            if args.scalar(name).map(f64::to_bits) != Some(v.to_bits()) {
+                return Some(format!("scalar `{name}` was written back\n{kernel}"));
+            }
+        }
+        None
+    }
+}
+
+#[test]
+fn slot_interpreter_matches_tree_walker_oracle() {
+    for case in 0..CASES * 64 {
+        let family = (case % 5) as usize;
+        let mut rng = case_rng(22, case);
+        let (setup, body) = InterpCase::draw(&mut rng, family);
+        let what = format!("KernelArgs::run (salt 22, family {family}, bindings {setup:?})");
+        assert_lockstep(&what, case, &body, |body| setup.diverges(body));
+    }
+}
+
+// ----------------------------------------------------------------------
 // sim: timing wheel vs event queue vs sorted-map oracle
 // ----------------------------------------------------------------------
 
