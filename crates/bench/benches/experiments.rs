@@ -16,15 +16,15 @@ fn bench_substrate() {
     use ecoscale_fpga::{Bitstream, CompressionAlgo, Resources};
     use ecoscale_mem::{PagePerms, Smmu, SmmuConfig, VirtAddr};
     use ecoscale_noc::{NodeId, Topology, TreeTopology};
-    use ecoscale_sim::{EventQueue, Time};
+    use ecoscale_sim::{Time, TimingWheel};
 
-    bench("substrate/event_queue_push_pop_1k", || {
-        let mut q = EventQueue::new();
+    bench("substrate/timing_wheel_push_pop_1k", || {
+        let mut q = TimingWheel::new();
         for i in 0..1000u64 {
-            q.schedule(Time::from_ns(i * 7 % 500), i);
+            q.schedule(Time::from_ns(i * 7 % 500), q.scheduled_total(), i);
         }
         let mut sum = 0u64;
-        while let Some((_, v)) = q.pop() {
+        while let Some((_, _, v)) = q.pop() {
             sum += v;
         }
         sum

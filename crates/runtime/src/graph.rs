@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
-use ecoscale_sim::{Duration, EventQueue, Time};
+use ecoscale_sim::{Duration, Time, TimingWheel};
 
 use crate::device::CpuModel;
 use crate::task::{Task, TaskId};
@@ -52,6 +52,8 @@ pub enum GraphError {
     BadHandle,
     /// The dependency edges form a cycle.
     Cycle,
+    /// Execution was asked to run on zero workers.
+    NoWorkers,
 }
 
 impl fmt::Display for GraphError {
@@ -59,6 +61,7 @@ impl fmt::Display for GraphError {
         match self {
             GraphError::BadHandle => f.write_str("handle does not belong to this graph"),
             GraphError::Cycle => f.write_str("dependency edges form a cycle"),
+            GraphError::NoWorkers => f.write_str("execution needs at least one worker"),
         }
     }
 }
@@ -190,11 +193,13 @@ impl TaskGraph {
     ///
     /// # Errors
     ///
+    /// [`GraphError::NoWorkers`] if `workers` is zero, and
     /// [`GraphError::Cycle`] for cyclic graphs.
     pub fn execute(&self, workers: usize, cpu: &CpuModel) -> Result<GraphRun, GraphError> {
-        assert!(workers > 0, "need at least one worker");
-        let order = self.topo_order()?; // validates acyclicity
-        let _ = order;
+        if workers == 0 {
+            return Err(GraphError::NoWorkers);
+        }
+        self.topo_order()?; // validates acyclicity
         let n = self.tasks.len();
         let mut indeg: Vec<usize> = self.deps.iter().map(|d| d.len()).collect();
         let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -206,7 +211,7 @@ impl TaskGraph {
         let mut worker_free = vec![Time::ZERO; workers];
         let mut busy_time = vec![Duration::ZERO; workers];
         let mut finish_at = vec![Time::ZERO; n];
-        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut q: TimingWheel<usize> = TimingWheel::new();
         let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut completed = 0usize;
 
@@ -215,7 +220,7 @@ impl TaskGraph {
                         now: Time,
                         worker_free: &mut [Time],
                         busy_time: &mut [Duration],
-                        q: &mut EventQueue<usize>,
+                        q: &mut TimingWheel<usize>,
                         finish_at: &mut [Time]| {
             let dep_ready = self.deps[i]
                 .iter()
@@ -239,7 +244,7 @@ impl TaskGraph {
             worker_free[w] = start + t;
             busy_time[w] += t;
             finish_at[i] = start + t;
-            q.schedule(start + t, i);
+            q.schedule(start + t, q.scheduled_total(), i);
         };
 
         for i in ready.drain(..) {
@@ -252,7 +257,7 @@ impl TaskGraph {
                 &mut finish_at,
             );
         }
-        while let Some((now, i)) = q.pop() {
+        while let Some((now, _, i)) = q.pop() {
             completed += 1;
             for &s in &out[i] {
                 indeg[s] -= 1;
@@ -352,6 +357,16 @@ mod tests {
         g.depend(b, a).unwrap();
         assert_eq!(g.execute(2, &cpu()).unwrap_err(), GraphError::Cycle);
         assert_eq!(g.critical_path(&cpu()).unwrap_err(), GraphError::Cycle);
+    }
+
+    #[test]
+    fn zero_workers_is_a_typed_error() {
+        let g = TaskGraph::fork_join(4, 1_000, 2);
+        assert_eq!(g.execute(0, &cpu()).unwrap_err(), GraphError::NoWorkers);
+        assert_eq!(
+            GraphError::NoWorkers.to_string(),
+            "execution needs at least one worker"
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ use ecoscale_noc::NodeId;
 use ecoscale_sim::check::{invariant, CheckPlane};
 use ecoscale_sim::fault::{salt, CampaignSpec, FaultClock};
 use ecoscale_sim::{
-    Counter, Duration, EventQueue, Histogram, MetricsRegistry, OnlineStats, SimRng, Time, Tracer,
+    Counter, Duration, Histogram, MetricsRegistry, OnlineStats, SimRng, Time, TimingWheel, Tracer,
     TrackId,
 };
 
@@ -322,7 +322,7 @@ impl ClusterSim {
         } else {
             None
         };
-        let mut q: EventQueue<Ev> = EventQueue::new();
+        let mut q: TimingWheel<Ev> = TimingWheel::new();
         // The lazy scheduler's historical probe backoff, expressed as a
         // resilience retry policy: 8x, 16x, then capped at 32x the probe
         // latency — bit-identical to the old `(4 << min(k, 3))` ladder.
@@ -357,14 +357,14 @@ impl ClusterSim {
         let mut lost = 0u64;
 
         for (i, t) in tasks.iter().enumerate() {
-            q.schedule(t.arrival, Ev::Arrive(i));
+            q.schedule(t.arrival, q.scheduled_total(), Ev::Arrive(i));
         }
         // Lazy workers poll from the start: without an initial wake-up, a
         // worker that never receives an arrival would never steal.
         if let SchedPolicy::LazyLocal { .. } = self.policy {
             if let Some(first) = tasks.iter().map(|t| t.arrival).min() {
                 for w in 0..self.workers {
-                    q.schedule(first, Ev::Retry(w));
+                    q.schedule(first, q.scheduled_total(), Ev::Retry(w));
                 }
             }
         }
@@ -372,7 +372,7 @@ impl ClusterSim {
         // Helper: execution time of a task on the CPU model.
         let exec_time = |task: &Task, cpu: &CpuModel| cpu.exec(task.flops(), task.mem_ops()).0;
 
-        while let Some((now, ev)) = q.pop() {
+        while let Some((now, _, ev)) = q.pop() {
             // CheckPlane cadence gate: read-only duplicate-task scan over
             // every queue and execution slot. One branch when disabled.
             if self.check.due() {
@@ -459,7 +459,11 @@ impl ClusterSim {
                             }
                             if !busy[home] {
                                 if now < stalled_until[home] {
-                                    q.schedule(stalled_until[home], Ev::Retry(home));
+                                    q.schedule(
+                                        stalled_until[home],
+                                        q.scheduled_total(),
+                                        Ev::Retry(home),
+                                    );
                                 } else {
                                     Self::start(
                                         home,
@@ -498,7 +502,7 @@ impl ClusterSim {
                             }
                             if !busy[w] {
                                 if now < stalled_until[w] {
-                                    q.schedule(stalled_until[w], Ev::Retry(w));
+                                    q.schedule(stalled_until[w], q.scheduled_total(), Ev::Retry(w));
                                 } else {
                                     Self::start(
                                         w,
@@ -536,7 +540,11 @@ impl ClusterSim {
                                     overhead += done - now;
                                     dispatcher_free = done;
                                     messages += 2; // request + grant
-                                    q.schedule(done, Ev::Dispatched { worker: w, task: t });
+                                    q.schedule(
+                                        done,
+                                        q.scheduled_total(),
+                                        Ev::Dispatched { worker: w, task: t },
+                                    );
                                 }
                             }
                         }
@@ -571,7 +579,7 @@ impl ClusterSim {
                         &tracks,
                         wait_track,
                     );
-                    q.schedule(now + d, Ev::Finish(worker));
+                    q.schedule(now + d, q.scheduled_total(), Ev::Finish(worker));
                 }
                 Ev::Finish(w) | Ev::Retry(w) => {
                     if matches!(ev, Ev::Finish(_)) {
@@ -593,7 +601,7 @@ impl ClusterSim {
                     busy[w] = false;
                     if now < stalled_until[w] {
                         // stalled: wake again once the stall clears
-                        q.schedule(stalled_until[w], Ev::Retry(w));
+                        q.schedule(stalled_until[w], q.scheduled_total(), Ev::Retry(w));
                         continue;
                     }
                     match self.policy {
@@ -605,7 +613,11 @@ impl ClusterSim {
                                 overhead += done - now;
                                 dispatcher_free = done;
                                 messages += 2;
-                                q.schedule(done, Ev::Dispatched { worker: w, task: t });
+                                q.schedule(
+                                    done,
+                                    q.scheduled_total(),
+                                    Ev::Dispatched { worker: w, task: t },
+                                );
                             }
                         }
                         SchedPolicy::RandomPush => {
@@ -684,7 +696,11 @@ impl ClusterSim {
                                         &tracks,
                                         wait_track,
                                     );
-                                    q.schedule(now + probe_cost + d, Ev::Finish(w));
+                                    q.schedule(
+                                        now + probe_cost + d,
+                                        q.scheduled_total(),
+                                        Ev::Finish(w),
+                                    );
                                 }
                                 // if nothing stolen the worker idles until
                                 // a new arrival lands in its queue; to keep
@@ -700,7 +716,11 @@ impl ClusterSim {
                                     let wait = steal_backoff[w]
                                         .next(&steal_policy)
                                         .expect("steal retry is unbounded");
-                                    q.schedule(now + probe_cost + wait, Ev::Retry(w));
+                                    q.schedule(
+                                        now + probe_cost + wait,
+                                        q.scheduled_total(),
+                                        Ev::Retry(w),
+                                    );
                                 }
                             }
                         }
@@ -815,7 +835,7 @@ impl ClusterSim {
         now: Time,
         mgr: &mut ResilienceManager,
         task_backoff: &mut [Backoff],
-        q: &mut EventQueue<Ev>,
+        q: &mut TimingWheel<Ev>,
         lost: &mut u64,
     ) {
         let policy = mgr.config().retry;
@@ -824,7 +844,7 @@ impl ClusterSim {
                 let fire = (at + delay).max(now);
                 mgr.note_retry();
                 mgr.note_recovery(fire.since(at));
-                q.schedule(fire, Ev::Arrive(task));
+                q.schedule(fire, q.scheduled_total(), Ev::Arrive(task));
             }
             None => {
                 mgr.note_lost();
@@ -840,7 +860,7 @@ impl ClusterSim {
         busy: &mut [bool],
         busy_time: &mut [Duration],
         current: &mut [Option<usize>],
-        q: &mut EventQueue<Ev>,
+        q: &mut TimingWheel<Ev>,
         now: Time,
         tasks: &[TaskSpec],
         cpu: &CpuModel,
@@ -865,7 +885,7 @@ impl ClusterSim {
                 tracks,
                 wait_track,
             );
-            q.schedule(now + d, Ev::Finish(w));
+            q.schedule(now + d, q.scheduled_total(), Ev::Finish(w));
         }
     }
 }

@@ -7,10 +7,10 @@
 //!
 //! * [`Time`] / [`Duration`] — picosecond-resolution virtual time,
 //! * [`Energy`] / [`Power`] — energy accounting newtypes,
-//! * [`EventQueue`] and the [`Simulation`] engine — a deterministic
-//!   discrete-event kernel with (time, sequence) tie-breaking,
-//! * [`TimingWheel`] — a hierarchical timing wheel with an arena of
-//!   reusable entries, the per-cluster queue behind the sharded engine,
+//! * [`TimingWheel`] — the one event core: a hierarchical timing wheel
+//!   with an arena of reusable entries and `(time, key)` tie-breaking,
+//!   behind the sharded engine and the runtime's scheduler and task-graph
+//!   simulations,
 //! * [`shard`] — the conservative-parallel engine ([`ShardedEngine`]):
 //!   cluster-partitioned wheels synchronized by NoC-lookahead safe
 //!   windows, byte-identical to sequential execution at any
@@ -44,28 +44,31 @@
 //! # Determinism
 //!
 //! Every run of a simulation built on this crate is a pure function of its
-//! configuration and seeds: the event queue breaks ties by insertion
-//! sequence number, and all randomness flows through [`SimRng`].
+//! configuration and seeds: the timing wheel breaks ties by an explicit
+//! key (a scheduling index, or the sharded engine's packed
+//! `(cluster, sequence)`), and all randomness flows through [`SimRng`].
 //!
 //! # Example
 //!
+//! Keying each event by [`TimingWheel::scheduled_total`] delivers equal
+//! timestamps in scheduling order:
+//!
 //! ```
-//! use ecoscale_sim::{EventQueue, Time};
+//! use ecoscale_sim::{Time, TimingWheel};
 //!
 //! #[derive(Debug, PartialEq)]
-//! enum Ev { Ping, Pong }
+//! enum Ev { Ping, Pong, Late }
 //!
-//! let mut q = EventQueue::new();
-//! q.schedule(Time::from_ns(10), Ev::Pong);
-//! q.schedule(Time::from_ns(5), Ev::Ping);
-//! let (t, ev) = q.pop().expect("queue is non-empty");
-//! assert_eq!((t, ev), (Time::from_ns(5), Ev::Ping));
+//! let mut q = TimingWheel::new();
+//! q.schedule(Time::from_ns(10), q.scheduled_total(), Ev::Pong);
+//! q.schedule(Time::from_ns(10), q.scheduled_total(), Ev::Late);
+//! q.schedule(Time::from_ns(5), q.scheduled_total(), Ev::Ping);
+//! let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, ev)| ev).collect();
+//! assert_eq!(order, [Ev::Ping, Ev::Pong, Ev::Late]);
 //! ```
 
 pub mod check;
 pub mod energy;
-pub mod engine;
-pub mod event;
 pub mod fault;
 pub mod json;
 pub mod metrics;
@@ -83,13 +86,11 @@ pub mod wheel;
 
 pub use check::{CheckPlane, Violation};
 pub use energy::{Energy, EnergyMeter, Power};
-pub use engine::{EventHandler, Simulation, StopReason};
-pub use event::EventQueue;
 pub use fault::{CampaignSpec, FaultClock, ProbFault};
 pub use metrics::{Instrument, MetricsRegistry};
 pub use prof::{Layer, ProfileReport, Profiler, ShardOccupancy};
 pub use rng::SimRng;
-pub use shard::{ClusterCtx, ClusterModel, ShardedEngine};
+pub use shard::{ClusterCtx, ClusterModel, ShardedEngine, StopReason};
 pub use snap::{
     Restore, RestoreError, SnapReader, SnapWriter, Snapshot, SnapshotBuilder, SnapshotFile,
 };

@@ -79,7 +79,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::check::{invariant, CheckPlane};
-use crate::engine::StopReason;
 use crate::pool::RoundBarrier;
 use crate::prof::{Phase, Profiler, ShardOccupancy};
 use crate::snap::{malformed, Restore, RestoreError, SnapReader, SnapWriter, Snapshot};
@@ -109,6 +108,17 @@ pub fn shard_count() -> usize {
         }
     }
     1
+}
+
+/// Why a [`ShardedEngine::run_until`] call returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopReason {
+    /// Every cluster's wheel drained.
+    QueueEmpty,
+    /// The next window would open beyond the requested horizon.
+    HorizonReached,
+    /// The event budget was exhausted (livelock guard).
+    BudgetExhausted,
 }
 
 /// Packs the canonical event key: source cluster in the high bits, the

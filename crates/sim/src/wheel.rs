@@ -1,7 +1,8 @@
 //! Hierarchical timing wheel with a reusable entry arena.
 //!
-//! [`TimingWheel`] is the sharded engine's per-cluster event queue: a
-//! hashed hierarchical wheel (11 levels × 64 slots covering the full
+//! [`TimingWheel`] is the simulator's one event queue: the sharded engine
+//! runs one per cluster, and the runtime's scheduler and task-graph
+//! simulations each run one. It is a hashed hierarchical wheel (11 levels × 64 slots covering the full
 //! 64-bit picosecond clock) whose push and pop are `O(1)` amortized, with
 //! cascades touching only `O(levels + entries moved)` work. Entries live
 //! in an index-linked arena with an intrusive freelist, so steady-state
@@ -13,8 +14,11 @@
 //! Events are delivered in strict `(time, key)` order. The caller supplies
 //! the `key`; the sharded engine packs `(source cluster, per-cluster
 //! sequence number)` into it so delivery order is a pure function of the
-//! event set and never of the shard layout. [`EventQueue`] semantics fall
-//! out of using a monotonically increasing sequence number as the key.
+//! event set and never of the shard layout. A single-queue simulation
+//! keys every event by the wheel's own [`scheduled_total`] count, as in
+//! `q.schedule(at, q.scheduled_total(), ev)`: events then pop in
+//! `(time, scheduling index)` order, so equal timestamps are FIFO, also
+//! for events scheduled at the instant currently being delivered.
 //!
 //! # Example
 //!
@@ -29,10 +33,10 @@
 //! assert_eq!(order, ["first", "a", "b"]);
 //! ```
 //!
-//! [`EventQueue`]: crate::event::EventQueue
+//! [`scheduled_total`]: TimingWheel::scheduled_total
 
 use crate::snap::{malformed, RestoreError, SnapReader, SnapWriter};
-use crate::time::{Duration, Time};
+use crate::time::Time;
 
 /// Bits per wheel level (64 slots each).
 const SLOT_BITS: usize = 6;
@@ -94,13 +98,6 @@ impl<E> TimingWheel<E> {
         }
     }
 
-    /// Creates an empty wheel with arena room for `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> TimingWheel<E> {
-        let mut w = TimingWheel::new();
-        w.nodes.reserve(capacity);
-        w
-    }
-
     /// The current simulation time: the timestamp of the most recently
     /// popped event (or [`Time::ZERO`] before the first pop).
     pub fn now(&self) -> Time {
@@ -157,11 +154,6 @@ impl<E> TimingWheel<E> {
         self.insert_node(idx);
     }
 
-    /// Schedules `event` at `now() + delay` with tie-break `key`.
-    pub fn schedule_in(&mut self, delay: Duration, key: u64, event: E) {
-        self.schedule(self.now() + delay, key, event);
-    }
-
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
         if !self.ready.is_empty() {
@@ -203,25 +195,6 @@ impl<E> TimingWheel<E> {
         self.len -= 1;
         let event = self.release(idx);
         Some((Time::from_ps(self.cur), key, event))
-    }
-
-    /// Pops the earliest event only if it is at or before `horizon`.
-    pub fn pop_if_at_or_before(&mut self, horizon: Time) -> Option<(Time, u64, E)> {
-        if self.peek_time()? > horizon {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// Discards all pending events without advancing the clock. The arena
-    /// keeps its capacity.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free = NIL;
-        self.occ = [0; LEVELS];
-        self.slots = [[NIL; SLOTS]; LEVELS];
-        self.ready.clear();
-        self.len = 0;
     }
 
     fn alloc(&mut self, time: u64, key: u64, event: E) -> u32 {
@@ -438,6 +411,7 @@ impl<E: crate::snap::Restore> crate::snap::Restore for TimingWheel<E> {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+    use crate::time::Duration;
 
     #[test]
     fn pops_in_time_then_key_order() {
@@ -511,20 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_if_at_or_before_respects_horizon() {
-        let mut w = TimingWheel::new();
-        w.schedule(Time::from_ns(10), 0, "a");
-        w.schedule(Time::from_ns(20), 1, "b");
-        assert_eq!(w.pop_if_at_or_before(Time::from_ns(5)), None);
-        assert_eq!(
-            w.pop_if_at_or_before(Time::from_ns(10)),
-            Some((Time::from_ns(10), 0, "a"))
-        );
-        assert_eq!(w.pop_if_at_or_before(Time::from_ns(19)), None);
-        assert_eq!(w.len(), 1);
-    }
-
-    #[test]
     fn arena_reuses_slots_zero_steady_state_growth() {
         let mut w = TimingWheel::new();
         // Warm up: at most 32 pending entries at any point.
@@ -546,22 +506,8 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_capacity_and_resets_contents() {
-        let mut w = TimingWheel::new();
-        for i in 0..100u64 {
-            w.schedule(Time::from_ps(i * 7), i, i);
-        }
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.peek_time(), None);
-        assert_eq!(w.scheduled_total(), 100);
-        w.schedule(Time::from_ns(1), 0, 7);
-        assert_eq!(w.pop().map(|(_, _, e)| e), Some(7));
-    }
-
-    #[test]
     fn bookkeeping() {
-        let mut w: TimingWheel<()> = TimingWheel::with_capacity(16);
+        let mut w: TimingWheel<()> = TimingWheel::new();
         assert!(w.is_empty());
         w.schedule(Time::from_ns(4), 0, ());
         w.schedule(Time::from_ns(2), 1, ());
@@ -616,8 +562,9 @@ mod tests {
         assert_eq!(restored.len(), w.len());
         assert_eq!(restored.scheduled_total(), w.scheduled_total());
         // identical drains, including after fresh scheduling on both
-        w.schedule_in(Duration::from_ns(3), 999, 999);
-        restored.schedule_in(Duration::from_ns(3), 999, 999);
+        let later = w.now() + Duration::from_ns(3);
+        w.schedule(later, 999, 999);
+        restored.schedule(later, 999, 999);
         let a: Vec<_> = std::iter::from_fn(|| w.pop()).collect();
         let b: Vec<_> = std::iter::from_fn(|| restored.pop()).collect();
         assert_eq!(a, b);

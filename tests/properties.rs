@@ -498,18 +498,23 @@ fn assert_lockstep<T: Clone + std::fmt::Debug>(
 
 #[derive(Debug, Clone, Copy)]
 enum QueueOp {
-    /// Schedule at `now + dt_ps` (0 lands in the same-instant FIFO ring).
+    /// Schedule at `now + dt_ps` (0 lands on the current instant).
     Schedule(u64),
-    /// Schedule at `now` via the dedicated ring fast path.
+    /// Schedule at `now`, possibly into a same-instant batch mid-delivery.
     ScheduleNow,
     Pop,
-    /// `pop_if_at_or_before(now + dh_ps)`.
+    /// Pop only if `peek_time() <= now + dh_ps`.
     PopHorizon(u64),
 }
 
+/// The event-queue convention of the scheduler and task-graph
+/// simulations: a [`TimingWheel`](ecoscale::sim::TimingWheel) keyed by its
+/// own `scheduled_total()` must deliver in `(time, scheduling index)`
+/// order, so equal timestamps pop FIFO even when scheduled at the instant
+/// being delivered.
 #[test]
 fn event_queue_matches_sequential_oracle() {
-    use ecoscale::sim::EventQueue;
+    use ecoscale::sim::TimingWheel;
     for case in 0..CASES {
         let mut rng = case_rng(16, case);
         let len = rng.gen_range_usize(1, 120);
@@ -522,10 +527,9 @@ fn event_queue_matches_sequential_oracle() {
             })
             .collect();
         // Oracle: a flat vector popped by the total order (time, global
-        // scheduling index) — the queue's documented delivery order across
-        // both the binary heap and the same-instant ring.
-        assert_lockstep("EventQueue", case, &ops, |ops| {
-            let mut q: EventQueue<u64> = EventQueue::new();
+        // scheduling index).
+        assert_lockstep("TimingWheel", case, &ops, |ops| {
+            let mut q: TimingWheel<u64> = TimingWheel::new();
             let mut model: Vec<(Time, u64)> = Vec::new();
             let mut next_id = 0u64;
             let model_pop = |model: &mut Vec<(Time, u64)>| -> Option<(Time, u64)> {
@@ -540,17 +544,17 @@ fn event_queue_matches_sequential_oracle() {
                 match *op {
                     QueueOp::Schedule(dt) => {
                         let at = q.now() + Duration::from_ps(dt);
-                        q.schedule(at, next_id);
+                        q.schedule(at, q.scheduled_total(), next_id);
                         model.push((at, next_id));
                         next_id += 1;
                     }
                     QueueOp::ScheduleNow => {
-                        q.schedule_now(next_id);
+                        q.schedule(q.now(), q.scheduled_total(), next_id);
                         model.push((q.now(), next_id));
                         next_id += 1;
                     }
                     QueueOp::Pop => {
-                        let got = q.pop();
+                        let got = q.pop().map(|(t, _, id)| (t, id));
                         let want = model_pop(&mut model);
                         if got != want {
                             return Some(format!("step {step} pop: {got:?} != {want:?}"));
@@ -558,7 +562,10 @@ fn event_queue_matches_sequential_oracle() {
                     }
                     QueueOp::PopHorizon(dh) => {
                         let horizon = q.now() + Duration::from_ps(dh);
-                        let got = q.pop_if_at_or_before(horizon);
+                        let got = match q.peek_time() {
+                            Some(t) if t <= horizon => q.pop().map(|(t, _, id)| (t, id)),
+                            _ => None,
+                        };
                         let due = model
                             .iter()
                             .map(|&(t, _)| t)
@@ -567,7 +574,7 @@ fn event_queue_matches_sequential_oracle() {
                         let want = if due { model_pop(&mut model) } else { None };
                         if got != want {
                             return Some(format!(
-                                "step {step} pop_if_at_or_before({horizon}): {got:?} != {want:?}"
+                                "step {step} pop at or before {horizon}: {got:?} != {want:?}"
                             ));
                         }
                     }
@@ -1235,70 +1242,6 @@ fn slot_interpreter_matches_tree_walker_oracle() {
         let (setup, body) = InterpCase::draw(&mut rng, family);
         let what = format!("KernelArgs::run (salt 22, family {family}, bindings {setup:?})");
         assert_lockstep(&what, case, &body, |body| setup.diverges(body));
-    }
-}
-
-// ----------------------------------------------------------------------
-// sim: timing wheel vs event queue vs sorted-map oracle
-// ----------------------------------------------------------------------
-
-/// Lockstep oracle for the hierarchical timing wheel behind the sharded
-/// engine: an interleaved schedule/pop workload is mirrored into the
-/// wheel, the binary-heap [`EventQueue`], and a `BTreeMap` keyed by
-/// `(time, sequence)`. All three must agree on every pop. The wheel is
-/// driven with monotonically increasing keys, which matches the queue's
-/// FIFO-at-equal-times contract.
-#[test]
-fn timing_wheel_matches_event_queue_and_btree_oracle() {
-    use ecoscale::sim::{EventQueue, TimingWheel};
-    for case in 0..CASES {
-        let mut rng = case_rng(20, case);
-        let mut wheel: TimingWheel<u64> = TimingWheel::new();
-        let mut queue: EventQueue<u64> = EventQueue::new();
-        let mut oracle: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-        let mut seq = 0u64;
-        let mut now = 0u64;
-        let steps = rng.gen_range_usize(50, 400);
-        for step in 0..steps {
-            if rng.gen_bool(0.55) || oracle.is_empty() {
-                // Schedule a small batch at or after the current time;
-                // occasionally far out, to cross wheel levels.
-                for _ in 0..rng.gen_range_usize(1, 4) {
-                    let horizon = if rng.gen_bool(0.15) { 1 << 40 } else { 50_000 };
-                    let at = now + rng.gen_range_u64(0, horizon);
-                    wheel.schedule(Time::from_ps(at), seq, seq);
-                    queue.schedule(Time::from_ps(at), seq);
-                    oracle.insert((at, seq), seq);
-                    seq += 1;
-                }
-            } else {
-                let (&(at, key), &payload) = oracle.iter().next().expect("oracle non-empty");
-                oracle.remove(&(at, key));
-                let (wt, wkey, wev) = wheel.pop().expect("wheel has events");
-                let (qt, qev) = queue.pop().expect("queue has events");
-                assert_eq!(
-                    (wt.as_ps(), wkey, wev),
-                    (at, key, payload),
-                    "case {case} step {step}: wheel diverged from oracle"
-                );
-                assert_eq!(
-                    (qt.as_ps(), qev),
-                    (at, payload),
-                    "case {case} step {step}: event queue diverged from oracle"
-                );
-                now = at;
-            }
-        }
-        // Drain whatever is left; the three must agree to the last event.
-        while let Some((&(at, key), &payload)) = oracle.iter().next() {
-            oracle.remove(&(at, key));
-            let (wt, wkey, wev) = wheel.pop().expect("wheel drains with oracle");
-            let (qt, qev) = queue.pop().expect("queue drains with oracle");
-            assert_eq!((wt.as_ps(), wkey, wev), (at, key, payload), "case {case}");
-            assert_eq!((qt.as_ps(), qev), (at, payload), "case {case}");
-        }
-        assert!(wheel.is_empty(), "case {case}");
-        assert!(queue.is_empty(), "case {case}");
     }
 }
 
