@@ -38,6 +38,14 @@ pub enum BuildSystemError {
     Parse(ParseKernelError),
     /// HLS could not estimate a kernel (e.g. unresolved trip counts).
     Estimate(ecoscale_hls::EstimateError),
+    /// A tree level has fewer than 2 members (the tree needs a fanout of
+    /// at least 2).
+    Shape {
+        /// Which level: `"workers per node"` or `"compute nodes"`.
+        what: &'static str,
+        /// The configured count.
+        got: usize,
+    },
 }
 
 impl fmt::Display for BuildSystemError {
@@ -45,6 +53,9 @@ impl fmt::Display for BuildSystemError {
         match self {
             BuildSystemError::Parse(e) => write!(f, "kernel parse failed: {e}"),
             BuildSystemError::Estimate(e) => write!(f, "kernel estimation failed: {e}"),
+            BuildSystemError::Shape { what, got } => {
+                write!(f, "need at least 2 {what}, got {got}")
+            }
         }
     }
 }
@@ -159,24 +170,16 @@ impl SystemBuilder {
         SystemBuilder::default()
     }
 
-    /// Workers per Compute Node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if below 2 (the tree needs a fanout of at least 2).
+    /// Workers per Compute Node (at least 2, checked by
+    /// [`SystemBuilder::build`]).
     pub fn workers_per_node(mut self, n: usize) -> SystemBuilder {
-        assert!(n >= 2, "need at least 2 workers per node");
         self.workers_per_node = n;
         self
     }
 
-    /// Number of Compute Nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if below 2.
+    /// Number of Compute Nodes (at least 2, checked by
+    /// [`SystemBuilder::build`]).
     pub fn compute_nodes(mut self, n: usize) -> SystemBuilder {
-        assert!(n >= 2, "need at least 2 compute nodes");
         self.compute_nodes = n;
         self
     }
@@ -205,8 +208,18 @@ impl SystemBuilder {
     ///
     /// # Errors
     ///
-    /// [`BuildSystemError`] on parse or estimation failures.
+    /// [`BuildSystemError::Shape`] when a tree level has fewer than 2
+    /// members, otherwise [`BuildSystemError`] on parse or estimation
+    /// failures.
     pub fn build(self) -> Result<EcoscaleSystem, BuildSystemError> {
+        for (what, got) in [
+            ("workers per node", self.workers_per_node),
+            ("compute nodes", self.compute_nodes),
+        ] {
+            if got < 2 {
+                return Err(BuildSystemError::Shape { what, got });
+            }
+        }
         let mut parsed = Vec::new();
         for (src, hints) in &self.kernels {
             parsed.push((parse_kernel(src)?, hints.clone()));
@@ -894,6 +907,37 @@ mod tests {
         assert_eq!(s.library().len(), 1);
         assert_eq!(s.now(), Time::ZERO);
         assert_eq!(s.worker(NodeId(3)).id(), NodeId(3));
+    }
+
+    #[test]
+    fn undersized_tree_levels_are_typed_build_errors() {
+        let err = SystemBuilder::new()
+            .workers_per_node(1)
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                BuildSystemError::Shape {
+                    what: "workers per node",
+                    got: 1
+                }
+            ),
+            "{err:?}"
+        );
+        let err = SystemBuilder::new().compute_nodes(0).build().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                BuildSystemError::Shape {
+                    what: "compute nodes",
+                    got: 0
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), "need at least 2 compute nodes, got 0");
+        assert!(SystemBuilder::new().compute_nodes(2).build().is_ok());
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! A deterministic registry of named instruments.
 //!
 //! [`MetricsRegistry`] maps metric names to one of the three stats
-//! primitives from [`crate::stats`]: [`Counter`] (monotonic event
+//! primitives from [`crate::stats`] — [`Counter`] (monotonic event
 //! counts), [`OnlineStats`] (mean/min/max/stddev of a continuous
 //! quantity) and [`Histogram`] (log-binned distributions with
-//! percentiles). Domain structs keep raw instruments in their own
-//! fields for the hot path and *export* into a registry at snapshot
-//! time, so registry lookups never appear in inner loops.
+//! percentiles) — or to a gauge, a sampled `u64` level such as a queue
+//! depth. Domain structs keep raw instruments in their own fields for
+//! the hot path and *export* into a registry at snapshot time, so
+//! registry lookups never appear in inner loops.
 //!
 //! The registry is backed by a `BTreeMap`, so iteration, the rendered
 //! [`Table`] and the JSON export are all deterministically ordered.
-//! [`MetricsRegistry::merge`] folds another registry in (counters add,
-//! stats and histograms merge), which lets per-thread registries from
-//! [`crate::pool`] combine in input order into output that is
-//! byte-identical regardless of `ECOSCALE_THREADS`.
+//! [`MetricsRegistry::merge`] folds another registry in (counters and
+//! gauges add, stats and histograms merge), which lets per-thread
+//! registries from [`crate::pool`] combine in input order into output
+//! that is byte-identical regardless of `ECOSCALE_THREADS`.
+//!
+//! The registry is also the one instrument model of the telemetry
+//! plane: a [`crate::TimeSeries`] is a ring of per-window registries
+//! plus a lifetime registry.
 
 use std::collections::BTreeMap;
 
@@ -30,6 +35,8 @@ pub enum Instrument {
     Stats(OnlineStats),
     /// Log-binned distribution.
     Histogram(Histogram),
+    /// A sampled level (set, not accumulated; merging adds levels).
+    Gauge(u64),
 }
 
 impl Instrument {
@@ -38,6 +45,7 @@ impl Instrument {
             Instrument::Counter(_) => "counter",
             Instrument::Stats(_) => "stats",
             Instrument::Histogram(_) => "histogram",
+            Instrument::Gauge(_) => "gauge",
         }
     }
 }
@@ -54,36 +62,41 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// The instrument `name`, registered as `new()` on first use. The
+    /// key is only allocated for a new name, so recording into an
+    /// existing instrument allocates nothing.
+    fn slot(&mut self, name: &str, new: fn() -> Instrument) -> &mut Instrument {
+        if !self.slots.contains_key(name) {
+            self.slots.insert(name.to_owned(), new());
+        }
+        self.slots.get_mut(name).expect("slot registered above")
+    }
+
     fn counter_mut(&mut self, name: &str) -> &mut Counter {
-        let slot = self
-            .slots
-            .entry(name.to_owned())
-            .or_insert_with(|| Instrument::Counter(Counter::new()));
-        match slot {
+        match self.slot(name, || Instrument::Counter(Counter::new())) {
             Instrument::Counter(c) => c,
             other => panic!("metric `{name}` is a {}, not a counter", other.kind()),
         }
     }
 
     fn stats_mut(&mut self, name: &str) -> &mut OnlineStats {
-        let slot = self
-            .slots
-            .entry(name.to_owned())
-            .or_insert_with(|| Instrument::Stats(OnlineStats::new()));
-        match slot {
+        match self.slot(name, || Instrument::Stats(OnlineStats::new())) {
             Instrument::Stats(s) => s,
             other => panic!("metric `{name}` is a {}, not stats", other.kind()),
         }
     }
 
     fn hist_mut(&mut self, name: &str) -> &mut Histogram {
-        let slot = self
-            .slots
-            .entry(name.to_owned())
-            .or_insert_with(|| Instrument::Histogram(Histogram::new()));
-        match slot {
+        match self.slot(name, || Instrument::Histogram(Histogram::new())) {
             Instrument::Histogram(h) => h,
             other => panic!("metric `{name}` is a {}, not a histogram", other.kind()),
+        }
+    }
+
+    fn gauge_mut(&mut self, name: &str) -> &mut u64 {
+        match self.slot(name, || Instrument::Gauge(0)) {
+            Instrument::Gauge(v) => v,
+            other => panic!("metric `{name}` is a {}, not a gauge", other.kind()),
         }
     }
 
@@ -107,6 +120,11 @@ impl MetricsRegistry {
         self.hist_mut(name).record(v);
     }
 
+    /// Sets the gauge `name` to level `v`.
+    pub fn set_gauge(&mut self, name: &str, v: u64) {
+        *self.gauge_mut(name) = v;
+    }
+
     /// Merges a pre-accumulated [`OnlineStats`] into instrument `name`.
     pub fn merge_stats(&mut self, name: &str, s: &OnlineStats) {
         self.stats_mut(name).merge(s);
@@ -117,14 +135,34 @@ impl MetricsRegistry {
         self.hist_mut(name).merge(h);
     }
 
-    /// Folds `other` into `self`: counters add, stats and histograms
-    /// merge. Panics if a shared name holds different instrument kinds.
+    /// Folds `other` into `self`: counters and gauges add, stats and
+    /// histograms merge. Panics if a shared name holds different
+    /// instrument kinds.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, inst) in &other.slots {
             match inst {
                 Instrument::Counter(c) => self.add(name, c.get()),
                 Instrument::Stats(s) => self.merge_stats(name, s),
                 Instrument::Histogram(h) => self.merge_hist(name, h),
+                Instrument::Gauge(v) => {
+                    let mine = self.gauge_mut(name);
+                    *mine = mine.saturating_add(*v);
+                }
+            }
+        }
+    }
+
+    /// Starts a new accumulation window in place: counters go to 0,
+    /// stats and histograms are emptied, gauges keep their level (a
+    /// level outlives the window it was set in). Every name stays
+    /// registered.
+    pub(crate) fn begin_window(&mut self) {
+        for inst in self.slots.values_mut() {
+            match inst {
+                Instrument::Counter(c) => *c = Counter::new(),
+                Instrument::Stats(s) => *s = OnlineStats::new(),
+                Instrument::Histogram(h) => *h = Histogram::new(),
+                Instrument::Gauge(_) => {}
             }
         }
     }
@@ -138,6 +176,22 @@ impl MetricsRegistry {
     pub fn counter(&self, name: &str) -> Option<u64> {
         match self.slots.get(name) {
             Some(Instrument::Counter(c)) => Some(c.get()),
+            _ => None,
+        }
+    }
+
+    /// The level of the gauge `name`, if present and a gauge.
+    pub fn gauge(&self, name: &str) -> Option<u64> {
+        match self.slots.get(name) {
+            Some(Instrument::Gauge(v)) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The histogram `name`, if present and a histogram.
+    pub fn hist(&self, name: &str) -> Option<&Histogram> {
+        match self.slots.get(name) {
+            Some(Instrument::Histogram(h)) => Some(h),
             _ => None,
         }
     }
@@ -192,6 +246,15 @@ impl MetricsRegistry {
                     fnum(h.percentile(95.0) as f64),
                     fnum(h.max() as f64),
                 ]),
+                Instrument::Gauge(v) => t.row_owned(vec![
+                    name.clone(),
+                    "gauge".into(),
+                    fnum(*v as f64),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                ]),
             }
         }
         t
@@ -217,6 +280,10 @@ impl MetricsRegistry {
                 Instrument::Counter(c) => {
                     out.push_str(",\"value\":");
                     out.push_str(&c.get().to_string());
+                }
+                Instrument::Gauge(v) => {
+                    out.push_str(",\"value\":");
+                    out.push_str(&v.to_string());
                 }
                 Instrument::Stats(s) => {
                     out.push_str(",\"count\":");
@@ -273,6 +340,10 @@ impl crate::snap::Snapshot for Instrument {
                 w.put_u8(2);
                 h.snapshot(w);
             }
+            Instrument::Gauge(v) => {
+                w.put_u8(3);
+                w.put_u64(*v);
+            }
         }
     }
 }
@@ -285,6 +356,7 @@ impl crate::snap::Restore for Instrument {
             0 => Instrument::Counter(Counter::restore(r)?),
             1 => Instrument::Stats(OnlineStats::restore(r)?),
             2 => Instrument::Histogram(Histogram::restore(r)?),
+            3 => Instrument::Gauge(r.get_u64()?),
             tag => return Err(crate::snap::malformed(format!("instrument tag {tag}"))),
         })
     }
@@ -329,12 +401,22 @@ mod tests {
         m.observe("a.lat", 2.0);
         m.observe("a.lat", 4.0);
         m.record("a.hops", 3);
+        m.set_gauge("a.depth", 9);
+        m.set_gauge("a.depth", 4);
         assert_eq!(m.counter("a.hits"), Some(5));
+        assert_eq!(m.gauge("a.depth"), Some(4), "a gauge holds its last level");
+        assert_eq!(m.hist("a.hops").map(|h| h.count()), Some(1));
+        assert_eq!(m.gauge("a.hits"), None);
+        assert!(m.hist("a.lat").is_none());
         match m.get("a.lat") {
             Some(Instrument::Stats(s)) => assert_eq!(s.mean(), 3.0),
             other => panic!("unexpected: {other:?}"),
         }
-        assert_eq!(m.len(), 3);
+        assert_eq!(m.len(), 4);
+        let mut other = MetricsRegistry::new();
+        other.set_gauge("a.depth", 3);
+        m.merge(&other);
+        assert_eq!(m.gauge("a.depth"), Some(7), "merged gauges add");
     }
 
     #[test]
@@ -400,6 +482,7 @@ mod tests {
         m.record("m.hist", 8);
         m.record("m.hist", 900);
         m.observe("empty.stat", 1.0);
+        m.set_gauge("q.depth", 12);
         let mut w = SnapWriter::new();
         m.snapshot(&mut w);
         let bytes = w.into_bytes();

@@ -44,9 +44,12 @@ use crate::time::{Duration, Time};
 pub const SNAP_MAGIC: [u8; 8] = *b"ECOSNAP\x01";
 
 /// Current codec version. Snapshots written by a *newer* codec are
-/// refused with [`RestoreError::FutureVersion`]; older versions would be
-/// migrated here (none exist yet).
-pub const SNAP_VERSION: u32 = 1;
+/// refused with [`RestoreError::FutureVersion`], and snapshots written by
+/// an *older* one with [`RestoreError::Malformed`]: no migration exists,
+/// a section's layout is only read by the version that wrote it.
+///
+/// Version 2 stores the telemetry series as registry windows.
+pub const SNAP_VERSION: u32 = 2;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -461,6 +464,7 @@ impl<'a> SnapshotFile<'a> {
     /// # Errors
     ///
     /// [`RestoreError::BadMagic`], [`RestoreError::FutureVersion`],
+    /// [`RestoreError::Malformed`] for an older version,
     /// [`RestoreError::Truncated`], [`RestoreError::BadChecksum`] or
     /// [`RestoreError::Malformed`] — in that precedence order.
     pub fn parse(bytes: &'a [u8]) -> Result<SnapshotFile<'a>, RestoreError> {
@@ -476,6 +480,11 @@ impl<'a> SnapshotFile<'a> {
                 found: version,
                 supported: SNAP_VERSION,
             });
+        }
+        if version < SNAP_VERSION {
+            return Err(malformed(format!(
+                "snapshot version {version} is older than supported version {SNAP_VERSION}"
+            )));
         }
         let count = r.get_u32()? as usize;
         let mut sections = Vec::with_capacity(count);
@@ -784,6 +793,22 @@ mod tests {
     }
 
     #[test]
+    fn older_version_is_refused_before_any_section_is_read() {
+        // A table that claims a section far past the end of the stream:
+        // reading it would fail as Truncated, so a Malformed refusal
+        // proves the version check came first.
+        let mut bytes = SnapshotBuilder::new().finish();
+        bytes[8..12].copy_from_slice(&(SNAP_VERSION - 1).to_le_bytes());
+        bytes[12..16].copy_from_slice(&1u32.to_le_bytes());
+        match SnapshotFile::parse(&bytes) {
+            Err(RestoreError::Malformed { context }) => {
+                assert!(context.contains("older"), "{context}");
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn every_payload_bit_flip_is_caught() {
         let mut b = SnapshotBuilder::new();
         b.section("s", |w| {
@@ -830,7 +855,7 @@ mod tests {
         let file = SnapshotFile::parse(&bytes).expect("parses");
         let j = file.header_json();
         assert!(j.contains("\"magic\":\"ECOSNAP\""), "{j}");
-        assert!(j.contains("\"version\":1"), "{j}");
+        assert!(j.contains(&format!("\"version\":{SNAP_VERSION}")), "{j}");
         assert!(j.contains("\"name\":\"one\""), "{j}");
         assert!(j.contains("\"name\":\"two\""), "{j}");
         assert_eq!(j, SnapshotFile::parse(&bytes).unwrap().header_json());

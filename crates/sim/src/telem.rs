@@ -6,11 +6,14 @@
 //! what else was happening". This module adds the time-resolved layer:
 //!
 //! * [`TimeSeries`] — named counters, gauges and histograms bucketed
-//!   into fixed sim-time windows of configurable width, with a bounded
-//!   ring of closed-window aggregates, lifetime totals, canonical JSON
-//!   export, and [`Snapshot`]/[`Restore`] support. Everything is
-//!   driven by simulated time, so exports are byte-identical at any
-//!   `ECOSCALE_THREADS`/`ECOSCALE_SHARDS` setting.
+//!   into fixed sim-time windows of configurable width. It adds no
+//!   instrument model of its own: every window is a
+//!   [`MetricsRegistry`], kept in a bounded ring of closed windows, and
+//!   a lifetime registry (the infinite window) holds counter totals.
+//!   Merge and [`Snapshot`]/[`Restore`] are the registry's; only the
+//!   canonical JSON export splits a window by instrument kind.
+//!   Everything is driven by simulated time, so exports are
+//!   byte-identical at any `ECOSCALE_THREADS`/`ECOSCALE_SHARDS` setting.
 //! * [`FlightRecorder`] — an always-on bounded ring of recent trace
 //!   events. Disabled, every call is a single branch on an `Option`
 //!   and allocates nothing; armed, the ring is allocated once up
@@ -29,6 +32,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use crate::check::{invariant, CheckPlane};
 use crate::json;
+use crate::metrics::{Instrument, MetricsRegistry};
 use crate::snap::{malformed, Restore, RestoreError, SnapReader, SnapWriter, Snapshot};
 use crate::stats::Histogram;
 use crate::time::{Duration, Time};
@@ -60,89 +64,16 @@ impl TelemetryConfig {
     }
 }
 
-/// One windowed counter: the open-window count plus the bookkeeping
-/// needed to prove conservation against the lifetime total.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct WinCounter {
-    /// Count in the open window.
-    cur: u64,
-    /// Lifetime total across all windows.
-    total: u64,
-    /// Counts attributed to windows evicted from the ring.
-    evicted: u64,
-}
-
-/// Closed-window aggregate: one entry in the [`TimeSeries`] ring.
-///
-/// Histograms are kept raw (not as percentile summaries) so per-cell
-/// series merge exactly; percentiles are computed at export time.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WindowAgg {
-    /// Window index (window `i` covers `[i*width, (i+1)*width)`).
-    pub index: u64,
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, u64)>,
-    hists: Vec<(String, Histogram)>,
-}
-
-impl WindowAgg {
-    /// The count a named counter contributed to this window.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    }
-
-    /// The sampled level of a named gauge in this window.
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    }
-
-    /// The windowed histogram recorded under `name`, if any.
-    pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
-    }
-
-    fn merge(&mut self, other: &WindowAgg) {
-        debug_assert_eq!(self.index, other.index);
-        for (name, v) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine += v,
-                None => self.counters.push((name.clone(), *v)),
-            }
-        }
-        for (name, v) in &other.gauges {
-            match self.gauges.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => *mine += v,
-                None => self.gauges.push((name.clone(), *v)),
-            }
-        }
-        for (name, h) in &other.hists {
-            match self.hists.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => mine.merge(h),
-                None => self.hists.push((name.clone(), h.clone())),
-            }
-        }
-        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        self.hists.sort_by(|a, b| a.0.cmp(&b.0));
-    }
-}
-
 /// Named instruments bucketed into fixed sim-time windows.
 ///
 /// Callers drive the clock explicitly: [`TimeSeries::advance`] closes
-/// every window that ends at or before `now`, pushing its aggregate
-/// into a bounded ring; recording calls then land in the open window.
-/// Counters keep a lifetime total beside the window count, gauges are
-/// sampled levels that persist across rolls, histograms reset per
-/// window but stay raw in the ring so series merge exactly.
+/// every window that ends at or before `now`, pushing it into a bounded
+/// ring; recording calls then land in the open window. Each window is a
+/// [`MetricsRegistry`]: counters restart from 0 per window (their sum
+/// over every window is the lifetime registry), gauges are sampled
+/// levels that persist across rolls, histograms reset per window but
+/// stay raw in the ring so series merge exactly. A name belongs to one
+/// instrument kind: recording it as another kind panics.
 ///
 /// # Example
 ///
@@ -165,10 +96,14 @@ pub struct TimeSeries {
     open: u64,
     /// Number of windows closed so far.
     rolled: u64,
-    counters: BTreeMap<String, WinCounter>,
-    gauges: BTreeMap<String, u64>,
-    hists: BTreeMap<String, Histogram>,
-    ring: VecDeque<WindowAgg>,
+    /// The open window. It keeps every name across rolls.
+    current: MetricsRegistry,
+    /// Counter totals over all windows: the infinite window.
+    lifetime: MetricsRegistry,
+    /// Counter counts of the windows evicted from the ring.
+    evicted: MetricsRegistry,
+    /// Closed windows by index, oldest first.
+    ring: VecDeque<(u64, MetricsRegistry)>,
 }
 
 impl TimeSeries {
@@ -186,9 +121,9 @@ impl TimeSeries {
             retain,
             open: 0,
             rolled: 0,
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            hists: BTreeMap::new(),
+            current: MetricsRegistry::new(),
+            lifetime: MetricsRegistry::new(),
+            evicted: MetricsRegistry::new(),
             ring: VecDeque::with_capacity(retain),
         }
     }
@@ -205,26 +140,25 @@ impl TimeSeries {
 
     /// Adds `n` to the counter `name` in the open window.
     pub fn incr(&mut self, name: &str, n: u64) {
-        let c = self.counters.entry(name.to_owned()).or_default();
-        c.cur += n;
-        c.total += n;
+        self.current.add(name, n);
+        self.lifetime.add(name, n);
     }
 
     /// Sets the gauge `name` to level `v` (persists across rolls).
     pub fn set_gauge(&mut self, name: &str, v: u64) {
-        *self.gauges.entry(name.to_owned()).or_default() = v;
+        self.current.set_gauge(name, v);
     }
 
     /// Records `v` into the open window's histogram `name`.
     pub fn record(&mut self, name: &str, v: u64) {
-        self.hists.entry(name.to_owned()).or_default().record(v);
+        self.current.record(name, v);
     }
 
     /// Merges a pre-accumulated histogram into the open window's
     /// histogram `name` (how drivers hand over a window's worth of
     /// latencies in one call).
     pub fn merge_hist(&mut self, name: &str, h: &Histogram) {
-        self.hists.entry(name.to_owned()).or_default().merge(h);
+        self.current.merge_hist(name, h);
     }
 
     /// The index of the window containing `t`.
@@ -234,7 +168,7 @@ impl TimeSeries {
 
     /// Lifetime total of the counter `name` across all windows.
     pub fn lifetime(&self, name: &str) -> u64 {
-        self.counters.get(name).map(|c| c.total).unwrap_or(0)
+        self.lifetime.counter(name).unwrap_or(0)
     }
 
     /// Closes every window that ends at or before `now`.
@@ -253,75 +187,62 @@ impl TimeSeries {
     }
 
     fn close_open(&mut self) {
-        let agg = WindowAgg {
-            index: self.open,
-            counters: self
-                .counters
-                .iter()
-                .map(|(n, c)| (n.clone(), c.cur))
-                .collect(),
-            gauges: self.gauges.iter().map(|(n, &v)| (n.clone(), v)).collect(),
-            hists: self
-                .hists
-                .iter()
-                .map(|(n, h)| (n.clone(), h.clone()))
-                .collect(),
-        };
-        for c in self.counters.values_mut() {
-            c.cur = 0;
-        }
-        for h in self.hists.values_mut() {
-            *h = Histogram::new();
-        }
-        self.push_agg(agg);
+        let closed = self.current.clone();
+        self.current.begin_window();
+        self.push_window(self.open, closed);
         self.open += 1;
         self.rolled += 1;
     }
 
-    fn push_agg(&mut self, agg: WindowAgg) {
+    fn push_window(&mut self, index: u64, window: MetricsRegistry) {
         if self.ring.len() == self.retain {
-            let old = self.ring.pop_front().expect("ring non-empty at capacity");
-            for (name, v) in &old.counters {
-                self.counters.entry(name.clone()).or_default().evicted += v;
+            let (_, old) = self.ring.pop_front().expect("ring non-empty at capacity");
+            for (name, v) in counters(&old) {
+                self.evicted.add(name, v);
             }
         }
-        self.ring.push_back(agg);
+        self.ring.push_back((index, window));
     }
 
-    /// Iterates retained closed windows, oldest first.
-    pub fn windows(&self) -> impl Iterator<Item = &WindowAgg> {
-        self.ring.iter()
+    /// Iterates retained closed windows as `(index, instruments)`,
+    /// oldest first. Window `i` covers `[i*width, (i+1)*width)`.
+    pub fn windows(&self) -> impl Iterator<Item = (u64, &MetricsRegistry)> {
+        self.ring.iter().map(|(i, w)| (*i, w))
     }
 
     /// The most recent `n` closed windows, oldest first.
-    pub fn tail(&self, n: usize) -> impl Iterator<Item = &WindowAgg> {
-        self.ring.iter().skip(self.ring.len().saturating_sub(n))
+    pub fn tail(&self, n: usize) -> impl Iterator<Item = (u64, &MetricsRegistry)> {
+        self.windows().skip(self.ring.len().saturating_sub(n))
     }
 
     /// Checks `telem.window_conserved`: for every counter, ring counts
     /// plus evicted counts plus the open window equal the lifetime
     /// total.
     pub fn check_conservation(&self, cp: &mut CheckPlane) {
-        for (name, c) in &self.counters {
-            let ring_sum: u64 = self.ring.iter().map(|w| w.counter(name)).sum();
-            let accounted = ring_sum + c.evicted + c.cur;
+        for (name, total) in counters(&self.lifetime) {
+            let ring_sum: u64 = self
+                .ring
+                .iter()
+                .map(|(_, w)| w.counter(name).unwrap_or(0))
+                .sum();
+            let evicted = self.evicted.counter(name).unwrap_or(0);
+            let open = self.current.counter(name).unwrap_or(0);
             cp.check(
                 invariant::TELEM_WINDOW_CONSERVED,
-                accounted == c.total,
+                ring_sum + evicted + open == total,
                 || {
                     format!(
-                        "counter `{name}`: ring {ring_sum} + evicted {} + open {} != lifetime {}",
-                        c.evicted, c.cur, c.total
+                        "counter `{name}`: ring {ring_sum} + evicted {evicted} + open {open} != lifetime {total}"
                     )
                 },
             );
         }
     }
 
-    /// Folds another series into this one (cell-order merge). Window
-    /// aggregates merge index-by-index: counters and gauges add,
-    /// histograms merge raw. Lifetime and eviction bookkeeping add, so
-    /// conservation still holds on the merged series.
+    /// Folds another series into this one (cell-order merge). Windows
+    /// merge index-by-index as registries: counters and gauges add,
+    /// histograms merge raw. Lifetime and eviction registries merge
+    /// too, so conservation still holds on the merged series.
     ///
     /// # Panics
     ///
@@ -331,32 +252,15 @@ impl TimeSeries {
             self.width, other.width,
             "cannot merge time series with different window widths"
         );
-        for (name, c) in &other.counters {
-            let mine = self.counters.entry(name.clone()).or_default();
-            mine.cur += c.cur;
-            mine.total += c.total;
-            mine.evicted += c.evicted;
+        self.current.merge(&other.current);
+        self.lifetime.merge(&other.lifetime);
+        self.evicted.merge(&other.evicted);
+        let mut by_index: BTreeMap<u64, MetricsRegistry> = self.ring.drain(..).collect();
+        for (index, window) in &other.ring {
+            by_index.entry(*index).or_default().merge(window);
         }
-        for (name, &v) in &other.gauges {
-            *self.gauges.entry(name.clone()).or_default() += v;
-        }
-        for (name, h) in &other.hists {
-            self.hists.entry(name.clone()).or_default().merge(h);
-        }
-        let mut by_index: BTreeMap<u64, WindowAgg> = BTreeMap::new();
-        for agg in self.ring.drain(..) {
-            by_index.insert(agg.index, agg);
-        }
-        for agg in &other.ring {
-            match by_index.get_mut(&agg.index) {
-                Some(mine) => mine.merge(agg),
-                None => {
-                    by_index.insert(agg.index, agg.clone());
-                }
-            }
-        }
-        for (_, agg) in by_index {
-            self.push_agg(agg);
+        for (index, window) in by_index {
+            self.push_window(index, window);
         }
         self.open = self.open.max(other.open);
         self.rolled = self.rolled.max(other.rolled);
@@ -376,26 +280,13 @@ impl TimeSeries {
         out.push_str(&self.retain.to_string());
         out.push_str(",\"windows_rolled\":");
         out.push_str(&self.rolled.to_string());
-        out.push_str(",\"lifetime\":{");
-        let mut first = true;
-        for (name, c) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            json::escape(&mut out, name);
-            out.push(':');
-            out.push_str(&c.total.to_string());
-        }
-        out.push_str("},\"windows\":[");
-        let width_ns = self.width.as_ns();
-        for (wi, agg) in self.ring.iter().enumerate() {
-            if wi > 0 {
-                out.push(',');
-            }
-            Self::window_json(&mut out, agg, width_ns);
-        }
-        out.push_str("]}");
+        out.push_str(",\"lifetime\":");
+        json_object(&mut out, counters(&self.lifetime), |out, v| {
+            out.push_str(&v.to_string())
+        });
+        out.push_str(",\"windows\":");
+        self.windows_json(&mut out, self.windows());
+        out.push('}');
         out
     }
 
@@ -404,118 +295,83 @@ impl TimeSeries {
     /// evidence bundle carries alongside the trace ring.
     pub fn tail_json(&self, n: usize) -> String {
         let mut out = String::with_capacity(64 + n * 128);
-        out.push('[');
-        let width_ns = self.width.as_ns();
-        for (wi, agg) in self.tail(n).enumerate() {
-            if wi > 0 {
-                out.push(',');
-            }
-            Self::window_json(&mut out, agg, width_ns);
-        }
-        out.push(']');
+        self.windows_json(&mut out, self.tail(n));
         out
     }
 
-    fn window_json(out: &mut String, agg: &WindowAgg, width_ns: u64) {
-        out.push_str("{\"index\":");
-        out.push_str(&agg.index.to_string());
-        out.push_str(",\"start_ns\":");
-        out.push_str(&(agg.index * width_ns).to_string());
-        out.push_str(",\"end_ns\":");
-        out.push_str(&((agg.index + 1) * width_ns).to_string());
-        out.push_str(",\"counters\":{");
-        let mut f = true;
-        for (name, v) in &agg.counters {
-            if !f {
+    /// Renders windows as a JSON array, each window's registry split by
+    /// instrument kind.
+    fn windows_json<'a>(
+        &self,
+        out: &mut String,
+        windows: impl Iterator<Item = (u64, &'a MetricsRegistry)>,
+    ) {
+        let width_ns = self.width.as_ns();
+        out.push('[');
+        for (wi, (index, w)) in windows.enumerate() {
+            if wi > 0 {
                 out.push(',');
             }
-            f = false;
-            json::escape(out, name);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"gauges\":{");
-        let mut f = true;
-        for (name, v) in &agg.gauges {
-            if !f {
-                out.push(',');
-            }
-            f = false;
-            json::escape(out, name);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"hists\":{");
-        let mut f = true;
-        for (name, h) in &agg.hists {
-            if !f {
-                out.push(',');
-            }
-            f = false;
-            json::escape(out, name);
-            out.push_str(":{\"count\":");
-            out.push_str(&h.count().to_string());
-            out.push_str(",\"p50\":");
-            out.push_str(&h.percentile(50.0).to_string());
-            out.push_str(",\"p99\":");
-            out.push_str(&h.percentile(99.0).to_string());
-            out.push_str(",\"max\":");
-            out.push_str(&h.max().to_string());
+            out.push_str("{\"index\":");
+            out.push_str(&index.to_string());
+            out.push_str(",\"start_ns\":");
+            out.push_str(&(index * width_ns).to_string());
+            out.push_str(",\"end_ns\":");
+            out.push_str(&((index + 1) * width_ns).to_string());
+            out.push_str(",\"counters\":");
+            json_object(out, counters(w), |out, v| out.push_str(&v.to_string()));
+            out.push_str(",\"gauges\":");
+            let gauges = w.iter().filter_map(|(name, inst)| match inst {
+                Instrument::Gauge(v) => Some((name, *v)),
+                _ => None,
+            });
+            json_object(out, gauges, |out, v| out.push_str(&v.to_string()));
+            out.push_str(",\"hists\":");
+            let hists = w.iter().filter_map(|(name, inst)| match inst {
+                Instrument::Histogram(h) => Some((name, h)),
+                _ => None,
+            });
+            json_object(out, hists, |out, h| {
+                out.push_str("{\"count\":");
+                out.push_str(&h.count().to_string());
+                out.push_str(",\"p50\":");
+                out.push_str(&h.percentile(50.0).to_string());
+                out.push_str(",\"p99\":");
+                out.push_str(&h.percentile(99.0).to_string());
+                out.push_str(",\"max\":");
+                out.push_str(&h.max().to_string());
+                out.push('}');
+            });
             out.push('}');
         }
-        out.push_str("}}");
+        out.push(']');
     }
 }
 
-impl Snapshot for WindowAgg {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_u64(self.index);
-        w.put_usize(self.counters.len());
-        for (name, v) in &self.counters {
-            w.put_str(name);
-            w.put_u64(*v);
-        }
-        w.put_usize(self.gauges.len());
-        for (name, v) in &self.gauges {
-            w.put_str(name);
-            w.put_u64(*v);
-        }
-        w.put_usize(self.hists.len());
-        for (name, h) in &self.hists {
-            w.put_str(name);
-            h.snapshot(w);
-        }
-    }
+/// The counters of a window registry as `(name, count)`, in name order.
+fn counters(w: &MetricsRegistry) -> impl Iterator<Item = (&str, u64)> {
+    w.iter().filter_map(|(name, inst)| match inst {
+        Instrument::Counter(c) => Some((name, c.get())),
+        _ => None,
+    })
 }
 
-impl Restore for WindowAgg {
-    fn restore(r: &mut SnapReader<'_>) -> Result<WindowAgg, RestoreError> {
-        let index = r.get_u64()?;
-        let n = r.get_usize()?;
-        let mut counters = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.get_str()?;
-            counters.push((name, r.get_u64()?));
+/// Renders `"name":value` pairs as one JSON object.
+fn json_object<'a, T>(
+    out: &mut String,
+    pairs: impl Iterator<Item = (&'a str, T)>,
+    mut value: impl FnMut(&mut String, T),
+) {
+    out.push('{');
+    for (i, (name, v)) in pairs.enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        let n = r.get_usize()?;
-        let mut gauges = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.get_str()?;
-            gauges.push((name, r.get_u64()?));
-        }
-        let n = r.get_usize()?;
-        let mut hists = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = r.get_str()?;
-            hists.push((name, Histogram::restore(r)?));
-        }
-        Ok(WindowAgg {
-            index,
-            counters,
-            gauges,
-            hists,
-        })
+        json::escape(out, name);
+        out.push(':');
+        value(out, v);
     }
+    out.push('}');
 }
 
 impl Snapshot for TimeSeries {
@@ -524,26 +380,13 @@ impl Snapshot for TimeSeries {
         w.put_usize(self.retain);
         w.put_u64(self.open);
         w.put_u64(self.rolled);
-        w.put_usize(self.counters.len());
-        for (name, c) in &self.counters {
-            w.put_str(name);
-            w.put_u64(c.cur);
-            w.put_u64(c.total);
-            w.put_u64(c.evicted);
-        }
-        w.put_usize(self.gauges.len());
-        for (name, &v) in &self.gauges {
-            w.put_str(name);
-            w.put_u64(v);
-        }
-        w.put_usize(self.hists.len());
-        for (name, h) in &self.hists {
-            w.put_str(name);
-            h.snapshot(w);
-        }
+        self.current.snapshot(w);
+        self.lifetime.snapshot(w);
+        self.evicted.snapshot(w);
         w.put_usize(self.ring.len());
-        for agg in &self.ring {
-            agg.snapshot(w);
+        for (index, window) in &self.ring {
+            w.put_u64(*index);
+            window.snapshot(w);
         }
     }
 }
@@ -560,69 +403,60 @@ impl Restore for TimeSeries {
         }
         let open = r.get_u64()?;
         let rolled = r.get_u64()?;
-        let n = r.get_usize()?;
-        let mut counters = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.get_str()?;
-            let c = WinCounter {
-                cur: r.get_u64()?,
-                total: r.get_u64()?,
-                evicted: r.get_u64()?,
-            };
-            if counters.insert(name.clone(), c).is_some() {
-                return Err(malformed(format!("duplicate telemetry counter `{name}`")));
-            }
-        }
-        let n = r.get_usize()?;
-        let mut gauges = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.get_str()?;
-            let v = r.get_u64()?;
-            if gauges.insert(name.clone(), v).is_some() {
-                return Err(malformed(format!("duplicate telemetry gauge `{name}`")));
-            }
-        }
-        let n = r.get_usize()?;
-        let mut hists = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.get_str()?;
-            let h = Histogram::restore(r)?;
-            if hists.insert(name.clone(), h).is_some() {
-                return Err(malformed(format!("duplicate telemetry histogram `{name}`")));
-            }
-        }
+        let current = MetricsRegistry::restore(r)?;
+        let lifetime = MetricsRegistry::restore(r)?;
+        let evicted = MetricsRegistry::restore(r)?;
         let n = r.get_usize()?;
         if n > retain {
             return Err(malformed(format!(
                 "ring holds {n} windows, retain is {retain}"
             )));
         }
-        let mut ring = VecDeque::with_capacity(retain);
-        let mut last: Option<u64> = None;
-        for _ in 0..n {
-            let agg = WindowAgg::restore(r)?;
-            if agg.index >= open {
+        // Every name keeps the kind it has in the open window, which
+        // holds every name; lifetime and evicted hold only counters. A
+        // stream that breaks this would panic on the next recording call.
+        let kind = |name: &str| current.get(name).map(std::mem::discriminant);
+        let counter = std::mem::discriminant(&Instrument::Counter(Default::default()));
+        for (name, inst) in lifetime.iter().chain(evicted.iter()) {
+            let here = std::mem::discriminant(inst);
+            if here != counter || kind(name).is_some_and(|k| k != counter) {
                 return Err(malformed(format!(
-                    "ring window {} not before open window {open}",
-                    agg.index
+                    "telemetry total `{name}` is not a counter"
                 )));
             }
-            if let Some(prev) = last {
-                if agg.index <= prev {
-                    return Err(malformed("ring windows out of order"));
-                }
+        }
+        let mut ring = VecDeque::new();
+        let mut last: Option<u64> = None;
+        for _ in 0..n {
+            let index = r.get_u64()?;
+            if index >= open {
+                return Err(malformed(format!(
+                    "ring window {index} not before open window {open}"
+                )));
             }
-            last = Some(agg.index);
-            ring.push_back(agg);
+            if last.is_some_and(|prev| index <= prev) {
+                return Err(malformed("ring windows out of order"));
+            }
+            last = Some(index);
+            let window = MetricsRegistry::restore(r)?;
+            if let Some((name, _)) = window
+                .iter()
+                .find(|(name, inst)| kind(name) != Some(std::mem::discriminant(inst)))
+            {
+                return Err(malformed(format!(
+                    "ring window {index} instrument `{name}` differs from the open window"
+                )));
+            }
+            ring.push_back((index, window));
         }
         Ok(TimeSeries {
             width,
             retain,
             open,
             rolled,
-            counters,
-            gauges,
-            hists,
+            current,
+            lifetime,
+            evicted,
             ring,
         })
     }
@@ -1043,9 +877,10 @@ mod tests {
         assert_eq!(ts.rolled(), 4);
         let w: Vec<_> = ts.windows().collect();
         assert_eq!(w.len(), 4);
-        assert_eq!(w[0].counter("ev"), 2);
-        assert_eq!(w[1].counter("ev"), 5);
-        assert_eq!(w[2].counter("ev"), 0);
+        assert_eq!(w.iter().map(|(i, _)| *i).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(w[0].1.counter("ev"), Some(2));
+        assert_eq!(w[1].1.counter("ev"), Some(5));
+        assert_eq!(w[2].1.counter("ev"), Some(0));
         assert_eq!(ts.lifetime("ev"), 7);
     }
 
@@ -1057,9 +892,9 @@ mod tests {
         ts.advance(us(10));
         ts.record("lat", 9_000);
         ts.finish(us(15));
-        let w: Vec<_> = ts.windows().collect();
-        assert_eq!(w[0].gauge("queue"), 3);
-        assert_eq!(w[1].gauge("queue"), 3, "gauge level persists");
+        let w: Vec<_> = ts.windows().map(|(_, w)| w).collect();
+        assert_eq!(w[0].gauge("queue"), Some(3));
+        assert_eq!(w[1].gauge("queue"), Some(3), "gauge level persists");
         assert_eq!(w[0].hist("lat").unwrap().count(), 1);
         assert_eq!(w[1].hist("lat").unwrap().count(), 1);
         assert_eq!(w[1].hist("lat").unwrap().max(), 9_000);
@@ -1128,6 +963,35 @@ mod tests {
             Some(3.0)
         );
         assert_eq!(ts.to_json(), text, "export is stable");
+
+        // Exact bytes, captured before the series was rebuilt on
+        // registries: an evicted window (index 0), a gauge carried
+        // across rolls, a counter created in the last window, and a
+        // window whose histogram is registered but empty.
+        let mut ts = TimeSeries::new(Duration::from_us(10), 2);
+        ts.incr("req", 3);
+        ts.set_gauge("queue", 2);
+        ts.record("lat", 150);
+        ts.advance(us(10));
+        ts.incr("req", 1);
+        ts.set_gauge("queue", 5);
+        ts.advance(us(20));
+        ts.record("lat", 9_000);
+        ts.incr("drop", 2);
+        ts.finish(us(25));
+        let windows = concat!(
+            r#"[{"index":1,"start_ns":10000,"end_ns":20000,"counters":{"req":1},"#,
+            r#""gauges":{"queue":5},"hists":{"lat":{"count":0,"p50":0,"p99":0,"max":0}}},"#,
+            r#"{"index":2,"start_ns":20000,"end_ns":30000,"counters":{"drop":2,"req":0},"#,
+            r#""gauges":{"queue":5},"hists":{"lat":{"count":1,"p50":9000,"p99":9000,"max":9000}}}]"#,
+        );
+        assert_eq!(
+            ts.to_json(),
+            format!(
+                r#"{{"width_ns":10000,"retain":2,"windows_rolled":3,"lifetime":{{"drop":2,"req":4}},"windows":{windows}}}"#
+            )
+        );
+        assert_eq!(ts.tail_json(2), windows);
     }
 
     #[test]
@@ -1150,6 +1014,16 @@ mod tests {
         let mut w2 = SnapWriter::new();
         back.snapshot(&mut w2);
         assert_eq!(w2.into_bytes(), bytes, "re-serialize is byte-identical");
+
+        // A name whose kind differs between registries is refused, not
+        // left to panic on the next recording call.
+        let mut bad = ts.clone();
+        bad.lifetime.set_gauge("g", 1);
+        let mut w = SnapWriter::new();
+        bad.snapshot(&mut w);
+        let bytes = w.into_bytes();
+        let err = TimeSeries::restore(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, RestoreError::Malformed { .. }), "{err:?}");
     }
 
     #[test]

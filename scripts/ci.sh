@@ -74,7 +74,8 @@ BREACH="seed=21,tenants=4,rate=100000,horizon=500us,batch=4,deadline=1us"
 rm -rf target/flight_smoke
 ./target/release/exp_all --scale quick --serve "$BREACH" \
     --telemetry target/telem_smoke.json \
-    --flight-dump target/flight_smoke e01 > /dev/null 2> target/telem_smoke_err.txt
+    --flight-dump target/flight_smoke e01 > target/telem_smoke.txt \
+    2> target/telem_smoke_err.txt
 grep -q "wrote flight dump" target/telem_smoke_err.txt
 test -s target/flight_smoke/flight.json
 test -s target/flight_smoke/snapshot.bin
@@ -84,6 +85,13 @@ grep -q '"windows"' target/telem_smoke.json
 ./target/release/exp_all --scale quick --serve "$BREACH" \
     --telemetry target/telem_smoke_b.json e01 > /dev/null 2>&1
 cmp target/telem_smoke.json target/telem_smoke_b.json
+# the pre-trigger snapshot is telemetry-armed: resuming it must reproduce
+# the uninterrupted capture and stdout byte-for-byte
+./target/release/exp_all --scale quick --serve "$BREACH" \
+    --resume target/flight_smoke/snapshot.bin \
+    --telemetry target/telem_smoke_resumed.json e01 > target/telem_smoke_resumed.txt
+cmp target/telem_smoke.json target/telem_smoke_resumed.json
+cmp target/telem_smoke.txt target/telem_smoke_resumed.txt
 
 echo "== tier-1: seeded fuzz smoke (CheckPlane) =="
 # 64 seeded configs across topology x policy x faults x threads x shards,

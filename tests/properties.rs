@@ -599,6 +599,255 @@ fn event_queue_matches_sequential_oracle() {
     }
 }
 
+/// One op on one cell's series; names are indices into fixed name lists.
+#[derive(Debug, Clone)]
+enum SeriesOp {
+    /// `(counter, n)`; `n` may be 0, which still registers the name.
+    Incr(usize, u64),
+    /// `(gauge, level)`.
+    Gauge(usize, u64),
+    /// `(histogram, value)`.
+    Record(usize, u64),
+    /// `(histogram, values)` handed over as one pre-built histogram.
+    MergeHist(usize, Vec<u64>),
+    /// Move the cell's clock forward by `dt_ps` and roll its series.
+    Advance(u64),
+}
+
+/// One window as plain maps: counters, gauge levels, and per histogram
+/// `(count, max, p50, p99)`.
+type FlatWindow = (
+    BTreeMap<String, u64>,
+    BTreeMap<String, u64>,
+    BTreeMap<String, (u64, u64, u64, u64)>,
+);
+
+fn hist_summary(h: &ecoscale::sim::Histogram) -> (u64, u64, u64, u64) {
+    (h.count(), h.max(), h.percentile(50.0), h.percentile(99.0))
+}
+
+fn flatten_window(w: &ecoscale::sim::MetricsRegistry) -> FlatWindow {
+    use ecoscale::sim::Instrument;
+    let mut flat = FlatWindow::default();
+    for (name, inst) in w.iter() {
+        let name = name.to_owned();
+        match inst {
+            Instrument::Counter(c) => {
+                flat.0.insert(name, c.get());
+            }
+            Instrument::Gauge(v) => {
+                flat.1.insert(name, *v);
+            }
+            Instrument::Histogram(h) => {
+                flat.2.insert(name, hist_summary(h));
+            }
+            Instrument::Stats(_) => panic!("a series window holds no stats instrument"),
+        }
+    }
+    flat
+}
+
+/// `TimeSeries` — now a ring of `MetricsRegistry` windows — against a
+/// flat oracle: every recording op is logged with the cell clock it
+/// happened at, and each window's counter sums, gauge levels and
+/// histograms are recomputed from that log. Two or three cells with
+/// different finish times are merged in cell order; `retain` is smaller
+/// than the number of windows, so windows are evicted both while a cell
+/// rolls and while the merge re-pushes the union of the rings.
+#[test]
+fn time_series_matches_flat_op_log_oracle() {
+    use ecoscale::sim::{CheckPlane, Histogram, TimeSeries};
+
+    const COUNTERS: [&str; 3] = ["c.a", "c.b", "c.c"];
+    const GAUGES: [&str; 2] = ["g.a", "g.b"];
+    const HISTS: [&str; 2] = ["h.a", "h.b"];
+
+    for case in 0..CASES {
+        let mut rng = case_rng(23, case);
+        let cells = rng.gen_range_usize(2, 4);
+        let width = rng.gen_range_u64(1, 50);
+        let retain = rng.gen_range_usize(1, 5);
+        let finish_extra: Vec<u64> = (0..cells)
+            .map(|c| c as u64 * width + rng.gen_range_u64(0, 3 * width))
+            .collect();
+        let len = rng.gen_range_usize(1, 100);
+        let ops: Vec<(usize, SeriesOp)> = (0..len)
+            .map(|_| {
+                let cell = rng.gen_range_usize(0, cells);
+                let op = match rng.gen_range_usize(0, 6) {
+                    0 => SeriesOp::Incr(rng.gen_range_usize(0, 3), rng.gen_range_u64(0, 5)),
+                    1 => SeriesOp::Gauge(rng.gen_range_usize(0, 2), rng.gen_range_u64(0, 9)),
+                    2 => SeriesOp::Record(rng.gen_range_usize(0, 2), rng.gen_range_u64(0, 100_000)),
+                    3 => SeriesOp::MergeHist(
+                        rng.gen_range_usize(0, 2),
+                        (0..rng.gen_range_usize(0, 4))
+                            .map(|_| rng.gen_range_u64(0, 100_000))
+                            .collect(),
+                    ),
+                    _ => SeriesOp::Advance(rng.gen_range_u64(0, 3 * width)),
+                };
+                (cell, op)
+            })
+            .collect();
+
+        assert_lockstep("TimeSeries", case, &ops, |ops| {
+            let w = Duration::from_ps(width);
+            let mut series: Vec<TimeSeries> =
+                (0..cells).map(|_| TimeSeries::new(w, retain)).collect();
+            let mut clock = vec![0u64; cells];
+            // The oracle: (cell, window index at the cell clock, op).
+            let mut log: Vec<(usize, u64, &SeriesOp)> = Vec::new();
+            for (c, op) in ops {
+                let s = &mut series[*c];
+                match op {
+                    SeriesOp::Incr(k, n) => s.incr(COUNTERS[*k], *n),
+                    SeriesOp::Gauge(k, v) => s.set_gauge(GAUGES[*k], *v),
+                    SeriesOp::Record(k, v) => s.record(HISTS[*k], *v),
+                    SeriesOp::MergeHist(k, vs) => {
+                        let mut h = Histogram::new();
+                        vs.iter().for_each(|&v| h.record(v));
+                        s.merge_hist(HISTS[*k], &h);
+                    }
+                    SeriesOp::Advance(dt) => {
+                        clock[*c] += dt;
+                        s.advance(Time::from_ps(clock[*c]));
+                    }
+                }
+                log.push((*c, clock[*c] / width, op));
+            }
+            let mut last_window = Vec::with_capacity(cells);
+            for (c, s) in series.iter_mut().enumerate() {
+                let end = clock[c] + finish_extra[c];
+                s.finish(Time::from_ps(end));
+                last_window.push(end / width);
+            }
+
+            // Window `i` of cell `c`, recomputed from the log: a name is
+            // present once any op registered it at or before window `i`.
+            let cell_window = |c: usize, i: u64| -> (FlatWindow, Vec<(&str, Vec<u64>)>) {
+                let mut flat = FlatWindow::default();
+                let mut raw: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
+                for &(_, at, op) in log.iter().filter(|(cell, at, _)| *cell == c && *at <= i) {
+                    let here = at == i;
+                    match op {
+                        SeriesOp::Incr(k, n) => {
+                            *flat.0.entry(COUNTERS[*k].to_owned()).or_default() +=
+                                if here { *n } else { 0 };
+                        }
+                        SeriesOp::Gauge(k, v) => {
+                            flat.1.insert(GAUGES[*k].to_owned(), *v);
+                        }
+                        SeriesOp::Record(k, v) => {
+                            let vals = raw.entry(HISTS[*k]).or_default();
+                            if here {
+                                vals.push(*v);
+                            }
+                        }
+                        SeriesOp::MergeHist(k, vs) => {
+                            let vals = raw.entry(HISTS[*k]).or_default();
+                            if here {
+                                vals.extend_from_slice(vs);
+                            }
+                        }
+                        SeriesOp::Advance(_) => {}
+                    }
+                }
+                (flat, raw.into_iter().collect())
+            };
+            // The windows a series over `group` must retain, oldest first.
+            let expect_windows = |group: &[usize]| -> Vec<(u64, FlatWindow)> {
+                let newest = group.iter().map(|&c| last_window[c]).max().expect("cells");
+                let oldest = (newest + 1).saturating_sub(retain as u64);
+                (oldest..=newest)
+                    .map(|i| {
+                        let mut flat = FlatWindow::default();
+                        let mut raw: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
+                        for &c in group.iter().filter(|&&c| last_window[c] >= i) {
+                            let (cf, craw) = cell_window(c, i);
+                            for (n, v) in cf.0 {
+                                *flat.0.entry(n).or_default() += v;
+                            }
+                            for (n, v) in cf.1 {
+                                *flat.1.entry(n).or_default() += v;
+                            }
+                            for (n, vs) in craw {
+                                raw.entry(n).or_default().extend(vs);
+                            }
+                        }
+                        for (n, vs) in raw {
+                            let mut h = Histogram::new();
+                            vs.iter().for_each(|&v| h.record(v));
+                            flat.2.insert(n.to_owned(), hist_summary(&h));
+                        }
+                        (i, flat)
+                    })
+                    .collect()
+            };
+            let expect_lifetime = |group: &[usize]| -> BTreeMap<&str, u64> {
+                let mut totals = BTreeMap::new();
+                for &(c, _, op) in &log {
+                    if let (true, SeriesOp::Incr(k, n)) = (group.contains(&c), op) {
+                        *totals.entry(COUNTERS[*k]).or_default() += n;
+                    }
+                }
+                totals
+            };
+            let compare = |what: &str, s: &TimeSeries, group: &[usize]| -> Option<String> {
+                let want = expect_windows(group);
+                let got: Vec<(u64, FlatWindow)> =
+                    s.windows().map(|(i, w)| (i, flatten_window(w))).collect();
+                if got != want {
+                    return Some(format!("{what} windows:\n got {got:?}\nwant {want:?}"));
+                }
+                for n in 0..=retain + 1 {
+                    let got: Vec<(u64, FlatWindow)> =
+                        s.tail(n).map(|(i, w)| (i, flatten_window(w))).collect();
+                    if got[..] != want[want.len().saturating_sub(n)..] {
+                        return Some(format!("{what} tail({n}): {got:?}"));
+                    }
+                }
+                let lifetime = expect_lifetime(group);
+                for name in COUNTERS {
+                    let want = lifetime.get(name).copied().unwrap_or(0);
+                    if s.lifetime(name) != want {
+                        return Some(format!(
+                            "{what} lifetime `{name}`: {} != oracle {want}",
+                            s.lifetime(name)
+                        ));
+                    }
+                }
+                let rolled = group.iter().map(|&c| last_window[c] + 1).max();
+                if Some(s.rolled()) != rolled {
+                    return Some(format!("{what} rolled {} != oracle {rolled:?}", s.rolled()));
+                }
+                let mut cp = CheckPlane::enabled(1);
+                s.check_conservation(&mut cp);
+                if !cp.ok() || cp.checks_run() != lifetime.len() as u64 {
+                    return Some(format!(
+                        "{what} conservation: {} checks for {} counters, first violation {:?}",
+                        cp.checks_run(),
+                        lifetime.len(),
+                        cp.first()
+                    ));
+                }
+                None
+            };
+
+            for (c, s) in series.iter().enumerate() {
+                if let Some(msg) = compare(&format!("cell {c}"), s, &[c]) {
+                    return Some(msg);
+                }
+            }
+            let mut merged = series[0].clone();
+            for s in &series[1..] {
+                merged.merge(s);
+            }
+            let all: Vec<usize> = (0..cells).collect();
+            compare("merged", &merged, &all)
+        });
+    }
+}
+
 #[test]
 fn cache_matches_linear_scan_oracle() {
     use ecoscale::mem::{Cache, CacheAccess, CacheConfig};
