@@ -424,13 +424,16 @@ pub fn run_config(cfg: &FuzzConfig, inject: bool) -> Result<RunReport, FuzzFailu
         config: cfg.clone(),
         detail,
     };
-    let (base, cp) = with_threads(1, || run_once(cfg, inject));
+    // One serving config for every serving phase: its clones share the
+    // parsed, synthesized kernel mix, so the mix is built once per config.
+    let scfg = serve_sim_config(cfg);
+    let (base, cp) = with_threads(1, || run_once(cfg, &scfg, inject));
     if let Some(v) = cp.first() {
         return Err(fail(v.to_string()));
     }
     let mut checks = cp.checks_run();
     if cfg.threads != 1 {
-        let (alt, cp_alt) = with_threads(cfg.threads, || run_once(cfg, inject));
+        let (alt, cp_alt) = with_threads(cfg.threads, || run_once(cfg, &scfg, inject));
         if let Some(v) = cp_alt.first() {
             return Err(fail(format!("at ECOSCALE_THREADS={}: {v}", cfg.threads)));
         }
@@ -450,7 +453,7 @@ pub fn run_config(cfg: &FuzzConfig, inject: bool) -> Result<RunReport, FuzzFailu
     // by tests/determinism.rs, so re-running it per thread setting
     // would only duplicate work).
     let mut cp_snap = CheckPlane::enabled(1);
-    snap_fuzz(cfg, &mut cp_snap);
+    snap_fuzz(&scfg, &mut cp_snap);
     if let Some(v) = cp_snap.first() {
         return Err(fail(format!("snap phase: {v}")));
     }
@@ -460,13 +463,13 @@ pub fn run_config(cfg: &FuzzConfig, inject: bool) -> Result<RunReport, FuzzFailu
     // (series + per-cell flight rings) must be byte-identical at 1
     // thread and at the configured thread count, and the series'
     // `telem.window_conserved` invariant must hold in both.
-    let (tbase, cp_telem) = with_threads(1, || telem_once(cfg));
+    let (tbase, cp_telem) = with_threads(1, || telem_once(&scfg));
     if let Some(v) = cp_telem.first() {
         return Err(fail(format!("telem phase: {v}")));
     }
     checks += cp_telem.checks_run();
     if cfg.threads != 1 {
-        let (talt, cp_telem_alt) = with_threads(cfg.threads, || telem_once(cfg));
+        let (talt, cp_telem_alt) = with_threads(cfg.threads, || telem_once(&scfg));
         if let Some(v) = cp_telem_alt.first() {
             return Err(fail(format!(
                 "telem phase at ECOSCALE_THREADS={}: {v}",
@@ -486,16 +489,16 @@ pub fn run_config(cfg: &FuzzConfig, inject: bool) -> Result<RunReport, FuzzFailu
     }
     // Sharded-engine phase: the cluster-partitioned simulation must
     // export byte-identically at 1 shard and at the configured count.
-    let scfg = shard_sim_config(cfg);
+    let shcfg = shard_sim_config(cfg);
     let mut cp_seq = CheckPlane::enabled(1);
-    let seq = run_shard_sim_with(&scfg, Some(1), &mut cp_seq);
+    let seq = run_shard_sim_with(&shcfg, Some(1), &mut cp_seq);
     if let Some(v) = cp_seq.first() {
         return Err(fail(format!("shard sim at shards=1: {v}")));
     }
     checks += cp_seq.checks_run();
     if cfg.shards != 1 {
         let mut cp_par = CheckPlane::enabled(1);
-        let par = run_shard_sim_with(&scfg, Some(cfg.shards), &mut cp_par);
+        let par = run_shard_sim_with(&shcfg, Some(cfg.shards), &mut cp_par);
         if let Some(v) = cp_par.first() {
             return Err(fail(format!("shard sim at shards={}: {v}", cfg.shards)));
         }
@@ -624,14 +627,14 @@ fn shrink_candidates(c: &FuzzConfig) -> Vec<FuzzConfig> {
 
 /// One full pass over the four phases at the current thread setting.
 /// Returns the metrics export and the aggregated plane.
-fn run_once(cfg: &FuzzConfig, inject: bool) -> (String, CheckPlane) {
+fn run_once(cfg: &FuzzConfig, scfg: &ServeSimConfig, inject: bool) -> (String, CheckPlane) {
     let mut cp = CheckPlane::enabled(1);
     let mut m = MetricsRegistry::new();
     sched_fuzz(cfg, &mut cp, &mut m);
     noc_fuzz(cfg, &mut cp, &mut m);
     smmu_fuzz(cfg, &mut cp, &mut m);
     unimem_fuzz(cfg, &mut cp, &mut m);
-    serve_fuzz(cfg, &mut cp, &mut m);
+    serve_fuzz(scfg, &mut cp, &mut m);
     if inject {
         cp.check(invariant::SABOTAGE, cfg.tasks < 24, || {
             format!(
@@ -787,14 +790,13 @@ fn smmu_fuzz(cfg: &FuzzConfig, cp: &mut CheckPlane, m: &mut MetricsRegistry) {
 /// with the configuration's fault campaign injected. The serve plane's
 /// conservation and queue-bound invariants are absorbed into `cp`, and
 /// the `serve.*` metrics join the byte-identity comparison.
-fn serve_fuzz(cfg: &FuzzConfig, cp: &mut CheckPlane, m: &mut MetricsRegistry) {
-    let scfg = serve_sim_config(cfg);
-    let out = run_serve_sim_with(&scfg, cp);
+fn serve_fuzz(scfg: &ServeSimConfig, cp: &mut CheckPlane, m: &mut MetricsRegistry) {
+    let out = run_serve_sim_with(scfg, cp);
     m.merge(&out.metrics);
 }
 
-/// The serving configuration a fuzz point drives, shared by the serve
-/// phase and the SnapPlane checkpoint phase.
+/// The serving configuration a fuzz point drives, shared by the serve,
+/// SnapPlane and TelePlane phases.
 fn serve_sim_config(cfg: &FuzzConfig) -> ServeSimConfig {
     let spec = ServeSpec::parse(&format!(
         "seed={},tenants={},rate=60000,horizon=150us,batch=4,deadline=120us,queue=16",
@@ -820,13 +822,12 @@ fn serve_sim_config(cfg: &FuzzConfig) -> ServeSimConfig {
 /// itself re-arms `snap.roundtrip_identical` and `snap.version_refused`
 /// per cell, and a deliberately corrupted copy of the stream must be
 /// refused with a typed error rather than partially applied.
-fn snap_fuzz(cfg: &FuzzConfig, cp: &mut CheckPlane) {
-    let scfg = serve_sim_config(cfg);
+fn snap_fuzz(scfg: &ServeSimConfig, cp: &mut CheckPlane) {
     let at = Time::ZERO + Duration::from_us(75);
     let mut full_cp = CheckPlane::enabled(1);
-    let full = run_serve_sim_with(&scfg, &mut full_cp);
-    let bytes = serve_checkpoint(&scfg, at);
-    match serve_resume_with(&scfg, &bytes, cp) {
+    let full = run_serve_sim_with(scfg, &mut full_cp);
+    let bytes = serve_checkpoint(scfg, at);
+    match serve_resume_with(scfg, &bytes, cp) {
         Ok(resumed) => {
             cp.check(
                 invariant::SNAP_RESUME_EQUIVALENT,
@@ -846,7 +847,7 @@ fn snap_fuzz(cfg: &FuzzConfig, cp: &mut CheckPlane) {
     bad[tail] ^= 0x01;
     cp.check(
         invariant::SNAP_VERSION_REFUSED,
-        serve_resume_with(&scfg, &bad, &mut CheckPlane::enabled(1)).is_err(),
+        serve_resume_with(scfg, &bad, &mut CheckPlane::enabled(1)).is_err(),
         || "corrupted snapshot was not refused".to_string(),
     );
 }
@@ -854,8 +855,8 @@ fn snap_fuzz(cfg: &FuzzConfig, cp: &mut CheckPlane) {
 /// TelePlane phase body: one serving run with 25µs telemetry windows and
 /// every trigger armed, returning the capture export and the plane that
 /// absorbed the run's invariants (including `telem.window_conserved`).
-fn telem_once(cfg: &FuzzConfig) -> (String, CheckPlane) {
-    let mut scfg = serve_sim_config(cfg);
+fn telem_once(scfg: &ServeSimConfig) -> (String, CheckPlane) {
+    let mut scfg = scfg.clone();
     scfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(25)));
     let mut cp = CheckPlane::enabled(1);
     let out = run_serve_sim_with(&scfg, &mut cp);

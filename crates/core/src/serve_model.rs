@@ -28,6 +28,8 @@
 //! `serve.request_conserved` invariant holds at every tick and at drain.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use ecoscale_hls::KernelArgs;
 use ecoscale_noc::NodeId;
@@ -42,7 +44,7 @@ use ecoscale_sim::{
 };
 
 use crate::report::SystemReport;
-use crate::system::{EcoscaleSystem, SystemBuilder};
+use crate::system::{EcoscaleSystem, SystemArtifacts, SystemBuilder};
 
 /// One entry of a serving kernel mix: the HLS source to register at
 /// build time plus a binder that materializes arguments for a given
@@ -62,6 +64,13 @@ pub struct ServeKernel {
 }
 
 /// Configuration of one serving simulation.
+///
+/// The kernel mix is parsed and synthesized on the config's first run and
+/// kept with the config: every later cell, checkpoint, resume and
+/// migration of it shares that one build, and so does every clone made
+/// after the build. A clone made before it builds its own on its first
+/// run. The build is keyed on the kernels' sources and hints and on the
+/// HLS budget: a run after `kernels` changed builds afresh.
 #[derive(Debug, Clone)]
 pub struct ServeSimConfig {
     /// The serving workload and policy.
@@ -91,6 +100,43 @@ pub struct ServeSimConfig {
     /// [`ServeOutcome::telemetry`]. `None` costs one branch per cadence
     /// tick and allocates nothing.
     pub telemetry: Option<TelemetryConfig>,
+    artifacts: ArtifactCache,
+}
+
+/// The last [`SystemArtifacts`] a config built. A clone starts from the
+/// value held when it was made and caches apart from then on.
+#[derive(Default)]
+struct ArtifactCache(Mutex<Option<Arc<SystemArtifacts>>>);
+
+impl ArtifactCache {
+    fn slot(&self) -> MutexGuard<'_, Option<Arc<SystemArtifacts>>> {
+        // Builds run outside the lock and the slot only ever takes a
+        // whole value, so a poisoned slot still holds a valid one.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The cached artifacts if `builder` would build the same ones,
+    /// otherwise freshly built (and cached) ones.
+    fn resolve(&self, builder: &SystemBuilder) -> Arc<SystemArtifacts> {
+        if let Some(hit) = self.slot().as_ref().filter(|a| a.built_from(builder)) {
+            return Arc::clone(hit);
+        }
+        let built = Arc::new(builder.artifacts().expect("serving kernel mix must build"));
+        *self.slot() = Some(Arc::clone(&built));
+        built
+    }
+}
+
+impl Clone for ArtifactCache {
+    fn clone(&self) -> ArtifactCache {
+        ArtifactCache(Mutex::new(self.slot().clone()))
+    }
+}
+
+impl fmt::Debug for ArtifactCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ArtifactCache")
+    }
 }
 
 impl ServeSimConfig {
@@ -109,6 +155,7 @@ impl ServeSimConfig {
             faults: CampaignSpec::off(),
             resilience: ResilienceConfig::full(),
             telemetry: None,
+            artifacts: ArtifactCache::default(),
         }
     }
 }
@@ -246,10 +293,9 @@ pub fn run_serve_sim(cfg: &ServeSimConfig) -> ServeOutcome {
 /// Panics on an empty kernel mix, a zero cadence, or an unbuildable
 /// system config.
 pub fn run_serve_sim_with(cfg: &ServeSimConfig, cp: &mut CheckPlane) -> ServeOutcome {
-    assert!(!cfg.kernels.is_empty(), "serving needs a kernel mix");
-    assert!(!cfg.cadence.is_zero(), "cadence must be > 0");
+    let artifacts = prepare(cfg);
     let results = pool::parallel_map(partition_tenants(cfg), |ids| {
-        let mut cell = CellSim::new(cfg, ids);
+        let mut cell = CellSim::provisioned(cfg, ids, Arc::clone(&artifacts));
         cell.run(None);
         cell.into_result()
     });
@@ -316,14 +362,41 @@ fn merge_results(results: Vec<CellResult>, cp: &mut CheckPlane) -> ServeOutcome 
     }
 }
 
-fn build_cell_system(cfg: &ServeSimConfig) -> EcoscaleSystem {
+/// The preamble of every serving entry point: checks `cfg` and resolves
+/// the build artifacts its cells share.
+///
+/// # Panics
+///
+/// As [`check_cfg`], or on a kernel mix that does not build.
+fn prepare(cfg: &ServeSimConfig) -> Arc<SystemArtifacts> {
+    check_cfg(cfg);
+    cfg.artifacts.resolve(&cell_builder(cfg))
+}
+
+/// Checks the config a serving entry point is handed.
+///
+/// # Panics
+///
+/// Panics on an empty kernel mix or a zero cadence.
+fn check_cfg(cfg: &ServeSimConfig) {
+    assert!(!cfg.kernels.is_empty(), "serving needs a kernel mix");
+    assert!(!cfg.cadence.is_zero(), "cadence must be > 0");
+}
+
+fn cell_builder(cfg: &ServeSimConfig) -> SystemBuilder {
     let mut b = SystemBuilder::new()
         .workers_per_node(cfg.workers_per_node)
         .compute_nodes(cfg.compute_nodes);
     for k in &cfg.kernels {
         b = b.kernel(k.source, k.hints.clone());
     }
-    let mut system = b.build().expect("serving kernel mix must build");
+    b
+}
+
+fn build_cell_system(cfg: &ServeSimConfig, artifacts: &SystemArtifacts) -> EcoscaleSystem {
+    let mut system = cell_builder(cfg)
+        .assemble(artifacts)
+        .expect("serving cell shape must build");
     // A serving cell provisions its mix eagerly: every lane keeps the
     // whole mix resident so steady-state requests hit the accelerator
     // path (and a fault campaign has real fabric state to upset). A
@@ -346,6 +419,7 @@ fn build_cell_system(cfg: &ServeSimConfig) -> EcoscaleSystem {
 /// the same loop paused and revived.
 pub struct CellSim<'a> {
     cfg: &'a ServeSimConfig,
+    artifacts: Arc<SystemArtifacts>,
     ids: Vec<u32>,
     system: EcoscaleSystem,
     plane: ServePlane,
@@ -367,8 +441,21 @@ impl<'a> CellSim<'a> {
     /// Builds one cell hosting `ids`' tenants: a freshly provisioned
     /// system (mix resident on every lane), the fault campaign armed
     /// when `cfg` carries one, and an empty serving ledger at t = 0.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_serve_sim`].
     pub fn new(cfg: &'a ServeSimConfig, ids: Vec<u32>) -> CellSim<'a> {
-        let mut system = build_cell_system(cfg);
+        CellSim::provisioned(cfg, ids, prepare(cfg))
+    }
+
+    /// [`CellSim::new`] on artifacts already resolved by [`prepare`].
+    fn provisioned(
+        cfg: &'a ServeSimConfig,
+        ids: Vec<u32>,
+        artifacts: Arc<SystemArtifacts>,
+    ) -> CellSim<'a> {
+        let mut system = build_cell_system(cfg, &artifacts);
         if !cfg.faults.is_off() {
             system.enable_faults(&cfg.faults, cfg.resilience);
         }
@@ -390,6 +477,7 @@ impl<'a> CellSim<'a> {
             }),
             system,
             cfg,
+            artifacts,
             ids,
         }
     }
@@ -752,7 +840,7 @@ impl<'a> CellSim<'a> {
     /// Exactly those of [`CellSim::restore_state`].
     pub fn migrate_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
         self.restore_state(r)?;
-        self.system = build_cell_system(self.cfg);
+        self.system = build_cell_system(self.cfg, &self.artifacts);
         Ok(())
     }
 }
@@ -840,12 +928,11 @@ fn check_meta(
 /// Panics on an empty kernel mix or a zero cadence (as
 /// [`run_serve_sim`]).
 pub fn serve_checkpoint(cfg: &ServeSimConfig, at: Time) -> Vec<u8> {
-    assert!(!cfg.kernels.is_empty(), "serving needs a kernel mix");
-    assert!(!cfg.cadence.is_zero(), "cadence must be > 0");
+    let artifacts = prepare(cfg);
     let parts = partition_tenants(cfg);
     let cells = parts.len();
     let states = pool::parallel_map(parts, |ids| {
-        let mut cell = CellSim::new(cfg, ids);
+        let mut cell = CellSim::provisioned(cfg, ids, Arc::clone(&artifacts));
         cell.run(Some(at));
         let mut w = SnapWriter::new();
         cell.snapshot_state(&mut w);
@@ -928,8 +1015,7 @@ fn resume_inner(
     cp: &mut CheckPlane,
     migrate: Option<usize>,
 ) -> Result<ServeOutcome, RestoreError> {
-    assert!(!cfg.kernels.is_empty(), "serving needs a kernel mix");
-    assert!(!cfg.cadence.is_zero(), "cadence must be > 0");
+    check_cfg(cfg);
     let file = SnapshotFile::parse(bytes)?;
     // snap.version_refused: every resume proves that a future-version
     // copy of this very stream is refused outright. The check runs on a
@@ -961,13 +1047,17 @@ fn resume_inner(
             )));
         }
     }
+    // The mix is built only once the stream has passed its checks, just
+    // before the first cell needs it.
+    let artifacts = OnceLock::new();
     let results = pool::parallel_map(parts, |(i, ids)| -> Result<CellResult, RestoreError> {
         let mut sect = file.section(&format!("cell.{i}"))?;
         let payload = sect.get_bytes()?;
         if !sect.is_exhausted() {
             return Err(malformed(format!("cell.{i} section has trailing bytes")));
         }
-        let mut cell = CellSim::new(cfg, ids);
+        let shared = artifacts.get_or_init(|| cfg.artifacts.resolve(&cell_builder(cfg)));
+        let mut cell = CellSim::provisioned(cfg, ids, Arc::clone(shared));
         let mut r = SnapReader::new(&payload);
         if migrate == Some(i) {
             cell.migrate_from(&mut r)?;
@@ -1311,6 +1401,161 @@ mod tests {
                 >= 1.0
         );
         assert!(parsed.get("series_tail").and_then(|v| v.as_arr()).is_some());
+    }
+
+    /// `cfg` with an empty artifact cache, like a freshly constructed one.
+    fn detached(cfg: &ServeSimConfig) -> ServeSimConfig {
+        ServeSimConfig {
+            artifacts: ArtifactCache::default(),
+            ..cfg.clone()
+        }
+    }
+
+    /// Every export of one serving outcome.
+    fn exports(out: &ServeOutcome) -> [String; 4] {
+        [
+            out.serving.to_json(),
+            out.metrics.to_json(),
+            out.report.to_json(),
+            out.telemetry
+                .as_ref()
+                .map(|t| t.to_json())
+                .unwrap_or_default(),
+        ]
+    }
+
+    /// A run, a checkpoint at `at` and its resume, where every cell builds
+    /// artifacts of its own (the build before artifacts were shared).
+    fn per_cell_artifacts(cfg: &ServeSimConfig, at: Time) -> (ServeOutcome, Vec<u8>, ServeOutcome) {
+        let parts = partition_tenants(cfg);
+        let mut cp = CheckPlane::enabled(1);
+        let mut cells = Vec::new();
+        for ids in parts.clone() {
+            let own = detached(cfg);
+            let mut cell = CellSim::new(&own, ids);
+            cell.run(None);
+            cells.push(cell.into_result());
+        }
+        let run = merge_results(cells, &mut cp);
+
+        let mut b = SnapshotBuilder::new();
+        b.section("meta", |w| write_meta(cfg, parts.len(), w));
+        for (i, ids) in parts.clone().into_iter().enumerate() {
+            let own = detached(cfg);
+            let mut cell = CellSim::new(&own, ids);
+            cell.run(Some(at));
+            let mut w = SnapWriter::new();
+            cell.snapshot_state(&mut w);
+            b.section(&format!("cell.{i}"), |s| s.put_bytes(&w.into_bytes()));
+        }
+        let bytes = b.finish();
+
+        let file = SnapshotFile::parse(&bytes).expect("snapshot parses");
+        let mut cells = Vec::new();
+        for (i, ids) in parts.into_iter().enumerate() {
+            let payload = file
+                .section(&format!("cell.{i}"))
+                .and_then(|mut s| s.get_bytes())
+                .expect("cell section");
+            let own = detached(cfg);
+            let mut cell = CellSim::new(&own, ids);
+            cell.restore_state(&mut SnapReader::new(&payload))
+                .expect("cell restores");
+            cell.run(None);
+            cells.push(cell.into_result());
+        }
+        let resumed = merge_results(cells, &mut cp);
+        assert!(cp.ok(), "{:?}", cp.first());
+        (run, bytes, resumed)
+    }
+
+    #[test]
+    fn shared_artifacts_export_like_per_cell_builds() {
+        let at = Time::from_us(200);
+        for cells in [1, 2] {
+            let mut cfg = quick_cfg();
+            cfg.cells = cells;
+            cfg.faults = CampaignSpec::parse("seed=5,seu=200us,smmu=0.002,scrub=400us").unwrap();
+            cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
+            let (want_run, want_bytes, want_resumed) = per_cell_artifacts(&cfg, at);
+
+            // one build, warmed by the first run, serves every later call
+            // on the config and its clones
+            let built = prepare(&cfg);
+            let run = run_serve_sim_with(&cfg.clone(), &mut CheckPlane::enabled(1));
+            let bytes = serve_checkpoint(&cfg, at);
+            let mut cp = CheckPlane::enabled(1);
+            let resumed = serve_resume_with(&cfg.clone(), &bytes, &mut cp).expect("resume");
+            assert!(cp.ok(), "{:?}", cp.first());
+            assert!(
+                Arc::ptr_eq(&built, &prepare(&cfg)),
+                "artifacts were rebuilt"
+            );
+
+            assert!(exports(&run) == exports(&want_run), "cells {cells}: run");
+            assert!(bytes == want_bytes, "cells {cells}: snapshot bytes");
+            assert!(
+                exports(&resumed) == exports(&want_resumed),
+                "cells {cells}: resume"
+            );
+            assert!(
+                exports(&resumed) == exports(&run),
+                "cells {cells}: resume vs run"
+            );
+        }
+    }
+
+    #[test]
+    fn mutated_kernels_never_reuse_stale_artifacts() {
+        let mut cfg = quick_cfg();
+        let original = cfg.clone();
+        let run = |c: &ServeSimConfig| exports(&run_serve_sim_with(c, &mut CheckPlane::enabled(1)));
+        let before = run(&cfg);
+        let first = prepare(&cfg);
+
+        // new hints: a smaller synthesis of the same sources
+        cfg.kernels[0].hints.insert("n".to_owned(), 1.0);
+        let hinted = run(&cfg);
+        assert!(hinted == run(&detached(&cfg)), "hints: stale artifacts");
+        assert!(hinted != before, "hints: the mutation must be observable");
+        assert!(!Arc::ptr_eq(&first, &prepare(&cfg)));
+
+        // a new source under the same kernel name
+        cfg.kernels[1].source = "kernel smooth(in float x[], out float y[], int n) {
+            for (i in 0 .. n) { y[i] = 0.5 * x[i] + 0.5 * x[i + 2]; }
+        }";
+        let resourced = run(&cfg);
+        assert!(resourced == run(&detached(&cfg)), "source: stale artifacts");
+        assert!(
+            resourced != hinted,
+            "source: the mutation must be observable"
+        );
+
+        // the untouched clone, made before any build, builds its own mix
+        assert!(run(&original) == before, "clone: stale artifacts");
+    }
+
+    #[test]
+    fn refused_snapshot_builds_no_artifacts() {
+        let mut bytes = serve_checkpoint(&quick_cfg(), Time::from_us(200));
+        let tail = bytes.len() - 1;
+        bytes[tail] ^= 0x01;
+        let fresh = quick_cfg();
+        assert!(serve_resume_with(&fresh, &bytes, &mut CheckPlane::enabled(1)).is_err());
+        assert!(
+            fresh.artifacts.slot().is_none(),
+            "refused stream built the mix"
+        );
+    }
+
+    #[test]
+    fn clones_share_the_build_once_it_exists() {
+        let cfg = quick_cfg();
+        let early = cfg.clone();
+        let built = prepare(&cfg);
+        assert!(Arc::ptr_eq(&built, &prepare(&cfg)));
+        assert!(Arc::ptr_eq(&built, &prepare(&cfg.clone())));
+        assert!(!Arc::ptr_eq(&built, &prepare(&early)));
     }
 
     #[test]

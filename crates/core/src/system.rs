@@ -204,14 +204,62 @@ impl SystemBuilder {
     }
 
     /// Builds the system: parses and synthesizes every kernel, then
-    /// assembles Workers, interconnect and UNIMEM.
+    /// assembles Workers, interconnect and UNIMEM around them.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildSystemError`] on parse or estimation failures, then
+    /// [`BuildSystemError::Shape`] when a tree level has fewer than 2
+    /// members.
+    pub fn build(self) -> Result<EcoscaleSystem, BuildSystemError> {
+        let artifacts = self.artifacts()?;
+        self.assemble(&artifacts)
+    }
+
+    /// Parses and synthesizes every registered kernel: the part of a build
+    /// that depends only on the kernel sources, their hints and the HLS
+    /// budget. One value can be assembled into any number of systems.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildSystemError`] on parse or estimation failures.
+    pub(crate) fn artifacts(&self) -> Result<SystemArtifacts, BuildSystemError> {
+        let mut parsed = Vec::new();
+        for (src, hints) in &self.kernels {
+            parsed.push((parse_kernel(src)?, hints.clone()));
+        }
+        let library = ModuleLibrary::synthesize(&parsed, self.hls_budget)?;
+        Ok(SystemArtifacts {
+            kernels: self.kernels.clone(),
+            hls_budget: self.hls_budget,
+            parsed: parsed
+                .into_iter()
+                .map(|(k, _)| (k.name().to_owned(), Arc::new(k)))
+                .collect(),
+            library: Arc::new(library),
+        })
+    }
+
+    /// Assembles Workers, interconnect and UNIMEM around `artifacts`,
+    /// sharing its kernels and module library.
     ///
     /// # Errors
     ///
     /// [`BuildSystemError::Shape`] when a tree level has fewer than 2
-    /// members, otherwise [`BuildSystemError`] on parse or estimation
-    /// failures.
-    pub fn build(self) -> Result<EcoscaleSystem, BuildSystemError> {
+    /// members.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `artifacts` was not built from this builder's kernels,
+    /// hints and HLS budget (see [`SystemArtifacts::built_from`]).
+    pub(crate) fn assemble(
+        self,
+        artifacts: &SystemArtifacts,
+    ) -> Result<EcoscaleSystem, BuildSystemError> {
+        assert!(
+            artifacts.built_from(&self),
+            "system artifacts were built from other kernels, hints or HLS budget"
+        );
         for (what, got) in [
             ("workers per node", self.workers_per_node),
             ("compute nodes", self.compute_nodes),
@@ -220,11 +268,6 @@ impl SystemBuilder {
                 return Err(BuildSystemError::Shape { what, got });
             }
         }
-        let mut parsed = Vec::new();
-        for (src, hints) in &self.kernels {
-            parsed.push((parse_kernel(src)?, hints.clone()));
-        }
-        let library = ModuleLibrary::synthesize(&parsed, self.hls_budget)?;
         let topo = TreeTopology::new(&[self.workers_per_node, self.compute_nodes]);
         let n = topo.num_nodes();
         let workers = (0..n)
@@ -234,11 +277,8 @@ impl SystemBuilder {
             workers,
             net: Network::new(topo, NetworkConfig::default()),
             mem: UnimemSystem::new(n, CacheConfig::l1_default(), DramModel::default()),
-            library,
-            kernels: parsed
-                .into_iter()
-                .map(|(k, _)| (k.name().to_owned(), Arc::new(k)))
-                .collect(),
+            library: Arc::clone(&artifacts.library),
+            kernels: artifacts.parsed.clone(),
             unilogic: UnilogicModel::default(),
             clock: Time::ZERO,
             energy: Energy::ZERO,
@@ -252,6 +292,27 @@ impl SystemBuilder {
             faults: None,
             check: CheckPlane::from_env(),
         })
+    }
+}
+
+/// The kernel-derived half of a build ([`SystemBuilder::artifacts`]): the
+/// parsed kernels and the synthesized module library, with the sources,
+/// hints and HLS budget they were built from. Systems assembled from one
+/// value share its library, so each bitstream's compressed sizes are
+/// computed once for all of them.
+#[derive(Debug)]
+pub(crate) struct SystemArtifacts {
+    kernels: Vec<(String, HashMap<String, f64>)>,
+    hls_budget: Resources,
+    parsed: HashMap<String, Arc<ecoscale_hls::Kernel>>,
+    library: Arc<ModuleLibrary>,
+}
+
+impl SystemArtifacts {
+    /// Whether these artifacts came from exactly `builder`'s kernel
+    /// sources, hints and HLS budget (its shape does not matter).
+    pub(crate) fn built_from(&self, builder: &SystemBuilder) -> bool {
+        self.kernels == builder.kernels && self.hls_budget == builder.hls_budget
     }
 }
 
@@ -269,7 +330,7 @@ pub struct EcoscaleSystem {
     workers: Vec<Worker>,
     net: Network<TreeTopology>,
     mem: UnimemSystem,
-    library: ModuleLibrary,
+    library: Arc<ModuleLibrary>,
     kernels: HashMap<String, Arc<ecoscale_hls::Kernel>>,
     unilogic: UnilogicModel,
     clock: Time,
@@ -907,6 +968,35 @@ mod tests {
         assert_eq!(s.library().len(), 1);
         assert_eq!(s.now(), Time::ZERO);
         assert_eq!(s.worker(NodeId(3)).id(), NodeId(3));
+    }
+
+    #[test]
+    fn artifacts_are_keyed_on_kernels_and_budget_and_shared_by_systems() {
+        let hints = || HashMap::from([("n".to_owned(), 4096.0)]);
+        let builder = || SystemBuilder::new().kernel(SCALE, hints());
+        let artifacts = builder().artifacts().unwrap();
+        assert!(artifacts.built_from(&builder()));
+        assert!(artifacts.built_from(&builder().workers_per_node(3).compute_nodes(5)));
+        assert!(!artifacts.built_from(&builder().hls_budget(Resources::new(500, 8, 8))));
+        assert!(!artifacts.built_from(
+            &SystemBuilder::new().kernel(SCALE, HashMap::from([("n".to_owned(), 8.0)]))
+        ));
+        assert!(!artifacts.built_from(&builder().kernel(SCALE, hints())));
+
+        let a = builder().assemble(&artifacts).unwrap();
+        let b = builder().compute_nodes(3).assemble(&artifacts).unwrap();
+        assert!(std::ptr::eq(a.library(), b.library()));
+        assert_eq!(b.num_workers(), 12);
+        assert_eq!(a.library().len(), system().library().len());
+    }
+
+    #[test]
+    #[should_panic(expected = "built from other kernels")]
+    fn assembling_foreign_artifacts_panics() {
+        let artifacts = SystemBuilder::new().artifacts().unwrap();
+        let _ = SystemBuilder::new()
+            .kernel(SCALE, HashMap::new())
+            .assemble(&artifacts);
     }
 
     #[test]

@@ -27,8 +27,10 @@ pub const FRAME_BYTES: usize = 256;
 
 /// A partial bitstream: frame-aligned configuration data.
 ///
-/// Compressed sizes are computed lazily once per algorithm and cached
-/// (the runtime daemon queries them on every scheduling decision).
+/// Compressed sizes are computed lazily, each algorithm on its first
+/// query only, and cached (the runtime daemon queries them on every
+/// scheduling decision). Clones share the cache, so a library cloned
+/// into many systems compresses each bitstream once.
 ///
 /// # Example
 ///
@@ -41,7 +43,8 @@ pub const FRAME_BYTES: usize = 256;
 #[derive(Debug, Clone)]
 pub struct Bitstream {
     data: Arc<[u8]>,
-    compressed_sizes: Arc<OnceLock<[usize; 4]>>,
+    // one slot per compressing algorithm: ZeroRle, Lz, FrameDedup
+    compressed_sizes: Arc<[OnceLock<usize>; 3]>,
 }
 
 impl PartialEq for Bitstream {
@@ -61,7 +64,7 @@ impl Bitstream {
         }
         Bitstream {
             data: data.into(),
-            compressed_sizes: Arc::new(OnceLock::new()),
+            compressed_sizes: Arc::default(),
         }
     }
 
@@ -109,7 +112,7 @@ impl Bitstream {
         }
         Bitstream {
             data: data.into(),
-            compressed_sizes: Arc::new(OnceLock::new()),
+            compressed_sizes: Arc::default(),
         }
     }
 
@@ -133,23 +136,16 @@ impl Bitstream {
         self.data.len() / FRAME_BYTES
     }
 
-    /// Compressed size under `algo`, computed once and cached (all four
-    /// algorithms are evaluated on first use).
+    /// Compressed size under `algo`, computed on the first query for that
+    /// algorithm and cached; other algorithms are not evaluated.
     pub fn compressed_size(&self, algo: CompressionAlgo) -> usize {
-        let sizes = self.compressed_sizes.get_or_init(|| {
-            [
-                self.data.len(),
-                zero_rle_compress(&self.data).len(),
-                lz_compress(&self.data).len(),
-                frame_dedup_compress(&self.data).len(),
-            ]
-        });
-        match algo {
-            CompressionAlgo::None => sizes[0],
-            CompressionAlgo::ZeroRle => sizes[1],
-            CompressionAlgo::Lz => sizes[2],
-            CompressionAlgo::FrameDedup => sizes[3],
-        }
+        let slot = match algo {
+            CompressionAlgo::None => return self.data.len(),
+            CompressionAlgo::ZeroRle => 0,
+            CompressionAlgo::Lz => 1,
+            CompressionAlgo::FrameDedup => 2,
+        };
+        *self.compressed_sizes[slot].get_or_init(|| algo.compress(self).len())
     }
 }
 
@@ -302,78 +298,133 @@ fn zero_rle_decompress(data: &[u8]) -> Vec<u8> {
 
 // --- LZSS -------------------------------------------------------------
 // Token stream: 0x00 <len u16> <literal bytes> | 0x01 <offset u16> <len u16>.
+//
+// The matcher is greedy: at each position it takes the longest match
+// among earlier occurrences of the same 4-byte prefix, most recent first,
+// no further back than the window, stopping at the first match of
+// `LZ_GOOD_MATCH` bytes or more and keeping a later candidate only if it
+// is strictly longer. Candidates come from a hash chain: `head` holds the
+// latest position per prefix hash and `prev` links each position to the
+// previous one with the same hash. `prev` is a ring of one window: the
+// search at `i` follows only positions `p >= i - LZ_WINDOW`, and the next
+// position to reuse `p`'s slot, `p + LZ_WINDOW >= i`, is indexed only
+// after that search.
 
 const LZ_WINDOW: usize = 2048;
 const LZ_MIN_MATCH: usize = 4;
+const LZ_GOOD_MATCH: usize = 64;
+const LZ_MAX_RUN: usize = u16::MAX as usize;
+const LZ_HASH_BITS: u32 = 14;
+const LZ_NIL: usize = usize::MAX;
 
-fn lz_compress(data: &[u8]) -> Vec<u8> {
-    use std::collections::HashMap;
-    let mut out = Vec::new();
-    let mut literals: Vec<u8> = Vec::new();
-    // positions of 4-byte prefixes
-    let mut index: HashMap<[u8; 4], Vec<usize>> = HashMap::new();
+fn prefix_at(data: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(data[i..i + 4].try_into().expect("4-byte prefix"))
+}
 
-    let flush_literals = |out: &mut Vec<u8>, lits: &mut Vec<u8>| {
-        let mut start = 0;
-        while start < lits.len() {
-            let chunk = (lits.len() - start).min(u16::MAX as usize);
-            out.push(0x00);
-            out.extend_from_slice(&(chunk as u16).to_le_bytes());
-            out.extend_from_slice(&lits[start..start + chunk]);
-            start += chunk;
+fn prefix_hash(prefix: u32) -> usize {
+    (prefix.wrapping_mul(0x9E37_79B1) >> (32 - LZ_HASH_BITS)) as usize
+}
+
+/// The matcher's candidate index (see the section comment).
+struct HashChain {
+    head: Vec<usize>,
+    prev: Vec<usize>,
+}
+
+impl HashChain {
+    fn new() -> HashChain {
+        HashChain {
+            head: vec![LZ_NIL; 1 << LZ_HASH_BITS],
+            prev: vec![LZ_NIL; LZ_WINDOW],
         }
-        lits.clear();
-    };
+    }
 
+    /// Indexes the prefix starting at `k`; positions arrive in order.
+    fn insert(&mut self, data: &[u8], k: usize) {
+        let h = prefix_hash(prefix_at(data, k));
+        self.prev[k % LZ_WINDOW] = self.head[h];
+        self.head[h] = k;
+    }
+}
+
+/// Length of the common run of `data[p..]` and `data[i..]` (`p < i`),
+/// at most `max`, compared eight bytes at a time.
+fn match_len(data: &[u8], p: usize, i: usize, max: usize) -> usize {
+    let word = |at: usize| u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
+    let mut l = 0;
+    while l + 8 <= max {
+        let diff = word(p + l) ^ word(i + l);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < max && data[p + l] == data[i + l] {
+        l += 1;
+    }
+    l
+}
+
+/// LZSS-encodes raw bytes (what [`CompressionAlgo::Lz`] applies to a
+/// bitstream): a greedy match search over a 2 KiB window, emitting
+/// `0x00 <len u16> <bytes>` literal runs and `0x01 <offset u16> <len u16>`
+/// back-references, both capped at `u16::MAX` bytes.
+pub fn lz_compress(data: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut chain = HashChain::new();
+    let flush_literals = |out: &mut Vec<u8>, lits: &[u8]| {
+        for chunk in lits.chunks(LZ_MAX_RUN) {
+            out.push(0x00);
+            out.extend_from_slice(&(chunk.len() as u16).to_le_bytes());
+            out.extend_from_slice(chunk);
+        }
+    };
+    // positions that start a whole 4-byte prefix
+    let indexable = data.len().saturating_sub(LZ_MIN_MATCH - 1);
+
+    let mut lit_start = 0;
     let mut i = 0;
     while i < data.len() {
         let mut best_len = 0;
         let mut best_off = 0;
-        if i + LZ_MIN_MATCH <= data.len() {
-            let key = [data[i], data[i + 1], data[i + 2], data[i + 3]];
-            if let Some(positions) = index.get(&key) {
-                for &p in positions.iter().rev() {
-                    if i - p > LZ_WINDOW {
-                        break;
-                    }
-                    let mut l = 0;
-                    let max = (data.len() - i).min(u16::MAX as usize);
-                    while l < max && data[p + l] == data[i + l] {
-                        l += 1;
-                    }
+        if i < indexable {
+            let key = prefix_at(data, i);
+            let max = (data.len() - i).min(LZ_MAX_RUN);
+            let mut p = chain.head[prefix_hash(key)];
+            // a candidate whose byte at `best_len` differs cannot be
+            // strictly longer, and none can once `best_len` reaches `max`
+            while p != LZ_NIL && i - p <= LZ_WINDOW && best_len < max {
+                if prefix_at(data, p) == key && data[p + best_len] == data[i + best_len] {
+                    let l = match_len(data, p, i, max);
                     if l > best_len {
                         best_len = l;
                         best_off = i - p;
-                        if l >= 64 {
-                            break; // good enough
+                        if l >= LZ_GOOD_MATCH {
+                            break;
                         }
                     }
                 }
+                p = chain.prev[p % LZ_WINDOW];
             }
         }
         if best_len >= LZ_MIN_MATCH {
-            flush_literals(&mut out, &mut literals);
+            flush_literals(&mut out, &data[lit_start..i]);
             out.push(0x01);
             out.extend_from_slice(&(best_off as u16).to_le_bytes());
             out.extend_from_slice(&(best_len as u16).to_le_bytes());
-            // index the skipped positions
-            for k in i..(i + best_len).min(data.len().saturating_sub(LZ_MIN_MATCH - 1)) {
-                if k + 4 <= data.len() {
-                    let key = [data[k], data[k + 1], data[k + 2], data[k + 3]];
-                    index.entry(key).or_default().push(k);
-                }
+            for k in i..(i + best_len).min(indexable) {
+                chain.insert(data, k);
             }
             i += best_len;
+            lit_start = i;
         } else {
-            if i + 4 <= data.len() {
-                let key = [data[i], data[i + 1], data[i + 2], data[i + 3]];
-                index.entry(key).or_default().push(i);
+            if i < indexable {
+                chain.insert(data, i);
             }
-            literals.push(data[i]);
             i += 1;
         }
     }
-    flush_literals(&mut out, &mut literals);
+    flush_literals(&mut out, &data[lit_start..]);
     out
 }
 

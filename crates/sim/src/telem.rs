@@ -824,7 +824,15 @@ impl Restore for FlightRecorder {
                 "flight ring holds {n} events, cap is {cap}"
             )));
         }
-        let mut ring = VecDeque::with_capacity(cap);
+        // the ring is sized from the events the stream holds, never from
+        // `cap`, which a stream may set arbitrarily high
+        if n > r.remaining() {
+            return Err(malformed(format!(
+                "flight ring claims {n} events but only {} bytes remain",
+                r.remaining()
+            )));
+        }
+        let mut ring = VecDeque::with_capacity(n);
         for _ in 0..n {
             ring.push_back(FlightEvent {
                 time: r.get_time()?,
@@ -833,6 +841,12 @@ impl Restore for FlightRecorder {
             });
         }
         let n = r.get_usize()?;
+        if n > r.remaining() {
+            return Err(malformed(format!(
+                "flight recorder claims {n} triggers but only {} bytes remain",
+                r.remaining()
+            )));
+        }
         let mut triggers = Vec::with_capacity(n);
         for _ in 0..n {
             triggers.push(TriggerFire {
@@ -1090,6 +1104,36 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         let back = FlightRecorder::restore(&mut r).expect("restore");
         assert!(!back.is_armed());
+    }
+
+    #[test]
+    fn recorder_restore_refuses_oversized_claims_without_allocating() {
+        // Hand-written recorder streams: armed, a ring capacity of
+        // usize::MAX / 4, all triggers armed, nothing dropped, then the
+        // event count and the trigger count. Restore used to allocate the
+        // ring at `cap` and panicked with "capacity overflow".
+        let huge = (usize::MAX / 4) as u64;
+        let stream = |events: u64, triggers: u64| -> Vec<u8> {
+            let mut b = vec![1u8];
+            b.extend_from_slice(&huge.to_le_bytes());
+            b.extend_from_slice(&[1, 1, 1, 1]);
+            b.extend_from_slice(&0u64.to_le_bytes());
+            b.extend_from_slice(&events.to_le_bytes());
+            b.extend_from_slice(&triggers.to_le_bytes());
+            b
+        };
+        for (events, triggers) in [(huge, 0), (0, huge)] {
+            let bytes = stream(events, triggers);
+            let err = FlightRecorder::restore(&mut SnapReader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, RestoreError::Malformed { .. }), "{err:?}");
+        }
+        // an empty ring under the huge cap restores and records
+        let bytes = stream(0, 0);
+        let mut r = SnapReader::new(&bytes);
+        let mut fr = FlightRecorder::restore(&mut r).expect("restore");
+        assert!(r.is_exhausted());
+        fr.note(us(1), "tick", || "after restore".into());
+        assert_eq!(fr.events().count(), 1);
     }
 
     #[test]

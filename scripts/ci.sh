@@ -94,10 +94,10 @@ cmp target/telem_smoke.json target/telem_smoke_resumed.json
 cmp target/telem_smoke.txt target/telem_smoke_resumed.txt
 
 echo "== tier-1: seeded fuzz smoke (CheckPlane) =="
-# 64 seeded configs across topology x policy x faults x threads x shards,
+# 512 seeded configs across topology x policy x faults x threads x shards,
 # every invariant armed, exports compared byte-for-byte at THREADS=1 vs k
 # and (for the cluster-partitioned sim) at 1 shard vs k shards.
-./target/release/fuzz_configs --count 64
+./target/release/fuzz_configs --count 512
 
 echo "== tier-1: sharded determinism smoke =="
 # The determinism suite under both shard settings with invariants armed:

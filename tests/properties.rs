@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 
+use ecoscale::fpga::bitstream::lz_compress;
 use ecoscale::fpga::{
     Bitstream, CompressionAlgo, Fabric, Floorplanner, ModuleId, Region, Resources,
 };
@@ -227,6 +228,217 @@ fn compression_roundtrips_run_structured_bytes() {
             let back = algo.decompress(&algo.compress(&bs));
             assert_eq!(back.as_bytes(), bs.as_bytes(), "case {case}");
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// fpga: hash-chain LZ matcher vs the reference matcher
+// ----------------------------------------------------------------------
+
+/// The reference LZSS matcher: every 4-byte prefix goes into a map of
+/// position lists, and every candidate in the 2 KiB window is measured
+/// byte by byte, most recent first. The library's hash-chain matcher must
+/// emit exactly the same token stream.
+fn lz_reference(data: &[u8]) -> Vec<u8> {
+    use std::collections::HashMap;
+    let mut out = Vec::new();
+    let mut literals: Vec<u8> = Vec::new();
+    // positions of 4-byte prefixes
+    let mut index: HashMap<[u8; 4], Vec<usize>> = HashMap::new();
+
+    let flush_literals = |out: &mut Vec<u8>, lits: &mut Vec<u8>| {
+        let mut start = 0;
+        while start < lits.len() {
+            let chunk = (lits.len() - start).min(u16::MAX as usize);
+            out.push(0x00);
+            out.extend_from_slice(&(chunk as u16).to_le_bytes());
+            out.extend_from_slice(&lits[start..start + chunk]);
+            start += chunk;
+        }
+        lits.clear();
+    };
+
+    let mut i = 0;
+    while i < data.len() {
+        let mut best_len = 0;
+        let mut best_off = 0;
+        if i + 4 <= data.len() {
+            let key = [data[i], data[i + 1], data[i + 2], data[i + 3]];
+            if let Some(positions) = index.get(&key) {
+                for &p in positions.iter().rev() {
+                    if i - p > 2048 {
+                        break;
+                    }
+                    let mut l = 0;
+                    let max = (data.len() - i).min(u16::MAX as usize);
+                    while l < max && data[p + l] == data[i + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_off = i - p;
+                        if l >= 64 {
+                            break; // good enough
+                        }
+                    }
+                }
+            }
+        }
+        if best_len >= 4 {
+            flush_literals(&mut out, &mut literals);
+            out.push(0x01);
+            out.extend_from_slice(&(best_off as u16).to_le_bytes());
+            out.extend_from_slice(&(best_len as u16).to_le_bytes());
+            // index the skipped positions
+            for k in i..(i + best_len).min(data.len().saturating_sub(4 - 1)) {
+                if k + 4 <= data.len() {
+                    let key = [data[k], data[k + 1], data[k + 2], data[k + 3]];
+                    index.entry(key).or_default().push(k);
+                }
+            }
+            i += best_len;
+        } else {
+            if i + 4 <= data.len() {
+                let key = [data[i], data[i + 1], data[i + 2], data[i + 3]];
+                index.entry(key).or_default().push(i);
+            }
+            literals.push(data[i]);
+            i += 1;
+        }
+    }
+    flush_literals(&mut out, &mut literals);
+    out
+}
+
+/// Asserts both matchers encode `data` identically; returns the encoding.
+fn assert_lz_matches_reference(what: &str, data: &[u8]) -> Vec<u8> {
+    let got = lz_compress(data);
+    let want = lz_reference(data);
+    assert!(
+        got == want,
+        "{what}: {} bytes in, {} vs {} reference bytes out, first difference at {:?}",
+        data.len(),
+        got.len(),
+        want.len(),
+        got.iter().zip(&want).position(|(a, b)| a != b)
+    );
+    got
+}
+
+/// An LZ token stream as `(tag, a, b)`: `(0, len, 0)` for a literal run,
+/// `(1, offset, len)` for a back-reference.
+fn lz_tokens(packed: &[u8]) -> Vec<(u8, usize, usize)> {
+    let u16_at = |i: usize| u16::from_le_bytes([packed[i], packed[i + 1]]) as usize;
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < packed.len() {
+        if packed[i] == 0 {
+            out.push((0, u16_at(i + 1), 0));
+            i += 3 + u16_at(i + 1);
+        } else {
+            out.push((1, u16_at(i + 1), u16_at(i + 3)));
+            i += 5;
+        }
+    }
+    out
+}
+
+#[test]
+fn lz_matcher_matches_reference_on_synthesized_bitstreams() {
+    for case in 0..CASES {
+        let mut rng = case_rng(23, case);
+        let res = Resources::new(
+            rng.gen_range_u64(1, 480) as u32,
+            rng.gen_range_u64(0, 24) as u32,
+            rng.gen_range_u64(0, 48) as u32,
+        );
+        let bs = Bitstream::synthesize(res, rng.next_u64());
+        let want = assert_lz_matches_reference(&format!("case {case}: {res:?}"), bs.as_bytes());
+        assert_eq!(
+            bs.compressed_size(CompressionAlgo::Lz),
+            want.len(),
+            "case {case}: cached size"
+        );
+    }
+}
+
+#[test]
+fn lz_matcher_matches_reference_on_small_alphabet_bytes() {
+    for case in 0..CASES * 4 {
+        let mut rng = case_rng(24, case);
+        let alphabet: Vec<u8> = (0..rng.gen_range_usize(1, 5))
+            .map(|_| rng.gen_range_u64(0, 256) as u8)
+            .collect();
+        let len = rng.gen_range_usize(0, 4096);
+        let mut data = Vec::with_capacity(len);
+        while data.len() < len {
+            // symbol runs, plus copies of earlier stretches at offsets up
+            // to and past the window
+            if !data.is_empty() && rng.gen_bool(0.2) {
+                let off = rng.gen_range_usize(1, data.len().min(2100) + 1);
+                let start = data.len() - off;
+                for k in 0..rng.gen_range_usize(1, 96) {
+                    data.push(data[start + k]);
+                }
+            } else {
+                let sym = *rng.choose(&alphabet);
+                data.extend(std::iter::repeat_n(sym, rng.gen_range_usize(1, 12)));
+            }
+        }
+        data.truncate(len);
+        assert_lz_matches_reference(&format!("case {case}: alphabet {alphabet:?}"), &data);
+    }
+}
+
+#[test]
+fn lz_matcher_matches_reference_on_edge_cases() {
+    // every input shorter than a 4-byte prefix, over three symbols
+    for len in 0..4u32 {
+        for code in 0..3usize.pow(len) {
+            let data: Vec<u8> = (0..len)
+                .map(|k| [0x00, 0x01, 0xFF][code / 3usize.pow(k) % 3])
+                .collect();
+            assert_lz_matches_reference(&format!("short input {data:?}"), &data);
+        }
+    }
+
+    // long zero runs: back-references capped at u16::MAX
+    let zeros = vec![0u8; 3 * 65_535 + 17];
+    assert_lz_matches_reference("zero run", &zeros);
+    assert!(lz_tokens(&lz_compress(&zeros)).contains(&(1, 1, 65_535)));
+    let mut spiked = vec![0u8; 150_000];
+    spiked[70_000] = 0x5A;
+    assert_lz_matches_reference("zero run with one spike", &spiked);
+
+    // a repeating pattern past u16::MAX
+    let pattern: Vec<u8> = (0..200_000).map(|i| [7u8, 3, 9][i % 3]).collect();
+    assert_lz_matches_reference("3-byte pattern run", &pattern);
+    assert!(lz_tokens(&lz_compress(&pattern)).contains(&(1, 3, 65_535)));
+
+    // a literal run longer than u16::MAX is split at u16::MAX
+    let mut rng = case_rng(25, 0);
+    let mut noise = vec![0u8; 70_000];
+    rng.fill_bytes(&mut noise);
+    assert_lz_matches_reference("incompressible bytes", &noise);
+    assert_eq!(lz_tokens(&lz_compress(&noise))[0], (0, 65_535, 0));
+
+    // a repeated block exactly at the window edge is matched; one byte
+    // further back it is out of reach
+    for (gap, reachable) in [(2048, true), (2049, false)] {
+        let mut block = vec![0u8; 40];
+        rng.fill_bytes(&mut block);
+        block.iter_mut().for_each(|b| *b |= 0x80);
+        let mut filler = vec![0u8; gap - block.len()];
+        rng.fill_bytes(&mut filler);
+        filler.iter_mut().for_each(|b| *b &= 0x7F);
+        let data = [block.clone(), filler, block].concat();
+        assert_lz_matches_reference(&format!("block {gap} bytes back"), &data);
+        let tokens = lz_tokens(&lz_compress(&data));
+        assert_eq!(
+            tokens.contains(&(1, gap, 40)),
+            reachable,
+            "block {gap} bytes back: {tokens:?}"
+        );
     }
 }
 
