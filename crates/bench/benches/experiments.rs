@@ -4,11 +4,13 @@
 //! extra arguments filter by substring.
 
 use ecoscale_bench::timing::bench;
-use ecoscale_bench::{Scale, EXPERIMENTS};
+use ecoscale_bench::{ExpRun, Scale, EXPERIMENTS};
+use ecoscale_sim::RunCtx;
 
 fn bench_experiments() {
+    let quick = ExpRun::new(Scale::Quick, RunCtx::parse(None, None));
     for &(key, run) in EXPERIMENTS {
-        bench(&format!("exp/{key}"), || run(Scale::Quick));
+        bench(&format!("exp/{key}"), || run(&quick));
     }
 }
 

@@ -1,15 +1,15 @@
 //! Benches of the deterministic work pool: a synthetic CPU-bound sweep
-//! and a real experiment table, each at `ECOSCALE_THREADS=1` vs the
-//! machine's full width. Prints the observed speedup and asserts
-//! nothing — wall-clock ratios are environment-dependent.
+//! and a real experiment table, each on one thread vs the machine's full
+//! width. Prints the observed speedup and asserts nothing — wall-clock
+//! ratios are environment-dependent.
 
 use ecoscale_bench::timing::bench;
-use ecoscale_bench::{arch, Scale};
-use ecoscale_sim::pool;
+use ecoscale_bench::{arch, ExpRun, Scale};
+use ecoscale_sim::RunCtx;
 
 /// ~1 ms of integer work per item, 64 items.
-fn synthetic_sweep() -> u64 {
-    pool::parallel_map((0..64u64).collect::<Vec<_>>(), |x| {
+fn synthetic_sweep(ctx: RunCtx) -> u64 {
+    ctx.map((0..64u64).collect::<Vec<_>>(), |x| {
         let mut acc = x;
         for k in 0..200_000u64 {
             acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
@@ -20,52 +20,31 @@ fn synthetic_sweep() -> u64 {
     .fold(0, u64::wrapping_add)
 }
 
-fn with_threads<R>(threads: &str, f: impl FnOnce() -> R) -> R {
-    // Benches are single-threaded mains; the env var is restored before
-    // returning so subjects don't leak configuration into each other.
-    let prev = std::env::var(pool::THREADS_ENV).ok();
-    std::env::set_var(pool::THREADS_ENV, threads);
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var(pool::THREADS_ENV, v),
-        None => std::env::remove_var(pool::THREADS_ENV),
-    }
-    out
-}
-
 fn main() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let wide = cores.to_string();
+    let seq = RunCtx::SEQUENTIAL;
+    let wide = RunCtx::parse(None, None);
+    let cores = wide.threads;
 
-    let seq = with_threads("1", || {
-        bench("pool/synthetic_sweep_64x1ms/seq", synthetic_sweep)
+    let s = bench("pool/synthetic_sweep_64x1ms/seq", || synthetic_sweep(seq));
+    let p = bench(&format!("pool/synthetic_sweep_64x1ms/{cores}t"), || {
+        synthetic_sweep(wide)
     });
-    let par = with_threads(&wide, || {
-        bench(
-            &format!("pool/synthetic_sweep_64x1ms/{cores}t"),
-            synthetic_sweep,
-        )
-    });
-    if let (Some(s), Some(p)) = (seq, par) {
+    if let (Some(s), Some(p)) = (s, p) {
         println!(
             "  -> synthetic speedup: {:.2}x on {cores} cores",
             s.as_secs_f64() / p.as_secs_f64()
         );
     }
 
-    let seq = with_threads("1", || {
-        bench("pool/e01_hierarchy_quick/seq", || {
-            arch::e01_hierarchy(Scale::Quick)
-        })
+    let (seq, wide) = (
+        ExpRun::new(Scale::Quick, seq),
+        ExpRun::new(Scale::Quick, wide),
+    );
+    let s = bench("pool/e01_hierarchy_quick/seq", || arch::e01_hierarchy(&seq));
+    let p = bench(&format!("pool/e01_hierarchy_quick/{cores}t"), || {
+        arch::e01_hierarchy(&wide)
     });
-    let par = with_threads(&wide, || {
-        bench(&format!("pool/e01_hierarchy_quick/{cores}t"), || {
-            arch::e01_hierarchy(Scale::Quick)
-        })
-    });
-    if let (Some(s), Some(p)) = (seq, par) {
+    if let (Some(s), Some(p)) = (s, p) {
         println!(
             "  -> e01 speedup: {:.2}x on {cores} cores",
             s.as_secs_f64() / p.as_secs_f64()

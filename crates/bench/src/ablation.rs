@@ -7,23 +7,22 @@ use ecoscale_hls::ModuleLibrary;
 use ecoscale_mem::{PagePerms, Smmu, SmmuConfig, VirtAddr};
 use ecoscale_noc::{CostModel, Network, NetworkConfig, NodeId, TreeTopology};
 use ecoscale_runtime::{DaemonConfig, DeviceClass, ExecutionHistory, ReconfigDaemon};
-use ecoscale_sim::pool;
 use ecoscale_sim::report::{fnum, fratio, Table};
 use ecoscale_sim::{Duration, Energy, SimRng, Time};
 
-use crate::Scale;
+use crate::ExpRun;
 
 /// A4 — uplink multiplicity: an all-to-all burst through a plain tree
 /// trunk vs a fat tree with 2/4/8 parallel trunk links.
-pub fn a4_fat_tree(scale: Scale) -> Table {
+pub fn a4_fat_tree(run: &ExpRun) -> Table {
     use ecoscale_noc::{FatTreeTopology, Topology};
-    let msgs = scale.pick(64, 512);
+    let msgs = run.scale.pick(64, 512);
     let bytes = 16_384u64;
     let mut t = Table::new(
         "A4 (ablation): trunk uplink multiplicity under an all-to-all burst",
         &["uplinks", "last arrival", "mean queueing", "speedup vs 1"],
     );
-    let sweeps = pool::parallel_map(vec![1u64, 2, 4, 8], |uplinks| {
+    let sweeps = run.ctx.map(vec![1u64, 2, 4, 8], |uplinks| {
         let topo = FatTreeTopology::new(&[8, 8], uplinks);
         let n = topo.num_nodes();
         let mut net = Network::new(topo, NetworkConfig::default());
@@ -56,8 +55,10 @@ pub fn a4_fat_tree(scale: Scale) -> Table {
 
 /// A1 — forwarding discipline: virtual cut-through vs store-and-forward
 /// across message sizes and hop counts.
-pub fn a1_cut_through(scale: Scale) -> Table {
-    let sizes: &[u64] = scale.pick(&[64, 65_536][..], &[64, 4_096, 65_536, 1 << 20][..]);
+pub fn a1_cut_through(run: &ExpRun) -> Table {
+    let sizes: &[u64] = run
+        .scale
+        .pick(&[64, 65_536][..], &[64, 4_096, 65_536, 1 << 20][..]);
     let mut t = Table::new(
         "A1 (ablation): virtual cut-through vs store-and-forward",
         &[
@@ -72,7 +73,7 @@ pub fn a1_cut_through(scale: Scale) -> Table {
         .iter()
         .flat_map(|&bytes| [(bytes, 1usize, 2u32), (bytes, 63, 6)])
         .collect();
-    let rows = pool::parallel_map(combos, |(bytes, dst, hops)| {
+    let rows = run.ctx.map(combos, |(bytes, dst, hops)| {
         let mk = |cut_through| {
             Network::new(
                 TreeTopology::new(&[4, 4, 4]),
@@ -102,15 +103,15 @@ pub fn a1_cut_through(scale: Scale) -> Table {
 
 /// A2 — SMMU TLB capacity: hit rate and mean translation latency on an
 /// accelerator streaming over a working set with 80/20 locality.
-pub fn a2_tlb_size(scale: Scale) -> Table {
-    let capacities: &[usize] = scale.pick(&[8, 64][..], &[8, 16, 32, 64, 128, 256][..]);
-    let accesses = scale.pick(5_000, 50_000);
+pub fn a2_tlb_size(run: &ExpRun) -> Table {
+    let capacities: &[usize] = run.scale.pick(&[8, 64][..], &[8, 16, 32, 64, 128, 256][..]);
+    let accesses = run.scale.pick(5_000, 50_000);
     let working_set_pages = 128u64;
     let mut t = Table::new(
         "A2 (ablation): SMMU TLB capacity vs hit rate (128-page set, 80/20 locality)",
         &["tlb entries", "hit rate", "mean translation", "walks"],
     );
-    let rows = pool::parallel_map(capacities.to_vec(), |cap| {
+    let rows = run.ctx.map(capacities.to_vec(), |cap| {
         let cfg = SmmuConfig {
             tlb_entries: cap,
             ..SmmuConfig::default()
@@ -158,9 +159,9 @@ pub fn a2_tlb_size(scale: Scale) -> Table {
 /// thrashes on bursty call patterns); a high margin leaves speedups on
 /// the table. Sweeps the margin over a two-phase trace that alternates
 /// between two functions that do not fit the fabric together.
-pub fn a3_benefit_margin(scale: Scale) -> Table {
-    let phases = scale.pick(6, 12);
-    let calls_per_phase = scale.pick(4, 6);
+pub fn a3_benefit_margin(run: &ExpRun) -> Table {
+    let phases = run.scale.pick(6, 12);
+    let calls_per_phase = run.scale.pick(4, 6);
     let mut t = Table::new(
         "A3 (ablation): daemon benefit margin on an alternating two-kernel trace",
         &[
@@ -188,7 +189,7 @@ pub fn a3_benefit_margin(scale: Scale) -> Table {
     let sw_time = [Duration::from_us(480), Duration::from_us(420)];
     let hw_time = Duration::from_us(280);
 
-    let rows = pool::parallel_map(vec![0.2f64, 1.5, 8.0, 1000.0], |margin| {
+    let rows = run.ctx.map(vec![0.2f64, 1.5, 8.0, 1000.0], |margin| {
         let mut daemon = ReconfigDaemon::new(
             DaemonConfig {
                 period: Duration::from_us(1),
@@ -242,6 +243,8 @@ pub fn a3_benefit_margin(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
+    use ecoscale_sim::RunCtx;
 
     fn parse_ratio(cell: &str) -> f64 {
         cell.trim_end_matches('x').parse().unwrap()
@@ -249,7 +252,7 @@ mod tests {
 
     #[test]
     fn a4_more_uplinks_cut_queueing() {
-        let t = a4_fat_tree(Scale::Quick);
+        let t = a4_fat_tree(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         let first = parse_ratio(&t.cells(0).unwrap()[3]);
         let last = parse_ratio(&t.cells(t.len() - 1).unwrap()[3]);
         assert!((first - 1.0).abs() < 1e-9);
@@ -258,7 +261,7 @@ mod tests {
 
     #[test]
     fn a1_cut_through_wins_more_on_long_paths() {
-        let t = a1_cut_through(Scale::Quick);
+        let t = a1_cut_through(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         // big message, 6 hops is the last row: biggest win
         let last = parse_ratio(&t.cells(t.len() - 1).unwrap()[4]);
         let first = parse_ratio(&t.cells(0).unwrap()[4]);
@@ -268,7 +271,7 @@ mod tests {
 
     #[test]
     fn a2_bigger_tlb_helps_until_working_set_fits() {
-        let t = a2_tlb_size(Scale::Full);
+        let t = a2_tlb_size(&ExpRun::new(Scale::Full, RunCtx::SEQUENTIAL));
         let rates: Vec<f64> = (0..t.len())
             .map(|i| t.cells(i).unwrap()[1].parse().unwrap())
             .collect();
@@ -281,7 +284,7 @@ mod tests {
 
     #[test]
     fn a3_margin_gates_reconfiguration_rate() {
-        let t = a3_benefit_margin(Scale::Quick);
+        let t = a3_benefit_margin(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         let parse_reconfigs = |i: usize| -> u64 { t.cells(i).unwrap()[1].parse().unwrap() };
         let eager = parse_reconfigs(0); // margin 0.2
         let mid = parse_reconfigs(2); // margin 8

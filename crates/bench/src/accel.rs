@@ -10,23 +10,22 @@ use ecoscale_hls::ModuleLibrary;
 use ecoscale_mem::{InvocationModel, SmmuConfig};
 use ecoscale_noc::{NodeId, TreeTopology};
 use ecoscale_runtime::CpuModel;
-use ecoscale_sim::pool;
 use ecoscale_sim::report::{fnum, fratio, Table};
 use ecoscale_sim::Duration;
 
-use crate::Scale;
+use crate::ExpRun;
 
 /// E4 — Fig. 4/§4.1: OS-mediated vs user-level (dual-stage SMMU)
 /// accelerator invocation, sweeping the argument-buffer size.
-pub fn e04_smmu(scale: Scale) -> Table {
-    let pages: &[u64] = scale.pick(&[1, 64][..], &[1, 4, 16, 64, 256, 1024][..]);
+pub fn e04_smmu(run: &ExpRun) -> Table {
+    let pages: &[u64] = run.scale.pick(&[1, 64][..], &[1, 4, 16, 64, 256, 1024][..]);
     let inv = InvocationModel::default();
     let smmu = SmmuConfig::default();
     let mut t = Table::new(
         "E4 (Fig.4): accelerator invocation overhead, OS-mediated vs user-level SMMU",
         &["buffer pages", "os-mediated", "user-level", "speedup"],
     );
-    let rows = pool::parallel_map(pages.to_vec(), |p| {
+    let rows = run.ctx.map(pages.to_vec(), |p| {
         let os = inv.os_mediated(p);
         let user = inv.user_level(p, &smmu);
         vec![
@@ -44,8 +43,10 @@ pub fn e04_smmu(scale: Scale) -> Table {
 
 /// The invocation-rate view of E4: how many kernel launches per second
 /// each path sustains for a given per-launch compute time.
-pub fn e04_invocation_rate(scale: Scale) -> Table {
-    let works: &[u64] = scale.pick(&[1, 100][..], &[1, 10, 100, 1_000, 10_000][..]);
+pub fn e04_invocation_rate(run: &ExpRun) -> Table {
+    let works: &[u64] = run
+        .scale
+        .pick(&[1, 100][..], &[1, 10, 100, 1_000, 10_000][..]);
     let inv = InvocationModel::default();
     let smmu = SmmuConfig::default();
     let mut t = Table::new(
@@ -57,7 +58,7 @@ pub fn e04_invocation_rate(scale: Scale) -> Table {
             "ratio",
         ],
     );
-    let rows = pool::parallel_map(works.to_vec(), |us| {
+    let rows = run.ctx.map(works.to_vec(), |us| {
         let work = Duration::from_us(us);
         let os = 1.0 / (inv.os_mediated(1) + work).as_secs_f64();
         let user = 1.0 / (inv.user_level(1, &smmu) + work).as_secs_f64();
@@ -79,8 +80,8 @@ fn demo_library() -> ModuleLibrary {
 
 /// E5 — §4.1: the Virtualization block's fully-pipelined multi-caller
 /// sharing vs exclusive time multiplexing.
-pub fn e05_virtualization(scale: Scale) -> Table {
-    let callers: &[u64] = scale.pick(&[1, 8][..], &[1, 2, 4, 8, 16, 32, 64][..]);
+pub fn e05_virtualization(run: &ExpRun) -> Table {
+    let callers: &[u64] = run.scale.pick(&[1, 8][..], &[1, 2, 4, 8, 16, 32, 64][..]);
     let lib = demo_library();
     let module = lib.get("blackscholes").expect("in library").module.clone();
     let vb = VirtualizationBlock::new(module);
@@ -99,7 +100,7 @@ pub fn e05_virtualization(scale: Scale) -> Table {
             "advantage",
         ],
     );
-    let rows = pool::parallel_map(callers.to_vec(), |c| {
+    let rows = run.ctx.map(callers.to_vec(), |c| {
         let p = vb.batch_completion(SharingMode::Pipelined, c, items);
         let e = vb.batch_completion(switch, c, items);
         let tp = vb.aggregate_throughput(SharingMode::Pipelined, c, items) / 1e6;
@@ -122,8 +123,8 @@ pub fn e05_virtualization(scale: Scale) -> Table {
 /// E6 — §4.1: the four UNILOGIC access paths across data sizes: local
 /// cached accelerator, remote uncached accelerator, DMA offload, and
 /// software.
-pub fn e06_unilogic(scale: Scale) -> Table {
-    let sizes: &[u64] = scale.pick(
+pub fn e06_unilogic(run: &ExpRun) -> Table {
+    let sizes: &[u64] = run.scale.pick(
         &[1 << 10, 1 << 20][..],
         &[1 << 10, 16 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20][..],
     );
@@ -148,7 +149,7 @@ pub fn e06_unilogic(scale: Scale) -> Table {
             ecoscale_sim::report::fbytes(c.network_bytes),
         ]);
     }
-    let blocks = pool::parallel_map(sizes.to_vec(), |bytes| {
+    let blocks = run.ctx.map(sizes.to_vec(), |bytes| {
         let items = bytes / 16; // two f64 inputs per option
         AccessPath::ALL
             .into_iter()
@@ -184,7 +185,7 @@ pub fn e06_unilogic(scale: Scale) -> Table {
 /// core should land in the 10–50× band the paper cites (Catapult 40×,
 /// Xeon+FPGA 20×) for transcendental-dense kernels, and lower for
 /// lean ones.
-pub fn e15_speedup_band(_scale: Scale) -> Table {
+pub fn e15_speedup_band(run: &ExpRun) -> Table {
     // (name, source, hints, items, ops/item, specials/item)
     type SpeedupCase = (
         &'static str,
@@ -233,7 +234,7 @@ pub fn e15_speedup_band(_scale: Scale) -> Table {
             "energy ratio",
         ],
     );
-    let rows = pool::parallel_map(
+    let rows = run.ctx.map(
         cases.to_vec(),
         |(name, src, hints, items, ops, specials)| {
             let kernel = ecoscale_hls::parse_kernel(src).expect("kernel parses");
@@ -266,6 +267,8 @@ pub fn e15_speedup_band(_scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
+    use ecoscale_sim::RunCtx;
 
     fn parse_ratio(cell: &str) -> f64 {
         cell.trim_end_matches('x').parse().unwrap()
@@ -273,7 +276,7 @@ mod tests {
 
     #[test]
     fn e04_user_level_wins_everywhere() {
-        let t = e04_smmu(Scale::Quick);
+        let t = e04_smmu(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         for i in 0..t.len() {
             let r = parse_ratio(&t.cells(i).unwrap()[3]);
             assert!(r > 1.0, "row {i}: {r}");
@@ -282,7 +285,7 @@ mod tests {
 
     #[test]
     fn e04_rate_gap_shrinks_with_granularity() {
-        let t = e04_invocation_rate(Scale::Full);
+        let t = e04_invocation_rate(&ExpRun::new(Scale::Full, RunCtx::SEQUENTIAL));
         let first = parse_ratio(&t.cells(0).unwrap()[3]);
         let last = parse_ratio(&t.cells(t.len() - 1).unwrap()[3]);
         assert!(
@@ -294,14 +297,14 @@ mod tests {
 
     #[test]
     fn e05_pipelined_always_wins_multi_caller() {
-        let t = e05_virtualization(Scale::Quick);
+        let t = e05_virtualization(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         let last = t.cells(t.len() - 1).unwrap();
         assert!(parse_ratio(&last[5]) > 1.0);
     }
 
     #[test]
     fn e06_orders_paths_correctly_at_large_size() {
-        let t = e06_unilogic(Scale::Quick);
+        let t = e06_unilogic(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         // for the last size block: local-cached < remote-uncached latency
         let rows: Vec<_> = (0..t.len()).map(|i| t.cells(i).unwrap().to_vec()).collect();
         let large: Vec<_> = rows.iter().rev().take(4).collect();
@@ -319,7 +322,7 @@ mod tests {
 
     #[test]
     fn e15_dense_kernels_hit_the_band() {
-        let t = e15_speedup_band(Scale::Quick);
+        let t = e15_speedup_band(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         let bs = parse_ratio(&t.cells(0).unwrap()[4]);
         assert!(bs > 10.0 && bs < 80.0, "blackscholes speedup {bs}");
         // energy advantage everywhere

@@ -7,11 +7,10 @@ use ecoscale_noc::{
     TrafficStats, TreeTopology,
 };
 use ecoscale_runtime::CpuModel;
-use ecoscale_sim::pool;
 use ecoscale_sim::report::{fnum, fratio, Table};
 use ecoscale_sim::{SimRng, Time};
 
-use crate::Scale;
+use crate::ExpRun;
 
 /// Tree shape for `w` workers: 8 per node, then 8 per level.
 fn tree_for(w: usize) -> TreeTopology {
@@ -33,8 +32,8 @@ fn tree_for(w: usize) -> TreeTopology {
 /// tail). Hierarchical placement keeps neighbours in the same subtree;
 /// the flat baseline treats the machine as one crossbar whose every link
 /// is a long-reach cable.
-pub fn e01_hierarchy(scale: Scale) -> Table {
-    let sizes: &[usize] = scale.pick(&[64, 512][..], &[64, 512, 4096, 32768][..]);
+pub fn e01_hierarchy(run: &ExpRun) -> Table {
+    let sizes: &[usize] = run.scale.pick(&[64, 512][..], &[64, 512, 4096, 32768][..]);
     let mut t = Table::new(
         "E1 (Fig.1): hierarchical tree vs flat interconnect, halo exchange",
         &[
@@ -47,7 +46,7 @@ pub fn e01_hierarchy(scale: Scale) -> Table {
             "lat ratio",
         ],
     );
-    let rows = pool::parallel_map(sizes.to_vec(), |w| {
+    let rows = run.ctx.map(sizes.to_vec(), |w| {
         let halo = 4096u64;
         let mut rng = SimRng::seed_from(7);
         let pairs: Vec<(usize, usize)> = (0..w)
@@ -119,8 +118,8 @@ pub fn e01_hierarchy(scale: Scale) -> Table {
 /// (4 levels away). Data-pull ships the set; task-migration ships a
 /// 256-byte task descriptor, computes at the data, and returns a
 /// 64-byte result.
-pub fn e02_task_vs_data(scale: Scale) -> Table {
-    let sizes: &[u64] = scale.pick(
+pub fn e02_task_vs_data(run: &ExpRun) -> Table {
+    let sizes: &[u64] = run.scale.pick(
         &[4 << 10, 1 << 20][..],
         &[4 << 10, 64 << 10, 1 << 20, 16 << 20, 64 << 20][..],
     );
@@ -136,7 +135,7 @@ pub fn e02_task_vs_data(scale: Scale) -> Table {
         ],
     );
     let cpu = CpuModel::a53_default();
-    let rows = pool::parallel_map(sizes.to_vec(), |ws| {
+    let rows = run.ctx.map(sizes.to_vec(), |ws| {
         let flops = ws / 4; // one op per word
         let (compute, _) = cpu.exec(flops, ws / 8);
         // data pull
@@ -185,8 +184,8 @@ pub fn e02_task_vs_data(scale: Scale) -> Table {
 /// independent of N. (UNIMEM pays per-read instead — which is exactly why
 /// the runtime migrates the cache home to the hottest reader; both sides
 /// of the trade are shown.)
-pub fn e03_coherence(scale: Scale) -> Table {
-    let sizes: &[usize] = scale.pick(&[4, 32][..], &[4, 16, 64, 256, 1024][..]);
+pub fn e03_coherence(run: &ExpRun) -> Table {
+    let sizes: &[usize] = run.scale.pick(&[4, 32][..], &[4, 16, 64, 256, 1024][..]);
     let epochs = 100u64;
     let mut t = Table::new(
         "E3: directory coherence vs UNIMEM, shared page, 1 write + N-1 reads per epoch",
@@ -199,7 +198,7 @@ pub fn e03_coherence(scale: Scale) -> Table {
             "unimem total",
         ],
     );
-    let rows = pool::parallel_map(sizes.to_vec(), |n| {
+    let rows = run.ctx.map(sizes.to_vec(), |n| {
         let mut coh = GlobalCoherence::new(n);
         let mut write_msgs = 0u64;
         for _ in 0..epochs {
@@ -235,10 +234,12 @@ pub fn e03_coherence(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
+    use ecoscale_sim::RunCtx;
 
     #[test]
     fn e01_flat_loses_at_scale() {
-        let t = e01_hierarchy(Scale::Quick);
+        let t = e01_hierarchy(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         assert!(t.len() >= 4);
         // last flat row carries a ratio > 1
         let last = t.cells(t.len() - 1).unwrap();
@@ -248,7 +249,7 @@ mod tests {
 
     #[test]
     fn e02_task_migration_wins_large_sets() {
-        let t = e02_task_vs_data(Scale::Quick);
+        let t = e02_task_vs_data(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         let last = t.cells(t.len() - 1).unwrap();
         let win: f64 = last[5].trim_end_matches('x').parse().unwrap();
         assert!(win > 2.0, "migration should win big sets, got {win}x");
@@ -256,7 +257,7 @@ mod tests {
 
     #[test]
     fn e03_coherence_storm_grows() {
-        let t = e03_coherence(Scale::Quick);
+        let t = e03_coherence(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         let first: f64 = t.cells(0).unwrap()[3]
             .trim_end_matches('x')
             .parse()

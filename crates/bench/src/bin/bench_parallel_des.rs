@@ -1,7 +1,7 @@
 //! Wall-clock scaling of the sharded conservative-parallel DES engine.
 //!
 //! Runs the P1 cluster-partitioned model (`shard_exp::scaling_config`)
-//! at `ECOSCALE_SHARDS` = 1, 2, 4, 8, times each run, asserts the merged
+//! at 1, 2, 4 and 8 shards, times each run, asserts the merged
 //! exports stay byte-identical to the 1-shard baseline, and writes the
 //! measurements to `BENCH_parallel_des.json`:
 //!

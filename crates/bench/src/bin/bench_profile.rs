@@ -18,7 +18,7 @@
 //!
 //! Everything except the `wall` section is a pure function of the
 //! seeded simulation — byte-identical at any `ECOSCALE_THREADS` or
-//! `ECOSCALE_SHARDS` — so `bench_regress` compares it exactly and
+//! `ECOSCALE_SHARDS`, which are read once here — so `bench_regress` compares it exactly and
 //! skips the `wall` subtree. The blame and occupancy tables are
 //! printed to stderr for operators.
 
@@ -27,7 +27,9 @@ use std::process::ExitCode;
 use ecoscale_bench::obs::capture_profile;
 use ecoscale_bench::Scale;
 use ecoscale_sim::json::{self, fmt_f64};
-use ecoscale_sim::prof;
+use ecoscale_sim::pool::THREADS_ENV;
+use ecoscale_sim::shard::SHARDS_ENV;
+use ecoscale_sim::{prof, RunCtx};
 
 fn usage() {
     eprintln!("usage: bench_profile [--quick] [--out PATH]");
@@ -55,7 +57,11 @@ fn main() -> ExitCode {
         }
     }
 
-    let pc = capture_profile(scale);
+    let ctx = RunCtx::parse(
+        std::env::var(THREADS_ENV).ok().as_deref(),
+        std::env::var(SHARDS_ENV).ok().as_deref(),
+    );
+    let pc = capture_profile(scale, ctx);
     let report = prof::critical_path(&pc.capture.trace);
 
     let mut s = String::with_capacity(1024);

@@ -2,9 +2,11 @@
 //!
 //! `cargo run --release -p ecoscale-bench --bin exp_all` produces the
 //! outputs quoted in EXPERIMENTS.md. Tables are computed concurrently on
-//! the `ecoscale_sim::pool` work pool (width: `ECOSCALE_THREADS`, default
-//! all cores) and printed in the fixed E1→A4 order, so the output is
-//! byte-identical at any thread count.
+//! the `ecoscale_sim::pool` work pool and printed in the fixed E1→A4
+//! order, so the output is byte-identical at any thread count. The pool
+//! width (`ECOSCALE_THREADS`, default all cores) and the sharded engine's
+//! shard count (`ECOSCALE_SHARDS`, default 1) are read once, here, and
+//! passed down as a [`RunCtx`].
 //!
 //! ```text
 //! exp_all [--scale quick|full] [--trace FILE] [--metrics FILE] [--profile FILE]
@@ -46,7 +48,7 @@
 //! instant, restorable with `--resume`.
 //!
 //! `--faults` takes a seeded [`CampaignSpec`] (`key=value,...`); it
-//! replaces the base campaign the E16/E16b sweeps scale from and, when
+//! becomes the base campaign the E16/E16b sweeps scale from and, when
 //! combined with `--trace`/`--metrics`, also folds a faulted capture
 //! (`capture_fault_campaign`) into the exported files.
 //!
@@ -66,13 +68,15 @@ use ecoscale_bench::obs::{
     capture_fault_campaign, capture_observability, capture_profile, capture_telemetry,
     telemetry_shard_series, TelemetryCapture,
 };
-use ecoscale_bench::{resilience_exp, Scale, EXPERIMENTS};
+use ecoscale_bench::{ExpRun, Scale, EXPERIMENTS};
 use ecoscale_core::{
     run_serve_sim, serve_checkpoint, serve_resume, ServeSimConfig, ServeTelemetry,
 };
 use ecoscale_runtime::ServeSpec;
 use ecoscale_sim::fault::parse_duration;
-use ecoscale_sim::{pool, prof, CampaignSpec, Duration, TelemetryConfig, Time};
+use ecoscale_sim::pool::THREADS_ENV;
+use ecoscale_sim::shard::SHARDS_ENV;
+use ecoscale_sim::{prof, CampaignSpec, Duration, RunCtx, TelemetryConfig, Time};
 
 fn usage() {
     eprintln!(
@@ -247,10 +251,15 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::from(2);
     }
+    let ctx = RunCtx::parse(
+        std::env::var(THREADS_ENV).ok().as_deref(),
+        std::env::var(SHARDS_ENV).ok().as_deref(),
+    );
+    let mut exp = ExpRun::new(scale, ctx);
     if let Some(spec) = &faults {
         // E16/E16b scale their sweeps from this campaign instead of the
         // built-in default.
-        resilience_exp::set_campaign_override(Some(spec.clone()));
+        exp.campaign = spec.clone();
     }
     let selected: Vec<_> = EXPERIMENTS
         .iter()
@@ -259,7 +268,7 @@ fn main() -> ExitCode {
         .collect();
     // Whole tables run concurrently; printing happens afterwards in
     // registry (E1→A4) order.
-    let tables = pool::parallel_map(selected, |(_, run)| run(scale));
+    let tables = ctx.map(selected, |(_, run)| run(&exp));
     for table in tables {
         println!("{table}");
     }
@@ -273,6 +282,7 @@ fn main() -> ExitCode {
         if telemetry_path.is_some() {
             cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
         }
+        cfg.threads = ctx.threads;
         if let Some(at) = snapshot_at {
             let path = snapshot_out.as_ref().expect("validated above");
             let bytes = serve_checkpoint(&cfg, at);
@@ -341,10 +351,10 @@ fn main() -> ExitCode {
         // One capture serves all three outputs; --profile additionally
         // keeps the sharded phase's occupancy bands and wall timers.
         let (mut cap, prof_extras) = if profile_path.is_some() {
-            let pc = capture_profile(scale);
+            let pc = capture_profile(scale, ctx);
             (pc.capture, Some((pc.occupancy, pc.wall)))
         } else {
-            (capture_observability(scale), None)
+            (capture_observability(scale, ctx), None)
         };
         if let Some(spec) = faults.as_ref().filter(|s| !s.is_off()) {
             let fc = capture_fault_campaign(scale, spec);
@@ -392,11 +402,11 @@ fn main() -> ExitCode {
         let cap = match serve_telem {
             Some(serve) => TelemetryCapture {
                 serve,
-                shard: telemetry_shard_series(scale),
+                shard: telemetry_shard_series(scale, ctx),
             },
             None => {
                 let campaign = faults.clone().unwrap_or_else(CampaignSpec::off);
-                capture_telemetry(scale, &campaign)
+                capture_telemetry(scale, ctx, &campaign)
             }
         };
         if let Err(e) = std::fs::write(path, cap.to_json()) {

@@ -7,9 +7,11 @@
 //!
 //! Sweeps `--count` deterministic configurations (default 64, starting at
 //! index `--start`) over topology × scheduler policy × fault campaign ×
-//! scale × `ECOSCALE_THREADS`. Every configuration runs with all
-//! invariants armed and its metrics export compared byte-for-byte between
-//! `ECOSCALE_THREADS=1` and the configuration's thread count.
+//! scale × thread count × shard count × tenant count. Every configuration
+//! runs with all invariants armed and its exports compared byte-for-byte
+//! between one thread (one shard) and the configuration's thread (shard)
+//! count. Each configuration carries its own counts, so the binary reads
+//! no environment variable for them.
 //!
 //! On failure the configuration is shrunk to a minimal still-failing one
 //! and a single-line `--repro` command is printed; exit code 1. Clean

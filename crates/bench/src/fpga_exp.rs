@@ -4,11 +4,10 @@
 use ecoscale_core::Chain;
 use ecoscale_fpga::{CompressionAlgo, Fabric, Floorplanner, ModuleId, ReconfigPort, Resources};
 use ecoscale_hls::{Explorer, ModuleLibrary};
-use ecoscale_sim::pool;
 use ecoscale_sim::report::{fnum, fratio, Table};
 use ecoscale_sim::SimRng;
 
-use crate::Scale;
+use crate::ExpRun;
 
 fn workload_library() -> ModuleLibrary {
     let kernels = vec![
@@ -38,7 +37,7 @@ fn workload_library() -> ModuleLibrary {
 
 /// E9 — §4.3 \[11\]: configuration-data compression across the module
 /// library: ratio, reconfiguration latency, energy.
-pub fn e09_compression(_scale: Scale) -> Table {
+pub fn e09_compression(run: &ExpRun) -> Table {
     let lib = workload_library();
     let port = ReconfigPort::default();
     let mut t = Table::new(
@@ -52,7 +51,7 @@ pub fn e09_compression(_scale: Scale) -> Table {
             "time vs none",
         ],
     );
-    let sweeps = pool::parallel_map(CompressionAlgo::ALL.to_vec(), |algo| {
+    let sweeps = run.ctx.map(CompressionAlgo::ALL.to_vec(), |algo| {
         let mut stored = 0usize;
         let mut original = 0usize;
         let mut time = ecoscale_sim::Duration::ZERO;
@@ -90,8 +89,8 @@ pub fn e09_compression(_scale: Scale) -> Table {
 /// Poisson-ish load/unload churn of random-width modules; without the
 /// middleware's defragmentation, allocation failures mount as the free
 /// space shatters.
-pub fn e10_defrag(scale: Scale) -> Table {
-    let events = scale.pick(400, 4000);
+pub fn e10_defrag(run: &ExpRun) -> Table {
+    let events = run.scale.pick(400, 4000);
     let mut t = Table::new(
         "E10 (§4.3): fragmentation under churn, with/without defragmentation",
         &[
@@ -103,7 +102,7 @@ pub fn e10_defrag(scale: Scale) -> Table {
             "final fragmentation",
         ],
     );
-    let rows = pool::parallel_map(vec![false, true], |defrag| {
+    let rows = run.ctx.map(vec![false, true], |defrag| {
         let mut fp = Floorplanner::new(Fabric::zynq_like(60, 60));
         let mut rng = SimRng::seed_from(11);
         let mut live: Vec<ecoscale_fpga::SlotId> = Vec::new();
@@ -160,8 +159,8 @@ pub fn e10_defrag(scale: Scale) -> Table {
 
 /// E11 — §4.3: accelerator chaining vs store-and-reload, sweeping chain
 /// length.
-pub fn e11_chaining(scale: Scale) -> Table {
-    let lengths: &[u32] = scale.pick(&[1, 4][..], &[1, 2, 3, 4, 5, 6][..]);
+pub fn e11_chaining(run: &ExpRun) -> Table {
+    let lengths: &[u32] = run.scale.pick(&[1, 4][..], &[1, 2, 3, 4, 5, 6][..]);
     let items = 500_000u64;
     let mut t = Table::new(
         "E11 (§4.3): accelerator chaining vs store-and-reload",
@@ -177,7 +176,7 @@ pub fn e11_chaining(scale: Scale) -> Table {
     );
     let lib = workload_library();
     let proto = lib.get("blackscholes").expect("in library").module.clone();
-    let rows = pool::parallel_map(lengths.to_vec(), |len| {
+    let rows = run.ctx.map(lengths.to_vec(), |len| {
         let stages = (0..len)
             .map(|i| {
                 ecoscale_fpga::AcceleratorModule::new(
@@ -213,7 +212,7 @@ pub fn e11_chaining(scale: Scale) -> Table {
 /// E12 — §4.3: automated design-space exploration: the area/latency
 /// Pareto front of GEMM, and the auto-picked point vs the naive
 /// (no-directive) implementation.
-pub fn e12_hls_dse(_scale: Scale) -> Table {
+pub fn e12_hls_dse(_run: &ExpRun) -> Table {
     let kernel = ecoscale_hls::parse_kernel(ecoscale_apps::gemm::KERNEL).expect("parses");
     let hints = ecoscale_apps::gemm::kernel_hints(256);
     let budget = Resources::new(8000, 256, 256);
@@ -268,6 +267,8 @@ pub fn e12_hls_dse(_scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
+    use ecoscale_sim::RunCtx;
 
     fn parse_ratio(cell: &str) -> f64 {
         cell.trim_end_matches('x').parse().unwrap()
@@ -275,7 +276,7 @@ mod tests {
 
     #[test]
     fn e09_every_compressor_beats_none() {
-        let t = e09_compression(Scale::Quick);
+        let t = e09_compression(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         assert_eq!(t.len(), 4);
         for i in 1..t.len() {
             let r = parse_ratio(&t.cells(i).unwrap()[5]);
@@ -285,7 +286,7 @@ mod tests {
 
     #[test]
     fn e10_defrag_reduces_failures() {
-        let t = e10_defrag(Scale::Quick);
+        let t = e10_defrag(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         let without: f64 = t.cells(0).unwrap()[3].parse().unwrap();
         let with: f64 = t.cells(1).unwrap()[3].parse().unwrap();
         assert!(with <= without, "defrag {with} !<= first-fit {without}");
@@ -295,7 +296,7 @@ mod tests {
 
     #[test]
     fn e11_energy_win_grows_with_length() {
-        let t = e11_chaining(Scale::Quick);
+        let t = e11_chaining(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         let first = parse_ratio(&t.cells(0).unwrap()[5]);
         let last = parse_ratio(&t.cells(t.len() - 1).unwrap()[5]);
         assert!(last > first);
@@ -303,7 +304,7 @@ mod tests {
 
     #[test]
     fn e12_auto_beats_naive() {
-        let t = e12_hls_dse(Scale::Quick);
+        let t = e12_hls_dse(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         let auto = t.cells(t.len() - 1).unwrap();
         assert!(auto[0].starts_with("auto"));
         assert!(parse_ratio(&auto[5]) > 1.5, "auto speedup {}", auto[5]);

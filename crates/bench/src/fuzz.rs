@@ -20,8 +20,11 @@
 //! cluster-partitioned sharded simulation — with a fully-armed
 //! [`CheckPlane`], then repeats the run at the configuration's thread
 //! count and asserts the metrics export is **byte-identical** to the
-//! single-threaded run (the snap phase runs once per config; resume's
-//! own thread/shard independence is pinned by `tests/determinism.rs`).
+//! single-threaded run (the snap phase runs once per config, at the
+//! configuration's thread count, and resumes against the serve phase's
+//! single-threaded run; resume's own thread independence is pinned by
+//! `tests/determinism.rs`). Thread and shard counts are passed down as
+//! values, so configurations can run concurrently in one process.
 //! The shard phase additionally re-runs on the
 //! sharded engine at the configuration's shard count and asserts its
 //! metrics, trace, and report exports match the 1-shard run byte for
@@ -36,7 +39,7 @@
 
 use ecoscale_core::{
     linear_test_mix, run_serve_sim_with, run_shard_sim_with, serve_checkpoint, serve_resume_with,
-    ServeSimConfig, ShardSimConfig,
+    ServeOutcome, ServeSimConfig, ShardSimConfig,
 };
 use ecoscale_mem::{
     CacheConfig, DramModel, GlobalAddr, PagePerms, Smmu, SmmuConfig, UnimemSystem, VirtAddr,
@@ -47,7 +50,9 @@ use ecoscale_noc::{
 };
 use ecoscale_runtime::{skewed_trace, ClusterSim, ResilienceConfig, SchedPolicy, ServeSpec};
 use ecoscale_sim::check::{invariant, CheckPlane};
-use ecoscale_sim::{pool, CampaignSpec, Duration, MetricsRegistry, SimRng, TelemetryConfig, Time};
+use ecoscale_sim::{
+    CampaignSpec, Duration, MetricsRegistry, RunCtx, SimRng, TelemetryConfig, Time,
+};
 
 use core::fmt;
 
@@ -415,10 +420,6 @@ impl fmt::Display for FuzzFailure {
 /// `cfg.threads` and asserts the metrics export is byte-identical to the
 /// single-threaded run. `inject` arms the test-only [`invariant::SABOTAGE`]
 /// hook (fires when `cfg.tasks >= 24`).
-///
-/// Sets `ECOSCALE_THREADS` for the duration of each inner run (restoring
-/// the previous value), so callers in threaded test binaries must
-/// serialise calls that also read that variable.
 pub fn run_config(cfg: &FuzzConfig, inject: bool) -> Result<RunReport, FuzzFailure> {
     let fail = |detail: String| FuzzFailure {
         config: cfg.clone(),
@@ -426,21 +427,24 @@ pub fn run_config(cfg: &FuzzConfig, inject: bool) -> Result<RunReport, FuzzFailu
     };
     // One serving config for every serving phase: its clones share the
     // parsed, synthesized kernel mix, so the mix is built once per config.
-    let scfg = serve_sim_config(cfg);
-    let (base, cp) = with_threads(1, || run_once(cfg, &scfg, inject));
+    // Its thread count is set in place, never on a clone made before the
+    // first run, which would build the mix again.
+    let mut scfg = serve_sim_config(cfg);
+    let (base, cp, full) = run_once(cfg, &scfg, inject);
     if let Some(v) = cp.first() {
         return Err(fail(v.to_string()));
     }
     let mut checks = cp.checks_run();
+    scfg.threads = cfg.threads;
     if cfg.threads != 1 {
-        let (alt, cp_alt) = with_threads(cfg.threads, || run_once(cfg, &scfg, inject));
+        let (alt, cp_alt, _) = run_once(cfg, &scfg, inject);
         if let Some(v) = cp_alt.first() {
-            return Err(fail(format!("at ECOSCALE_THREADS={}: {v}", cfg.threads)));
+            return Err(fail(format!("at threads={}: {v}", cfg.threads)));
         }
         checks += cp_alt.checks_run();
         if base != alt {
             return Err(fail(format!(
-                "metrics export diverged between ECOSCALE_THREADS=1 and {} \
+                "metrics export diverged between threads=1 and {} \
                  ({} vs {} bytes)",
                 cfg.threads,
                 base.len(),
@@ -449,11 +453,12 @@ pub fn run_config(cfg: &FuzzConfig, inject: bool) -> Result<RunReport, FuzzFailu
         }
     }
     // SnapPlane phase: checkpoint/resume the serving run once per
-    // config (the thread-count equivalence of resume itself is pinned
-    // by tests/determinism.rs, so re-running it per thread setting
-    // would only duplicate work).
+    // config, against the serve phase's uninterrupted run (the
+    // thread-count equivalence of resume itself is pinned by
+    // tests/determinism.rs, so re-running it per thread setting would
+    // only duplicate work).
     let mut cp_snap = CheckPlane::enabled(1);
-    snap_fuzz(&scfg, &mut cp_snap);
+    snap_fuzz(&scfg, &full, &mut cp_snap);
     if let Some(v) = cp_snap.first() {
         return Err(fail(format!("snap phase: {v}")));
     }
@@ -463,23 +468,20 @@ pub fn run_config(cfg: &FuzzConfig, inject: bool) -> Result<RunReport, FuzzFailu
     // (series + per-cell flight rings) must be byte-identical at 1
     // thread and at the configured thread count, and the series'
     // `telem.window_conserved` invariant must hold in both.
-    let (tbase, cp_telem) = with_threads(1, || telem_once(&scfg));
+    let (tbase, cp_telem) = telem_once(&scfg, 1);
     if let Some(v) = cp_telem.first() {
         return Err(fail(format!("telem phase: {v}")));
     }
     checks += cp_telem.checks_run();
     if cfg.threads != 1 {
-        let (talt, cp_telem_alt) = with_threads(cfg.threads, || telem_once(&scfg));
+        let (talt, cp_telem_alt) = telem_once(&scfg, cfg.threads);
         if let Some(v) = cp_telem_alt.first() {
-            return Err(fail(format!(
-                "telem phase at ECOSCALE_THREADS={}: {v}",
-                cfg.threads
-            )));
+            return Err(fail(format!("telem phase at threads={}: {v}", cfg.threads)));
         }
         checks += cp_telem_alt.checks_run();
         if tbase != talt {
             return Err(fail(format!(
-                "telemetry capture diverged between ECOSCALE_THREADS=1 and {} \
+                "telemetry capture diverged between threads=1 and {} \
                  ({} vs {} bytes)",
                 cfg.threads,
                 tbase.len(),
@@ -625,16 +627,20 @@ fn shrink_candidates(c: &FuzzConfig) -> Vec<FuzzConfig> {
     out
 }
 
-/// One full pass over the four phases at the current thread setting.
-/// Returns the metrics export and the aggregated plane.
-fn run_once(cfg: &FuzzConfig, scfg: &ServeSimConfig, inject: bool) -> (String, CheckPlane) {
+/// One full pass over the five phases at `scfg.threads`. Returns the
+/// metrics export, the aggregated plane and the serve phase's outcome.
+fn run_once(
+    cfg: &FuzzConfig,
+    scfg: &ServeSimConfig,
+    inject: bool,
+) -> (String, CheckPlane, ServeOutcome) {
     let mut cp = CheckPlane::enabled(1);
     let mut m = MetricsRegistry::new();
-    sched_fuzz(cfg, &mut cp, &mut m);
+    sched_fuzz(cfg, scfg.threads, &mut cp, &mut m);
     noc_fuzz(cfg, &mut cp, &mut m);
     smmu_fuzz(cfg, &mut cp, &mut m);
     unimem_fuzz(cfg, &mut cp, &mut m);
-    serve_fuzz(scfg, &mut cp, &mut m);
+    let served = serve_fuzz(scfg, &mut cp, &mut m);
     if inject {
         cp.check(invariant::SABOTAGE, cfg.tasks < 24, || {
             format!(
@@ -643,31 +649,22 @@ fn run_once(cfg: &FuzzConfig, scfg: &ServeSimConfig, inject: bool) -> (String, C
             )
         });
     }
-    (m.to_json(), cp)
+    (m.to_json(), cp, served)
 }
 
-/// Runs `f` with `ECOSCALE_THREADS` set to `n`, restoring the previous
-/// value afterwards.
-fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let prev = std::env::var(pool::THREADS_ENV).ok();
-    std::env::set_var(pool::THREADS_ENV, n.to_string());
-    let out = f();
-    match prev {
-        Some(p) => std::env::set_var(pool::THREADS_ENV, p),
-        None => std::env::remove_var(pool::THREADS_ENV),
-    }
-    out
-}
-
-/// Two scheduler lanes on the work pool, each a seeded [`ClusterSim`]
-/// under the configured policy (and fault campaign) with an armed
-/// per-lane plane, folded back in input order.
-fn sched_fuzz(cfg: &FuzzConfig, cp: &mut CheckPlane, m: &mut MetricsRegistry) {
+/// Two scheduler lanes on `threads` threads, each a seeded
+/// [`ClusterSim`] under the configured policy (and fault campaign) with
+/// an armed per-lane plane, folded back in input order.
+fn sched_fuzz(cfg: &FuzzConfig, threads: usize, cp: &mut CheckPlane, m: &mut MetricsRegistry) {
     let spec = cfg.campaign();
     let (tasks, workers, seed) = (cfg.tasks, cfg.workers, cfg.seed);
     let policy = cfg.sched.policy();
     let lanes: Vec<u64> = vec![0, 1];
-    let results = pool::parallel_map(lanes, move |lane| {
+    let ctx = RunCtx {
+        threads,
+        ..RunCtx::SEQUENTIAL
+    };
+    let results = ctx.map(lanes, move |lane| {
         let trace = skewed_trace(tasks, workers, 100_000, 1.1, seed ^ lane);
         let mut sim = ClusterSim::new(workers, policy, seed.wrapping_add(lane))
             .with_checks(CheckPlane::enabled(4));
@@ -790,9 +787,10 @@ fn smmu_fuzz(cfg: &FuzzConfig, cp: &mut CheckPlane, m: &mut MetricsRegistry) {
 /// with the configuration's fault campaign injected. The serve plane's
 /// conservation and queue-bound invariants are absorbed into `cp`, and
 /// the `serve.*` metrics join the byte-identity comparison.
-fn serve_fuzz(scfg: &ServeSimConfig, cp: &mut CheckPlane, m: &mut MetricsRegistry) {
+fn serve_fuzz(scfg: &ServeSimConfig, cp: &mut CheckPlane, m: &mut MetricsRegistry) -> ServeOutcome {
     let out = run_serve_sim_with(scfg, cp);
     m.merge(&out.metrics);
+    out
 }
 
 /// The serving configuration a fuzz point drives, shared by the serve,
@@ -818,14 +816,13 @@ fn serve_sim_config(cfg: &FuzzConfig) -> ServeSimConfig {
 /// SnapPlane phase: checkpoint the configuration's serving run at
 /// mid-horizon, restore the snapshot into freshly built cells, and
 /// require the resumed serving + metrics exports to be byte-identical
-/// to the uninterrupted run (`snap.resume_equivalent`). The resume path
-/// itself re-arms `snap.roundtrip_identical` and `snap.version_refused`
-/// per cell, and a deliberately corrupted copy of the stream must be
-/// refused with a typed error rather than partially applied.
-fn snap_fuzz(scfg: &ServeSimConfig, cp: &mut CheckPlane) {
+/// to `full`, the serve phase's uninterrupted run
+/// (`snap.resume_equivalent`). The resume path itself re-arms
+/// `snap.roundtrip_identical` and `snap.version_refused` per cell, and a
+/// deliberately corrupted copy of the stream must be refused with a
+/// typed error rather than partially applied.
+fn snap_fuzz(scfg: &ServeSimConfig, full: &ServeOutcome, cp: &mut CheckPlane) {
     let at = Time::ZERO + Duration::from_us(75);
-    let mut full_cp = CheckPlane::enabled(1);
-    let full = run_serve_sim_with(scfg, &mut full_cp);
     let bytes = serve_checkpoint(scfg, at);
     match serve_resume_with(scfg, &bytes, cp) {
         Ok(resumed) => {
@@ -852,12 +849,14 @@ fn snap_fuzz(scfg: &ServeSimConfig, cp: &mut CheckPlane) {
     );
 }
 
-/// TelePlane phase body: one serving run with 25µs telemetry windows and
-/// every trigger armed, returning the capture export and the plane that
-/// absorbed the run's invariants (including `telem.window_conserved`).
-fn telem_once(scfg: &ServeSimConfig) -> (String, CheckPlane) {
+/// TelePlane phase body: one serving run on `threads` threads with 25µs
+/// telemetry windows and every trigger armed, returning the capture
+/// export and the plane that absorbed the run's invariants (including
+/// `telem.window_conserved`).
+fn telem_once(scfg: &ServeSimConfig, threads: usize) -> (String, CheckPlane) {
     let mut scfg = scfg.clone();
     scfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(25)));
+    scfg.threads = threads;
     let mut cp = CheckPlane::enabled(1);
     let out = run_serve_sim_with(&scfg, &mut cp);
     let telem = out.telemetry.expect("telemetry armed in the fuzz config");
@@ -892,10 +891,6 @@ fn unimem_fuzz(cfg: &FuzzConfig, cp: &mut CheckPlane, m: &mut MetricsRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// `run_config` mutates `ECOSCALE_THREADS`; serialise tests that call it.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn spec_string_round_trips() {
@@ -941,7 +936,6 @@ mod tests {
 
     #[test]
     fn clean_config_runs_green_across_threads() {
-        let _g = ENV_LOCK.lock().unwrap();
         let cfg = FuzzConfig {
             seed: 11,
             topo: TopoKind::Mesh,
@@ -979,7 +973,6 @@ mod tests {
 
     #[test]
     fn injected_violation_is_caught_and_shrinks_to_threshold() {
-        let _g = ENV_LOCK.lock().unwrap();
         let cfg = FuzzConfig {
             tasks: 97,
             threads: 1,

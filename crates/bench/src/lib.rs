@@ -3,13 +3,14 @@
 //! One function per experiment in `DESIGN.md` §4 (E1–E16), the §6
 //! ablations (A1–A4), the §11 parallel-engine study (P1), and the §13
 //! serving study (S1); each returns
-//! the [`Table`]s that the corresponding `exp_*` binary prints and that
+//! the [`Table`] that `exp_all <key>` prints and that
 //! `EXPERIMENTS.md` quotes. Wall-clock benches in `benches/` (built on
 //! the dependency-free [`timing`] harness) exercise the same code paths
 //! at reduced scale for regression tracking.
 //!
-//! Every experiment takes a [`Scale`] so benches can run small while the
-//! binaries run the full sweeps.
+//! Every experiment takes an [`ExpRun`]: a [`Scale`] so benches can run
+//! small while `exp_all` runs the full sweeps, the [`RunCtx`] its sweep
+//! points fan out on, and the base fault campaign E16/E16b scale from.
 
 pub mod ablation;
 pub mod accel;
@@ -26,6 +27,7 @@ pub mod shard_exp;
 pub mod timing;
 
 pub use ecoscale_sim::report::Table;
+use ecoscale_sim::{CampaignSpec, RunCtx};
 
 /// How big to run an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,8 +48,33 @@ impl Scale {
     }
 }
 
+/// What an experiment runs with. Its table depends on `scale` and
+/// `campaign` only: `ctx` only decides how widely it is computed.
+#[derive(Debug, Clone)]
+pub struct ExpRun {
+    /// Sweep sizes.
+    pub scale: Scale,
+    /// Pool width and shard count the sweep points run on.
+    pub ctx: RunCtx,
+    /// The campaign E16/E16b scale their fault intensities from
+    /// (`exp_all --faults`).
+    pub campaign: CampaignSpec,
+}
+
+impl ExpRun {
+    /// `scale` on `ctx`, with E16/E16b scaling from
+    /// [`resilience_exp::default_campaign`].
+    pub fn new(scale: Scale, ctx: RunCtx) -> ExpRun {
+        ExpRun {
+            scale,
+            ctx,
+            campaign: resilience_exp::default_campaign(),
+        }
+    }
+}
+
 /// The signature every experiment shares.
-pub type ExperimentFn = fn(Scale) -> Table;
+pub type ExperimentFn = fn(&ExpRun) -> Table;
 
 /// Every experiment, keyed by the short name `exp_all` accepts as a
 /// filter, in the canonical E1→A4 reporting order.

@@ -12,16 +12,16 @@
 //! report.
 //!
 //! Determinism: every phase is seeded, and the scheduler phase runs its
-//! lanes on [`ecoscale_sim::pool`] with one tracer and one registry per
+//! lanes on the caller's [`RunCtx`] with one tracer and one registry per
 //! lane, folded back **in input order**. The exported trace JSON and
-//! metrics JSON are therefore byte-identical at any `ECOSCALE_THREADS`
-//! setting — `tests/determinism.rs` pins this.
+//! metrics JSON are therefore byte-identical at any pool width or shard
+//! count — `tests/determinism.rs` pins this.
 
 use std::collections::HashMap;
 
 use ecoscale_core::{
-    linear_test_mix, run_serve_sim, run_shard_sim_observed, run_shard_sim_with, ServeSimConfig,
-    ServeTelemetry, SystemBuilder,
+    linear_test_mix, run_serve_sim, run_shard_sim_observed_with, run_shard_sim_with,
+    ServeSimConfig, ServeTelemetry, SystemBuilder,
 };
 use ecoscale_hls::KernelArgs;
 use ecoscale_mem::{
@@ -31,7 +31,7 @@ use ecoscale_noc::{Network, NetworkConfig, NodeId, TreeTopology};
 use ecoscale_runtime::{skewed_trace, ClusterSim, ResilienceConfig, SchedPolicy, ServeSpec};
 use ecoscale_sim::check::CheckPlane;
 use ecoscale_sim::{
-    pool, CampaignSpec, Duration, MetricsRegistry, Profiler, ShardOccupancy, SimRng,
+    CampaignSpec, Duration, MetricsRegistry, Profiler, RunCtx, ShardOccupancy, SimRng,
     TelemetryConfig, Time, TimeSeries, TraceBuffer, Tracer,
 };
 
@@ -56,31 +56,31 @@ pub struct ProfileCapture {
     /// The merged five-phase capture.
     pub capture: Capture,
     /// Shard occupancy bands from the cluster-partitioned run
-    /// (deterministic: byte-identical at any `ECOSCALE_SHARDS`).
+    /// (deterministic: byte-identical at any shard count).
     pub occupancy: ShardOccupancy,
     /// Engine wall-clock phase timers (host-dependent — keep out of
     /// byte-compared exports).
     pub wall: Profiler,
 }
 
-/// Runs the five instrumented phases at `scale` and returns the merged
-/// capture. Pure function of `scale`: byte-identical output at any
-/// thread count (and at any `ECOSCALE_SHARDS` — the sharded phase's
-/// exports are layout-independent by the engine's contract).
-pub fn capture_observability(scale: Scale) -> Capture {
-    capture_profile(scale).capture
+/// Runs the five instrumented phases at `scale` on `ctx` and returns the
+/// merged capture. Pure function of `scale`: byte-identical output at
+/// any pool width and shard count (the sharded phase's exports are
+/// layout-independent by the engine's contract).
+pub fn capture_observability(scale: Scale, ctx: RunCtx) -> Capture {
+    capture_profile(scale, ctx).capture
 }
 
 /// [`capture_observability`] keeping the sharded phase's ProfPlane
 /// extras — the occupancy bands and the engine's wall-clock profile —
 /// next to the merged capture. Backs `exp_all --profile`.
-pub fn capture_profile(scale: Scale) -> ProfileCapture {
+pub fn capture_profile(scale: Scale, ctx: RunCtx) -> ProfileCapture {
     let mut cap = Capture::default();
     smmu_phase(scale, &mut cap);
     unimem_phase(scale, &mut cap);
-    sched_phase(scale, &mut cap);
+    sched_phase(scale, ctx, &mut cap);
     system_phase(scale, &mut cap);
-    let (occupancy, wall) = shard_phase(scale, &mut cap);
+    let (occupancy, wall) = shard_phase(scale, ctx, &mut cap);
     ProfileCapture {
         capture: cap,
         occupancy,
@@ -91,8 +91,7 @@ pub fn capture_profile(scale: Scale) -> ProfileCapture {
 /// The TelePlane capture behind `exp_all --telemetry`: windowed serving
 /// telemetry (series + per-cell flight recorders) from a ServePlane run
 /// plus the sharded engine's per-safe-window series. Every field is
-/// deterministic — byte-identical at any `ECOSCALE_THREADS` /
-/// `ECOSCALE_SHARDS` setting.
+/// deterministic — byte-identical at any pool width and shard count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryCapture {
     /// Serving-cell telemetry: merged series + per-cell flight recorders.
@@ -149,25 +148,26 @@ pub fn telemetry_serve_config(scale: Scale, faults: &CampaignSpec) -> ServeSimCo
     cfg
 }
 
-/// One sharded run with the per-safe-window series feed armed; returns
-/// the series (byte-identical at any `ECOSCALE_SHARDS`).
-pub fn telemetry_shard_series(scale: Scale) -> TimeSeries {
+/// One sharded run at `ctx.shards` with the per-safe-window series feed
+/// armed; returns the series (byte-identical at any shard count).
+pub fn telemetry_shard_series(scale: Scale, ctx: RunCtx) -> TimeSeries {
     let mut cfg = scaling_config(scale.pick(4, 8), scale.pick(48, 256));
     cfg.telemetry = Some((Duration::from_ns(500), 64));
     let mut cp = CheckPlane::from_env();
-    let out = run_shard_sim_with(&cfg, None, &mut cp);
+    let out = run_shard_sim_with(&cfg, Some(ctx.shards), &mut cp);
     out.series.expect("series armed")
 }
 
-/// Runs the TelePlane capture: a telemetry-armed ServePlane simulation
-/// (honoring `faults`) plus a series-armed sharded run. Pure function
-/// of `(scale, faults)`.
-pub fn capture_telemetry(scale: Scale, faults: &CampaignSpec) -> TelemetryCapture {
-    let cfg = telemetry_serve_config(scale, faults);
+/// Runs the TelePlane capture on `ctx`: a telemetry-armed ServePlane
+/// simulation (honoring `faults`) plus a series-armed sharded run. Pure
+/// function of `(scale, faults)`.
+pub fn capture_telemetry(scale: Scale, ctx: RunCtx, faults: &CampaignSpec) -> TelemetryCapture {
+    let mut cfg = telemetry_serve_config(scale, faults);
+    cfg.threads = ctx.threads;
     let out = run_serve_sim(&cfg);
     TelemetryCapture {
         serve: out.telemetry.expect("telemetry armed in config"),
-        shard: telemetry_shard_series(scale),
+        shard: telemetry_shard_series(scale, ctx),
     }
 }
 
@@ -310,13 +310,13 @@ fn unimem_phase(scale: Scale, cap: &mut Capture) {
     cap.trace.merge(tracer.take());
 }
 
-/// Scheduler lanes under [`pool`]: one seeded [`ClusterSim`] per lane
-/// with a private tracer and registry, folded in input order. Populates
+/// Scheduler lanes on `ctx`: one seeded [`ClusterSim`] per lane with a
+/// private tracer and registry, folded in input order. Populates
 /// `sched.*` and per-worker `sched<L>/w<N>` trace lanes.
-fn sched_phase(scale: Scale, cap: &mut Capture) {
+fn sched_phase(scale: Scale, ctx: RunCtx, cap: &mut Capture) {
     let lanes: Vec<u64> = scale.pick(vec![1, 2], vec![1, 2, 3, 4]);
     let tasks = scale.pick(300, 1_500);
-    let results = pool::parallel_map(lanes, move |seed| {
+    let results = ctx.map(lanes, move |seed| {
         let tracer = Tracer::buffering();
         let label = format!("sched{seed}");
         let trace = skewed_trace(tasks, 8, 120_000, 1.1, seed);
@@ -371,16 +371,16 @@ fn system_phase(scale: Scale, cap: &mut Capture) {
     cap.trace.merge(tracer.take());
 }
 
-/// One observed cluster-partitioned run through the sharded engine:
-/// populates `shard.*` (including the `shard.occupancy.*` bands) and
-/// per-cluster worker trace lanes, and returns the ProfPlane extras.
-/// The outcome — and therefore everything merged into `cap` — is
-/// byte-identical at any `ECOSCALE_SHARDS`; only the returned
-/// [`Profiler`] is host-dependent.
-fn shard_phase(scale: Scale, cap: &mut Capture) -> (ShardOccupancy, Profiler) {
+/// One observed cluster-partitioned run through the sharded engine at
+/// `ctx.shards`: populates `shard.*` (including the `shard.occupancy.*`
+/// bands) and per-cluster worker trace lanes, and returns the ProfPlane
+/// extras. The outcome — and therefore everything merged into `cap` — is
+/// byte-identical at any shard count; only the returned [`Profiler`] is
+/// host-dependent.
+fn shard_phase(scale: Scale, ctx: RunCtx, cap: &mut Capture) -> (ShardOccupancy, Profiler) {
     let cfg = scaling_config(scale.pick(4, 8), scale.pick(48, 256));
     let mut cp = CheckPlane::from_env();
-    let (outcome, wall) = run_shard_sim_observed(&cfg, &mut cp);
+    let (outcome, wall) = run_shard_sim_observed_with(&cfg, ctx.shards, &mut cp);
     cap.metrics.merge(&outcome.metrics);
     cap.trace.merge(outcome.trace);
     (outcome.occupancy, wall)
@@ -392,7 +392,7 @@ mod tests {
 
     #[test]
     fn capture_populates_every_layer() {
-        let cap = capture_observability(Scale::Quick);
+        let cap = capture_observability(Scale::Quick, RunCtx::SEQUENTIAL);
         let m = &cap.metrics;
         assert!(m.counter("smmu.tlb_hits").unwrap() > 0);
         assert!(m.counter("smmu.tlb_misses").unwrap() > 0);
@@ -416,7 +416,7 @@ mod tests {
 
     #[test]
     fn profile_capture_returns_occupancy_and_wall_timers() {
-        let pc = capture_profile(Scale::Quick);
+        let pc = capture_profile(Scale::Quick, RunCtx::SEQUENTIAL);
         // occupancy bands cover the configured widths and saw events
         assert!(pc.occupancy.events > 0);
         assert!(pc.occupancy.windows > 0);
@@ -433,7 +433,7 @@ mod tests {
         assert!(pc.wall.is_enabled());
         assert!(pc.wall.total_ns() > 0);
         // the capture itself matches the plain observability capture
-        let plain = capture_observability(Scale::Quick);
+        let plain = capture_observability(Scale::Quick, RunCtx::SEQUENTIAL);
         assert_eq!(
             pc.capture.trace.to_chrome_json(),
             plain.trace.to_chrome_json()
@@ -443,8 +443,8 @@ mod tests {
 
     #[test]
     fn telemetry_capture_is_deterministic_and_well_formed() {
-        let a = capture_telemetry(Scale::Quick, &CampaignSpec::off());
-        let b = capture_telemetry(Scale::Quick, &CampaignSpec::off());
+        let a = capture_telemetry(Scale::Quick, RunCtx::SEQUENTIAL, &CampaignSpec::off());
+        let b = capture_telemetry(Scale::Quick, RunCtx::SEQUENTIAL, &CampaignSpec::off());
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.serve.series.lifetime("serve.submitted") > 0);
         assert!(a.shard.lifetime("shard.events") > 0);

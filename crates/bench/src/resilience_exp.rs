@@ -7,30 +7,20 @@
 //! [`EcoscaleSystem`](ecoscale_core::EcoscaleSystem) with
 //! scrub/repair, software fallback and quarantine.
 //!
-//! `exp_all --faults <spec>` overrides the base campaign both
-//! experiments scale from, so the same sweep can be replayed under any
-//! seeded fault mix.
+//! Both scale their intensities from [`ExpRun::campaign`], which
+//! `exp_all --faults <spec>` sets, so the same sweep can be replayed
+//! under any seeded fault mix.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use ecoscale_core::SystemBuilder;
 use ecoscale_hls::KernelArgs;
 use ecoscale_noc::NodeId;
 use ecoscale_runtime::{skewed_trace, ClusterSim, ResilienceConfig, SchedPolicy};
 use ecoscale_sim::report::{fnum, Table};
-use ecoscale_sim::{pool, CampaignSpec, Duration};
+use ecoscale_sim::{CampaignSpec, Duration};
 
-use crate::Scale;
-
-/// The `--faults` override installed by `exp_all` (None = built-in base
-/// campaign). Read once per experiment run.
-static CAMPAIGN_OVERRIDE: Mutex<Option<CampaignSpec>> = Mutex::new(None);
-
-/// Installs (or clears) the campaign both E16 experiments scale from.
-pub fn set_campaign_override(spec: Option<CampaignSpec>) {
-    *CAMPAIGN_OVERRIDE.lock().expect("override lock") = spec;
-}
+use crate::ExpRun;
 
 /// The built-in base campaign: crashes and stalls for the scheduler
 /// half, SEUs for the fabric half.
@@ -45,16 +35,6 @@ pub fn default_campaign() -> CampaignSpec {
     spec
 }
 
-/// The campaign the sweeps multiply up or down: the `--faults` override
-/// when installed, else [`default_campaign`].
-pub fn base_campaign() -> CampaignSpec {
-    CAMPAIGN_OVERRIDE
-        .lock()
-        .expect("override lock")
-        .clone()
-        .unwrap_or_else(default_campaign)
-}
-
 fn policies() -> [(&'static str, ResilienceConfig); 3] {
     [
         ("none", ResilienceConfig::none()),
@@ -66,14 +46,10 @@ fn policies() -> [(&'static str, ResilienceConfig); 3] {
 /// E16 — availability and throughput degradation of the per-worker
 /// scheduler under worker crashes/stalls, sweeping fault intensity ×
 /// recovery policy.
-pub fn e16_resilience(scale: Scale) -> Table {
-    e16_with(&base_campaign(), scale)
-}
-
-fn e16_with(base: &CampaignSpec, scale: Scale) -> Table {
-    let tasks = scale.pick(300, 1_500);
+pub fn e16_resilience(run: &ExpRun) -> Table {
+    let tasks = run.scale.pick(300, 1_500);
     let workers = 8;
-    let base = base.clone();
+    let base = &run.campaign;
     let intensities: &[(&str, f64)] = &[("off", 0.0), ("1x", 1.0), ("4x", 4.0)];
     let mut t = Table::new(
         "E16 (FaultPlane): scheduler resilience under worker crashes/stalls",
@@ -96,7 +72,7 @@ fn e16_with(base: &CampaignSpec, scale: Scale) -> Table {
                 .map(move |(p, cfg)| (label, k, p, cfg))
         })
         .collect();
-    let rows = pool::parallel_map(combos, move |(label, k, policy, cfg)| {
+    let rows = run.ctx.map(combos, move |(label, k, policy, cfg)| {
         let trace = skewed_trace(tasks, workers, 120_000, 1.2, 17);
         let mut sim = ClusterSim::new(workers, SchedPolicy::LazyLocal { probes: 2 }, 5);
         if k > 0.0 {
@@ -126,17 +102,13 @@ fn e16_with(base: &CampaignSpec, scale: Scale) -> Table {
 
 /// E16b — fabric resilience: SEU upsets on an assembled system, with
 /// scrub-and-repair, software fallback and quarantine, vs no recovery.
-pub fn e16b_fabric(scale: Scale) -> Table {
-    e16b_with(&base_campaign(), scale)
-}
-
-fn e16b_with(base: &CampaignSpec, scale: Scale) -> Table {
+pub fn e16b_fabric(run: &ExpRun) -> Table {
     const KERNEL: &str = "kernel scale(in float a[], out float b[], int n) {
         for (i in 0 .. n) { b[i] = sqrt(a[i] + 1.0) * 2.0; }
     }";
-    let calls = scale.pick(150, 600);
+    let calls = run.scale.pick(150, 600);
     let n = 4_096usize;
-    let base = base.clone();
+    let base = &run.campaign;
     let mut t = Table::new(
         "E16b (FaultPlane): SEU upsets on the reconfigurable fabric",
         &[
@@ -158,7 +130,7 @@ fn e16b_with(base: &CampaignSpec, scale: Scale) -> Table {
                 .map(move |(p, cfg)| (label, k, p, cfg))
         })
         .collect();
-    let rows = pool::parallel_map(combos, move |(label, k, policy, cfg)| {
+    let rows = run.ctx.map(combos, move |(label, k, policy, cfg)| {
         let mut sys = SystemBuilder::new()
             .workers_per_node(4)
             .compute_nodes(2)
@@ -209,6 +181,12 @@ fn e16b_with(base: &CampaignSpec, scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
+    use ecoscale_sim::RunCtx;
+
+    fn quick() -> ExpRun {
+        ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL)
+    }
 
     fn rows(t: &Table) -> Vec<Vec<String>> {
         (0..t.len()).map(|i| t.cells(i).unwrap().to_vec()).collect()
@@ -216,7 +194,7 @@ mod tests {
 
     #[test]
     fn e16_zero_campaign_is_lossless_and_policies_differ() {
-        let t = e16_with(&default_campaign(), Scale::Quick);
+        let t = e16_resilience(&quick());
         let rows = rows(&t);
         assert_eq!(rows.len(), 9);
         // fault-free rows: everything completes, availability 1, and the
@@ -246,7 +224,7 @@ mod tests {
 
     #[test]
     fn e16b_recovery_keeps_hardware_alive() {
-        let t = e16b_with(&default_campaign(), Scale::Quick);
+        let t = e16b_fabric(&quick());
         let rows = rows(&t);
         assert_eq!(rows.len(), 9);
         let find = |f: &str, p: &str| {
@@ -264,13 +242,11 @@ mod tests {
     }
 
     #[test]
-    fn campaign_override_is_honoured() {
-        let mut spec = CampaignSpec::off();
-        spec.seed = 99;
-        spec.worker_crash_mtbf = Duration::from_ms(7);
-        set_campaign_override(Some(spec.clone()));
-        assert_eq!(base_campaign(), spec);
-        set_campaign_override(None);
-        assert_ne!(base_campaign(), spec);
+    fn campaign_is_honoured() {
+        let mut run = quick();
+        let base = e16_resilience(&run).to_string();
+        run.campaign.seed = 99;
+        run.campaign.worker_crash_mtbf = Duration::from_ms(7);
+        assert_ne!(e16_resilience(&run).to_string(), base);
     }
 }

@@ -7,17 +7,16 @@ use ecoscale_core::{AccessPath, SystemBuilder, UnilogicModel};
 use ecoscale_hls::KernelAnalysis;
 use ecoscale_noc::{NodeId, TreeTopology};
 use ecoscale_runtime::{skewed_trace, ClusterSim, SchedPolicy};
-use ecoscale_sim::pool;
 use ecoscale_sim::report::{fnum, fratio, Table};
 use ecoscale_sim::{Duration, Energy, SimRng};
 
-use crate::Scale;
+use crate::ExpRun;
 
 /// E7 — §4.2: the history-model scheduler against static baselines and
 /// the oracle, on a trace of Black–Scholes calls with varying input
 /// sizes.
-pub fn e07_scheduler(scale: Scale) -> Table {
-    let calls = scale.pick(40, 200);
+pub fn e07_scheduler(run: &ExpRun) -> Table {
+    let calls = run.scale.pick(40, 200);
     let src = ecoscale_apps::blackscholes::KERNEL;
     let kernel = ecoscale_hls::parse_kernel(src).expect("parses");
     let sizes_pool = [1_024u64, 4_096, 16_384, 65_536];
@@ -95,7 +94,7 @@ pub fn e07_scheduler(scale: Scale) -> Table {
     let mut hw_time = Duration::ZERO;
     let mut hw_energy = Energy::ZERO;
     let mut oracle_time = Duration::ZERO;
-    let costs = pool::parallel_map(trace.clone(), |n| {
+    let costs = run.ctx.map(trace.clone(), |n| {
         (
             per_call(n, AccessPath::Software),
             per_call(n, AccessPath::LocalCached),
@@ -140,8 +139,8 @@ pub fn e07_scheduler(scale: Scale) -> Table {
 
 /// E8 — §4.2 \[9\]: lazy local-queue scheduling vs a centralized queue and
 /// random push, sweeping worker count on a skewed task trace.
-pub fn e08_lazy(scale: Scale) -> Table {
-    let sizes: &[usize] = scale.pick(&[8, 32][..], &[4, 16, 64, 256, 512][..]);
+pub fn e08_lazy(run: &ExpRun) -> Table {
+    let sizes: &[usize] = run.scale.pick(&[8, 32][..], &[4, 16, 64, 256, 512][..]);
     let mut t = Table::new(
         "E8 (§4.2,[9]): scheduling policies on a zipf-skewed trace",
         &[
@@ -160,14 +159,14 @@ pub fn e08_lazy(scale: Scale) -> Table {
     // the latter — the scalability cliff the paper's per-worker queues
     // avoid.
     let grains: &[(&str, u64, usize)] = &[
-        ("coarse", 150_000, scale.pick(400, 3000)),
-        ("fine", 8_000, scale.pick(1600, 12_000)),
+        ("coarse", 150_000, run.scale.pick(400, 3000)),
+        ("fine", 8_000, run.scale.pick(1600, 12_000)),
     ];
     let combos: Vec<(&str, u64, usize, usize)> = grains
         .iter()
         .flat_map(|&(grain, flops, tasks)| sizes.iter().map(move |&w| (grain, flops, tasks, w)))
         .collect();
-    let blocks = pool::parallel_map(combos, |(grain, flops, tasks, w)| {
+    let blocks = run.ctx.map(combos, |(grain, flops, tasks, w)| {
         let trace = skewed_trace(tasks, w, flops, 1.1, 13);
         [
             ("lazy-local", SchedPolicy::LazyLocal { probes: 2 }),
@@ -199,6 +198,8 @@ pub fn e08_lazy(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
+    use ecoscale_sim::RunCtx;
 
     fn parse_ratio(cell: &str) -> f64 {
         cell.trim_end_matches('x').parse().unwrap()
@@ -206,7 +207,7 @@ mod tests {
 
     #[test]
     fn e07_adaptive_between_static_and_oracle() {
-        let t = e07_scheduler(Scale::Quick);
+        let t = e07_scheduler(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         let rows: HashMap<String, f64> = (0..t.len())
             .map(|i| {
                 let c = t.cells(i).unwrap();
@@ -225,7 +226,7 @@ mod tests {
 
     #[test]
     fn e08_lazy_cheapest_overhead_at_scale() {
-        let t = e08_lazy(Scale::Quick);
+        let t = e08_lazy(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         // for the largest worker count, centralized overhead exceeds lazy
         let rows: Vec<_> = (0..t.len()).map(|i| t.cells(i).unwrap().to_vec()).collect();
         let biggest = &rows[rows.len() - 3..];

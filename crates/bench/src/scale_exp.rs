@@ -3,13 +3,12 @@
 
 use ecoscale_apps::sort::{distributed_sort, generate, SortMode};
 use ecoscale_core::{machine_power_for_exaflop, MachineClass};
-use ecoscale_sim::pool;
 use ecoscale_sim::report::{fnum, fratio, Table};
 
-use crate::Scale;
+use crate::ExpRun;
 
 /// E13 — §1: "sustaining exaflop performance requires an enormous 1 GW".
-pub fn e13_power(_scale: Scale) -> Table {
+pub fn e13_power(_run: &ExpRun) -> Table {
     let mut t = Table::new(
         "E13 (§1): power to sustain 1 EFLOPS, by scaling strategy",
         &[
@@ -39,9 +38,9 @@ pub fn e13_power(_scale: Scale) -> Table {
 
 /// E14 — §2 \[5\]: hybrid MPI+PGAS vs pure MPI on the out-of-core sample
 /// sort, sweeping node count.
-pub fn e14_hybrid(scale: Scale) -> Table {
-    let node_counts: &[usize] = scale.pick(&[2, 4][..], &[2, 4, 8, 16][..]);
-    let keys = scale.pick(20_000, 200_000);
+pub fn e14_hybrid(run: &ExpRun) -> Table {
+    let node_counts: &[usize] = run.scale.pick(&[2, 4][..], &[2, 4, 8, 16][..]);
+    let keys = run.scale.pick(20_000, 200_000);
     let wpn = 8;
     let mut t = Table::new(
         "E14 (§2,[5]): hybrid MPI+PGAS vs pure MPI, distributed sample sort",
@@ -57,7 +56,7 @@ pub fn e14_hybrid(scale: Scale) -> Table {
             "exchange speedup",
         ],
     );
-    let blocks = pool::parallel_map(node_counts.to_vec(), |nodes| {
+    let blocks = run.ctx.map(node_counts.to_vec(), |nodes| {
         let data = generate(keys, 5);
         let mpi = distributed_sort(&data, nodes, wpn, SortMode::PureMpi, 1);
         let hybrid = distributed_sort(&data, nodes, wpn, SortMode::Hybrid, 1);
@@ -96,10 +95,12 @@ pub fn e14_hybrid(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
+    use ecoscale_sim::RunCtx;
 
     #[test]
     fn e13_tianhe_hits_a_gigawatt() {
-        let t = e13_power(Scale::Quick);
+        let t = e13_power(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         let row = t.cells(0).unwrap();
         assert!(row[3].contains("MW"));
         // ~1000 MW
@@ -115,7 +116,7 @@ mod tests {
 
     #[test]
     fn e14_hybrid_wins_every_scale() {
-        let t = e14_hybrid(Scale::Quick);
+        let t = e14_hybrid(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
         for i in (1..t.len()).step_by(2) {
             let row = t.cells(i).unwrap();
             assert_eq!(row[2], "hybrid");

@@ -18,7 +18,7 @@ use ecoscale_sim::check::CheckPlane;
 use ecoscale_sim::report::{fnum, Table};
 use ecoscale_sim::Duration;
 
-use crate::Scale;
+use crate::ExpRun;
 
 /// The serving config the S1 sweep and `bench_serve` share: 4 tenants
 /// over the `apps` serving mix at `rate` requests/sec/tenant, 32-item
@@ -34,12 +34,12 @@ pub fn serving_config(rate: u64, horizon_us: u64) -> ServeSimConfig {
 }
 
 /// S1 — goodput/shed/p99 vs offered load, batching on vs off.
-pub fn s1_serving(scale: Scale) -> Table {
-    let rates: &[u64] = scale.pick(
+pub fn s1_serving(run: &ExpRun) -> Table {
+    let rates: &[u64] = run.scale.pick(
         &[150_000, 350_000][..],
         &[150_000, 250_000, 350_000, 450_000][..],
     );
-    let horizon_us = scale.pick(500, 1000);
+    let horizon_us = run.scale.pick(500, 1000);
     let mut t = Table::new(
         "S1: multi-tenant serving (4 tenants, fir+blackscholes mix, batch<=8 vs none)",
         &[
@@ -98,11 +98,13 @@ pub fn s1_serving(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
+    use ecoscale_sim::RunCtx;
 
     #[test]
     fn s1_runs_quick_and_is_deterministic() {
-        let a = s1_serving(Scale::Quick).to_string();
-        let b = s1_serving(Scale::Quick).to_string();
+        let a = s1_serving(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL)).to_string();
+        let b = s1_serving(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL)).to_string();
         assert_eq!(a, b);
         assert!(a.contains("S1:"));
     }

@@ -12,7 +12,7 @@ use ecoscale_core::{run_shard_sim_with, ShardSimConfig};
 use ecoscale_sim::check::CheckPlane;
 use ecoscale_sim::report::{fnum, Table};
 
-use crate::Scale;
+use crate::ExpRun;
 
 /// The scaling sweep `bench_parallel_des` times: many small clusters with
 /// task service ≈ workers × arrival spacing, so the per-cluster queues
@@ -30,9 +30,9 @@ pub fn scaling_config(clusters: usize, tasks_per_cluster: usize) -> ShardSimConf
 }
 
 /// P1 — cluster-partitioned DES over NoC-lookahead safe windows.
-pub fn p1_parallel_des(scale: Scale) -> Table {
-    let cluster_counts: &[usize] = scale.pick(&[4, 8][..], &[4, 8, 16, 32][..]);
-    let tasks = scale.pick(64, 256);
+pub fn p1_parallel_des(run: &ExpRun) -> Table {
+    let cluster_counts: &[usize] = run.scale.pick(&[4, 8][..], &[4, 8, 16, 32][..]);
+    let tasks = run.scale.pick(64, 256);
     let mut t = Table::new(
         "P1: sharded conservative-parallel DES (cluster queues, NoC lookahead)",
         &[
@@ -74,11 +74,13 @@ pub fn p1_parallel_des(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
+    use ecoscale_sim::RunCtx;
 
     #[test]
     fn p1_runs_quick_and_is_deterministic() {
-        let a = p1_parallel_des(Scale::Quick).to_string();
-        let b = p1_parallel_des(Scale::Quick).to_string();
+        let a = p1_parallel_des(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL)).to_string();
+        let b = p1_parallel_des(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL)).to_string();
         assert_eq!(a, b);
         assert!(a.contains("P1:"));
         assert!(a.contains("yes"));

@@ -43,8 +43,8 @@ pub use serve_model::{
     ServeOutcome, ServeSimConfig, ServeTelemetry,
 };
 pub use shard_model::{
-    run_shard_sim, run_shard_sim_observed, run_shard_sim_with, ClusterEv, ClusterSimModel,
-    ShardOutcome, ShardSimConfig, OCCUPANCY_WIDTHS,
+    run_shard_sim_observed, run_shard_sim_observed_with, run_shard_sim_with, ClusterEv,
+    ClusterSimModel, ShardOutcome, ShardSimConfig, OCCUPANCY_WIDTHS,
 };
 pub use system::{CallOutcome, EcoscaleSystem, SystemBuilder};
 pub use unilogic::{AccessPath, PathCost, UnilogicModel};

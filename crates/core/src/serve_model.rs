@@ -4,11 +4,10 @@
 //! `runtime::serve` owns the traffic side — workload generation,
 //! admission, batching, SLO accounting. This module is the backend glue:
 //! it partitions the spec's tenants across **serving cells** (one
-//! [`EcoscaleSystem`] each, run concurrently via
-//! [`ecoscale_sim::pool::parallel_map`] with results
-//! merged in cell order, so exports are byte-identical at any
-//! `ECOSCALE_THREADS`), and inside each cell runs the serving event
-//! loop:
+//! [`EcoscaleSystem`] each, run on [`ServeSimConfig::threads`] threads
+//! via [`RunCtx::map`] with results merged in cell order, so exports are
+//! byte-identical at any width), and inside each cell runs the serving
+//! event loop:
 //!
 //! 1. retire due completions into the plane's SLO ledger,
 //! 2. generate/admit arrivals up to the current instant,
@@ -38,7 +37,7 @@ use ecoscale_runtime::ResilienceConfig;
 use ecoscale_sim::check::{invariant, CheckPlane};
 use ecoscale_sim::snap::{malformed, SnapshotBuilder, SnapshotFile};
 use ecoscale_sim::{
-    pool, CampaignSpec, Duration, FlightRecorder, MetricsRegistry, Restore, RestoreError,
+    CampaignSpec, Duration, FlightRecorder, MetricsRegistry, Restore, RestoreError, RunCtx,
     SnapReader, SnapWriter, Snapshot, TelemetryConfig, Time, TimeSeries, TriggerFire, TriggerKind,
     TriggerPolicy,
 };
@@ -100,6 +99,9 @@ pub struct ServeSimConfig {
     /// [`ServeOutcome::telemetry`]. `None` costs one branch per cadence
     /// tick and allocates nothing.
     pub telemetry: Option<TelemetryConfig>,
+    /// Pool width the cells run on (default 1). Every export is
+    /// byte-identical at any width.
+    pub threads: usize,
     artifacts: ArtifactCache,
 }
 
@@ -155,7 +157,16 @@ impl ServeSimConfig {
             faults: CampaignSpec::off(),
             resilience: ResilienceConfig::full(),
             telemetry: None,
+            threads: 1,
             artifacts: ArtifactCache::default(),
+        }
+    }
+
+    /// The context the cells fan out on.
+    fn cell_pool(&self) -> RunCtx {
+        RunCtx {
+            threads: self.threads,
+            ..RunCtx::SEQUENTIAL
         }
     }
 }
@@ -164,8 +175,7 @@ impl ServeSimConfig {
 /// [`ServeSimConfig::telemetry`] was set: the per-cell time series
 /// merged in cell order plus every cell's flight recorder (kept
 /// separate — event rings are per-cell evidence, not mergeable
-/// streams). Byte-identical at any `ECOSCALE_THREADS` /
-/// `ECOSCALE_SHARDS` setting.
+/// streams). Byte-identical at any [`ServeSimConfig::threads`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeTelemetry {
     /// Windowed series merged across cells in cell order.
@@ -294,7 +304,7 @@ pub fn run_serve_sim(cfg: &ServeSimConfig) -> ServeOutcome {
 /// system config.
 pub fn run_serve_sim_with(cfg: &ServeSimConfig, cp: &mut CheckPlane) -> ServeOutcome {
     let artifacts = prepare(cfg);
-    let results = pool::parallel_map(partition_tenants(cfg), |ids| {
+    let results = cfg.cell_pool().map(partition_tenants(cfg), |ids| {
         let mut cell = CellSim::provisioned(cfg, ids, Arc::clone(&artifacts));
         cell.run(None);
         cell.into_result()
@@ -931,7 +941,7 @@ pub fn serve_checkpoint(cfg: &ServeSimConfig, at: Time) -> Vec<u8> {
     let artifacts = prepare(cfg);
     let parts = partition_tenants(cfg);
     let cells = parts.len();
-    let states = pool::parallel_map(parts, |ids| {
+    let states = cfg.cell_pool().map(parts, |ids| {
         let mut cell = CellSim::provisioned(cfg, ids, Arc::clone(&artifacts));
         cell.run(Some(at));
         let mut w = SnapWriter::new();
@@ -1050,7 +1060,8 @@ fn resume_inner(
     // The mix is built only once the stream has passed its checks, just
     // before the first cell needs it.
     let artifacts = OnceLock::new();
-    let results = pool::parallel_map(parts, |(i, ids)| -> Result<CellResult, RestoreError> {
+    let ctx = cfg.cell_pool();
+    let results = ctx.map(parts, |(i, ids)| -> Result<CellResult, RestoreError> {
         let mut sect = file.section(&format!("cell.{i}"))?;
         let payload = sect.get_bytes()?;
         if !sect.is_exhausted() {

@@ -10,11 +10,11 @@
 //! minimum inter-cluster NoC latency
 //! ([`CostModel::min_inter_cluster_latency`]).
 //!
-//! [`run_shard_sim`] executes the model on the [`ShardedEngine`] and
+//! [`run_shard_sim_with`] executes the model on the [`ShardedEngine`] and
 //! folds every cluster's instruments into one [`ShardOutcome`] — merged
 //! metrics, a merged trace buffer, and a report — all assembled in
-//! cluster index order, so every export is byte-identical at any
-//! `ECOSCALE_SHARDS` setting.
+//! cluster index order, so every export is byte-identical at any shard
+//! count.
 
 use ecoscale_mem::{CacheConfig, DramModel, GlobalAddr, UnimemSystem};
 use ecoscale_noc::{CostModel, Network, NetworkConfig, NodeId, Topology, TreeTopology};
@@ -335,7 +335,7 @@ pub struct ShardOutcome {
 impl ShardOutcome {
     /// A deterministic JSON report of the run — simulation results only
     /// (no wall-clock, no shard count), so it is byte-identical at any
-    /// `ECOSCALE_SHARDS` setting.
+    /// shard count.
     pub fn report(&self) -> String {
         format!(
             concat!(
@@ -353,14 +353,8 @@ impl ShardOutcome {
     }
 }
 
-/// Runs `cfg` on the sharded engine with the shard count from
-/// `ECOSCALE_SHARDS` and a [`CheckPlane`] from `ECOSCALE_CHECK`.
-pub fn run_shard_sim(cfg: &ShardSimConfig) -> ShardOutcome {
-    let mut cp = CheckPlane::from_env();
-    run_shard_sim_with(cfg, None, &mut cp)
-}
-
-/// [`run_shard_sim`] with an explicit shard count and CheckPlane.
+/// Runs `cfg` on the sharded engine at `shards` shards (`None`: one),
+/// absorbing the run's invariant checks into `cp`.
 ///
 /// # Panics
 ///
@@ -370,24 +364,33 @@ pub fn run_shard_sim_with(
     shards: Option<usize>,
     cp: &mut CheckPlane,
 ) -> ShardOutcome {
-    run_shard_sim_inner(cfg, shards, false, cp).0
+    run_shard_sim_inner(cfg, shards.unwrap_or(1), false, cp).0
 }
 
-/// [`run_shard_sim`] with wall-clock self-profiling armed: the engine
-/// times its drain/decide/process/barrier phases and returns them next
-/// to the outcome. The outcome stays byte-identical to an unobserved
-/// run at any shard count; the [`Profiler`] is host-dependent and must
-/// never be folded into deterministic exports.
+/// [`run_shard_sim_observed_with`] on one shard.
 pub fn run_shard_sim_observed(
     cfg: &ShardSimConfig,
     cp: &mut CheckPlane,
 ) -> (ShardOutcome, Profiler) {
-    run_shard_sim_inner(cfg, None, true, cp)
+    run_shard_sim_observed_with(cfg, 1, cp)
+}
+
+/// [`run_shard_sim_with`] with wall-clock self-profiling armed: the
+/// engine times its drain/decide/process/barrier phases and returns them
+/// next to the outcome. The outcome stays byte-identical to an
+/// unobserved run at any shard count; the [`Profiler`] is host-dependent
+/// and must never be folded into deterministic exports.
+pub fn run_shard_sim_observed_with(
+    cfg: &ShardSimConfig,
+    shards: usize,
+    cp: &mut CheckPlane,
+) -> (ShardOutcome, Profiler) {
+    run_shard_sim_inner(cfg, shards, true, cp)
 }
 
 fn run_shard_sim_inner(
     cfg: &ShardSimConfig,
-    shards: Option<usize>,
+    shards: usize,
     observe: bool,
     cp: &mut CheckPlane,
 ) -> (ShardOutcome, Profiler) {
@@ -411,12 +414,11 @@ fn run_shard_sim_inner(
         .map(|(c, trace)| ClusterSimModel::new(c, cfg, trace))
         .collect();
     let lookahead = cfg.lookahead();
-    let mut engine = ShardedEngine::new(models, lookahead).with_occupancy(&OCCUPANCY_WIDTHS);
+    let mut engine = ShardedEngine::new(models, lookahead)
+        .with_occupancy(&OCCUPANCY_WIDTHS)
+        .with_shards(shards);
     if let Some((width, retain)) = cfg.telemetry {
         engine = engine.with_series(width, retain);
-    }
-    if let Some(n) = shards {
-        engine = engine.with_shards(n);
     }
     if observe {
         engine = engine.with_self_profiling();
@@ -563,5 +565,8 @@ mod tests {
             wall.phase_calls(ecoscale_sim::prof::Phase::Process) >= out.rounds,
             "every window's process phase is timed"
         );
+        let (wide, _) = run_shard_sim_observed_with(&cfg, 2, &mut cp);
+        assert_eq!(base.metrics.to_json(), wide.metrics.to_json());
+        assert_eq!(base.report(), wide.report());
     }
 }

@@ -482,33 +482,6 @@ impl EcoscaleSystem {
         self.mem.check_invariants(cp);
     }
 
-    /// A [`ShardSimConfig`](crate::shard_model::ShardSimConfig) matching
-    /// this system's shape: one cluster per Compute Node, this system's
-    /// Workers per cluster, `tasks_per_cluster` tasks each, seeded from
-    /// `seed`.
-    pub fn shard_sim_config(
-        &self,
-        tasks_per_cluster: usize,
-        seed: u64,
-    ) -> crate::shard_model::ShardSimConfig {
-        let fanouts = self.net.topology().fanouts();
-        let mut cfg = crate::shard_model::ShardSimConfig::new(fanouts[1], fanouts[0]);
-        cfg.tasks_per_cluster = tasks_per_cluster;
-        cfg.seed = seed;
-        cfg
-    }
-
-    /// Runs a cluster-partitioned simulation of this system's shape on
-    /// the sharded engine (`ECOSCALE_SHARDS` threads). See
-    /// [`run_shard_sim`](crate::shard_model::run_shard_sim).
-    pub fn run_sharded(
-        &self,
-        tasks_per_cluster: usize,
-        seed: u64,
-    ) -> crate::shard_model::ShardOutcome {
-        crate::shard_model::run_shard_sim(&self.shard_sim_config(tasks_per_cluster, seed))
-    }
-
     /// Loads `function`'s module onto `worker`'s fabric explicitly.
     /// Returns the reconfiguration latency.
     ///

@@ -263,14 +263,20 @@ impl CheckPlane {
         }
     }
 
-    /// Build from the `ECOSCALE_CHECK` environment variable: unset, empty or
-    /// `0` yields a disabled plane; `N` yields an enabled **strict** plane
-    /// with cadence `N` (unparsable values fall back to cadence 1). Strict
+    /// Build from the `ECOSCALE_CHECK` environment variable; see
+    /// [`CheckPlane::from_var`].
+    pub fn from_env() -> Self {
+        CheckPlane::from_var(std::env::var(CHECK_ENV).ok().as_deref())
+    }
+
+    /// Build from a raw `ECOSCALE_CHECK` value: unset, empty or `0` yields
+    /// a disabled plane; `N` yields an enabled **strict** plane with
+    /// cadence `N` (unparsable values fall back to cadence 1). Strict
     /// planes panic on the first violation, which is what turns an
     /// `ECOSCALE_CHECK=1` CI pass into a hard gate.
-    pub fn from_env() -> Self {
-        match std::env::var(CHECK_ENV) {
-            Ok(v) if !v.is_empty() && v != "0" => {
+    pub fn from_var(value: Option<&str>) -> Self {
+        match value {
+            Some(v) if !v.is_empty() && v != "0" => {
                 CheckPlane::enabled(v.parse::<u64>().unwrap_or(1)).strict()
             }
             _ => CheckPlane::disabled(),
@@ -667,19 +673,13 @@ mod tests {
 
     #[test]
     fn from_env_honours_check_var() {
-        // Serialise env mutation within this test only.
-        let prev = std::env::var(CHECK_ENV).ok();
-        std::env::set_var(CHECK_ENV, "0");
-        assert!(!CheckPlane::from_env().is_enabled());
-        std::env::set_var(CHECK_ENV, "4");
-        let cp = CheckPlane::from_env();
+        assert!(!CheckPlane::from_var(Some("0")).is_enabled());
+        assert!(!CheckPlane::from_var(Some("")).is_enabled());
+        let cp = CheckPlane::from_var(Some("4"));
         assert!(cp.is_enabled());
         assert_eq!(cp.every, 4);
         assert!(cp.strict, "env-armed planes are hard gates");
-        std::env::remove_var(CHECK_ENV);
-        assert!(!CheckPlane::from_env().is_enabled());
-        if let Some(p) = prev {
-            std::env::set_var(CHECK_ENV, p);
-        }
+        assert_eq!(CheckPlane::from_var(Some("x")).every, 1);
+        assert!(!CheckPlane::from_var(None).is_enabled());
     }
 }

@@ -13,8 +13,8 @@
 //!   simulations,
 //! * [`shard`] — the conservative-parallel engine ([`ShardedEngine`]):
 //!   cluster-partitioned wheels synchronized by NoC-lookahead safe
-//!   windows, byte-identical to sequential execution at any
-//!   `ECOSCALE_SHARDS` setting,
+//!   windows, byte-identical to sequential execution at any shard
+//!   count,
 //! * [`SimRng`] — a seeded random source with the distributions the
 //!   workload generators need (uniform, exponential, normal, Zipf, Pareto),
 //! * [`snap`] — SnapPlane: a versioned, deterministic snapshot/restore
@@ -88,6 +88,7 @@ pub use check::{CheckPlane, Violation};
 pub use energy::{Energy, EnergyMeter, Power};
 pub use fault::{CampaignSpec, FaultClock, ProbFault};
 pub use metrics::{Instrument, MetricsRegistry};
+pub use pool::RunCtx;
 pub use prof::{Layer, ProfileReport, Profiler, ShardOccupancy};
 pub use rng::SimRng;
 pub use shard::{ClusterCtx, ClusterModel, ShardedEngine, StopReason};

@@ -1,106 +1,141 @@
 //! A deterministic scoped-thread work pool.
 //!
 //! The experiment harness runs many independent sweep points (one seeded
-//! simulation each). [`parallel_map_indexed`] fans them out over scoped
+//! simulation each). [`RunCtx::map_indexed`] fans them out over scoped
 //! threads and returns the results **in input order**, so any computation
 //! whose closures are independent produces byte-identical output whether
 //! it runs on one thread or many.
 //!
-//! The thread count comes from the `ECOSCALE_THREADS` environment
-//! variable (default: all available cores). `ECOSCALE_THREADS=1` forces
-//! fully sequential in-place execution — useful as the determinism
-//! baseline and in constrained CI.
+//! The pool width is a value, not ambient state: a [`RunCtx`] carries it
+//! (with the sharded engine's shard count) down from the caller. Binaries
+//! read `ECOSCALE_THREADS` / `ECOSCALE_SHARDS` once, at start-up, through
+//! [`RunCtx::parse`]; library code never reads or writes the environment
+//! for them. A width of 1 runs everything inline on the caller's thread —
+//! the determinism baseline.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Environment variable controlling the pool width.
+/// Environment variable binaries read for the pool width.
 pub const THREADS_ENV: &str = "ECOSCALE_THREADS";
 
-/// The pool width: `ECOSCALE_THREADS` if set to a positive integer, else
-/// the number of available cores (at least 1).
-///
-/// Read on every call so tests can toggle the variable between runs.
-pub fn thread_count() -> usize {
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+/// How wide a run fans out: the pool width for independent work items
+/// and the sharded engine's shard count. Results never depend on either,
+/// so a context only trades host time for cores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunCtx {
+    /// Pool width of [`RunCtx::map`]; 1 runs items inline, in order.
+    pub threads: usize,
+    /// Shard count of the sharded engine; 1 is the sequential engine.
+    pub shards: usize,
 }
 
-/// Applies `f` to every item, in parallel, returning results in input
-/// order. `f` receives the item's index alongside the item.
-///
-/// Output is independent of the thread count: each closure runs exactly
-/// once on its own item, and results are slotted back by index. With one
-/// item or a pool width of 1 everything runs inline on the caller's
-/// thread.
-///
-/// # Example
-///
-/// ```
-/// use ecoscale_sim::pool::parallel_map_indexed;
-///
-/// let squares = parallel_map_indexed(vec![1u64, 2, 3, 4], |i, x| (i, x * x));
-/// assert_eq!(squares, vec![(0, 1), (1, 4), (2, 9), (3, 16)]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `f` panics on any item (the panic is propagated when the
-/// scope joins).
-pub fn parallel_map_indexed<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = thread_count().min(n);
-    if workers <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-    // Items are parked in take-once slots; workers self-schedule via an
-    // atomic cursor and publish results into per-index cells, so the
-    // output order is the input order regardless of completion order.
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("item slot poisoned")
-                    .take()
-                    .expect("each item is taken exactly once");
-                let out = f(i, item);
-                *results[i].lock().expect("result slot poisoned") = Some(out);
-            });
+impl RunCtx {
+    /// One thread and one shard.
+    pub const SEQUENTIAL: RunCtx = RunCtx {
+        threads: 1,
+        shards: 1,
+    };
+
+    /// The context for the raw values of `ECOSCALE_THREADS` and
+    /// `ECOSCALE_SHARDS` (`None` when unset). Anything but a positive
+    /// integer falls back to the default: every available core, and one
+    /// shard.
+    pub fn parse(threads: Option<&str>, shards: Option<&str>) -> RunCtx {
+        let positive = |v: Option<&str>| {
+            v.and_then(|v| v.trim().parse::<usize>().ok())
+                .filter(|&n| n >= 1)
+        };
+        RunCtx {
+            threads: positive(threads).unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            }),
+            shards: positive(shards).unwrap_or(1),
         }
-    });
-    results
-        .into_iter()
-        .map(|cell| {
-            cell.into_inner()
-                .expect("result slot poisoned")
-                .expect("every slot is filled")
-        })
-        .collect()
+    }
+
+    /// Applies `f` to every item, in parallel, returning results in input
+    /// order, on `self.threads` threads. `f` receives the item's index
+    /// alongside the item.
+    ///
+    /// Output is independent of the thread count: each closure runs exactly
+    /// once on its own item, and results are slotted back by index. With one
+    /// item or a pool width of 1 everything runs inline on the caller's
+    /// thread.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ecoscale_sim::pool::RunCtx;
+    ///
+    /// let ctx = RunCtx { threads: 4, ..RunCtx::SEQUENTIAL };
+    /// let squares = ctx.map_indexed(vec![1u64, 2, 3, 4], |i, x| (i, x * x));
+    /// assert_eq!(squares, vec![(0, 1), (1, 4), (2, 9), (3, 16)]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` panics on any item (the panic is propagated when the
+    /// scope joins).
+    pub fn map_indexed<T, R, F>(self, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        let n = items.len();
+        let workers = self.threads.min(n);
+        if workers <= 1 {
+            return items
+                .into_iter()
+                .enumerate()
+                .map(|(i, item)| f(i, item))
+                .collect();
+        }
+        // Items are parked in take-once slots; workers self-schedule via an
+        // atomic cursor and publish results into per-index cells, so the
+        // output order is the input order regardless of completion order.
+        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let cursor = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let item = slots[i]
+                        .lock()
+                        .expect("item slot poisoned")
+                        .take()
+                        .expect("each item is taken exactly once");
+                    let out = f(i, item);
+                    *results[i].lock().expect("result slot poisoned") = Some(out);
+                });
+            }
+        });
+        results
+            .into_iter()
+            .map(|cell| {
+                cell.into_inner()
+                    .expect("result slot poisoned")
+                    .expect("every slot is filled")
+            })
+            .collect()
+    }
+
+    /// [`RunCtx::map_indexed`] without the index.
+    pub fn map<T, R, F>(self, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
+    {
+        self.map_indexed(items, |_, item| f(item))
+    }
 }
 
 /// A reusable sense-reversing spin barrier for round-based parallel loops.
@@ -177,23 +212,18 @@ impl RoundBarrier {
     }
 }
 
-/// [`parallel_map_indexed`] without the index.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_indexed(items, |_, item| f(item))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const WIDE: RunCtx = RunCtx {
+        threads: 4,
+        shards: 1,
+    };
+
     #[test]
     fn preserves_input_order() {
-        let out = parallel_map_indexed((0..100u64).collect(), |i, x| {
+        let out = WIDE.map_indexed((0..100u64).collect(), |i, x| {
             assert_eq!(i as u64, x);
             x * 3
         });
@@ -203,8 +233,8 @@ mod tests {
     #[test]
     fn works_on_empty_and_single_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(empty, |x: u32| x).is_empty());
-        assert_eq!(parallel_map(vec![7], |x: u32| x + 1), vec![8]);
+        assert!(WIDE.map(empty, |x: u32| x).is_empty());
+        assert_eq!(WIDE.map(vec![7], |x: u32| x + 1), vec![8]);
     }
 
     #[test]
@@ -221,13 +251,21 @@ mod tests {
         };
         let items: Vec<u64> = (0..257).collect();
         let seq: Vec<u64> = items.iter().enumerate().map(|(i, &x)| work(i, x)).collect();
-        let par = parallel_map_indexed(items, work);
+        let par = WIDE.map_indexed(items, work);
         assert_eq!(par, seq);
     }
 
     #[test]
-    fn thread_count_is_at_least_one() {
-        assert!(thread_count() >= 1);
+    fn parse_honours_positive_values_and_defaults_the_rest() {
+        let cores = RunCtx::parse(None, None).threads;
+        assert!(cores >= 1);
+        assert_eq!(RunCtx::parse(None, None).shards, 1);
+        for bad in ["0", "", "x"] {
+            let ctx = RunCtx::parse(Some(bad), Some(bad));
+            assert_eq!((ctx.threads, ctx.shards), (cores, 1), "value `{bad}`");
+        }
+        let ctx = RunCtx::parse(Some("3"), Some(" 3 "));
+        assert_eq!((ctx.threads, ctx.shards), (3, 3));
     }
 
     #[test]

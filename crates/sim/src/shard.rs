@@ -35,13 +35,15 @@
 //! window sequence depends only on global minima (not the layout), and
 //! clusters interact exclusively through these keyed messages. Mailboxes
 //! are transport only — arrival order through them never affects delivery
-//! order. `ECOSCALE_SHARDS` (default 1) selects the shard count; shard 1
-//! is the sequential engine, same code path minus the barriers.
+//! order. [`ShardedEngine::with_shards`] selects the shard count (default
+//! 1; binaries take it from `ECOSCALE_SHARDS` through
+//! [`RunCtx`](crate::pool::RunCtx)); one shard is the sequential engine,
+//! same code path minus the barriers.
 //!
 //! Shards are a *partitioning* choice, threads an *execution* choice: the
 //! engine caps worker threads at the host's available parallelism and
 //! assigns each worker a contiguous group of shards, so oversubscribing
-//! `ECOSCALE_SHARDS` past the core count never melts into spin-barrier
+//! the shard count past the core count never melts into spin-barrier
 //! contention (results are unchanged either way). [`ShardedEngine::with_threads`]
 //! forces a specific worker count for tests.
 //!
@@ -86,7 +88,7 @@ use crate::telem::TimeSeries;
 use crate::time::{Duration, Time};
 use crate::wheel::TimingWheel;
 
-/// Environment variable selecting the shard count (default: 1).
+/// Environment variable binaries read for the shard count (default: 1).
 pub const SHARDS_ENV: &str = "ECOSCALE_SHARDS";
 
 /// Bits of the canonical event key reserved for the per-cluster sequence
@@ -94,21 +96,6 @@ pub const SHARDS_ENV: &str = "ECOSCALE_SHARDS";
 const SEQ_BITS: u32 = 48;
 /// Maximum number of clusters an engine can address.
 pub const MAX_CLUSTERS: usize = 1 << (64 - SEQ_BITS);
-
-/// The configured shard count: `ECOSCALE_SHARDS` if set to a positive
-/// integer, else 1 (sequential — the current behavior).
-///
-/// Read on every call so tests can toggle the variable between runs.
-pub fn shard_count() -> usize {
-    if let Ok(v) = std::env::var(SHARDS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    1
-}
 
 /// Why a [`ShardedEngine::run_until`] call returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -319,7 +306,7 @@ pub struct ShardedEngine<M: ClusterModel> {
 
 impl<M: ClusterModel> ShardedEngine<M> {
     /// Creates an engine over one model per cluster with the given
-    /// lookahead, reading the shard count from `ECOSCALE_SHARDS`.
+    /// lookahead, on one shard (see [`ShardedEngine::with_shards`]).
     ///
     /// # Panics
     ///
@@ -350,7 +337,7 @@ impl<M: ClusterModel> ShardedEngine<M> {
                 })
                 .collect(),
             lookahead,
-            shards: shard_count(),
+            shards: 1,
             threads: None,
             occ_widths: None,
             occupancy: None,
@@ -367,7 +354,7 @@ impl<M: ClusterModel> ShardedEngine<M> {
         }
     }
 
-    /// Overrides the shard count (otherwise taken from `ECOSCALE_SHARDS`).
+    /// Sets the shard count (default 1, the sequential engine).
     pub fn with_shards(mut self, shards: usize) -> ShardedEngine<M> {
         self.shards = shards.max(1);
         self
@@ -1413,14 +1400,6 @@ mod tests {
             fn handle(&mut self, _: Time, _: (), _: &mut ClusterCtx<'_, ()>) {}
         }
         let _ = ShardedEngine::new(vec![Noop], Duration::ZERO);
-    }
-
-    #[test]
-    fn shard_count_reads_env_with_default_one() {
-        // No env mutation here (process-global); just the default path.
-        if std::env::var(SHARDS_ENV).is_err() {
-            assert_eq!(shard_count(), 1);
-        }
     }
 
     impl Snapshot for Gossip {

@@ -99,11 +99,29 @@ echo "== tier-1: seeded fuzz smoke (CheckPlane) =="
 # and (for the cluster-partitioned sim) at 1 shard vs k shards.
 ./target/release/fuzz_configs --count 512
 
-echo "== tier-1: sharded determinism smoke =="
-# The determinism suite under both shard settings with invariants armed:
-# the sharded engine must export byte-identically at any ECOSCALE_SHARDS.
-ECOSCALE_SHARDS=1 ECOSCALE_CHECK=1 cargo test -q --test determinism
-ECOSCALE_SHARDS=4 ECOSCALE_CHECK=1 cargo test -q --test determinism
+echo "== tier-1: determinism suite (invariants armed) =="
+# The suite compares 1 vs 4 shards and 1 vs N threads itself, passing
+# the counts as values, so one armed pass covers both settings.
+ECOSCALE_CHECK=1 cargo test -q --test determinism
+
+echo "== tier-1: run-context smoke (binary level) =="
+# Binaries are the only readers of ECOSCALE_SHARDS/ECOSCALE_THREADS: a
+# quick exp_all run with every capture armed must print and write the
+# same bytes at 1 vs 4 shards and at 1 vs 4 threads.
+CTX_SERVE="seed=11,tenants=3,rate=150000,horizon=300us,batch=4"
+for run in SHARDS=1 SHARDS=4 THREADS=1 THREADS=4; do
+    d="target/ctx_smoke/$run"
+    mkdir -p "$d"
+    env "ECOSCALE_$run" ./target/release/exp_all --scale quick \
+        --profile "$d/profile.json" --telemetry "$d/telemetry.json" \
+        --trace "$d/trace.json" --metrics "$d/metrics.json" \
+        --serve "$CTX_SERVE" --serve-out "$d/serve.json" e01 \
+        > "$d/stdout.txt" 2> /dev/null
+done
+for f in stdout.txt profile.json telemetry.json trace.json metrics.json serve.json; do
+    cmp "target/ctx_smoke/SHARDS=1/$f" "target/ctx_smoke/SHARDS=4/$f"
+    cmp "target/ctx_smoke/THREADS=1/$f" "target/ctx_smoke/THREADS=4/$f"
+done
 
 echo "== tier-1: parallel DES bench smoke =="
 # Reduced workload; asserts 1-vs-N-shard byte identity and validates the

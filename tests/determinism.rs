@@ -2,59 +2,54 @@
 //!
 //! The contract in `ecoscale_sim::pool` is that results come back in
 //! input order regardless of the pool width, so a rendered experiment
-//! table must be byte-identical run-to-run and across thread counts.
+//! table must be byte-identical run-to-run and across thread counts; the
+//! sharded engine makes the same promise across shard counts.
 //!
-//! `ECOSCALE_THREADS` is process-global, so the cross-thread-count test
-//! sets and restores it while holding a lock shared with nothing else in
-//! this binary (each integration test file is its own process, which
-//! keeps the env mutation contained).
-
-use std::sync::Mutex;
+//! Widths and shard counts are passed as [`RunCtx`] values, so these
+//! tests share no process state and run concurrently.
 
 use ecoscale::apps::mix::serve_mix;
 use ecoscale::bench::fuzz::FuzzConfig;
-use ecoscale::bench::{arch, obs, Scale};
+use ecoscale::bench::{arch, obs, ExpRun, Scale};
 use ecoscale::core::{
-    run_serve_sim, run_shard_sim, run_shard_sim_with, ServeSimConfig, ShardOutcome, ShardSimConfig,
+    run_serve_sim, run_shard_sim_with, ServeSimConfig, ShardOutcome, ShardSimConfig,
 };
 use ecoscale::runtime::ServeSpec;
 use ecoscale::sim::check::CheckPlane;
-use ecoscale::sim::pool::THREADS_ENV;
-use ecoscale::sim::shard::SHARDS_ENV;
-use ecoscale::sim::CampaignSpec;
+use ecoscale::sim::{CampaignSpec, RunCtx};
 
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<T>(threads: &str, f: impl FnOnce() -> T) -> T {
-    let _guard = ENV_LOCK.lock().expect("env lock");
-    let prev = std::env::var(THREADS_ENV).ok();
-    std::env::set_var(THREADS_ENV, threads);
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var(THREADS_ENV, v),
-        None => std::env::remove_var(THREADS_ENV),
+fn threads(threads: usize) -> RunCtx {
+    RunCtx {
+        threads,
+        ..RunCtx::SEQUENTIAL
     }
-    out
 }
 
-fn render_with_threads(threads: &str) -> String {
-    with_threads(threads, || arch::e01_hierarchy(Scale::Quick).to_string())
+fn shards(shards: usize) -> RunCtx {
+    RunCtx {
+        shards,
+        ..RunCtx::SEQUENTIAL
+    }
+}
+
+fn render(ctx: RunCtx) -> String {
+    arch::e01_hierarchy(&ExpRun::new(Scale::Quick, ctx)).to_string()
 }
 
 #[test]
 fn repeated_runs_render_identically() {
-    let a = arch::e01_hierarchy(Scale::Quick).to_string();
-    let b = arch::e01_hierarchy(Scale::Quick).to_string();
+    let a = render(threads(4));
+    let b = render(threads(4));
     assert_eq!(a, b, "same-process reruns must be byte-identical");
 }
 
 #[test]
 fn output_is_independent_of_thread_count() {
-    let sequential = render_with_threads("1");
-    let parallel = render_with_threads("4");
+    let sequential = render(threads(1));
+    let parallel = render(threads(4));
     assert_eq!(
         sequential, parallel,
-        "ECOSCALE_THREADS=1 and =4 must render byte-identical tables"
+        "1 and 4 threads must render byte-identical tables"
     );
 }
 
@@ -63,60 +58,45 @@ fn output_is_independent_of_thread_count() {
 /// must be byte-identical at any pool width.
 #[test]
 fn observability_exports_are_independent_of_thread_count() {
-    let capture = |threads| {
-        with_threads(threads, || {
-            let cap = obs::capture_observability(Scale::Quick);
-            (cap.trace.to_chrome_json(), cap.metrics.to_json())
-        })
+    let capture = |ctx| {
+        let cap = obs::capture_observability(Scale::Quick, ctx);
+        (cap.trace.to_chrome_json(), cap.metrics.to_json())
     };
-    let (trace_seq, metrics_seq) = capture("1");
-    let (trace_par, metrics_par) = capture("8");
+    let (trace_seq, metrics_seq) = capture(threads(1));
+    let (trace_par, metrics_par) = capture(threads(8));
     assert_eq!(
         trace_seq, trace_par,
-        "trace JSON must be byte-identical at ECOSCALE_THREADS=1 vs =8"
+        "trace JSON must be byte-identical at 1 vs 8 threads"
     );
     assert_eq!(
         metrics_seq, metrics_par,
-        "metrics JSON must be byte-identical at ECOSCALE_THREADS=1 vs =8"
+        "metrics JSON must be byte-identical at 1 vs 8 threads"
     );
 }
 
 /// A seeded fault campaign is part of the deterministic state: the
 /// faulted capture (worker crashes/stalls, SEU scrub/repair, SMMU/NoC
-/// injection under recovery) must export byte-identical metrics and
-/// trace JSON at any pool width.
+/// injection under recovery) takes no run context — it runs on the
+/// caller's thread at any pool width — and must export byte-identical
+/// metrics and trace JSON on every run.
 #[test]
 fn fault_campaign_exports_are_independent_of_thread_count() {
     let spec = CampaignSpec::parse("seed=3,crash=1ms,seu=400us,scrub=800us,smmu=1e-3,corrupt=1e-3")
         .expect("campaign spec parses");
-    let capture = |threads| {
-        with_threads(threads, || {
-            let cap = obs::capture_fault_campaign(Scale::Quick, &spec);
-            (cap.trace.to_chrome_json(), cap.metrics.to_json())
-        })
+    let capture = || {
+        let cap = obs::capture_fault_campaign(Scale::Quick, &spec);
+        (cap.trace.to_chrome_json(), cap.metrics.to_json())
     };
-    let (trace_seq, metrics_seq) = capture("1");
-    let (trace_par, metrics_par) = capture("8");
+    let (trace_a, metrics_a) = capture();
+    let (trace_b, metrics_b) = capture();
     assert_eq!(
-        trace_seq, trace_par,
-        "faulted trace JSON must be byte-identical at ECOSCALE_THREADS=1 vs =8"
+        trace_a, trace_b,
+        "faulted trace JSON must be byte-identical"
     );
     assert_eq!(
-        metrics_seq, metrics_par,
-        "faulted metrics JSON must be byte-identical at ECOSCALE_THREADS=1 vs =8"
+        metrics_a, metrics_b,
+        "faulted metrics JSON must be byte-identical"
     );
-}
-
-fn with_shards<T>(shards: &str, f: impl FnOnce() -> T) -> T {
-    let _guard = ENV_LOCK.lock().expect("env lock");
-    let prev = std::env::var(SHARDS_ENV).ok();
-    std::env::set_var(SHARDS_ENV, shards);
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var(SHARDS_ENV, v),
-        None => std::env::remove_var(SHARDS_ENV),
-    }
-    out
 }
 
 fn shard_exports(out: &ShardOutcome) -> (String, String, String) {
@@ -128,19 +108,25 @@ fn shard_exports(out: &ShardOutcome) -> (String, String, String) {
 }
 
 /// The sharded conservative-parallel engine promises byte-identical
-/// results at any `ECOSCALE_SHARDS` setting: metrics, trace, and report
-/// exports of the cluster-partitioned simulation must match exactly
-/// between the sequential run and a 4-shard run.
+/// results at any shard count: metrics, trace, and report exports of the
+/// cluster-partitioned simulation must match exactly between the
+/// sequential run and a 4-shard run.
 #[test]
 fn shard_sim_exports_are_independent_of_shard_count() {
     let mut cfg = ShardSimConfig::new(6, 4);
     cfg.tasks_per_cluster = 96;
-    let capture = |shards| with_shards(shards, || shard_exports(&run_shard_sim(&cfg)));
-    let sequential = capture("1");
-    let parallel = capture("4");
+    let capture = |shards| {
+        shard_exports(&run_shard_sim_with(
+            &cfg,
+            Some(shards),
+            &mut CheckPlane::from_env(),
+        ))
+    };
+    let sequential = capture(1);
+    let parallel = capture(4);
     assert_eq!(
         sequential, parallel,
-        "shard-sim exports must be byte-identical at ECOSCALE_SHARDS=1 vs =4"
+        "shard-sim exports must be byte-identical at 1 vs 4 shards"
     );
 }
 
@@ -148,25 +134,23 @@ fn shard_sim_exports_are_independent_of_shard_count() {
 /// blame over the merged capture plus the shard-occupancy bands — is a
 /// pure function of the seeded workload: occupancy is event-count
 /// accounting, not wall clock, so the rendered JSON must be
-/// byte-identical at any `ECOSCALE_SHARDS` setting.
+/// byte-identical at any shard count.
 #[test]
 fn profile_export_is_independent_of_shard_count() {
-    let render = |shards| {
-        with_shards(shards, || {
-            let pc = obs::capture_profile(Scale::Quick);
-            let report = ecoscale::sim::prof::critical_path(&pc.capture.trace);
-            format!(
-                "{{\"profile\":{},\"occupancy\":{}}}",
-                report.to_json(),
-                pc.occupancy.to_json()
-            )
-        })
+    let render = |ctx| {
+        let pc = obs::capture_profile(Scale::Quick, ctx);
+        let report = ecoscale::sim::prof::critical_path(&pc.capture.trace);
+        format!(
+            "{{\"profile\":{},\"occupancy\":{}}}",
+            report.to_json(),
+            pc.occupancy.to_json()
+        )
     };
-    let sequential = render("1");
-    let sharded = render("4");
+    let sequential = render(shards(1));
+    let sharded = render(shards(4));
     assert_eq!(
         sequential, sharded,
-        "profile export must be byte-identical at ECOSCALE_SHARDS=1 vs =4"
+        "profile export must be byte-identical at 1 vs 4 shards"
     );
 }
 
@@ -181,8 +165,10 @@ fn serve_cfg() -> ServeSimConfig {
     cfg
 }
 
-fn serve_exports(cfg: &ServeSimConfig) -> (String, String) {
-    let out = run_serve_sim(cfg);
+fn serve_exports(cfg: &ServeSimConfig, threads: usize) -> (String, String) {
+    let mut cfg = cfg.clone();
+    cfg.threads = threads;
+    let out = run_serve_sim(&cfg);
     (out.serving.to_json(), out.metrics.to_json())
 }
 
@@ -192,28 +178,27 @@ fn serve_exports(cfg: &ServeSimConfig) -> (String, String) {
 #[test]
 fn serving_exports_are_independent_of_thread_count() {
     let cfg = serve_cfg();
-    let sequential = with_threads("1", || serve_exports(&cfg));
-    let parallel = with_threads("8", || serve_exports(&cfg));
+    let sequential = serve_exports(&cfg, 1);
+    let parallel = serve_exports(&cfg, 8);
     assert_eq!(
         sequential, parallel,
-        "serving exports must be byte-identical at ECOSCALE_THREADS=1 vs =8"
+        "serving exports must be byte-identical at 1 vs 8 threads"
     );
 }
 
 /// A faulted serving run (SEU + SMMU campaign through the resilience
-/// layer) is part of the same deterministic state — and serving never
-/// touches the sharded engine, so `ECOSCALE_SHARDS` must not perturb it
-/// either.
+/// layer) is part of the same deterministic state: its exports must be
+/// byte-identical at any pool width too.
 #[test]
-fn serving_exports_are_independent_of_shard_count() {
+fn faulted_serving_exports_are_independent_of_thread_count() {
     let mut cfg = serve_cfg();
     cfg.faults = CampaignSpec::parse("seed=5,seu=200us,smmu=0.002,scrub=400us")
         .expect("campaign spec parses");
-    let sequential = with_shards("1", || serve_exports(&cfg));
-    let sharded = with_shards("4", || serve_exports(&cfg));
+    let sequential = serve_exports(&cfg, 1);
+    let parallel = serve_exports(&cfg, 4);
     assert_eq!(
-        sequential, sharded,
-        "faulted serving exports must be byte-identical at ECOSCALE_SHARDS=1 vs =4"
+        sequential, parallel,
+        "faulted serving exports must be byte-identical at 1 vs 4 threads"
     );
 }
 
@@ -260,49 +245,42 @@ fn telemetry_campaigns() -> Vec<(&'static str, CampaignSpec)> {
 #[test]
 fn telemetry_exports_are_independent_of_thread_count() {
     for (label, campaign) in telemetry_campaigns() {
-        let capture = |threads| {
-            with_threads(threads, || {
-                let cap = obs::capture_telemetry(Scale::Quick, &campaign);
-                (cap.to_json(), cap.flight_dump_json())
-            })
+        let capture = |ctx| {
+            let cap = obs::capture_telemetry(Scale::Quick, ctx, &campaign);
+            (cap.to_json(), cap.flight_dump_json())
         };
         assert_eq!(
-            capture("1"),
-            capture("8"),
-            "{label} telemetry capture must be byte-identical at \
-             ECOSCALE_THREADS=1 vs =8"
+            capture(threads(1)),
+            capture(threads(8)),
+            "{label} telemetry capture must be byte-identical at 1 vs 8 threads"
         );
     }
 }
 
 /// The shard half of the telemetry capture is fed by the sharded
 /// engine's safe-window folds, so the whole export (and its flight dump)
-/// must also be byte-identical at any `ECOSCALE_SHARDS` setting.
+/// must also be byte-identical at any shard count.
 #[test]
 fn telemetry_exports_are_independent_of_shard_count() {
     for (label, campaign) in telemetry_campaigns() {
-        let capture = |shards| {
-            with_shards(shards, || {
-                let cap = obs::capture_telemetry(Scale::Quick, &campaign);
-                (cap.to_json(), cap.flight_dump_json())
-            })
+        let capture = |ctx| {
+            let cap = obs::capture_telemetry(Scale::Quick, ctx, &campaign);
+            (cap.to_json(), cap.flight_dump_json())
         };
         assert_eq!(
-            capture("1"),
-            capture("4"),
-            "{label} telemetry capture must be byte-identical at \
-             ECOSCALE_SHARDS=1 vs =4"
+            capture(shards(1)),
+            capture(shards(4)),
+            "{label} telemetry capture must be byte-identical at 1 vs 4 shards"
         );
     }
 }
 
-/// The SnapPlane restore-equivalence oracle must hold at any pool or
-/// shard width: checkpoint the faulted serving run mid-horizon under one
-/// setting, resume it under another, and both the resumed exports and
-/// the uninterrupted run's exports must be byte-identical across the
-/// whole matrix.
+/// The SnapPlane restore-equivalence oracle must hold at any pool
+/// width: checkpoint the faulted serving run mid-horizon at one width,
+/// resume it at another, and both the resumed exports and the
+/// uninterrupted run's exports must be byte-identical across the matrix.
 #[test]
-fn serve_resume_exports_are_independent_of_threads_and_shards() {
+fn serve_resume_exports_are_independent_of_thread_count() {
     use ecoscale::core::{serve_checkpoint, serve_resume};
     use ecoscale::sim::Duration;
     use ecoscale::sim::Time;
@@ -311,40 +289,32 @@ fn serve_resume_exports_are_independent_of_threads_and_shards() {
     cfg.faults = CampaignSpec::parse("seed=5,seu=200us,smmu=0.002,scrub=400us")
         .expect("campaign spec parses");
     let at = Time::ZERO + Duration::from_us(180);
+    let mut wide = cfg.clone();
+    wide.threads = 8;
 
-    let uninterrupted = with_threads("1", || serve_exports(&cfg));
-    let bytes = with_threads("1", || serve_checkpoint(&cfg, at));
+    let uninterrupted = serve_exports(&cfg, 1);
+    let bytes = serve_checkpoint(&cfg, at);
 
     // The snapshot itself must not depend on the pool width.
-    let bytes_par = with_threads("8", || serve_checkpoint(&cfg, at));
+    let bytes_par = serve_checkpoint(&wide, at);
     assert_eq!(
         bytes, bytes_par,
-        "serve snapshot bytes must be identical at ECOSCALE_THREADS=1 vs =8"
+        "serve snapshot bytes must be identical at 1 vs 8 threads"
     );
 
-    let resume_exports = |out: ecoscale::core::ServeOutcome| {
+    let resume_exports = |cfg: &ServeSimConfig| {
+        let out = serve_resume(cfg, &bytes).expect("resume succeeds");
         assert_eq!(out.violations, 0, "resume must pass invariant checks");
         (out.serving.to_json(), out.metrics.to_json())
     };
-    let resumed_seq = with_threads("1", || {
-        resume_exports(serve_resume(&cfg, &bytes).expect("resume succeeds"))
-    });
-    let resumed_par = with_threads("8", || {
-        resume_exports(serve_resume(&cfg, &bytes).expect("resume succeeds"))
-    });
-    let resumed_sharded = with_shards("4", || {
-        resume_exports(serve_resume(&cfg, &bytes).expect("resume succeeds"))
-    });
     assert_eq!(
-        resumed_seq, uninterrupted,
+        resume_exports(&cfg),
+        uninterrupted,
         "resumed serving exports must match the uninterrupted run"
     );
     assert_eq!(
-        resumed_par, uninterrupted,
-        "resume at ECOSCALE_THREADS=8 must match the uninterrupted run"
-    );
-    assert_eq!(
-        resumed_sharded, uninterrupted,
-        "resume at ECOSCALE_SHARDS=4 must match the uninterrupted run"
+        resume_exports(&wide),
+        uninterrupted,
+        "resume at 8 threads must match the uninterrupted run"
     );
 }

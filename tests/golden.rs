@@ -22,6 +22,7 @@ use ecoscale::core::{SystemBuilder, SystemReport};
 use ecoscale::hls::KernelArgs;
 use ecoscale::noc::NodeId;
 use ecoscale::sim::json::{parse, Value};
+use ecoscale::sim::RunCtx;
 
 /// Recursively collects `path: kind` lines for `v`.
 fn collect_schema(v: &Value, path: &str, out: &mut BTreeSet<String>) {
@@ -150,7 +151,7 @@ fn system_report_profile_section_schema_is_pinned() {
 /// as the binary writes it.
 #[test]
 fn profile_export_json_schema_is_pinned() {
-    let pc = capture_profile(Scale::Quick);
+    let pc = capture_profile(Scale::Quick, RunCtx::SEQUENTIAL);
     let report = ecoscale::sim::prof::critical_path(&pc.capture.trace);
     let doc = format!(
         "{{\"profile\":{},\"occupancy\":{}}}",
@@ -179,13 +180,13 @@ fn serving_report_json_schema_is_pinned() {
 
 #[test]
 fn metrics_export_json_schema_is_pinned() {
-    let cap = capture_observability(Scale::Quick);
+    let cap = capture_observability(Scale::Quick, RunCtx::SEQUENTIAL);
     assert_golden("metrics.schema", &schema_of(&cap.metrics.to_json()));
 }
 
 #[test]
 fn chrome_trace_json_schema_is_pinned() {
-    let cap = capture_observability(Scale::Quick);
+    let cap = capture_observability(Scale::Quick, RunCtx::SEQUENTIAL);
     assert_golden(
         "chrome_trace.schema",
         &schema_of(&cap.trace.to_chrome_json()),
@@ -214,7 +215,7 @@ fn telemetry_json_schema_is_pinned() {
     let out = run_serve_sim(&cfg);
     let cap = TelemetryCapture {
         serve: out.telemetry.expect("telemetry armed"),
-        shard: telemetry_shard_series(Scale::Quick),
+        shard: telemetry_shard_series(Scale::Quick, RunCtx::SEQUENTIAL),
     };
     assert!(cap.fired(), "breach spec must populate the flight ring");
     assert_golden("telemetry.schema", &schema_of(&cap.to_json()));
