@@ -890,6 +890,43 @@ mod tests {
         assert_eq!(remote.kind, AccessKind::Atomic);
     }
 
+    /// Golden costs of both atomics, local and remote: they share one
+    /// cost model and differ only in the request size.
+    #[test]
+    fn pins_atomic_access_costs() {
+        let a = GlobalAddr::new(NodeId(0), 0x100);
+        let mut actual = Vec::new();
+        for node in [NodeId(0), NodeId(9)] {
+            let (mut net, mut mem) = setup();
+            let (_, acc) = mem.fetch_add(&mut net, Time::from_ns(5), node, a, 1);
+            actual.push(acc);
+            let (mut net, mut mem) = setup();
+            let (_, _, acc) = mem.compare_swap(&mut net, Time::from_ns(5), node, a, 0, 1);
+            actual.push(acc);
+        }
+        let actual: Vec<String> = actual
+            .iter()
+            .map(|m| {
+                format!(
+                    "completion={} latency={} energy={:?} kind={:?}",
+                    m.completion.as_ps(),
+                    m.latency.as_ps(),
+                    m.energy.as_joules(),
+                    m.kind
+                )
+            })
+            .collect();
+        assert_eq!(
+            actual,
+            [
+                "completion=77625 latency=72625 energy=1.78e-9 kind=Atomic",
+                "completion=77625 latency=72625 energy=1.78e-9 kind=Atomic",
+                "completion=267625 latency=262625 energy=2.7832e-9 kind=Atomic",
+                "completion=270625 latency=265625 energy=2.9240000000000002e-9 kind=Atomic",
+            ]
+        );
+    }
+
     #[test]
     fn compare_swap_lock_semantics() {
         let (mut net, mut mem) = setup();

@@ -1084,6 +1084,160 @@ mod tests {
         assert_eq!(r.messages, 49);
     }
 
+    /// Golden values for every policy under no faults, crashes, and
+    /// quarantining stalls, each under full and no recovery, with a
+    /// buffering tracer and every check armed. Each line pins the whole
+    /// [`SchedReport`], the checks run, and FNV-1a-64 hashes of the
+    /// metrics export and of the Chrome trace, so any change to event
+    /// order, RNG draws, instrument or tracer calls shows up here.
+    #[test]
+    fn pins_every_policy_campaign_and_export() {
+        use ecoscale_sim::snap::fnv1a64;
+        const CASES: [(&str, &str, bool); 5] = [
+            ("off", "", true),
+            ("crash/full", "seed=3,crash=1ms", true),
+            ("crash/none", "seed=3,crash=1ms", false),
+            ("stall/full", "seed=9,stall=100us,stall_for=200us", true),
+            ("stall/none", "seed=9,stall=100us,stall_for=200us", false),
+        ];
+        const PINNED: &[&str] = &[
+            "Centralized off: makespan=5260944988 overhead=244241505 messages=600 \
+             max=0.985970201139081 mean=0.9686042619716136 imbalance=0.01001448947582288 \
+             completed=300 lost=0 availability=1.0 \
+             checks=39240 metrics=0x46bfbecf0dd5b228 trace=0x9396aca0e1d56792",
+            "Centralized crash/full: makespan=6118579152 overhead=247501668 messages=608 \
+             max=0.993566044171034 mean=0.8446743320196571 imbalance=0.21033410524494411 \
+             completed=300 lost=0 availability=0.8556941677241541 \
+             checks=40788 metrics=0xa415f386b9cb017f trace=0x5b258c5ec0492a85",
+            "Centralized crash/none: makespan=5974561985 overhead=242443000 messages=600 \
+             max=0.99380674263772 mean=0.852911686274019 imbalance=0.2032914745454101 \
+             completed=296 lost=4 availability=0.8642681964952448 \
+             checks=39989 metrics=0x7fa986f71c69fce2 trace=0xe3d92485962f2834",
+            "Centralized stall/full: makespan=3873096000 overhead=61959891 messages=152 \
+             max=0.5405311825475021 mean=0.335929844851509 imbalance=0.44530797364265123 \
+             completed=76 lost=224 availability=0.2634529872871728 \
+             checks=33063 metrics=0x78b1fde9eda3cc3d trace=0xa9fb66d51e0344bd",
+            "Centralized stall/none: makespan=3873096000 overhead=61959891 messages=152 \
+             max=0.5405311825475021 mean=0.335929844851509 imbalance=0.44530797364265123 \
+             completed=76 lost=224 availability=0.2634529872871728 \
+             checks=33063 metrics=0x78b1fde9eda3cc3d trace=0xa9fb66d51e0344bd",
+            "RandomPush off: makespan=6526446982 overhead=0 messages=300 \
+             max=0.9935168400024245 mean=0.7807883449339573 imbalance=0.1380203719488053 \
+             completed=300 lost=0 availability=1.0 \
+             checks=30023 metrics=0x4480469783653349 trace=0x89e7e1e795f620a2",
+            "RandomPush crash/full: makespan=7663392814 overhead=0 messages=335 \
+             max=0.9944786857431213 mean=0.672030205239718 imbalance=0.29202788925386447 \
+             completed=300 lost=0 availability=0.7661492799930483 \
+             checks=33041 metrics=0x44f861a39ea23ed1 trace=0xb7571202bd57c97b",
+            "RandomPush crash/none: makespan=6526446982 overhead=0 messages=300 \
+             max=0.9935168400024245 mean=0.7094509720442252 imbalance=0.24482368182882944 \
+             completed=269 lost=31 availability=0.8334651955539321 \
+             checks=28131 metrics=0x1ec7068ce84016df trace=0x6e9657ad0997d5c7",
+            "RandomPush stall/full: makespan=3873096000 overhead=0 messages=545 \
+             max=0.5063203943305304 mean=0.3260069315026015 imbalance=0.45753196808827234 \
+             completed=74 lost=226 availability=0.2634529872871728 \
+             checks=18368 metrics=0xc4814f278c75a63d trace=0xcbccd49dfaac5b14",
+            "RandomPush stall/none: makespan=3873096000 overhead=0 messages=300 \
+             max=0.5114665789332359 mean=0.3231069313799606 imbalance=0.46168622222084227 \
+             completed=73 lost=227 availability=0.2634529872871728 \
+             checks=6719 metrics=0x4994cad635d60d8e trace=0x1c4a3ace3fa5861a",
+            "LazyLocal { probes: 1 } off: makespan=5359886653 overhead=41700000 messages=139 \
+             max=0.9771556113166187 mean=0.950724160281044 imbalance=0.03521768622805451 \
+             completed=300 lost=0 availability=1.0 \
+             checks=31912 metrics=0xbb539af1720a5990 trace=0xa3edfb9a78d2169c",
+            "LazyLocal { probes: 1 } crash/full: makespan=6381659650 overhead=37800000 messages=126 \
+             max=0.9849833212274177 mean=0.8085958041298864 imbalance=0.2223282760039466 \
+             completed=300 lost=0 availability=0.8410308663397617 \
+             checks=33945 metrics=0x3d9a894530ef316c trace=0xc839c8d058dee38c",
+            "LazyLocal { probes: 1 } crash/none: makespan=5756822319 overhead=35700000 messages=119 \
+             max=0.9953882543999357 mean=0.8508312738929263 imbalance=0.19387197823793334 \
+             completed=284 lost=16 availability=0.8780458729709494 \
+             checks=31209 metrics=0x236c8f2f752879e4 trace=0xc06f3040aadf89ed",
+            "LazyLocal { probes: 1 } stall/full: makespan=3873096000 overhead=12300000 messages=41 \
+             max=0.5614978291268794 mean=0.32521960916408993 imbalance=0.4741740278266916 \
+             completed=74 lost=226 availability=0.2634529872871728 \
+             checks=18621 metrics=0xef6f6f1e73bbaa81 trace=0x06013ea3a8e08d33",
+            "LazyLocal { probes: 1 } stall/none: makespan=3873096000 overhead=12300000 messages=41 \
+             max=0.5614978291268794 mean=0.3256556298565798 imbalance=0.4723327782302949 \
+             completed=74 lost=226 availability=0.2634529872871728 \
+             checks=7184 metrics=0x7fcc9e952b96d193 trace=0x129c7eb09d2b4dd5",
+            "LazyLocal { probes: 2 } off: makespan=5396706487 overhead=66300000 messages=221 \
+             max=0.9950805180782106 mean=0.9442377030602073 imbalance=0.034034205536886734 \
+             completed=300 lost=0 availability=1.0 \
+             checks=29443 metrics=0x0e7f57cb228e42d0 trace=0x0b4e89dd3f79c3d5",
+            "LazyLocal { probes: 2 } crash/full: makespan=6195777484 overhead=33000000 messages=110 \
+             max=0.9944103060367427 mean=0.8321883668256347 imbalance=0.21752813003329655 \
+             completed=300 lost=0 availability=0.8512622789868094 \
+             checks=31026 metrics=0x2ae62e0393490d9d trace=0x14476729ac61ec2a",
+            "LazyLocal { probes: 2 } crash/none: makespan=5761972151 overhead=46500000 messages=155 \
+             max=0.9768954107185513 mean=0.8504393955027292 imbalance=0.18989379178980248 \
+             completed=284 lost=16 availability=0.8777079899192661 \
+             checks=29155 metrics=0x5f0a856d83dc6c45 trace=0xb40009f7ed7395fc",
+            "LazyLocal { probes: 2 } stall/full: makespan=3873096000 overhead=9300000 messages=31 \
+             max=0.5364453044799302 mean=0.327013716513869 imbalance=0.4647075232646845 \
+             completed=74 lost=226 availability=0.2634529872871728 \
+             checks=17286 metrics=0xa3ba98f0966d3b57 trace=0xe8828a38f7fa0ad9",
+            "LazyLocal { probes: 2 } stall/none: makespan=3873096000 overhead=12300000 messages=41 \
+             max=0.5364453044799302 mean=0.3264029594476873 imbalance=0.4621455399618483 \
+             completed=74 lost=226 availability=0.2634529872871728 \
+             checks=7147 metrics=0x7e0c70592cc28fa9 trace=0x40e8afdeecdba1b5",
+        ];
+        let trace = skewed_trace(300, 8, 120_000, 1.2, 7);
+        let mut actual = Vec::new();
+        for policy in [
+            SchedPolicy::Centralized,
+            SchedPolicy::RandomPush,
+            SchedPolicy::LazyLocal { probes: 1 },
+            SchedPolicy::LazyLocal { probes: 2 },
+        ] {
+            for (name, spec, full) in CASES {
+                let mut recovery = if full {
+                    ResilienceConfig::full()
+                } else {
+                    ResilienceConfig::none()
+                };
+                if spec.contains("stall") {
+                    recovery.quarantine_after = 2;
+                }
+                let spec = if spec.is_empty() {
+                    CampaignSpec::off()
+                } else {
+                    CampaignSpec::parse(spec).expect("valid spec")
+                };
+                let mut sim = ClusterSim::new(8, policy, 1)
+                    .with_faults(&spec, recovery)
+                    .with_tracer(Tracer::buffering(), "pin")
+                    .with_checks(CheckPlane::enabled(1));
+                let r = sim.run(&trace);
+                assert!(sim.checks().violations().is_empty(), "{policy:?} {name}");
+                let mut m = MetricsRegistry::new();
+                sim.export_metrics(&mut m, "sched");
+                let trace_json = sim.tracer.take().to_chrome_json();
+                actual.push(format!(
+                    "{policy:?} {name}: makespan={} overhead={} messages={} \
+                     max={:?} mean={:?} imbalance={:?} \
+                     completed={} lost={} availability={:?} \
+                     checks={} metrics={:#018x} trace={:#018x}",
+                    r.makespan.as_ps(),
+                    r.sched_overhead.as_ps(),
+                    r.messages,
+                    r.max_utilization,
+                    r.mean_utilization,
+                    r.imbalance,
+                    r.completed,
+                    r.lost,
+                    r.availability,
+                    sim.checks().checks_run(),
+                    fnv1a64(m.to_json().as_bytes()),
+                    fnv1a64(trace_json.as_bytes()),
+                ));
+            }
+        }
+        for (i, line) in actual.iter().enumerate() {
+            assert_eq!(PINNED.get(i).copied(), Some(line.as_str()), "\n{actual:#?}");
+        }
+    }
+
     #[test]
     fn skewed_trace_is_skewed() {
         let trace = skewed_trace(1000, 8, 1000, 1.5, 9);

@@ -2,7 +2,8 @@
 # Tier-1 gate plus lints. Run from the repository root:
 #
 #   scripts/ci.sh            # full gate
-#   scripts/ci.sh --bless    # regenerate tests/golden/ schema snapshots
+#   scripts/ci.sh --bless    # regenerate tests/golden/ schema snapshots and
+#                            # the pinned `exp_all --scale quick` stdout
 #
 # Mirrors what the roadmap calls the tier-1 command (`cargo build
 # --release && cargo test -q`) and adds deny-warnings clippy, rustfmt,
@@ -14,7 +15,9 @@ cd "$(dirname "$0")/.."
 if [[ "${1:-}" == "--bless" ]]; then
     echo "== bless golden schemas (tests/golden/) =="
     ECOSCALE_BLESS=1 cargo test -q --test golden
-    git --no-pager diff --stat -- tests/golden/ || true
+    echo "== bless exp_all quick stdout (crates/bench/tests/golden/) =="
+    ECOSCALE_BLESS=1 cargo test -q -p ecoscale-bench --test exp_all_golden
+    git --no-pager diff --stat -- tests/golden/ crates/bench/tests/golden/ || true
     exit 0
 fi
 
