@@ -534,27 +534,8 @@ impl UnimemSystem {
         let home = addr.home();
         let old = *self.atomics.entry((home, addr.offset())).or_insert(0);
         self.atomics.insert((home, addr.offset()), old + delta);
-        self.bump(AccessKind::Atomic);
-        let (dram_lat, dram_e) = self.dram.access(8);
-        let access = if node == home {
-            MemAccess {
-                completion: now + self.cache_hit_latency + dram_lat,
-                latency: self.cache_hit_latency + dram_lat,
-                energy: dram_e,
-                kind: AccessKind::Atomic,
-            }
-        } else {
-            let req = net.transfer(now, node, home, 24); // op + addr + operand
-            let at_home = req.arrival + dram_lat;
-            let resp = net.transfer(at_home, home, node, 8);
-            MemAccess {
-                completion: resp.arrival,
-                latency: resp.arrival - now,
-                energy: req.energy + resp.energy + dram_e,
-                kind: AccessKind::Atomic,
-            }
-        };
-        (old, access)
+        // op + addr + operand
+        (old, self.atomic_cost(net, now, node, home, 24))
     }
 
     /// Atomic compare-and-swap on the 8-byte word at `addr`: stores
@@ -577,28 +558,39 @@ impl UnimemSystem {
         if swapped {
             *slot = new;
         }
-        // same cost structure as fetch_add
+        // op + addr + expected + new
+        (old, swapped, self.atomic_cost(net, now, node, home, 32))
+    }
+
+    /// Costs one atomic read-modify-write of an 8-byte word at `home`: a
+    /// local cache-speed RMW when `node` is the home, otherwise a
+    /// `req_bytes` request to the home and an 8-byte response.
+    fn atomic_cost<T: Topology>(
+        &mut self,
+        net: &mut Network<T>,
+        now: Time,
+        node: NodeId,
+        home: NodeId,
+        req_bytes: u64,
+    ) -> MemAccess {
         self.bump(AccessKind::Atomic);
         let (dram_lat, dram_e) = self.dram.access(8);
-        let access = if node == home {
-            MemAccess {
+        if node == home {
+            return MemAccess {
                 completion: now + self.cache_hit_latency + dram_lat,
                 latency: self.cache_hit_latency + dram_lat,
                 energy: dram_e,
                 kind: AccessKind::Atomic,
-            }
-        } else {
-            let req = net.transfer(now, node, home, 32);
-            let at_home = req.arrival + dram_lat;
-            let resp = net.transfer(at_home, home, node, 8);
-            MemAccess {
-                completion: resp.arrival,
-                latency: resp.arrival - now,
-                energy: req.energy + resp.energy + dram_e,
-                kind: AccessKind::Atomic,
-            }
-        };
-        (old, swapped, access)
+            };
+        }
+        let req = net.transfer(now, node, home, req_bytes);
+        let resp = net.transfer(req.arrival + dram_lat, home, node, 8);
+        MemAccess {
+            completion: resp.arrival,
+            latency: resp.arrival - now,
+            energy: req.energy + resp.energy + dram_e,
+            kind: AccessKind::Atomic,
+        }
     }
 
     /// Serializes the system's mutable state: the directory, every

@@ -22,6 +22,13 @@
 //! dead worker is re-homed with bounded retry, persistent offenders are
 //! quarantined, and the report carries completed/lost counts plus an
 //! availability figure.
+//!
+//! A run keeps one `Lane` per worker: its queue, busy state and fault
+//! state. The run state holds the lanes, the central queue and the event
+//! wheel, and gives each event one handler: an arrival, a dispatch
+//! delivery, a finish and a wake. Every policy starts a task through the
+//! same `exec`, and crashes and quarantines retire a worker through the
+//! same `retire`.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -93,7 +100,8 @@ enum Ev {
     Arrive(usize),
     /// Worker finished its current task.
     Finish(usize),
-    /// Lazy only: an idle worker wakes to try stealing again.
+    /// An idle worker wakes to look for work again: a stall cleared, a
+    /// lazy worker's first poll, or its steal backoff expired.
     Retry(usize),
     /// Centralized only: the dispatcher finished handing out a task.
     Dispatched {
@@ -160,42 +168,6 @@ struct SchedInstruments {
     wait_ns: OnlineStats,
     exec_ns: OnlineStats,
     queue_depth: Histogram,
-}
-
-impl SchedInstruments {
-    /// Records one task execution: wait latency (arrival → start),
-    /// exec latency, migration (executed away from its data home), a
-    /// span on the executing worker's track, and — when the task waited
-    /// at all — a `wait` span on the shared wait track so ProfPlane can
-    /// blame scheduler queueing on the critical path.
-    #[allow(clippy::too_many_arguments)]
-    fn on_exec(
-        &mut self,
-        spec: &TaskSpec,
-        w: usize,
-        workers: usize,
-        start: Time,
-        d: Duration,
-        tracer: &Tracer,
-        tracks: &[TrackId],
-        wait_track: Option<TrackId>,
-    ) {
-        self.tasks.incr();
-        let waited = start.saturating_since(spec.arrival);
-        self.wait_ns.record(waited.as_ns_f64());
-        self.exec_ns.record(d.as_ns_f64());
-        if spec.task.data_home().0 % workers != w {
-            self.migrations.incr();
-        }
-        if let Some(&track) = tracks.get(w) {
-            tracer.complete(track, spec.task.function(), start, d);
-        }
-        if let Some(track) = wait_track {
-            if waited > Duration::ZERO {
-                tracer.complete(track, "wait", spec.arrival, waited);
-            }
-        }
-    }
 }
 
 impl ClusterSim {
@@ -277,8 +249,9 @@ impl ClusterSim {
         self
     }
 
-    /// The installed CheckPlane (disabled by default); violations collected
-    /// by [`ClusterSim::run`] are read back from here.
+    /// The installed CheckPlane (armed from `ECOSCALE_CHECK` by
+    /// [`ClusterSim::new`] unless replaced by [`ClusterSim::with_checks`]);
+    /// violations collected by [`ClusterSim::run`] are read back from here.
     pub fn checks(&self) -> &CheckPlane {
         &self.check
     }
@@ -304,588 +277,481 @@ impl ClusterSim {
 
     /// Runs the trace to completion and reports.
     pub fn run(&mut self, tasks: &[TaskSpec]) -> SchedReport {
-        self.ins = SchedInstruments::default();
-        let tracks: Vec<TrackId> = if self.tracer.is_enabled() {
-            (0..self.workers)
-                .map(|w| self.tracer.track(&format!("{}/w{}", self.trace_label, w)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let queue_track = if self.tracer.is_enabled() {
-            Some(self.tracer.track(&format!("{}/queued", self.trace_label)))
-        } else {
-            None
-        };
-        let wait_track = if self.tracer.is_enabled() {
-            Some(self.tracer.track(&format!("{}/wait", self.trace_label)))
-        } else {
-            None
-        };
-        let mut q: TimingWheel<Ev> = TimingWheel::new();
-        // The lazy scheduler's historical probe backoff, expressed as a
-        // resilience retry policy: 8x, 16x, then capped at 32x the probe
-        // latency — bit-identical to the old `(4 << min(k, 3))` ladder.
-        let steal_policy = RetryPolicy::new(
-            self.probe_latency * 8,
-            self.probe_latency * 32,
-            RetryPolicy::UNBOUNDED,
-        );
-        let mut steal_backoff: Vec<Backoff> = vec![Backoff::new(); self.workers];
-        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); self.workers];
-        let mut central: VecDeque<usize> = VecDeque::new();
-        let mut busy: Vec<bool> = vec![false; self.workers];
-        let mut busy_time: Vec<Duration> = vec![Duration::ZERO; self.workers];
-        let mut dispatcher_free = Time::ZERO;
-        let mut overhead = Duration::ZERO;
-        let mut messages = 0u64;
-        let mut completed = 0usize;
-        // FaultPlane state. All of it is inert without a campaign:
-        // `retired` stays false, `stalled_until` stays ZERO, and the
-        // guards below reduce to the fault-free control flow.
-        let mut retired: Vec<bool> = vec![false; self.workers];
-        let mut down_since: Vec<Option<Time>> = vec![None; self.workers];
-        let mut stalled_until: Vec<Time> = vec![Time::ZERO; self.workers];
-        let mut stall_downtime: Vec<Duration> = vec![Duration::ZERO; self.workers];
-        let mut doomed: Vec<u32> = vec![0; self.workers];
-        let mut current: Vec<Option<usize>> = vec![None; self.workers];
-        let mut task_backoff: Vec<Backoff> = if self.faults.is_some() {
-            vec![Backoff::new(); tasks.len()]
-        } else {
-            Vec::new()
-        };
-        let mut lost = 0u64;
+        let mut run = Run::new(self, tasks);
+        while let Some((now, _, ev)) = run.q.pop() {
+            // CheckPlane cadence gate: one branch when disabled.
+            if run.sim.check.due() {
+                run.check_no_duplicates();
+            }
+            run.drain_faults(now);
+            match ev {
+                Ev::Arrive(t) => run.arrive(now, t),
+                Ev::Dispatched { worker, task } => run.dispatched(now, worker, task),
+                Ev::Finish(w) => run.finish(now, w),
+                Ev::Retry(w) => run.wake(now, w),
+            }
+        }
+        run.report()
+    }
+}
 
+/// One worker's state during a [`ClusterSim::run`]. The fault fields
+/// are inert without a campaign: `retired` stays false and
+/// `stalled_until` stays zero.
+#[derive(Debug, Clone, Default)]
+struct Lane {
+    /// Local work queue (indices into the trace).
+    queue: VecDeque<usize>,
+    /// Executing a task, or reserved by an in-flight central dispatch.
+    busy: bool,
+    busy_time: Duration,
+    /// The task executing now.
+    current: Option<usize>,
+    /// Probe backoff of a lazy worker that found nothing to steal.
+    steal_backoff: Backoff,
+    /// Crashed or quarantined: takes no new work.
+    retired: bool,
+    down_since: Option<Time>,
+    stalled_until: Time,
+    stall_downtime: Duration,
+    /// Pending `Finish` events to swallow: their task died in a crash
+    /// and already went through recovery.
+    doomed: u32,
+}
+
+/// The state of one [`ClusterSim::run`]: the event wheel, one [`Lane`]
+/// per worker, the central queue, the trace tracks and the tallies that
+/// become the [`SchedReport`].
+struct Run<'a> {
+    sim: &'a mut ClusterSim,
+    tasks: &'a [TaskSpec],
+    q: TimingWheel<Ev>,
+    lanes: Vec<Lane>,
+    central: VecDeque<usize>,
+    tracks: Vec<TrackId>,
+    queue_track: Option<TrackId>,
+    wait_track: Option<TrackId>,
+    steal_policy: RetryPolicy,
+    task_backoff: Vec<Backoff>,
+    dispatcher_free: Time,
+    overhead: Duration,
+    messages: u64,
+    completed: usize,
+    lost: u64,
+}
+
+impl<'a> Run<'a> {
+    /// Resets the instruments, opens the trace tracks (`w0…wN`, then
+    /// `queued`, then `wait`) and schedules every arrival.
+    fn new(sim: &'a mut ClusterSim, tasks: &'a [TaskSpec]) -> Run<'a> {
+        sim.ins = SchedInstruments::default();
+        let track = |name: &str| sim.tracer.track(&format!("{}/{name}", sim.trace_label));
+        let (tracks, queue_track, wait_track) = if sim.tracer.is_enabled() {
+            let tracks = (0..sim.workers).map(|w| track(&format!("w{w}"))).collect();
+            (tracks, Some(track("queued")), Some(track("wait")))
+        } else {
+            (Vec::new(), None, None)
+        };
+        let mut q = TimingWheel::new();
         for (i, t) in tasks.iter().enumerate() {
             q.schedule(t.arrival, q.scheduled_total(), Ev::Arrive(i));
         }
         // Lazy workers poll from the start: without an initial wake-up, a
         // worker that never receives an arrival would never steal.
-        if let SchedPolicy::LazyLocal { .. } = self.policy {
+        if let SchedPolicy::LazyLocal { .. } = sim.policy {
             if let Some(first) = tasks.iter().map(|t| t.arrival).min() {
-                for w in 0..self.workers {
+                for w in 0..sim.workers {
                     q.schedule(first, q.scheduled_total(), Ev::Retry(w));
                 }
             }
         }
+        Run {
+            q,
+            lanes: vec![Lane::default(); sim.workers],
+            central: VecDeque::new(),
+            tracks,
+            queue_track,
+            wait_track,
+            // The lazy scheduler's historical probe backoff, expressed as
+            // a resilience retry policy: 8x, 16x, then capped at 32x the
+            // probe latency — bit-identical to the old `(4 << min(k, 3))`
+            // ladder.
+            steal_policy: RetryPolicy::new(
+                sim.probe_latency * 8,
+                sim.probe_latency * 32,
+                RetryPolicy::UNBOUNDED,
+            ),
+            task_backoff: vec![Backoff::new(); tasks.len()],
+            dispatcher_free: Time::ZERO,
+            overhead: Duration::ZERO,
+            messages: 0,
+            completed: 0,
+            lost: 0,
+            sim,
+            tasks,
+        }
+    }
 
-        // Helper: execution time of a task on the CPU model.
-        let exec_time = |task: &Task, cpu: &CpuModel| cpu.exec(task.flops(), task.mem_ops()).0;
-
-        while let Some((now, _, ev)) = q.pop() {
-            // CheckPlane cadence gate: read-only duplicate-task scan over
-            // every queue and execution slot. One branch when disabled.
-            if self.check.due() {
-                Self::check_no_duplicates(&mut self.check, &queues, &central, &current);
-            }
-            // Drain fault arrivals up to the current instant, in time
-            // order across both clocks.
-            while let Some(f) = self.faults.as_mut() {
-                let crash_at = f.crash_clock.peek().filter(|&t| t <= now);
-                let stall_at = f.stall_clock.peek().filter(|&t| t <= now);
-                let (at, is_crash) = match (crash_at, stall_at) {
-                    (Some(c), Some(s)) if c <= s => (f.crash_clock.pop_due(now), true),
-                    (Some(_), Some(_)) => (f.stall_clock.pop_due(now), false),
-                    (Some(_), None) => (f.crash_clock.pop_due(now), true),
-                    (None, Some(_)) => (f.stall_clock.pop_due(now), false),
-                    (None, None) => break,
-                };
-                let at = at.expect("peeked arrival is due");
-                let in_service: Vec<usize> = (0..self.workers).filter(|&w| !retired[w]).collect();
-                let Some(&v) = in_service
-                    .get(f.pick.gen_range_usize(0, in_service.len().max(1)))
-                    .filter(|_| !in_service.is_empty())
-                else {
-                    continue; // machine already fully down
-                };
-                if is_crash {
-                    // Hard fault: the worker dies with its queue, and
-                    // any in-flight task fails with it.
-                    f.mgr.record_failure(Domain::Worker(v), at);
-                    retired[v] = true;
-                    down_since[v] = Some(at);
-                    let orphans: Vec<usize> = queues[v].drain(..).collect();
-                    let inflight = current[v].take();
-                    if inflight.is_some() {
-                        doomed[v] += 1; // swallow the pending Finish
-                    }
-                    for t in orphans.into_iter().chain(inflight) {
-                        Self::rehome(t, at, now, &mut f.mgr, &mut task_backoff, &mut q, &mut lost);
-                    }
-                } else {
-                    // Transient stall: no new work until it clears.
-                    stalled_until[v] = stalled_until[v].max(at + f.stall_for);
-                    stall_downtime[v] += f.stall_for;
-                    if f.mgr.record_failure(Domain::Worker(v), at) {
-                        // Persistent offender: quarantine. Unlike a
-                        // crash this is graceful — the queue is drained
-                        // for re-homing and in-flight work completes.
-                        retired[v] = true;
-                        down_since[v] = Some(at);
-                        let orphans: Vec<usize> = queues[v].drain(..).collect();
-                        for t in orphans {
-                            Self::rehome(
-                                t,
-                                at,
-                                now,
-                                &mut f.mgr,
-                                &mut task_backoff,
-                                &mut q,
-                                &mut lost,
-                            );
-                        }
-                    }
+    /// Applies every worker crash and stall due by `now`, in time order
+    /// across both fault clocks.
+    fn drain_faults(&mut self, now: Time) {
+        while let Some(f) = self.sim.faults.as_mut() {
+            let crash_at = f.crash_clock.peek().filter(|&t| t <= now);
+            let stall_at = f.stall_clock.peek().filter(|&t| t <= now);
+            let (at, is_crash) = match (crash_at, stall_at) {
+                (Some(c), Some(s)) if c <= s => (f.crash_clock.pop_due(now), true),
+                (Some(_), Some(_)) => (f.stall_clock.pop_due(now), false),
+                (Some(_), None) => (f.crash_clock.pop_due(now), true),
+                (None, Some(_)) => (f.stall_clock.pop_due(now), false),
+                (None, None) => break,
+            };
+            let at = at.expect("peeked arrival is due");
+            let in_service: Vec<usize> = (0..self.lanes.len())
+                .filter(|&w| !self.lanes[w].retired)
+                .collect();
+            let Some(&v) = in_service
+                .get(f.pick.gen_range_usize(0, in_service.len().max(1)))
+                .filter(|_| !in_service.is_empty())
+            else {
+                continue; // machine already fully down
+            };
+            let lane = &mut self.lanes[v];
+            if is_crash {
+                // Hard fault: the worker dies with its queue, and any
+                // in-flight task fails with it.
+                f.mgr.record_failure(Domain::Worker(v), at);
+                let inflight = lane.current.take();
+                if inflight.is_some() {
+                    lane.doomed += 1; // swallow the pending Finish
                 }
-            }
-            match ev {
-                Ev::Arrive(idx) => {
-                    let home = tasks[idx].task.data_home().0 % self.workers;
-                    match self.policy {
-                        SchedPolicy::LazyLocal { .. } => {
-                            // A dead home re-routes to the next worker
-                            // still in service, or the task is lost.
-                            let Some(home) = Self::next_in_service(home, &retired) else {
-                                lost += 1;
-                                if let Some(f) = self.faults.as_mut() {
-                                    f.mgr.note_lost();
-                                }
-                                continue;
-                            };
-                            queues[home].push_back(idx);
-                            self.ins.queue_depth.record(queues[home].len() as u64);
-                            if let Some(t) = queue_track {
-                                self.tracer
-                                    .counter(t, "queued", now, queues[home].len() as f64);
-                            }
-                            if !busy[home] {
-                                if now < stalled_until[home] {
-                                    q.schedule(
-                                        stalled_until[home],
-                                        q.scheduled_total(),
-                                        Ev::Retry(home),
-                                    );
-                                } else {
-                                    Self::start(
-                                        home,
-                                        &mut queues,
-                                        &mut busy,
-                                        &mut busy_time,
-                                        &mut current,
-                                        &mut q,
-                                        now,
-                                        tasks,
-                                        &self.cpu,
-                                        exec_time,
-                                        &mut self.ins,
-                                        &self.tracer,
-                                        &tracks,
-                                        wait_track,
-                                    );
-                                }
-                            }
-                        }
-                        SchedPolicy::RandomPush => {
-                            let w = self.rng.gen_range_usize(0, self.workers);
-                            messages += 1;
-                            let Some(w) = Self::next_in_service(w, &retired) else {
-                                lost += 1;
-                                if let Some(f) = self.faults.as_mut() {
-                                    f.mgr.note_lost();
-                                }
-                                continue;
-                            };
-                            queues[w].push_back(idx);
-                            self.ins.queue_depth.record(queues[w].len() as u64);
-                            if let Some(t) = queue_track {
-                                self.tracer
-                                    .counter(t, "queued", now, queues[w].len() as f64);
-                            }
-                            if !busy[w] {
-                                if now < stalled_until[w] {
-                                    q.schedule(stalled_until[w], q.scheduled_total(), Ev::Retry(w));
-                                } else {
-                                    Self::start(
-                                        w,
-                                        &mut queues,
-                                        &mut busy,
-                                        &mut busy_time,
-                                        &mut current,
-                                        &mut q,
-                                        now,
-                                        tasks,
-                                        &self.cpu,
-                                        exec_time,
-                                        &mut self.ins,
-                                        &self.tracer,
-                                        &tracks,
-                                        wait_track,
-                                    );
-                                }
-                            }
-                        }
-                        SchedPolicy::Centralized => {
-                            central.push_back(idx);
-                            self.ins.queue_depth.record(central.len() as u64);
-                            if let Some(t) = queue_track {
-                                self.tracer.counter(t, "queued", now, central.len() as f64);
-                            }
-                            // try to dispatch to an idle worker
-                            if let Some(w) = (0..self.workers)
-                                .find(|&w| !busy[w] && !retired[w] && now >= stalled_until[w])
-                            {
-                                if let Some(t) = central.pop_front() {
-                                    busy[w] = true; // reserved while dispatching
-                                    let start = dispatcher_free.max(now);
-                                    let done = start + self.dispatch_latency;
-                                    overhead += done - now;
-                                    dispatcher_free = done;
-                                    messages += 2; // request + grant
-                                    q.schedule(
-                                        done,
-                                        q.scheduled_total(),
-                                        Ev::Dispatched { worker: w, task: t },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                Ev::Dispatched { worker, task } => {
-                    if retired[worker] {
-                        // The worker died between grant and delivery:
-                        // the dispatch fails and the task is recovered.
-                        let f = self.faults.as_mut().expect("retired implies faults");
-                        Self::rehome(
-                            task,
-                            now,
-                            now,
-                            &mut f.mgr,
-                            &mut task_backoff,
-                            &mut q,
-                            &mut lost,
-                        );
-                        continue;
-                    }
-                    let d = exec_time(&tasks[task].task, &self.cpu);
-                    busy_time[worker] += d;
-                    current[worker] = Some(task);
-                    self.ins.on_exec(
-                        &tasks[task],
-                        worker,
-                        self.workers,
-                        now,
-                        d,
-                        &self.tracer,
-                        &tracks,
-                        wait_track,
-                    );
-                    q.schedule(now + d, q.scheduled_total(), Ev::Finish(worker));
-                }
-                Ev::Finish(w) | Ev::Retry(w) => {
-                    if matches!(ev, Ev::Finish(_)) {
-                        if doomed[w] > 0 {
-                            // the worker crashed mid-execution; the task
-                            // already went through recovery
-                            doomed[w] -= 1;
-                            continue;
-                        }
-                        completed += 1;
-                        current[w] = None;
-                    }
-                    if retired[w] {
-                        continue; // crashed or quarantined: no new work
-                    }
-                    if matches!(ev, Ev::Retry(_)) && busy[w] {
-                        continue; // stale poll: the worker found work meanwhile
-                    }
-                    busy[w] = false;
-                    if now < stalled_until[w] {
-                        // stalled: wake again once the stall clears
-                        q.schedule(stalled_until[w], q.scheduled_total(), Ev::Retry(w));
-                        continue;
-                    }
-                    match self.policy {
-                        SchedPolicy::Centralized => {
-                            if let Some(t) = central.pop_front() {
-                                busy[w] = true;
-                                let start = dispatcher_free.max(now);
-                                let done = start + self.dispatch_latency;
-                                overhead += done - now;
-                                dispatcher_free = done;
-                                messages += 2;
-                                q.schedule(
-                                    done,
-                                    q.scheduled_total(),
-                                    Ev::Dispatched { worker: w, task: t },
-                                );
-                            }
-                        }
-                        SchedPolicy::RandomPush => {
-                            if !queues[w].is_empty() {
-                                Self::start(
-                                    w,
-                                    &mut queues,
-                                    &mut busy,
-                                    &mut busy_time,
-                                    &mut current,
-                                    &mut q,
-                                    now,
-                                    tasks,
-                                    &self.cpu,
-                                    exec_time,
-                                    &mut self.ins,
-                                    &self.tracer,
-                                    &tracks,
-                                    wait_track,
-                                );
-                            }
-                        }
-                        SchedPolicy::LazyLocal { probes } => {
-                            if !queues[w].is_empty() {
-                                Self::start(
-                                    w,
-                                    &mut queues,
-                                    &mut busy,
-                                    &mut busy_time,
-                                    &mut current,
-                                    &mut q,
-                                    now,
-                                    tasks,
-                                    &self.cpu,
-                                    exec_time,
-                                    &mut self.ins,
-                                    &self.tracer,
-                                    &tracks,
-                                    wait_track,
-                                );
-                            } else {
-                                // steal: probe random victims and take
-                                // half of the richest victim's queue (the
-                                // classic steal-half heuristic)
-                                let mut victim = None;
-                                let mut probe_cost = Duration::ZERO;
-                                for _ in 0..probes {
-                                    let v = self.rng.gen_range_usize(0, self.workers);
-                                    probe_cost += self.probe_latency;
-                                    messages += 1;
-                                    self.ins.probes.incr();
-                                    if v != w && queues[v].len() > 1 {
-                                        victim = Some(v);
-                                        break;
-                                    }
-                                }
-                                overhead += probe_cost;
-                                if let Some(v) = victim {
-                                    steal_backoff[w].reset();
-                                    self.ins.steals.incr();
-                                    let keep = queues[v].len() / 2;
-                                    let mut taken = queues[v].split_off(keep);
-                                    let first = taken.pop_front().expect("len > 1");
-                                    queues[w].extend(taken);
-                                    let d = exec_time(&tasks[first].task, &self.cpu);
-                                    busy[w] = true;
-                                    busy_time[w] += d;
-                                    current[w] = Some(first);
-                                    self.ins.on_exec(
-                                        &tasks[first],
-                                        w,
-                                        self.workers,
-                                        now + probe_cost,
-                                        d,
-                                        &self.tracer,
-                                        &tracks,
-                                        wait_track,
-                                    );
-                                    q.schedule(
-                                        now + probe_cost + d,
-                                        q.scheduled_total(),
-                                        Ev::Finish(w),
-                                    );
-                                }
-                                // if nothing stolen the worker idles until
-                                // a new arrival lands in its queue; to keep
-                                // it live, retry with exponential backoff
-                                // while others still hold work
-                                else if queues.iter().any(|qq| qq.len() > 1)
-                                    || (completed + Self::in_flight(&busy) < tasks.len()
-                                        && queues.iter().any(|qq| !qq.is_empty()))
-                                {
-                                    // bounded backoff: stay responsive
-                                    // (hot queues refill constantly) while
-                                    // capping the probe storm
-                                    let wait = steal_backoff[w]
-                                        .next(&steal_policy)
-                                        .expect("steal retry is unbounded");
-                                    q.schedule(
-                                        now + probe_cost + wait,
-                                        q.scheduled_total(),
-                                        Ev::Retry(w),
-                                    );
-                                }
-                            }
-                        }
-                    }
+                self.retire(v, at, now, inflight);
+            } else {
+                // Transient stall: no new work until it clears.
+                lane.stalled_until = lane.stalled_until.max(at + f.stall_for);
+                lane.stall_downtime += f.stall_for;
+                if f.mgr.record_failure(Domain::Worker(v), at) {
+                    // Persistent offender: quarantine. Unlike a crash
+                    // this is graceful — in-flight work completes.
+                    self.retire(v, at, now, None);
                 }
             }
         }
+    }
 
+    /// A task arrives: Centralized queues it for the dispatcher; the
+    /// other policies push it onto a worker's queue — its data home
+    /// (LazyLocal) or a random worker (RandomPush) — and wake the worker.
+    fn arrive(&mut self, now: Time, t: usize) {
+        let workers = self.lanes.len();
+        let target = match self.sim.policy {
+            SchedPolicy::Centralized => {
+                self.central.push_back(t);
+                self.enqueued(now, self.central.len());
+                let idle = (0..workers).find(|&w| {
+                    let lane = &self.lanes[w];
+                    !lane.busy && !lane.retired && now >= lane.stalled_until
+                });
+                if let Some(w) = idle {
+                    self.grant(now, w);
+                }
+                return;
+            }
+            SchedPolicy::LazyLocal { .. } => self.tasks[t].task.data_home().0 % workers,
+            SchedPolicy::RandomPush => {
+                self.messages += 1;
+                self.sim.rng.gen_range_usize(0, workers)
+            }
+        };
+        // A dead target re-routes to the next worker still in service,
+        // or the task is lost.
+        let Some(w) = (0..workers)
+            .map(|k| (target + k) % workers)
+            .find(|&w| !self.lanes[w].retired)
+        else {
+            self.lose();
+            return;
+        };
+        self.lanes[w].queue.push_back(t);
+        self.enqueued(now, self.lanes[w].queue.len());
+        self.wake(now, w);
+    }
+
+    /// Samples the depth of the queue an arrival just joined.
+    fn enqueued(&mut self, now: Time, depth: usize) {
+        self.sim.ins.queue_depth.record(depth as u64);
+        if let Some(t) = self.queue_track {
+            self.sim.tracer.counter(t, "queued", now, depth as f64);
+        }
+    }
+
+    /// The dispatcher delivers task `t` to worker `w`.
+    fn dispatched(&mut self, now: Time, w: usize, t: usize) {
+        if self.lanes[w].retired {
+            // The worker died between grant and delivery: the dispatch
+            // fails and the task is recovered.
+            self.rehome(t, now, now);
+        } else {
+            self.exec(now, w, t);
+        }
+    }
+
+    /// Worker `w` finished its current task.
+    fn finish(&mut self, now: Time, w: usize) {
+        let lane = &mut self.lanes[w];
+        if lane.doomed > 0 {
+            lane.doomed -= 1;
+            return;
+        }
+        self.completed += 1;
+        lane.current = None;
+        // A retired worker stays busy, which the steal liveness test
+        // counts as in flight.
+        if !lane.retired {
+            lane.busy = false;
+        }
+        self.wake(now, w);
+    }
+
+    /// An idle worker looks for work: its own queue first, then the
+    /// central dispatcher (Centralized) or a steal (LazyLocal). A stalled
+    /// worker wakes again once the stall clears.
+    fn wake(&mut self, now: Time, w: usize) {
+        let lane = &mut self.lanes[w];
+        if lane.retired || lane.busy {
+            return; // dead, or a stale poll: the worker found work meanwhile
+        }
+        if now < lane.stalled_until {
+            let at = lane.stalled_until;
+            self.q.schedule(at, self.q.scheduled_total(), Ev::Retry(w));
+            return;
+        }
+        match (self.sim.policy, lane.queue.pop_front()) {
+            (SchedPolicy::Centralized, _) => self.grant(now, w),
+            (_, Some(t)) => self.exec(now, w, t),
+            (SchedPolicy::LazyLocal { probes }, None) => self.steal(now, w, probes),
+            (SchedPolicy::RandomPush, None) => {}
+        }
+    }
+
+    /// The central dispatcher hands the next queued task to worker `w`,
+    /// serialized behind every earlier dispatch.
+    fn grant(&mut self, now: Time, w: usize) {
+        let Some(t) = self.central.pop_front() else {
+            return;
+        };
+        self.lanes[w].busy = true; // reserved while dispatching
+        let done = self.dispatcher_free.max(now) + self.sim.dispatch_latency;
+        self.overhead += done - now;
+        self.dispatcher_free = done;
+        self.messages += 2; // request + grant
+        let ev = Ev::Dispatched { worker: w, task: t };
+        self.q.schedule(done, self.q.scheduled_total(), ev);
+    }
+
+    /// An idle lazy worker probes up to `probes` random victims and takes
+    /// half of the first one holding more than one task (the classic
+    /// steal-half heuristic). If nothing is stolen it retries with
+    /// bounded backoff while others still hold work: responsive (hot
+    /// queues refill constantly) without a probe storm.
+    fn steal(&mut self, now: Time, w: usize, probes: u32) {
+        let mut victim = None;
+        let mut probe_cost = Duration::ZERO;
+        for _ in 0..probes {
+            let v = self.sim.rng.gen_range_usize(0, self.lanes.len());
+            probe_cost += self.sim.probe_latency;
+            self.messages += 1;
+            self.sim.ins.probes.incr();
+            if v != w && self.lanes[v].queue.len() > 1 {
+                victim = Some(v);
+                break;
+            }
+        }
+        self.overhead += probe_cost;
+        if let Some(v) = victim {
+            self.lanes[w].steal_backoff.reset();
+            self.sim.ins.steals.incr();
+            let keep = self.lanes[v].queue.len() / 2;
+            let mut taken = self.lanes[v].queue.split_off(keep);
+            let first = taken.pop_front().expect("len > 1");
+            self.lanes[w].queue.extend(taken);
+            self.exec(now + probe_cost, w, first);
+            return;
+        }
+        let in_flight = self.lanes.iter().filter(|l| l.busy).count();
+        if self.lanes.iter().any(|l| l.queue.len() > 1)
+            || (self.completed + in_flight < self.tasks.len()
+                && self.lanes.iter().any(|l| !l.queue.is_empty()))
+        {
+            let wait = self.lanes[w]
+                .steal_backoff
+                .next(&self.steal_policy)
+                .expect("steal retry is unbounded");
+            let at = now + probe_cost + wait;
+            self.q.schedule(at, self.q.scheduled_total(), Ev::Retry(w));
+        }
+    }
+
+    /// Worker `w` starts task `t` at `start`. Records wait latency
+    /// (arrival → start), exec latency, migration (executed away from its
+    /// data home), a span on the worker's track, and — when the task
+    /// waited at all — a `wait` span on the shared wait track so ProfPlane
+    /// can blame scheduler queueing on the critical path.
+    fn exec(&mut self, start: Time, w: usize, t: usize) {
+        let spec = &self.tasks[t];
+        let d = self.sim.cpu.exec(spec.task.flops(), spec.task.mem_ops()).0;
+        let lane = &mut self.lanes[w];
+        lane.busy = true;
+        lane.busy_time += d;
+        lane.current = Some(t);
+        let ins = &mut self.sim.ins;
+        ins.tasks.incr();
+        let waited = start.saturating_since(spec.arrival);
+        ins.wait_ns.record(waited.as_ns_f64());
+        ins.exec_ns.record(d.as_ns_f64());
+        if spec.task.data_home().0 % self.lanes.len() != w {
+            ins.migrations.incr();
+        }
+        if let Some(&track) = self.tracks.get(w) {
+            self.sim
+                .tracer
+                .complete(track, spec.task.function(), start, d);
+        }
+        if let Some(track) = self.wait_track.filter(|_| waited > Duration::ZERO) {
+            self.sim
+                .tracer
+                .complete(track, "wait", spec.arrival, waited);
+        }
+        self.q
+            .schedule(start + d, self.q.scheduled_total(), Ev::Finish(w));
+    }
+
+    /// Takes worker `v` out of service at `at` and recovers its queue,
+    /// then `inflight`.
+    fn retire(&mut self, v: usize, at: Time, now: Time, inflight: Option<usize>) {
+        let lane = &mut self.lanes[v];
+        lane.retired = true;
+        lane.down_since = Some(at);
+        let orphans = std::mem::take(&mut lane.queue);
+        for t in orphans.into_iter().chain(inflight) {
+            self.rehome(t, at, now);
+        }
+    }
+
+    /// Recovers a task orphaned by a worker fault at `at`: re-injects it
+    /// as a fresh arrival after the bounded-retry delay (never before
+    /// `now` — the fault may predate the event being handled), or counts
+    /// it lost once the budget (or the whole retry mechanism) is absent.
+    fn rehome(&mut self, t: usize, at: Time, now: Time) {
+        let mgr = &mut self
+            .sim
+            .faults
+            .as_mut()
+            .expect("only faults orphan work")
+            .mgr;
+        match mgr
+            .config()
+            .retry
+            .and_then(|p| self.task_backoff[t].next(&p))
+        {
+            Some(delay) => {
+                let fire = (at + delay).max(now);
+                mgr.note_retry();
+                mgr.note_recovery(fire.since(at));
+                self.q
+                    .schedule(fire, self.q.scheduled_total(), Ev::Arrive(t));
+            }
+            None => self.lose(),
+        }
+    }
+
+    /// Abandons one task to faults.
+    fn lose(&mut self) {
+        self.lost += 1;
+        if let Some(f) = self.sim.faults.as_mut() {
+            f.mgr.note_lost();
+        }
+    }
+
+    /// Read-only scan asserting no task index appears twice across worker
+    /// queues, the central queue and in-flight execution slots.
+    fn check_no_duplicates(&mut self) {
+        let mut seen: HashSet<usize> = HashSet::new();
+        let all = self
+            .lanes
+            .iter()
+            .flat_map(|l| &l.queue)
+            .chain(&self.central)
+            .chain(self.lanes.iter().filter_map(|l| l.current.as_ref()));
+        for &t in all {
+            self.sim
+                .check
+                .check(invariant::SCHED_NO_DUPLICATE_TASKS, seen.insert(t), || {
+                    format!("task {t} queued or running twice")
+                });
+        }
+    }
+
+    fn report(mut self) -> SchedReport {
         // Work still queued when the event stream dries up — possible
         // only once every worker has died — is lost.
-        if let Some(f) = self.faults.as_mut() {
-            let leftover: u64 =
-                queues.iter().map(|qq| qq.len() as u64).sum::<u64>() + central.len() as u64;
-            if leftover > 0 {
-                lost += leftover;
-                for _ in 0..leftover {
-                    f.mgr.note_lost();
-                }
+        if self.sim.faults.is_some() {
+            let leftover =
+                self.lanes.iter().map(|l| l.queue.len()).sum::<usize>() + self.central.len();
+            for _ in 0..leftover {
+                self.lose();
             }
         }
-
-        if self.check.is_enabled() {
-            Self::check_no_duplicates(&mut self.check, &queues, &central, &current);
-            self.check.check(
+        let (completed, lost, submitted) =
+            (self.completed as u64, self.lost, self.tasks.len() as u64);
+        if self.sim.check.is_enabled() {
+            self.check_no_duplicates();
+            self.sim.check.check(
                 invariant::SCHED_TASK_CONSERVATION,
-                completed as u64 + lost == tasks.len() as u64,
-                || {
-                    format!(
-                        "completed {completed} + lost {lost} != submitted {}",
-                        tasks.len()
-                    )
-                },
+                completed + lost == submitted,
+                || format!("completed {completed} + lost {lost} != submitted {submitted}"),
             );
         }
 
-        let makespan = q.now();
+        let makespan = self.q.now();
         let span = makespan.saturating_since(Time::ZERO);
-        let utils: Vec<f64> = busy_time
+        let utils: Vec<f64> = self
+            .lanes
             .iter()
-            .map(|b| if span.is_zero() { 0.0 } else { *b / span })
+            .map(|l| {
+                if span.is_zero() {
+                    0.0
+                } else {
+                    l.busy_time / span
+                }
+            })
             .collect();
         let mean = utils.iter().sum::<f64>() / utils.len() as f64;
         let max = utils.iter().cloned().fold(0.0, f64::max);
         let var = utils.iter().map(|u| (u - mean) * (u - mean)).sum::<f64>() / utils.len() as f64;
         let imbalance = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-        let availability = if self.faults.is_some() && !span.is_zero() {
+        let availability = if self.sim.faults.is_some() && !span.is_zero() {
             let mut down = Duration::ZERO;
-            for (stalled, since) in stall_downtime.iter().zip(&down_since) {
-                let mut d = *stalled;
-                if let Some(t0) = *since {
+            for lane in &self.lanes {
+                let mut d = lane.stall_downtime;
+                if let Some(t0) = lane.down_since {
                     d += makespan.saturating_since(t0);
                 }
                 down += d.min(span);
             }
-            (1.0 - down / (span * self.workers as u64)).max(0.0)
+            (1.0 - down / (span * self.lanes.len() as u64)).max(0.0)
         } else {
             1.0
         };
         SchedReport {
             makespan,
-            sched_overhead: overhead,
-            messages,
+            sched_overhead: self.overhead,
+            messages: self.messages,
             max_utilization: max,
             mean_utilization: mean,
             imbalance,
-            completed: completed as u64,
+            completed,
             lost,
             availability,
-        }
-    }
-
-    fn in_flight(busy: &[bool]) -> usize {
-        busy.iter().filter(|b| **b).count()
-    }
-
-    /// Read-only scan asserting no task index appears twice across worker
-    /// queues, the central queue and in-flight execution slots.
-    fn check_no_duplicates(
-        cp: &mut CheckPlane,
-        queues: &[VecDeque<usize>],
-        central: &VecDeque<usize>,
-        current: &[Option<usize>],
-    ) {
-        let mut seen: HashSet<usize> = HashSet::new();
-        let all = queues
-            .iter()
-            .flatten()
-            .chain(central.iter())
-            .chain(current.iter().flatten());
-        for &t in all {
-            cp.check(invariant::SCHED_NO_DUPLICATE_TASKS, seen.insert(t), || {
-                format!("task {t} queued or running twice")
-            });
-        }
-    }
-
-    /// First worker at or after `start` (wrapping) still in service.
-    fn next_in_service(start: usize, retired: &[bool]) -> Option<usize> {
-        let n = retired.len();
-        (0..n).map(|k| (start + k) % n).find(|&w| !retired[w])
-    }
-
-    /// Recovers a task orphaned by a worker fault at `at`: re-injects
-    /// it as a fresh arrival after the bounded-retry delay (never
-    /// before `now` — the fault may predate the event being handled),
-    /// or counts it lost once the budget (or the whole retry
-    /// mechanism) is absent.
-    #[allow(clippy::too_many_arguments)]
-    fn rehome(
-        task: usize,
-        at: Time,
-        now: Time,
-        mgr: &mut ResilienceManager,
-        task_backoff: &mut [Backoff],
-        q: &mut TimingWheel<Ev>,
-        lost: &mut u64,
-    ) {
-        let policy = mgr.config().retry;
-        match policy.and_then(|p| task_backoff[task].next(&p)) {
-            Some(delay) => {
-                let fire = (at + delay).max(now);
-                mgr.note_retry();
-                mgr.note_recovery(fire.since(at));
-                q.schedule(fire, q.scheduled_total(), Ev::Arrive(task));
-            }
-            None => {
-                mgr.note_lost();
-                *lost += 1;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start(
-        w: usize,
-        queues: &mut [VecDeque<usize>],
-        busy: &mut [bool],
-        busy_time: &mut [Duration],
-        current: &mut [Option<usize>],
-        q: &mut TimingWheel<Ev>,
-        now: Time,
-        tasks: &[TaskSpec],
-        cpu: &CpuModel,
-        exec_time: impl Fn(&Task, &CpuModel) -> Duration,
-        ins: &mut SchedInstruments,
-        tracer: &Tracer,
-        tracks: &[TrackId],
-        wait_track: Option<TrackId>,
-    ) {
-        if let Some(t) = queues[w].pop_front() {
-            let d = exec_time(&tasks[t].task, cpu);
-            busy[w] = true;
-            busy_time[w] += d;
-            current[w] = Some(t);
-            ins.on_exec(
-                &tasks[t],
-                w,
-                queues.len(),
-                now,
-                d,
-                tracer,
-                tracks,
-                wait_track,
-            );
-            q.schedule(now + d, q.scheduled_total(), Ev::Finish(w));
         }
     }
 }

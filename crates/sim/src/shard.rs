@@ -675,30 +675,6 @@ impl<M: ClusterModel> ShardedEngine<M> {
         }
     }
 
-    /// Leader decision: stop, or open the next window. Returns the window
-    /// end (ps, exclusive) or the stop reason.
-    fn decide(
-        &self,
-        gmin_ps: u64,
-        horizon: Time,
-        max_events: u64,
-        events_so_far: u64,
-    ) -> Result<u64, StopReason> {
-        if events_so_far >= max_events {
-            return Err(StopReason::BudgetExhausted);
-        }
-        if gmin_ps == u64::MAX {
-            return Err(StopReason::QueueEmpty);
-        }
-        if gmin_ps > horizon.as_ps() {
-            return Err(StopReason::HorizonReached);
-        }
-        let wend = gmin_ps
-            .saturating_add(self.lookahead.as_ps())
-            .min(horizon.as_ps().saturating_add(1));
-        Ok(wend)
-    }
-
     fn note_window(&mut self, wend_ps: u64) {
         let wend = Time::from_ps(wend_ps);
         if wend < self.last_window_end {
@@ -738,7 +714,13 @@ impl<M: ClusterModel> ShardedEngine<M> {
                 .unwrap_or(u64::MAX);
             wall.end(Phase::Drain, t);
             let t = wall.begin();
-            let decision = self.decide(gmin, horizon, max_events, self.events_processed);
+            let decision = decide(
+                gmin,
+                horizon,
+                max_events,
+                self.events_processed,
+                self.lookahead,
+            );
             wall.end(Phase::Decide, t);
             let wend = match decision {
                 Ok(wend) => wend,
@@ -1008,7 +990,7 @@ fn run_worker<M: ClusterModel>(
                 .min()
                 .unwrap_or(u64::MAX);
             let events_so_far = shared.total_events.load(Ordering::Acquire);
-            let decision = decide_static(gmin, horizon, max_events, events_so_far, lookahead);
+            let decision = decide(gmin, horizon, max_events, events_so_far, lookahead);
             match decision {
                 Ok(wend) => {
                     if wend < last_wend {
@@ -1074,8 +1056,10 @@ fn run_worker<M: ClusterModel>(
     }
 }
 
-/// [`ShardedEngine::decide`] without `&self`, for worker threads.
-fn decide_static(
+/// Leader decision, shared by the sequential and the parallel run: stop,
+/// or open the next window. Returns the window end (ps, exclusive) or the
+/// stop reason.
+fn decide(
     gmin_ps: u64,
     horizon: Time,
     max_events: u64,
