@@ -372,10 +372,8 @@ impl<'a> Run<'a> {
             tracks,
             queue_track,
             wait_track,
-            // The lazy scheduler's historical probe backoff, expressed as
-            // a resilience retry policy: 8x, 16x, then capped at 32x the
-            // probe latency — bit-identical to the old `(4 << min(k, 3))`
-            // ladder.
+            // The lazy scheduler's probe backoff: 8x, 16x, then capped at
+            // 32x the probe latency.
             steal_policy: RetryPolicy::new(
                 sim.probe_latency * 8,
                 sim.probe_latency * 32,
@@ -932,11 +930,16 @@ mod tests {
         assert_eq!(a.messages, b.messages);
     }
 
-    /// Golden values pinning the lazy scheduler's probe-backoff timing
-    /// before the resilience layer generalized it: the `RetryPolicy`
-    /// rewrite must not move a single picosecond or message.
+    /// Golden schedules. The first two runs pin the lazy scheduler's
+    /// probe-backoff timing. The table then pins every policy under no
+    /// faults, crashes, and quarantining stalls, each under full and no
+    /// recovery, with a buffering tracer and every check armed: each line
+    /// holds the whole [`SchedReport`], the checks run, and FNV-1a-64
+    /// hashes of the metrics export and of the Chrome trace, so any change
+    /// to event order, RNG draws, instrument or tracer calls shows up.
     #[test]
-    fn pins_lazy_backoff_golden_values() {
+    fn pins_golden_schedules() {
+        use ecoscale_sim::snap::fnv1a64;
         let trace = skewed_trace(300, 8, 120_000, 1.3, 21);
         let r = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 9).run(&trace);
         assert_eq!(r.makespan.as_ps(), 5_417_607_987);
@@ -948,17 +951,7 @@ mod tests {
         assert_eq!(r.makespan.as_ps(), 1_159_461_494);
         assert_eq!(r.sched_overhead.as_ps(), 14_700_000);
         assert_eq!(r.messages, 49);
-    }
 
-    /// Golden values for every policy under no faults, crashes, and
-    /// quarantining stalls, each under full and no recovery, with a
-    /// buffering tracer and every check armed. Each line pins the whole
-    /// [`SchedReport`], the checks run, and FNV-1a-64 hashes of the
-    /// metrics export and of the Chrome trace, so any change to event
-    /// order, RNG draws, instrument or tracer calls shows up here.
-    #[test]
-    fn pins_every_policy_campaign_and_export() {
-        use ecoscale_sim::snap::fnv1a64;
         const CASES: [(&str, &str, bool); 5] = [
             ("off", "", true),
             ("crash/full", "seed=3,crash=1ms", true),
