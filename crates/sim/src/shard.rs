@@ -1482,4 +1482,145 @@ mod tests {
             Err(RestoreError::Malformed { .. })
         ));
     }
+
+    /// FNV-1a, for pinning whole exports by value.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        })
+    }
+
+    /// How a pinned run drives the engine. The pinned gossip runs drain
+    /// between 480 and 660 ns, so the horizons sit inside them.
+    #[derive(Debug, Clone, Copy)]
+    enum Mode {
+        /// `run()` to the end.
+        Full,
+        /// `run_until(250ns)`, then `run()`.
+        Split,
+        /// `run_until(MAX, 20)`: the event budget stops it.
+        Budget,
+        /// `run_until(350ns)`.
+        Horizon,
+        /// `run_until(250ns)`, snapshot, restore into a fresh engine at
+        /// another layout, `run()` that one.
+        Snapshot,
+    }
+
+    /// `(shards, forced worker threads)`.
+    type Layout = (usize, Option<usize>);
+
+    const PIN_LAYOUTS: [Layout; 5] = [(1, None), (2, Some(1)), (3, None), (4, Some(2)), (8, None)];
+
+    fn armed_engine(
+        clusters: usize,
+        seed: u64,
+        (shards, threads): Layout,
+    ) -> ShardedEngine<Gossip> {
+        let engine = gossip_engine(clusters, seed, shards)
+            .with_occupancy(&[2, 4])
+            .with_series(Duration::from_ns(200), 32);
+        match threads {
+            Some(t) => engine.with_threads(t),
+            None => engine,
+        }
+    }
+
+    /// `(events, rounds, sent, reason, hash)` of one pinned case.
+    type Pin = (u64, u64, u64, StopReason, u64);
+
+    /// Runs one pinned case. The hash covers every model's log and digest,
+    /// the engine counters, the final clock, the stop reason, the
+    /// occupancy and series JSON and the snapshot bytes.
+    fn pin_case(clusters: usize, seed: u64, mode: Mode, layout: Layout, resume: Layout) -> Pin {
+        let mut e = armed_engine(clusters, seed, layout);
+        let mut mid = Vec::new();
+        let (reason, end) = match mode {
+            Mode::Full => (StopReason::QueueEmpty, e.run()),
+            Mode::Split => (e.run_until(Time::from_ns(250), u64::MAX), e.run()),
+            Mode::Budget => (e.run_until(Time::MAX, 20), e.clock()),
+            Mode::Horizon => (e.run_until(Time::from_ns(350), u64::MAX), e.clock()),
+            Mode::Snapshot => {
+                let reason = e.run_until(Time::from_ns(250), u64::MAX);
+                let mut w = SnapWriter::new();
+                e.snapshot_state(&mut w);
+                mid = w.into_bytes();
+                e = armed_engine(clusters, seed, resume);
+                e.restore_state(&mut SnapReader::new(&mid))
+                    .expect("restore");
+                (reason, e.run())
+            }
+        };
+        let mut w = SnapWriter::new();
+        e.snapshot_state(&mut w);
+        let mut bytes = w.into_bytes();
+        bytes.extend_from_slice(&mid);
+        let (digests, logs, events, rounds, sent) = fingerprint(&e);
+        let mut words = digests;
+        for log in logs {
+            words.push(log.len() as u64);
+            words.extend(log.into_iter().flat_map(|(t, tag)| [t, tag as u64]));
+        }
+        words.extend([
+            events,
+            rounds,
+            sent,
+            e.messages_delivered(),
+            end.as_ps(),
+            stop_code(reason),
+            fnv(e.occupancy().expect("armed").to_json().as_bytes()),
+            fnv(e.series().expect("armed").to_json().as_bytes()),
+            fnv(&bytes),
+        ]);
+        let flat: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        (events, rounds, sent, reason, fnv(&flat))
+    }
+
+    /// Absolute values for the engine, pinned so that a change to the one
+    /// run loop cannot hide behind the layout tests (which compare the
+    /// loop against itself). Every layout must reproduce each row.
+    #[test]
+    fn pins_engine_golden_values() {
+        use StopReason::{BudgetExhausted as B, HorizonReached as H, QueueEmpty as Q};
+        #[rustfmt::skip]
+        let table: [(usize, u64, Mode, Pin); 15] = [
+            (7, 42, Mode::Full, (91, 8, 29, Q, 0x0a718d55c6a13e50)),
+            (7, 42, Mode::Split, (91, 8, 29, H, 0x8a2ef0d2a2aec423)),
+            (7, 42, Mode::Budget, (43, 2, 13, B, 0xe2957165fe3e00f7)),
+            (7, 42, Mode::Horizon, (66, 4, 23, H, 0x03883c649d10a3aa)),
+            (7, 42, Mode::Snapshot, (91, 8, 29, H, 0x7a03cf18b5bde75b)),
+            (6, 11, Mode::Full, (78, 6, 20, Q, 0x5cf31bc01d425d2c)),
+            (6, 11, Mode::Split, (78, 6, 20, H, 0x619673635fe5015b)),
+            (6, 11, Mode::Budget, (21, 1, 6, B, 0x2ed5384904d1bbd5)),
+            (6, 11, Mode::Horizon, (70, 4, 19, H, 0xdaf62932b15fece1)),
+            (6, 11, Mode::Snapshot, (78, 6, 20, H, 0x40b79dfefc7a3a36)),
+            (4, 17, Mode::Full, (52, 7, 16, Q, 0x4fca6928567ec714)),
+            (4, 17, Mode::Split, (52, 7, 16, H, 0xfcb34a7e7bd06147)),
+            (4, 17, Mode::Budget, (31, 3, 11, B, 0xa18db8129168e744)),
+            (4, 17, Mode::Horizon, (37, 4, 14, H, 0xcb73ae995c0dcac9)),
+            (4, 17, Mode::Snapshot, (52, 7, 16, H, 0x08bea761b495a581)),
+        ];
+        let mut got = String::new();
+        let mut ok = true;
+        for &(clusters, seed, mode, want) in &table {
+            let mut row = None;
+            for (i, &layout) in PIN_LAYOUTS.iter().enumerate() {
+                let resume = PIN_LAYOUTS[(i + 2) % PIN_LAYOUTS.len()];
+                let case = pin_case(clusters, seed, mode, layout, resume);
+                if case != want {
+                    ok = false;
+                    eprintln!("({clusters}, {seed}, {mode:?}) at {layout:?}: got {case:?}");
+                }
+                row.get_or_insert(case);
+            }
+            let (events, rounds, sent, reason, hash) = row.expect("layouts run");
+            got += &format!(
+                "({clusters}, {seed}, Mode::{mode:?}, ({events}, {rounds}, {sent}, {reason:?}, {hash:#018x})),\n"
+            );
+        }
+        assert!(
+            ok,
+            "pinned engine values moved; at layout (1, None):\n{got}"
+        );
+    }
 }
