@@ -13,7 +13,7 @@
 //! for them. A width of 1 runs everything inline on the caller's thread —
 //! the determinism baseline.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable binaries read for the pool width.
@@ -144,7 +144,9 @@ impl RunCtx {
 /// — tens of thousands of times per run — so the mutex/condvar cost of
 /// [`std::sync::Barrier`] would dominate. This barrier spins (yielding
 /// periodically so oversubscribed CI boxes still make progress) and is
-/// reusable: generations advance automatically.
+/// reusable: generations advance automatically. A party that gives up
+/// calls [`RoundBarrier::poison`], which makes every waiter panic instead
+/// of spinning forever.
 ///
 /// # Example
 ///
@@ -171,7 +173,13 @@ pub struct RoundBarrier {
     parties: usize,
     arrived: AtomicUsize,
     generation: AtomicUsize,
+    poisoned: AtomicBool,
 }
+
+/// The panic payload of [`RoundBarrier::wait`] on a poisoned barrier. A
+/// party that unwinds with it did not fail itself: another party gave up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BarrierPoisoned;
 
 impl RoundBarrier {
     /// Creates a barrier for `parties` threads.
@@ -185,13 +193,34 @@ impl RoundBarrier {
             parties,
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+        }
+    }
+
+    /// Breaks the barrier for good: every current and later
+    /// [`RoundBarrier::wait`] panics with [`BarrierPoisoned`]. A party
+    /// that will never arrive (it panicked) calls this so that the others
+    /// do not wait for it forever.
+    pub fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+    }
+
+    fn check_poison(&self) {
+        if self.poisoned.load(Ordering::Acquire) {
+            std::panic::panic_any(BarrierPoisoned);
         }
     }
 
     /// Blocks until all parties have called `wait` for this generation.
     /// Returns `true` on exactly one thread per crossing (the last
     /// arriver), mirroring `std::sync::Barrier`'s leader flag.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a [`BarrierPoisoned`] payload once the barrier is
+    /// poisoned.
     pub fn wait(&self) -> bool {
+        self.check_poison();
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
             self.arrived.store(0, Ordering::Release);
@@ -201,6 +230,7 @@ impl RoundBarrier {
         }
         let mut spins = 0u32;
         while self.generation.load(Ordering::Acquire) == gen {
+            self.check_poison();
             spins += 1;
             if spins & 0x3FF == 0 {
                 std::thread::yield_now();
@@ -306,6 +336,19 @@ mod tests {
             }
         });
         assert_eq!(leaders.load(Ordering::Relaxed), 100);
+    }
+
+    #[test]
+    fn poisoned_round_barrier_releases_waiters_with_its_payload() {
+        let barrier = RoundBarrier::new(3);
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..2).map(|_| s.spawn(|| barrier.wait())).collect();
+            barrier.poison();
+            for w in waiters {
+                let payload = w.join().expect_err("a poisoned wait panics");
+                assert!(payload.is::<BarrierPoisoned>());
+            }
+        });
     }
 
     #[test]
