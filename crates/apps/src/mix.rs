@@ -54,8 +54,10 @@ pub fn serve_mix() -> Vec<ServeKernel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecoscale_core::{run_serve_sim, ServeSimConfig};
+    use ecoscale_core::{run_serve_sim_with, ServeSimConfig};
     use ecoscale_runtime::ServeSpec;
+    use ecoscale_sim::check::{CheckPlane, CHECK_ENV};
+    use ecoscale_sim::RunCtx;
 
     #[test]
     fn mix_binders_match_their_kernels() {
@@ -72,7 +74,11 @@ mod tests {
         let spec = ServeSpec::parse("seed=3,tenants=2,rate=60000,horizon=400us,batch=4").unwrap();
         let mut cfg = ServeSimConfig::new(spec, serve_mix());
         cfg.items = 48;
-        let out = run_serve_sim(&cfg);
+        // checks armed from ECOSCALE_CHECK, so an armed test pass checks
+        // every cell's system
+        let check = std::env::var(CHECK_ENV).ok();
+        cfg.ctx = RunCtx::parse(Some("1"), Some("1"), check.as_deref());
+        let out = run_serve_sim_with(&cfg, &mut CheckPlane::disabled());
         assert!(out.serving.conserved());
         assert!(out.serving.completed() > 0);
         assert_eq!(out.violations, 0);

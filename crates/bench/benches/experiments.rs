@@ -8,7 +8,7 @@ use ecoscale_bench::{ExpRun, Scale, EXPERIMENTS};
 use ecoscale_sim::RunCtx;
 
 fn bench_experiments() {
-    let quick = ExpRun::new(Scale::Quick, RunCtx::parse(None, None));
+    let quick = ExpRun::new(Scale::Quick, RunCtx::parse(None, None, None));
     for &(key, run) in EXPERIMENTS {
         bench(&format!("exp/{key}"), || run(&quick));
     }

@@ -22,7 +22,7 @@ fn synthetic_sweep(ctx: RunCtx) -> u64 {
 
 fn main() {
     let seq = RunCtx::SEQUENTIAL;
-    let wide = RunCtx::parse(None, None);
+    let wide = RunCtx::parse(None, None, None);
     let cores = wide.threads;
 
     let s = bench("pool/synthetic_sweep_64x1ms/seq", || synthetic_sweep(seq));

@@ -17,15 +17,16 @@
 //! ```
 //!
 //! Everything except the `wall` section is a pure function of the
-//! seeded simulation — byte-identical at any `ECOSCALE_THREADS` or
-//! `ECOSCALE_SHARDS`, which are read once here — so `bench_regress` compares it exactly and
-//! skips the `wall` subtree. The blame and occupancy tables are
-//! printed to stderr for operators.
+//! seeded simulation — byte-identical at any `ECOSCALE_THREADS`,
+//! `ECOSCALE_SHARDS` or `ECOSCALE_CHECK`, read once here — so `bench_regress`
+//! compares it exactly and skips the `wall` subtree. The blame and
+//! occupancy tables are printed to stderr for operators.
 
 use std::process::ExitCode;
 
 use ecoscale_bench::obs::capture_profile;
 use ecoscale_bench::Scale;
+use ecoscale_sim::check::CHECK_ENV;
 use ecoscale_sim::json::{self, fmt_f64};
 use ecoscale_sim::pool::THREADS_ENV;
 use ecoscale_sim::shard::SHARDS_ENV;
@@ -60,6 +61,7 @@ fn main() -> ExitCode {
     let ctx = RunCtx::parse(
         std::env::var(THREADS_ENV).ok().as_deref(),
         std::env::var(SHARDS_ENV).ok().as_deref(),
+        std::env::var(CHECK_ENV).ok().as_deref(),
     );
     let pc = capture_profile(scale, ctx);
     let report = prof::critical_path(&pc.capture.trace);

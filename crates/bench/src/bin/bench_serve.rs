@@ -18,9 +18,9 @@
 //!  "goodput_gain":...,"p99_degradation":...,"snapshot_bytes":...}
 //! ```
 //!
-//! Every field is a pure function of the seeded simulation —
-//! byte-identical at any `ECOSCALE_THREADS` or `ECOSCALE_SHARDS` — so
-//! `bench_regress` compares the whole document exactly. The binary
+//! Every field is a pure function of the seeded simulation — identical
+//! at any `ECOSCALE_THREADS`, and with `ECOSCALE_CHECK` (read once here)
+//! unset — so `bench_regress` compares the whole document exactly. The binary
 //! itself enforces the serving acceptance bar: requests conserved on
 //! all three runs, zero requests lost under faults, a strict batching
 //! goodput win, bounded p99 growth under the campaign, and a mid-horizon
@@ -32,9 +32,10 @@ use std::process::ExitCode;
 
 use ecoscale_bench::serve_exp::serving_config;
 use ecoscale_bench::Scale;
-use ecoscale_core::{run_serve_sim, serve_checkpoint, serve_resume, ServeOutcome};
+use ecoscale_core::{run_serve_sim_with, serve_checkpoint, serve_resume_with, ServeOutcome};
+use ecoscale_sim::check::{CheckPlane, CHECK_ENV};
 use ecoscale_sim::json::{self, escape, fmt_f64};
-use ecoscale_sim::{CampaignSpec, Duration, Time};
+use ecoscale_sim::{CampaignSpec, Duration, RunCtx, Time};
 
 /// The E16-style campaign the faulted lane runs under.
 const FAULTS: &str = "seed=5,seu=200us,smmu=0.002,scrub=400us";
@@ -69,15 +70,16 @@ fn main() -> ExitCode {
         }
     }
 
-    let cfg = serving_config(350_000, scale.pick(500, 1000));
+    let mut cfg = serving_config(350_000, scale.pick(500, 1000));
+    let check = std::env::var(CHECK_ENV).ok();
+    cfg.ctx = RunCtx::parse(Some("1"), Some("1"), check.as_deref());
     let mut cfg_off = cfg.clone();
     cfg_off.spec = cfg.spec.batching_off();
     let mut cfg_faulted = cfg.clone();
     cfg_faulted.faults = CampaignSpec::parse(FAULTS).expect("campaign is well-formed");
 
-    let on = run_serve_sim(&cfg);
-    let off = run_serve_sim(&cfg_off);
-    let faulted = run_serve_sim(&cfg_faulted);
+    let run = |cfg| run_serve_sim_with(cfg, &mut CheckPlane::disabled());
+    let (on, off, faulted) = (run(&cfg), run(&cfg_off), run(&cfg_faulted));
 
     for (name, run) in [("on", &on), ("off", &off), ("faulted", &faulted)] {
         if !run.serving.conserved() || run.lost > 0 || run.violations > 0 {
@@ -110,7 +112,7 @@ fn main() -> ExitCode {
     // uninterrupted serving export byte for byte.
     let at = Time::ZERO + Duration::from_us(scale.pick(250, 500));
     let snap = serve_checkpoint(&cfg, at);
-    match serve_resume(&cfg, &snap) {
+    match serve_resume_with(&cfg, &snap, &mut CheckPlane::disabled()) {
         Ok(resumed) if resumed.serving.to_json() == on.serving.to_json() => {}
         Ok(_) => {
             eprintln!("bench_serve: resume at {at} diverged from the uninterrupted run");

@@ -4,9 +4,9 @@
 //! outputs quoted in EXPERIMENTS.md. Tables are computed concurrently on
 //! the `ecoscale_sim::pool` work pool and printed in the fixed E1→A4
 //! order, so the output is byte-identical at any thread count. The pool
-//! width (`ECOSCALE_THREADS`, default all cores) and the sharded engine's
-//! shard count (`ECOSCALE_SHARDS`, default 1) are read once, here, and
-//! passed down as a [`RunCtx`].
+//! width (`ECOSCALE_THREADS`, default all cores), shard count
+//! (`ECOSCALE_SHARDS`, default 1) and check cadence (`ECOSCALE_CHECK`,
+//! default off) are read once, here, and passed down as a [`RunCtx`].
 //!
 //! ```text
 //! exp_all [--scale quick|full] [--trace FILE] [--metrics FILE] [--profile FILE]
@@ -70,9 +70,10 @@ use ecoscale_bench::obs::{
 };
 use ecoscale_bench::{ExpRun, Scale, EXPERIMENTS};
 use ecoscale_core::{
-    run_serve_sim, serve_checkpoint, serve_resume, ServeSimConfig, ServeTelemetry,
+    run_serve_sim_with, serve_checkpoint, serve_resume_with, ServeSimConfig, ServeTelemetry,
 };
 use ecoscale_runtime::ServeSpec;
+use ecoscale_sim::check::{CheckPlane, CHECK_ENV};
 use ecoscale_sim::fault::parse_duration;
 use ecoscale_sim::pool::THREADS_ENV;
 use ecoscale_sim::shard::SHARDS_ENV;
@@ -254,6 +255,7 @@ fn main() -> ExitCode {
     let ctx = RunCtx::parse(
         std::env::var(THREADS_ENV).ok().as_deref(),
         std::env::var(SHARDS_ENV).ok().as_deref(),
+        std::env::var(CHECK_ENV).ok().as_deref(),
     );
     let mut exp = ExpRun::new(scale, ctx);
     if let Some(spec) = &faults {
@@ -282,7 +284,7 @@ fn main() -> ExitCode {
         if telemetry_path.is_some() {
             cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
         }
-        cfg.threads = ctx.threads;
+        cfg.ctx = ctx;
         if let Some(at) = snapshot_at {
             let path = snapshot_out.as_ref().expect("validated above");
             let bytes = serve_checkpoint(&cfg, at);
@@ -304,7 +306,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            match serve_resume(&cfg, &bytes) {
+            match serve_resume_with(&cfg, &bytes, &mut CheckPlane::disabled()) {
                 Ok(out) => out,
                 Err(e) => {
                     eprintln!("error: refusing snapshot `{path}`: {e}");
@@ -312,7 +314,7 @@ fn main() -> ExitCode {
                 }
             }
         } else {
-            run_serve_sim(&cfg)
+            run_serve_sim_with(&cfg, &mut CheckPlane::disabled())
         };
         if telemetry_path.is_some() {
             // The serving half of the TelePlane capture comes from this
@@ -357,7 +359,7 @@ fn main() -> ExitCode {
             (capture_observability(scale, ctx), None)
         };
         if let Some(spec) = faults.as_ref().filter(|s| !s.is_off()) {
-            let fc = capture_fault_campaign(scale, spec);
+            let fc = capture_fault_campaign(scale, ctx, spec);
             cap.trace.merge(fc.trace);
             cap.metrics.merge(&fc.metrics);
         }

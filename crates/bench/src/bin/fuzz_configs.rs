@@ -10,8 +10,8 @@
 //! scale × thread count × shard count × tenant count. Every configuration
 //! runs with all invariants armed and its exports compared byte-for-byte
 //! between one thread (one shard) and the configuration's thread (shard)
-//! count. Each configuration carries its own counts, so the binary reads
-//! no environment variable for them.
+//! count. Each configuration carries its own counts; `ECOSCALE_CHECK=N`,
+//! read once here, also arms every serving cell's system at cadence `N`.
 //!
 //! On failure the configuration is shrunk to a minimal still-failing one
 //! and a single-line `--repro` command is printed; exit code 1. Clean
@@ -23,7 +23,9 @@
 
 use std::process::ExitCode;
 
-use ecoscale_bench::fuzz::{run_config, shrink_config, FuzzConfig};
+use ecoscale_bench::fuzz::{run_config_with, shrink_config, FuzzConfig};
+use ecoscale_sim::check::CHECK_ENV;
+use ecoscale_sim::RunCtx;
 
 fn usage() {
     eprintln!("usage: fuzz_configs [--count N] [--start N] [--inject-violation] [--repro SPEC]");
@@ -33,11 +35,11 @@ fn usage() {
     eprintln!("  --repro SPEC         re-run one configuration from its spec string");
 }
 
-fn report_failure(cfg: &FuzzConfig, detail: &str, inject: bool) {
+fn report_failure(cfg: &FuzzConfig, detail: &str, inject: bool, check: u64) {
     println!("FAIL config `{cfg}`: {detail}");
-    let min = shrink_config(cfg, |c| run_config(c, inject).is_err());
+    let min = shrink_config(cfg, |c| run_config_with(c, inject, check).is_err());
     if min != *cfg {
-        match run_config(&min, inject) {
+        match run_config_with(&min, inject, check) {
             Err(e) => println!("shrunk to `{min}`: {}", e.detail),
             Ok(_) => println!("shrunk to `{min}` (no longer fails; reporting original)"),
         }
@@ -93,6 +95,7 @@ fn main() -> ExitCode {
             }
         }
     }
+    let check = RunCtx::parse(None, None, std::env::var(CHECK_ENV).ok().as_deref()).check;
 
     if let Some(spec) = repro {
         let cfg = match FuzzConfig::parse(&spec) {
@@ -103,7 +106,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        return match run_config(&cfg, inject) {
+        return match run_config_with(&cfg, inject, check) {
             Ok(r) => {
                 println!(
                     "repro `{cfg}`: clean ({} invariant checks, 0 violations)",
@@ -112,7 +115,7 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             Err(e) => {
-                report_failure(&cfg, &e.detail, inject);
+                report_failure(&cfg, &e.detail, inject, check);
                 ExitCode::FAILURE
             }
         };
@@ -121,11 +124,11 @@ fn main() -> ExitCode {
     let mut total_checks = 0u64;
     for i in start..start.saturating_add(count) {
         let cfg = FuzzConfig::from_index(i);
-        match run_config(&cfg, inject) {
+        match run_config_with(&cfg, inject, check) {
             Ok(r) => total_checks += r.checks_run,
             Err(e) => {
                 println!("FAIL at sweep index {i}");
-                report_failure(&cfg, &e.detail, inject);
+                report_failure(&cfg, &e.detail, inject, check);
                 return ExitCode::FAILURE;
             }
         }

@@ -421,6 +421,15 @@ impl fmt::Display for FuzzFailure {
 /// single-threaded run. `inject` arms the test-only [`invariant::SABOTAGE`]
 /// hook (fires when `cfg.tasks >= 24`).
 pub fn run_config(cfg: &FuzzConfig, inject: bool) -> Result<RunReport, FuzzFailure> {
+    run_config_with(cfg, inject, 0)
+}
+
+/// [`run_config`] with every serving cell's system self-checking at cadence `check`.
+pub fn run_config_with(
+    cfg: &FuzzConfig,
+    inject: bool,
+    check: u64,
+) -> Result<RunReport, FuzzFailure> {
     let fail = |detail: String| FuzzFailure {
         config: cfg.clone(),
         detail,
@@ -429,13 +438,13 @@ pub fn run_config(cfg: &FuzzConfig, inject: bool) -> Result<RunReport, FuzzFailu
     // parsed, synthesized kernel mix, so the mix is built once per config.
     // Its thread count is set in place, never on a clone made before the
     // first run, which would build the mix again.
-    let mut scfg = serve_sim_config(cfg);
+    let mut scfg = serve_sim_config(cfg, check);
     let (base, cp, full) = run_once(cfg, &scfg, inject);
     if let Some(v) = cp.first() {
         return Err(fail(v.to_string()));
     }
     let mut checks = cp.checks_run();
-    scfg.threads = cfg.threads;
+    scfg.ctx.threads = cfg.threads;
     if cfg.threads != 1 {
         let (alt, cp_alt, _) = run_once(cfg, &scfg, inject);
         if let Some(v) = cp_alt.first() {
@@ -627,7 +636,7 @@ fn shrink_candidates(c: &FuzzConfig) -> Vec<FuzzConfig> {
     out
 }
 
-/// One full pass over the five phases at `scfg.threads`. Returns the
+/// One full pass over the five phases at `scfg.ctx.threads`. Returns the
 /// metrics export, the aggregated plane and the serve phase's outcome.
 fn run_once(
     cfg: &FuzzConfig,
@@ -636,7 +645,7 @@ fn run_once(
 ) -> (String, CheckPlane, ServeOutcome) {
     let mut cp = CheckPlane::enabled(1);
     let mut m = MetricsRegistry::new();
-    sched_fuzz(cfg, scfg.threads, &mut cp, &mut m);
+    sched_fuzz(cfg, scfg.ctx, &mut cp, &mut m);
     noc_fuzz(cfg, &mut cp, &mut m);
     smmu_fuzz(cfg, &mut cp, &mut m);
     unimem_fuzz(cfg, &mut cp, &mut m);
@@ -652,18 +661,14 @@ fn run_once(
     (m.to_json(), cp, served)
 }
 
-/// Two scheduler lanes on `threads` threads, each a seeded
-/// [`ClusterSim`] under the configured policy (and fault campaign) with
-/// an armed per-lane plane, folded back in input order.
-fn sched_fuzz(cfg: &FuzzConfig, threads: usize, cp: &mut CheckPlane, m: &mut MetricsRegistry) {
+/// Two scheduler lanes on `ctx`'s threads, each a seeded [`ClusterSim`]
+/// under the configured policy (and fault campaign) with an armed
+/// per-lane plane, folded back in input order.
+fn sched_fuzz(cfg: &FuzzConfig, ctx: RunCtx, cp: &mut CheckPlane, m: &mut MetricsRegistry) {
     let spec = cfg.campaign();
     let (tasks, workers, seed) = (cfg.tasks, cfg.workers, cfg.seed);
     let policy = cfg.sched.policy();
     let lanes: Vec<u64> = vec![0, 1];
-    let ctx = RunCtx {
-        threads,
-        ..RunCtx::SEQUENTIAL
-    };
     let results = ctx.map(lanes, move |lane| {
         let trace = skewed_trace(tasks, workers, 100_000, 1.1, seed ^ lane);
         let mut sim = ClusterSim::new(workers, policy, seed.wrapping_add(lane))
@@ -795,7 +800,7 @@ fn serve_fuzz(scfg: &ServeSimConfig, cp: &mut CheckPlane, m: &mut MetricsRegistr
 
 /// The serving configuration a fuzz point drives, shared by the serve,
 /// SnapPlane and TelePlane phases.
-fn serve_sim_config(cfg: &FuzzConfig) -> ServeSimConfig {
+fn serve_sim_config(cfg: &FuzzConfig, check: u64) -> ServeSimConfig {
     let spec = ServeSpec::parse(&format!(
         "seed={},tenants={},rate=60000,horizon=150us,batch=4,deadline=120us,queue=16",
         cfg.seed, cfg.tenants
@@ -807,6 +812,7 @@ fn serve_sim_config(cfg: &FuzzConfig) -> ServeSimConfig {
     scfg.compute_nodes = 2;
     scfg.cells = cfg.tenants.min(2);
     scfg.cadence = Duration::from_us(25);
+    scfg.ctx.check = check;
     if cfg.faults != FaultKind::None {
         scfg.faults = cfg.campaign();
     }
@@ -856,7 +862,7 @@ fn snap_fuzz(scfg: &ServeSimConfig, full: &ServeOutcome, cp: &mut CheckPlane) {
 fn telem_once(scfg: &ServeSimConfig, threads: usize) -> (String, CheckPlane) {
     let mut scfg = scfg.clone();
     scfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(25)));
-    scfg.threads = threads;
+    scfg.ctx.threads = threads;
     let mut cp = CheckPlane::enabled(1);
     let out = run_serve_sim_with(&scfg, &mut cp);
     let telem = out.telemetry.expect("telemetry armed in the fuzz config");
@@ -947,7 +953,8 @@ mod tests {
             shards: 4,
             tenants: 3,
         };
-        let report = run_config(&cfg, false).expect("clean config passes");
+        let report =
+            run_config_with(&cfg, false, crate::test_ctx().check).expect("clean config passes");
         assert!(report.checks_run > 0);
     }
 
@@ -978,13 +985,14 @@ mod tests {
             threads: 1,
             ..FuzzConfig::default()
         };
-        let err = run_config(&cfg, true).expect_err("sabotage fires");
+        let check = crate::test_ctx().check;
+        let err = run_config_with(&cfg, true, check).expect_err("sabotage fires");
         assert!(
             err.detail.contains("check.sabotage"),
             "detail: {}",
             err.detail
         );
-        let min = shrink_config(&cfg, |c| run_config(c, true).is_err());
+        let min = shrink_config(&cfg, |c| run_config_with(c, true, check).is_err());
         assert_eq!(
             min.tasks, 24,
             "shrinker converges on the sabotage threshold"

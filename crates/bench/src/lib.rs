@@ -49,12 +49,12 @@ impl Scale {
 }
 
 /// What an experiment runs with. Its table depends on `scale` and
-/// `campaign` only: `ctx` only decides how widely it is computed.
+/// `campaign` only: `ctx` decides how widely it is computed and checked.
 #[derive(Debug, Clone)]
 pub struct ExpRun {
     /// Sweep sizes.
     pub scale: Scale,
-    /// Pool width and shard count the sweep points run on.
+    /// Pool width, shard count and check cadence of the sweep points.
     pub ctx: RunCtx,
     /// The campaign E16/E16b scale their fault intensities from
     /// (`exp_all --faults`).
@@ -104,6 +104,15 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("p1", shard_exp::p1_parallel_des),
     ("s1", serve_exp::s1_serving),
 ];
+
+#[cfg(test)]
+/// The run context this crate's tests hand to what they run: one thread,
+/// one shard, and checks armed from `ECOSCALE_CHECK`, so an armed test
+/// pass checks every simulator and system they build.
+pub(crate) fn test_ctx() -> RunCtx {
+    let check = std::env::var(ecoscale_sim::check::CHECK_ENV).ok();
+    RunCtx::parse(Some("1"), Some("1"), check.as_deref())
+}
 
 #[cfg(test)]
 mod tests {

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use ecoscale_core::{
-    linear_test_mix, run_serve_sim, run_shard_sim_observed_with, run_shard_sim_with,
+    linear_test_mix, run_serve_sim_with, run_shard_sim_observed_with, run_shard_sim_with,
     ServeSimConfig, ServeTelemetry, SystemBuilder,
 };
 use ecoscale_hls::KernelArgs;
@@ -79,7 +79,7 @@ pub fn capture_profile(scale: Scale, ctx: RunCtx) -> ProfileCapture {
     smmu_phase(scale, &mut cap);
     unimem_phase(scale, &mut cap);
     sched_phase(scale, ctx, &mut cap);
-    system_phase(scale, &mut cap);
+    system_phase(scale, ctx, &mut cap);
     let (occupancy, wall) = shard_phase(scale, ctx, &mut cap);
     ProfileCapture {
         capture: cap,
@@ -153,7 +153,7 @@ pub fn telemetry_serve_config(scale: Scale, faults: &CampaignSpec) -> ServeSimCo
 pub fn telemetry_shard_series(scale: Scale, ctx: RunCtx) -> TimeSeries {
     let mut cfg = scaling_config(scale.pick(4, 8), scale.pick(48, 256));
     cfg.telemetry = Some((Duration::from_ns(500), 64));
-    let mut cp = CheckPlane::from_env();
+    let mut cp = CheckPlane::armed(ctx.check);
     let out = run_shard_sim_with(&cfg, Some(ctx.shards), &mut cp);
     out.series.expect("series armed")
 }
@@ -163,8 +163,8 @@ pub fn telemetry_shard_series(scale: Scale, ctx: RunCtx) -> TimeSeries {
 /// function of `(scale, faults)`.
 pub fn capture_telemetry(scale: Scale, ctx: RunCtx, faults: &CampaignSpec) -> TelemetryCapture {
     let mut cfg = telemetry_serve_config(scale, faults);
-    cfg.threads = ctx.threads;
-    let out = run_serve_sim(&cfg);
+    cfg.ctx = ctx;
+    let out = run_serve_sim_with(&cfg, &mut CheckPlane::disabled());
     TelemetryCapture {
         serve: out.telemetry.expect("telemetry armed in config"),
         shard: telemetry_shard_series(scale, ctx),
@@ -177,21 +177,22 @@ pub fn capture_telemetry(scale: Scale, ctx: RunCtx, faults: &CampaignSpec) -> Te
 /// injection) — and returns the merged capture. Pure function of
 /// `(scale, spec)`: byte-identical at any thread count, and with an
 /// all-off spec the exported JSON is byte-identical to not injecting at
-/// all.
-pub fn capture_fault_campaign(scale: Scale, spec: &CampaignSpec) -> Capture {
+/// all. Both halves self-check at `ctx`'s check cadence.
+pub fn capture_fault_campaign(scale: Scale, ctx: RunCtx, spec: &CampaignSpec) -> Capture {
     let mut cap = Capture::default();
-    faulted_sched_phase(scale, spec, &mut cap);
-    faulted_system_phase(scale, spec, &mut cap);
+    faulted_sched_phase(scale, ctx, spec, &mut cap);
+    faulted_system_phase(scale, ctx, spec, &mut cap);
     cap
 }
 
 /// A faulted [`ClusterSim`] run under the full recovery policy:
 /// populates `sched.*` including `sched.resilience.*` fault tracks.
-fn faulted_sched_phase(scale: Scale, spec: &CampaignSpec, cap: &mut Capture) {
+fn faulted_sched_phase(scale: Scale, ctx: RunCtx, spec: &CampaignSpec, cap: &mut Capture) {
     let tasks = scale.pick(300, 1_500);
     let tracer = Tracer::buffering();
     let trace = skewed_trace(tasks, 8, 120_000, 1.2, 17);
     let mut sim = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 5)
+        .with_checks(CheckPlane::armed(ctx.check))
         .with_faults(spec, ResilienceConfig::full())
         .with_tracer(tracer.clone(), "fsched");
     sim.run(&trace);
@@ -202,7 +203,7 @@ fn faulted_sched_phase(scale: Scale, spec: &CampaignSpec, cap: &mut Capture) {
 /// A faulted assembled-system run: SEU upsets with scrub/repair,
 /// software fallback, plus the SMMU/NoC injection hooks armed from the
 /// same spec. Populates `system.*`, `seu.*`, `resilience.*`.
-fn faulted_system_phase(scale: Scale, spec: &CampaignSpec, cap: &mut Capture) {
+fn faulted_system_phase(scale: Scale, ctx: RunCtx, spec: &CampaignSpec, cap: &mut Capture) {
     const KERNEL: &str = "kernel scale(in float a[], out float b[], int n) {
         for (i in 0 .. n) { b[i] = sqrt(a[i] + 1.0) * 2.0; }
     }";
@@ -211,6 +212,7 @@ fn faulted_system_phase(scale: Scale, spec: &CampaignSpec, cap: &mut Capture) {
         .workers_per_node(4)
         .compute_nodes(2)
         .kernel(KERNEL, HashMap::from([("n".to_owned(), 4096.0)]))
+        .with_checks(CheckPlane::armed(ctx.check))
         .build()
         .expect("kernel synthesizes");
     sys.set_tracer(&tracer);
@@ -321,6 +323,7 @@ fn sched_phase(scale: Scale, ctx: RunCtx, cap: &mut Capture) {
         let label = format!("sched{seed}");
         let trace = skewed_trace(tasks, 8, 120_000, 1.1, seed);
         let mut sim = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, seed)
+            .with_checks(CheckPlane::armed(ctx.check))
             .with_tracer(tracer.clone(), &label);
         sim.run(&trace);
         let mut m = MetricsRegistry::new();
@@ -337,7 +340,7 @@ fn sched_phase(scale: Scale, ctx: RunCtx, cap: &mut Capture) {
 /// explicit module load, accelerated calls, and a daemon tick.
 /// Populates `system.*`/`reconfig.*` (and the per-worker SMMU zeros)
 /// plus `w<N>/calls` and `w<N>/fabric` trace lanes.
-fn system_phase(scale: Scale, cap: &mut Capture) {
+fn system_phase(scale: Scale, ctx: RunCtx, cap: &mut Capture) {
     const KERNEL: &str = "kernel scale(in float a[], out float b[], int n) {
         for (i in 0 .. n) { b[i] = sqrt(a[i] + 1.0) * 2.0; }
     }";
@@ -346,6 +349,7 @@ fn system_phase(scale: Scale, cap: &mut Capture) {
         .workers_per_node(4)
         .compute_nodes(2)
         .kernel(KERNEL, HashMap::from([("n".to_owned(), 4096.0)]))
+        .with_checks(CheckPlane::armed(ctx.check))
         .build()
         .expect("kernel synthesizes");
     sys.set_tracer(&tracer);
@@ -379,7 +383,7 @@ fn system_phase(scale: Scale, cap: &mut Capture) {
 /// host-dependent.
 fn shard_phase(scale: Scale, ctx: RunCtx, cap: &mut Capture) -> (ShardOccupancy, Profiler) {
     let cfg = scaling_config(scale.pick(4, 8), scale.pick(48, 256));
-    let mut cp = CheckPlane::from_env();
+    let mut cp = CheckPlane::armed(ctx.check);
     let (outcome, wall) = run_shard_sim_observed_with(&cfg, ctx.shards, &mut cp);
     cap.metrics.merge(&outcome.metrics);
     cap.trace.merge(outcome.trace);
@@ -392,7 +396,7 @@ mod tests {
 
     #[test]
     fn capture_populates_every_layer() {
-        let cap = capture_observability(Scale::Quick, RunCtx::SEQUENTIAL);
+        let cap = capture_observability(Scale::Quick, crate::test_ctx());
         let m = &cap.metrics;
         assert!(m.counter("smmu.tlb_hits").unwrap() > 0);
         assert!(m.counter("smmu.tlb_misses").unwrap() > 0);
@@ -416,7 +420,7 @@ mod tests {
 
     #[test]
     fn profile_capture_returns_occupancy_and_wall_timers() {
-        let pc = capture_profile(Scale::Quick, RunCtx::SEQUENTIAL);
+        let pc = capture_profile(Scale::Quick, crate::test_ctx());
         // occupancy bands cover the configured widths and saw events
         assert!(pc.occupancy.events > 0);
         assert!(pc.occupancy.windows > 0);
@@ -433,7 +437,7 @@ mod tests {
         assert!(pc.wall.is_enabled());
         assert!(pc.wall.total_ns() > 0);
         // the capture itself matches the plain observability capture
-        let plain = capture_observability(Scale::Quick, RunCtx::SEQUENTIAL);
+        let plain = capture_observability(Scale::Quick, crate::test_ctx());
         assert_eq!(
             pc.capture.trace.to_chrome_json(),
             plain.trace.to_chrome_json()
@@ -443,8 +447,8 @@ mod tests {
 
     #[test]
     fn telemetry_capture_is_deterministic_and_well_formed() {
-        let a = capture_telemetry(Scale::Quick, RunCtx::SEQUENTIAL, &CampaignSpec::off());
-        let b = capture_telemetry(Scale::Quick, RunCtx::SEQUENTIAL, &CampaignSpec::off());
+        let a = capture_telemetry(Scale::Quick, crate::test_ctx(), &CampaignSpec::off());
+        let b = capture_telemetry(Scale::Quick, crate::test_ctx(), &CampaignSpec::off());
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.serve.series.lifetime("serve.submitted") > 0);
         assert!(a.shard.lifetime("shard.events") > 0);
@@ -457,7 +461,7 @@ mod tests {
     fn fault_capture_records_recovery_tracks() {
         let spec =
             CampaignSpec::parse("seed=3,crash=1ms,seu=400us,scrub=800us").expect("spec parses");
-        let cap = capture_fault_campaign(Scale::Quick, &spec);
+        let cap = capture_fault_campaign(Scale::Quick, crate::test_ctx(), &spec);
         let m = &cap.metrics;
         assert!(m.counter("sched.resilience.failures").unwrap() > 0);
         assert!(m.counter("seu.upsets").unwrap() > 0);
@@ -468,7 +472,7 @@ mod tests {
 
     #[test]
     fn fault_capture_with_off_spec_matches_plain_runs() {
-        let off = capture_fault_campaign(Scale::Quick, &CampaignSpec::off());
+        let off = capture_fault_campaign(Scale::Quick, crate::test_ctx(), &CampaignSpec::off());
         // no resilience/seu instruments leak into a fault-free capture
         assert!(off.metrics.counter("seu.upsets").is_none());
         assert!(off.metrics.counter("resilience.failures").is_none());

@@ -18,7 +18,7 @@ use ecoscale_hls::KernelArgs;
 use ecoscale_noc::NodeId;
 use ecoscale_runtime::{skewed_trace, ClusterSim, ResilienceConfig, SchedPolicy};
 use ecoscale_sim::report::{fnum, Table};
-use ecoscale_sim::{CampaignSpec, Duration};
+use ecoscale_sim::{CampaignSpec, CheckPlane, Duration};
 
 use crate::ExpRun;
 
@@ -74,7 +74,8 @@ pub fn e16_resilience(run: &ExpRun) -> Table {
         .collect();
     let rows = run.ctx.map(combos, move |(label, k, policy, cfg)| {
         let trace = skewed_trace(tasks, workers, 120_000, 1.2, 17);
-        let mut sim = ClusterSim::new(workers, SchedPolicy::LazyLocal { probes: 2 }, 5);
+        let mut sim = ClusterSim::new(workers, SchedPolicy::LazyLocal { probes: 2 }, 5)
+            .with_checks(CheckPlane::armed(run.ctx.check));
         if k > 0.0 {
             sim = sim.with_faults(&base.scaled(k), cfg);
         }
@@ -135,6 +136,7 @@ pub fn e16b_fabric(run: &ExpRun) -> Table {
             .workers_per_node(4)
             .compute_nodes(2)
             .kernel(KERNEL, HashMap::from([("n".to_owned(), n as f64)]))
+            .with_checks(CheckPlane::armed(run.ctx.check))
             .build()
             .expect("kernel synthesizes");
         if k > 0.0 {
@@ -182,10 +184,9 @@ pub fn e16b_fabric(run: &ExpRun) -> Table {
 mod tests {
     use super::*;
     use crate::Scale;
-    use ecoscale_sim::RunCtx;
 
     fn quick() -> ExpRun {
-        ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL)
+        ExpRun::new(Scale::Quick, crate::test_ctx())
     }
 
     fn rows(t: &Table) -> Vec<Vec<String>> {

@@ -8,7 +8,7 @@ use ecoscale_hls::KernelAnalysis;
 use ecoscale_noc::{NodeId, TreeTopology};
 use ecoscale_runtime::{skewed_trace, ClusterSim, SchedPolicy};
 use ecoscale_sim::report::{fnum, fratio, Table};
-use ecoscale_sim::{Duration, Energy, SimRng};
+use ecoscale_sim::{CheckPlane, Duration, Energy, SimRng};
 
 use crate::ExpRun;
 
@@ -31,6 +31,7 @@ pub fn e07_scheduler(run: &ExpRun) -> Table {
         .compute_nodes(2)
         .hls_budget(ecoscale_fpga::Resources::new(3900, 64, 200))
         .kernel(src, ecoscale_apps::blackscholes::kernel_hints(65_536))
+        .with_checks(CheckPlane::armed(run.ctx.check))
         .build()
         .expect("builds");
     let mut adaptive_time = Duration::ZERO;
@@ -175,7 +176,9 @@ pub fn e08_lazy(run: &ExpRun) -> Table {
         ]
         .into_iter()
         .map(|(name, policy)| {
-            let r = ClusterSim::new(w, policy, 1).run(&trace);
+            let r = ClusterSim::new(w, policy, 1)
+                .with_checks(CheckPlane::armed(run.ctx.check))
+                .run(&trace);
             vec![
                 grain.to_owned(),
                 w.to_string(),
@@ -199,7 +202,6 @@ pub fn e08_lazy(run: &ExpRun) -> Table {
 mod tests {
     use super::*;
     use crate::Scale;
-    use ecoscale_sim::RunCtx;
 
     fn parse_ratio(cell: &str) -> f64 {
         cell.trim_end_matches('x').parse().unwrap()
@@ -207,7 +209,7 @@ mod tests {
 
     #[test]
     fn e07_adaptive_between_static_and_oracle() {
-        let t = e07_scheduler(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
+        let t = e07_scheduler(&ExpRun::new(Scale::Quick, crate::test_ctx()));
         let rows: HashMap<String, f64> = (0..t.len())
             .map(|i| {
                 let c = t.cells(i).unwrap();
@@ -226,7 +228,7 @@ mod tests {
 
     #[test]
     fn e08_lazy_cheapest_overhead_at_scale() {
-        let t = e08_lazy(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL));
+        let t = e08_lazy(&ExpRun::new(Scale::Quick, crate::test_ctx()));
         // for the largest worker count, centralized overhead exceeds lazy
         let rows: Vec<_> = (0..t.len()).map(|i| t.cells(i).unwrap().to_vec()).collect();
         let biggest = &rows[rows.len() - 3..];

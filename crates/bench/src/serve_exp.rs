@@ -56,7 +56,8 @@ pub fn s1_serving(run: &ExpRun) -> Table {
     );
     let mut last_pair = (0u64, 0u64);
     for &rate in rates {
-        let cfg = serving_config(rate, horizon_us);
+        let mut cfg = serving_config(rate, horizon_us);
+        cfg.ctx.check = run.ctx.check;
         let mut off = cfg.clone();
         off.spec = cfg.spec.batching_off();
         let mut cp = CheckPlane::enabled(1);
@@ -99,12 +100,11 @@ pub fn s1_serving(run: &ExpRun) -> Table {
 mod tests {
     use super::*;
     use crate::Scale;
-    use ecoscale_sim::RunCtx;
 
     #[test]
     fn s1_runs_quick_and_is_deterministic() {
-        let a = s1_serving(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL)).to_string();
-        let b = s1_serving(&ExpRun::new(Scale::Quick, RunCtx::SEQUENTIAL)).to_string();
+        let a = s1_serving(&ExpRun::new(Scale::Quick, crate::test_ctx())).to_string();
+        let b = s1_serving(&ExpRun::new(Scale::Quick, crate::test_ctx())).to_string();
         assert_eq!(a, b);
         assert!(a.contains("S1:"));
     }

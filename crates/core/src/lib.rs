@@ -38,9 +38,8 @@ pub use chain::{Chain, ChainCost};
 pub use power::{machine_power_for_exaflop, MachineClass, PowerBreakdown};
 pub use report::{FunctionSummary, SystemReport};
 pub use serve_model::{
-    linear_test_mix, run_serve_sim, run_serve_sim_with, serve_checkpoint, serve_hints,
-    serve_migrate, serve_migrate_with, serve_resume, serve_resume_with, CellSim, ServeKernel,
-    ServeOutcome, ServeSimConfig, ServeTelemetry,
+    linear_test_mix, run_serve_sim_with, serve_checkpoint, serve_hints, serve_migrate_with,
+    serve_resume_with, CellSim, ServeKernel, ServeOutcome, ServeSimConfig, ServeTelemetry,
 };
 pub use shard_model::{
     run_shard_sim_observed, run_shard_sim_observed_with, run_shard_sim_with, ClusterEv,
@@ -50,3 +49,12 @@ pub use system::{CallOutcome, EcoscaleSystem, SystemBuilder};
 pub use unilogic::{AccessPath, PathCost, UnilogicModel};
 pub use virtblock::{SharingMode, VirtualizationBlock};
 pub use worker::Worker;
+
+#[cfg(test)]
+/// The run context this crate's tests hand to what they build: one
+/// thread, one shard, and checks armed from `ECOSCALE_CHECK`, so an armed
+/// test pass checks every system and serving cell they run.
+pub(crate) fn test_ctx() -> ecoscale_sim::RunCtx {
+    let check = std::env::var(ecoscale_sim::check::CHECK_ENV).ok();
+    ecoscale_sim::RunCtx::parse(Some("1"), Some("1"), check.as_deref())
+}

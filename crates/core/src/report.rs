@@ -217,6 +217,7 @@ mod tests {
     use crate::system::SystemBuilder;
     use ecoscale_hls::KernelArgs;
     use ecoscale_noc::NodeId;
+    use ecoscale_sim::CheckPlane;
     use std::collections::HashMap;
 
     const K: &str = "kernel hot(in float a[], out float b[], int n) {
@@ -237,6 +238,7 @@ mod tests {
             .workers_per_node(4)
             .compute_nodes(2)
             .kernel(K, HashMap::from([("n".to_owned(), 4096.0)]))
+            .with_checks(CheckPlane::armed(crate::test_ctx().check))
             .build()
             .unwrap();
         let empty = SystemReport::capture(&s);
@@ -298,6 +300,7 @@ mod tests {
             .workers_per_node(2)
             .compute_nodes(2)
             .kernel(K, HashMap::from([("n".to_owned(), 4096.0)]))
+            .with_checks(CheckPlane::armed(crate::test_ctx().check))
             .build()
             .unwrap();
         s.set_tracer(&tracer);

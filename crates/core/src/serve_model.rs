@@ -4,8 +4,8 @@
 //! `runtime::serve` owns the traffic side — workload generation,
 //! admission, batching, SLO accounting. This module is the backend glue:
 //! it partitions the spec's tenants across **serving cells** (one
-//! [`EcoscaleSystem`] each, run on [`ServeSimConfig::threads`] threads
-//! via [`RunCtx::map`] with results merged in cell order, so exports are
+//! [`EcoscaleSystem`] each, run on the [`ServeSimConfig::ctx`] pool via
+//! [`RunCtx::map`] with results merged in cell order, so exports are
 //! byte-identical at any width), and inside each cell runs the serving
 //! event loop:
 //!
@@ -99,9 +99,9 @@ pub struct ServeSimConfig {
     /// [`ServeOutcome::telemetry`]. `None` costs one branch per cadence
     /// tick and allocates nothing.
     pub telemetry: Option<TelemetryConfig>,
-    /// Pool width the cells run on (default 1). Every export is
-    /// byte-identical at any width.
-    pub threads: usize,
+    /// The cells' pool width and their systems' check cadence (default
+    /// [`RunCtx::SEQUENTIAL`]). Every export is byte-identical at any width.
+    pub ctx: RunCtx,
     artifacts: ArtifactCache,
 }
 
@@ -157,16 +157,8 @@ impl ServeSimConfig {
             faults: CampaignSpec::off(),
             resilience: ResilienceConfig::full(),
             telemetry: None,
-            threads: 1,
+            ctx: RunCtx::SEQUENTIAL,
             artifacts: ArtifactCache::default(),
-        }
-    }
-
-    /// The context the cells fan out on.
-    fn cell_pool(&self) -> RunCtx {
-        RunCtx {
-            threads: self.threads,
-            ..RunCtx::SEQUENTIAL
         }
     }
 }
@@ -175,7 +167,7 @@ impl ServeSimConfig {
 /// [`ServeSimConfig::telemetry`] was set: the per-cell time series
 /// merged in cell order plus every cell's flight recorder (kept
 /// separate — event rings are per-cell evidence, not mergeable
-/// streams). Byte-identical at any [`ServeSimConfig::threads`].
+/// streams). Byte-identical at any pool width.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeTelemetry {
     /// Windowed series merged across cells in cell order.
@@ -287,13 +279,6 @@ struct CellTelem {
     last_quar: u64,
 }
 
-/// Runs the serving simulation, arming the CheckPlane from
-/// `ECOSCALE_CHECK`.
-pub fn run_serve_sim(cfg: &ServeSimConfig) -> ServeOutcome {
-    let mut cp = CheckPlane::from_env();
-    run_serve_sim_with(cfg, &mut cp)
-}
-
 /// Runs the serving simulation, absorbing every cell's invariant
 /// tallies into `cp`. (Cells always check their own planes at cadence
 /// 1; `cp` only controls aggregation.)
@@ -304,7 +289,7 @@ pub fn run_serve_sim(cfg: &ServeSimConfig) -> ServeOutcome {
 /// system config.
 pub fn run_serve_sim_with(cfg: &ServeSimConfig, cp: &mut CheckPlane) -> ServeOutcome {
     let artifacts = prepare(cfg);
-    let results = cfg.cell_pool().map(partition_tenants(cfg), |ids| {
+    let results = cfg.ctx.map(partition_tenants(cfg), |ids| {
         let mut cell = CellSim::provisioned(cfg, ids, Arc::clone(&artifacts));
         cell.run(None);
         cell.into_result()
@@ -405,6 +390,7 @@ fn cell_builder(cfg: &ServeSimConfig) -> SystemBuilder {
 
 fn build_cell_system(cfg: &ServeSimConfig, artifacts: &SystemArtifacts) -> EcoscaleSystem {
     let mut system = cell_builder(cfg)
+        .with_checks(CheckPlane::armed(cfg.ctx.check))
         .assemble(artifacts)
         .expect("serving cell shape must build");
     // A serving cell provisions its mix eagerly: every lane keeps the
@@ -423,10 +409,10 @@ fn build_cell_system(cfg: &ServeSimConfig, artifacts: &SystemArtifacts) -> Ecosc
 /// One serving cell's event loop held as an explicit state machine, so a
 /// run can pause at a loop boundary, serialize itself with
 /// [`CellSim::snapshot_state`], and continue — in this process or another
-/// — from the byte-identical point. [`run_serve_sim`] drives each cell
-/// through this type; checkpoint/resume ([`serve_checkpoint`],
-/// [`serve_resume`]) and serving-cell migration ([`serve_migrate`]) are
-/// the same loop paused and revived.
+/// — from the byte-identical point. [`run_serve_sim_with`] drives each
+/// cell through this type; checkpoint/resume ([`serve_checkpoint`],
+/// [`serve_resume_with`]) and serving-cell migration
+/// ([`serve_migrate_with`]) are the same loop paused and revived.
 pub struct CellSim<'a> {
     cfg: &'a ServeSimConfig,
     artifacts: Arc<SystemArtifacts>,
@@ -454,7 +440,7 @@ impl<'a> CellSim<'a> {
     ///
     /// # Panics
     ///
-    /// As [`run_serve_sim`].
+    /// As [`run_serve_sim_with`].
     pub fn new(cfg: &'a ServeSimConfig, ids: Vec<u32>) -> CellSim<'a> {
         CellSim::provisioned(cfg, ids, prepare(cfg))
     }
@@ -929,19 +915,19 @@ fn check_meta(
 /// into one versioned snapshot: a `meta` section pinning the config and
 /// one checksummed `cell.N` section per serving cell, each paused at a
 /// safe loop boundary no later than `at`. Cells already drained by `at`
-/// are captured drained. Feed the bytes to [`serve_resume`] (same
-/// config) to continue the run bit-identically, or to [`serve_migrate`]
-/// to move one cell's tenants onto healthy hardware.
+/// are captured drained. Feed the bytes to [`serve_resume_with`] (same config)
+/// to continue the run bit-identically, or to [`serve_migrate_with`] to move
+/// one cell's tenants onto healthy hardware.
 ///
 /// # Panics
 ///
 /// Panics on an empty kernel mix or a zero cadence (as
-/// [`run_serve_sim`]).
+/// [`run_serve_sim_with`]).
 pub fn serve_checkpoint(cfg: &ServeSimConfig, at: Time) -> Vec<u8> {
     let artifacts = prepare(cfg);
     let parts = partition_tenants(cfg);
     let cells = parts.len();
-    let states = cfg.cell_pool().map(parts, |ids| {
+    let states = cfg.ctx.map(parts, |ids| {
         let mut cell = CellSim::provisioned(cfg, ids, Arc::clone(&artifacts));
         cell.run(Some(at));
         let mut w = SnapWriter::new();
@@ -957,26 +943,16 @@ pub fn serve_checkpoint(cfg: &ServeSimConfig, at: Time) -> Vec<u8> {
 }
 
 /// Resumes a [`serve_checkpoint`] stream to full drain under the same
-/// config, arming the outer CheckPlane from `ECOSCALE_CHECK`. The
+/// config, absorbing every cell's invariant tallies into `cp`. The
 /// continuation is bit-identical to the uninterrupted
-/// [`run_serve_sim`] of the same config — metrics, report and serving
-/// exports byte-for-byte.
+/// [`run_serve_sim_with`] of the same config — metrics, report and
+/// serving exports byte-for-byte.
 ///
 /// # Errors
 ///
 /// [`RestoreError`] when the stream is corrupt (bad magic, future
 /// version, truncation, checksum mismatch — all refused before any
 /// state is touched) or disagrees with `cfg`.
-pub fn serve_resume(cfg: &ServeSimConfig, bytes: &[u8]) -> Result<ServeOutcome, RestoreError> {
-    let mut cp = CheckPlane::from_env();
-    serve_resume_with(cfg, bytes, &mut cp)
-}
-
-/// [`serve_resume`] absorbing every cell's invariant tallies into `cp`.
-///
-/// # Errors
-///
-/// As [`serve_resume`].
 pub fn serve_resume_with(
     cfg: &ServeSimConfig,
     bytes: &[u8],
@@ -989,27 +965,13 @@ pub fn serve_resume_with(
 /// tenants onto a freshly provisioned, fault-free system (the serving
 /// answer to a quarantined cell): its ServePlane ledger and in-flight
 /// batches move wholesale, so no accepted request is lost. The other
-/// cells resume in place. Arms the outer CheckPlane from
-/// `ECOSCALE_CHECK`.
+/// cells resume in place. Every cell's invariant tallies are absorbed
+/// into `cp`.
 ///
 /// # Errors
 ///
-/// As [`serve_resume`], plus a malformed error for a `victim` index out
-/// of range.
-pub fn serve_migrate(
-    cfg: &ServeSimConfig,
-    bytes: &[u8],
-    victim: usize,
-) -> Result<ServeOutcome, RestoreError> {
-    let mut cp = CheckPlane::from_env();
-    serve_migrate_with(cfg, bytes, victim, &mut cp)
-}
-
-/// [`serve_migrate`] absorbing every cell's invariant tallies into `cp`.
-///
-/// # Errors
-///
-/// As [`serve_migrate`].
+/// As [`serve_resume_with`], plus a malformed error for a `victim` index
+/// out of range.
 pub fn serve_migrate_with(
     cfg: &ServeSimConfig,
     bytes: &[u8],
@@ -1060,7 +1022,7 @@ fn resume_inner(
     // The mix is built only once the stream has passed its checks, just
     // before the first cell needs it.
     let artifacts = OnceLock::new();
-    let ctx = cfg.cell_pool();
+    let ctx = cfg.ctx;
     let results = ctx.map(parts, |(i, ids)| -> Result<CellResult, RestoreError> {
         let mut sect = file.section(&format!("cell.{i}"))?;
         let payload = sect.get_bytes()?;
@@ -1154,7 +1116,20 @@ mod tests {
         let spec =
             ServeSpec::parse("seed=21,tenants=4,rate=100000,horizon=500us,batch=4,deadline=200us")
                 .unwrap();
-        ServeSimConfig::new(spec, linear_test_mix())
+        ServeSimConfig {
+            ctx: crate::test_ctx(),
+            ..ServeSimConfig::new(spec, linear_test_mix())
+        }
+    }
+
+    /// A serving run whose aggregated tallies the test does not read.
+    fn run(cfg: &ServeSimConfig) -> ServeOutcome {
+        run_serve_sim_with(cfg, &mut CheckPlane::disabled())
+    }
+
+    /// [`run`] for a resume.
+    fn resume(cfg: &ServeSimConfig, bytes: &[u8]) -> Result<ServeOutcome, RestoreError> {
+        serve_resume_with(cfg, bytes, &mut CheckPlane::disabled())
     }
 
     #[test]
@@ -1185,8 +1160,8 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let cfg = quick_cfg();
-        let a = run_serve_sim(&cfg);
-        let b = run_serve_sim(&cfg);
+        let a = run(&cfg);
+        let b = run(&cfg);
         assert_eq!(a.serving, b.serving);
         assert_eq!(a.metrics.to_json(), b.metrics.to_json());
         assert_eq!(a.report.to_json(), b.report.to_json());
@@ -1197,8 +1172,8 @@ mod tests {
         let cfg = quick_cfg();
         let mut split = quick_cfg();
         split.cells = 2;
-        let whole = run_serve_sim(&cfg);
-        let split = run_serve_sim(&split);
+        let whole = run(&cfg);
+        let split = run(&split);
         // per-tenant arrival streams are salted by global id: the
         // submitted totals agree regardless of the partition
         assert_eq!(whole.serving.submitted(), split.serving.submitted());
@@ -1207,7 +1182,7 @@ mod tests {
         // cells clamp to the tenant count
         let mut over = quick_cfg();
         over.cells = 64;
-        let over = run_serve_sim(&over);
+        let over = run(&over);
         assert!(over.serving.conserved());
     }
 
@@ -1221,10 +1196,11 @@ mod tests {
         .unwrap();
         let mut on = ServeSimConfig::new(spec.clone(), linear_test_mix());
         on.items = 32;
+        on.ctx = crate::test_ctx();
         let mut off = on.clone();
         off.spec = spec.batching_off();
-        let on = run_serve_sim(&on);
-        let off = run_serve_sim(&off);
+        let on = run(&on);
+        let off = run(&off);
         assert!(on.serving.conserved() && off.serving.conserved());
         assert!(
             on.serving.goodput() > off.serving.goodput(),
@@ -1238,7 +1214,7 @@ mod tests {
     fn checkpoint_resume_is_bit_identical() {
         let mut cfg = quick_cfg();
         cfg.cells = 2;
-        let full = run_serve_sim(&cfg);
+        let full = run(&cfg);
         for at_us in [0u64, 120, 250] {
             let bytes = serve_checkpoint(&cfg, Time::from_us(at_us));
             let mut cp = CheckPlane::enabled(1);
@@ -1255,7 +1231,7 @@ mod tests {
     fn faulted_checkpoint_resume_is_bit_identical() {
         let mut cfg = quick_cfg();
         cfg.faults = CampaignSpec::parse("seed=5,seu=200us,smmu=0.002,scrub=400us").unwrap();
-        let full = run_serve_sim(&cfg);
+        let full = run(&cfg);
         let bytes = serve_checkpoint(&cfg, Time::from_us(200));
         let mut cp = CheckPlane::enabled(1);
         let resumed = serve_resume_with(&cfg, &bytes, &mut cp).expect("resume");
@@ -1272,15 +1248,12 @@ mod tests {
         // bad magic
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;
-        assert!(matches!(
-            serve_resume(&cfg, &bad),
-            Err(RestoreError::BadMagic)
-        ));
+        assert!(matches!(resume(&cfg, &bad), Err(RestoreError::BadMagic)));
         // future version
         let mut bad = bytes.clone();
         bad[8] = bad[8].wrapping_add(1);
         assert!(matches!(
-            serve_resume(&cfg, &bad),
+            resume(&cfg, &bad),
             Err(RestoreError::FutureVersion { .. })
         ));
         // flip one payload bit in every section: checksum verification
@@ -1293,21 +1266,21 @@ mod tests {
         for (name, offset) in cuts {
             let mut bad = bytes.clone();
             bad[offset] ^= 0x01;
-            match serve_resume(&cfg, &bad) {
+            match resume(&cfg, &bad) {
                 Err(RestoreError::BadChecksum { section, .. }) => assert_eq!(section, name),
                 other => panic!("corrupt `{name}` gave {other:?}"),
             }
         }
         // truncation
         assert!(matches!(
-            serve_resume(&cfg, &bytes[..bytes.len() / 2]),
+            resume(&cfg, &bytes[..bytes.len() / 2]),
             Err(RestoreError::Truncated { .. }) | Err(RestoreError::Malformed { .. })
         ));
         // a different config must be refused by the meta section
         let mut other = quick_cfg();
         other.spec.tenants = 3;
         assert!(matches!(
-            serve_resume(&other, &bytes),
+            resume(&other, &bytes),
             Err(RestoreError::Malformed { .. })
         ));
     }
@@ -1329,7 +1302,7 @@ mod tests {
         assert!(out.serving.completed() > 0);
         // out-of-range victim is a typed refusal
         assert!(matches!(
-            serve_migrate(&cfg, &bytes, 99),
+            serve_migrate_with(&cfg, &bytes, 99, &mut CheckPlane::disabled()),
             Err(RestoreError::Malformed { .. })
         ));
     }
@@ -1357,7 +1330,7 @@ mod tests {
             .is_some());
         assert!(parsed.get("flights").is_some());
         // disabled telemetry costs nothing and exports nothing
-        let off = run_serve_sim(&quick_cfg());
+        let off = run(&quick_cfg());
         assert!(off.telemetry.is_none());
     }
 
@@ -1366,11 +1339,11 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.cells = 2;
         cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
-        let full = run_serve_sim(&cfg);
+        let full = run(&cfg);
         let ft = full.telemetry.as_ref().expect("telemetry armed");
         for at_us in [0u64, 120, 250] {
             let bytes = serve_checkpoint(&cfg, Time::from_us(at_us));
-            let resumed = serve_resume(&cfg, &bytes).expect("resume");
+            let resumed = resume(&cfg, &bytes).expect("resume");
             let rt = resumed.telemetry.as_ref().expect("telemetry armed");
             assert_eq!(rt.to_json(), ft.to_json(), "at {at_us}us");
             assert_eq!(rt.flight_dump_json(8), ft.flight_dump_json(8));
@@ -1380,7 +1353,7 @@ mod tests {
         let mut off = cfg.clone();
         off.telemetry = None;
         assert!(matches!(
-            serve_resume(&off, &bytes),
+            resume(&off, &bytes),
             Err(RestoreError::Malformed { .. })
         ));
     }
@@ -1394,7 +1367,8 @@ mod tests {
                 .unwrap();
         let mut cfg = ServeSimConfig::new(spec, linear_test_mix());
         cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
-        let out = run_serve_sim(&cfg);
+        cfg.ctx = crate::test_ctx();
+        let out = run(&cfg);
         let t = out.telemetry.expect("telemetry armed");
         assert!(t.fired(), "breached SLO must latch a trigger");
         let first = t.first_trigger().expect("trigger");

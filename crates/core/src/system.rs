@@ -148,6 +148,7 @@ pub struct SystemBuilder {
     fabric_rows: u32,
     hls_budget: Resources,
     kernels: Vec<(String, HashMap<String, f64>)>,
+    check: CheckPlane,
 }
 
 impl Default for SystemBuilder {
@@ -160,6 +161,7 @@ impl Default for SystemBuilder {
             fabric_rows: 80,
             hls_budget: Resources::new(2000, 64, 64),
             kernels: Vec::new(),
+            check: CheckPlane::disabled(),
         }
     }
 }
@@ -200,6 +202,12 @@ impl SystemBuilder {
     /// Registers a kernel (source + scalar hints for HLS).
     pub fn kernel(mut self, source: &str, hints: HashMap<String, f64>) -> SystemBuilder {
         self.kernels.push((source.to_owned(), hints));
+        self
+    }
+
+    /// Installs the plane [`EcoscaleSystem::daemon_tick`] self-checks with.
+    pub fn with_checks(mut self, check: CheckPlane) -> SystemBuilder {
+        self.check = check;
         self
     }
 
@@ -290,7 +298,7 @@ impl SystemBuilder {
             calls_fpga_local: Counter::new(),
             calls_fpga_remote: Counter::new(),
             faults: None,
-            check: CheckPlane::from_env(),
+            check: self.check,
         })
     }
 }
@@ -537,6 +545,11 @@ impl EcoscaleSystem {
         });
     }
 
+    /// The self-check tallies (see [`SystemBuilder::with_checks`]).
+    pub fn checks(&self) -> &CheckPlane {
+        &self.check
+    }
+
     /// The resilience manager's view of the campaign so far (`None`
     /// until [`EcoscaleSystem::enable_faults`] armed a live campaign).
     pub fn resilience(&self) -> Option<&ResilienceManager> {
@@ -629,8 +642,8 @@ impl EcoscaleSystem {
                 }
             }
         }
-        // Self-check pass at the plane's cadence when `ECOSCALE_CHECK` is
-        // armed; the take/put dance lets the hook borrow `&self` whole.
+        // Self-check pass at the plane's cadence when the builder armed
+        // one; the take/put dance lets the hook borrow `&self` whole.
         if self.check.due() {
             let mut cp = std::mem::take(&mut self.check);
             self.check_invariants(&mut cp);
@@ -922,6 +935,7 @@ mod tests {
             .workers_per_node(4)
             .compute_nodes(4)
             .kernel(SCALE, HashMap::from([("n".to_owned(), 4096.0)]))
+            .with_checks(CheckPlane::armed(crate::test_ctx().check))
             .build()
             .unwrap()
     }
@@ -1341,6 +1355,33 @@ mod tests {
                 "truncated stream at {cut} restored fully"
             );
         }
+    }
+
+    #[test]
+    fn arming_is_per_value_not_per_process() {
+        // Two systems side by side in one process: only the plane each
+        // builder was handed decides whether it self-checks, whatever the
+        // environment says.
+        let run = |builder: SystemBuilder| {
+            let mut s = builder
+                .workers_per_node(2)
+                .compute_nodes(2)
+                .kernel(SCALE, HashMap::from([("n".to_owned(), 256.0)]))
+                .build()
+                .unwrap();
+            for _ in 0..4 {
+                s.call(NodeId(0), "scale", &mut args(256)).unwrap();
+            }
+            s.daemon_tick();
+            s.checks().checks_run()
+        };
+        let (armed, bare) = std::thread::scope(|sc| {
+            let armed = sc.spawn(|| run(SystemBuilder::new().with_checks(CheckPlane::armed(1))));
+            let bare = sc.spawn(|| run(SystemBuilder::new()));
+            (armed.join().unwrap(), bare.join().unwrap())
+        });
+        assert!(armed > 0, "the armed system ran no checks");
+        assert_eq!(bare, 0, "a system built without a plane ran checks");
     }
 
     #[test]

@@ -117,7 +117,7 @@ enum Ev {
 /// ```
 /// use ecoscale_noc::NodeId;
 /// use ecoscale_runtime::{ClusterSim, SchedPolicy, Task, TaskId, TaskSpec};
-/// use ecoscale_sim::Time;
+/// use ecoscale_sim::{CheckPlane, Time};
 ///
 /// let tasks: Vec<TaskSpec> = (0..64)
 ///     .map(|i| TaskSpec {
@@ -125,10 +125,11 @@ enum Ev {
 ///         arrival: Time::ZERO,
 ///     })
 ///     .collect();
-/// let report = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 42).run(&tasks);
+/// let mut sim = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 42)
+///     .with_checks(CheckPlane::enabled(1));
 /// // all tasks land on worker 0's queue but stealing spreads them:
 /// // several workers end up busy, so the run beats serial execution
-/// assert!(report.mean_utilization > 2.0 / 8.0);
+/// assert!(sim.run(&tasks).mean_utilization > 2.0 / 8.0 && sim.checks().ok());
 /// ```
 #[derive(Debug)]
 pub struct ClusterSim {
@@ -171,7 +172,7 @@ struct SchedInstruments {
 }
 
 impl ClusterSim {
-    /// Creates a simulator for `workers` workers under `policy`.
+    /// Creates a simulator for `workers` workers under `policy`, checks off.
     ///
     /// # Panics
     ///
@@ -189,7 +190,7 @@ impl ClusterSim {
             tracer: Tracer::disabled(),
             trace_label: "sched".to_owned(),
             faults: None,
-            check: CheckPlane::from_env(),
+            check: CheckPlane::disabled(),
         }
     }
 
@@ -249,9 +250,9 @@ impl ClusterSim {
         self
     }
 
-    /// The installed CheckPlane (armed from `ECOSCALE_CHECK` by
-    /// [`ClusterSim::new`] unless replaced by [`ClusterSim::with_checks`]);
-    /// violations collected by [`ClusterSim::run`] are read back from here.
+    /// The installed CheckPlane (disabled unless installed by
+    /// [`ClusterSim::with_checks`]); violations collected by
+    /// [`ClusterSim::run`] are read back from here.
     pub fn checks(&self) -> &CheckPlane {
         &self.check
     }
@@ -830,6 +831,37 @@ pub fn partitioned_traces(
 mod tests {
     use super::*;
     use crate::task::TaskId;
+    use ecoscale_sim::check::CHECK_ENV;
+    use ecoscale_sim::RunCtx;
+
+    /// [`ClusterSim::new`] with checks armed from `ECOSCALE_CHECK`, so an
+    /// armed test pass checks every run these tests make.
+    fn sim(workers: usize, policy: SchedPolicy, seed: u64) -> ClusterSim {
+        let check = std::env::var(CHECK_ENV).ok();
+        let ctx = RunCtx::parse(Some("1"), Some("1"), check.as_deref());
+        ClusterSim::new(workers, policy, seed).with_checks(CheckPlane::armed(ctx.check))
+    }
+
+    #[test]
+    fn arming_is_per_value_not_per_process() {
+        // An armed and a bare simulator side by side in one process: only
+        // the plane each was handed decides whether it checks, whatever
+        // the environment says.
+        let trace = skewed_trace(200, 8, 100_000, 1.0, 7);
+        let run = |mut sim: ClusterSim| {
+            sim.run(&trace);
+            sim.checks().checks_run()
+        };
+        let policy = SchedPolicy::LazyLocal { probes: 2 };
+        let (armed, bare) = std::thread::scope(|s| {
+            let armed =
+                s.spawn(|| run(ClusterSim::new(8, policy, 1).with_checks(CheckPlane::armed(1))));
+            let bare = s.spawn(|| run(ClusterSim::new(8, policy, 1)));
+            (armed.join().unwrap(), bare.join().unwrap())
+        });
+        assert!(armed > 0, "the armed simulator ran no checks");
+        assert_eq!(bare, 0, "a simulator without a plane ran checks");
+    }
 
     fn uniform_trace(count: usize, flops: u64) -> Vec<TaskSpec> {
         (0..count)
@@ -871,7 +903,7 @@ mod tests {
             SchedPolicy::Centralized,
             SchedPolicy::RandomPush,
         ] {
-            let r = ClusterSim::new(8, policy, 1).run(&trace);
+            let r = sim(8, policy, 1).run(&trace);
             assert!(r.makespan > Time::ZERO, "{policy:?}");
             assert!(r.mean_utilization > 0.0, "{policy:?}");
             assert_eq!(r.completed, 200, "{policy:?}");
@@ -883,8 +915,8 @@ mod tests {
     #[test]
     fn lazy_balances_skewed_load() {
         let trace = skewed_trace(400, 16, 200_000, 1.2, 11);
-        let lazy = ClusterSim::new(16, SchedPolicy::LazyLocal { probes: 3 }, 1).run(&trace);
-        let pushy = ClusterSim::new(16, SchedPolicy::RandomPush, 1).run(&trace);
+        let lazy = sim(16, SchedPolicy::LazyLocal { probes: 3 }, 1).run(&trace);
+        let pushy = sim(16, SchedPolicy::RandomPush, 1).run(&trace);
         // stealing repairs the Zipf skew that random push leaves on the
         // home distribution... random push actually spreads uniformly, so
         // compare against *no* stealing by noting lazy completes sooner
@@ -896,8 +928,8 @@ mod tests {
     #[test]
     fn centralized_pays_dispatch_overhead() {
         let trace = uniform_trace(256, 50_000);
-        let central = ClusterSim::new(16, SchedPolicy::Centralized, 1).run(&trace);
-        let lazy = ClusterSim::new(16, SchedPolicy::LazyLocal { probes: 2 }, 1).run(&trace);
+        let central = sim(16, SchedPolicy::Centralized, 1).run(&trace);
+        let lazy = sim(16, SchedPolicy::LazyLocal { probes: 2 }, 1).run(&trace);
         assert!(central.sched_overhead > lazy.sched_overhead);
         assert!(central.messages > 0);
     }
@@ -906,8 +938,8 @@ mod tests {
     fn centralized_serializes_at_scale() {
         // with many tiny tasks the dispatcher becomes the bottleneck
         let trace = uniform_trace(2000, 5_000);
-        let small = ClusterSim::new(4, SchedPolicy::Centralized, 1).run(&trace);
-        let big = ClusterSim::new(64, SchedPolicy::Centralized, 1).run(&trace);
+        let small = sim(4, SchedPolicy::Centralized, 1).run(&trace);
+        let big = sim(64, SchedPolicy::Centralized, 1).run(&trace);
         // adding workers cannot help once the dispatcher saturates:
         // makespan stays within 3x instead of scaling by 16x
         assert!(big.makespan.as_ns() as f64 > small.makespan.as_ns() as f64 / 8.0);
@@ -916,7 +948,7 @@ mod tests {
     #[test]
     fn single_worker_degenerate() {
         let trace = uniform_trace(10, 10_000);
-        let r = ClusterSim::new(1, SchedPolicy::LazyLocal { probes: 1 }, 1).run(&trace);
+        let r = sim(1, SchedPolicy::LazyLocal { probes: 1 }, 1).run(&trace);
         assert!(r.max_utilization > 0.9);
         assert!(r.imbalance < 1e-9);
     }
@@ -924,8 +956,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let trace = skewed_trace(100, 8, 80_000, 1.0, 3);
-        let a = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 5).run(&trace);
-        let b = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 5).run(&trace);
+        let a = sim(8, SchedPolicy::LazyLocal { probes: 2 }, 5).run(&trace);
+        let b = sim(8, SchedPolicy::LazyLocal { probes: 2 }, 5).run(&trace);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.messages, b.messages);
     }
@@ -941,13 +973,13 @@ mod tests {
     fn pins_golden_schedules() {
         use ecoscale_sim::snap::fnv1a64;
         let trace = skewed_trace(300, 8, 120_000, 1.3, 21);
-        let r = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 9).run(&trace);
+        let r = sim(8, SchedPolicy::LazyLocal { probes: 2 }, 9).run(&trace);
         assert_eq!(r.makespan.as_ps(), 5_417_607_987);
         assert_eq!(r.sched_overhead.as_ps(), 59_100_000);
         assert_eq!(r.messages, 197);
 
         let trace = skewed_trace(64, 4, 60_000, 1.0, 5);
-        let r = ClusterSim::new(4, SchedPolicy::LazyLocal { probes: 3 }, 2).run(&trace);
+        let r = sim(4, SchedPolicy::LazyLocal { probes: 3 }, 2).run(&trace);
         assert_eq!(r.makespan.as_ps(), 1_159_461_494);
         assert_eq!(r.sched_overhead.as_ps(), 14_700_000);
         assert_eq!(r.messages, 49);
@@ -1063,7 +1095,7 @@ mod tests {
                 } else {
                     CampaignSpec::parse(spec).expect("valid spec")
                 };
-                let mut sim = ClusterSim::new(8, policy, 1)
+                let mut sim = sim(8, policy, 1)
                     .with_faults(&spec, recovery)
                     .with_tracer(Tracer::buffering(), "pin")
                     .with_checks(CheckPlane::enabled(1));
@@ -1111,8 +1143,7 @@ mod tests {
     fn instruments_and_trace_capture_executions() {
         let trace = skewed_trace(100, 8, 80_000, 1.0, 3);
         let tracer = Tracer::buffering();
-        let mut sim = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 5)
-            .with_tracer(tracer, "lane0");
+        let mut sim = sim(8, SchedPolicy::LazyLocal { probes: 2 }, 5).with_tracer(tracer, "lane0");
         sim.run(&trace);
         let mut m = MetricsRegistry::new();
         sim.export_metrics(&mut m, "sched");
@@ -1158,7 +1189,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_empty_report() {
-        let r = ClusterSim::new(4, SchedPolicy::RandomPush, 1).run(&[]);
+        let r = sim(4, SchedPolicy::RandomPush, 1).run(&[]);
         assert_eq!(r.makespan, Time::ZERO);
         assert_eq!(r.messages, 0);
         assert_eq!(r.availability, 1.0);
@@ -1167,8 +1198,8 @@ mod tests {
     #[test]
     fn off_campaign_is_a_no_op() {
         let trace = skewed_trace(200, 8, 100_000, 1.1, 13);
-        let base = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 3).run(&trace);
-        let mut faulted = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 3)
+        let base = sim(8, SchedPolicy::LazyLocal { probes: 2 }, 3).run(&trace);
+        let mut faulted = sim(8, SchedPolicy::LazyLocal { probes: 2 }, 3)
             .with_faults(&CampaignSpec::off(), ResilienceConfig::full());
         let same = faulted.run(&trace);
         assert_eq!(base, same);
@@ -1179,7 +1210,7 @@ mod tests {
     fn crashes_recover_through_retry() {
         let spec = CampaignSpec::parse("seed=3,crash=1ms").expect("valid spec");
         let trace = skewed_trace(300, 8, 120_000, 1.2, 7);
-        let mut sim = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 1)
+        let mut sim = sim(8, SchedPolicy::LazyLocal { probes: 2 }, 1)
             .with_faults(&spec, ResilienceConfig::full());
         let r = sim.run(&trace);
         let mgr = sim.resilience().expect("campaign installed");
@@ -1195,10 +1226,10 @@ mod tests {
     fn no_recovery_loses_orphaned_work() {
         let spec = CampaignSpec::parse("seed=3,crash=1ms").expect("valid spec");
         let trace = skewed_trace(300, 8, 120_000, 1.2, 7);
-        let mut none = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 1)
+        let mut none = sim(8, SchedPolicy::LazyLocal { probes: 2 }, 1)
             .with_faults(&spec, ResilienceConfig::none());
         let bare = none.run(&trace);
-        let mut full = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 1)
+        let mut full = sim(8, SchedPolicy::LazyLocal { probes: 2 }, 1)
             .with_faults(&spec, ResilienceConfig::full());
         let recovered = full.run(&trace);
         assert_eq!(bare.completed + bare.lost, 300);
@@ -1218,8 +1249,7 @@ mod tests {
             ..ResilienceConfig::retry_only()
         };
         let trace = skewed_trace(300, 8, 120_000, 1.2, 7);
-        let mut sim =
-            ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 1).with_faults(&spec, config);
+        let mut sim = sim(8, SchedPolicy::LazyLocal { probes: 2 }, 1).with_faults(&spec, config);
         let r = sim.run(&trace);
         let mgr = sim.resilience().expect("campaign installed");
         assert!(mgr.quarantines() > 0, "repeat offenders get quarantined");
@@ -1231,8 +1261,8 @@ mod tests {
     fn centralized_survives_crashes() {
         let spec = CampaignSpec::parse("seed=5,crash=2ms").expect("valid spec");
         let trace = uniform_trace(256, 50_000);
-        let mut sim = ClusterSim::new(8, SchedPolicy::Centralized, 1)
-            .with_faults(&spec, ResilienceConfig::full());
+        let mut sim =
+            sim(8, SchedPolicy::Centralized, 1).with_faults(&spec, ResilienceConfig::full());
         let r = sim.run(&trace);
         assert_eq!(r.completed + r.lost, 256);
         assert!(r.completed > 0);
@@ -1244,7 +1274,7 @@ mod tests {
         let run = || {
             let spec = CampaignSpec::parse("seed=7,crash=1ms,stall=500us,stall_for=100us")
                 .expect("valid spec");
-            let mut sim = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 3)
+            let mut sim = sim(8, SchedPolicy::LazyLocal { probes: 2 }, 3)
                 .with_faults(&spec, ResilienceConfig::full());
             let r = sim.run(&trace);
             let mgr = sim.resilience().expect("campaign installed");
@@ -1257,7 +1287,7 @@ mod tests {
     fn faulted_run_exports_resilience_metrics() {
         let spec = CampaignSpec::parse("seed=3,crash=1ms").expect("valid spec");
         let trace = skewed_trace(300, 8, 120_000, 1.2, 7);
-        let mut sim = ClusterSim::new(8, SchedPolicy::LazyLocal { probes: 2 }, 1)
+        let mut sim = sim(8, SchedPolicy::LazyLocal { probes: 2 }, 1)
             .with_faults(&spec, ResilienceConfig::full());
         sim.run(&trace);
         let mut m = MetricsRegistry::new();

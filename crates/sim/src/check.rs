@@ -16,10 +16,12 @@
 //! keeps the determinism contract intact: exports are byte-identical with the
 //! checker compiled in but switched off.
 //!
-//! Three entry points:
+//! Entry points:
 //! * [`CheckPlane::enabled`] / [`CheckPlane::disabled`] — explicit.
-//! * [`CheckPlane::from_env`] — honours `ECOSCALE_CHECK` (unset/`0` = off,
-//!   `N` = check every N-th opportunity), used by tests and `scripts/ci.sh`.
+//! * [`CheckPlane::armed`] — the caller's run context decides: its
+//!   `check` cadence is 0 (off) or `N` (a strict plane checking every
+//!   N-th opportunity). Binaries fill it from `ECOSCALE_CHECK`; library
+//!   code never reads the variable.
 //! * [`shrink`] — generic delta-debugging reducer for failing operation
 //!   streams, shared by the differential-oracle property tests and the
 //!   `fuzz_configs` sweep binary.
@@ -27,8 +29,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Environment variable enabling invariant checks (`0`/unset = disabled,
-/// `N` = run checks at every N-th [`CheckPlane::due`] opportunity).
+/// Environment variable binaries read for the check cadence; see
+/// [`RunCtx::parse`](crate::pool::RunCtx::parse).
 pub const CHECK_ENV: &str = "ECOSCALE_CHECK";
 
 /// Upper bound on retained violations; past this we only count.
@@ -263,31 +265,15 @@ impl CheckPlane {
         }
     }
 
-    /// Build from the `ECOSCALE_CHECK` environment variable; see
-    /// [`CheckPlane::from_var`].
-    pub fn from_env() -> Self {
-        CheckPlane::from_var(std::env::var(CHECK_ENV).ok().as_deref())
-    }
-
-    /// Build from a raw `ECOSCALE_CHECK` value: unset, empty or `0` yields
-    /// a disabled plane; `N` yields an enabled **strict** plane with
-    /// cadence `N` (unparsable values fall back to cadence 1). Strict
-    /// planes panic on the first violation, which is what turns an
-    /// `ECOSCALE_CHECK=1` CI pass into a hard gate.
-    pub fn from_var(value: Option<&str>) -> Self {
-        match value {
-            Some(v) if !v.is_empty() && v != "0" => {
-                CheckPlane::enabled(v.parse::<u64>().unwrap_or(1)).strict()
-            }
-            _ => CheckPlane::disabled(),
+    /// The plane for a run's check cadence: disabled at 0, otherwise enabled
+    /// and **strict** (panics on the first violation: a hard gate).
+    pub fn armed(every: u64) -> Self {
+        CheckPlane {
+            enabled: every > 0,
+            strict: every > 0,
+            every,
+            ..CheckPlane::disabled()
         }
-    }
-
-    /// Switch this plane to strict mode: panic on the first violation
-    /// instead of collecting it.
-    pub fn strict(mut self) -> Self {
-        self.strict = true;
-        self
     }
 
     /// Whether checks are armed. Layer hooks early-out on `false` so a
@@ -624,7 +610,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invariant `check.sabotage` violated: boom")]
     fn strict_plane_panics_on_first_violation() {
-        let mut cp = CheckPlane::enabled(1).strict();
+        let mut cp = CheckPlane::armed(1);
         cp.check(invariant::SABOTAGE, true, || unreachable!());
         cp.check(invariant::SABOTAGE, false, || "boom".to_string());
     }
@@ -672,14 +658,10 @@ mod tests {
     }
 
     #[test]
-    fn from_env_honours_check_var() {
-        assert!(!CheckPlane::from_var(Some("0")).is_enabled());
-        assert!(!CheckPlane::from_var(Some("")).is_enabled());
-        let cp = CheckPlane::from_var(Some("4"));
-        assert!(cp.is_enabled());
-        assert_eq!(cp.every, 4);
-        assert!(cp.strict, "env-armed planes are hard gates");
-        assert_eq!(CheckPlane::from_var(Some("x")).every, 1);
-        assert!(!CheckPlane::from_var(None).is_enabled());
+    fn armed_is_off_at_zero_and_strict_at_its_cadence() {
+        assert!(!CheckPlane::armed(0).is_enabled());
+        let mut cp = CheckPlane::armed(2);
+        assert!(cp.strict, "armed planes are hard gates");
+        assert_eq!([cp.due(), cp.due(), cp.due()], [true, false, true]);
     }
 }

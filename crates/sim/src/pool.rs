@@ -7,11 +7,11 @@
 //! it runs on one thread or many.
 //!
 //! The pool width is a value, not ambient state: a [`RunCtx`] carries it
-//! (with the sharded engine's shard count) down from the caller. Binaries
-//! read `ECOSCALE_THREADS` / `ECOSCALE_SHARDS` once, at start-up, through
-//! [`RunCtx::parse`]; library code never reads or writes the environment
-//! for them. A width of 1 runs everything inline on the caller's thread —
-//! the determinism baseline.
+//! (with the shard count and the check cadence) down from the caller.
+//! Binaries read `ECOSCALE_THREADS` / `ECOSCALE_SHARDS` / `ECOSCALE_CHECK`
+//! once, through [`RunCtx::parse`]; library code never reads or writes
+//! the environment. A width of 1 runs everything inline on the caller's
+//! thread — the determinism baseline.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -19,29 +19,32 @@ use std::sync::Mutex;
 /// Environment variable binaries read for the pool width.
 pub const THREADS_ENV: &str = "ECOSCALE_THREADS";
 
-/// How wide a run fans out: the pool width for independent work items
-/// and the sharded engine's shard count. Results never depend on either,
-/// so a context only trades host time for cores.
+/// How a run executes: the pool width, the sharded engine's shard count
+/// and the invariant-check cadence. Results depend on none of them: the
+/// first two trade host time for cores, armed checks only observe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunCtx {
     /// Pool width of [`RunCtx::map`]; 1 runs items inline, in order.
     pub threads: usize,
     /// Shard count of the sharded engine; 1 is the sequential engine.
     pub shards: usize,
+    /// Invariant-check cadence ([`crate::check::CheckPlane::armed`]).
+    pub check: u64,
 }
 
 impl RunCtx {
-    /// One thread and one shard.
+    /// One thread, one shard, no checks.
     pub const SEQUENTIAL: RunCtx = RunCtx {
         threads: 1,
         shards: 1,
+        check: 0,
     };
 
-    /// The context for the raw values of `ECOSCALE_THREADS` and
-    /// `ECOSCALE_SHARDS` (`None` when unset). Anything but a positive
-    /// integer falls back to the default: every available core, and one
-    /// shard.
-    pub fn parse(threads: Option<&str>, shards: Option<&str>) -> RunCtx {
+    /// The context for the raw values of `ECOSCALE_THREADS`,
+    /// `ECOSCALE_SHARDS` and `ECOSCALE_CHECK` (`None` when unset). Anything
+    /// but a positive integer falls back to the default: every core, one
+    /// shard, and no checks when unset, empty or `0`, else cadence 1.
+    pub fn parse(threads: Option<&str>, shards: Option<&str>, check: Option<&str>) -> RunCtx {
         let positive = |v: Option<&str>| {
             v.and_then(|v| v.trim().parse::<usize>().ok())
                 .filter(|&n| n >= 1)
@@ -53,6 +56,10 @@ impl RunCtx {
                     .unwrap_or(1)
             }),
             shards: positive(shards).unwrap_or(1),
+            check: match check {
+                Some(v) if !v.is_empty() && v != "0" => v.parse::<u64>().unwrap_or(1).max(1),
+                _ => 0,
+            },
         }
     }
 
@@ -248,7 +255,7 @@ mod tests {
 
     const WIDE: RunCtx = RunCtx {
         threads: 4,
-        shards: 1,
+        ..RunCtx::SEQUENTIAL
     };
 
     #[test]
@@ -287,15 +294,22 @@ mod tests {
 
     #[test]
     fn parse_honours_positive_values_and_defaults_the_rest() {
-        let cores = RunCtx::parse(None, None).threads;
+        let cores = RunCtx::parse(None, None, None).threads;
         assert!(cores >= 1);
-        assert_eq!(RunCtx::parse(None, None).shards, 1);
+        assert_eq!(RunCtx::parse(None, None, None).shards, 1);
         for bad in ["0", "", "x"] {
-            let ctx = RunCtx::parse(Some(bad), Some(bad));
+            let ctx = RunCtx::parse(Some(bad), Some(bad), None);
             assert_eq!((ctx.threads, ctx.shards), (cores, 1), "value `{bad}`");
         }
-        let ctx = RunCtx::parse(Some("3"), Some(" 3 "));
-        assert_eq!((ctx.threads, ctx.shards), (3, 3));
+        let ctx = RunCtx::parse(Some("3"), Some(" 3 "), Some("4"));
+        assert_eq!((ctx.threads, ctx.shards, ctx.check), (3, 3, 4));
+        let check = |v| RunCtx::parse(Some("1"), Some("1"), v).check;
+        for off in [None, Some(""), Some("0")] {
+            assert_eq!(check(off), 0, "value {off:?}");
+        }
+        for fallback in ["x", "00", " 4"] {
+            assert_eq!(check(Some(fallback)), 1, "value `{fallback}`");
+        }
     }
 
     #[test]

@@ -1048,6 +1048,10 @@ mod tests {
 
     type Fingerprint = (Vec<u64>, Vec<Vec<(u64, u32)>>, u64, u64, u64);
 
+    /// A split, horizon or snapshot point inside every gossip run these
+    /// tests make (they drain between 480 and 660 ns).
+    const SPLIT_AT: Time = Time::from_ns(250);
+
     fn fingerprint(engine: &ShardedEngine<Gossip>) -> Fingerprint {
         (
             (0..engine.clusters())
@@ -1154,7 +1158,8 @@ mod tests {
         let want = whole.series().expect("armed").to_json();
 
         let mut split = gossip_engine(4, 17, 2).with_series(Duration::from_ns(200), 32);
-        split.run_until(Time::from_us(1), u64::MAX);
+        let first = split.run_until(SPLIT_AT, u64::MAX);
+        assert_eq!(first, StopReason::HorizonReached, "the split falls mid-run");
         split.run();
         assert_eq!(split.series().expect("armed").to_json(), want);
     }
@@ -1166,7 +1171,8 @@ mod tests {
         let want = whole.occupancy().expect("armed").to_json();
 
         let mut split = gossip_engine(4, 17, 2).with_occupancy(&[2]);
-        split.run_until(Time::from_us(1), u64::MAX);
+        let first = split.run_until(SPLIT_AT, u64::MAX);
+        assert_eq!(first, StopReason::HorizonReached, "the split falls mid-run");
         split.run();
         assert_eq!(split.occupancy().expect("armed").to_json(), want);
     }
@@ -1208,16 +1214,13 @@ mod tests {
     fn horizon_and_budget_stops_are_layout_independent() {
         for shards in [1, 3] {
             let mut engine = gossip_engine(5, 9, shards);
-            let reason = engine.run_until(Time::from_us(2), u64::MAX);
-            assert!(
-                matches!(reason, StopReason::HorizonReached | StopReason::QueueEmpty),
-                "got {reason:?}"
-            );
+            let reason = engine.run_until(SPLIT_AT, u64::MAX);
+            assert_eq!(reason, StopReason::HorizonReached, "shards={shards}");
         }
         let mut a = gossip_engine(5, 9, 1);
-        let ra = a.run_until(Time::from_us(2), u64::MAX);
+        let ra = a.run_until(SPLIT_AT, u64::MAX);
         let mut b = gossip_engine(5, 9, 4);
-        let rb = b.run_until(Time::from_us(2), u64::MAX);
+        let rb = b.run_until(SPLIT_AT, u64::MAX);
         assert_eq!(ra, rb);
         assert_eq!(fingerprint(&a), fingerprint(&b));
 
@@ -1248,7 +1251,8 @@ mod tests {
         let want = fingerprint(&whole);
 
         let mut split = gossip_engine(4, 17, 2);
-        split.run_until(Time::from_us(1), u64::MAX);
+        let first = split.run_until(SPLIT_AT, u64::MAX);
+        assert_eq!(first, StopReason::HorizonReached, "the split falls mid-run");
         split.run();
         assert_eq!(fingerprint(&split), want);
     }
@@ -1404,7 +1408,12 @@ mod tests {
 
         for (snap_shards, resume_shards) in [(1, 1), (1, 4), (4, 1), (3, 2)] {
             let mut a = gossip_engine(7, 42, snap_shards);
-            a.run_until(Time::from_us(1), u64::MAX);
+            let first = a.run_until(SPLIT_AT, u64::MAX);
+            assert_eq!(
+                first,
+                StopReason::HorizonReached,
+                "the snapshot falls mid-run"
+            );
             let mut w = SnapWriter::new();
             a.snapshot_state(&mut w);
             let bytes = w.into_bytes();

@@ -24,6 +24,19 @@ fi
 echo "== rustfmt =="
 cargo fmt --check
 
+echo "== env reads stay in binaries =="
+# Library code takes its settings as values (a RunCtx); only binaries
+# (src/bin/) and test code read the environment. Test code is whatever
+# follows a file's first #[cfg(test)].
+env_reads=$(awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 }
+    !t && /env::var/ { print FILENAME ":" FNR ": " $0 }' \
+    $(find crates/*/src -name '*.rs' -not -path '*/bin/*'))
+if [[ -n "$env_reads" ]]; then
+    echo "$env_reads"
+    echo "error: env::var in library code; read it in a binary and pass the value down"
+    exit 1
+fi
+
 echo "== tier-1: release build =="
 cargo build --release
 

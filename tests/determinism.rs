@@ -5,14 +5,16 @@
 //! table must be byte-identical run-to-run and across thread counts; the
 //! sharded engine makes the same promise across shard counts.
 //!
-//! Widths and shard counts are passed as [`RunCtx`] values, so these
-//! tests share no process state and run concurrently.
+//! Widths, shard counts and check cadences are passed as [`RunCtx`]
+//! values, so these tests share no process state and run concurrently.
+
+mod common;
 
 use ecoscale::apps::mix::serve_mix;
 use ecoscale::bench::fuzz::FuzzConfig;
 use ecoscale::bench::{arch, obs, ExpRun, Scale};
 use ecoscale::core::{
-    run_serve_sim, run_shard_sim_with, ServeSimConfig, ShardOutcome, ShardSimConfig,
+    run_serve_sim_with, run_shard_sim_with, ServeSimConfig, ShardOutcome, ShardSimConfig,
 };
 use ecoscale::runtime::ServeSpec;
 use ecoscale::sim::check::CheckPlane;
@@ -21,14 +23,14 @@ use ecoscale::sim::{CampaignSpec, RunCtx};
 fn threads(threads: usize) -> RunCtx {
     RunCtx {
         threads,
-        ..RunCtx::SEQUENTIAL
+        ..common::ctx()
     }
 }
 
 fn shards(shards: usize) -> RunCtx {
     RunCtx {
         shards,
-        ..RunCtx::SEQUENTIAL
+        ..common::ctx()
     }
 }
 
@@ -76,15 +78,15 @@ fn observability_exports_are_independent_of_thread_count() {
 
 /// A seeded fault campaign is part of the deterministic state: the
 /// faulted capture (worker crashes/stalls, SEU scrub/repair, SMMU/NoC
-/// injection under recovery) takes no run context — it runs on the
-/// caller's thread at any pool width — and must export byte-identical
-/// metrics and trace JSON on every run.
+/// injection under recovery) runs on the caller's thread at any pool
+/// width — its run context only arms checks — and must export
+/// byte-identical metrics and trace JSON on every run.
 #[test]
 fn fault_campaign_exports_are_independent_of_thread_count() {
     let spec = CampaignSpec::parse("seed=3,crash=1ms,seu=400us,scrub=800us,smmu=1e-3,corrupt=1e-3")
         .expect("campaign spec parses");
     let capture = || {
-        let cap = obs::capture_fault_campaign(Scale::Quick, &spec);
+        let cap = obs::capture_fault_campaign(Scale::Quick, common::ctx(), &spec);
         (cap.trace.to_chrome_json(), cap.metrics.to_json())
     };
     let (trace_a, metrics_a) = capture();
@@ -119,7 +121,7 @@ fn shard_sim_exports_are_independent_of_shard_count() {
         shard_exports(&run_shard_sim_with(
             &cfg,
             Some(shards),
-            &mut CheckPlane::from_env(),
+            &mut CheckPlane::armed(common::ctx().check),
         ))
     };
     let sequential = capture(1);
@@ -162,13 +164,14 @@ fn serve_cfg() -> ServeSimConfig {
     let mut cfg = ServeSimConfig::new(spec, serve_mix());
     cfg.items = 32;
     cfg.cells = 2;
+    cfg.ctx = common::ctx();
     cfg
 }
 
 fn serve_exports(cfg: &ServeSimConfig, threads: usize) -> (String, String) {
     let mut cfg = cfg.clone();
-    cfg.threads = threads;
-    let out = run_serve_sim(&cfg);
+    cfg.ctx.threads = threads;
+    let out = run_serve_sim_with(&cfg, &mut CheckPlane::disabled());
     (out.serving.to_json(), out.metrics.to_json())
 }
 
@@ -281,7 +284,7 @@ fn telemetry_exports_are_independent_of_shard_count() {
 /// uninterrupted run's exports must be byte-identical across the matrix.
 #[test]
 fn serve_resume_exports_are_independent_of_thread_count() {
-    use ecoscale::core::{serve_checkpoint, serve_resume};
+    use ecoscale::core::{serve_checkpoint, serve_resume_with};
     use ecoscale::sim::Duration;
     use ecoscale::sim::Time;
 
@@ -290,7 +293,7 @@ fn serve_resume_exports_are_independent_of_thread_count() {
         .expect("campaign spec parses");
     let at = Time::ZERO + Duration::from_us(180);
     let mut wide = cfg.clone();
-    wide.threads = 8;
+    wide.ctx.threads = 8;
 
     let uninterrupted = serve_exports(&cfg, 1);
     let bytes = serve_checkpoint(&cfg, at);
@@ -303,7 +306,8 @@ fn serve_resume_exports_are_independent_of_thread_count() {
     );
 
     let resume_exports = |cfg: &ServeSimConfig| {
-        let out = serve_resume(cfg, &bytes).expect("resume succeeds");
+        let out =
+            serve_resume_with(cfg, &bytes, &mut CheckPlane::disabled()).expect("resume succeeds");
         assert_eq!(out.violations, 0, "resume must pass invariant checks");
         (out.serving.to_json(), out.metrics.to_json())
     };

@@ -2,11 +2,14 @@
 //! built from application kernels, driven through the runtime, with
 //! results checked against the pure-software references.
 
+mod common;
+
 use ecoscale::apps::{blackscholes, gemm, montecarlo, stencil};
 use ecoscale::core::SystemBuilder;
 use ecoscale::fpga::Resources;
 use ecoscale::noc::NodeId;
 use ecoscale::runtime::DeviceClass;
+use ecoscale::sim::check::CheckPlane;
 use ecoscale::sim::{Energy, Time};
 
 fn build_full_system() -> ecoscale::core::EcoscaleSystem {
@@ -18,6 +21,7 @@ fn build_full_system() -> ecoscale::core::EcoscaleSystem {
         .kernel(montecarlo::KERNEL, montecarlo::kernel_hints(65_536))
         .kernel(gemm::KERNEL, gemm::kernel_hints(128))
         .kernel(stencil::KERNEL, stencil::kernel_hints(128))
+        .with_checks(CheckPlane::armed(common::ctx().check))
         .build()
         .expect("system builds")
 }

@@ -11,6 +11,8 @@
 //! Regenerate after an intentional schema change with
 //! `scripts/ci.sh --bless` (sets `ECOSCALE_BLESS=1`).
 
+mod common;
+
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::fs;
@@ -21,8 +23,8 @@ use ecoscale::bench::Scale;
 use ecoscale::core::{SystemBuilder, SystemReport};
 use ecoscale::hls::KernelArgs;
 use ecoscale::noc::NodeId;
+use ecoscale::sim::check::CheckPlane;
 use ecoscale::sim::json::{parse, Value};
-use ecoscale::sim::RunCtx;
 
 /// Recursively collects `path: kind` lines for `v`.
 fn collect_schema(v: &Value, path: &str, out: &mut BTreeSet<String>) {
@@ -107,6 +109,7 @@ fn system_report_json_schema_is_pinned() {
         .workers_per_node(2)
         .compute_nodes(2)
         .kernel(K, HashMap::from([("n".to_owned(), 4096.0)]))
+        .with_checks(CheckPlane::armed(common::ctx().check))
         .build()
         .unwrap();
     for _ in 0..12 {
@@ -130,6 +133,7 @@ fn system_report_profile_section_schema_is_pinned() {
         .workers_per_node(2)
         .compute_nodes(2)
         .kernel(K, HashMap::from([("n".to_owned(), 4096.0)]))
+        .with_checks(CheckPlane::armed(common::ctx().check))
         .build()
         .unwrap();
     s.set_tracer(&tracer);
@@ -151,7 +155,7 @@ fn system_report_profile_section_schema_is_pinned() {
 /// as the binary writes it.
 #[test]
 fn profile_export_json_schema_is_pinned() {
-    let pc = capture_profile(Scale::Quick, RunCtx::SEQUENTIAL);
+    let pc = capture_profile(Scale::Quick, common::ctx());
     let report = ecoscale::sim::prof::critical_path(&pc.capture.trace);
     let doc = format!(
         "{{\"profile\":{},\"occupancy\":{}}}",
@@ -167,26 +171,27 @@ fn profile_export_json_schema_is_pinned() {
 #[test]
 fn serving_report_json_schema_is_pinned() {
     use ecoscale::apps::mix::serve_mix;
-    use ecoscale::core::{run_serve_sim, ServeSimConfig};
+    use ecoscale::core::{run_serve_sim_with, ServeSimConfig};
     use ecoscale::runtime::ServeSpec;
     let spec = ServeSpec::parse("seed=7,tenants=2,rate=120000,horizon=300us,batch=4")
         .expect("spec parses");
     let mut cfg = ServeSimConfig::new(spec, serve_mix());
     cfg.items = 32;
-    let out = run_serve_sim(&cfg);
+    cfg.ctx = common::ctx();
+    let out = run_serve_sim_with(&cfg, &mut CheckPlane::disabled());
     assert!(out.serving.conserved());
     assert_golden("serving_report.schema", &schema_of(&out.serving.to_json()));
 }
 
 #[test]
 fn metrics_export_json_schema_is_pinned() {
-    let cap = capture_observability(Scale::Quick, RunCtx::SEQUENTIAL);
+    let cap = capture_observability(Scale::Quick, common::ctx());
     assert_golden("metrics.schema", &schema_of(&cap.metrics.to_json()));
 }
 
 #[test]
 fn chrome_trace_json_schema_is_pinned() {
-    let cap = capture_observability(Scale::Quick, RunCtx::SEQUENTIAL);
+    let cap = capture_observability(Scale::Quick, common::ctx());
     assert_golden(
         "chrome_trace.schema",
         &schema_of(&cap.trace.to_chrome_json()),
@@ -200,7 +205,7 @@ fn chrome_trace_json_schema_is_pinned() {
 #[test]
 fn telemetry_json_schema_is_pinned() {
     use ecoscale::bench::obs::{telemetry_shard_series, TelemetryCapture};
-    use ecoscale::core::{linear_test_mix, run_serve_sim, ServeSimConfig};
+    use ecoscale::core::{linear_test_mix, run_serve_sim_with, ServeSimConfig};
     use ecoscale::runtime::ServeSpec;
     use ecoscale::sim::{CampaignSpec, Duration, TelemetryConfig};
     // an unmeetable 1µs deadline guarantees a populated flight recorder
@@ -212,10 +217,11 @@ fn telemetry_json_schema_is_pinned() {
     cfg.faults = CampaignSpec::parse("seed=5,seu=200us,smmu=0.002,scrub=400us")
         .expect("campaign spec parses");
     cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
-    let out = run_serve_sim(&cfg);
+    cfg.ctx = common::ctx();
+    let out = run_serve_sim_with(&cfg, &mut CheckPlane::disabled());
     let cap = TelemetryCapture {
         serve: out.telemetry.expect("telemetry armed"),
-        shard: telemetry_shard_series(Scale::Quick, RunCtx::SEQUENTIAL),
+        shard: telemetry_shard_series(Scale::Quick, common::ctx()),
     };
     assert!(cap.fired(), "breach spec must populate the flight ring");
     assert_golden("telemetry.schema", &schema_of(&cap.to_json()));
@@ -239,6 +245,7 @@ fn snapshot_header_json_schema_is_pinned() {
     let mut cfg = ServeSimConfig::new(spec, linear_test_mix());
     cfg.items = 24;
     cfg.cells = 2;
+    cfg.ctx = common::ctx();
     let bytes = serve_checkpoint(&cfg, Time::ZERO + Duration::from_us(150));
     let file = SnapshotFile::parse(&bytes).expect("checkpoint parses");
     assert_golden("snapshot_header.schema", &schema_of(&file.header_json()));

@@ -6,6 +6,8 @@
 //! case loops rather than proptest strategies). Failures print the case
 //! seed so a run can be reproduced exactly.
 
+mod common;
+
 use std::collections::BTreeMap;
 
 use ecoscale::fpga::bitstream::lz_compress;
@@ -1722,9 +1724,10 @@ fn slot_interpreter_matches_tree_walker_oracle() {
 #[test]
 fn serve_checkpoint_resume_matches_uninterrupted_run() {
     use ecoscale::core::{
-        linear_test_mix, run_serve_sim, serve_checkpoint, serve_resume, ServeSimConfig,
+        linear_test_mix, run_serve_sim_with, serve_checkpoint, serve_resume_with, ServeSimConfig,
     };
     use ecoscale::runtime::ServeSpec;
+    use ecoscale::sim::check::CheckPlane;
     use ecoscale::sim::snap::SnapshotFile;
     use ecoscale::sim::{CampaignSpec, RestoreError};
 
@@ -1743,6 +1746,7 @@ fn serve_checkpoint_resume_matches_uninterrupted_run() {
         let mut cfg = ServeSimConfig::new(spec, linear_test_mix());
         cfg.items = 24;
         cfg.cells = 1 + rng.gen_range_usize(0, 2);
+        cfg.ctx = common::ctx();
         if case % 2 == 1 {
             let fseed = rng.gen_range_u64(1, 100);
             cfg.faults =
@@ -1751,9 +1755,9 @@ fn serve_checkpoint_resume_matches_uninterrupted_run() {
         }
         let at = Time::ZERO + Duration::from_us(rng.gen_range_u64(40, horizon_us));
 
-        let full = run_serve_sim(&cfg);
+        let full = run_serve_sim_with(&cfg, &mut CheckPlane::disabled());
         let bytes = serve_checkpoint(&cfg, at);
-        let resumed = serve_resume(&cfg, &bytes)
+        let resumed = serve_resume_with(&cfg, &bytes, &mut CheckPlane::disabled())
             .unwrap_or_else(|e| panic!("case {case}: resume refused: {e}"));
 
         assert_eq!(resumed.violations, 0, "case {case}: invariant violations");
@@ -1785,7 +1789,7 @@ fn serve_checkpoint_resume_matches_uninterrupted_run() {
         let off = si.offset as usize + rng.gen_range_usize(0, si.len as usize);
         let mut bad = bytes.clone();
         bad[off] ^= 1 << rng.gen_range_usize(0, 8);
-        match serve_resume(&cfg, &bad) {
+        match serve_resume_with(&cfg, &bad, &mut CheckPlane::disabled()) {
             Err(RestoreError::BadChecksum { section, .. }) => assert_eq!(
                 section, si.name,
                 "case {case}: refusal named the wrong section"
