@@ -1335,6 +1335,79 @@ mod tests {
     }
 
     #[test]
+    fn serving_ledger_agrees_across_series_registry_and_report() {
+        // queue sheds (queue=4 at a saturating rate), throttle sheds
+        // (refill under the offered rate), deadline misses (a tight
+        // deadline) and a fault campaign, over two cells
+        let spec = ServeSpec::parse(
+            "seed=41,tenants=4,rate=400000,horizon=500us,batch=4,deadline=10us,queue=4,\
+             tokens=8,refill=300000",
+        )
+        .unwrap();
+        let mut cfg = ServeSimConfig::new(spec, linear_test_mix());
+        cfg.ctx = crate::test_ctx();
+        cfg.cells = 2;
+        cfg.faults = CampaignSpec::parse("seed=5,seu=150us,smmu=0.002,scrub=300us").unwrap();
+        cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
+        let mut cp = CheckPlane::enabled(1);
+        let out = run_serve_sim_with(&cfg, &mut cp);
+        assert!(cp.ok(), "{:?}", cp.first());
+        let t = out.telemetry.as_ref().expect("telemetry armed");
+        // the report's per-tenant ledgers, totalled from its JSON export
+        let report = json::parse(&out.serving.to_json()).unwrap();
+        let tenants = report.get("tenants").and_then(|v| v.as_arr()).unwrap();
+        for name in [
+            "submitted",
+            "admitted",
+            "completed",
+            "shed_queue",
+            "shed_throttle",
+            "failed",
+            "deadline_miss",
+            "goodput",
+        ] {
+            let total: f64 = tenants
+                .iter()
+                .map(|tenant| tenant.get(name).and_then(|v| v.as_f64()).unwrap())
+                .sum();
+            let series = format!("serve.{name}");
+            assert_eq!(
+                t.series.lifetime(&series) as f64,
+                total,
+                "series `{series}`"
+            );
+            assert_eq!(
+                out.metrics.counter(&series).map(|v| v as f64),
+                Some(total),
+                "registry `{series}`"
+            );
+        }
+        for name in [
+            "serve.shed_queue",
+            "serve.shed_throttle",
+            "serve.deadline_miss",
+        ] {
+            assert!(out.metrics.counter(name) > Some(0), "`{name}` is exercised");
+        }
+        assert_eq!(
+            t.series.windows().count() as u64,
+            t.series.rolled(),
+            "every window is retained"
+        );
+        let windowed: u64 = t
+            .series
+            .windows()
+            .filter_map(|(_, w)| w.hist("serve.latency_ns"))
+            .map(|h| h.count())
+            .sum();
+        assert_eq!(windowed, out.serving.latency.count());
+        assert_eq!(
+            out.metrics.hist("serve.latency_ns").map(|h| h.count()),
+            Some(windowed)
+        );
+    }
+
+    #[test]
     fn telemetry_checkpoint_resume_is_bit_identical() {
         let mut cfg = quick_cfg();
         cfg.cells = 2;
