@@ -437,30 +437,23 @@ pub fn run_config_with(
     // One serving config for every serving phase: its clones share the
     // parsed, synthesized kernel mix, so the mix is built once per config.
     // Its thread count is set in place, never on a clone made before the
-    // first run, which would build the mix again.
+    // first run, which would build the mix again. The serve phase
+    // leaves it at `cfg.threads` for the snapshot phase.
     let mut scfg = serve_sim_config(cfg, check);
-    let (base, cp, full) = run_once(cfg, &scfg, inject);
-    if let Some(v) = cp.first() {
-        return Err(fail(v.to_string()));
-    }
-    let mut checks = cp.checks_run();
-    scfg.ctx.threads = cfg.threads;
-    if cfg.threads != 1 {
-        let (alt, cp_alt, _) = run_once(cfg, &scfg, inject);
-        if let Some(v) = cp_alt.first() {
-            return Err(fail(format!("at threads={}: {v}", cfg.threads)));
-        }
-        checks += cp_alt.checks_run();
-        if base != alt {
-            return Err(fail(format!(
-                "metrics export diverged between threads=1 and {} \
-                 ({} vs {} bytes)",
-                cfg.threads,
-                base.len(),
-                alt.len()
-            )));
-        }
-    }
+    let ((_, full), mut checks) = at_one_and_n(
+        "serve phase",
+        "threads",
+        cfg.threads,
+        |threads| {
+            scfg.ctx.threads = threads;
+            let (metrics, cp, served) = run_once(cfg, &scfg, inject);
+            ((metrics, served), cp)
+        },
+        |a, b| {
+            (a.0 != b.0).then(|| format!("metrics export ({} vs {} bytes)", a.0.len(), b.0.len()))
+        },
+    )
+    .map_err(fail)?;
     // SnapPlane phase: checkpoint/resume the serving run once per
     // config, against the serve phase's uninterrupted run (the
     // thread-count equivalence of resume itself is pinned by
@@ -477,65 +470,69 @@ pub fn run_config_with(
     // (series + per-cell flight rings) must be byte-identical at 1
     // thread and at the configured thread count, and the series'
     // `telem.window_conserved` invariant must hold in both.
-    let (tbase, cp_telem) = telem_once(&scfg, 1);
-    if let Some(v) = cp_telem.first() {
-        return Err(fail(format!("telem phase: {v}")));
-    }
-    checks += cp_telem.checks_run();
-    if cfg.threads != 1 {
-        let (talt, cp_telem_alt) = telem_once(&scfg, cfg.threads);
-        if let Some(v) = cp_telem_alt.first() {
-            return Err(fail(format!("telem phase at threads={}: {v}", cfg.threads)));
-        }
-        checks += cp_telem_alt.checks_run();
-        if tbase != talt {
-            return Err(fail(format!(
-                "telemetry capture diverged between threads=1 and {} \
-                 ({} vs {} bytes)",
-                cfg.threads,
-                tbase.len(),
-                talt.len()
-            )));
-        }
-    }
+    let (_, telem_checks) = at_one_and_n(
+        "telem phase",
+        "threads",
+        cfg.threads,
+        |threads| telem_once(&scfg, threads),
+        |a, b| (a != b).then(|| format!("capture ({} vs {} bytes)", a.len(), b.len())),
+    )
+    .map_err(fail)?;
+    checks += telem_checks;
     // Sharded-engine phase: the cluster-partitioned simulation must
     // export byte-identically at 1 shard and at the configured count.
     let shcfg = shard_sim_config(cfg);
-    let mut cp_seq = CheckPlane::enabled(1);
-    let seq = run_shard_sim_with(&shcfg, Some(1), &mut cp_seq);
-    if let Some(v) = cp_seq.first() {
-        return Err(fail(format!("shard sim at shards=1: {v}")));
-    }
-    checks += cp_seq.checks_run();
-    if cfg.shards != 1 {
-        let mut cp_par = CheckPlane::enabled(1);
-        let par = run_shard_sim_with(&shcfg, Some(cfg.shards), &mut cp_par);
-        if let Some(v) = cp_par.first() {
-            return Err(fail(format!("shard sim at shards={}: {v}", cfg.shards)));
-        }
-        checks += cp_par.checks_run();
-        if seq.metrics.to_json() != par.metrics.to_json() {
-            return Err(fail(format!(
-                "shard-sim metrics diverged between shards=1 and {}",
-                cfg.shards
-            )));
-        }
-        if seq.trace.to_chrome_json() != par.trace.to_chrome_json() {
-            return Err(fail(format!(
-                "shard-sim trace diverged between shards=1 and {}",
-                cfg.shards
-            )));
-        }
-        if seq.report() != par.report() {
-            return Err(fail(format!(
-                "shard-sim report diverged between shards=1 and {}: {} vs {}",
-                cfg.shards,
-                seq.report(),
-                par.report()
-            )));
-        }
-    }
+    let (_, shard_checks) = at_one_and_n(
+        "shard sim",
+        "shards",
+        cfg.shards,
+        |shards| {
+            let mut cp = CheckPlane::enabled(1);
+            (run_shard_sim_with(&shcfg, Some(shards), &mut cp), cp)
+        },
+        |a, b| {
+            if a.metrics.to_json() != b.metrics.to_json() {
+                Some("metrics".to_owned())
+            } else if a.trace.to_chrome_json() != b.trace.to_chrome_json() {
+                Some("trace".to_owned())
+            } else {
+                let (a, b) = (a.report(), b.report());
+                (a != b).then(|| format!("report ({a} vs {b})"))
+            }
+        },
+    )
+    .map_err(fail)?;
+    checks += shard_checks;
     Ok(RunReport { checks_run: checks })
+}
+
+/// Runs a phase at 1 and, when `n != 1`, again at `n` (threads or
+/// shards, as `axis` names). Neither run may violate an invariant, and
+/// `diverged` names the export, if any, that differs between the two.
+/// Returns the first run's outcome and the checks both runs made.
+fn at_one_and_n<T>(
+    phase: &str,
+    axis: &str,
+    n: usize,
+    mut run: impl FnMut(usize) -> (T, CheckPlane),
+    diverged: impl Fn(&T, &T) -> Option<String>,
+) -> Result<(T, u64), String> {
+    let (base, cp) = run(1);
+    if let Some(v) = cp.first() {
+        return Err(format!("{phase} at {axis}=1: {v}"));
+    }
+    let mut checks = cp.checks_run();
+    if n != 1 {
+        let (alt, cp) = run(n);
+        if let Some(v) = cp.first() {
+            return Err(format!("{phase} at {axis}={n}: {v}"));
+        }
+        checks += cp.checks_run();
+        if let Some(what) = diverged(&base, &alt) {
+            return Err(format!("{phase} {what} diverged between {axis}=1 and {n}"));
+        }
+    }
+    Ok((base, checks))
 }
 
 /// The cluster-partitioned simulation a configuration's shard phase runs:

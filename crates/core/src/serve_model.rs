@@ -654,13 +654,10 @@ impl<'a> CellSim<'a> {
             .resilience()
             .map(|r| (r.fallbacks(), r.lost()))
             .unwrap_or((0, 0));
-        let mut report = SystemReport::capture(&self.system);
-        let serving = self.plane.report();
-        report.serving = Some(serving.clone());
         CellResult {
-            serving,
+            serving: self.plane.report(),
             metrics,
-            report,
+            report: SystemReport::capture(&self.system),
             drained_at: self.now,
             fallbacks,
             lost,
@@ -1256,6 +1253,15 @@ mod tests {
             resume(&cfg, &bad),
             Err(RestoreError::FutureVersion { .. })
         ));
+        // a version-2 stream predates the current serving ledger codec
+        let mut bad = bytes.clone();
+        bad[8..12].copy_from_slice(&2u32.to_le_bytes());
+        match resume(&cfg, &bad) {
+            Err(RestoreError::Malformed { context }) => {
+                assert!(context.contains("older than supported"), "{context}")
+            }
+            other => panic!("a v2 stream gave {:?}", other.map(|_| ())),
+        }
         // flip one payload bit in every section: checksum verification
         // must refuse each before anything restores
         let file = SnapshotFile::parse(&bytes).unwrap();
@@ -1283,6 +1289,28 @@ mod tests {
             resume(&other, &bytes),
             Err(RestoreError::Malformed { .. })
         ));
+    }
+
+    #[test]
+    fn resume_refuses_a_checkpoint_armed_otherwise() {
+        // the resuming config, not the stream, says how a resumed cell's
+        // systems self-check: a stream armed otherwise is refused
+        for (then, now) in [(0, 1), (1, 0)] {
+            let mut cfg = quick_cfg();
+            cfg.ctx.check = then;
+            let bytes = serve_checkpoint(&cfg, Time::from_us(200));
+            assert!(resume(&cfg, &bytes).is_ok(), "armed alike at {then}");
+            cfg.ctx.check = now;
+            match resume(&cfg, &bytes) {
+                Err(RestoreError::Malformed { context }) => {
+                    assert!(context.contains("self-checks are armed"), "{context}")
+                }
+                other => panic!(
+                    "checkpointed at check={then}, resumed at {now}: {:?}",
+                    other.map(|_| ())
+                ),
+            }
+        }
     }
 
     #[test]

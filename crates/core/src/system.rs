@@ -379,16 +379,6 @@ impl EcoscaleSystem {
         &self.library
     }
 
-    /// The UNIMEM system.
-    pub fn mem_mut(&mut self) -> &mut UnimemSystem {
-        &mut self.mem
-    }
-
-    /// The interconnect.
-    pub fn net_mut(&mut self) -> &mut Network<TreeTopology> {
-        &mut self.net
-    }
-
     /// Current system time.
     pub fn now(&self) -> Time {
         self.clock
@@ -692,9 +682,11 @@ impl EcoscaleSystem {
     /// # Errors
     ///
     /// [`ecoscale_sim::RestoreError`] on truncated or malformed data, a
-    /// Worker-count mismatch, or a fault-arming mismatch (the snapshot
+    /// Worker-count mismatch, a fault-arming mismatch (the snapshot
     /// carries an armed campaign but this system has none, or vice
-    /// versa).
+    /// versa), or a check-arming mismatch (the snapshot's self-check
+    /// plane is not enabled, strict and at the cadence of this system's,
+    /// so a resume is checked as its own caller asked).
     pub fn restore_state(
         &mut self,
         r: &mut ecoscale_sim::SnapReader<'_>,
@@ -746,7 +738,16 @@ impl EcoscaleSystem {
                 ));
             }
         }
-        self.check = ecoscale_sim::check::CheckPlane::restore(r)?;
+        let check = CheckPlane::restore(r)?;
+        if check.arming() != self.check.arming() {
+            return Err(malformed(format!(
+                "snapshot's self-checks are armed as {:?}, this system's as {:?} \
+                 (enabled, strict, cadence)",
+                check.arming(),
+                self.check.arming()
+            )));
+        }
+        self.check = check;
         Ok(())
     }
 

@@ -208,15 +208,6 @@ impl Fabric {
         self.rows
     }
 
-    /// The resource kind of column `col`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range.
-    pub fn column_kind(&self, col: u32) -> ResourceKind {
-        self.columns[col as usize]
-    }
-
     /// Total resources of the whole fabric.
     pub fn total_resources(&self) -> Resources {
         self.region_resources(&Region {

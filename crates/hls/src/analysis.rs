@@ -143,15 +143,12 @@ fn eval_const(e: &Expr, hints: &HashMap<String, f64>) -> Option<f64> {
         Expr::Binary(op, a, b) => {
             let x = eval_const(a, hints)?;
             let y = eval_const(b, hints)?;
-            Some(match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-                _ => return None,
-            })
+            match op {
+                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => Some(op.apply(x, y)),
+                _ => None,
+            }
         }
-        Expr::Unary(UnOp::Neg, a) => Some(-eval_const(a, hints)?),
+        Expr::Unary(UnOp::Neg, a) => Some(UnOp::Neg.apply(eval_const(a, hints)?)),
         _ => None,
     }
 }

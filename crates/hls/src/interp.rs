@@ -411,43 +411,10 @@ impl<'k> Machine<'k> {
                 self.eval(index)?;
                 Err(Fault::Unknown(array))
             }
-            Node::Unary(op, a) => {
-                let v = self.eval(a)?;
-                Ok(match op {
-                    UnOp::Neg => -v,
-                    UnOp::Sqrt => v.sqrt(),
-                    UnOp::Exp => v.exp(),
-                    UnOp::Log => v.ln(),
-                    UnOp::Abs => v.abs(),
-                    UnOp::Floor => v.floor(),
-                    UnOp::Not => {
-                        if truthy(v) {
-                            0.0
-                        } else {
-                            1.0
-                        }
-                    }
-                })
-            }
+            Node::Unary(op, a) => Ok(op.apply(self.eval(a)?)),
             Node::Binary(op, a, b) => {
                 let x = self.eval(a)?;
-                let y = self.eval(b)?;
-                Ok(match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => x / y,
-                    BinOp::Min => x.min(y),
-                    BinOp::Max => x.max(y),
-                    BinOp::Rem => x % y,
-                    BinOp::Lt => (x < y) as u8 as f64,
-                    BinOp::Le => (x <= y) as u8 as f64,
-                    BinOp::Gt => (x > y) as u8 as f64,
-                    BinOp::Ge => (x >= y) as u8 as f64,
-                    BinOp::Eq => (x == y) as u8 as f64,
-                    BinOp::And => (truthy(x) && truthy(y)) as u8 as f64,
-                    BinOp::Or => (truthy(x) || truthy(y)) as u8 as f64,
-                })
+                Ok(op.apply(x, self.eval(b)?))
             }
             Node::Select(cond, then, els) => {
                 if truthy(self.eval(cond)?) {

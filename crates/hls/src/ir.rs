@@ -78,6 +78,30 @@ pub enum BinOp {
     Rem,
 }
 
+impl BinOp {
+    /// The operator's value on `x` and `y`: comparisons and logic yield
+    /// 0.0 / 1.0, and any non-zero operand counts as true.
+    #[inline]
+    pub fn apply(self, x: f64, y: f64) -> f64 {
+        match self {
+            BinOp::Add => x + y,
+            BinOp::Sub => x - y,
+            BinOp::Mul => x * y,
+            BinOp::Div => x / y,
+            BinOp::Min => x.min(y),
+            BinOp::Max => x.max(y),
+            BinOp::Rem => x % y,
+            BinOp::Lt => (x < y) as u8 as f64,
+            BinOp::Le => (x <= y) as u8 as f64,
+            BinOp::Gt => (x > y) as u8 as f64,
+            BinOp::Ge => (x >= y) as u8 as f64,
+            BinOp::Eq => (x == y) as u8 as f64,
+            BinOp::And => (x != 0.0 && y != 0.0) as u8 as f64,
+            BinOp::Or => (x != 0.0 || y != 0.0) as u8 as f64,
+        }
+    }
+}
+
 impl fmt::Display for BinOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -116,6 +140,22 @@ pub enum UnOp {
     Floor,
     /// Logical not.
     Not,
+}
+
+impl UnOp {
+    /// The operator's value on `v`; logical not yields 0.0 / 1.0.
+    #[inline]
+    pub fn apply(self, v: f64) -> f64 {
+        match self {
+            UnOp::Neg => -v,
+            UnOp::Sqrt => v.sqrt(),
+            UnOp::Exp => v.exp(),
+            UnOp::Log => v.ln(),
+            UnOp::Abs => v.abs(),
+            UnOp::Floor => v.floor(),
+            UnOp::Not => (v == 0.0) as u8 as f64,
+        }
+    }
 }
 
 impl fmt::Display for UnOp {

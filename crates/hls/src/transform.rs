@@ -7,7 +7,7 @@
 //! actually contains — while the interpreter guarantees the meaning is
 //! unchanged (tested below by running both versions).
 
-use crate::ir::{BinOp, Expr, Kernel, Stmt, UnOp};
+use crate::ir::{BinOp, Expr, Kernel, Stmt};
 
 /// Folds constants and algebraic identities in an expression.
 pub fn fold_expr(e: &Expr) -> Expr {
@@ -20,21 +20,7 @@ pub fn fold_expr(e: &Expr) -> Expr {
         Expr::Unary(op, a) => {
             let a = fold_expr(a);
             if let Expr::Const(v) = a {
-                return Expr::Const(match op {
-                    UnOp::Neg => -v,
-                    UnOp::Sqrt => v.sqrt(),
-                    UnOp::Exp => v.exp(),
-                    UnOp::Log => v.ln(),
-                    UnOp::Abs => v.abs(),
-                    UnOp::Floor => v.floor(),
-                    UnOp::Not => {
-                        if v != 0.0 {
-                            0.0
-                        } else {
-                            1.0
-                        }
-                    }
-                });
+                return Expr::Const(op.apply(v));
             }
             Expr::Unary(*op, Box::new(a))
         }
@@ -42,23 +28,7 @@ pub fn fold_expr(e: &Expr) -> Expr {
             let a = fold_expr(a);
             let b = fold_expr(b);
             if let (Expr::Const(x), Expr::Const(y)) = (&a, &b) {
-                let (x, y) = (*x, *y);
-                return Expr::Const(match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => x / y,
-                    BinOp::Min => x.min(y),
-                    BinOp::Max => x.max(y),
-                    BinOp::Rem => x % y,
-                    BinOp::Lt => (x < y) as u8 as f64,
-                    BinOp::Le => (x <= y) as u8 as f64,
-                    BinOp::Gt => (x > y) as u8 as f64,
-                    BinOp::Ge => (x >= y) as u8 as f64,
-                    BinOp::Eq => (x == y) as u8 as f64,
-                    BinOp::And => (x != 0.0 && y != 0.0) as u8 as f64,
-                    BinOp::Or => (x != 0.0 || y != 0.0) as u8 as f64,
-                });
+                return Expr::Const(op.apply(*x, *y));
             }
             // algebraic identities (floating-point-safe subset: x·0 is
             // NOT folded because x could be NaN/inf in general; the
@@ -180,6 +150,7 @@ pub fn fold_kernel(kernel: &Kernel) -> Kernel {
 mod tests {
     use super::*;
     use crate::interp::KernelArgs;
+    use crate::ir::UnOp;
     use crate::parser::parse_kernel;
 
     fn assert_same_behaviour(src: &str, n: usize) {

@@ -192,11 +192,6 @@ impl Smmu {
         &mut self.stage1
     }
 
-    /// Stage-2 table (IPA→PA), e.g. for the hypervisor layer.
-    pub fn stage2_mut(&mut self) -> &mut PageTable {
-        &mut self.stage2
-    }
-
     /// Convenience: maps `va`'s page through both stages
     /// (VA page → `ipa_page` → `pa_page`).
     ///
@@ -359,12 +354,6 @@ impl Smmu {
     /// Translation faults so far.
     pub fn faults(&self) -> u64 {
         self.faults.get()
-    }
-
-    /// Distribution of per-translation latencies (nanoseconds),
-    /// including the walks charged to faulting accesses.
-    pub fn translate_latency_ns(&self) -> &Histogram {
-        &self.translate_ns
     }
 
     /// Folds this SMMU's instruments into `m` under `prefix`

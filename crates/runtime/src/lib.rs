@@ -59,6 +59,6 @@ pub use sched::{
 };
 pub use serve::{
     Batch, JourneyOutcome, Request, RequestJourney, ServePlane, ServeSpec, ServeSpecError,
-    ServingReport, SloTracker,
+    ServingReport,
 };
 pub use task::{Task, TaskId};

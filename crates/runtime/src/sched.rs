@@ -194,12 +194,6 @@ impl ClusterSim {
         }
     }
 
-    /// Overrides the CPU model.
-    pub fn with_cpu(mut self, cpu: CpuModel) -> ClusterSim {
-        self.cpu = cpu;
-        self
-    }
-
     /// Installs worker fault injection from `spec` (crash and stall
     /// clocks seeded off the campaign) with `recovery` as the
     /// resilience policy. A spec with both worker fault classes

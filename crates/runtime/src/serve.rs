@@ -39,9 +39,11 @@ use std::collections::VecDeque;
 
 use ecoscale_sim::check::{invariant, CheckPlane};
 use ecoscale_sim::fault::{fmt_duration, parse_duration};
+use ecoscale_sim::snap::malformed;
 use ecoscale_sim::telem::TriggerKind;
 use ecoscale_sim::{
-    json, Duration, FlightRecorder, Histogram, MetricsRegistry, SimRng, Time, TimeSeries,
+    json, Duration, FlightRecorder, Histogram, MetricsRegistry, Restore, RestoreError, SimRng,
+    SnapReader, SnapWriter, Snapshot, Time, TimeSeries,
 };
 
 /// Component salts for [`ServeSpec::rng`]; the tenant id is folded in by
@@ -454,79 +456,39 @@ impl RequestJourney {
     }
 }
 
-/// Window-scoped SLO accounting: outcome counts, the windowed latency
-/// histogram, and a bounded first-K buffer of anomalous journeys
-/// (deadline misses, sheds, failures). [`ServePlane`] feeds it on every
-/// admission/completion; the drive loop drains it once per telemetry
-/// window via [`ServePlane::telemetry_tick`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloTracker {
-    exemplar_cap: usize,
+/// The `serve.*` name of the ledger's latency histogram.
+const LATENCY_NS: &str = "serve.latency_ns";
+
+/// Bound on the anomalous journeys the SLO window keeps as exemplars.
+const EXEMPLAR_CAP: usize = 4;
+
+/// One serving ledger: how many requests reached each stage and outcome,
+/// and the latencies of the completed ones. Each tenant keeps one for the
+/// whole run and the SLO window keeps one for the current telemetry
+/// window; [`ServePlane::account`] feeds both.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Ledger {
     submitted: u64,
     admitted: u64,
     completed: u64,
-    failed: u64,
     shed_queue: u64,
     shed_throttle: u64,
+    failed: u64,
     deadline_miss: u64,
     goodput: u64,
     latency_ns: Histogram,
-    exemplars: Vec<RequestJourney>,
 }
 
-/// One drained telemetry window of SLO state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloWindow {
-    /// Requests generated this window.
-    pub submitted: u64,
-    /// Requests admitted this window.
-    pub admitted: u64,
-    /// Requests completed this window.
-    pub completed: u64,
-    /// Requests whose backend call failed this window.
-    pub failed: u64,
-    /// Requests shed on a full queue this window.
-    pub shed_queue: u64,
-    /// Requests shed on an empty bucket this window.
-    pub shed_throttle: u64,
-    /// Completions past their deadline this window.
-    pub deadline_miss: u64,
-    /// Completions within their deadline this window.
-    pub goodput: u64,
-    /// Latencies of this window's completions.
-    pub latency_ns: Histogram,
-    /// First-K anomalous journeys of the window (deterministic event
-    /// order).
-    pub exemplars: Vec<RequestJourney>,
-}
-
-impl SloTracker {
-    /// Default bound on exemplar journeys retained per window.
-    pub const EXEMPLAR_CAP: usize = 4;
-
-    fn new() -> SloTracker {
-        SloTracker {
-            exemplar_cap: Self::EXEMPLAR_CAP,
-            submitted: 0,
-            admitted: 0,
-            completed: 0,
-            failed: 0,
-            shed_queue: 0,
-            shed_throttle: 0,
-            deadline_miss: 0,
-            goodput: 0,
-            latency_ns: Histogram::new(),
-            exemplars: Vec::new(),
-        }
+impl Ledger {
+    /// Counts a request admitted past the bucket and the queue bound.
+    fn admit(&mut self) {
+        self.submitted += 1;
+        self.admitted += 1;
     }
 
-    fn exemplar(&mut self, j: RequestJourney) {
-        if self.exemplars.len() < self.exemplar_cap {
-            self.exemplars.push(j);
-        }
-    }
-
-    fn observe(&mut self, j: RequestJourney) {
+    /// Counts a request's terminal outcome. A shed request is submitted
+    /// and shed in the same instant, so it is counted as submitted here.
+    fn record(&mut self, j: &RequestJourney) {
         match j.outcome {
             JourneyOutcome::Completed => {
                 self.completed += 1;
@@ -537,51 +499,109 @@ impl SloTracker {
                 self.completed += 1;
                 self.deadline_miss += 1;
                 self.latency_ns.record(j.completed.since(j.arrival).as_ns());
-                self.exemplar(j);
             }
-            JourneyOutcome::Failed => {
-                self.failed += 1;
-                self.exemplar(j);
-            }
+            JourneyOutcome::Failed => self.failed += 1,
             JourneyOutcome::ShedQueue => {
+                self.submitted += 1;
                 self.shed_queue += 1;
-                self.exemplar(j);
             }
             JourneyOutcome::ShedThrottle => {
+                self.submitted += 1;
                 self.shed_throttle += 1;
-                self.exemplar(j);
             }
         }
     }
 
-    /// Drains the window: returns the accumulated state and resets.
-    fn take_window(&mut self) -> SloWindow {
-        SloWindow {
-            submitted: std::mem::take(&mut self.submitted),
-            admitted: std::mem::take(&mut self.admitted),
-            completed: std::mem::take(&mut self.completed),
-            failed: std::mem::take(&mut self.failed),
-            shed_queue: std::mem::take(&mut self.shed_queue),
-            shed_throttle: std::mem::take(&mut self.shed_throttle),
-            deadline_miss: std::mem::take(&mut self.deadline_miss),
-            goodput: std::mem::take(&mut self.goodput),
-            latency_ns: std::mem::replace(&mut self.latency_ns, Histogram::new()),
-            exemplars: std::mem::take(&mut self.exemplars),
-        }
+    fn merge(&mut self, other: &Ledger) {
+        self.submitted += other.submitted;
+        self.admitted += other.admitted;
+        self.completed += other.completed;
+        self.shed_queue += other.shed_queue;
+        self.shed_throttle += other.shed_throttle;
+        self.failed += other.failed;
+        self.deadline_miss += other.deadline_miss;
+        self.goodput += other.goodput;
+        self.latency_ns.merge(&other.latency_ns);
     }
 
-    fn snapshot(&self, w: &mut ecoscale_sim::SnapWriter) {
-        use ecoscale_sim::Snapshot as _;
-        w.put_usize(self.exemplar_cap);
+    fn shed(&self) -> u64 {
+        self.shed_queue + self.shed_throttle
+    }
+
+    /// The counters under their `serve.*` names, in export order.
+    fn counters(&self) -> [(&'static str, u64); 8] {
+        [
+            ("serve.submitted", self.submitted),
+            ("serve.admitted", self.admitted),
+            ("serve.completed", self.completed),
+            ("serve.shed_queue", self.shed_queue),
+            ("serve.shed_throttle", self.shed_throttle),
+            ("serve.failed", self.failed),
+            ("serve.deadline_miss", self.deadline_miss),
+            ("serve.goodput", self.goodput),
+        ]
+    }
+}
+
+impl Snapshot for Ledger {
+    fn snapshot(&self, w: &mut SnapWriter) {
         w.put_u64(self.submitted);
         w.put_u64(self.admitted);
-        w.put_u64(self.completed);
-        w.put_u64(self.failed);
         w.put_u64(self.shed_queue);
         w.put_u64(self.shed_throttle);
+        w.put_u64(self.completed);
+        w.put_u64(self.failed);
         w.put_u64(self.deadline_miss);
         w.put_u64(self.goodput);
         self.latency_ns.snapshot(w);
+    }
+}
+
+impl Restore for Ledger {
+    fn restore(r: &mut SnapReader<'_>) -> Result<Ledger, RestoreError> {
+        Ok(Ledger {
+            submitted: r.get_u64()?,
+            admitted: r.get_u64()?,
+            shed_queue: r.get_u64()?,
+            shed_throttle: r.get_u64()?,
+            completed: r.get_u64()?,
+            failed: r.get_u64()?,
+            deadline_miss: r.get_u64()?,
+            goodput: r.get_u64()?,
+            latency_ns: Histogram::restore(r)?,
+        })
+    }
+}
+
+/// The current telemetry window's SLO state: its [`Ledger`] and the
+/// first [`EXEMPLAR_CAP`] anomalous journeys (deadline misses, sheds,
+/// failures). The drive loop drains it once per window via
+/// [`ServePlane::telemetry_tick`].
+#[derive(Debug, Clone, Default, PartialEq)]
+struct SloTracker {
+    ledger: Ledger,
+    exemplars: Vec<RequestJourney>,
+}
+
+impl SloTracker {
+    fn record(&mut self, j: RequestJourney) {
+        self.ledger.record(&j);
+        if j.outcome != JourneyOutcome::Completed && self.exemplars.len() < EXEMPLAR_CAP {
+            self.exemplars.push(j);
+        }
+    }
+
+    /// Drains the window: returns its ledger and exemplars and resets.
+    fn take_window(&mut self) -> (Ledger, Vec<RequestJourney>) {
+        let w = std::mem::take(self);
+        (w.ledger, w.exemplars)
+    }
+}
+
+impl Snapshot for SloTracker {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        w.put_usize(EXEMPLAR_CAP);
+        self.ledger.snapshot(w);
         w.put_usize(self.exemplars.len());
         for j in &self.exemplars {
             w.put_u64(j.id);
@@ -594,34 +614,26 @@ impl SloTracker {
             w.put_u8(j.outcome.tag());
         }
     }
+}
 
-    fn restore(
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<SloTracker, ecoscale_sim::RestoreError> {
-        use ecoscale_sim::snap::malformed;
-        use ecoscale_sim::Restore as _;
-        let exemplar_cap = r.get_usize()?;
-        let mut s = SloTracker {
-            exemplar_cap,
-            submitted: r.get_u64()?,
-            admitted: r.get_u64()?,
-            completed: r.get_u64()?,
-            failed: r.get_u64()?,
-            shed_queue: r.get_u64()?,
-            shed_throttle: r.get_u64()?,
-            deadline_miss: r.get_u64()?,
-            goodput: r.get_u64()?,
-            latency_ns: Histogram::restore(r)?,
-            exemplars: Vec::new(),
-        };
-        let n = r.get_usize()?;
-        if n > exemplar_cap {
+impl Restore for SloTracker {
+    fn restore(r: &mut SnapReader<'_>) -> Result<SloTracker, RestoreError> {
+        let cap = r.get_usize()?;
+        if cap != EXEMPLAR_CAP {
             return Err(malformed(format!(
-                "slo tracker holds {n} exemplars, cap is {exemplar_cap}"
+                "slo window keeps {cap} exemplars, this build keeps {EXEMPLAR_CAP}"
             )));
         }
+        let ledger = Ledger::restore(r)?;
+        let n = r.get_usize()?;
+        if n > EXEMPLAR_CAP {
+            return Err(malformed(format!(
+                "slo window holds {n} exemplars, cap is {EXEMPLAR_CAP}"
+            )));
+        }
+        let mut exemplars = Vec::with_capacity(n);
         for _ in 0..n {
-            s.exemplars.push(RequestJourney {
+            exemplars.push(RequestJourney {
                 id: r.get_u64()?,
                 tenant: r.get_u32()?,
                 kernel: r.get_u32()?,
@@ -633,7 +645,7 @@ impl SloTracker {
                     .ok_or_else(|| malformed("unknown journey outcome tag"))?,
             });
         }
-        Ok(s)
+        Ok(SloTracker { ledger, exemplars })
     }
 }
 
@@ -790,7 +802,7 @@ impl TokenBucket {
 }
 
 /// Per-tenant serving state: arrival stream, mix stream, bounded queue,
-/// token bucket, and SLO accounting.
+/// token bucket, and the tenant's lifetime ledger.
 #[derive(Debug, Clone)]
 struct TenantSlot {
     id: u32,
@@ -798,17 +810,7 @@ struct TenantSlot {
     mix_rng: SimRng,
     queue: VecDeque<Request>,
     bucket: TokenBucket,
-    // conservation ledger
-    submitted: u64,
-    admitted: u64,
-    shed_queue: u64,
-    shed_throttle: u64,
-    completed: u64,
-    failed: u64,
-    // SLO ledger
-    deadline_miss: u64,
-    goodput: u64,
-    latency_ns: Histogram,
+    ledger: Ledger,
 }
 
 impl TenantSlot {
@@ -819,20 +821,8 @@ impl TenantSlot {
             mix_rng: spec.rng(salt::MIX, id),
             queue: VecDeque::new(),
             bucket: TokenBucket::new(spec),
-            submitted: 0,
-            admitted: 0,
-            shed_queue: 0,
-            shed_throttle: 0,
-            completed: 0,
-            failed: 0,
-            deadline_miss: 0,
-            goodput: 0,
-            latency_ns: Histogram::new(),
+            ledger: Ledger::default(),
         }
-    }
-
-    fn shed(&self) -> u64 {
-        self.shed_queue + self.shed_throttle
     }
 }
 
@@ -889,7 +879,7 @@ impl ServePlane {
             batches: 0,
             batched_requests: 0,
             batch_size: Histogram::new(),
-            slo: SloTracker::new(),
+            slo: SloTracker::default(),
         }
     }
 
@@ -927,31 +917,34 @@ impl ServePlane {
     /// in flight-recorder exemplars.
     pub fn pop_arrivals(&mut self, now: Time) {
         let cap = self.effective_queue();
-        for slot in &mut self.tenants {
-            while let Some(at) = slot.gen.pop_due(now) {
+        for i in 0..self.tenants.len() {
+            while let Some(at) = self.tenants[i].gen.pop_due(now) {
                 let rid = self.next_id;
                 self.next_id += 1;
-                slot.submitted += 1;
-                self.slo.submitted += 1;
-                let (tid, deadline) = (slot.id, at + self.spec.deadline);
-                let shed = move |outcome| RequestJourney {
-                    id: rid,
-                    tenant: tid,
-                    kernel: 0,
-                    arrival: at,
-                    dispatched: at,
-                    completed: at,
-                    deadline,
-                    outcome,
+                let slot = &mut self.tenants[i];
+                let deadline = at + self.spec.deadline;
+                let shed = if !slot.bucket.try_take(at) {
+                    Some(JourneyOutcome::ShedThrottle)
+                } else if slot.queue.len() >= cap {
+                    Some(JourneyOutcome::ShedQueue)
+                } else {
+                    None
                 };
-                if !slot.bucket.try_take(at) {
-                    slot.shed_throttle += 1;
-                    self.slo.observe(shed(JourneyOutcome::ShedThrottle));
-                    continue;
-                }
-                if slot.queue.len() >= cap {
-                    slot.shed_queue += 1;
-                    self.slo.observe(shed(JourneyOutcome::ShedQueue));
+                if let Some(outcome) = shed {
+                    let tenant = slot.id;
+                    self.account(
+                        i,
+                        Some(RequestJourney {
+                            id: rid,
+                            tenant,
+                            kernel: 0,
+                            arrival: at,
+                            dispatched: at,
+                            completed: at,
+                            deadline,
+                            outcome,
+                        }),
+                    );
                     continue;
                 }
                 let kernel = slot.mix_rng.gen_range_u64(0, self.mix_len as u64) as u32;
@@ -963,8 +956,25 @@ impl ServePlane {
                     dispatched: Time::ZERO,
                     deadline,
                 });
-                slot.admitted += 1;
-                self.slo.admitted += 1;
+                self.account(i, None);
+            }
+        }
+    }
+
+    /// Books a request in its tenant's lifetime ledger and in the SLO
+    /// window's: its admission when `end` is `None`, else its terminal
+    /// journey. Every arrival, shed, completion and failure is counted
+    /// here and nowhere else, so the two ledgers move together.
+    fn account(&mut self, slot: usize, end: Option<RequestJourney>) {
+        let ledger = &mut self.tenants[slot].ledger;
+        match end {
+            None => {
+                ledger.admit();
+                self.slo.ledger.admit();
+            }
+            Some(j) => {
+                ledger.record(&j);
+                self.slo.record(j);
             }
         }
     }
@@ -1045,57 +1055,44 @@ impl ServePlane {
     /// latency into the tenant histograms, deadline-miss vs goodput, and
     /// the in-flight ledger.
     pub fn complete_batch(&mut self, batch: &Batch, completed_at: Time) {
-        for r in &batch.requests {
-            let slot = self
-                .tenants
-                .iter_mut()
-                .find(|t| t.id == r.tenant)
-                .expect("request belongs to a hosted tenant");
-            slot.completed += 1;
-            slot.latency_ns
-                .record(completed_at.since(r.arrival).as_ns());
-            let outcome = if completed_at <= r.deadline {
-                slot.goodput += 1;
+        self.settle(batch, completed_at, |r| {
+            if completed_at <= r.deadline {
                 JourneyOutcome::Completed
             } else {
-                slot.deadline_miss += 1;
                 JourneyOutcome::DeadlineMiss
-            };
-            self.slo.observe(RequestJourney {
-                id: r.id,
-                tenant: r.tenant,
-                kernel: r.kernel,
-                arrival: r.arrival,
-                dispatched: r.dispatched,
-                completed: completed_at,
-                deadline: r.deadline,
-                outcome,
-            });
-        }
-        self.in_flight -= batch.requests.len() as u64;
+            }
+        });
     }
 
     /// Records a batch whose backend call failed at `failed_at`. The
     /// requests stay accounted (failed, not lost) and leave the
     /// in-flight ledger.
     pub fn fail_batch(&mut self, batch: &Batch, failed_at: Time) {
+        self.settle(batch, failed_at, |_| JourneyOutcome::Failed);
+    }
+
+    /// Ends every request of a dispatched batch at `at` with the outcome
+    /// `outcome` gives it.
+    fn settle(&mut self, batch: &Batch, at: Time, outcome: impl Fn(&Request) -> JourneyOutcome) {
         for r in &batch.requests {
             let slot = self
                 .tenants
-                .iter_mut()
-                .find(|t| t.id == r.tenant)
+                .iter()
+                .position(|t| t.id == r.tenant)
                 .expect("request belongs to a hosted tenant");
-            slot.failed += 1;
-            self.slo.observe(RequestJourney {
-                id: r.id,
-                tenant: r.tenant,
-                kernel: r.kernel,
-                arrival: r.arrival,
-                dispatched: r.dispatched,
-                completed: failed_at,
-                deadline: r.deadline,
-                outcome: JourneyOutcome::Failed,
-            });
+            self.account(
+                slot,
+                Some(RequestJourney {
+                    id: r.id,
+                    tenant: r.tenant,
+                    kernel: r.kernel,
+                    arrival: r.arrival,
+                    dispatched: r.dispatched,
+                    completed: at,
+                    deadline: r.deadline,
+                    outcome: outcome(r),
+                }),
+            );
         }
         self.in_flight -= batch.requests.len() as u64;
     }
@@ -1109,20 +1106,15 @@ impl ServePlane {
     /// is the ServePlane half of the drive-loop telemetry contract; the
     /// driver adds its own CheckPlane/resilience triggers.
     pub fn telemetry_tick(&mut self, now: Time, ts: &mut TimeSeries, fr: &mut FlightRecorder) {
-        let w = self.slo.take_window();
-        ts.incr("serve.submitted", w.submitted);
-        ts.incr("serve.admitted", w.admitted);
-        ts.incr("serve.completed", w.completed);
-        ts.incr("serve.failed", w.failed);
-        ts.incr("serve.shed_queue", w.shed_queue);
-        ts.incr("serve.shed_throttle", w.shed_throttle);
-        ts.incr("serve.deadline_miss", w.deadline_miss);
-        ts.incr("serve.goodput", w.goodput);
-        ts.merge_hist("serve.latency_ns", &w.latency_ns);
+        let (w, exemplars) = self.slo.take_window();
+        for (name, n) in w.counters() {
+            ts.incr(name, n);
+        }
+        ts.merge_hist(LATENCY_NS, &w.latency_ns);
         ts.set_gauge("serve.queue_depth", self.queued() as u64);
         ts.set_gauge("serve.in_flight", self.in_flight);
         let window = ts.window_index(now);
-        for j in &w.exemplars {
+        for j in &exemplars {
             fr.note(j.completed, "exemplar", || j.describe());
         }
         let deadline_ns = self.spec.deadline.as_ns();
@@ -1168,11 +1160,9 @@ impl ServePlane {
         if !cp.is_enabled() {
             return;
         }
-        let submitted: u64 = self.tenants.iter().map(|t| t.submitted).sum();
-        let admitted: u64 = self.tenants.iter().map(|t| t.admitted).sum();
-        let shed: u64 = self.tenants.iter().map(|t| t.shed()).sum();
-        let completed: u64 = self.tenants.iter().map(|t| t.completed).sum();
-        let failed: u64 = self.tenants.iter().map(|t| t.failed).sum();
+        let total = self.total();
+        let (submitted, admitted, shed) = (total.submitted, total.admitted, total.shed());
+        let (completed, failed) = (total.completed, total.failed);
         let queued = self.queued() as u64;
         cp.check(
             invariant::SERVE_REQUEST_CONSERVED,
@@ -1209,23 +1199,23 @@ impl ServePlane {
     /// Exports the plane's instruments under `serve.*`. Deterministic:
     /// pure functions of the spec and the driver's dispatch schedule.
     pub fn export_metrics(&self, m: &mut MetricsRegistry) {
-        let sum = |f: fn(&TenantSlot) -> u64| self.tenants.iter().map(f).sum::<u64>();
-        m.add("serve.submitted", sum(|t| t.submitted));
-        m.add("serve.admitted", sum(|t| t.admitted));
-        m.add("serve.completed", sum(|t| t.completed));
-        m.add("serve.shed_queue", sum(|t| t.shed_queue));
-        m.add("serve.shed_throttle", sum(|t| t.shed_throttle));
-        m.add("serve.failed", sum(|t| t.failed));
-        m.add("serve.deadline_miss", sum(|t| t.deadline_miss));
-        m.add("serve.goodput", sum(|t| t.goodput));
+        let total = self.total();
+        for (name, n) in total.counters() {
+            m.add(name, n);
+        }
         m.add("serve.batches", self.batches);
         m.add("serve.batched_requests", self.batched_requests);
         m.merge_hist("serve.batch_size", &self.batch_size);
-        let mut latency = Histogram::new();
+        m.merge_hist(LATENCY_NS, &total.latency_ns);
+    }
+
+    /// Every hosted tenant's ledger, merged.
+    fn total(&self) -> Ledger {
+        let mut total = Ledger::default();
         for t in &self.tenants {
-            latency.merge(&t.latency_ns);
+            total.merge(&t.ledger);
         }
-        m.merge_hist("serve.latency_ns", &latency);
+        total
     }
 
     /// Serializes the plane's mutable state: dispatcher scalars, then
@@ -1234,8 +1224,7 @@ impl ServePlane {
     /// structural — the restore target must be built with
     /// [`ServePlane::for_tenants`] over the same spec and ids (the
     /// system snapshot embeds the spec string for exactly that).
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        use ecoscale_sim::Snapshot as _;
+    pub fn snapshot_state(&self, w: &mut SnapWriter) {
         w.put_u32(self.mix_len);
         w.put_usize(self.cursor);
         w.put_u64(self.next_id);
@@ -1260,15 +1249,7 @@ impl ServePlane {
             }
             w.put_f64(t.bucket.level);
             w.put_time(t.bucket.last);
-            w.put_u64(t.submitted);
-            w.put_u64(t.admitted);
-            w.put_u64(t.shed_queue);
-            w.put_u64(t.shed_throttle);
-            w.put_u64(t.completed);
-            w.put_u64(t.failed);
-            w.put_u64(t.deadline_miss);
-            w.put_u64(t.goodput);
-            t.latency_ns.snapshot(w);
+            t.ledger.snapshot(w);
         }
     }
 
@@ -1278,15 +1259,11 @@ impl ServePlane {
     ///
     /// # Errors
     ///
-    /// [`ecoscale_sim::RestoreError`] on any shape mismatch (mix length,
-    /// tenant count or ids), truncation, an out-of-range kernel index,
-    /// or a queued request violating FIFO arrival order.
-    pub fn restore_state(
-        &mut self,
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<(), ecoscale_sim::RestoreError> {
-        use ecoscale_sim::snap::malformed;
-        use ecoscale_sim::Restore;
+    /// [`RestoreError`] on any shape mismatch (mix length, tenant count
+    /// or ids), truncation, an out-of-range kernel index, a queued
+    /// request violating FIFO arrival order, or an SLO window keeping
+    /// another number of exemplars than this build.
+    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
         let mix_len = r.get_u32()?;
         if mix_len != self.mix_len {
             return Err(malformed(format!(
@@ -1369,77 +1346,37 @@ impl ServePlane {
             }
             t.bucket.level = r.get_f64()?;
             t.bucket.last = r.get_time()?;
-            t.submitted = r.get_u64()?;
-            t.admitted = r.get_u64()?;
-            t.shed_queue = r.get_u64()?;
-            t.shed_throttle = r.get_u64()?;
-            t.completed = r.get_u64()?;
-            t.failed = r.get_u64()?;
-            t.deadline_miss = r.get_u64()?;
-            t.goodput = r.get_u64()?;
-            t.latency_ns = Histogram::restore(r)?;
+            t.ledger = Ledger::restore(r)?;
         }
         Ok(())
     }
 
-    /// Snapshots the SLO ledger as a [`ServingReport`].
+    /// Snapshots the tenants' ledgers as a [`ServingReport`].
     pub fn report(&self) -> ServingReport {
-        let mut latency = Histogram::new();
-        let mut tenants = Vec::with_capacity(self.tenants.len());
-        for t in &self.tenants {
-            latency.merge(&t.latency_ns);
-            tenants.push(TenantReport {
-                tenant: t.id,
-                submitted: t.submitted,
-                admitted: t.admitted,
-                completed: t.completed,
-                shed_queue: t.shed_queue,
-                shed_throttle: t.shed_throttle,
-                failed: t.failed,
-                deadline_miss: t.deadline_miss,
-                goodput: t.goodput,
-                p50_ns: t.latency_ns.percentile(50.0),
-                p99_ns: t.latency_ns.percentile(99.0),
-                mean_ns: t.latency_ns.mean(),
-            });
-        }
         ServingReport {
             horizon: self.spec.horizon,
             batches: self.batches,
             batched_requests: self.batched_requests,
-            latency,
-            tenants,
+            latency: self.total().latency_ns,
+            tenants: self
+                .tenants
+                .iter()
+                .map(|t| TenantReport {
+                    tenant: t.id,
+                    ledger: t.ledger.clone(),
+                })
+                .collect(),
         }
     }
 }
 
-/// One tenant's SLO ledger inside a [`ServingReport`].
+/// One tenant's lifetime serving ledger inside a [`ServingReport`]; its
+/// counts are exported by [`ServingReport::to_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
     /// Global tenant id.
     pub tenant: u32,
-    /// Requests the tenant's open-loop source generated.
-    pub submitted: u64,
-    /// Requests admitted past the bucket and queue bound.
-    pub admitted: u64,
-    /// Requests completed by the backend.
-    pub completed: u64,
-    /// Requests shed on a full queue (backpressure).
-    pub shed_queue: u64,
-    /// Requests shed on an empty token bucket (fair share).
-    pub shed_throttle: u64,
-    /// Requests whose backend call failed.
-    pub failed: u64,
-    /// Completions past their deadline.
-    pub deadline_miss: u64,
-    /// Completions within their deadline.
-    pub goodput: u64,
-    /// Median completion latency, nanoseconds (log-binned histogram).
-    pub p50_ns: u64,
-    /// Tail (99th percentile) completion latency, nanoseconds.
-    pub p99_ns: u64,
-    /// Mean completion latency, nanoseconds.
-    pub mean_ns: f64,
+    ledger: Ledger,
 }
 
 /// The deterministic serving section of a system report: aggregate and
@@ -1460,8 +1397,8 @@ pub struct ServingReport {
 }
 
 impl ServingReport {
-    fn sum(&self, f: fn(&TenantReport) -> u64) -> u64 {
-        self.tenants.iter().map(f).sum()
+    fn sum(&self, f: fn(&Ledger) -> u64) -> u64 {
+        self.tenants.iter().map(|t| f(&t.ledger)).sum()
     }
 
     /// Requests generated across all tenants.
@@ -1481,7 +1418,7 @@ impl ServingReport {
 
     /// Requests shed across all tenants (queue + throttle).
     pub fn shed(&self) -> u64 {
-        self.sum(|t| t.shed_queue + t.shed_throttle)
+        self.sum(Ledger::shed)
     }
 
     /// Requests failed across all tenants.
@@ -1581,28 +1518,19 @@ impl ServingReport {
             }
             out.push_str("{\"tenant\":");
             out.push_str(&t.tenant.to_string());
-            out.push_str(",\"submitted\":");
-            out.push_str(&t.submitted.to_string());
-            out.push_str(",\"admitted\":");
-            out.push_str(&t.admitted.to_string());
-            out.push_str(",\"completed\":");
-            out.push_str(&t.completed.to_string());
-            out.push_str(",\"shed_queue\":");
-            out.push_str(&t.shed_queue.to_string());
-            out.push_str(",\"shed_throttle\":");
-            out.push_str(&t.shed_throttle.to_string());
-            out.push_str(",\"failed\":");
-            out.push_str(&t.failed.to_string());
-            out.push_str(",\"deadline_miss\":");
-            out.push_str(&t.deadline_miss.to_string());
-            out.push_str(",\"goodput\":");
-            out.push_str(&t.goodput.to_string());
+            for (name, n) in t.ledger.counters() {
+                out.push_str(",\"");
+                out.push_str(name.trim_start_matches("serve."));
+                out.push_str("\":");
+                out.push_str(&n.to_string());
+            }
+            let latency = &t.ledger.latency_ns;
             out.push_str(",\"p50_ns\":");
-            out.push_str(&t.p50_ns.to_string());
+            out.push_str(&latency.percentile(50.0).to_string());
             out.push_str(",\"p99_ns\":");
-            out.push_str(&t.p99_ns.to_string());
+            out.push_str(&latency.percentile(99.0).to_string());
             out.push_str(",\"mean_ns\":");
-            json::fmt_f64(&mut out, t.mean_ns);
+            json::fmt_f64(&mut out, latency.mean());
             out.push('}');
         }
         out.push_str("]}");
@@ -1626,16 +1554,17 @@ impl ServingReport {
             ],
         );
         for r in &self.tenants {
+            let l = &r.ledger;
             t.row_owned(vec![
                 r.tenant.to_string(),
-                r.submitted.to_string(),
-                r.admitted.to_string(),
-                r.completed.to_string(),
-                (r.shed_queue + r.shed_throttle).to_string(),
-                r.deadline_miss.to_string(),
-                r.goodput.to_string(),
-                Duration::from_ns(r.p50_ns).to_string(),
-                Duration::from_ns(r.p99_ns).to_string(),
+                l.submitted.to_string(),
+                l.admitted.to_string(),
+                l.completed.to_string(),
+                l.shed().to_string(),
+                l.deadline_miss.to_string(),
+                l.goodput.to_string(),
+                Duration::from_ns(l.latency_ns.percentile(50.0)).to_string(),
+                Duration::from_ns(l.latency_ns.percentile(99.0)).to_string(),
             ]);
         }
         t.row_owned(vec![
@@ -1803,7 +1732,7 @@ mod tests {
         let mut plane = ServePlane::new(&spec, 1);
         plane.pop_arrivals(Time::MAX);
         let r = plane.report();
-        let heavy_shed: u64 = r.tenants.iter().map(|t| t.shed_throttle).sum();
+        let heavy_shed: u64 = r.tenants.iter().map(|t| t.ledger.shed_throttle).sum();
         assert!(heavy_shed > 0, "refill below offered rate must throttle");
         // an unthrottled spec never sheds on the bucket
         let free = ServeSpec::parse("seed=7,tenants=2,rate=200000,horizon=2ms").unwrap();
@@ -1814,7 +1743,7 @@ mod tests {
                 .report()
                 .tenants
                 .iter()
-                .map(|t| t.shed_throttle)
+                .map(|t| t.ledger.shed_throttle)
                 .sum::<u64>(),
             0
         );
@@ -1830,7 +1759,7 @@ mod tests {
         assert!(cp.ok(), "{:?}", cp.first());
         assert!(plane.queued() <= 4);
         let r = plane.report();
-        assert!(r.tenants[0].shed_queue > 0, "overload must shed");
+        assert!(r.tenants[0].ledger.shed_queue > 0, "overload must shed");
         assert_eq!(r.submitted(), r.admitted() + r.shed());
     }
 
@@ -2018,6 +1947,19 @@ mod tests {
                 p.restore_state(&mut r).is_err() || !r.is_exhausted(),
                 "truncated stream at {cut} restored fully"
             );
+        }
+    }
+
+    #[test]
+    fn slo_window_refuses_a_foreign_exemplar_cap() {
+        let mut w = SnapWriter::new();
+        SloTracker::default().snapshot(&mut w);
+        let mut bytes = w.into_bytes();
+        assert!(SloTracker::restore(&mut SnapReader::new(&bytes)).is_ok());
+        bytes[..8].copy_from_slice(&(EXEMPLAR_CAP as u64 + 1).to_le_bytes());
+        match SloTracker::restore(&mut SnapReader::new(&bytes)) {
+            Err(RestoreError::Malformed { context }) => assert!(context.contains("exemplars")),
+            other => panic!("a foreign exemplar cap gave {other:?}"),
         }
     }
 

@@ -276,6 +276,12 @@ impl CheckPlane {
         }
     }
 
+    /// How the plane is armed: `(enabled, strict, cadence)`. Two planes
+    /// armed alike may still hold different tallies.
+    pub fn arming(&self) -> (bool, bool, u64) {
+        (self.enabled, self.strict, self.every)
+    }
+
     /// Whether checks are armed. Layer hooks early-out on `false` so a
     /// disabled plane costs one branch.
     #[inline]

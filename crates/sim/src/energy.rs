@@ -78,12 +78,6 @@ impl Energy {
         self.0
     }
 
-    /// Returns the energy in millijoules.
-    #[inline]
-    pub fn as_mj(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Returns the energy in microjoules.
     #[inline]
     pub fn as_uj(self) -> f64 {
@@ -130,18 +124,6 @@ impl Power {
             "power must be finite and non-negative"
         );
         Power(w)
-    }
-
-    /// Creates a power from milliwatts.
-    #[inline]
-    pub fn from_mw(mw: f64) -> Power {
-        Power::from_watts(mw * 1e-3)
-    }
-
-    /// Creates a power from kilowatts.
-    #[inline]
-    pub fn from_kw(kw: f64) -> Power {
-        Power::from_watts(kw * 1e3)
     }
 
     /// Creates a power from megawatts.

@@ -230,16 +230,6 @@ impl SimRng {
             chunk.copy_from_slice(&bytes[..chunk.len()]);
         }
     }
-
-    /// The raw xoshiro256** state words, for checkpointing.
-    pub fn state_words(&self) -> [u64; 4] {
-        self.state
-    }
-
-    /// Rebuilds an RNG mid-stream from checkpointed state words.
-    pub fn from_state_words(state: [u64; 4]) -> SimRng {
-        SimRng { state }
-    }
 }
 
 impl crate::snap::Snapshot for SimRng {

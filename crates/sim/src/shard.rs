@@ -513,16 +513,6 @@ impl<M: ClusterModel> ShardedEngine<M> {
         &self.clusters[c].model
     }
 
-    /// Mutable model of cluster `c` (setup between runs).
-    pub fn model_mut(&mut self, c: usize) -> &mut M {
-        &mut self.clusters[c].model
-    }
-
-    /// Consumes the engine, returning the models in cluster order.
-    pub fn into_models(self) -> Vec<M> {
-        self.clusters.into_iter().map(|c| c.model).collect()
-    }
-
     /// Total events delivered across all clusters.
     pub fn events_processed(&self) -> u64 {
         self.windows.events

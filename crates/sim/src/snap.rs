@@ -48,8 +48,9 @@ pub const SNAP_MAGIC: [u8; 8] = *b"ECOSNAP\x01";
 /// an *older* one with [`RestoreError::Malformed`]: no migration exists,
 /// a section's layout is only read by the version that wrote it.
 ///
-/// Version 2 stores the telemetry series as registry windows.
-pub const SNAP_VERSION: u32 = 2;
+/// Version 2 stores the telemetry series as registry windows; version 3
+/// writes the serving SLO window's counters in the tenant ledgers' order.
+pub const SNAP_VERSION: u32 = 3;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -73,6 +73,17 @@ SERVE="seed=11,tenants=3,rate=150000,horizon=300us,batch=4"
     --serve-out target/snap_smoke_resumed.json e01 > target/snap_smoke_resumed.txt
 cmp target/snap_smoke_full.txt target/snap_smoke_resumed.txt
 cmp target/snap_smoke_full.json target/snap_smoke_resumed.json
+# The resuming run, not the stream, says how a resumed system self-checks:
+# the unarmed snapshot must be refused under ECOSCALE_CHECK=1.
+status=0
+ECOSCALE_CHECK=1 ./target/release/exp_all --scale quick --serve "$SERVE" \
+    --resume target/snap_smoke.snap e01 > /dev/null 2> target/snap_smoke_armed_err.txt \
+    || status=$?
+if [[ $status -ne 2 ]]; then
+    echo "ci.sh: an unarmed snapshot resumed armed exited $status, want 2" >&2
+    exit 1
+fi
+grep -q "refusing snapshot" target/snap_smoke_armed_err.txt
 truncate -s -1 target/snap_smoke.snap
 if ./target/release/exp_all --scale quick --serve "$SERVE" \
     --resume target/snap_smoke.snap e01 > /dev/null 2> target/snap_smoke_err.txt
