@@ -51,7 +51,7 @@ use ecoscale_noc::{
 use ecoscale_runtime::{skewed_trace, ClusterSim, ResilienceConfig, SchedPolicy, ServeSpec};
 use ecoscale_sim::check::{invariant, CheckPlane};
 use ecoscale_sim::{
-    CampaignSpec, Duration, MetricsRegistry, RunCtx, SimRng, TelemetryConfig, Time,
+    CampaignSpec, Duration, MetricsRegistry, RunCtx, SimRng, TelemetryConfig, Time, ZipfTable,
 };
 
 use core::fmt;
@@ -873,9 +873,10 @@ fn unimem_fuzz(cfg: &FuzzConfig, cp: &mut CheckPlane, m: &mut MetricsRegistry) {
     let mut mem = UnimemSystem::new(nodes, CacheConfig::l1_default(), DramModel::default());
     let mut rng = SimRng::seed_from(cfg.seed ^ 0x0b5e_0b5e);
     let mut now = Time::ZERO;
+    let owners = ZipfTable::new(nodes, 1.1);
     for _ in 0..cfg.tasks * 3 {
         let node = NodeId(rng.gen_range_usize(0, nodes));
-        let owner = NodeId(rng.gen_zipf(nodes, 1.1));
+        let owner = NodeId(owners.draw(&mut rng));
         let addr = GlobalAddr::new(owner, rng.gen_range_u64(0, 64) * 4096);
         let bytes = 64 * (1 + rng.gen_range_u64(0, 4));
         let access = if rng.gen_bool(0.35) {

@@ -32,7 +32,7 @@ use ecoscale_runtime::{skewed_trace, ClusterSim, ResilienceConfig, SchedPolicy, 
 use ecoscale_sim::check::CheckPlane;
 use ecoscale_sim::{
     CampaignSpec, Duration, MetricsRegistry, Profiler, RunCtx, ShardOccupancy, SimRng,
-    TelemetryConfig, Time, TimeSeries, TraceBuffer, Tracer,
+    TelemetryConfig, Time, TimeSeries, TraceBuffer, Tracer, ZipfTable,
 };
 
 use crate::shard_exp::scaling_config;
@@ -262,8 +262,9 @@ fn smmu_phase(scale: Scale, cap: &mut Capture) {
     let mut now = Time::ZERO;
     let mut rng = SimRng::seed_from(0xec05_ca1e);
     let n = scale.pick(4_000, 40_000);
+    let hot_pages = ZipfTable::new(pages as usize, 1.2);
     for _ in 0..n {
-        let page = rng.gen_zipf(pages as usize, 1.2) as u64;
+        let page = hot_pages.draw(&mut rng) as u64;
         let offset = rng.gen_range_u64(0, 4096);
         if let Ok((_, latency)) = smmu.translate(VirtAddr::from_page(page, offset), PagePerms::READ)
         {
@@ -293,10 +294,11 @@ fn unimem_phase(scale: Scale, cap: &mut Capture) {
     let mut rng = SimRng::seed_from(0x0b5e_7ab1);
     let mut now = Time::ZERO;
     let accesses = scale.pick(600, 6_000);
+    let owners = ZipfTable::new(nodes, 1.1);
     for _ in 0..accesses {
         let node = NodeId(rng.gen_range_usize(0, nodes));
         // concentrate on few owners/pages so caches and links contend
-        let owner = NodeId(rng.gen_zipf(nodes, 1.1));
+        let owner = NodeId(owners.draw(&mut rng));
         let addr = GlobalAddr::new(owner, rng.gen_range_u64(0, 32) * 4096);
         let bytes = 64 * (1 + rng.gen_range_u64(0, 4));
         let access = if rng.gen_bool(0.3) {

@@ -8,7 +8,7 @@ use ecoscale_hls::KernelAnalysis;
 use ecoscale_noc::{NodeId, TreeTopology};
 use ecoscale_runtime::{skewed_trace, ClusterSim, SchedPolicy};
 use ecoscale_sim::report::{fnum, fratio, Table};
-use ecoscale_sim::{CheckPlane, Duration, Energy, SimRng};
+use ecoscale_sim::{CheckPlane, Duration, Energy, SimRng, ZipfTable};
 
 use crate::ExpRun;
 
@@ -21,8 +21,9 @@ pub fn e07_scheduler(run: &ExpRun) -> Table {
     let kernel = ecoscale_hls::parse_kernel(src).expect("parses");
     let sizes_pool = [1_024u64, 4_096, 16_384, 65_536];
     let mut rng = SimRng::seed_from(3);
+    let sizes = ZipfTable::new(sizes_pool.len(), 0.8);
     let trace: Vec<u64> = (0..calls)
-        .map(|_| sizes_pool[rng.gen_zipf(sizes_pool.len(), 0.8)])
+        .map(|_| sizes_pool[sizes.draw(&mut rng)])
         .collect();
 
     // adaptive: the real system

@@ -1380,6 +1380,63 @@ mod tests {
         let mut cp = CheckPlane::enabled(1);
         let out = run_serve_sim_with(&cfg, &mut cp);
         assert!(cp.ok(), "{:?}", cp.first());
+        assert_ledger_agrees(&out);
+        for name in [
+            "serve.shed_queue",
+            "serve.shed_throttle",
+            "serve.deadline_miss",
+        ] {
+            assert!(out.metrics.counter(name) > Some(0), "`{name}` is exercised");
+        }
+    }
+
+    #[test]
+    fn failed_calls_fail_their_batches_end_to_end() {
+        // a third mix entry whose binder leaves out the signature's `n`:
+        // every call to it fails with a missing argument in the VM
+        fn bind_without_n(n: usize) -> KernelArgs {
+            let mut a = KernelArgs::new();
+            a.bind_array("x", vec![1.0; n + 2])
+                .bind_array("y", vec![0.0; n]);
+            a
+        }
+        let mut mix = linear_test_mix();
+        mix.push(ServeKernel {
+            name: "smooth_unbound",
+            source: "kernel smooth_unbound(in float x[], out float y[], int n) {
+                for (i in 0 .. n) { y[i] = 0.5 * x[i] + 0.5 * x[i + 1]; }
+            }",
+            hints: serve_hints(&[("n", 96.0)]),
+            bind: bind_without_n,
+        });
+        let mut args = bind_without_n(4);
+        let kernel = ecoscale_hls::parse_kernel(mix[2].source).unwrap();
+        assert_eq!(
+            args.run(&kernel),
+            Err(ecoscale_hls::ExecKernelError::MissingArg { name: "n".into() })
+        );
+        let spec = ServeSpec::parse("seed=43,tenants=3,rate=200000,horizon=500us,batch=4").unwrap();
+        let mut cfg = ServeSimConfig::new(spec, mix);
+        cfg.ctx = crate::test_ctx();
+        cfg.cells = 2;
+        cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
+        let mut cp = CheckPlane::enabled(1);
+        let out = run_serve_sim_with(&cfg, &mut cp);
+        assert!(cp.ok(), "{:?}", cp.first());
+        assert!(out.serving.conserved());
+        assert!(out.serving.failed() > 0, "the unbound entry fails");
+        assert!(out.serving.completed() > 0, "the others still serve");
+        assert_eq!(
+            out.metrics.counter("serve.failed"),
+            Some(out.serving.failed())
+        );
+        assert_ledger_agrees(&out);
+    }
+
+    /// Every `serve.*` counter agrees three ways: the telemetry series'
+    /// lifetime total, the metrics registry, and the serving report's
+    /// per-tenant ledgers; so does the latency histogram's count.
+    fn assert_ledger_agrees(out: &ServeOutcome) {
         let t = out.telemetry.as_ref().expect("telemetry armed");
         // the report's per-tenant ledgers, totalled from its JSON export
         let report = json::parse(&out.serving.to_json()).unwrap();
@@ -1409,13 +1466,6 @@ mod tests {
                 Some(total),
                 "registry `{series}`"
             );
-        }
-        for name in [
-            "serve.shed_queue",
-            "serve.shed_throttle",
-            "serve.deadline_miss",
-        ] {
-            assert!(out.metrics.counter(name) > Some(0), "`{name}` is exercised");
         }
         assert_eq!(
             t.series.windows().count() as u64,

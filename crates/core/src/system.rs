@@ -17,7 +17,8 @@ use std::sync::Arc;
 
 use ecoscale_fpga::{Resources, SeuScrubber};
 use ecoscale_hls::{
-    parse_kernel, ExecKernelError, KernelAnalysis, KernelArgs, ModuleLibrary, ParseKernelError,
+    parse_kernel, ExecKernelError, Kernel, KernelAnalysis, KernelArgs, ModuleLibrary,
+    ParseKernelError,
 };
 use ecoscale_mem::{CacheConfig, DramModel, UnimemSystem};
 use ecoscale_noc::{Network, NetworkConfig, NodeId, Topology, TreeTopology};
@@ -286,7 +287,15 @@ impl SystemBuilder {
             net: Network::new(topo, NetworkConfig::default()),
             mem: UnimemSystem::new(n, CacheConfig::l1_default(), DramModel::default()),
             library: Arc::clone(&artifacts.library),
-            kernels: artifacts.parsed.clone(),
+            kernels: artifacts
+                .parsed
+                .iter()
+                .map(|(name, kernel)| {
+                    let kernel = Arc::clone(kernel);
+                    let analyses = Vec::new();
+                    (name.clone(), CallableKernel { kernel, analyses })
+                })
+                .collect(),
             unilogic: UnilogicModel::default(),
             clock: Time::ZERO,
             energy: Energy::ZERO,
@@ -312,7 +321,7 @@ impl SystemBuilder {
 pub(crate) struct SystemArtifacts {
     kernels: Vec<(String, HashMap<String, f64>)>,
     hls_budget: Resources,
-    parsed: HashMap<String, Arc<ecoscale_hls::Kernel>>,
+    parsed: HashMap<String, Arc<Kernel>>,
     library: Arc<ModuleLibrary>,
 }
 
@@ -321,6 +330,56 @@ impl SystemArtifacts {
     /// sources, hints and HLS budget (its shape does not matter).
     pub(crate) fn built_from(&self, builder: &SystemBuilder) -> bool {
         self.kernels == builder.kernels && self.hls_budget == builder.hls_budget
+    }
+}
+
+/// The analyses one system memoises per kernel: enough for the distinct
+/// argument sets of a serving mix (one per batch size).
+const ANALYSES_PER_KERNEL: usize = 16;
+
+/// A kernel the system calls: the shared parsed kernel, which compiles
+/// itself for the interpreter on its first run, and the analyses of its
+/// recent calls.
+#[derive(Debug)]
+struct CallableKernel {
+    kernel: Arc<Kernel>,
+    /// Per distinct call: the bits of each signature scalar's argument
+    /// (`None` when unbound) and the analysis those arguments give,
+    /// oldest first.
+    analyses: Vec<(Vec<Option<u64>>, KernelAnalysis)>,
+}
+
+impl CallableKernel {
+    /// The bits of `args`' binding of each signature scalar, in
+    /// parameter order: what a call's analysis depends on.
+    fn key(&self, args: &KernelArgs) -> Vec<Option<u64>> {
+        self.kernel
+            .scalars()
+            .map(|p| args.scalar(&p.name).map(f64::to_bits))
+            .collect()
+    }
+
+    /// The analysis for the scalar arguments `key`, as
+    /// [`KernelAnalysis::analyze`] gives it with those arguments as hints.
+    fn analysis(&mut self, key: Vec<Option<u64>>) -> &KernelAnalysis {
+        let at = match self.analyses.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                let hints = self
+                    .kernel
+                    .scalars()
+                    .zip(&key)
+                    .filter_map(|(p, v)| v.map(|v| (p.name.clone(), f64::from_bits(v))))
+                    .collect();
+                let analysis = KernelAnalysis::analyze(&self.kernel, &hints);
+                if self.analyses.len() == ANALYSES_PER_KERNEL {
+                    self.analyses.remove(0);
+                }
+                self.analyses.push((key, analysis));
+                self.analyses.len() - 1
+            }
+        };
+        &self.analyses[at].1
     }
 }
 
@@ -339,7 +398,7 @@ pub struct EcoscaleSystem {
     net: Network<TreeTopology>,
     mem: UnimemSystem,
     library: Arc<ModuleLibrary>,
-    kernels: HashMap<String, Arc<ecoscale_hls::Kernel>>,
+    kernels: HashMap<String, CallableKernel>,
     unilogic: UnilogicModel,
     clock: Time,
     energy: Energy,
@@ -773,24 +832,18 @@ impl EcoscaleSystem {
         function: &str,
         args: &mut KernelArgs,
     ) -> Result<CallOutcome, CallError> {
-        let kernel = self
-            .kernels
-            .get(function)
-            .ok_or_else(|| CallError::UnknownFunction {
-                name: function.to_owned(),
-            })?
-            .clone();
+        let callable =
+            self.kernels
+                .get_mut(function)
+                .ok_or_else(|| CallError::UnknownFunction {
+                    name: function.to_owned(),
+                })?;
+        let kernel = Arc::clone(&callable.kernel);
 
         // features and work estimate from the actual arguments
-        let mut hints = HashMap::new();
-        let mut features = Vec::new();
-        for p in kernel.scalars() {
-            if let Some(v) = args.scalar(&p.name) {
-                hints.insert(p.name.clone(), v);
-                features.push(v);
-            }
-        }
-        let analysis = KernelAnalysis::analyze(&kernel, &hints);
+        let key = callable.key(args);
+        let features: Vec<f64> = key.iter().flatten().map(|&v| f64::from_bits(v)).collect();
+        let analysis = callable.analysis(key);
         let total = analysis.total().copied().unwrap_or_default();
         // A software core pays ~25 cycles per transcendental (libm on an
         // A53); a pipelined datapath pays one issue slot. Weight the CPU
@@ -1396,5 +1449,71 @@ mod tests {
         assert!(loads >= 1, "daemon should load the hot kernel somewhere");
         let id = s.library().get("scale").unwrap().module.id();
         assert!(s.worker(NodeId(2)).daemon().is_loaded(id));
+    }
+
+    #[test]
+    fn memoised_analyses_equal_fresh_ones_over_a_serving_run() {
+        use std::cell::RefCell;
+
+        use ecoscale_runtime::ServeSpec;
+        use ecoscale_sim::RunCtx;
+
+        use crate::{linear_test_mix, run_serve_sim_with, ServeSimConfig};
+
+        thread_local! {
+            static CALLS: RefCell<Vec<(usize, usize)>> = const { RefCell::new(Vec::new()) };
+        }
+        fn logged<const K: usize>(items: usize) -> KernelArgs {
+            CALLS.with(|c| c.borrow_mut().push((K, items)));
+            (linear_test_mix()[K].bind)(items)
+        }
+        // log the calls of a batching serving run (on this thread)
+        let mut mix = linear_test_mix();
+        mix[0].bind = logged::<0>;
+        mix[1].bind = logged::<1>;
+        let spec = ServeSpec::parse("seed=7,tenants=3,rate=300000,horizon=400us,batch=8").unwrap();
+        let mut cfg = ServeSimConfig::new(spec, mix);
+        cfg.items = 24;
+        cfg.ctx = RunCtx::parse(Some("1"), Some("1"), None);
+        run_serve_sim_with(&cfg, &mut CheckPlane::disabled());
+        let mut calls = CALLS.with(|c| c.take());
+        assert!(calls.len() > 50, "{} calls", calls.len());
+        // then enough distinct sizes, twice over, to cycle the memo
+        calls.extend((0..2).flat_map(|_| (1..=2 * ANALYSES_PER_KERNEL).map(|n| (n % 2, n))));
+
+        let mut b = SystemBuilder::new().workers_per_node(2).compute_nodes(2);
+        for k in linear_test_mix() {
+            b = b.kernel(k.source, k.hints.clone());
+        }
+        let mut s = b.build().unwrap();
+        let mix = linear_test_mix();
+        let mut sizes = std::collections::BTreeSet::new();
+        for (n, &(k, items)) in calls.iter().enumerate() {
+            let mut args = (mix[k].bind)(items);
+            s.call(NodeId(n % s.num_workers()), mix[k].name, &mut args)
+                .unwrap();
+            // the analysis the call used, against the per-call hints map
+            // it replaces
+            let callable = &s.kernels[mix[k].name];
+            let key = callable.key(&args);
+            let (_, memo) = callable
+                .analyses
+                .iter()
+                .find(|(k, _)| *k == key)
+                .expect("the call's analysis is memoised");
+            let hints: HashMap<String, f64> = callable
+                .kernel
+                .scalars()
+                .filter_map(|p| args.scalar(&p.name).map(|v| (p.name.clone(), v)))
+                .collect();
+            assert_eq!(
+                *memo,
+                KernelAnalysis::analyze(&callable.kernel, &hints),
+                "call {n}"
+            );
+            assert!(callable.analyses.len() <= ANALYSES_PER_KERNEL);
+            sizes.insert(items);
+        }
+        assert!(sizes.len() > ANALYSES_PER_KERNEL, "{} sizes", sizes.len());
     }
 }

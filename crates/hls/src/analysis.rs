@@ -113,7 +113,7 @@ pub struct LoopInfo {
 /// assert!(hot.carried_dependence); // acc = acc + ...
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelAnalysis {
     loops: Vec<LoopInfo>,
     straight_line: OpCensus,

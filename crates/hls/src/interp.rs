@@ -7,22 +7,38 @@
 //!
 //! # Compile, then execute
 //!
-//! [`KernelArgs::run`] works in two steps:
+//! 1. **Compile, once per kernel.** On its first run a [`Kernel`] is
+//!    compiled into a flat register program, which the kernel keeps for
+//!    every later run (a clone starts without one). One `f64` register
+//!    file holds every scalar, local and loop variable first, then the
+//!    kernel's constants, then the temporaries of expression evaluation.
+//!    The program is a `Vec` of instructions over those registers:
+//!    * add, sub, mul and div have their own instructions; every other
+//!      operator goes through [`BinOp::apply`] / [`UnOp::apply`];
+//!    * an assignment computes straight into its variable's register;
+//!    * loads and stores check their bounds, and a store to an `in`
+//!      array is a fault instruction;
+//!    * `if` and `select` are conditional jumps, and a loop is a start
+//!      and a next instruction around its body, counting in `i64`;
+//!    * a read checks that its variable is defined only where compiling
+//!      cannot prove it: signature scalars are defined once the
+//!      argument check passes, a loop variable inside its own body, and
+//!      a local once it is assigned on every path to the read.
 //!
-//! 1. **Compile.** After the signature check, the kernel body is lowered
-//!    into a private slot-resolved form. Every scalar, local and loop
-//!    variable name becomes an index into a `Vec<f64>` with a defined
-//!    flag per slot. Every array name becomes an index into a small
-//!    vector of buffers, moved out of the argument map for the run and
-//!    moved back on every exit path, errors included. Whether a store
-//!    targets a read-only (`in`) array is decided here, once.
-//! 2. **Execute.** The lowered tree runs with no hashing and no
-//!    allocation. Names are looked up again only to build the error
-//!    value when a run fails.
+//!    Nothing that depends on the bindings is compiled in.
+//! 2. **Execute, once per run.** [`KernelArgs::run`] checks the
+//!    signature, then sets up the registers from this run's bindings:
+//!    every variable takes its bound scalar, if any, as its initial value
+//!    and definedness. The buffers of the arrays the body names are moved
+//!    out of the bindings for the run and moved back on every exit path,
+//!    errors included; an unbound array runs as an empty buffer, so its
+//!    first access faults. One `pc` loop then runs the program with no
+//!    recursion, no hashing and no allocation. Names are looked up again
+//!    only to build the error value when a run fails.
 //!
 //! # Bit-identity contract
 //!
-//! The lowered form is the IR with names replaced by indices, nothing
+//! The program evaluates the IR's operations in the IR's order, nothing
 //! more, so results are bit-identical to a direct walk of the IR:
 //!
 //! * the same `f64` operations run in the same order, with no
@@ -38,9 +54,10 @@
 //!   to a scalar parameter does not write back to the bindings.
 //!
 //! `tests/properties.rs` checks this contract against a reference
-//! tree-walker over fuzzed kernels.
+//! tree-walker over fuzzed kernels, including one compiled program run
+//! under changing bindings.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -156,7 +173,7 @@ impl KernelArgs {
     }
 
     /// Runs `kernel` against these bindings, mutating the bound output
-    /// arrays in place.
+    /// arrays in place. The kernel is compiled on its first run.
     ///
     /// # Errors
     ///
@@ -174,309 +191,508 @@ impl KernelArgs {
                 });
             }
         }
-        let mut lower = Lowering {
-            kernel,
-            args: self,
-            machine: Machine::default(),
-        };
-        let body = lower.block(kernel.body());
-        let mut machine = lower.machine;
-        let result = machine.exec(&body).map_err(|f| machine.error(f));
-        for (name, buf) in machine.buf_names.into_iter().zip(machine.bufs) {
-            self.arrays.insert(name, buf);
+        kernel.program().run(self)
+    }
+}
+
+/// A register index.
+type Reg = u32;
+
+/// One VM instruction. Operands are registers, destination first; `buf`
+/// is an index into [`Program::arrays`], `counter` a loop's counter pair,
+/// and a jump target an index into the code.
+#[derive(Debug, Clone, Copy)]
+enum Instr {
+    /// `dst = a + b`, and so on for the next three.
+    Add(Reg, Reg, Reg),
+    Sub(Reg, Reg, Reg),
+    Mul(Reg, Reg, Reg),
+    Div(Reg, Reg, Reg),
+    /// `dst = op.apply(a, b)`.
+    Binary(BinOp, Reg, Reg, Reg),
+    /// `dst = op.apply(a)`.
+    Unary(UnOp, Reg, Reg),
+    /// `dst = src`.
+    Mov(Reg, Reg),
+    /// `dst = buf[index]`.
+    Load(Reg, u32, Reg),
+    /// `buf[index] = value`.
+    Store(u32, Reg, Reg),
+    /// Jumps to the target when the register holds zero (false).
+    JumpIfZero(Reg, u32),
+    Jump(u32),
+    /// Faults with an unknown name unless the variable is defined.
+    Need(Reg),
+    /// Marks the variable defined, after an assignment to it.
+    Define(Reg),
+    /// Enters a loop over `[start, end)`: sets `var` to the first value
+    /// and falls into the body, or jumps to `exit` if there is none.
+    LoopStart {
+        var: Reg,
+        start: Reg,
+        end: Reg,
+        counter: u32,
+        exit: u32,
+    },
+    /// Steps a loop: sets `var` to the next value and jumps back to
+    /// `body`, or falls through when the range is done.
+    LoopNext {
+        var: Reg,
+        counter: u32,
+        body: u32,
+    },
+    /// A store to the read-only array `buf`.
+    WriteToInput(u32),
+}
+
+/// Why a run stopped, without allocating; [`Program::error`] turns it
+/// into an [`ExecKernelError`] with owned names.
+enum Fault {
+    Unknown(Reg),
+    /// An index outside buffer `buf`, or any index into an unbound one.
+    Index {
+        buf: u32,
+        index: i64,
+    },
+    WriteToInput(u32),
+}
+
+/// A kernel compiled to register bytecode: what [`Kernel`] caches.
+#[derive(Debug)]
+pub(crate) struct Program {
+    code: Vec<Instr>,
+    /// The name of each variable; variable `v` lives in register `v`.
+    vars: Vec<String>,
+    /// The constants, loaded into the registers after the variables.
+    consts: Vec<Value>,
+    /// Registers in all: variables, constants, then temporaries.
+    regs: usize,
+    /// The arrays the body names, in buffer order.
+    arrays: Vec<String>,
+    /// Loops, each with one counter pair.
+    loops: usize,
+}
+
+impl Program {
+    /// Compiles `kernel` in two passes. The first lays out the variables
+    /// and constants and finds the variables some read must check; its
+    /// code is discarded. The second emits the program over that layout,
+    /// marking exactly those variables defined when they are assigned.
+    pub(crate) fn compile(kernel: &Kernel) -> Program {
+        let mut first = Compiler::new(kernel, Vec::new(), Vec::new(), HashSet::new());
+        first.block(kernel.body());
+        let mut second = Compiler::new(kernel, first.vars, first.consts, first.checked);
+        second.block(kernel.body());
+        second.finish()
+    }
+
+    /// Runs the program against `args`; the signature is already checked.
+    fn run(&self, args: &mut KernelArgs) -> Result<(), ExecKernelError> {
+        let mut regs = vec![0.0; self.regs];
+        let mut defined = vec![false; self.vars.len()];
+        for (v, name) in self.vars.iter().enumerate() {
+            if let Some(&x) = args.scalars.get(name) {
+                regs[v] = x;
+                defined[v] = true;
+            }
+        }
+        let base = self.vars.len();
+        regs[base..base + self.consts.len()].copy_from_slice(&self.consts);
+        let (keys, mut bufs): (Vec<_>, Vec<_>) = self
+            .arrays
+            .iter()
+            .map(|name| match args.arrays.remove_entry(name) {
+                Some((key, buf)) => (Some(key), buf),
+                None => (None, Vec::new()),
+            })
+            .unzip();
+        let mut counters = vec![(0, 0); self.loops];
+        let result = self
+            .exec(&mut regs, &mut defined, &mut counters, &mut bufs)
+            .map_err(|f| self.error(f, &keys, &bufs));
+        for (key, buf) in keys.into_iter().zip(bufs) {
+            if let Some(key) = key {
+                args.arrays.insert(key, buf);
+            }
         }
         result
     }
-}
 
-/// A slot-resolved expression: [`Expr`] with names replaced by indices.
-enum Node<'k> {
-    Const(Value),
-    /// Scalar slot.
-    Var(usize),
-    /// Load from bound buffer `.0`.
-    Load(usize, Box<Node<'k>>),
-    /// Load from an array name with no binding: fails once the index has
-    /// been evaluated.
-    LoadUnbound(&'k str, Box<Node<'k>>),
-    Unary(UnOp, Box<Node<'k>>),
-    Binary(BinOp, Box<Node<'k>>, Box<Node<'k>>),
-    Select(Box<Node<'k>>, Box<Node<'k>>, Box<Node<'k>>),
-}
-
-/// A slot-resolved statement: [`Stmt`] with names replaced by indices.
-enum Op<'k> {
-    Assign(usize, Node<'k>),
-    /// Store `value` at `index` into bound buffer `buf`.
-    Store {
-        buf: usize,
-        index: Node<'k>,
-        value: Node<'k>,
-    },
-    /// Store into an array name with no binding: fails once the index
-    /// and value have been evaluated.
-    StoreUnbound {
-        array: &'k str,
-        index: Node<'k>,
-        value: Node<'k>,
-    },
-    /// Store into a read-only (`in`) array: fails before evaluating
-    /// anything.
-    StoreToInput(&'k str),
-    For {
-        slot: usize,
-        start: Node<'k>,
-        end: Node<'k>,
-        body: Vec<Op<'k>>,
-    },
-    If(Node<'k>, Vec<Op<'k>>, Vec<Op<'k>>),
-}
-
-/// Compile step: lowers a kernel body against one set of bindings,
-/// assigning scalar slots and moving referenced array buffers out of
-/// the bindings into the machine that will run it.
-struct Lowering<'k, 'a> {
-    kernel: &'k Kernel,
-    args: &'a mut KernelArgs,
-    machine: Machine<'k>,
-}
-
-impl<'k> Lowering<'k, '_> {
-    /// The slot of scalar `name`, allocated on first use and initialised
-    /// from the scalar bindings.
-    fn slot(&mut self, name: &'k str) -> usize {
-        let m = &mut self.machine;
-        if let Some(s) = m.scalar_names.iter().position(|n| *n == name) {
-            return s;
-        }
-        let bound = self.args.scalars.get(name).copied();
-        m.scalar_names.push(name);
-        m.slots.push(bound.unwrap_or(0.0));
-        m.defined.push(bound.is_some());
-        m.scalar_names.len() - 1
-    }
-
-    /// The buffer index of array `name`, moving its binding out of the
-    /// arguments on first use; `None` if it has no binding.
-    fn buf(&mut self, name: &str) -> Option<usize> {
-        let m = &mut self.machine;
-        if let Some(b) = m.buf_names.iter().position(|n| n == name) {
-            return Some(b);
-        }
-        let (key, buf) = self.args.arrays.remove_entry(name)?;
-        m.buf_names.push(key);
-        m.bufs.push(buf);
-        Some(m.bufs.len() - 1)
-    }
-
-    fn read_only(&self, array: &str) -> bool {
-        self.kernel
-            .params()
-            .iter()
-            .any(|p| p.kind == ParamKind::ArrayIn && p.name == array)
-    }
-
-    fn expr(&mut self, e: &'k Expr) -> Node<'k> {
-        match e {
-            Expr::Const(v) => Node::Const(*v),
-            Expr::Var(name) => Node::Var(self.slot(name)),
-            Expr::Load { array, index } => {
-                let index = Box::new(self.expr(index));
-                match self.buf(array) {
-                    Some(b) => Node::Load(b, index),
-                    None => Node::LoadUnbound(array, index),
+    fn error(&self, fault: Fault, keys: &[Option<String>], bufs: &[Vec<Value>]) -> ExecKernelError {
+        match fault {
+            Fault::Unknown(var) => ExecKernelError::UnknownName {
+                name: self.vars[var as usize].clone(),
+            },
+            Fault::Index { buf, .. } if keys[buf as usize].is_none() => {
+                ExecKernelError::UnknownName {
+                    name: self.arrays[buf as usize].clone(),
                 }
             }
-            Expr::Unary(op, a) => Node::Unary(*op, Box::new(self.expr(a))),
-            Expr::Binary(op, a, b) => {
-                Node::Binary(*op, Box::new(self.expr(a)), Box::new(self.expr(b)))
-            }
-            Expr::Select { cond, then, els } => Node::Select(
-                Box::new(self.expr(cond)),
-                Box::new(self.expr(then)),
-                Box::new(self.expr(els)),
-            ),
+            Fault::Index { buf, index } => ExecKernelError::IndexOutOfBounds {
+                array: self.arrays[buf as usize].clone(),
+                index,
+                len: bufs[buf as usize].len(),
+            },
+            Fault::WriteToInput(buf) => ExecKernelError::WriteToInput {
+                array: self.arrays[buf as usize].clone(),
+            },
         }
     }
 
-    fn block(&mut self, stmts: &'k [Stmt]) -> Vec<Op<'k>> {
-        stmts
-            .iter()
-            .map(|s| match s {
-                Stmt::Assign { var, value } => {
-                    let value = self.expr(value);
-                    Op::Assign(self.slot(var), value)
+    fn exec(
+        &self,
+        regs: &mut [Value],
+        defined: &mut [bool],
+        counters: &mut [(i64, i64)],
+        bufs: &mut [Vec<Value>],
+    ) -> Result<(), Fault> {
+        let mut pc = 0;
+        while let Some(&instr) = self.code.get(pc) {
+            pc += 1;
+            match instr {
+                Instr::Add(dst, a, b) => regs[dst as usize] = regs[a as usize] + regs[b as usize],
+                Instr::Sub(dst, a, b) => regs[dst as usize] = regs[a as usize] - regs[b as usize],
+                Instr::Mul(dst, a, b) => regs[dst as usize] = regs[a as usize] * regs[b as usize],
+                Instr::Div(dst, a, b) => regs[dst as usize] = regs[a as usize] / regs[b as usize],
+                Instr::Binary(op, dst, a, b) => {
+                    regs[dst as usize] = op.apply(regs[a as usize], regs[b as usize])
+                }
+                Instr::Unary(op, dst, a) => regs[dst as usize] = op.apply(regs[a as usize]),
+                Instr::Mov(dst, src) => regs[dst as usize] = regs[src as usize],
+                Instr::Load(dst, buf, index) => {
+                    let index = regs[index as usize] as i64;
+                    match usize::try_from(index)
+                        .ok()
+                        .and_then(|i| bufs[buf as usize].get(i))
+                    {
+                        Some(&v) => regs[dst as usize] = v,
+                        None => return Err(Fault::Index { buf, index }),
+                    }
+                }
+                Instr::Store(buf, index, value) => {
+                    let index = regs[index as usize] as i64;
+                    match usize::try_from(index)
+                        .ok()
+                        .and_then(|i| bufs[buf as usize].get_mut(i))
+                    {
+                        Some(slot) => *slot = regs[value as usize],
+                        None => return Err(Fault::Index { buf, index }),
+                    }
+                }
+                Instr::JumpIfZero(cond, target) => {
+                    if regs[cond as usize] == 0.0 {
+                        pc = target as usize;
+                    }
+                }
+                Instr::Jump(target) => pc = target as usize,
+                Instr::Need(var) => {
+                    if !defined[var as usize] {
+                        return Err(Fault::Unknown(var));
+                    }
+                }
+                Instr::Define(var) => defined[var as usize] = true,
+                Instr::LoopStart {
+                    var,
+                    start,
+                    end,
+                    counter,
+                    exit,
+                } => {
+                    let (first, end) = (regs[start as usize] as i64, regs[end as usize] as i64);
+                    if first < end {
+                        counters[counter as usize] = (first, end);
+                        regs[var as usize] = first as f64;
+                        defined[var as usize] = true;
+                    } else {
+                        pc = exit as usize;
+                    }
+                }
+                Instr::LoopNext { var, counter, body } => {
+                    let (i, end) = &mut counters[counter as usize];
+                    // `i < end` held on entry to the body: this cannot overflow
+                    *i += 1;
+                    if *i < *end {
+                        regs[var as usize] = *i as f64;
+                        pc = body as usize;
+                    }
+                }
+                Instr::WriteToInput(buf) => return Err(Fault::WriteToInput(buf)),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// An operand index as instructions hold it: 32 bits keep them small.
+fn narrow(i: usize) -> u32 {
+    u32::try_from(i).expect("a kernel has fewer than 2^32 registers, arrays and instructions")
+}
+
+/// The position of `name` in `names`, appended on first sight.
+fn intern<'k>(names: &mut Vec<&'k str>, name: &'k str) -> usize {
+    names.iter().position(|n| *n == name).unwrap_or_else(|| {
+        names.push(name);
+        names.len() - 1
+    })
+}
+
+/// One compile pass: the code so far, the register layout, and what is
+/// proven at the current point.
+struct Compiler<'k> {
+    kernel: &'k Kernel,
+    code: Vec<Instr>,
+    /// Variables in register order, then constants (compared by bits).
+    vars: Vec<&'k str>,
+    consts: Vec<Value>,
+    arrays: Vec<&'k str>,
+    loops: usize,
+    /// The variables proven defined here.
+    known: HashSet<&'k str>,
+    /// The variables some read had to check.
+    checked: HashSet<&'k str>,
+    /// The variables whose assignments mark them defined.
+    tracked: HashSet<&'k str>,
+    /// Temporaries live here, and at most.
+    temps: usize,
+    max_temps: usize,
+}
+
+impl<'k> Compiler<'k> {
+    /// A pass over the given layout, which it extends with what it has
+    /// not seen yet.
+    fn new(
+        kernel: &'k Kernel,
+        vars: Vec<&'k str>,
+        consts: Vec<Value>,
+        tracked: HashSet<&'k str>,
+    ) -> Compiler<'k> {
+        Compiler {
+            kernel,
+            code: Vec::new(),
+            vars,
+            consts,
+            arrays: Vec::new(),
+            loops: 0,
+            // signature scalars are defined once the argument check passes
+            known: kernel.scalars().map(|p| p.name.as_str()).collect(),
+            checked: HashSet::new(),
+            tracked,
+            temps: 0,
+            max_temps: 0,
+        }
+    }
+
+    fn finish(self) -> Program {
+        Program {
+            code: self.code,
+            vars: self.vars.iter().map(|n| (*n).to_owned()).collect(),
+            regs: self.vars.len() + self.consts.len() + self.max_temps,
+            consts: self.consts,
+            arrays: self.arrays.iter().map(|n| (*n).to_owned()).collect(),
+            loops: self.loops,
+        }
+    }
+
+    fn var(&mut self, name: &'k str) -> Reg {
+        narrow(intern(&mut self.vars, name))
+    }
+
+    fn constant(&mut self, v: Value) -> Reg {
+        let c = match self.consts.iter().position(|c| c.to_bits() == v.to_bits()) {
+            Some(c) => c,
+            None => {
+                self.consts.push(v);
+                self.consts.len() - 1
+            }
+        };
+        narrow(self.vars.len() + c)
+    }
+
+    fn temp(&mut self) -> Reg {
+        let r = narrow(self.vars.len() + self.consts.len() + self.temps);
+        self.temps += 1;
+        self.max_temps = self.max_temps.max(self.temps);
+        r
+    }
+
+    fn buf(&mut self, name: &'k str) -> u32 {
+        narrow(intern(&mut self.arrays, name))
+    }
+
+    fn emit(&mut self, instr: Instr) -> usize {
+        self.code.push(instr);
+        self.code.len() - 1
+    }
+
+    /// Points the jump at `at` to the next instruction.
+    fn patch(&mut self, at: usize) {
+        let here = narrow(self.code.len());
+        match &mut self.code[at] {
+            Instr::JumpIfZero(_, target) | Instr::Jump(target) => *target = here,
+            Instr::LoopStart { exit, .. } => *exit = here,
+            _ => unreachable!("only jumps are patched"),
+        }
+    }
+
+    /// Keeps proven only what is proven on both paths into a join.
+    fn meet(&mut self, other: &HashSet<&'k str>) {
+        self.known.retain(|n| other.contains(n));
+    }
+
+    /// The value in `r`, copied into `dst` if one is asked for.
+    fn place(&mut self, r: Reg, dst: Option<Reg>) -> Reg {
+        match dst {
+            Some(d) if d != r => {
+                self.emit(Instr::Mov(d, r));
+                d
+            }
+            _ => r,
+        }
+    }
+
+    /// Compiles `e` and returns the register holding its value: `dst` if
+    /// given, which only the last instruction on each path writes, else a
+    /// temporary or the register of a variable or constant.
+    fn expr(&mut self, e: &'k Expr, dst: Option<Reg>) -> Reg {
+        let mark = self.temps;
+        match e {
+            Expr::Const(v) => {
+                let r = self.constant(*v);
+                self.place(r, dst)
+            }
+            Expr::Var(name) => {
+                let var = self.var(name);
+                if self.known.insert(name) {
+                    self.emit(Instr::Need(var));
+                    self.checked.insert(name);
+                }
+                self.place(var, dst)
+            }
+            Expr::Load { array, index } => {
+                let index = self.expr(index, None);
+                self.temps = mark;
+                let dst = dst.unwrap_or_else(|| self.temp());
+                let buf = self.buf(array);
+                self.emit(Instr::Load(dst, buf, index));
+                dst
+            }
+            Expr::Unary(op, a) => {
+                let a = self.expr(a, None);
+                self.temps = mark;
+                let dst = dst.unwrap_or_else(|| self.temp());
+                self.emit(Instr::Unary(*op, dst, a));
+                dst
+            }
+            Expr::Binary(op, a, b) => {
+                let a = self.expr(a, None);
+                let b = self.expr(b, None);
+                self.temps = mark;
+                let dst = dst.unwrap_or_else(|| self.temp());
+                self.emit(match op {
+                    BinOp::Add => Instr::Add(dst, a, b),
+                    BinOp::Sub => Instr::Sub(dst, a, b),
+                    BinOp::Mul => Instr::Mul(dst, a, b),
+                    BinOp::Div => Instr::Div(dst, a, b),
+                    _ => Instr::Binary(*op, dst, a, b),
+                });
+                dst
+            }
+            Expr::Select { cond, then, els } => {
+                let cond = self.expr(cond, None);
+                self.temps = mark;
+                let dst = dst.unwrap_or_else(|| self.temp());
+                let to_els = self.emit(Instr::JumpIfZero(cond, 0));
+                let known = self.known.clone();
+                self.expr(then, Some(dst));
+                let to_end = self.emit(Instr::Jump(0));
+                self.patch(to_els);
+                let after_then = std::mem::replace(&mut self.known, known);
+                self.expr(els, Some(dst));
+                self.patch(to_end);
+                self.meet(&after_then);
+                dst
+            }
+        }
+    }
+
+    fn block(&mut self, stmts: &'k [Stmt]) {
+        for s in stmts {
+            match s {
+                Stmt::Assign { var: name, value } => {
+                    let var = self.var(name);
+                    self.expr(value, Some(var));
+                    if self.tracked.contains(name.as_str()) {
+                        self.emit(Instr::Define(var));
+                    }
+                    self.known.insert(name);
                 }
                 Stmt::Store {
                     array,
                     index,
                     value,
                 } => {
-                    if self.read_only(array) {
-                        return Op::StoreToInput(array);
+                    let buf = self.buf(array);
+                    let param = self.kernel.param(array);
+                    if param.is_some_and(|p| p.kind == ParamKind::ArrayIn) {
+                        self.emit(Instr::WriteToInput(buf));
+                        continue;
                     }
-                    let index = self.expr(index);
-                    let value = self.expr(value);
-                    match self.buf(array) {
-                        Some(buf) => Op::Store { buf, index, value },
-                        None => Op::StoreUnbound {
-                            array,
-                            index,
-                            value,
-                        },
-                    }
+                    let index = self.expr(index, None);
+                    let value = self.expr(value, None);
+                    self.emit(Instr::Store(buf, index, value));
                 }
                 Stmt::For {
-                    var,
+                    var: name,
                     start,
                     end,
                     body,
-                } => Op::For {
-                    slot: self.slot(var),
-                    start: self.expr(start),
-                    end: self.expr(end),
-                    body: self.block(body),
-                },
+                } => {
+                    let start = self.expr(start, None);
+                    let end = self.expr(end, None);
+                    // the body may reuse the bounds' temporaries
+                    self.temps = 0;
+                    let var = self.var(name);
+                    let counter = narrow(self.loops);
+                    self.loops += 1;
+                    let head = self.emit(Instr::LoopStart {
+                        var,
+                        start,
+                        end,
+                        counter,
+                        exit: 0,
+                    });
+                    let known = self.known.clone();
+                    self.known.insert(name);
+                    self.block(body);
+                    self.emit(Instr::LoopNext {
+                        var,
+                        counter,
+                        body: narrow(head + 1),
+                    });
+                    self.patch(head);
+                    // the body may not have run at all
+                    self.known = known;
+                }
                 Stmt::If { cond, then, els } => {
-                    Op::If(self.expr(cond), self.block(then), self.block(els))
-                }
-            })
-            .collect()
-    }
-}
-
-/// Why a run stopped, without allocating; [`Machine::error`] turns it
-/// into an [`ExecKernelError`] with owned names.
-enum Fault<'k> {
-    Unknown(&'k str),
-    OutOfBounds { buf: usize, index: i64 },
-    WriteToInput(&'k str),
-}
-
-/// Execute step: the state of one run over the lowered body.
-#[derive(Default)]
-struct Machine<'k> {
-    scalar_names: Vec<&'k str>,
-    slots: Vec<Value>,
-    defined: Vec<bool>,
-    buf_names: Vec<String>,
-    bufs: Vec<Vec<Value>>,
-}
-
-fn truthy(v: Value) -> bool {
-    v != 0.0
-}
-
-impl<'k> Machine<'k> {
-    fn error(&self, fault: Fault<'_>) -> ExecKernelError {
-        match fault {
-            Fault::Unknown(name) => ExecKernelError::UnknownName {
-                name: name.to_owned(),
-            },
-            Fault::OutOfBounds { buf, index } => ExecKernelError::IndexOutOfBounds {
-                array: self.buf_names[buf].clone(),
-                index,
-                len: self.bufs[buf].len(),
-            },
-            Fault::WriteToInput(array) => ExecKernelError::WriteToInput {
-                array: array.to_owned(),
-            },
-        }
-    }
-
-    /// Position `idx` in buffer `buf`, if it is in range.
-    fn element(&self, buf: usize, idx: i64) -> Result<usize, Fault<'k>> {
-        if idx < 0 || idx as usize >= self.bufs[buf].len() {
-            return Err(Fault::OutOfBounds { buf, index: idx });
-        }
-        Ok(idx as usize)
-    }
-
-    fn eval(&self, e: &Node<'k>) -> Result<Value, Fault<'k>> {
-        match e {
-            Node::Const(v) => Ok(*v),
-            Node::Var(s) => {
-                if self.defined[*s] {
-                    Ok(self.slots[*s])
-                } else {
-                    Err(Fault::Unknown(self.scalar_names[*s]))
-                }
-            }
-            Node::Load(b, index) => {
-                let idx = self.eval(index)? as i64;
-                let i = self.element(*b, idx)?;
-                Ok(self.bufs[*b][i])
-            }
-            Node::LoadUnbound(array, index) => {
-                self.eval(index)?;
-                Err(Fault::Unknown(array))
-            }
-            Node::Unary(op, a) => Ok(op.apply(self.eval(a)?)),
-            Node::Binary(op, a, b) => {
-                let x = self.eval(a)?;
-                Ok(op.apply(x, self.eval(b)?))
-            }
-            Node::Select(cond, then, els) => {
-                if truthy(self.eval(cond)?) {
-                    self.eval(then)
-                } else {
-                    self.eval(els)
-                }
-            }
-        }
-    }
-
-    fn set(&mut self, slot: usize, v: Value) {
-        self.slots[slot] = v;
-        self.defined[slot] = true;
-    }
-
-    fn exec(&mut self, ops: &[Op<'k>]) -> Result<(), Fault<'k>> {
-        for op in ops {
-            match op {
-                Op::Assign(slot, value) => {
-                    let v = self.eval(value)?;
-                    self.set(*slot, v);
-                }
-                Op::Store { buf, index, value } => {
-                    let idx = self.eval(index)? as i64;
-                    let v = self.eval(value)?;
-                    let i = self.element(*buf, idx)?;
-                    self.bufs[*buf][i] = v;
-                }
-                Op::StoreUnbound {
-                    array,
-                    index,
-                    value,
-                } => {
-                    self.eval(index)?;
-                    self.eval(value)?;
-                    return Err(Fault::Unknown(array));
-                }
-                Op::StoreToInput(array) => return Err(Fault::WriteToInput(array)),
-                Op::For {
-                    slot,
-                    start,
-                    end,
-                    body,
-                } => {
-                    let s0 = self.eval(start)? as i64;
-                    let e0 = self.eval(end)? as i64;
-                    for i in s0..e0 {
-                        self.set(*slot, i as f64);
-                        self.exec(body)?;
-                    }
-                }
-                Op::If(cond, then, els) => {
-                    if truthy(self.eval(cond)?) {
-                        self.exec(then)?;
+                    let cond = self.expr(cond, None);
+                    self.temps = 0;
+                    let to_els = self.emit(Instr::JumpIfZero(cond, 0));
+                    let known = self.known.clone();
+                    self.block(then);
+                    let after_then = std::mem::replace(&mut self.known, known);
+                    if els.is_empty() {
+                        self.patch(to_els);
                     } else {
-                        self.exec(els)?;
+                        let to_end = self.emit(Instr::Jump(0));
+                        self.patch(to_els);
+                        self.block(els);
+                        self.patch(to_end);
                     }
+                    self.meet(&after_then);
                 }
             }
+            self.temps = 0;
         }
-        Ok(())
     }
 }
 
@@ -772,5 +988,81 @@ mod tests {
         args.run(&k).unwrap();
         assert_eq!(args.array("b").unwrap(), first.as_slice());
         assert_eq!(args.array("a").unwrap(), &[0.5, -1.25, 3.0]);
+    }
+
+    #[test]
+    fn definedness_is_checked_only_where_unproven() {
+        let needs = |src: &str| {
+            let k = parse_kernel(src).unwrap();
+            let code = &k.program().code;
+            let count = |f: fn(&Instr) -> bool| code.iter().filter(|i| f(i)).count();
+            (
+                count(|i| matches!(i, Instr::Need(_))),
+                count(|i| matches!(i, Instr::Define(_))),
+            )
+        };
+        // signature scalars, loop variables in their bodies and locals
+        // assigned on every path need no checks
+        assert_eq!(
+            needs(
+                "kernel fir(in float x[], in float h[], out float y[], int n, int taps) {
+                     for (i in 0 .. n) {
+                         acc = 0.0;
+                         for (k in 0 .. taps) { acc = acc + h[k] * x[i + k]; }
+                         y[i] = acc;
+                     }
+                 }"
+            ),
+            (0, 0)
+        );
+        assert_eq!(
+            needs(
+                "kernel b(out float o[], float f) {
+                     if (f > 0.0) { t = 1.0; } else { t = 2.0; }
+                     o[0] = select(f > 1.0, t, t + 1.0);
+                 }"
+            ),
+            (0, 0)
+        );
+        // assigned on one path only, or after a loop that may not run: the
+        // reads check, and the assignments mark the variable defined
+        assert_eq!(
+            needs(
+                "kernel p(out float o[], float f, int n) {
+                     if (f > 0.0) { t = 1.0; }
+                     for (i in 0 .. n) { u = i; }
+                     o[0] = t + u + i;
+                 }"
+            ),
+            (3, 2)
+        );
+    }
+
+    #[test]
+    fn one_program_resolves_each_runs_bindings() {
+        let k = parse_kernel("kernel r(out float o[]) { o[0] = extra + ghost[0]; }").unwrap();
+        let mut args = KernelArgs::new();
+        args.bind_array("o", vec![0.0])
+            .bind_array("ghost", vec![2.0])
+            .bind_scalar("extra", 1.0);
+        args.run(&k).unwrap();
+        assert_eq!(args.array("o").unwrap(), &[3.0]);
+        args.take_array("ghost");
+        assert_eq!(
+            args.run(&k).unwrap_err(),
+            ExecKernelError::UnknownName {
+                name: "ghost".into()
+            }
+        );
+        let mut fresh = KernelArgs::new();
+        fresh
+            .bind_array("o", vec![0.0])
+            .bind_array("ghost", vec![2.0]);
+        assert_eq!(
+            fresh.run(&k).unwrap_err(),
+            ExecKernelError::UnknownName {
+                name: "extra".into()
+            }
+        );
     }
 }

@@ -7,6 +7,9 @@
 //! one definition of the computation, consumed four ways.
 
 use core::fmt;
+use std::sync::OnceLock;
+
+use crate::interp::Program;
 
 /// How a kernel parameter is used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -410,11 +413,41 @@ impl fmt::Display for Kernel {
 /// assert_eq!(k.name(), "vadd");
 /// assert_eq!(k.arrays().count(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A kernel compiles itself for the interpreter on its first run and
+/// keeps the program; `Clone`, `PartialEq` and `Debug` ignore it.
 pub struct Kernel {
     name: String,
     params: Vec<Param>,
     body: Vec<Stmt>,
+    program: OnceLock<Program>,
+}
+
+impl Clone for Kernel {
+    fn clone(&self) -> Kernel {
+        Kernel {
+            name: self.name.clone(),
+            params: self.params.clone(),
+            body: self.body.clone(),
+            program: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for Kernel {
+    fn eq(&self, other: &Kernel) -> bool {
+        self.name == other.name && self.params == other.params && self.body == other.body
+    }
+}
+
+impl fmt::Debug for Kernel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Kernel")
+            .field("name", &self.name)
+            .field("params", &self.params)
+            .field("body", &self.body)
+            .finish()
+    }
 }
 
 impl Kernel {
@@ -433,7 +466,13 @@ impl Kernel {
             name: name.to_owned(),
             params,
             body,
+            program: OnceLock::new(),
         }
+    }
+
+    /// The interpreter's program for this kernel, compiled on first use.
+    pub(crate) fn program(&self) -> &Program {
+        self.program.get_or_init(|| Program::compile(self))
     }
 
     /// The kernel name.
@@ -595,6 +634,23 @@ mod tests {
         assert!(s.contains("for (i in 0.0 .. n) {"));
         assert!(s.contains("c[i] = (a[i] + b[i]);"));
         assert!(s.ends_with('}'));
+    }
+
+    #[test]
+    fn a_kernel_compiles_once_and_a_clone_starts_fresh() {
+        let k = crate::parser::parse_kernel("kernel c(out float o[], float f) { o[0] = f * 2.0; }")
+            .unwrap();
+        assert!(k.program.get().is_none(), "compiled lazily");
+        let mut args = crate::interp::KernelArgs::new();
+        args.bind_array("o", vec![0.0]).bind_scalar("f", 1.5);
+        args.run(&k).unwrap();
+        let program: *const crate::interp::Program = k.program();
+        args.run(&k).unwrap();
+        assert!(std::ptr::eq(program, k.program()), "compiled once");
+        let copy = k.clone();
+        assert!(copy.program.get().is_none());
+        assert_eq!(copy, k, "equality ignores the program");
+        assert_eq!(format!("{copy:?}"), format!("{k:?}"));
     }
 
     #[test]

@@ -37,7 +37,7 @@ use ecoscale_sim::check::{invariant, CheckPlane};
 use ecoscale_sim::fault::{salt, CampaignSpec, FaultClock};
 use ecoscale_sim::{
     Counter, Duration, Histogram, MetricsRegistry, OnlineStats, SimRng, Time, TimingWheel, Tracer,
-    TrackId,
+    TrackId, ZipfTable,
 };
 
 use crate::device::CpuModel;
@@ -779,9 +779,10 @@ pub fn skewed_trace_with_spacing(
 ) -> Vec<TaskSpec> {
     use crate::task::TaskId;
     let mut rng = SimRng::seed_from(seed);
+    let zipf = ZipfTable::new(workers, skew);
     (0..count)
         .map(|i| {
-            let home = rng.gen_zipf(workers, skew);
+            let home = zipf.draw(&mut rng);
             let jitter = rng.gen_range_u64(0, spacing_ns.max(2) / 2);
             TaskSpec {
                 task: Task::new(

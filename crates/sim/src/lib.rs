@@ -90,7 +90,7 @@ pub use fault::{CampaignSpec, FaultClock, ProbFault};
 pub use metrics::{Instrument, MetricsRegistry};
 pub use pool::RunCtx;
 pub use prof::{Layer, ProfileReport, Profiler, ShardOccupancy};
-pub use rng::SimRng;
+pub use rng::{SimRng, ZipfTable};
 pub use shard::{ClusterCtx, ClusterModel, ShardedEngine, StopReason};
 pub use snap::{
     Restore, RestoreError, SnapReader, SnapWriter, Snapshot, SnapshotBuilder, SnapshotFile,

@@ -162,30 +162,15 @@ impl SimRng {
     }
 
     /// Zipf-distributed rank in `[0, n)` with exponent `s` (larger `s`
-    /// skews harder toward rank 0). Uses inverse-CDF over the precomputable
-    /// harmonic weights via rejection-free cumulative search; `O(log n)`.
+    /// skews harder toward rank 0): one [`ZipfTable::draw`] from a table
+    /// built for this draw alone. Repeated draws over one `(n, s)` should
+    /// build the table once instead.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `s` is negative or not finite.
     pub fn gen_zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0, "zipf needs a non-empty support");
-        assert!(
-            s.is_finite() && s >= 0.0,
-            "zipf exponent must be non-negative"
-        );
-        // For the modest n used by the workloads a direct cumulative scan
-        // with on-the-fly weights is fine and allocation-free.
-        let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
-        let mut u = self.gen_unit() * norm;
-        for k in 1..=n {
-            let w = 1.0 / (k as f64).powf(s);
-            if u < w {
-                return k - 1;
-            }
-            u -= w;
-        }
-        n - 1
+        ZipfTable::new(n, s).draw(self)
     }
 
     /// Pareto draw with scale `x_min` and shape `alpha`.
@@ -247,6 +232,55 @@ impl crate::snap::Restore for SimRng {
             *word = r.get_u64()?;
         }
         Ok(SimRng { state })
+    }
+}
+
+/// The weights of a Zipf distribution over ranks `[0, n)` with exponent
+/// `s`: rank `k` weighs `1 / (k + 1)^s`. Built once, it draws ranks by
+/// inverse CDF, a cumulative scan of the weights, with no `powf` per draw.
+///
+/// # Example
+///
+/// ```
+/// use ecoscale_sim::rng::{SimRng, ZipfTable};
+///
+/// let table = ZipfTable::new(8, 1.1);
+/// let (mut a, mut b) = (SimRng::seed_from(3), SimRng::seed_from(3));
+/// assert_eq!(table.draw(&mut a), b.gen_zipf(8, 1.1));
+/// ```
+#[derive(Debug, Clone)]
+pub struct ZipfTable {
+    weights: Vec<f64>,
+    norm: f64,
+}
+
+impl ZipfTable {
+    /// The table for ranks `[0, n)` and exponent `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `s` is negative or not finite.
+    pub fn new(n: usize, s: f64) -> ZipfTable {
+        assert!(n > 0, "zipf needs a non-empty support");
+        assert!(
+            s.is_finite() && s >= 0.0,
+            "zipf exponent must be non-negative"
+        );
+        let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
+        let norm = weights.iter().sum();
+        ZipfTable { weights, norm }
+    }
+
+    /// Draws a rank, consuming one [`SimRng::gen_unit`].
+    pub fn draw(&self, rng: &mut SimRng) -> usize {
+        let mut u = rng.gen_unit() * self.norm;
+        for (k, &w) in self.weights.iter().enumerate() {
+            if u < w {
+                return k;
+            }
+            u -= w;
+        }
+        self.weights.len() - 1
     }
 }
 
@@ -318,6 +352,47 @@ mod tests {
         assert!(counts[4] > counts[9]);
         // rank 0 should hold a large plurality for s=1.2
         assert!(counts[0] as f64 / n as f64 > 0.25);
+    }
+
+    #[test]
+    fn zipf_table_matches_per_draw_weights() {
+        // the draw before tables: weights recomputed on every draw, once
+        // for the norm and again in the scan
+        fn per_draw(rng: &mut SimRng, n: usize, s: f64) -> usize {
+            let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
+            let mut u = rng.gen_unit() * norm;
+            for k in 1..=n {
+                let w = 1.0 / (k as f64).powf(s);
+                if u < w {
+                    return k - 1;
+                }
+                u -= w;
+            }
+            n - 1
+        }
+        let mut cases = SimRng::seed_from(23);
+        for case in 0..256 {
+            let n = cases.gen_range_usize(1, 600);
+            let s = match case % 4 {
+                0 => 0.0,
+                1 => cases.gen_range_f64(0.0, 0.2),
+                _ => cases.gen_range_f64(0.0, 3.0),
+            };
+            let seed = cases.next_u64();
+            let table = ZipfTable::new(n, s);
+            let (mut old, mut via_table, mut via_gen) = (
+                SimRng::seed_from(seed),
+                SimRng::seed_from(seed),
+                SimRng::seed_from(seed),
+            );
+            for draw in 0..32 {
+                let want = per_draw(&mut old, n, s);
+                assert_eq!(table.draw(&mut via_table), want, "case {case} draw {draw}");
+                assert_eq!(via_gen.gen_zipf(n, s), want, "case {case} draw {draw}");
+                assert_eq!(via_table.state, old.state, "case {case} draw {draw}");
+                assert_eq!(via_gen.state, old.state, "case {case} draw {draw}");
+            }
+        }
     }
 
     #[test]

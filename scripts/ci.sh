@@ -3,7 +3,7 @@
 #
 #   scripts/ci.sh            # full gate
 #   scripts/ci.sh --bless    # regenerate tests/golden/ schema snapshots and
-#                            # the pinned `exp_all --scale quick` stdout
+#                            # the pinned `exp_all` stdout (quick and full)
 #
 # Mirrors what the roadmap calls the tier-1 command (`cargo build
 # --release && cargo test -q`) and adds deny-warnings clippy, rustfmt,
@@ -17,6 +17,9 @@ if [[ "${1:-}" == "--bless" ]]; then
     ECOSCALE_BLESS=1 cargo test -q --test golden
     echo "== bless exp_all quick stdout (crates/bench/tests/golden/) =="
     ECOSCALE_BLESS=1 cargo test -q -p ecoscale-bench --test exp_all_golden
+    echo "== bless exp_all full stdout (crates/bench/tests/golden/) =="
+    cargo build --release -q -p ecoscale-bench --bin exp_all
+    ./target/release/exp_all > crates/bench/tests/golden/exp_all_full.txt
     git --no-pager diff --stat -- tests/golden/ crates/bench/tests/golden/ || true
     exit 0
 fi
@@ -177,8 +180,15 @@ echo "== tier-1: perf-regression gate (bench_regress) =="
 ./target/release/bench_regress --tolerance 8 \
     BENCH_serve.json target/bench_serve_fresh.json
 
-echo "== regenerate experiment snapshot (target/) =="
+echo "== full experiment stdout (pinned) =="
+# Every experiment at full scale must print exactly the committed golden
+# (crates/bench/tests/golden/exp_all_full.txt; rewrite it with --bless
+# after an intentional change), at the default thread count and at one.
+FULL_GOLDEN=crates/bench/tests/golden/exp_all_full.txt
 ./target/release/exp_all > target/bench_output_tables.txt
+cmp "$FULL_GOLDEN" target/bench_output_tables.txt
+ECOSCALE_THREADS=1 ./target/release/exp_all > target/bench_output_tables_t1.txt
+cmp "$FULL_GOLDEN" target/bench_output_tables_t1.txt
 
 echo "== workspace tests =="
 cargo test --workspace -q

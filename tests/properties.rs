@@ -1347,13 +1347,13 @@ fn kernel_print_parse_round_trip() {
 }
 
 // ----------------------------------------------------------------------
-// hls: slot-resolved interpreter vs the reference tree-walker
+// hls: register VM vs the reference tree-walker
 // ----------------------------------------------------------------------
 
 /// The reference interpreter: walks the IR directly, resolving every name
-/// through a map at every use. `KernelArgs::run` compiles the kernel to
-/// slots first and must agree with this walker bit for bit, errors
-/// included.
+/// through a map at every use. `KernelArgs::run` runs the kernel's
+/// compiled register program and must agree with this walker bit for
+/// bit, errors included.
 mod tree_walker {
     use std::collections::HashMap;
 
@@ -1601,36 +1601,124 @@ fn mutate_stmts(stmts: &mut [ecoscale::hls::Stmt], rng: &mut SimRng, renames: &[
     }
 }
 
-/// The signature and bindings of one fuzzed interpreter case. Its body is
-/// kept apart, as the statement stream the shrinker reduces.
+/// One run's bindings in a fuzzed interpreter case.
 #[derive(Debug, Clone)]
-struct InterpCase {
-    params: Vec<ecoscale::hls::Param>,
+struct Bindings {
     arrays: Vec<(&'static str, Vec<f64>)>,
     scalars: Vec<(&'static str, f64)>,
 }
 
+/// The signature and the runs of one fuzzed interpreter case: every run
+/// executes the same `Kernel`, so the one compiled program meets each
+/// run's bindings in turn. The body is kept apart, as the statement
+/// stream the shrinker reduces.
+#[derive(Debug, Clone)]
+struct InterpCase {
+    params: Vec<ecoscale::hls::Param>,
+    runs: Vec<Bindings>,
+}
+
+/// A loop over `var` from a small start to a small end, whose body mixes
+/// fuzzed statements with, below `depth`, further loop nests.
+fn arb_loop_nest(rng: &mut SimRng, depth: u32) -> ecoscale::hls::Stmt {
+    use ecoscale::hls::{Expr, Stmt};
+    let body = (0..rng.gen_range_usize(1, 4))
+        .map(|_| {
+            if depth > 0 && rng.gen_bool(0.5) {
+                arb_loop_nest(rng, depth - 1)
+            } else {
+                arb_stmt(rng, 1)
+            }
+        })
+        .collect();
+    Stmt::For {
+        var: (*rng.choose(&["i", "j", "k"])).into(),
+        start: Expr::Const(rng.gen_range_u64(0, 3) as f64 - 1.0),
+        end: if rng.gen_bool(0.5) {
+            Expr::var("x")
+        } else {
+            Expr::Const(rng.gen_range_u64(0, 6) as f64)
+        },
+        body,
+    }
+}
+
+/// A loop over `j` in `[0, trip)` that faults at iteration `at`: a store
+/// past the end of `b` (the caller makes `b` exactly `at` long), a read
+/// of the unbound scalar `ghost` or of the unbound array `phantom`, a
+/// load past the end of `a`, or a store to the `in` array `a`. Fuzzed
+/// statements run before and after the faulting one in every iteration.
+fn faulting_loop(rng: &mut SimRng, kind: usize, at: u64, trip: u64) -> Vec<ecoscale::hls::Stmt> {
+    use ecoscale::hls::{BinOp, Expr, Stmt};
+    let j = || Expr::var("j");
+    let late = |then: Stmt| Stmt::If {
+        cond: Expr::bin(BinOp::Ge, Expr::var("j"), Expr::Const(at as f64)),
+        then: vec![then],
+        els: vec![],
+    };
+    let fault = match kind {
+        0 => Stmt::Store {
+            array: "b".into(),
+            index: j(),
+            value: Expr::var("x"),
+        },
+        1 => late(Stmt::Assign {
+            var: "t".into(),
+            value: Expr::bin(BinOp::Add, Expr::var("ghost"), j()),
+        }),
+        2 => late(Stmt::Assign {
+            var: "t".into(),
+            value: Expr::load("phantom", j()),
+        }),
+        3 => late(Stmt::Assign {
+            var: "t".into(),
+            value: Expr::load("a", Expr::bin(BinOp::Add, j(), Expr::Const(100.0))),
+        }),
+        _ => late(Stmt::Store {
+            array: "a".into(),
+            index: j(),
+            value: Expr::Const(1.0),
+        }),
+    };
+    // straight-line statements only: a nested loop would move `j`
+    let mut around: Vec<_> = (0..2).map(|_| arb_stmt(rng, 0)).collect();
+    mutate_stmts(&mut around, rng, &[]);
+    let after = around.pop().expect("two drawn");
+    let mut before = around;
+    before.push(fault);
+    before.push(after);
+    vec![Stmt::For {
+        var: "j".into(),
+        start: Expr::Const(0.0),
+        end: Expr::Const(trip as f64),
+        body: before,
+    }]
+}
+
 impl InterpCase {
-    /// Draws a case of `family`: 0 plain, 1 stores to the `in` array `a`,
-    /// 2 reads the local `t` and loop variable `j` where they may be
-    /// unassigned, 3 short buffers (indices out of range), 4 as 2 with
-    /// one name unbound, left out of the signature, or both.
+    /// Draws a case of `family`:
+    /// 0 plain; 1 stores to the `in` array `a`; 2 reads the local `t`
+    /// and loop variable `j` where they may be unassigned; 3 short
+    /// buffers (indices out of range); 4 as 2 with one name unbound, left
+    /// out of the signature, or both; 5 several loop nests over `i`, `j`
+    /// and `k`; 6 a loop that faults at an iteration in its middle; 7 as
+    /// 2, run four times under changing bindings: an extra scalar bound
+    /// then unbound, new buffer lengths, and a name left out of the
+    /// signature bound, then unbound, then bound again.
     fn draw(rng: &mut SimRng, family: usize) -> (InterpCase, Vec<ecoscale::hls::Stmt>) {
         use ecoscale::hls::{Param, ParamKind};
-        let mut body: Vec<_> = (0..rng.gen_range_usize(1, 5))
-            .map(|_| arb_stmt(rng, 2))
-            .collect();
-        let renames: &[(&str, &str)] = match family {
-            1 => &[("b", "a")],
-            2 | 4 => &[("x", "t"), ("i", "j")],
-            _ => &[],
-        };
-        mutate_stmts(&mut body, rng, renames);
         let (min_len, max_len) = if family == 3 { (0, 3) } else { (6, 16) };
         let buffer = |rng: &mut SimRng| -> Vec<f64> {
             (0..rng.gen_range_usize(min_len, max_len))
                 .map(|_| rng.gen_range_f64(-4.0, 4.0))
                 .collect()
+        };
+        let bindings = |rng: &mut SimRng| Bindings {
+            arrays: vec![("a", buffer(rng)), ("b", buffer(rng))],
+            scalars: vec![
+                ("x", rng.gen_range_f64(-3.0, 3.0)),
+                ("i", rng.gen_range_u64(0, 8) as f64 - 1.0),
+            ],
         };
         let mut case = InterpCase {
             params: vec![
@@ -1639,58 +1727,112 @@ impl InterpCase {
                 Param::new("x", ParamKind::Scalar),
                 Param::new("i", ParamKind::Scalar),
             ],
-            arrays: vec![("a", buffer(rng)), ("b", buffer(rng))],
-            scalars: vec![
-                ("x", rng.gen_range_f64(-3.0, 3.0)),
-                ("i", rng.gen_range_u64(0, 8) as f64 - 1.0),
-            ],
+            runs: vec![bindings(rng)],
+        };
+        let body = match family {
+            5 => {
+                let mut body: Vec<_> = (0..rng.gen_range_usize(2, 4))
+                    .map(|_| arb_loop_nest(rng, 2))
+                    .collect();
+                mutate_stmts(&mut body, rng, &[("i", "j"), ("x", "k")]);
+                body
+            }
+            6 => {
+                let kind = rng.gen_range_usize(0, 5);
+                let at = rng.gen_range_u64(0, 6);
+                let trip = at + rng.gen_range_u64(1, 4);
+                if kind == 0 {
+                    let b = &mut case.runs[0].arrays[1].1;
+                    b.truncate(at as usize);
+                }
+                faulting_loop(rng, kind, at, trip)
+            }
+            _ => {
+                let mut body: Vec<_> = (0..rng.gen_range_usize(1, 5))
+                    .map(|_| arb_stmt(rng, 2))
+                    .collect();
+                let renames: &[(&str, &str)] = match family {
+                    1 => &[("b", "a")],
+                    2 | 4 | 7 => &[("x", "t"), ("i", "j")],
+                    _ => &[],
+                };
+                mutate_stmts(&mut body, rng, renames);
+                body
+            }
         };
         if family == 4 {
             let name = *rng.choose(&["a", "b", "x", "i"]);
             let mode = rng.gen_range_usize(0, 3);
             if mode != 1 {
-                case.arrays.retain(|(n, _)| *n != name);
-                case.scalars.retain(|(n, _)| *n != name);
+                case.runs[0].arrays.retain(|(n, _)| *n != name);
+                case.runs[0].scalars.retain(|(n, _)| *n != name);
             }
             if mode != 0 {
                 case.params.retain(|p| p.name != name);
             }
         }
+        if family == 7 {
+            let outside = *rng.choose(&["a", "b", "x", "i"]);
+            case.params.retain(|p| p.name != outside);
+            let extra = [
+                ("t", rng.gen_range_f64(-3.0, 3.0)),
+                ("j", rng.gen_range_u64(0, 8) as f64),
+            ];
+            case.runs[0].scalars.extend(extra);
+            for run in 1..4 {
+                let mut b = bindings(rng);
+                if run == 3 {
+                    b.scalars.push(extra[0]);
+                }
+                if run == 2 {
+                    b.arrays.retain(|(n, _)| *n != outside);
+                    b.scalars.retain(|(n, _)| *n != outside);
+                }
+                case.runs.push(b);
+            }
+        }
         (case, body)
     }
 
-    /// Runs `body` under both interpreters; `None` if they agree on the
-    /// result and on every binding afterwards, bit for bit.
+    /// Runs `body` under both interpreters, once per run of the case and
+    /// on one `Kernel` throughout; `None` if they agree on every result
+    /// and on every binding afterwards, bit for bit.
     fn diverges(&self, body: &[ecoscale::hls::Stmt]) -> Option<String> {
         use std::collections::HashMap;
         let kernel = ecoscale::hls::Kernel::new("fz", self.params.clone(), body.to_vec());
-        let mut args = ecoscale::hls::KernelArgs::new();
-        let mut arrays = HashMap::new();
-        let mut scalars = HashMap::new();
-        for (name, data) in &self.arrays {
-            args.bind_array(name, data.clone());
-            arrays.insert(name.to_string(), data.clone());
-        }
-        for &(name, v) in &self.scalars {
-            args.bind_scalar(name, v);
-            scalars.insert(name.to_string(), v);
-        }
-        let got = args.run(&kernel);
-        let want = tree_walker::run(&kernel, &mut arrays, &scalars);
-        if got != want {
-            return Some(format!("result {got:?} != {want:?}\n{kernel}"));
-        }
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (name, _) in &self.arrays {
-            let got = args.array(name).map(bits);
-            let want = arrays.get(*name).map(|v| bits(v));
-            if got != want {
-                return Some(format!("array `{name}` {got:?} != {want:?}\n{kernel}"));
+        for (r, run) in self.runs.iter().enumerate() {
+            let mut args = ecoscale::hls::KernelArgs::new();
+            let mut arrays = HashMap::new();
+            let mut scalars = HashMap::new();
+            for (name, data) in &run.arrays {
+                args.bind_array(name, data.clone());
+                arrays.insert(name.to_string(), data.clone());
             }
-        }
-        for &(name, v) in &self.scalars {
-            if args.scalar(name).map(f64::to_bits) != Some(v.to_bits()) {
-                return Some(format!("scalar `{name}` was written back\n{kernel}"));
+            for &(name, v) in &run.scalars {
+                args.bind_scalar(name, v);
+                scalars.insert(name.to_string(), v);
+            }
+            let got = args.run(&kernel);
+            let want = tree_walker::run(&kernel, &mut arrays, &scalars);
+            if got != want {
+                return Some(format!("run {r}: result {got:?} != {want:?}\n{kernel}"));
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (name, _) in &run.arrays {
+                let got = args.array(name).map(bits);
+                let want = arrays.get(*name).map(|v| bits(v));
+                if got != want {
+                    return Some(format!(
+                        "run {r}: array `{name}` {got:?} != {want:?}\n{kernel}"
+                    ));
+                }
+            }
+            for &(name, v) in &run.scalars {
+                if args.scalar(name).map(f64::to_bits) != Some(v.to_bits()) {
+                    return Some(format!(
+                        "run {r}: scalar `{name}` was written back\n{kernel}"
+                    ));
+                }
             }
         }
         None
@@ -1698,14 +1840,44 @@ impl InterpCase {
 }
 
 #[test]
-fn slot_interpreter_matches_tree_walker_oracle() {
+fn register_vm_matches_tree_walker_oracle() {
+    // per family: cases whose first run fails, and cases whose runs do
+    // not all end alike
+    let mut failing = [0u32; 8];
+    let mut mixed = [0u32; 8];
     for case in 0..CASES * 64 {
-        let family = (case % 5) as usize;
+        let family = (case % 8) as usize;
         let mut rng = case_rng(22, case);
         let (setup, body) = InterpCase::draw(&mut rng, family);
         let what = format!("KernelArgs::run (salt 22, family {family}, bindings {setup:?})");
         assert_lockstep(&what, case, &body, |body| setup.diverges(body));
+        let kernel = ecoscale::hls::Kernel::new("fz", setup.params.clone(), body);
+        let ends: Vec<bool> = setup
+            .runs
+            .iter()
+            .map(|run| {
+                let mut args = ecoscale::hls::KernelArgs::new();
+                for (name, data) in &run.arrays {
+                    args.bind_array(name, data.clone());
+                }
+                for &(name, v) in &run.scalars {
+                    args.bind_scalar(name, v);
+                }
+                args.run(&kernel).is_ok()
+            })
+            .collect();
+        failing[family] += u32::from(!ends[0]);
+        mixed[family] += u32::from(ends.iter().any(|&ok| ok != ends[0]));
     }
+    // the fault families fault, and rebinding changes how runs end
+    let per_family = (CASES * 8) as u32;
+    assert_eq!(failing[6], per_family, "every mid-loop fault is reached");
+    assert!(
+        mixed[7] > per_family / 4,
+        "rebinding changed {} outcomes",
+        mixed[7]
+    );
+    assert!(failing[5] > 0 && failing[5] < per_family, "{failing:?}");
 }
 
 // ----------------------------------------------------------------------
