@@ -1845,7 +1845,10 @@ fn register_vm_matches_tree_walker_oracle() {
     // not all end alike
     let mut failing = [0u32; 8];
     let mut mixed = [0u32; 8];
-    for case in 0..CASES * 64 {
+    // 832 cases per family: the first five keep at least the 4096 / 5
+    // they had before the last three joined them
+    let per_family = CASES * 13;
+    for case in 0..per_family * 8 {
         let family = (case % 8) as usize;
         let mut rng = case_rng(22, case);
         let (setup, body) = InterpCase::draw(&mut rng, family);
@@ -1870,7 +1873,7 @@ fn register_vm_matches_tree_walker_oracle() {
         mixed[family] += u32::from(ends.iter().any(|&ok| ok != ends[0]));
     }
     // the fault families fault, and rebinding changes how runs end
-    let per_family = (CASES * 8) as u32;
+    let per_family = per_family as u32;
     assert_eq!(failing[6], per_family, "every mid-loop fault is reached");
     assert!(
         mixed[7] > per_family / 4,
