@@ -475,6 +475,13 @@ impl Kernel {
         self.program.get_or_init(|| Program::compile(self))
     }
 
+    /// How many of the kernel's loops the interpreter runs a chunk of
+    /// iterations at a time, one instruction across the whole chunk
+    /// before the next. Compiles the kernel if it has not run yet.
+    pub fn column_loops(&self) -> usize {
+        self.program().column_loops()
+    }
+
     /// The kernel name.
     pub fn name(&self) -> &str {
         &self.name

@@ -2,8 +2,9 @@
 # Tier-1 gate plus lints. Run from the repository root:
 #
 #   scripts/ci.sh            # full gate
-#   scripts/ci.sh --bless    # regenerate tests/golden/ schema snapshots and
+#   scripts/ci.sh --bless    # regenerate tests/golden/ schema snapshots,
 #                            # the pinned `exp_all` stdout (quick and full)
+#                            # and the perfbench seed-1 digests
 #
 # Mirrors what the roadmap calls the tier-1 command (`cargo build
 # --release && cargo test -q`) and adds deny-warnings clippy, rustfmt,
@@ -11,6 +12,13 @@
 # dependency-free, so everything works offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# The last two stdout lines of a traced perfbench smoke run of workload $1
+# at its default seed (1): the run context, then the result object.
+perfbench_smoke() {
+    perfbench/target/release/perfbench --workload "$1" --smoke --trace 1 2> /dev/null | tail -n 2
+}
+DIGESTS=scripts/sim_digests.txt
 
 if [[ "${1:-}" == "--bless" ]]; then
     echo "== bless golden schemas (tests/golden/) =="
@@ -20,7 +28,13 @@ if [[ "${1:-}" == "--bless" ]]; then
     echo "== bless exp_all full stdout (crates/bench/tests/golden/) =="
     cargo build --release -q -p ecoscale-bench --bin exp_all
     ./target/release/exp_all > crates/bench/tests/golden/exp_all_full.txt
-    git --no-pager diff --stat -- tests/golden/ crates/bench/tests/golden/ || true
+    echo "== bless perfbench seed-1 digests ($DIGESTS) =="
+    cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
+    for workload in serve_saturated check_sweep des_cluster; do
+        digest=$(perfbench_smoke "$workload" | grep -o '"sim_digest":"[0-9a-f]*"' | cut -d'"' -f4)
+        echo "$workload $digest"
+    done > "$DIGESTS"
+    git --no-pager diff --stat -- tests/golden/ crates/bench/tests/golden/ "$DIGESTS" || true
     exit 0
 fi
 
@@ -189,6 +203,23 @@ FULL_GOLDEN=crates/bench/tests/golden/exp_all_full.txt
 cmp "$FULL_GOLDEN" target/bench_output_tables.txt
 ECOSCALE_THREADS=1 ./target/release/exp_all > target/bench_output_tables_t1.txt
 cmp "$FULL_GOLDEN" target/bench_output_tables_t1.txt
+
+echo "== perfbench smoke: seed-1 digests (pinned) =="
+# Each benchmark workload's traced smoke run must pass its output checks
+# and every trace self-check, and reproduce the committed digest of its
+# exports ($DIGESTS; rewrite it with --bless after an intentional change).
+cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
+while read -r workload digest; do
+    out=$(perfbench_smoke "$workload")
+    for want in "\"sim_digest\":\"$digest\"" '"correct":true' \
+        '"trace.self_check_failures":{"value":0,'; do
+        if [[ "$out" != *"$want"* ]]; then
+            echo "ci.sh: perfbench $workload: no $want in:" >&2
+            echo "$out" >&2
+            exit 1
+        fi
+    done
+done < "$DIGESTS"
 
 echo "== workspace tests =="
 cargo test --workspace -q

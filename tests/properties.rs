@@ -1695,6 +1695,271 @@ fn faulting_loop(rng: &mut SimRng, kind: usize, at: u64, trip: u64) -> Vec<ecosc
     }]
 }
 
+/// The interpreter runs a column loop this many iterations at a time.
+const CHUNK: u64 = 256;
+
+/// An expression a lane of a loop over `j` can compute: constants, `j`,
+/// the scalars `x` and `i`, the locals in `locals`, and loads of `a` at
+/// `j` or at `j` plus a constant, `i` or `x`; inside an inner loop over
+/// `k` also `k` and `a[k]`, which every lane shares.
+fn lane_expr(rng: &mut SimRng, depth: u32, locals: &[&str], inner: bool) -> ecoscale::hls::Expr {
+    use ecoscale::hls::{BinOp, Expr, UnOp};
+    let j = || Expr::var("j");
+    if depth == 0 || rng.gen_bool(0.3) {
+        return match rng.gen_range_usize(0, 7) {
+            0 => Expr::Const(rng.gen_range_u64(0, 20) as f64 / 4.0),
+            1 => j(),
+            2 => Expr::var(rng.choose::<&str>(&["x", "i"])),
+            3 if !locals.is_empty() => Expr::var(rng.choose::<&str>(locals)),
+            4 if inner && rng.gen_bool(0.5) => Expr::var("k"),
+            4 if inner => Expr::load("a", Expr::var("k")),
+            5 => {
+                // a whole or a fractional offset, on either side
+                let off = match rng.gen_range_usize(0, 3) {
+                    0 => Expr::Const(rng.gen_range_u64(1, 3) as f64),
+                    1 => Expr::var("i"),
+                    _ => Expr::var("x"),
+                };
+                let index = if rng.gen_bool(0.5) {
+                    Expr::bin(BinOp::Add, j(), off)
+                } else {
+                    Expr::bin(BinOp::Add, off, j())
+                };
+                Expr::load("a", index)
+            }
+            _ => Expr::load("a", j()),
+        };
+    }
+    if rng.gen_bool(0.3) {
+        const OPS: [UnOp; 7] = [
+            UnOp::Neg,
+            UnOp::Sqrt,
+            UnOp::Exp,
+            UnOp::Log,
+            UnOp::Abs,
+            UnOp::Floor,
+            UnOp::Not,
+        ];
+        let op = *rng.choose(&OPS);
+        Expr::un(op, lane_expr(rng, depth - 1, locals, inner))
+    } else {
+        const OPS: [BinOp; 10] = [
+            BinOp::Add,
+            BinOp::Sub,
+            BinOp::Mul,
+            BinOp::Div,
+            BinOp::Min,
+            BinOp::Max,
+            BinOp::Lt,
+            BinOp::Eq,
+            BinOp::And,
+            BinOp::Rem,
+        ];
+        let op = *rng.choose(&OPS);
+        let a = lane_expr(rng, depth - 1, locals, inner);
+        let b = lane_expr(rng, depth - 1, locals, inner);
+        Expr::bin(op, a, b)
+    }
+}
+
+/// A loop over `j` in `[start, start + trip)` whose body keeps the column
+/// rule: locals assigned before they are read, stores to `b` at `j`,
+/// loads from `a` only, and inner loops over `k` with bounds every lane
+/// shares. Half the loops then break the rule in one place: a load of
+/// the previous iteration's store to `b`, a local read before the
+/// iteration assigns it, an inner bound that depends on `j`, a `select`
+/// or `if` on a lane's value, or a store to `b[j + 1]`. Statements
+/// around the loop may assign `u` before it and read `j`, and `u` if
+/// assigned, after it.
+fn column_loop(rng: &mut SimRng, start: i64, trip: u64) -> Vec<ecoscale::hls::Stmt> {
+    use ecoscale::hls::{BinOp, Expr, Stmt};
+    let j = || Expr::var("j");
+    let store = |value| Stmt::Store {
+        array: "b".into(),
+        index: j(),
+        value,
+    };
+    let mut locals: Vec<&str> = Vec::new();
+    let mut body = Vec::new();
+    for _ in 0..rng.gen_range_usize(1, 5) {
+        match rng.gen_range_usize(0, 4) {
+            0 | 1 => {
+                let var = *rng.choose(&["t", "u"]);
+                let value = lane_expr(rng, 2, &locals, false);
+                body.push(Stmt::Assign {
+                    var: var.into(),
+                    value,
+                });
+                if !locals.contains(&var) {
+                    locals.push(var);
+                }
+            }
+            2 => body.push(store(lane_expr(rng, 2, &locals, false))),
+            _ => {
+                let end = if rng.gen_bool(0.5) {
+                    Expr::Const(rng.gen_range_u64(0, 4) as f64)
+                } else {
+                    Expr::bin(BinOp::Min, Expr::var("x"), Expr::Const(3.0))
+                };
+                let value = lane_expr(rng, 1, &locals, true);
+                // accumulate into a local, overwrite it (perhaps with a
+                // value every lane shares), or store
+                let stmt = match locals.first() {
+                    Some(&acc) if rng.gen_bool(0.5) => Stmt::Assign {
+                        var: acc.into(),
+                        value: Expr::bin(BinOp::Add, Expr::var(acc), value),
+                    },
+                    Some(&acc) => Stmt::Assign {
+                        var: acc.into(),
+                        value,
+                    },
+                    None => store(value),
+                };
+                body.push(Stmt::For {
+                    var: "k".into(),
+                    start: Expr::Const(0.0),
+                    end,
+                    body: vec![stmt],
+                });
+            }
+        }
+    }
+    let mut before = Vec::new();
+    if rng.gen_bool(0.5) {
+        match rng.gen_range_usize(0, 6) {
+            0 => {
+                let prev = Expr::bin(
+                    BinOp::Max,
+                    Expr::bin(BinOp::Sub, j(), Expr::Const(1.0)),
+                    Expr::Const(0.0),
+                );
+                body.insert(
+                    0,
+                    Stmt::Assign {
+                        var: "t".into(),
+                        value: Expr::load("b", prev),
+                    },
+                );
+                body.push(store(Expr::bin(
+                    BinOp::Add,
+                    Expr::var("t"),
+                    Expr::Const(1.0),
+                )));
+            }
+            1 => {
+                before.push(Stmt::Assign {
+                    var: "u".into(),
+                    value: Expr::var("x"),
+                });
+                body.insert(0, store(Expr::bin(BinOp::Add, Expr::var("u"), j())));
+                body.push(Stmt::Assign {
+                    var: "u".into(),
+                    value: Expr::load("a", j()),
+                });
+            }
+            2 => body.push(Stmt::For {
+                var: "k".into(),
+                start: Expr::Const(0.0),
+                end: Expr::bin(BinOp::Min, j(), Expr::Const(3.0)),
+                body: vec![store(Expr::var("k"))],
+            }),
+            3 => body.push(store(Expr::Select {
+                cond: Box::new(Expr::bin(BinOp::Gt, Expr::load("a", j()), Expr::Const(0.0))),
+                then: Box::new(Expr::load("a", j())),
+                els: Box::new(Expr::var("x")),
+            })),
+            4 => body.push(Stmt::If {
+                cond: Expr::bin(BinOp::Gt, Expr::load("a", j()), Expr::Const(0.0)),
+                then: vec![store(Expr::Const(1.0))],
+                els: vec![],
+            }),
+            _ => body.push(Stmt::Store {
+                array: "b".into(),
+                index: Expr::bin(BinOp::Add, j(), Expr::Const(1.0)),
+                value: Expr::var("x"),
+            }),
+        }
+    } else if rng.gen_bool(0.5) {
+        before.push(Stmt::Assign {
+            var: "u".into(),
+            value: Expr::var("x"),
+        });
+    }
+    // `u` is known after the loop only if it was assigned before it
+    let after = Expr::var(if before.is_empty() { "x" } else { "u" });
+    let mut stmts = before;
+    stmts.push(Stmt::For {
+        var: "j".into(),
+        start: Expr::Const(start as f64),
+        end: Expr::Const((start + trip as i64) as f64),
+        body,
+    });
+    if rng.gen_bool(0.5) {
+        stmts.push(Stmt::Store {
+            array: "b".into(),
+            index: Expr::Const(0.0),
+            value: Expr::bin(BinOp::Add, j(), after),
+        });
+    }
+    stmts
+}
+
+/// A column loop over `j` in `[0, trip)` that faults at iteration `at`,
+/// in a later chunk than the first: a gather past the end of `a` or
+/// below its start, or a store past the end of `b` (the caller sizes
+/// the buffers). A read-modify-write of `c[0]` precedes the loop, so it
+/// must run once only.
+fn late_fault_loop(rng: &mut SimRng, kind: usize, at: u64, trip: u64) -> Vec<ecoscale::hls::Stmt> {
+    use ecoscale::hls::{BinOp, Expr, Stmt};
+    let j = || Expr::var("j");
+    let gather = match kind {
+        0 => Expr::load(
+            "a",
+            Expr::bin(BinOp::Add, j(), Expr::Const(trip as f64 - at as f64)),
+        ),
+        1 => Expr::load(
+            "a",
+            Expr::bin(BinOp::Sub, Expr::Const(at as f64 - 1.0), j()),
+        ),
+        _ => Expr::load("a", j()),
+    };
+    let mut body = vec![
+        Stmt::Assign {
+            var: "t".into(),
+            value: Expr::bin(BinOp::Mul, Expr::load("a", j()), Expr::var("x")),
+        },
+        Stmt::Assign {
+            var: "u".into(),
+            value: gather,
+        },
+        Stmt::Store {
+            array: "b".into(),
+            index: j(),
+            value: Expr::bin(BinOp::Add, Expr::var("t"), Expr::var("u")),
+        },
+    ];
+    if rng.gen_bool(0.5) {
+        body.push(Stmt::Assign {
+            var: "t".into(),
+            value: lane_expr(rng, 2, &["t", "u"], false),
+        });
+    }
+    let c0 = || Expr::load("c", Expr::Const(0.0));
+    vec![
+        Stmt::Store {
+            array: "c".into(),
+            index: Expr::Const(0.0),
+            value: Expr::bin(BinOp::Add, c0(), Expr::var("x")),
+        },
+        Stmt::For {
+            var: "j".into(),
+            start: Expr::Const(0.0),
+            end: Expr::Const(trip as f64),
+            body,
+        },
+    ]
+}
+
 impl InterpCase {
     /// Draws a case of `family`:
     /// 0 plain; 1 stores to the `in` array `a`; 2 reads the local `t`
@@ -1704,7 +1969,11 @@ impl InterpCase {
     /// and `k`; 6 a loop that faults at an iteration in its middle; 7 as
     /// 2, run four times under changing bindings: an extra scalar bound
     /// then unbound, new buffer lengths, and a name left out of the
-    /// signature bound, then unbound, then bound again.
+    /// signature bound, then unbound, then bound again; 8 a loop just
+    /// inside or just outside the column rule, for 0, 1, CHUNK - 1,
+    /// CHUNK, CHUNK + 1 or 2 CHUNK + 3 iterations, over buffers that may
+    /// end a little short of the last; 9 a column loop that faults in a
+    /// chunk after the first.
     fn draw(rng: &mut SimRng, family: usize) -> (InterpCase, Vec<ecoscale::hls::Stmt>) {
         use ecoscale::hls::{Param, ParamKind};
         let (min_len, max_len) = if family == 3 { (0, 3) } else { (6, 16) };
@@ -1736,6 +2005,34 @@ impl InterpCase {
                     .collect();
                 mutate_stmts(&mut body, rng, &[("i", "j"), ("x", "k")]);
                 body
+            }
+            8 => {
+                let trip = *rng.choose(&[0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]);
+                let start = *rng.choose(&[-1, 0, 0, 0, 3]);
+                let end = (start + trip as i64).max(3) as usize;
+                let run = &mut case.runs[0];
+                for (_, buf) in &mut run.arrays {
+                    let len = end + rng.gen_range_usize(0, 6);
+                    *buf = (0..len).map(|_| rng.gen_range_f64(-4.0, 4.0)).collect();
+                }
+                column_loop(rng, start, trip)
+            }
+            9 => {
+                let kind = rng.gen_range_usize(0, 3);
+                let trip = rng.gen_range_u64(CHUNK + 2, 2 * CHUNK + 40);
+                let at = rng.gen_range_u64(CHUNK, trip);
+                let run = &mut case.runs[0];
+                let lens = match kind {
+                    0 => [trip, trip],
+                    1 => [trip + at, trip],
+                    _ => [trip, at],
+                };
+                for ((_, buf), len) in run.arrays.iter_mut().zip(lens) {
+                    *buf = (0..len).map(|_| rng.gen_range_f64(-4.0, 4.0)).collect();
+                }
+                run.arrays.push(("c", vec![rng.gen_range_f64(-4.0, 4.0)]));
+                case.params.push(Param::new("c", ParamKind::ArrayOut));
+                late_fault_loop(rng, kind, at, trip)
             }
             6 => {
                 let kind = rng.gen_range_usize(0, 5);
@@ -1841,20 +2138,23 @@ impl InterpCase {
 
 #[test]
 fn register_vm_matches_tree_walker_oracle() {
-    // per family: cases whose first run fails, and cases whose runs do
-    // not all end alike
-    let mut failing = [0u32; 8];
-    let mut mixed = [0u32; 8];
+    // per family: cases whose first run fails, cases whose runs do not
+    // all end alike, and cases with a loop run a column at a time
+    const FAMILIES: usize = 10;
+    let mut failing = [0u32; FAMILIES];
+    let mut mixed = [0u32; FAMILIES];
+    let mut columns = [0u32; FAMILIES];
     // 832 cases per family: the first five keep at least the 4096 / 5
-    // they had before the last three joined them
+    // they had before the others joined them
     let per_family = CASES * 13;
-    for case in 0..per_family * 8 {
-        let family = (case % 8) as usize;
+    for case in 0..per_family * FAMILIES as u64 {
+        let family = case as usize % FAMILIES;
         let mut rng = case_rng(22, case);
         let (setup, body) = InterpCase::draw(&mut rng, family);
-        let what = format!("KernelArgs::run (salt 22, family {family}, bindings {setup:?})");
+        let what = format!("KernelArgs::run (salt 22, family {family}, bindings {setup:?})",);
         assert_lockstep(&what, case, &body, |body| setup.diverges(body));
         let kernel = ecoscale::hls::Kernel::new("fz", setup.params.clone(), body);
+        columns[family] += u32::from(kernel.column_loops() > 0);
         let ends: Vec<bool> = setup
             .runs
             .iter()
@@ -1881,6 +2181,14 @@ fn register_vm_matches_tree_walker_oracle() {
         mixed[7]
     );
     assert!(failing[5] > 0 && failing[5] < per_family, "{failing:?}");
+    // both sides of the column rule are reached, and late faults are
+    // met on the column path
+    assert!(
+        columns[8] > per_family / 4 && columns[8] < per_family * 3 / 4,
+        "{columns:?}"
+    );
+    assert!(failing[8] > 0 && failing[8] < per_family / 2, "{failing:?}");
+    assert_eq!((failing[9], columns[9]), (per_family, per_family));
 }
 
 // ----------------------------------------------------------------------
