@@ -86,8 +86,7 @@ impl Bitstream {
                 data.extend(std::iter::repeat_n(0u8, FRAME_BYTES));
             } else if roll < 0.50 && !kept.is_empty() {
                 let src = *rng.choose(&kept);
-                let copy: Vec<u8> = data[src..src + FRAME_BYTES].to_vec();
-                data.extend_from_slice(&copy);
+                data.extend_from_within(src..src + FRAME_BYTES);
             } else {
                 // Sparse frame: configuration words come in 16-byte
                 // chunks, most of them zero (unused routing/config words),
@@ -299,16 +298,34 @@ fn zero_rle_decompress(data: &[u8]) -> Vec<u8> {
 // --- LZSS -------------------------------------------------------------
 // Token stream: 0x00 <len u16> <literal bytes> | 0x01 <offset u16> <len u16>.
 //
-// The matcher is greedy: at each position it takes the longest match
-// among earlier occurrences of the same 4-byte prefix, most recent first,
-// no further back than the window, stopping at the first match of
-// `LZ_GOOD_MATCH` bytes or more and keeping a later candidate only if it
-// is strictly longer. Candidates come from a hash chain: `head` holds the
-// latest position per prefix hash and `prev` links each position to the
-// previous one with the same hash. `prev` is a ring of one window: the
-// search at `i` follows only positions `p >= i - LZ_WINDOW`, and the next
-// position to reuse `p`'s slot, `p + LZ_WINDOW >= i`, is indexed only
-// after that search.
+// The matcher is greedy. At each position `i` it looks at every earlier
+// position `p` with the same 4-byte prefix and `i - p <= LZ_WINDOW`, and
+// takes the one that maximises `(min(len, LZ_GOOD_MATCH), p)`, where `len`
+// is the common length of `data[p..]` and `data[i..]` capped at
+// `u16::MAX`. That argmax is the whole contract: any search that computes
+// it emits the same tokens, which is why the two searches below agree with
+// each other and with the most-recent-first, stop-at-64, strictly-longer
+// walk of the differential oracle in `tests/properties.rs`.
+//
+// A non-zero prefix walks a hash chain: `head` holds the latest position
+// per prefix hash and `prev` links each position to the previous one with
+// the same hash. The walk goes most recent first, skips entries with a
+// different prefix, and keeps a candidate only if it is strictly longer,
+// stopping at `LZ_GOOD_MATCH` bytes or at the cap.
+// `prev` is a ring of one window: the search at `i` follows only positions
+// `p >= i - LZ_WINDOW`, and the next position to reuse `p`'s slot,
+// `p + LZ_WINDOW >= i`, is indexed only after that search.
+//
+// The all-zero prefix is searched by zero run instead, because sparse
+// frames put hundreds of short zero runs in every window and none of them
+// reaches the early stop, so a chain walk would visit every zero position
+// in the window. Its positions never enter the chain: no other prefix can
+// equal it. Let `r` be the zeros left at `i`. A candidate with `Z` zeros
+// left matches `Z` bytes if `Z < r`, `r` if `Z > r`, and `r` plus the
+// common tail of the two runs if `Z == r`. So in the run holding `i` the
+// best candidate is `i - 1`, and an earlier run offers at most two: the
+// largest `Z <= min(r - 1, LZ_GOOD_MATCH)` that the window reaches, and
+// `Z == r`. `zero_match` walks the maximal zero runs newest first.
 
 const LZ_WINDOW: usize = 2048;
 const LZ_MIN_MATCH: usize = 4;
@@ -325,7 +342,7 @@ fn prefix_hash(prefix: u32) -> usize {
     (prefix.wrapping_mul(0x9E37_79B1) >> (32 - LZ_HASH_BITS)) as usize
 }
 
-/// The matcher's candidate index (see the section comment).
+/// The matcher's index of non-zero prefixes (see the section comment).
 struct HashChain {
     head: Vec<usize>,
     prev: Vec<usize>,
@@ -339,12 +356,98 @@ impl HashChain {
         }
     }
 
-    /// Indexes the prefix starting at `k`; positions arrive in order.
+    /// Indexes the prefix starting at `k` unless it is all zero;
+    /// positions arrive in order.
     fn insert(&mut self, data: &[u8], k: usize) {
-        let h = prefix_hash(prefix_at(data, k));
-        self.prev[k % LZ_WINDOW] = self.head[h];
-        self.head[h] = k;
+        let key = prefix_at(data, k);
+        if key != 0 {
+            let h = prefix_hash(key);
+            self.prev[k % LZ_WINDOW] = self.head[h];
+            self.head[h] = k;
+        }
     }
+
+    /// The best `(len, offset)` for the non-zero prefix `key` at `i`.
+    fn best_match(&self, data: &[u8], key: u32, i: usize, max: usize) -> (usize, usize) {
+        let (mut best_len, mut best_off) = (0, 0);
+        let mut p = self.head[prefix_hash(key)];
+        // a candidate whose byte at `best_len` differs cannot be strictly
+        // longer, and none can once `best_len` reaches `max`
+        while p != LZ_NIL && i - p <= LZ_WINDOW && best_len < max {
+            if prefix_at(data, p) == key && data[p + best_len] == data[i + best_len] {
+                let l = match_len(data, p, i, max);
+                if l > best_len {
+                    best_len = l;
+                    best_off = i - p;
+                    if l >= LZ_GOOD_MATCH {
+                        break;
+                    }
+                }
+            }
+            p = self.prev[p % LZ_WINDOW];
+        }
+        (best_len, best_off)
+    }
+}
+
+/// The maximal runs of zero bytes at least `LZ_MIN_MATCH` long, as
+/// `(start, end)` in order.
+fn zero_runs(data: &[u8]) -> Vec<(usize, usize)> {
+    let mut runs = Vec::new();
+    let mut i = 0;
+    while let Some(z) = data[i..].iter().position(|&b| b == 0) {
+        let start = i + z;
+        let end = data[start..]
+            .iter()
+            .position(|&b| b != 0)
+            .map_or(data.len(), |n| start + n);
+        if end - start >= LZ_MIN_MATCH {
+            runs.push((start, end));
+        }
+        i = end;
+    }
+    runs
+}
+
+/// The best `(len, offset)` for the all-zero prefix at `i`, which lies in
+/// `runs[cur]` (see the section comment): the argmax of
+/// `(min(len, LZ_GOOD_MATCH), p)` over the zero runs, newest first.
+fn zero_match(
+    data: &[u8],
+    runs: &[(usize, usize)],
+    cur: usize,
+    i: usize,
+    max: usize,
+) -> (usize, usize) {
+    let (start, end) = runs[cur];
+    let r = end - i;
+    let enough = LZ_GOOD_MATCH.min(max);
+    let (mut best_len, mut best_off) = if start < i { (r.min(max), 1) } else { (0, 0) };
+    let window = i.saturating_sub(LZ_WINDOW);
+    for &(s, e) in runs[..cur].iter().rev() {
+        if best_len >= enough {
+            break;
+        }
+        let zmax = e.saturating_sub(s.max(window));
+        if zmax < LZ_MIN_MATCH {
+            break; // this run and every earlier one are out of reach
+        }
+        // `Z < r` matches `Z` bytes: the longest counts, up to the early stop
+        let z = zmax.min(r - 1).min(LZ_GOOD_MATCH);
+        if z >= LZ_MIN_MATCH && z > best_len {
+            best_len = z;
+            best_off = i - (e - z);
+        }
+        // `Z == r` matches `r` bytes plus the common tail
+        if r <= zmax && best_len < enough {
+            let l = match_len(data, e - r, i, max);
+            if l > best_len {
+                best_len = l;
+                best_off = i - (e - r);
+            }
+        }
+    }
+    (best_len, best_off)
 }
 
 /// Length of the common run of `data[p..]` and `data[i..]` (`p < i`),
@@ -372,6 +475,8 @@ fn match_len(data: &[u8], p: usize, i: usize, max: usize) -> usize {
 pub fn lz_compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     let mut chain = HashChain::new();
+    let runs = zero_runs(data);
+    let mut run = 0; // the first zero run that ends after `i`
     let flush_literals = |out: &mut Vec<u8>, lits: &[u8]| {
         for chunk in lits.chunks(LZ_MAX_RUN) {
             out.push(0x00);
@@ -385,28 +490,20 @@ pub fn lz_compress(data: &[u8]) -> Vec<u8> {
     let mut lit_start = 0;
     let mut i = 0;
     while i < data.len() {
-        let mut best_len = 0;
-        let mut best_off = 0;
-        if i < indexable {
+        let (best_len, best_off) = if i < indexable {
             let key = prefix_at(data, i);
             let max = (data.len() - i).min(LZ_MAX_RUN);
-            let mut p = chain.head[prefix_hash(key)];
-            // a candidate whose byte at `best_len` differs cannot be
-            // strictly longer, and none can once `best_len` reaches `max`
-            while p != LZ_NIL && i - p <= LZ_WINDOW && best_len < max {
-                if prefix_at(data, p) == key && data[p + best_len] == data[i + best_len] {
-                    let l = match_len(data, p, i, max);
-                    if l > best_len {
-                        best_len = l;
-                        best_off = i - p;
-                        if l >= LZ_GOOD_MATCH {
-                            break;
-                        }
-                    }
+            if key == 0 {
+                while runs[run].1 <= i {
+                    run += 1;
                 }
-                p = chain.prev[p % LZ_WINDOW];
+                zero_match(data, &runs, run, i, max)
+            } else {
+                chain.best_match(data, key, i, max)
             }
-        }
+        } else {
+            (0, 0)
+        };
         if best_len >= LZ_MIN_MATCH {
             flush_literals(&mut out, &data[lit_start..i]);
             out.push(0x01);
@@ -443,10 +540,15 @@ fn lz_decompress(data: &[u8]) -> Vec<u8> {
                 let off = u16::from_le_bytes([data[i + 1], data[i + 2]]) as usize;
                 let len = u16::from_le_bytes([data[i + 3], data[i + 4]]) as usize;
                 i += 5;
-                let start = out.len() - off;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                assert!(off > 0, "corrupt lz stream: zero offset");
+                // at most `off` bytes per copy, so an overlapping
+                // reference reads only bytes already written
+                let mut src = out.len() - off;
+                let end = src + len;
+                while src < end {
+                    let n = (end - src).min(off);
+                    out.extend_from_within(src..src + n);
+                    src += n;
                 }
             }
             t => panic!("corrupt lz stream: tag {t:#x}"),
@@ -494,8 +596,7 @@ fn frame_dedup_decompress(data: &[u8]) -> Vec<u8> {
             i += FRAME_BYTES;
         } else {
             let src = word as usize * FRAME_BYTES;
-            let frame: Vec<u8> = out[src..src + FRAME_BYTES].to_vec();
-            out.extend_from_slice(&frame);
+            out.extend_from_within(src..src + FRAME_BYTES);
         }
     }
     out

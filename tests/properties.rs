@@ -19,6 +19,9 @@ use ecoscale::noc::{Dragonfly, Mesh2d, NodeId, Topology, TreeTopology};
 use ecoscale::sim::{Duration, OnlineStats, SimRng, Time};
 
 const CASES: u64 = 64;
+/// Cases for tests whose reference oracle takes about 0.3 s per case in a
+/// debug build.
+const LARGE_CASES: u64 = 8;
 
 /// One seeded generator per case, salted so tests are independent.
 fn case_rng(test_salt: u64, case: u64) -> SimRng {
@@ -365,6 +368,19 @@ fn lz_matcher_matches_reference_on_synthesized_bitstreams() {
 }
 
 #[test]
+fn lz_matcher_matches_reference_on_serving_size_bitstreams() {
+    // 840-3000 CLB (40-144 kB), the size of the serving and fuzz modules:
+    // every 2 KiB window holds hundreds of short zero runs
+    for case in 0..LARGE_CASES {
+        let mut rng = case_rng(26, case);
+        let res = Resources::new(rng.gen_range_u64(840, 3000) as u32, 0, 0);
+        let bs = Bitstream::synthesize(res, rng.next_u64());
+        assert!(bs.len() >= 40_000);
+        assert_lz_matches_reference(&format!("case {case}: {res:?}"), bs.as_bytes());
+    }
+}
+
+#[test]
 fn lz_matcher_matches_reference_on_small_alphabet_bytes() {
     for case in 0..CASES * 4 {
         let mut rng = case_rng(24, case);
@@ -442,6 +458,90 @@ fn lz_matcher_matches_reference_on_edge_cases() {
             "block {gap} bytes back: {tokens:?}"
         );
     }
+}
+
+/// Zero runs at the lengths where the zero-prefix search changes case
+/// (the 4-byte prefix, the 64-byte early stop, the 2 KiB window), each
+/// followed by a short non-zero tail, `len` bytes in all. Often a run
+/// repeats an earlier run's length and the first `0..=k` bytes of its
+/// tail, so two runs of equal length match on past their zeros. About
+/// half the inputs end in a zero run.
+fn zero_run_bytes(rng: &mut SimRng, len: usize) -> Vec<u8> {
+    const LENS: [usize; 14] = [1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 2047, 2048, 2049];
+    let nonzero = |rng: &mut SimRng| rng.gen_range_u64(1, 256) as u8;
+    let mut segments: Vec<(usize, Vec<u8>)> = Vec::new();
+    let mut data = Vec::with_capacity(len);
+    while data.len() < len {
+        let (zeros, tail) = if !segments.is_empty() && rng.gen_bool(0.4) {
+            let (zeros, earlier) = rng.choose(&segments).clone();
+            let agree = rng.gen_range_usize(0, earlier.len() + 1);
+            let mut tail = earlier[..agree].to_vec();
+            // then a byte that differs from the earlier tail's next one
+            let mut next = nonzero(rng);
+            while earlier.get(agree) == Some(&next) {
+                next = nonzero(rng);
+            }
+            tail.push(next);
+            (zeros, tail)
+        } else {
+            // window-sized runs rarely, so an input holds many runs
+            let lens = if rng.gen_bool(0.1) {
+                &LENS[..]
+            } else {
+                &LENS[..11]
+            };
+            let tail = (0..rng.gen_range_usize(1, 24))
+                .map(|_| nonzero(rng))
+                .collect();
+            (*rng.choose(lens), tail)
+        };
+        data.extend(std::iter::repeat_n(0u8, zeros));
+        data.extend_from_slice(&tail);
+        segments.push((zeros, tail));
+    }
+    data.truncate(len);
+    if rng.gen_bool(0.5) {
+        data.extend(std::iter::repeat_n(0u8, *rng.choose(&LENS)));
+    }
+    data
+}
+
+#[test]
+fn lz_matcher_matches_reference_on_zero_runs() {
+    for case in 0..CASES * 2 {
+        let mut rng = case_rng(27, case);
+        let len = rng.gen_range_usize(1, 6000);
+        let data = zero_run_bytes(&mut rng, len);
+        assert_lz_matches_reference(&format!("case {case}: {len} bytes"), &data);
+    }
+
+    // two equal zero runs with equal tails, the earlier one starting
+    // around the window edge as seen from the later one
+    let tail = [9u8, 1, 7, 7, 3];
+    for gap in 2040..=2056 {
+        let filler: Vec<u8> = (0..gap - 21).map(|k| (k % 250) as u8 + 1).collect();
+        let run = [vec![0u8; 16], tail.to_vec()].concat();
+        let data = [run.clone(), filler, run].concat();
+        let tokens = lz_tokens(&assert_lz_matches_reference(
+            &format!("zero run {gap} bytes back"),
+            &data,
+        ));
+        // the whole run and tail repeat only while the earlier start is in reach
+        assert_eq!(
+            tokens.contains(&(1, gap, 21)),
+            gap <= 2048,
+            "{gap}: {tokens:?}"
+        );
+    }
+
+    // zero runs past u16::MAX, behind and ahead of short runs in the window
+    let mut rng = case_rng(27, CASES * 2);
+    let mut data = zero_run_bytes(&mut rng, 3000);
+    data.extend(std::iter::repeat_n(0u8, 65_535 + 40));
+    data.extend_from_slice(&tail);
+    data.extend(zero_run_bytes(&mut rng, 3000));
+    data.extend(std::iter::repeat_n(0u8, 65_535 + 3));
+    assert_lz_matches_reference("zero runs past u16::MAX", &data);
 }
 
 // ----------------------------------------------------------------------
