@@ -1439,6 +1439,25 @@ mod tests {
         }
     }
 
+    /// The bytes of a mid-run engine snapshot, pinned by length and
+    /// digest at several layouts: the stream is a function of the model
+    /// state alone, and a codec change that moves a field fails here.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        for shards in [1, 3, 4] {
+            let mut engine = gossip_engine(7, 42, shards);
+            engine.run_until(SPLIT_AT, u64::MAX);
+            let mut w = SnapWriter::new();
+            engine.snapshot_state(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(
+                (bytes.len(), format!("{:016x}", fnv(&bytes))),
+                (1557, "1b82b630c941ffdf".to_owned()),
+                "shards={shards}"
+            );
+        }
+    }
+
     #[test]
     fn restore_rejects_shape_mismatches() {
         let mut a = gossip_engine(4, 7, 1);

@@ -242,6 +242,11 @@ impl SnapWriter {
         self.buf.extend_from_slice(b);
     }
 
+    /// Appends raw bytes with no length prefix (a payload copied whole).
+    pub fn put_raw(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
     /// Appends a [`Time`] as picoseconds.
     pub fn put_time(&mut self, t: Time) {
         self.put_u64(t.as_ps());

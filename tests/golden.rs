@@ -250,3 +250,81 @@ fn snapshot_header_json_schema_is_pinned() {
     let file = SnapshotFile::parse(&bytes).expect("checkpoint parses");
     assert_golden("snapshot_header.schema", &schema_of(&file.header_json()));
 }
+
+/// The bytes of three serving checkpoints, pinned by length and FNV-1a-64
+/// digest, so a codec rewrite that moves, adds or drops a single field
+/// fails here. Config A is a plain two-cell run (also armed, which adds
+/// the invariant tallies); B adds a fault campaign, a deadline and
+/// telemetry; C adds NoC link, corruption and stall faults on top, so
+/// the network fault and resilience codecs are covered too. Every
+/// context is set explicitly: `ECOSCALE_CHECK` cannot move the pins, and
+/// the stream is the same at one and two threads.
+#[test]
+fn serve_checkpoint_bytes_are_pinned() {
+    use ecoscale::core::{linear_test_mix, serve_checkpoint, ServeSimConfig};
+    use ecoscale::runtime::ServeSpec;
+    use ecoscale::sim::snap::fnv1a64;
+    use ecoscale::sim::{CampaignSpec, Duration, RunCtx, TelemetryConfig, Time};
+    let config_a = || {
+        let spec = ServeSpec::parse("seed=7,tenants=2,rate=120000,horizon=300us,batch=4")
+            .expect("spec parses");
+        let mut cfg = ServeSimConfig::new(spec, linear_test_mix());
+        cfg.items = 24;
+        cfg.cells = 2;
+        cfg
+    };
+    let config_b = |faults: &str| {
+        let spec =
+            ServeSpec::parse("seed=21,tenants=4,rate=100000,horizon=500us,batch=4,deadline=200us")
+                .expect("spec parses");
+        let mut cfg = ServeSimConfig::new(spec, linear_test_mix());
+        cfg.faults = CampaignSpec::parse(faults).expect("campaign spec parses");
+        cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
+        cfg
+    };
+    let faults_b = "seed=5,seu=150us,smmu=0.002,scrub=300us";
+    let faults_c = "seed=9,seu=150us,smmu=0.002,scrub=300us,link=80us,link_for=40us,\
+                    corrupt=0.001,stall=200us,stall_for=50us";
+    let cases = [
+        (
+            "A",
+            config_a(),
+            0,
+            150,
+            82_929_usize,
+            0xfe41_a75d_f957_cf4c_u64,
+        ),
+        ("A armed", config_a(), 1, 150, 83_061, 0xa869_380a_0de3_1bf8),
+        (
+            "B",
+            config_b(faults_b),
+            0,
+            200,
+            50_880,
+            0x1918_6e4a_c583_2be2,
+        ),
+        (
+            "C",
+            config_b(faults_c),
+            0,
+            200,
+            51_130,
+            0x4ab7_4d55_a80f_fa67,
+        ),
+    ];
+    for (name, mut cfg, check, at_us, len, digest) in cases {
+        for threads in [1, 2] {
+            cfg.ctx = RunCtx {
+                threads,
+                shards: 1,
+                check,
+            };
+            let bytes = serve_checkpoint(&cfg, Time::ZERO + Duration::from_us(at_us));
+            assert_eq!(
+                (bytes.len(), format!("{:016x}", fnv1a64(&bytes))),
+                (len, format!("{digest:016x}")),
+                "config {name} at {threads} thread(s)"
+            );
+        }
+    }
+}

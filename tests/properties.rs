@@ -2385,3 +2385,122 @@ fn serve_checkpoint_resume_matches_uninterrupted_run() {
         }
     }
 }
+
+/// The two configs the state-corruption tests rewrite: A is a plain
+/// two-cell run, C adds every fault class (SEU, SMMU, NoC link,
+/// corruption and stall) and telemetry, so the fault and resilience
+/// decoders run too.
+fn corruption_config(faulted: bool) -> ecoscale::core::ServeSimConfig {
+    use ecoscale::core::{linear_test_mix, ServeSimConfig};
+    use ecoscale::runtime::ServeSpec;
+    use ecoscale::sim::{CampaignSpec, RunCtx, TelemetryConfig};
+    let mut cfg = if faulted {
+        let spec =
+            ServeSpec::parse("seed=21,tenants=4,rate=100000,horizon=500us,batch=4,deadline=200us")
+                .expect("spec parses");
+        let mut cfg = ServeSimConfig::new(spec, linear_test_mix());
+        cfg.faults = CampaignSpec::parse(
+            "seed=9,seu=150us,smmu=0.002,scrub=300us,link=80us,link_for=40us,\
+             corrupt=0.001,stall=200us,stall_for=50us",
+        )
+        .expect("campaign spec parses");
+        cfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(50)));
+        cfg
+    } else {
+        let spec = ServeSpec::parse("seed=7,tenants=2,rate=120000,horizon=300us,batch=4")
+            .expect("spec parses");
+        let mut cfg = ServeSimConfig::new(spec, linear_test_mix());
+        cfg.items = 24;
+        cfg.cells = 2;
+        cfg
+    };
+    cfg.ctx = RunCtx {
+        threads: 1,
+        shards: 1,
+        check: 0,
+    };
+    cfg
+}
+
+/// Past the checksum: the `cell.0` state of a checkpoint of `cfg` at
+/// `at_us` is rewritten and the file rebuilt with valid checksums, so
+/// every variant reaches the state decoder itself. Every strict prefix
+/// of the state must be refused as `Truncated` or `Malformed`; every
+/// seeded single-byte rewrite must resume or be refused with a typed
+/// error, never panic. Most rewrites land on counters and resume, so
+/// only the absence of a panic is asserted for them.
+fn assert_corrupt_cell_state_is_refused_or_resumed(
+    cfg: &ecoscale::core::ServeSimConfig,
+    at_us: u64,
+    salt: u64,
+) {
+    use ecoscale::core::{serve_checkpoint, serve_resume_with};
+    use ecoscale::sim::check::CheckPlane;
+    use ecoscale::sim::snap::{SnapReader, SnapshotBuilder, SnapshotFile};
+    use ecoscale::sim::RestoreError;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const PREFIXES: usize = 100;
+    const REWRITES: u64 = 300;
+    let bytes = serve_checkpoint(cfg, Time::ZERO + Duration::from_us(at_us));
+    let file = SnapshotFile::parse(&bytes).expect("checkpoint parses");
+    let sections: Vec<(String, &[u8])> = file
+        .sections()
+        .map(|s| {
+            let (start, end) = (s.offset as usize, (s.offset + s.len) as usize);
+            (s.name.clone(), &bytes[start..end])
+        })
+        .collect();
+    let state = file
+        .section("cell.0")
+        .and_then(|mut r: SnapReader<'_>| r.get_bytes())
+        .expect("cell.0 holds one byte string");
+    // The file with `cell.0` replaced by `cell` and every checksum valid.
+    let rebuild = |cell: &[u8]| {
+        let mut b = SnapshotBuilder::new();
+        for (name, payload) in &sections {
+            b.section(name, |w| {
+                if name == "cell.0" {
+                    w.put_bytes(cell);
+                } else {
+                    w.put_raw(payload);
+                }
+            });
+        }
+        b.finish()
+    };
+    let resume = |file: &[u8]| {
+        catch_unwind(AssertUnwindSafe(|| {
+            serve_resume_with(cfg, file, &mut CheckPlane::disabled()).map(|_| ())
+        }))
+    };
+    assert!(matches!(resume(&rebuild(&state)), Ok(Ok(()))));
+
+    for i in 0..PREFIXES {
+        let cut = i * state.len() / PREFIXES;
+        match resume(&rebuild(&state[..cut])) {
+            Ok(Err(RestoreError::Truncated { .. } | RestoreError::Malformed { .. })) => {}
+            other => panic!("prefix of {cut} bytes gave {other:?}"),
+        }
+    }
+    for case in 0..REWRITES {
+        let mut rng = case_rng(salt, case);
+        let mut bad = state.clone();
+        let at = rng.gen_range_usize(0, bad.len());
+        bad[at] ^= rng.gen_range_u64(1, 256) as u8;
+        assert!(
+            resume(&rebuild(&bad)).is_ok(),
+            "rewriting byte {at} panicked the resume"
+        );
+    }
+}
+
+#[test]
+fn corrupt_cell_state_is_refused_or_resumed_never_a_panic() {
+    assert_corrupt_cell_state_is_refused_or_resumed(&corruption_config(false), 150, 28);
+}
+
+#[test]
+fn corrupt_faulted_cell_state_is_refused_or_resumed_never_a_panic() {
+    assert_corrupt_cell_state_is_refused_or_resumed(&corruption_config(true), 200, 29);
+}
