@@ -812,8 +812,8 @@ impl<'a> CellSim<'a> {
             )));
         }
         if let Some(t) = self.telem.as_mut() {
-            t.series = TimeSeries::restore(r)?;
-            t.flight = FlightRecorder::restore(r)?;
+            t.series = r.load(t.series.clone())?;
+            t.flight = r.load(FlightRecorder::disabled())?;
             t.last_viol = r.get_u64()?;
             t.last_quar = r.get_u64()?;
         }

@@ -198,8 +198,8 @@ impl SeuScrubber {
     ) -> Result<(), ecoscale_sim::RestoreError> {
         use ecoscale_sim::snap::malformed;
         use ecoscale_sim::Restore;
-        self.clock = FaultClock::restore(r)?;
-        self.pick = SimRng::restore(r)?;
+        self.clock = r.load(FaultClock::disabled())?;
+        self.pick = r.load(SimRng::seed_from(0))?;
         self.last_scrub = r.get_time()?;
         let n = r.get_usize()?;
         if n > r.remaining() {

@@ -544,7 +544,7 @@ impl Smmu {
         self.faults = Counter::restore(r)?;
         self.injected = Counter::restore(r)?;
         self.injection = if r.get_bool()? {
-            Some(ProbFault::restore(r)?)
+            Some(r.load(ProbFault::disabled())?)
         } else {
             None
         };

@@ -612,9 +612,9 @@ impl<T: Topology> Network<T> {
             self.link_busy.insert(LinkId(l), d);
         }
         self.faults = if r.get_bool()? {
-            let degrade_clock = FaultClock::restore(r)?;
-            let pick = SimRng::restore(r)?;
-            let corrupt = ProbFault::restore(r)?;
+            let degrade_clock = r.load(FaultClock::disabled())?;
+            let pick = r.load(SimRng::seed_from(0))?;
+            let corrupt = r.load(ProbFault::disabled())?;
             let degrade_for = r.get_duration()?;
             let slowdown = r.get_f64()?;
             if !slowdown.is_finite() || slowdown < 1.0 {

@@ -1301,9 +1301,9 @@ impl ServePlane {
                     t.id
                 )));
             }
-            t.gen.rng = SimRng::restore(r)?;
+            t.gen.rng = r.load(SimRng::seed_from(0))?;
             t.gen.next = r.get_opt_time()?;
-            t.mix_rng = SimRng::restore(r)?;
+            t.mix_rng = r.load(SimRng::seed_from(0))?;
             let m = r.get_usize()?;
             if m > r.remaining() {
                 return Err(malformed(format!(

@@ -29,6 +29,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::snap::{Persist, RestoreError, SnapIo};
+
 /// Environment variable binaries read for the check cadence; see
 /// [`RunCtx::parse`](crate::pool::RunCtx::parse).
 pub const CHECK_ENV: &str = "ECOSCALE_CHECK";
@@ -205,7 +207,7 @@ pub mod invariant {
 }
 
 /// One recorded invariant violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Violation {
     /// Name from [`invariant`].
     pub invariant: &'static str,
@@ -398,81 +400,35 @@ impl Default for CheckPlane {
     }
 }
 
-/// Resolves a serialized invariant name back to its `&'static str` from
-/// [`invariant::CATALOG`] so restored [`CheckPlane`] state keeps the
-/// zero-allocation keys the live plane uses.
-fn catalog_name(name: &str) -> Result<&'static str, crate::snap::RestoreError> {
-    invariant::CATALOG
-        .iter()
-        .map(|(n, _)| *n)
-        .find(|n| *n == name)
-        .ok_or_else(|| crate::snap::malformed(format!("unknown invariant `{name}`")))
-}
-
-impl crate::snap::Snapshot for CheckPlane {
-    fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_bool(self.enabled);
-        w.put_bool(self.strict);
-        w.put_u64(self.every);
-        w.put_u64(self.calls);
-        w.put_u64(self.checks_run);
-        w.put_u64(self.violation_count);
-        w.put_usize(self.violations.len());
-        for v in &self.violations {
-            w.put_str(v.invariant);
-            w.put_str(&v.detail);
+/// Invariant names load as interned strings and are refused unless
+/// [`invariant::CATALOG`] lists them.
+impl Persist for CheckPlane {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.bool(&mut self.enabled)?;
+        io.bool(&mut self.strict)?;
+        for v in [
+            &mut self.every,
+            &mut self.calls,
+            &mut self.checks_run,
+            &mut self.violation_count,
+        ] {
+            io.u64(v)?;
         }
-        w.put_usize(self.watermarks.len());
-        for (name, value) in &self.watermarks {
-            w.put_str(name);
-            w.put_f64(*value);
+        io.vec(&mut self.violations, "violations", |io, v| {
+            io.static_str(&mut v.invariant)?;
+            io.str(&mut v.detail)
+        })?;
+        let kept = self.violations.len();
+        io.ensure(kept <= MAX_RETAINED, || {
+            format!("{kept} retained violations exceeds cap {MAX_RETAINED}")
+        })?;
+        io.sorted_map(&mut self.watermarks, "watermarks")?;
+        let mut names =
+            (self.violations.iter().map(|v| v.invariant)).chain(self.watermarks.keys().copied());
+        match names.find(|n| invariant::CATALOG.iter().all(|(known, _)| known != n)) {
+            Some(name) => io.ensure(false, || format!("unknown invariant `{name}`")),
+            None => Ok(()),
         }
-    }
-}
-
-impl crate::snap::Restore for CheckPlane {
-    fn restore(
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<CheckPlane, crate::snap::RestoreError> {
-        let enabled = r.get_bool()?;
-        let strict = r.get_bool()?;
-        let every = r.get_u64()?;
-        let calls = r.get_u64()?;
-        let checks_run = r.get_u64()?;
-        let violation_count = r.get_u64()?;
-        let nv = r.get_usize()?;
-        if nv > MAX_RETAINED {
-            return Err(crate::snap::malformed(format!(
-                "{nv} retained violations exceeds cap {MAX_RETAINED}"
-            )));
-        }
-        let mut violations = Vec::with_capacity(nv);
-        for _ in 0..nv {
-            let invariant = catalog_name(&r.get_str()?)?;
-            let detail = r.get_str()?.to_owned();
-            violations.push(Violation { invariant, detail });
-        }
-        let nw = r.get_usize()?;
-        let mut watermarks = BTreeMap::new();
-        for _ in 0..nw {
-            let name = catalog_name(&r.get_str()?)?;
-            let value = r.get_f64()?;
-            if watermarks.insert(name, value).is_some() {
-                return Err(crate::snap::malformed(format!(
-                    "duplicate watermark `{name}`"
-                )));
-            }
-        }
-        Ok(CheckPlane {
-            enabled,
-            strict,
-            every,
-            calls,
-            checks_run,
-            violation_count,
-            violations,
-            watermarks,
-        })
     }
 }
 
@@ -623,7 +579,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_and_rejects_unknown_invariants() {
-        use crate::snap::{Restore as _, SnapReader, SnapWriter, Snapshot as _};
+        use crate::snap::{SnapReader, SnapWriter};
         let mut cp = CheckPlane::enabled(3);
         cp.due();
         cp.due();
@@ -631,9 +587,11 @@ mod tests {
         cp.check(invariant::SABOTAGE, false, || "planted".to_string());
         cp.check_monotone(invariant::SYSTEM_TIME_MONOTONE, 7.5);
         let mut w = SnapWriter::new();
-        cp.snapshot(&mut w);
+        w.save(&mut cp);
         let bytes = w.into_bytes();
-        let back = CheckPlane::restore(&mut SnapReader::new(&bytes)).expect("restore");
+        let back = SnapReader::new(&bytes)
+            .load(CheckPlane::disabled())
+            .expect("restore");
         assert_eq!(back.is_enabled(), cp.is_enabled());
         assert_eq!(back.calls, cp.calls);
         assert_eq!(back.checks_run(), cp.checks_run());
@@ -659,7 +617,9 @@ mod tests {
         w.put_str("detail");
         w.put_usize(0);
         let bytes = w.into_bytes();
-        let err = CheckPlane::restore(&mut SnapReader::new(&bytes)).unwrap_err();
+        let err = SnapReader::new(&bytes)
+            .load(CheckPlane::disabled())
+            .unwrap_err();
         assert!(err.to_string().contains("made.up_invariant"), "{err}");
     }
 

@@ -10,6 +10,7 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub};
 
+use crate::snap::{Persist, RestoreError, SnapIo};
 use crate::time::Duration;
 
 /// An amount of energy, in joules.
@@ -345,72 +346,16 @@ impl EnergyMeter {
     }
 }
 
-impl crate::snap::Snapshot for Energy {
-    fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_f64(self.0);
+impl Persist for Energy {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.f64(&mut self.0)
     }
 }
 
-impl crate::snap::Restore for Energy {
-    fn restore(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::RestoreError> {
-        Ok(Energy(r.get_f64()?))
-    }
-}
-
-/// Interns a category name recovered from a snapshot so it can live in
-/// the meter's `&'static str`-keyed map. Names are deduplicated, so
-/// repeated restores of the same categories allocate once per process.
-fn intern_category(s: String) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::{Mutex, OnceLock};
-    static INTERNED: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let mut set = INTERNED
-        .get_or_init(|| Mutex::new(BTreeSet::new()))
-        .lock()
-        .expect("category intern table poisoned");
-    if let Some(&existing) = set.get(s.as_str()) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(s.into_boxed_str());
-    set.insert(leaked);
-    leaked
-}
-
-impl crate::snap::Snapshot for EnergyMeter {
-    fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        self.total.snapshot(w);
-        w.put_usize(self.categories.len());
-        for (k, v) in &self.categories {
-            w.put_str(k);
-            v.snapshot(w);
-        }
-    }
-}
-
-impl crate::snap::Restore for EnergyMeter {
-    fn restore(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::RestoreError> {
-        let total = Energy::restore(r)?;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(crate::snap::malformed(format!(
-                "meter claims {n} categories but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        let mut categories = std::collections::BTreeMap::new();
-        let mut prev: Option<String> = None;
-        for i in 0..n {
-            let name = r.get_str()?;
-            if prev.as_deref().is_some_and(|p| p >= name.as_str()) {
-                return Err(crate::snap::malformed(format!(
-                    "meter categories unsorted or duplicated at index {i}"
-                )));
-            }
-            prev = Some(name.clone());
-            let e = Energy::restore(r)?;
-            categories.insert(intern_category(name), e);
-        }
-        Ok(EnergyMeter { total, categories })
+impl Persist for EnergyMeter {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        self.total.persist(io)?;
+        io.sorted_map(&mut self.categories, "meter categories")
     }
 }
 

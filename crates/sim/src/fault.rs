@@ -25,6 +25,7 @@
 use core::fmt;
 
 use crate::rng::SimRng;
+use crate::snap::{Persist, RestoreError, SnapIo};
 use crate::time::{Duration, Time};
 
 /// Mixes a component salt into a campaign seed so every injector gets an
@@ -439,41 +440,21 @@ impl FaultClock {
     }
 }
 
-impl crate::snap::Snapshot for FaultClock {
-    fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        self.rng.snapshot(w);
-        w.put_duration(self.mtbf);
-        w.put_opt_time(self.next);
+impl Persist for FaultClock {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        self.rng.persist(io)?;
+        io.duration(&mut self.mtbf)?;
+        io.option(&mut self.next, IO::time)
     }
 }
 
-impl crate::snap::Restore for FaultClock {
-    fn restore(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::RestoreError> {
-        Ok(FaultClock {
-            rng: crate::snap::Restore::restore(r)?,
-            mtbf: r.get_duration()?,
-            next: r.get_opt_time()?,
+impl Persist for ProbFault {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        self.rng.persist(io)?;
+        io.f64(&mut self.p)?;
+        io.ensure((0.0..=1.0).contains(&self.p), || {
+            format!("fault probability {} out of [0, 1]", self.p)
         })
-    }
-}
-
-impl crate::snap::Snapshot for ProbFault {
-    fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        self.rng.snapshot(w);
-        w.put_f64(self.p);
-    }
-}
-
-impl crate::snap::Restore for ProbFault {
-    fn restore(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::RestoreError> {
-        let rng = crate::snap::Restore::restore(r)?;
-        let p = r.get_f64()?;
-        if !(0.0..=1.0).contains(&p) {
-            return Err(crate::snap::malformed(format!(
-                "fault probability {p} out of [0, 1]"
-            )));
-        }
-        Ok(ProbFault { rng, p })
     }
 }
 

@@ -18,7 +18,7 @@
 //! * [`SimRng`] — a seeded random source with the distributions the
 //!   workload generators need (uniform, exponential, normal, Zipf, Pareto),
 //! * [`snap`] — SnapPlane: a versioned, deterministic snapshot/restore
-//!   codec ([`SnapshotBuilder`], [`Snapshot`]/[`Restore`]) with
+//!   codec ([`SnapshotBuilder`], one [`Persist`] body per type) with
 //!   length-prefixed, checksummed sections and no external crates,
 //! * [`fault`] — seeded fault-campaign primitives ([`CampaignSpec`],
 //!   [`FaultClock`], [`ProbFault`]) that every layer's injection hooks
@@ -93,7 +93,8 @@ pub use prof::{Layer, ProfileReport, Profiler, ShardOccupancy};
 pub use rng::{SimRng, ZipfTable};
 pub use shard::{ClusterCtx, ClusterModel, ShardedEngine, StopReason};
 pub use snap::{
-    Restore, RestoreError, SnapReader, SnapWriter, Snapshot, SnapshotBuilder, SnapshotFile,
+    Persist, Restore, RestoreError, SnapIo, SnapReader, SnapWriter, Snapshot, SnapshotBuilder,
+    SnapshotFile,
 };
 pub use stats::{Counter, Histogram, OnlineStats};
 pub use telem::{

@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 
 use crate::json;
 use crate::report::{fnum, Table};
+use crate::snap::{malformed, Persist, RestoreError, SnapIo};
 use crate::stats::{Counter, Histogram, OnlineStats};
 
 /// One named instrument held by a [`MetricsRegistry`].
@@ -325,67 +326,44 @@ impl MetricsRegistry {
     }
 }
 
-impl crate::snap::Snapshot for Instrument {
-    fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
+/// A one-byte variant tag, then the instrument.
+impl Persist for Instrument {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        let mut tag = match self {
+            Instrument::Counter(_) => 0,
+            Instrument::Stats(_) => 1,
+            Instrument::Histogram(_) => 2,
+            Instrument::Gauge(_) => 3,
+        };
+        io.u8(&mut tag)?;
+        if IO::LOADING {
+            *self = match tag {
+                0 => Instrument::Counter(Counter::default()),
+                1 => Instrument::Stats(OnlineStats::default()),
+                2 => Instrument::Histogram(Histogram::default()),
+                3 => Instrument::Gauge(0),
+                tag => return Err(malformed(format!("instrument tag {tag}"))),
+            };
+        }
         match self {
-            Instrument::Counter(c) => {
-                w.put_u8(0);
-                c.snapshot(w);
-            }
-            Instrument::Stats(s) => {
-                w.put_u8(1);
-                s.snapshot(w);
-            }
-            Instrument::Histogram(h) => {
-                w.put_u8(2);
-                h.snapshot(w);
-            }
-            Instrument::Gauge(v) => {
-                w.put_u8(3);
-                w.put_u64(*v);
-            }
+            Instrument::Counter(c) => c.persist(io),
+            Instrument::Stats(s) => s.persist(io),
+            Instrument::Histogram(h) => h.persist(io),
+            Instrument::Gauge(v) => io.u64(v),
         }
     }
 }
 
-impl crate::snap::Restore for Instrument {
-    fn restore(
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<Instrument, crate::snap::RestoreError> {
-        Ok(match r.get_u8()? {
-            0 => Instrument::Counter(Counter::restore(r)?),
-            1 => Instrument::Stats(OnlineStats::restore(r)?),
-            2 => Instrument::Histogram(Histogram::restore(r)?),
-            3 => Instrument::Gauge(r.get_u64()?),
-            tag => return Err(crate::snap::malformed(format!("instrument tag {tag}"))),
-        })
+impl Default for Instrument {
+    /// A zero counter.
+    fn default() -> Instrument {
+        Instrument::Counter(Counter::default())
     }
 }
 
-impl crate::snap::Snapshot for MetricsRegistry {
-    fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_usize(self.slots.len());
-        for (name, inst) in &self.slots {
-            w.put_str(name);
-            inst.snapshot(w);
-        }
-    }
-}
-
-impl crate::snap::Restore for MetricsRegistry {
-    fn restore(
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<MetricsRegistry, crate::snap::RestoreError> {
-        let n = r.get_usize()?;
-        let mut slots = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.get_str()?.to_owned();
-            let inst = Instrument::restore(r)?;
-            if slots.insert(name.clone(), inst).is_some() {
-                return Err(crate::snap::malformed(format!("duplicate metric `{name}`")));
-            }
-        }
-        Ok(MetricsRegistry { slots })
+impl Persist for MetricsRegistry {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.sorted_map(&mut self.slots, "metrics")
     }
 }
 
@@ -474,7 +452,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_every_instrument_kind() {
-        use crate::snap::{Restore as _, SnapReader, SnapWriter, Snapshot as _};
+        use crate::snap::{SnapReader, SnapWriter};
         let mut m = MetricsRegistry::new();
         m.add("z.count", 7);
         m.observe("a.stat", 1.5);
@@ -484,10 +462,10 @@ mod tests {
         m.observe("empty.stat", 1.0);
         m.set_gauge("q.depth", 12);
         let mut w = SnapWriter::new();
-        m.snapshot(&mut w);
+        w.save(&mut m);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let back = MetricsRegistry::restore(&mut r).expect("restore");
+        let back = r.load(MetricsRegistry::new()).expect("restore");
         assert!(r.is_exhausted());
         assert_eq!(back, m);
         assert_eq!(back.to_json(), m.to_json());

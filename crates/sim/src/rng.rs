@@ -7,6 +7,8 @@
 //! crates are involved, so the streams are stable across toolchains and
 //! fully reproducible offline.
 
+use crate::snap::{Persist, RestoreError, SnapIo};
+
 /// A deterministic random source.
 ///
 /// # Example
@@ -217,21 +219,9 @@ impl SimRng {
     }
 }
 
-impl crate::snap::Snapshot for SimRng {
-    fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        for word in self.state {
-            w.put_u64(word);
-        }
-    }
-}
-
-impl crate::snap::Restore for SimRng {
-    fn restore(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::RestoreError> {
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.get_u64()?;
-        }
-        Ok(SimRng { state })
+impl Persist for SimRng {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        self.state.iter_mut().try_for_each(|word| io.u64(word))
     }
 }
 

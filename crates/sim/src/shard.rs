@@ -87,7 +87,7 @@ use std::sync::Mutex;
 use crate::check::{invariant, CheckPlane};
 use crate::pool::{BarrierPoisoned, RoundBarrier};
 use crate::prof::{Phase, Profiler, ShardOccupancy};
-use crate::snap::{malformed, Restore, RestoreError, SnapReader, SnapWriter, Snapshot};
+use crate::snap::{Persist, RestoreError, SnapIo};
 use crate::telem::TimeSeries;
 use crate::time::{Duration, Time};
 use crate::wheel::TimingWheel;
@@ -602,94 +602,6 @@ impl<M: ClusterModel> ShardedEngine<M> {
         );
     }
 
-    /// Serializes the engine's deterministic state: every cluster's
-    /// model, wheel, send sequence, clock and event count, plus the
-    /// engine counters and window cursor. Observability attachments
-    /// (occupancy accumulator, wall-clock profilers) are host- or
-    /// layout-facing and are not serialized.
-    ///
-    /// Every stop of [`ShardedEngine::run_until`] is post-drain, so the
-    /// mailboxes and outboxes are empty at every legal snapshot point —
-    /// mailbox state never needs to travel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any cluster has staged outbox messages, i.e. if called
-    /// from inside an event handler rather than between runs.
-    pub fn snapshot_state(&self, w: &mut SnapWriter)
-    where
-        M: Snapshot,
-        M::Event: Snapshot,
-    {
-        w.put_usize(self.clusters.len());
-        w.put_duration(self.lookahead);
-        w.put_u64(self.windows.events);
-        w.put_u64(self.windows.rounds);
-        w.put_u64(self.messages_sent);
-        w.put_u64(self.messages_delivered);
-        w.put_time(self.windows.last_end);
-        w.put_bool(self.windows.monotone);
-        for c in &self.clusters {
-            assert!(
-                c.outbox.is_empty(),
-                "snapshot requires a post-drain stop (staged outbox messages exist)"
-            );
-            c.model.snapshot(w);
-            c.wheel.snapshot(w);
-            w.put_u64(c.seq);
-            w.put_time(c.clock);
-            w.put_u64(c.events);
-        }
-    }
-
-    /// Overlays state captured by [`ShardedEngine::snapshot_state`] onto
-    /// this engine. The engine must have been rebuilt with the same
-    /// cluster count and lookahead (both are verified against the
-    /// stream); shard/thread packing is an execution choice and may
-    /// differ freely.
-    ///
-    /// # Errors
-    ///
-    /// [`RestoreError::Malformed`] on any shape mismatch, and any error of
-    /// the stream itself. State is overlaid as it is read, so an error can
-    /// leave the engine partly restored: restore into a freshly built
-    /// engine and discard it on error.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError>
-    where
-        M: Restore,
-        M::Event: Restore,
-    {
-        let n = r.get_usize()?;
-        if n != self.clusters.len() {
-            return Err(malformed(format!(
-                "snapshot has {n} clusters, engine has {}",
-                self.clusters.len()
-            )));
-        }
-        let lookahead = r.get_duration()?;
-        if lookahead != self.lookahead {
-            return Err(malformed(format!(
-                "snapshot lookahead {lookahead} != engine lookahead {}",
-                self.lookahead
-            )));
-        }
-        self.windows.events = r.get_u64()?;
-        self.windows.rounds = r.get_u64()?;
-        self.messages_sent = r.get_u64()?;
-        self.messages_delivered = r.get_u64()?;
-        self.windows.last_end = r.get_time()?;
-        self.windows.monotone = r.get_bool()?;
-        for c in self.clusters.iter_mut() {
-            c.model = M::restore(r)?;
-            c.wheel = TimingWheel::restore(r)?;
-            c.seq = r.get_u64()?;
-            c.clock = r.get_time()?;
-            c.events = r.get_u64()?;
-            c.outbox.clear();
-        }
-        Ok(())
-    }
-
     /// Runs until every wheel and mailbox drains. Returns the final
     /// simulation time (the latest cluster clock).
     pub fn run(&mut self) -> Time {
@@ -980,10 +892,57 @@ fn stop_reason(code: u64) -> StopReason {
     }
 }
 
+/// The engine's deterministic state: the cluster count and lookahead
+/// (a load refuses an engine built otherwise), the engine counters and
+/// window cursor, then every cluster's model, wheel, send sequence,
+/// clock and event count. Shard/thread packing is an execution choice
+/// and may differ freely between save and load. Observability
+/// attachments (occupancy accumulator, wall-clock profilers) are host-
+/// or layout-facing and are not in the stream.
+///
+/// Every stop of [`ShardedEngine::run_until`] is post-drain, so the
+/// mailboxes and outboxes are empty at every legal save point and
+/// never travel.
+///
+/// # Panics
+///
+/// Saving panics if any cluster has staged outbox messages, i.e. if
+/// called from inside an event handler rather than between runs.
+impl<M> Persist for ShardedEngine<M>
+where
+    M: ClusterModel + Persist,
+    M::Event: Persist + Default,
+{
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.expect(self.clusters.len(), "cluster count")?;
+        io.expect(self.lookahead, "lookahead")?;
+        io.u64(&mut self.windows.events)?;
+        io.u64(&mut self.windows.rounds)?;
+        io.u64(&mut self.messages_sent)?;
+        io.u64(&mut self.messages_delivered)?;
+        io.time(&mut self.windows.last_end)?;
+        io.bool(&mut self.windows.monotone)?;
+        for c in &mut self.clusters {
+            assert!(
+                IO::LOADING || c.outbox.is_empty(),
+                "snapshot requires a post-drain stop (staged outbox messages exist)"
+            );
+            c.outbox.clear();
+            c.model.persist(io)?;
+            c.wheel.persist(io)?;
+            io.u64(&mut c.seq)?;
+            io.time(&mut c.clock)?;
+            io.u64(&mut c.events)?;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+    use crate::snap::{SnapReader, SnapWriter};
 
     /// A gossip model: every event re-arms locally a few times and
     /// occasionally messages a pseudo-random peer. All randomness is
@@ -1362,28 +1321,11 @@ mod tests {
         let _ = ShardedEngine::new(vec![Noop], Duration::ZERO);
     }
 
-    impl Snapshot for Gossip {
-        fn snapshot(&self, w: &mut SnapWriter) {
-            self.rng.snapshot(w);
-            w.put_usize(self.log.len());
-            for &(t, tag) in &self.log {
-                w.put_u64(t);
-                w.put_u32(tag);
-            }
-            w.put_u64(self.digest);
-        }
-    }
-
-    impl Restore for Gossip {
-        fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-            let rng = SimRng::restore(r)?;
-            let n = r.get_usize()?;
-            let mut log = Vec::with_capacity(n.min(r.remaining()));
-            for _ in 0..n {
-                log.push((r.get_u64()?, r.get_u32()?));
-            }
-            let digest = r.get_u64()?;
-            Ok(Gossip { rng, log, digest })
+    impl Persist for Gossip {
+        fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+            self.rng.persist(io)?;
+            self.log.persist(io)?;
+            io.u64(&mut self.digest)
         }
     }
 
@@ -1405,7 +1347,7 @@ mod tests {
                 "the snapshot falls mid-run"
             );
             let mut w = SnapWriter::new();
-            a.snapshot_state(&mut w);
+            w.save(&mut a);
             let bytes = w.into_bytes();
 
             // Fresh engine, models in their *constructed* state: every
@@ -1413,11 +1355,10 @@ mod tests {
             let models = (0..7).map(|c| Gossip::new(c, 42)).collect();
             let mut b =
                 ShardedEngine::new(models, Duration::from_ns(90)).with_shards(resume_shards);
-            b.restore_state(&mut SnapReader::new(&bytes))
-                .expect("restore");
+            b.persist(&mut SnapReader::new(&bytes)).expect("restore");
             // Re-snapshot before running further: byte-identical.
             let mut w2 = SnapWriter::new();
-            b.snapshot_state(&mut w2);
+            w2.save(&mut b);
             assert_eq!(
                 w2.into_bytes(),
                 bytes,
@@ -1448,7 +1389,7 @@ mod tests {
             let mut engine = gossip_engine(7, 42, shards);
             engine.run_until(SPLIT_AT, u64::MAX);
             let mut w = SnapWriter::new();
-            engine.snapshot_state(&mut w);
+            w.save(&mut engine);
             let bytes = w.into_bytes();
             assert_eq!(
                 (bytes.len(), format!("{:016x}", fnv(&bytes))),
@@ -1463,14 +1404,14 @@ mod tests {
         let mut a = gossip_engine(4, 7, 1);
         a.run_until(Time::from_us(1), u64::MAX);
         let mut w = SnapWriter::new();
-        a.snapshot_state(&mut w);
+        w.save(&mut a);
         let bytes = w.into_bytes();
 
         // wrong cluster count
         let models = (0..5).map(|c| Gossip::new(c, 7)).collect();
         let mut b = ShardedEngine::new(models, Duration::from_ns(90));
         assert!(matches!(
-            b.restore_state(&mut SnapReader::new(&bytes)),
+            b.persist(&mut SnapReader::new(&bytes)),
             Err(RestoreError::Malformed { .. })
         ));
 
@@ -1478,7 +1419,7 @@ mod tests {
         let models = (0..4).map(|c| Gossip::new(c, 7)).collect();
         let mut c = ShardedEngine::new(models, Duration::from_ns(80));
         assert!(matches!(
-            c.restore_state(&mut SnapReader::new(&bytes)),
+            c.persist(&mut SnapReader::new(&bytes)),
             Err(RestoreError::Malformed { .. })
         ));
     }
@@ -1543,16 +1484,15 @@ mod tests {
             Mode::Snapshot => {
                 let reason = e.run_until(Time::from_ns(250), u64::MAX);
                 let mut w = SnapWriter::new();
-                e.snapshot_state(&mut w);
+                w.save(&mut e);
                 mid = w.into_bytes();
                 e = armed_engine(clusters, seed, resume);
-                e.restore_state(&mut SnapReader::new(&mid))
-                    .expect("restore");
+                e.persist(&mut SnapReader::new(&mid)).expect("restore");
                 (reason, e.run())
             }
         };
         let mut w = SnapWriter::new();
-        e.snapshot_state(&mut w);
+        w.save(&mut e);
         let mut bytes = w.into_bytes();
         bytes.extend_from_slice(&mid);
         let (digests, logs, events, rounds, sent) = fingerprint(&e);

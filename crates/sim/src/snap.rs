@@ -3,11 +3,13 @@
 //! Exascale machines see mean-time-between-failures shrink below job
 //! runtimes, so checkpoint/restart is table stakes alongside the local
 //! recovery the FaultPlane models. This module is the dependency-free
-//! binary codec every layer's `Snapshot`/`Restore` implementation builds
-//! on: a length-prefixed, checksummed section container plus typed
-//! primitive readers/writers, with **no external crates** (per the
-//! workspace rule) and no floating-point round-tripping (floats travel
-//! as raw IEEE-754 bits).
+//! binary codec every layer's [`Persist`] implementation builds on: a
+//! length-prefixed, checksummed section container plus one typed field
+//! codec, [`SnapIo`], that saves through a [`SnapWriter`] and loads
+//! through a [`SnapReader`]. Each type lists its fields once, in one
+//! `persist` body that serves both directions. There are **no external
+//! crates** (per the workspace rule) and no floating-point
+//! round-tripping (floats travel as raw IEEE-754 bits).
 //!
 //! # File layout
 //!
@@ -20,9 +22,11 @@
 //! ```
 //!
 //! Every integer is little-endian fixed-width. Section payloads are
-//! integrity-checked with FNV-1a-64 at parse time, so a corrupted
-//! snapshot is refused *before* any state is touched — restores are
-//! all-or-nothing, never partially applied.
+//! integrity-checked with FNV-1a-64 at parse time, so a damaged file is
+//! refused *before* any state is touched. A payload that passes its
+//! checksum but decodes to invalid state is refused by the loading
+//! `persist` itself, which may by then have overlaid part of its target
+//! (see [`Persist`]).
 //!
 //! # Safe points
 //!
@@ -37,6 +41,9 @@
 //! produces byte-identical exports to an uninterrupted run.
 
 use core::fmt;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasher, Hash};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::time::{Duration, Time};
 
@@ -66,8 +73,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Why a snapshot could not be restored. Typed so tests can pin the
-/// refusal mode, `Display` so the CLI can print it. A restore that
-/// returns any of these has touched **no** state.
+/// refusal mode, `Display` so the CLI can print it. What a refused
+/// restore has touched is stated once, on [`Persist`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RestoreError {
     /// The file does not start with [`SNAP_MAGIC`].
@@ -137,29 +144,411 @@ pub fn malformed(context: impl Into<String>) -> RestoreError {
     }
 }
 
-/// A type that can serialize its mutable state into a [`SnapWriter`].
+/// A type whose mutable state travels in a snapshot stream, listed once
+/// for both directions in the style of `ar & field`: `persist` names
+/// every field in stream order, and the [`SnapIo`] it is handed decides
+/// the direction. A [`SnapWriter`] appends each field; a [`SnapReader`]
+/// overlays each field from the stream.
 ///
-/// Implementations must be deterministic (maps in sorted key order,
-/// floats as raw bits) so the same state always yields the same bytes.
+/// Structure that is a pure function of the run configuration
+/// (topologies, kernel libraries, cost models, tracers) is not in the
+/// stream: load onto a value built from the same configuration, and the
+/// stream overlays the rest. Streams are deterministic (maps in
+/// ascending key order, floats as raw bits), so one state always yields
+/// one byte string.
+///
+/// # Errors
+///
+/// Every check that refuses a corrupt stream runs only when loading, so
+/// saving never fails. [`SnapshotFile::parse`] refuses a damaged file
+/// (magic, version, table or checksum) before any state is touched. A
+/// `persist` that fails while loading has overlaid its target partly:
+/// the caller discards the target, as the serving resume discards the
+/// cell it was restoring.
+pub trait Persist {
+    /// Saves `self` into, or loads it from, `io`.
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError`] when loading a truncated or malformed stream, or
+    /// one whose shape differs from `self`'s.
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError>;
+}
+
+macro_rules! le_ints {
+    ($($name:ident: $t:ty),*) => {$(
+        #[doc = concat!("A little-endian `", stringify!($t), "`.")]
+        fn $name(&mut self, v: &mut $t) -> Result<(), RestoreError> {
+            let mut b = v.to_le_bytes();
+            self.raw(&mut b, stringify!($t))?;
+            *v = <$t>::from_le_bytes(b);
+            Ok(())
+        }
+    )*};
+}
+
+/// The two directions of [`Persist::persist`]: a [`SnapWriter`] saves
+/// and a [`SnapReader`] loads. Every field method takes its field by
+/// `&mut`: a save reads it, a load overwrites it, so one body serves
+/// both. Generic rather than an enum, each direction compiles to its own
+/// straight-line code with no branch per field.
+pub trait SnapIo: Sized {
+    /// Whether this is the loading direction. A constant, so work gated
+    /// on it compiles away in the other direction.
+    const LOADING: bool;
+
+    /// `N` raw bytes; `what` names them in a truncation error.
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError::Truncated`] past the end of the stream.
+    fn raw<const N: usize>(&mut self, b: &mut [u8; N], what: &str) -> Result<(), RestoreError>;
+
+    /// A length-prefixed UTF-8 string.
+    ///
+    /// # Errors
+    ///
+    /// Truncated or non-UTF-8 bytes.
+    fn str(&mut self, s: &mut String) -> Result<(), RestoreError>;
+
+    /// A string key with a process-wide lifetime: loading interns it, so
+    /// repeated loads of one name allocate once per process.
+    ///
+    /// # Errors
+    ///
+    /// As [`SnapIo::str`].
+    fn static_str(&mut self, s: &mut &'static str) -> Result<(), RestoreError>;
+
+    /// A length-prefixed byte string.
+    ///
+    /// # Errors
+    ///
+    /// Truncated bytes.
+    fn bytes(&mut self, b: &mut Vec<u8>) -> Result<(), RestoreError>;
+
+    /// An entry count: `n` when saving. When loading, the count in the
+    /// stream, refused when it exceeds the bytes that remain (every
+    /// entry takes at least one), so no corrupt count can ask for an
+    /// absurd allocation. `what` names the entries in the refusal.
+    ///
+    /// # Errors
+    ///
+    /// Truncation, or a count past the remaining bytes.
+    fn len(&mut self, n: usize, what: &str) -> Result<usize, RestoreError>;
+
+    le_ints!(u8: u8, u32: u32, u64: u64, u128: u128, i64: i64);
+
+    /// A `usize`, as a `u64`.
+    fn usize(&mut self, v: &mut usize) -> Result<(), RestoreError> {
+        let mut x = *v as u64;
+        self.u64(&mut x)?;
+        *v = usize::try_from(x).map_err(|_| malformed(format!("usize {x} out of range")))?;
+        Ok(())
+    }
+
+    /// An `f64` as its raw IEEE-754 bits (exact, NaN payloads and signed
+    /// zeros included).
+    fn f64(&mut self, v: &mut f64) -> Result<(), RestoreError> {
+        let mut bits = v.to_bits();
+        self.u64(&mut bits)?;
+        *v = f64::from_bits(bits);
+        Ok(())
+    }
+
+    /// A bool as one byte; a load refuses any byte but 0 and 1.
+    fn bool(&mut self, v: &mut bool) -> Result<(), RestoreError> {
+        let mut b = u8::from(*v);
+        self.u8(&mut b)?;
+        *v = match b {
+            0 => false,
+            1 => true,
+            other => return Err(malformed(format!("bool byte {other}"))),
+        };
+        Ok(())
+    }
+
+    /// A [`Time`] in picoseconds.
+    fn time(&mut self, t: &mut Time) -> Result<(), RestoreError> {
+        let mut ps = t.as_ps();
+        self.u64(&mut ps)?;
+        *t = Time::from_ps(ps);
+        Ok(())
+    }
+
+    /// A [`Duration`] in picoseconds.
+    fn duration(&mut self, d: &mut Duration) -> Result<(), RestoreError> {
+        let mut ps = d.as_ps();
+        self.u64(&mut ps)?;
+        *d = Duration::from_ps(ps);
+        Ok(())
+    }
+
+    /// Any [`Persist`] value. As a path (`IO::item`) it is the element
+    /// codec of [`SnapIo::vec`] and [`SnapIo::option`] for such values.
+    fn item<T: Persist>(&mut self, v: &mut T) -> Result<(), RestoreError> {
+        v.persist(self)
+    }
+
+    /// Refuses the stream, when loading, unless `ok`; `why` says what
+    /// is wrong. Saving never refuses.
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError::Malformed`] carrying `why()`.
+    fn ensure(&self, ok: bool, why: impl FnOnce() -> String) -> Result<(), RestoreError> {
+        if Self::LOADING && !ok {
+            Err(malformed(why()))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// A shape the loading value was built with: saving writes `have`,
+    /// and a load refuses a stream that holds anything else. `what`
+    /// names the shape in the refusal.
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError::Malformed`] on a mismatch.
+    fn expect<T>(&mut self, have: T, what: &str) -> Result<(), RestoreError>
+    where
+        T: Persist + Clone + PartialEq + fmt::Debug,
+    {
+        let mut got = have.clone();
+        got.persist(self)?;
+        self.ensure(got == have, || {
+            format!("snapshot {what} is {got:?}, this one has {have:?}")
+        })
+    }
+
+    /// An `Option`: a presence flag, then the value through `each`. A
+    /// load into `None` starts the value from `T::default()`.
+    fn option<T: Default>(
+        &mut self,
+        o: &mut Option<T>,
+        each: impl FnOnce(&mut Self, &mut T) -> Result<(), RestoreError>,
+    ) -> Result<(), RestoreError> {
+        let mut some = o.is_some();
+        self.bool(&mut some)?;
+        if !some {
+            *o = None;
+            return Ok(());
+        }
+        each(self, o.get_or_insert_with(T::default))
+    }
+
+    /// A counted sequence (a `Vec` or a `VecDeque`), each element
+    /// through `each`. A load replaces the contents with as many
+    /// `T::default()` as the stream counts (see [`SnapIo::len`]), then
+    /// fills them in order.
+    fn vec<S: SnapSeq>(
+        &mut self,
+        v: &mut S,
+        what: &str,
+        mut each: impl FnMut(&mut Self, &mut S::Item) -> Result<(), RestoreError>,
+    ) -> Result<(), RestoreError> {
+        let n = self.len(v.count(), what)?;
+        if Self::LOADING {
+            v.refill(n);
+        }
+        v.items().try_for_each(|x| each(self, x))
+    }
+
+    /// A map in ascending key order, each value through `each`, which
+    /// also sees its key. A load replaces the contents and refuses a key
+    /// that does not ascend.
+    fn map_with<M: SnapMap>(
+        &mut self,
+        m: &mut M,
+        what: &str,
+        mut each: impl FnMut(&mut Self, &M::K, &mut M::V) -> Result<(), RestoreError>,
+    ) -> Result<(), RestoreError> {
+        let n = self.len(m.count(), what)?;
+        if !Self::LOADING {
+            for (k, v) in m.ascending() {
+                k.clone().persist(self)?;
+                each(self, k, v)?;
+            }
+            return Ok(());
+        }
+        m.clear();
+        let mut prev: Option<M::K> = None;
+        for i in 0..n {
+            let mut k = M::K::default();
+            k.persist(self)?;
+            if prev.as_ref().is_some_and(|p| *p >= k) {
+                return Err(malformed(format!(
+                    "{what} unsorted or duplicated at index {i}"
+                )));
+            }
+            let mut v = M::V::default();
+            each(self, &k, &mut v)?;
+            prev = Some(k.clone());
+            m.insert(k, v);
+        }
+        Ok(())
+    }
+
+    /// [`SnapIo::map_with`] for [`Persist`] values.
+    fn sorted_map<M: SnapMap>(&mut self, m: &mut M, what: &str) -> Result<(), RestoreError>
+    where
+        M::V: Persist,
+    {
+        self.map_with(m, what, |io, _, v| v.persist(io))
+    }
+
+    /// A set in ascending order. A load replaces the contents and
+    /// refuses a key that does not ascend.
+    fn sorted_set<K>(&mut self, s: &mut BTreeSet<K>, what: &str) -> Result<(), RestoreError>
+    where
+        K: Persist + Ord + Clone + Default,
+    {
+        let n = self.len(s.len(), what)?;
+        if !Self::LOADING {
+            for k in s.iter() {
+                k.clone().persist(self)?;
+            }
+            return Ok(());
+        }
+        s.clear();
+        for i in 0..n {
+            let mut k = K::default();
+            k.persist(self)?;
+            if s.last().is_some_and(|p| *p >= k) {
+                return Err(malformed(format!(
+                    "{what} unsorted or duplicated at index {i}"
+                )));
+            }
+            s.insert(k);
+        }
+        Ok(())
+    }
+}
+
+/// Bridge for the crates still on the two-half codec; goes with them.
 pub trait Snapshot {
     /// Appends this value's state to `w`.
     fn snapshot(&self, w: &mut SnapWriter);
 }
 
-/// A value type that can be rebuilt from a [`SnapReader`] stream.
-///
-/// Structural state that is a pure function of the run configuration
-/// (topologies, kernel libraries, tracers) is *not* restored this way —
-/// it is rebuilt by the deterministic builders, and only mutable state
-/// is overlaid. Types whose fields are private to another crate expose
-/// inherent `restore_state` methods instead.
+impl<T: Persist + Clone> Snapshot for T {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        w.save(&mut self.clone());
+    }
+}
+
+/// Bridge for the crates still on the two-half codec; goes with them.
 pub trait Restore: Sized {
     /// Reads one value off `r`.
     ///
     /// # Errors
     ///
-    /// [`RestoreError`] when the stream is truncated or malformed.
+    /// As [`Persist::persist`].
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError>;
+}
+
+impl<T: Persist + Default> Restore for T {
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
+        r.load(T::default())
+    }
+}
+
+/// A sequence [`SnapIo::vec`] persists: a `Vec` or a `VecDeque`.
+pub trait SnapSeq {
+    /// Element type.
+    type Item: Default;
+    /// Element count.
+    fn count(&self) -> usize;
+    /// Replaces the contents with `n` default elements.
+    fn refill(&mut self, n: usize);
+    /// The elements in order.
+    fn items(&mut self) -> impl Iterator<Item = &mut Self::Item>;
+}
+
+impl<T: Default> SnapSeq for Vec<T> {
+    type Item = T;
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn refill(&mut self, n: usize) {
+        self.clear();
+        self.resize_with(n, T::default);
+    }
+    fn items(&mut self) -> impl Iterator<Item = &mut T> {
+        self.iter_mut()
+    }
+}
+
+impl<T: Default> SnapSeq for VecDeque<T> {
+    type Item = T;
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn refill(&mut self, n: usize) {
+        self.clear();
+        self.resize_with(n, T::default);
+    }
+    fn items(&mut self) -> impl Iterator<Item = &mut T> {
+        self.iter_mut()
+    }
+}
+
+/// A map [`SnapIo::map_with`] persists: a `BTreeMap`, or a `HashMap`
+/// whose entries are sorted on save.
+pub trait SnapMap {
+    /// Key type.
+    type K: Persist + Ord + Clone + Default;
+    /// Value type.
+    type V: Default;
+    /// Entry count.
+    fn count(&self) -> usize;
+    /// Removes every entry.
+    fn clear(&mut self);
+    /// Adds an entry.
+    fn insert(&mut self, k: Self::K, v: Self::V);
+    /// The entries in ascending key order.
+    fn ascending(&mut self) -> impl Iterator<Item = (&Self::K, &mut Self::V)>;
+}
+
+impl<K: Persist + Ord + Clone + Default, V: Default> SnapMap for BTreeMap<K, V> {
+    type K = K;
+    type V = V;
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn clear(&mut self) {
+        BTreeMap::clear(self);
+    }
+    fn insert(&mut self, k: K, v: V) {
+        BTreeMap::insert(self, k, v);
+    }
+    fn ascending(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
+        self.iter_mut()
+    }
+}
+
+impl<K, V, H> SnapMap for HashMap<K, V, H>
+where
+    K: Persist + Ord + Clone + Default + Hash,
+    V: Default,
+    H: BuildHasher,
+{
+    type K = K;
+    type V = V;
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn clear(&mut self) {
+        HashMap::clear(self);
+    }
+    fn insert(&mut self, k: K, v: V) {
+        HashMap::insert(self, k, v);
+    }
+    fn ascending(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
+        let mut entries: Vec<_> = self.iter_mut().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        entries.into_iter()
+    }
 }
 
 /// Append-only typed writer over a byte buffer.
@@ -263,6 +652,43 @@ impl SnapWriter {
         if let Some(t) = t {
             self.put_time(t);
         }
+    }
+}
+
+impl SnapWriter {
+    /// Appends `v`'s state. Saving never fails: every refusal in a
+    /// [`Persist`] runs only when loading.
+    pub fn save<T: Persist>(&mut self, v: &mut T) {
+        v.persist(self).expect("saving never refuses");
+    }
+}
+
+impl SnapIo for SnapWriter {
+    const LOADING: bool = false;
+
+    fn raw<const N: usize>(&mut self, b: &mut [u8; N], _: &str) -> Result<(), RestoreError> {
+        self.buf.extend_from_slice(b);
+        Ok(())
+    }
+
+    fn str(&mut self, s: &mut String) -> Result<(), RestoreError> {
+        self.put_str(s);
+        Ok(())
+    }
+
+    fn static_str(&mut self, s: &mut &'static str) -> Result<(), RestoreError> {
+        self.put_str(s);
+        Ok(())
+    }
+
+    fn bytes(&mut self, b: &mut Vec<u8>) -> Result<(), RestoreError> {
+        self.put_bytes(b);
+        Ok(())
+    }
+
+    fn len(&mut self, n: usize, _: &str) -> Result<usize, RestoreError> {
+        self.put_usize(n);
+        Ok(n)
     }
 }
 
@@ -381,6 +807,69 @@ impl<'a> SnapReader<'a> {
             None
         })
     }
+}
+
+impl SnapReader<'_> {
+    /// `v` with the stream loaded onto it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Persist::persist`].
+    pub fn load<T: Persist>(&mut self, mut v: T) -> Result<T, RestoreError> {
+        v.persist(self)?;
+        Ok(v)
+    }
+}
+
+impl SnapIo for SnapReader<'_> {
+    const LOADING: bool = true;
+
+    fn raw<const N: usize>(&mut self, b: &mut [u8; N], what: &str) -> Result<(), RestoreError> {
+        b.copy_from_slice(self.take(N, what)?);
+        Ok(())
+    }
+
+    fn str(&mut self, s: &mut String) -> Result<(), RestoreError> {
+        *s = self.get_str()?;
+        Ok(())
+    }
+
+    fn static_str(&mut self, s: &mut &'static str) -> Result<(), RestoreError> {
+        *s = intern(self.get_str()?);
+        Ok(())
+    }
+
+    fn bytes(&mut self, b: &mut Vec<u8>) -> Result<(), RestoreError> {
+        *b = self.get_bytes()?;
+        Ok(())
+    }
+
+    fn len(&mut self, _: usize, what: &str) -> Result<usize, RestoreError> {
+        let n = self.get_usize()?;
+        if n > self.remaining() {
+            return Err(malformed(format!(
+                "{what} claims {n} entries but only {} bytes remain",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+}
+
+/// Interns a string for the process, so a loaded `&'static str` key
+/// costs one allocation per distinct name, however often it is loaded.
+fn intern(s: String) -> &'static str {
+    static INTERNED: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
+    let mut set = INTERNED
+        .get_or_init(|| Mutex::new(BTreeSet::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    if let Some(&existing) = set.get(s.as_str()) {
+        return existing;
+    }
+    let leaked: &'static str = Box::leak(s.into_boxed_str());
+    set.insert(leaked);
+    leaked
 }
 
 /// Builder assembling named, checksummed sections into one snapshot file.
@@ -601,83 +1090,32 @@ fn table_err(e: RestoreError, context: &str) -> RestoreError {
     }
 }
 
-// ----------------------------------------------------------------------
-// Snapshot/Restore for the substrate value types
-// ----------------------------------------------------------------------
-
-impl Snapshot for Time {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_time(*self);
-    }
-}
-
-impl Restore for Time {
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        r.get_time()
-    }
-}
-
-impl Snapshot for Duration {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_duration(*self);
-    }
-}
-
-impl Restore for Duration {
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        r.get_duration()
-    }
-}
-
-impl Snapshot for u64 {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_u64(*self);
-    }
-}
-
-impl Restore for u64 {
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        r.get_u64()
-    }
-}
-
-impl Snapshot for u32 {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_u32(*self);
-    }
-}
-
-impl Restore for u32 {
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        r.get_u32()
-    }
-}
-
-impl<T: Snapshot> Snapshot for Vec<T> {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_usize(self.len());
-        for item in self {
-            item.snapshot(w);
+macro_rules! persist_via {
+    ($($t:ty => $field:ident),*) => {$(
+        impl Persist for $t {
+            fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+                io.$field(self)
+            }
         }
+    )*};
+}
+
+persist_via!(
+    u8 => u8, u32 => u32, u64 => u64, i64 => i64, usize => usize, f64 => f64,
+    bool => bool, String => str, &'static str => static_str, Time => time,
+    Duration => duration
+);
+
+impl<A: Persist, B: Persist> Persist for (A, B) {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        self.0.persist(io)?;
+        self.1.persist(io)
     }
 }
 
-impl<T: Restore> Restore for Vec<T> {
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        let len = r.get_usize()?;
-        // Guard against a corrupted length asking for an absurd
-        // allocation; every element needs at least one byte.
-        if len > r.remaining() {
-            return Err(malformed(format!(
-                "vec length {len} exceeds remaining {} bytes",
-                r.remaining()
-            )));
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::restore(r)?);
-        }
-        Ok(out)
+impl<T: Persist + Default> Persist for Vec<T> {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.vec(self, "vec", IO::item)
     }
 }
 
@@ -873,7 +1311,7 @@ mod tests {
         w.put_u64(u64::MAX);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let got: Result<Vec<u64>, _> = Vec::restore(&mut r);
+        let got = Vec::<u64>::new().persist(&mut r);
         assert!(matches!(got, Err(RestoreError::Malformed { .. })));
     }
 

@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use crate::snap::{Persist, RestoreError, SnapIo};
+
 /// A saturating event counter.
 ///
 /// # Example
@@ -54,15 +56,9 @@ impl fmt::Display for Counter {
     }
 }
 
-impl crate::snap::Snapshot for Counter {
-    fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_u64(self.0);
-    }
-}
-
-impl crate::snap::Restore for Counter {
-    fn restore(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::RestoreError> {
-        Ok(Counter(r.get_u64()?))
+impl Persist for Counter {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u64(&mut self.0)
     }
 }
 
@@ -191,25 +187,13 @@ impl OnlineStats {
 // The empty-accumulator sentinels (`min = +inf`, `max = -inf`) must
 // survive a round trip exactly, so the raw fields travel as bits rather
 // than going through the zero-returning accessors.
-impl crate::snap::Snapshot for OnlineStats {
-    fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_u64(self.count);
-        w.put_f64(self.mean);
-        w.put_f64(self.m2);
-        w.put_f64(self.min);
-        w.put_f64(self.max);
-    }
-}
-
-impl crate::snap::Restore for OnlineStats {
-    fn restore(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::RestoreError> {
-        Ok(OnlineStats {
-            count: r.get_u64()?,
-            mean: r.get_f64()?,
-            m2: r.get_f64()?,
-            min: r.get_f64()?,
-            max: r.get_f64()?,
-        })
+impl Persist for OnlineStats {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u64(&mut self.count)?;
+        for v in [&mut self.mean, &mut self.m2, &mut self.min, &mut self.max] {
+            io.f64(v)?;
+        }
+        Ok(())
     }
 }
 
@@ -351,27 +335,12 @@ impl Histogram {
     }
 }
 
-impl crate::snap::Snapshot for Histogram {
-    fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_usize(self.bins.len());
-        for &b in &self.bins {
-            w.put_u64(b);
-        }
-        w.put_u64(self.count);
-        w.put_u128(self.sum);
-        w.put_u64(self.max);
-    }
-}
-
-impl crate::snap::Restore for Histogram {
-    fn restore(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::RestoreError> {
-        let bins = <Vec<u64> as crate::snap::Restore>::restore(r)?;
-        Ok(Histogram {
-            bins,
-            count: r.get_u64()?,
-            sum: r.get_u128()?,
-            max: r.get_u64()?,
-        })
+impl Persist for Histogram {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        self.bins.persist(io)?;
+        io.u64(&mut self.count)?;
+        io.u128(&mut self.sum)?;
+        io.u64(&mut self.max)
     }
 }
 

@@ -10,7 +10,7 @@
 //!   instrument model of its own: every window is a
 //!   [`MetricsRegistry`], kept in a bounded ring of closed windows, and
 //!   a lifetime registry (the infinite window) holds counter totals.
-//!   Merge and [`Snapshot`]/[`Restore`] are the registry's; only the
+//!   Merge and [`Persist`](crate::snap::Persist) are the registry's; only the
 //!   canonical JSON export splits a window by instrument kind.
 //!   Everything is driven by simulated time, so exports are
 //!   byte-identical at any `ECOSCALE_THREADS`/`ECOSCALE_SHARDS` setting.
@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, VecDeque};
 use crate::check::{invariant, CheckPlane};
 use crate::json;
 use crate::metrics::{Instrument, MetricsRegistry};
-use crate::snap::{malformed, Restore, RestoreError, SnapReader, SnapWriter, Snapshot};
+use crate::snap::{malformed, Persist, RestoreError, SnapIo};
 use crate::stats::Histogram;
 use crate::time::{Duration, Time};
 
@@ -374,50 +374,45 @@ fn json_object<'a, T>(
     out.push('}');
 }
 
-impl Snapshot for TimeSeries {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_duration(self.width);
-        w.put_usize(self.retain);
-        w.put_u64(self.open);
-        w.put_u64(self.rolled);
-        self.current.snapshot(w);
-        self.lifetime.snapshot(w);
-        self.evicted.snapshot(w);
-        w.put_usize(self.ring.len());
-        for (index, window) in &self.ring {
-            w.put_u64(*index);
-            window.snapshot(w);
+impl Persist for TimeSeries {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.duration(&mut self.width)?;
+        io.ensure(!self.width.is_zero(), || {
+            "time series window width is zero".to_owned()
+        })?;
+        io.usize(&mut self.retain)?;
+        io.ensure(self.retain != 0, || {
+            "time series retains zero windows".to_owned()
+        })?;
+        io.u64(&mut self.open)?;
+        io.u64(&mut self.rolled)?;
+        for registry in [&mut self.current, &mut self.lifetime, &mut self.evicted] {
+            registry.persist(io)?;
         }
+        io.vec(&mut self.ring, "time series ring", IO::item)?;
+        if IO::LOADING {
+            self.refuse_inconsistent()?;
+        }
+        Ok(())
     }
 }
 
-impl Restore for TimeSeries {
-    fn restore(r: &mut SnapReader<'_>) -> Result<TimeSeries, RestoreError> {
-        let width = r.get_duration()?;
-        if width.is_zero() {
-            return Err(malformed("time series window width is zero"));
-        }
-        let retain = r.get_usize()?;
-        if retain == 0 {
-            return Err(malformed("time series retains zero windows"));
-        }
-        let open = r.get_u64()?;
-        let rolled = r.get_u64()?;
-        let current = MetricsRegistry::restore(r)?;
-        let lifetime = MetricsRegistry::restore(r)?;
-        let evicted = MetricsRegistry::restore(r)?;
-        let n = r.get_usize()?;
+impl TimeSeries {
+    /// The loaded series' shape checks: a ring within `retain`, in
+    /// ascending window order before the open window, and every name
+    /// keeping the kind it has in the open window, which holds every
+    /// name (lifetime and evicted hold only counters). A stream that
+    /// breaks these would panic on the next recording call.
+    fn refuse_inconsistent(&self) -> Result<(), RestoreError> {
+        let (n, retain, open) = (self.ring.len(), self.retain, self.open);
         if n > retain {
             return Err(malformed(format!(
                 "ring holds {n} windows, retain is {retain}"
             )));
         }
-        // Every name keeps the kind it has in the open window, which
-        // holds every name; lifetime and evicted hold only counters. A
-        // stream that breaks this would panic on the next recording call.
-        let kind = |name: &str| current.get(name).map(std::mem::discriminant);
+        let kind = |name: &str| self.current.get(name).map(std::mem::discriminant);
         let counter = std::mem::discriminant(&Instrument::Counter(Default::default()));
-        for (name, inst) in lifetime.iter().chain(evicted.iter()) {
+        for (name, inst) in self.lifetime.iter().chain(self.evicted.iter()) {
             let here = std::mem::discriminant(inst);
             if here != counter || kind(name).is_some_and(|k| k != counter) {
                 return Err(malformed(format!(
@@ -425,10 +420,9 @@ impl Restore for TimeSeries {
                 )));
             }
         }
-        let mut ring = VecDeque::new();
         let mut last: Option<u64> = None;
-        for _ in 0..n {
-            let index = r.get_u64()?;
+        for (index, window) in &self.ring {
+            let index = *index;
             if index >= open {
                 return Err(malformed(format!(
                     "ring window {index} not before open window {open}"
@@ -438,7 +432,6 @@ impl Restore for TimeSeries {
                 return Err(malformed("ring windows out of order"));
             }
             last = Some(index);
-            let window = MetricsRegistry::restore(r)?;
             if let Some((name, _)) = window
                 .iter()
                 .find(|(name, inst)| kind(name) != Some(std::mem::discriminant(inst)))
@@ -447,18 +440,8 @@ impl Restore for TimeSeries {
                     "ring window {index} instrument `{name}` differs from the open window"
                 )));
             }
-            ring.push_back((index, window));
         }
-        Ok(TimeSeries {
-            width,
-            retain,
-            open,
-            rolled,
-            current,
-            lifetime,
-            evicted,
-            ring,
-        })
+        Ok(())
     }
 }
 
@@ -534,7 +517,7 @@ impl TriggerKind {
 }
 
 /// One event in the flight ring.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Simulated time of the event.
     pub time: Time,
@@ -545,7 +528,7 @@ pub struct FlightEvent {
 }
 
 /// A latched trigger: when, which window, why.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TriggerFire {
     /// Simulated time the trigger fired.
     pub time: Time,
@@ -557,6 +540,7 @@ pub struct TriggerFire {
     pub detail: String,
 }
 
+#[derive(Default)]
 struct FlightInner {
     cap: usize,
     policy: TriggerPolicy,
@@ -760,110 +744,41 @@ impl PartialEq for FlightRecorder {
     }
 }
 
-impl Snapshot for TriggerPolicy {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_bool(self.slo_breach);
-        w.put_bool(self.queue_saturation);
-        w.put_bool(self.check_violation);
-        w.put_bool(self.quarantine);
+impl Persist for TriggerPolicy {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.bool(&mut self.slo_breach)?;
+        io.bool(&mut self.queue_saturation)?;
+        io.bool(&mut self.check_violation)?;
+        io.bool(&mut self.quarantine)
     }
 }
 
-impl Restore for TriggerPolicy {
-    fn restore(r: &mut SnapReader<'_>) -> Result<TriggerPolicy, RestoreError> {
-        Ok(TriggerPolicy {
-            slo_breach: r.get_bool()?,
-            queue_saturation: r.get_bool()?,
-            check_violation: r.get_bool()?,
-            quarantine: r.get_bool()?,
-        })
-    }
-}
-
-impl Snapshot for FlightRecorder {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        match self.inner.as_deref() {
-            None => w.put_bool(false),
-            Some(i) => {
-                w.put_bool(true);
-                w.put_usize(i.cap);
-                i.policy.snapshot(w);
-                w.put_u64(i.dropped);
-                w.put_usize(i.ring.len());
-                for ev in &i.ring {
-                    w.put_time(ev.time);
-                    w.put_str(&ev.kind);
-                    w.put_str(&ev.detail);
-                }
-                w.put_usize(i.triggers.len());
-                for t in &i.triggers {
-                    w.put_time(t.time);
-                    w.put_u64(t.window);
-                    w.put_str(&t.reason);
-                    w.put_str(&t.detail);
-                }
-            }
-        }
-    }
-}
-
-impl Restore for FlightRecorder {
-    fn restore(r: &mut SnapReader<'_>) -> Result<FlightRecorder, RestoreError> {
-        if !r.get_bool()? {
-            return Ok(FlightRecorder::disabled());
-        }
-        let cap = r.get_usize()?;
-        if cap == 0 {
-            return Err(malformed("flight ring capacity is zero"));
-        }
-        let policy = TriggerPolicy::restore(r)?;
-        let dropped = r.get_u64()?;
-        let n = r.get_usize()?;
-        if n > cap {
-            return Err(malformed(format!(
-                "flight ring holds {n} events, cap is {cap}"
-            )));
-        }
-        // the ring is sized from the events the stream holds, never from
-        // `cap`, which a stream may set arbitrarily high
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "flight ring claims {n} events but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        let mut ring = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            ring.push_back(FlightEvent {
-                time: r.get_time()?,
-                kind: r.get_str()?,
-                detail: r.get_str()?,
-            });
-        }
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "flight recorder claims {n} triggers but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        let mut triggers = Vec::with_capacity(n);
-        for _ in 0..n {
-            triggers.push(TriggerFire {
-                time: r.get_time()?,
-                window: r.get_u64()?,
-                reason: r.get_str()?,
-                detail: r.get_str()?,
-            });
-        }
-        Ok(FlightRecorder {
-            inner: Some(Box::new(FlightInner {
-                cap,
-                policy,
-                ring,
-                dropped,
-                triggers,
-            })),
+/// A presence flag, then (when armed) the ring capacity, the policy,
+/// the drop count, the ring and the latched triggers.
+impl Persist for FlightRecorder {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.option(&mut self.inner, |io, i| {
+            io.usize(&mut i.cap)?;
+            io.ensure(i.cap != 0, || "flight ring capacity is zero".to_owned())?;
+            i.policy.persist(io)?;
+            io.u64(&mut i.dropped)?;
+            // the ring is sized from the events the stream holds, never
+            // from `cap`, which a stream may set arbitrarily high
+            io.vec(&mut i.ring, "flight ring", |io, ev| {
+                io.time(&mut ev.time)?;
+                io.str(&mut ev.kind)?;
+                io.str(&mut ev.detail)
+            })?;
+            let (n, cap) = (i.ring.len(), i.cap);
+            io.ensure(n <= cap, || {
+                format!("flight ring holds {n} events, cap is {cap}")
+            })?;
+            io.vec(&mut i.triggers, "flight recorder triggers", |io, t| {
+                io.time(&mut t.time)?;
+                io.u64(&mut t.window)?;
+                io.str(&mut t.reason)?;
+                io.str(&mut t.detail)
+            })
         })
     }
 }
@@ -871,6 +786,7 @@ impl Restore for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snap::{SnapReader, SnapWriter};
 
     fn us(n: u64) -> Time {
         Time::ZERO + Duration::from_us(n)
@@ -1018,15 +934,17 @@ mod tests {
             ts.advance(us(2 * (i + 1)));
         }
         let mut w = SnapWriter::new();
-        ts.snapshot(&mut w);
+        w.save(&mut ts);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let back = TimeSeries::restore(&mut r).expect("restore");
+        let mut back = r
+            .load(TimeSeries::new(Duration::from_us(1), 1))
+            .expect("restore");
         assert!(r.is_exhausted());
         assert_eq!(back, ts);
         assert_eq!(back.to_json(), ts.to_json());
         let mut w2 = SnapWriter::new();
-        back.snapshot(&mut w2);
+        w2.save(&mut back);
         assert_eq!(w2.into_bytes(), bytes, "re-serialize is byte-identical");
 
         // A name whose kind differs between registries is refused, not
@@ -1034,9 +952,11 @@ mod tests {
         let mut bad = ts.clone();
         bad.lifetime.set_gauge("g", 1);
         let mut w = SnapWriter::new();
-        bad.snapshot(&mut w);
+        w.save(&mut bad);
         let bytes = w.into_bytes();
-        let err = TimeSeries::restore(&mut SnapReader::new(&bytes)).unwrap_err();
+        let err = SnapReader::new(&bytes)
+            .load(TimeSeries::new(Duration::from_us(1), 1))
+            .unwrap_err();
         assert!(matches!(err, RestoreError::Malformed { .. }), "{err:?}");
     }
 
@@ -1089,20 +1009,20 @@ mod tests {
         }
         fr.trigger(us(9), 2, TriggerKind::CheckViolation, || "boom".into());
         let mut w = SnapWriter::new();
-        fr.snapshot(&mut w);
+        w.save(&mut fr);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let back = FlightRecorder::restore(&mut r).expect("restore");
+        let back = r.load(FlightRecorder::disabled()).expect("restore");
         assert!(r.is_exhausted());
         assert_eq!(back.to_json(), fr.to_json());
         assert_eq!(back.dropped(), 2);
 
-        let disabled = FlightRecorder::disabled();
+        let mut disabled = FlightRecorder::disabled();
         let mut w = SnapWriter::new();
-        disabled.snapshot(&mut w);
+        w.save(&mut disabled);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let back = FlightRecorder::restore(&mut r).expect("restore");
+        let back = r.load(FlightRecorder::disabled()).expect("restore");
         assert!(!back.is_armed());
     }
 
@@ -1124,13 +1044,15 @@ mod tests {
         };
         for (events, triggers) in [(huge, 0), (0, huge)] {
             let bytes = stream(events, triggers);
-            let err = FlightRecorder::restore(&mut SnapReader::new(&bytes)).unwrap_err();
+            let err = SnapReader::new(&bytes)
+                .load(FlightRecorder::disabled())
+                .unwrap_err();
             assert!(matches!(err, RestoreError::Malformed { .. }), "{err:?}");
         }
         // an empty ring under the huge cap restores and records
         let bytes = stream(0, 0);
         let mut r = SnapReader::new(&bytes);
-        let mut fr = FlightRecorder::restore(&mut r).expect("restore");
+        let mut fr = r.load(FlightRecorder::disabled()).expect("restore");
         assert!(r.is_exhausted());
         fr.note(us(1), "tick", || "after restore".into());
         assert_eq!(fr.events().count(), 1);

@@ -35,7 +35,7 @@
 //!
 //! [`scheduled_total`]: TimingWheel::scheduled_total
 
-use crate::snap::{malformed, RestoreError, SnapReader, SnapWriter};
+use crate::snap::{malformed, Persist, RestoreError, SnapIo};
 use crate::time::Time;
 
 /// Bits per wheel level (64 slots each).
@@ -306,26 +306,37 @@ impl<E> TimingWheel<E> {
     }
 }
 
-impl<E: crate::snap::Snapshot> crate::snap::Snapshot for TimingWheel<E> {
-    /// Serializes the wheel in canonical order: clock, the live
-    /// same-instant `ready` batch exactly as stored (key-descending),
-    /// then every other pending node sorted by `(time, key)`. Arena
-    /// indices, freelist shape and slot-list order are layout, not state,
-    /// so snapshot → restore → snapshot is byte-identical regardless of
-    /// the churn history that produced the wheel.
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_u64(self.cur);
-        w.put_u64(self.scheduled_total);
-        w.put_usize(self.ready.len());
+/// The wheel in canonical order: clock, the live same-instant `ready`
+/// batch exactly as stored (key-descending), then every other pending
+/// node sorted by `(time, key)`. Arena indices, freelist shape and
+/// slot-list order are layout, not state, so save → load → save is
+/// byte-identical regardless of the churn history that produced the
+/// wheel. The stream is a canonical form of the arena, so saving and
+/// loading the nodes take separate paths.
+impl<E: Persist + Default> Persist for TimingWheel<E> {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        if IO::LOADING {
+            *self = TimingWheel::new();
+        }
+        io.u64(&mut self.cur)?;
+        io.u64(&mut self.scheduled_total)?;
+        if IO::LOADING {
+            self.load_nodes(io)
+        } else {
+            self.save_nodes(io)
+        }
+    }
+}
+
+impl<E: Persist + Default> TimingWheel<E> {
+    fn save_nodes<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.len(self.ready.len(), "wheel ready batch")?;
         let mut in_ready = vec![false; self.nodes.len()];
-        for &(key, idx) in &self.ready {
+        for i in 0..self.ready.len() {
+            let (mut key, idx) = self.ready[i];
             in_ready[idx as usize] = true;
-            w.put_u64(key);
-            self.nodes[idx as usize]
-                .event
-                .as_ref()
-                .expect("ready node holds an event")
-                .snapshot(w);
+            io.u64(&mut key)?;
+            self.live_event(idx).persist(io)?;
         }
         let mut rest: Vec<u32> = (0..self.nodes.len() as u32)
             .filter(|&i| self.nodes[i as usize].event.is_some() && !in_ready[i as usize])
@@ -334,62 +345,53 @@ impl<E: crate::snap::Snapshot> crate::snap::Snapshot for TimingWheel<E> {
             let n = &self.nodes[i as usize];
             (n.time, n.key)
         });
-        w.put_usize(rest.len());
+        io.len(rest.len(), "wheel pending nodes")?;
         for i in rest {
-            let time = self.nodes[i as usize].time;
-            let key = self.nodes[i as usize].key;
-            w.put_u64(time);
-            w.put_u64(key);
-            self.nodes[i as usize]
-                .event
-                .as_ref()
-                .expect("live node holds an event")
-                .snapshot(w);
+            let Node {
+                mut time, mut key, ..
+            } = self.nodes[i as usize];
+            io.u64(&mut time)?;
+            io.u64(&mut key)?;
+            self.live_event(i).persist(io)?;
         }
+        Ok(())
     }
-}
 
-impl<E: crate::snap::Restore> crate::snap::Restore for TimingWheel<E> {
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        let mut w = TimingWheel::new();
-        w.cur = r.get_u64()?;
-        w.scheduled_total = r.get_u64()?;
-        let nready = r.get_usize()?;
-        if nready > r.remaining() {
-            return Err(malformed(format!(
-                "wheel claims {nready} ready entries but only {} bytes remain",
-                r.remaining()
-            )));
-        }
+    fn live_event(&mut self, idx: u32) -> &mut E {
+        self.nodes[idx as usize]
+            .event
+            .as_mut()
+            .expect("live node holds an event")
+    }
+
+    fn load_nodes<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        let nready = io.len(0, "wheel ready batch")?;
         let mut prev_key: Option<u64> = None;
         for i in 0..nready {
-            let key = r.get_u64()?;
+            let mut key = 0;
+            io.u64(&mut key)?;
             if prev_key.is_some_and(|p| p <= key) {
                 return Err(malformed(format!(
                     "ready batch not key-descending at index {i}"
                 )));
             }
             prev_key = Some(key);
-            let event = E::restore(r)?;
-            let idx = w.alloc(w.cur, key, event);
-            w.ready.push((key, idx));
-            w.len += 1;
+            let mut event = E::default();
+            event.persist(io)?;
+            let idx = self.alloc(self.cur, key, event);
+            self.ready.push((key, idx));
+            self.len += 1;
         }
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "wheel claims {n} pending nodes but only {} bytes remain",
-                r.remaining()
-            )));
-        }
+        let n = io.len(0, "wheel pending nodes")?;
         let mut prev: Option<(u64, u64)> = None;
         for i in 0..n {
-            let time = r.get_u64()?;
-            let key = r.get_u64()?;
-            if time < w.cur {
+            let (mut time, mut key) = (0, 0);
+            io.u64(&mut time)?;
+            io.u64(&mut key)?;
+            if time < self.cur {
                 return Err(malformed(format!(
                     "wheel node {i} at {time}ps is before the clock {}ps",
-                    w.cur
+                    self.cur
                 )));
             }
             if prev.is_some_and(|p| p >= (time, key)) {
@@ -398,12 +400,13 @@ impl<E: crate::snap::Restore> crate::snap::Restore for TimingWheel<E> {
                 )));
             }
             prev = Some((time, key));
-            let event = E::restore(r)?;
-            let idx = w.alloc(time, key, event);
-            w.insert_node(idx);
-            w.len += 1;
+            let mut event = E::default();
+            event.persist(io)?;
+            let idx = self.alloc(time, key, event);
+            self.insert_node(idx);
+            self.len += 1;
         }
-        Ok(w)
+        Ok(())
     }
 }
 
@@ -516,17 +519,17 @@ mod tests {
         assert_eq!(w.scheduled_total(), 2);
     }
 
-    use crate::snap::{Restore, RestoreError, SnapReader, SnapWriter, Snapshot};
+    use crate::snap::{RestoreError, SnapReader, SnapWriter};
 
-    fn snap_bytes(w: &TimingWheel<u64>) -> Vec<u8> {
+    fn snap_bytes(w: &mut TimingWheel<u64>) -> Vec<u8> {
         let mut sw = SnapWriter::new();
-        w.snapshot(&mut sw);
+        sw.save(w);
         sw.into_bytes()
     }
 
     fn unsnap(bytes: &[u8]) -> Result<TimingWheel<u64>, RestoreError> {
         let mut r = SnapReader::new(bytes);
-        TimingWheel::restore(&mut r)
+        r.load(TimingWheel::new())
     }
 
     /// A wheel mid-delivery: churned arena, entries across several
@@ -555,9 +558,13 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trips_and_reserializes_identically() {
         let mut w = churned();
-        let bytes = snap_bytes(&w);
+        let bytes = snap_bytes(&mut w);
         let mut restored = unsnap(&bytes).expect("restore");
-        assert_eq!(snap_bytes(&restored), bytes, "re-snapshot not identical");
+        assert_eq!(
+            snap_bytes(&mut restored),
+            bytes,
+            "re-snapshot not identical"
+        );
         assert_eq!(restored.now(), w.now());
         assert_eq!(restored.len(), w.len());
         assert_eq!(restored.scheduled_total(), w.scheduled_total());
@@ -572,7 +579,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_malformed_streams() {
-        let bytes = snap_bytes(&churned());
+        let bytes = snap_bytes(&mut churned());
         for cut in 0..bytes.len() {
             assert!(unsnap(&bytes[..cut]).is_err(), "cut at {cut} accepted");
         }
