@@ -32,14 +32,13 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use ecoscale_hls::KernelArgs;
 use ecoscale_noc::NodeId;
-use ecoscale_runtime::serve::{Batch, Request, ServePlane, ServeSpec, ServingReport};
+use ecoscale_runtime::serve::{Batch, ServePlane, ServeSpec, ServingReport};
 use ecoscale_runtime::ResilienceConfig;
 use ecoscale_sim::check::{invariant, CheckPlane};
 use ecoscale_sim::snap::{malformed, SnapshotBuilder, SnapshotFile};
 use ecoscale_sim::{
-    CampaignSpec, Duration, FlightRecorder, MetricsRegistry, Restore, RestoreError, RunCtx,
-    SnapReader, SnapWriter, Snapshot, TelemetryConfig, Time, TimeSeries, TriggerFire, TriggerKind,
-    TriggerPolicy,
+    CampaignSpec, Duration, FlightRecorder, MetricsRegistry, Persist, RestoreError, RunCtx, SnapIo,
+    SnapReader, SnapWriter, TelemetryConfig, Time, TimeSeries, TriggerFire, TriggerKind,
 };
 
 use crate::report::SystemReport;
@@ -407,8 +406,8 @@ fn build_cell_system(cfg: &ServeSimConfig, artifacts: &SystemArtifacts) -> Ecosc
 }
 
 /// One serving cell's event loop held as an explicit state machine, so a
-/// run can pause at a loop boundary, serialize itself with
-/// [`CellSim::snapshot_state`], and continue — in this process or another
+/// run can pause at a loop boundary, serialize itself through its
+/// [`Persist`] impl, and continue — in this process or another
 /// — from the byte-identical point. [`run_serve_sim_with`] drives each
 /// cell through this type; checkpoint/resume ([`serve_checkpoint`],
 /// [`serve_resume_with`]) and serving-cell migration
@@ -486,7 +485,7 @@ impl<'a> CellSim<'a> {
     /// Runs the serving loop. With `limit = None` runs to full drain;
     /// with `Some(t)` pauses before the first instant past `t` — a safe
     /// window boundary where every layer's state is self-consistent and
-    /// [`CellSim::snapshot_state`] captures the run exactly. Returns
+    /// saving the cell captures the run exactly. Returns
     /// `true` once drained. Re-entering after a pause (or a restore)
     /// continues bit-identically to an uninterrupted run.
     pub fn run(&mut self, limit: Option<Time>) -> bool {
@@ -666,161 +665,7 @@ impl<'a> CellSim<'a> {
         }
     }
 
-    /// Serializes the cell's complete state: hosted tenants, loop
-    /// cursors, lane occupancy, the in-flight dispatch ledger, the
-    /// ServePlane, the whole [`EcoscaleSystem`] and the cell's
-    /// CheckPlane tallies. Pair with a section of a versioned
-    /// [`SnapshotBuilder`] stream for checksummed storage.
-    pub fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.put_usize(self.ids.len());
-        for id in &self.ids {
-            w.put_u32(*id);
-        }
-        self.now.snapshot(w);
-        self.next_tick.snapshot(w);
-        w.put_u64(self.seq);
-        w.put_u64(self.last_resil);
-        w.put_usize(self.free_at.len());
-        for t in &self.free_at {
-            t.snapshot(w);
-        }
-        w.put_usize(self.in_flight.len());
-        for (t, s, b) in &self.in_flight {
-            t.snapshot(w);
-            w.put_u64(*s);
-            w.put_u32(b.kernel);
-            w.put_usize(b.requests.len());
-            for q in &b.requests {
-                w.put_u64(q.id);
-                w.put_u32(q.tenant);
-                w.put_u32(q.kernel);
-                q.arrival.snapshot(w);
-                q.dispatched.snapshot(w);
-                q.deadline.snapshot(w);
-            }
-        }
-        self.plane.snapshot_state(w);
-        self.system.snapshot_state(w);
-        self.cp.snapshot(w);
-        match &self.telem {
-            Some(t) => {
-                w.put_u8(1);
-                t.series.snapshot(w);
-                t.flight.snapshot(w);
-                w.put_u64(t.last_viol);
-                w.put_u64(t.last_quar);
-            }
-            None => w.put_u8(0),
-        }
-    }
-
-    /// Overlays state captured by [`CellSim::snapshot_state`] onto this
-    /// freshly built cell. On error the cell may be partially
-    /// overwritten and must be discarded — nothing is ever served from
-    /// a partially applied snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`RestoreError`] on truncated/malformed data or when the snapshot
-    /// disagrees with this cell's build configuration (tenant set, lane
-    /// count, kernel mix, fault arming).
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
-        let n = r.get_usize()?;
-        if n != self.ids.len() {
-            return Err(malformed(format!(
-                "snapshot hosts {n} tenants, this cell hosts {}",
-                self.ids.len()
-            )));
-        }
-        for want in &self.ids {
-            let got = r.get_u32()?;
-            if got != *want {
-                return Err(malformed(format!(
-                    "snapshot hosts tenant {got} where this cell hosts {want}"
-                )));
-            }
-        }
-        self.now = Time::restore(r)?;
-        self.next_tick = Time::restore(r)?;
-        self.seq = r.get_u64()?;
-        self.last_resil = r.get_u64()?;
-        let lanes = r.get_usize()?;
-        if lanes != self.free_at.len() {
-            return Err(malformed(format!(
-                "snapshot has {lanes} lanes, this cell has {}",
-                self.free_at.len()
-            )));
-        }
-        for slot in &mut self.free_at {
-            *slot = Time::restore(r)?;
-        }
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "cell claims {n} in-flight batches but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        self.in_flight.clear();
-        let mut prev_seq: Option<u64> = None;
-        for i in 0..n {
-            let t = Time::restore(r)?;
-            if t <= self.now {
-                return Err(malformed(format!(
-                    "in-flight batch {i} completes at {t}, not after now"
-                )));
-            }
-            let s = r.get_u64()?;
-            if prev_seq.is_some_and(|p| p >= s) || s >= self.seq {
-                return Err(malformed(format!("in-flight sequence unsorted at {i}")));
-            }
-            prev_seq = Some(s);
-            let kernel = r.get_u32()?;
-            if kernel as usize >= self.cfg.kernels.len() {
-                return Err(malformed(format!(
-                    "in-flight batch {i} uses kernel {kernel}, mix has {}",
-                    self.cfg.kernels.len()
-                )));
-            }
-            let m = r.get_usize()?;
-            if m == 0 || m > r.remaining() {
-                return Err(malformed(format!(
-                    "in-flight batch {i} claims {m} requests"
-                )));
-            }
-            let mut requests = Vec::with_capacity(m);
-            for _ in 0..m {
-                requests.push(Request {
-                    id: r.get_u64()?,
-                    tenant: r.get_u32()?,
-                    kernel: r.get_u32()?,
-                    arrival: Time::restore(r)?,
-                    dispatched: Time::restore(r)?,
-                    deadline: Time::restore(r)?,
-                });
-            }
-            self.in_flight.push((t, s, Batch { kernel, requests }));
-        }
-        self.plane.restore_state(r)?;
-        self.system.restore_state(r)?;
-        self.cp = CheckPlane::restore(r)?;
-        let armed = r.get_u8()? != 0;
-        if armed != self.telem.is_some() {
-            return Err(malformed(format!(
-                "snapshot telemetry armed={armed}, this config has armed={}",
-                self.telem.is_some()
-            )));
-        }
-        if let Some(t) = self.telem.as_mut() {
-            t.series = r.load(t.series.clone())?;
-            t.flight = r.load(FlightRecorder::disabled())?;
-            t.last_viol = r.get_u64()?;
-            t.last_quar = r.get_u64()?;
-        }
-        Ok(())
-    }
-
-    /// Restores this cell like [`CellSim::restore_state`] but then
+    /// Restores this cell like [`Persist::persist`] but then
     /// **migrates** its tenants onto healthy hardware: the restored
     /// system (with whatever upsets, quarantines and fault history it
     /// carried) is discarded and replaced by a freshly provisioned,
@@ -830,80 +675,101 @@ impl<'a> CellSim<'a> {
     ///
     /// # Errors
     ///
-    /// Exactly those of [`CellSim::restore_state`].
+    /// Exactly those of [`Persist::persist`].
     pub fn migrate_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
-        self.restore_state(r)?;
+        self.persist(r)?;
         self.system = build_cell_system(self.cfg, &self.artifacts);
         Ok(())
     }
 }
 
-/// Writes the "meta" section pinning the checkpoint's configuration:
-/// the serving spec, the fault campaign, the backend shape and the
-/// kernel-mix names. Resume refuses a snapshot whose meta disagrees
-/// with the caller's config.
-fn write_meta(cfg: &ServeSimConfig, cells: usize, w: &mut SnapWriter) {
-    w.put_str(&cfg.spec.to_string());
-    w.put_str(&cfg.faults.to_string());
-    w.put_usize(cfg.items);
-    w.put_usize(cfg.workers_per_node);
-    w.put_usize(cfg.compute_nodes);
-    w.put_usize(cells);
-    w.put_duration(cfg.cadence);
-    match &cfg.telemetry {
-        Some(tc) => {
-            w.put_u8(1);
-            w.put_duration(tc.window);
-            w.put_usize(tc.retain);
-            w.put_usize(tc.flight);
-            tc.policy.snapshot(w);
+/// The cell's complete state: hosted tenants, loop cursors, lane
+/// occupancy, the in-flight dispatch ledger, the ServePlane, the whole
+/// [`EcoscaleSystem`], the cell's CheckPlane tallies and (when armed)
+/// its telemetry. Pair with a section of a versioned [`SnapshotBuilder`]
+/// stream for checksummed storage. A load refuses a snapshot that
+/// disagrees with this cell's build configuration (tenant set, lane
+/// count, kernel mix, fault and telemetry arming).
+impl Persist for CellSim<'_> {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.expect(self.ids.len(), "tenant count")?;
+        for &id in &self.ids {
+            io.expect(id, "tenant")?;
         }
-        None => w.put_u8(0),
-    }
-    w.put_usize(cfg.kernels.len());
-    for k in &cfg.kernels {
-        w.put_str(k.name);
+        io.time(&mut self.now)?;
+        io.time(&mut self.next_tick)?;
+        io.u64(&mut self.seq)?;
+        io.u64(&mut self.last_resil)?;
+        io.expect(self.free_at.len(), "lane count")?;
+        for t in &mut self.free_at {
+            io.time(t)?;
+        }
+        let (now, seq, mix) = (self.now, self.seq, self.cfg.kernels.len());
+        let (mut i, mut prev_seq) = (0, None);
+        io.vec(&mut self.in_flight, "in-flight batches", |io, batch| {
+            let (t, s, b) = batch;
+            io.time(t)?;
+            let t = *t;
+            io.ensure(t > now, || {
+                format!("in-flight batch {i} completes at {t}, not after now")
+            })?;
+            io.u64(s)?;
+            io.ensure(prev_seq.is_none_or(|p| p < *s) && *s < seq, || {
+                format!("in-flight sequence unsorted at {i}")
+            })?;
+            prev_seq = Some(*s);
+            io.u32(&mut b.kernel)?;
+            let kernel = b.kernel;
+            io.ensure((kernel as usize) < mix, || {
+                format!("in-flight batch {i} uses kernel {kernel}, mix has {mix}")
+            })?;
+            io.vec(&mut b.requests, "in-flight requests", IO::item)?;
+            io.ensure(!b.requests.is_empty(), || {
+                format!("in-flight batch {i} claims 0 requests")
+            })?;
+            i += 1;
+            Ok(())
+        })?;
+        self.plane.persist(io)?;
+        self.system.persist(io)?;
+        self.cp.persist(io)?;
+        io.expect(self.telem.is_some(), "telemetry armed")?;
+        if let Some(t) = &mut self.telem {
+            t.series.persist(io)?;
+            t.flight.persist(io)?;
+            io.u64(&mut t.last_viol)?;
+            io.u64(&mut t.last_quar)?;
+        }
+        Ok(())
     }
 }
 
-fn check_meta(
+/// The "meta" section pinning the checkpoint's configuration: the
+/// serving spec, the fault campaign, the backend shape and the
+/// kernel-mix names. Saving writes `cfg`'s; a resume refuses a snapshot
+/// whose meta disagrees with the caller's config.
+fn persist_meta<IO: SnapIo>(
     cfg: &ServeSimConfig,
     cells: usize,
-    r: &mut SnapReader<'_>,
+    io: &mut IO,
 ) -> Result<(), RestoreError> {
-    fn expect<T: PartialEq + std::fmt::Debug>(
-        what: &str,
-        got: T,
-        want: T,
-    ) -> Result<(), RestoreError> {
-        if got == want {
-            Ok(())
-        } else {
-            Err(malformed(format!(
-                "snapshot {what} is {got:?}, this config has {want:?}"
-            )))
-        }
-    }
-    expect("serve spec", r.get_str()?, cfg.spec.to_string())?;
-    expect("fault campaign", r.get_str()?, cfg.faults.to_string())?;
-    expect("items per request", r.get_usize()?, cfg.items)?;
-    expect("workers per node", r.get_usize()?, cfg.workers_per_node)?;
-    expect("compute nodes", r.get_usize()?, cfg.compute_nodes)?;
-    expect("cells", r.get_usize()?, cells)?;
-    expect("cadence", r.get_duration()?, cfg.cadence)?;
-    expect("telemetry armed", r.get_u8()? != 0, cfg.telemetry.is_some())?;
+    io.expect(cfg.spec.to_string(), "serve spec")?;
+    io.expect(cfg.faults.to_string(), "fault campaign")?;
+    io.expect(cfg.items, "items per request")?;
+    io.expect(cfg.workers_per_node, "workers per node")?;
+    io.expect(cfg.compute_nodes, "compute nodes")?;
+    io.expect(cells, "cells")?;
+    io.expect(cfg.cadence, "cadence")?;
+    io.expect(cfg.telemetry.is_some(), "telemetry armed")?;
     if let Some(tc) = &cfg.telemetry {
-        expect("telemetry window", r.get_duration()?, tc.window)?;
-        expect("telemetry retain", r.get_usize()?, tc.retain)?;
-        expect("telemetry flight cap", r.get_usize()?, tc.flight)?;
-        expect("telemetry policy", TriggerPolicy::restore(r)?, tc.policy)?;
+        io.expect(tc.window, "telemetry window")?;
+        io.expect(tc.retain, "telemetry retain")?;
+        io.expect(tc.flight, "telemetry flight cap")?;
+        io.expect(tc.policy, "telemetry policy")?;
     }
-    expect("kernel count", r.get_usize()?, cfg.kernels.len())?;
+    io.expect(cfg.kernels.len(), "kernel count")?;
     for k in &cfg.kernels {
-        expect("kernel name", r.get_str()?.as_str(), k.name)?;
-    }
-    if !r.is_exhausted() {
-        return Err(malformed("meta section has trailing bytes".to_owned()));
+        io.expect(k.name.to_owned(), "kernel name")?;
     }
     Ok(())
 }
@@ -928,11 +794,13 @@ pub fn serve_checkpoint(cfg: &ServeSimConfig, at: Time) -> Vec<u8> {
         let mut cell = CellSim::provisioned(cfg, ids, Arc::clone(&artifacts));
         cell.run(Some(at));
         let mut w = SnapWriter::new();
-        cell.snapshot_state(&mut w);
+        w.save(&mut cell);
         w.into_bytes()
     });
     let mut b = SnapshotBuilder::new();
-    b.section("meta", |w| write_meta(cfg, cells, w));
+    b.section("meta", |w| {
+        persist_meta(cfg, cells, w).expect("saving never refuses");
+    });
     for (i, state) in states.iter().enumerate() {
         b.section(&format!("cell.{i}"), |w| w.put_bytes(state));
     }
@@ -1002,11 +870,11 @@ fn resume_inner(
             || "a future-version snapshot was not refused".to_owned(),
         );
     }
-    check_meta(
-        cfg,
-        partition_tenants(cfg).len(),
-        &mut file.section("meta")?,
-    )?;
+    let mut meta = file.section("meta")?;
+    persist_meta(cfg, partition_tenants(cfg).len(), &mut meta)?;
+    if !meta.is_exhausted() {
+        return Err(malformed("meta section has trailing bytes"));
+    }
     let parts: Vec<(usize, Vec<u32>)> = partition_tenants(cfg).into_iter().enumerate().collect();
     if let Some(v) = migrate {
         if v >= parts.len() {
@@ -1032,11 +900,11 @@ fn resume_inner(
         if migrate == Some(i) {
             cell.migrate_from(&mut r)?;
         } else {
-            cell.restore_state(&mut r)?;
+            cell.persist(&mut r)?;
             // snap.roundtrip_identical: the restored cell re-serializes
             // to the exact bytes it was restored from
             let mut w = SnapWriter::new();
-            cell.snapshot_state(&mut w);
+            w.save(&mut cell);
             let same = w.into_bytes() == payload;
             cell.cp
                 .check(invariant::SNAP_ROUNDTRIP_IDENTICAL, same, || {
@@ -1575,13 +1443,15 @@ mod tests {
         let run = merge_results(cells, &mut cp);
 
         let mut b = SnapshotBuilder::new();
-        b.section("meta", |w| write_meta(cfg, parts.len(), w));
+        b.section("meta", |w| {
+            persist_meta(cfg, parts.len(), w).expect("meta saves")
+        });
         for (i, ids) in parts.clone().into_iter().enumerate() {
             let own = detached(cfg);
             let mut cell = CellSim::new(&own, ids);
             cell.run(Some(at));
             let mut w = SnapWriter::new();
-            cell.snapshot_state(&mut w);
+            w.save(&mut cell);
             b.section(&format!("cell.{i}"), |s| s.put_bytes(&w.into_bytes()));
         }
         let bytes = b.finish();
@@ -1595,7 +1465,7 @@ mod tests {
                 .expect("cell section");
             let own = detached(cfg);
             let mut cell = CellSim::new(&own, ids);
-            cell.restore_state(&mut SnapReader::new(&payload))
+            cell.persist(&mut SnapReader::new(&payload))
                 .expect("cell restores");
             cell.run(None);
             cells.push(cell.into_result());

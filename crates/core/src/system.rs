@@ -25,8 +25,8 @@ use ecoscale_noc::{Network, NetworkConfig, NodeId, Topology, TreeTopology};
 use ecoscale_runtime::{DeviceClass, Domain, ReconfigError, ResilienceConfig, ResilienceManager};
 use ecoscale_sim::check::{invariant, CheckPlane};
 use ecoscale_sim::{
-    fault::salt, CampaignSpec, Counter, Duration, Energy, Histogram, MetricsRegistry, Time, Tracer,
-    TrackId,
+    fault::salt, CampaignSpec, Counter, Duration, Energy, Histogram, MetricsRegistry, Persist,
+    RestoreError, SnapIo, Time, Tracer, TrackId,
 };
 
 use crate::unilogic::{AccessPath, UnilogicModel};
@@ -701,115 +701,6 @@ impl EcoscaleSystem {
         loads
     }
 
-    /// Serializes the system's complete mutable state: clock, energy,
-    /// call accounting, every Worker (SMMU + fabric residency + history),
-    /// the interconnect, UNIMEM, the FaultPlane (scrubbers + resilience
-    /// manager, when armed) and the CheckPlane tallies. Build-time
-    /// configuration (topology, library, cost models) and the tracer are
-    /// not serialized — restore onto a system built from the same
-    /// [`SystemBuilder`] inputs, with the same fault campaign armed.
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        use ecoscale_sim::Snapshot as _;
-        self.clock.snapshot(w);
-        self.energy.snapshot(w);
-        self.call_ns.snapshot(w);
-        self.calls_cpu.snapshot(w);
-        self.calls_fpga_local.snapshot(w);
-        self.calls_fpga_remote.snapshot(w);
-        w.put_usize(self.workers.len());
-        for worker in &self.workers {
-            worker.snapshot_state(w);
-        }
-        self.net.snapshot_state(w);
-        self.mem.snapshot_state(w);
-        w.put_bool(self.faults.is_some());
-        if let Some(f) = &self.faults {
-            w.put_usize(f.scrubbers.len());
-            for s in &f.scrubbers {
-                s.snapshot_state(w);
-            }
-            f.mgr.snapshot_state(w);
-        }
-        self.check.snapshot(w);
-    }
-
-    /// Overlays state captured by [`EcoscaleSystem::snapshot_state`].
-    /// On error this system may be partially overwritten and must be
-    /// discarded — nothing observable is ever served from a partially
-    /// applied snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`ecoscale_sim::RestoreError`] on truncated or malformed data, a
-    /// Worker-count mismatch, a fault-arming mismatch (the snapshot
-    /// carries an armed campaign but this system has none, or vice
-    /// versa), or a check-arming mismatch (the snapshot's self-check
-    /// plane is not enabled, strict and at the cadence of this system's,
-    /// so a resume is checked as its own caller asked).
-    pub fn restore_state(
-        &mut self,
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<(), ecoscale_sim::RestoreError> {
-        use ecoscale_sim::snap::malformed;
-        use ecoscale_sim::Restore;
-        self.clock = Time::restore(r)?;
-        self.energy = Energy::restore(r)?;
-        self.call_ns = Histogram::restore(r)?;
-        self.calls_cpu = Counter::restore(r)?;
-        self.calls_fpga_local = Counter::restore(r)?;
-        self.calls_fpga_remote = Counter::restore(r)?;
-        let n = r.get_usize()?;
-        if n != self.workers.len() {
-            return Err(malformed(format!(
-                "snapshot has {n} workers, this system has {}",
-                self.workers.len()
-            )));
-        }
-        for worker in &mut self.workers {
-            worker.restore_state(r)?;
-        }
-        self.net.restore_state(r)?;
-        self.mem.restore_state(r)?;
-        let armed = r.get_bool()?;
-        match (&mut self.faults, armed) {
-            (Some(f), true) => {
-                let k = r.get_usize()?;
-                if k != f.scrubbers.len() {
-                    return Err(malformed(format!(
-                        "snapshot has {k} scrubbers, this system has {}",
-                        f.scrubbers.len()
-                    )));
-                }
-                for s in &mut f.scrubbers {
-                    s.restore_state(r)?;
-                }
-                f.mgr.restore_state(r)?;
-            }
-            (None, false) => {}
-            (Some(_), false) => {
-                return Err(malformed(
-                    "snapshot has no fault campaign but this system armed one".to_owned(),
-                ));
-            }
-            (None, true) => {
-                return Err(malformed(
-                    "snapshot has an armed fault campaign but this system has none".to_owned(),
-                ));
-            }
-        }
-        let check = CheckPlane::restore(r)?;
-        if check.arming() != self.check.arming() {
-            return Err(malformed(format!(
-                "snapshot's self-checks are armed as {:?}, this system's as {:?} \
-                 (enabled, strict, cadence)",
-                check.arming(),
-                self.check.arming()
-            )));
-        }
-        self.check = check;
-        Ok(())
-    }
-
     /// Finds a Worker (other than `except`) holding `function`'s module.
     fn remote_holder(&self, function: &str, except: NodeId) -> Option<NodeId> {
         let id = self.library.get(function)?.module.id();
@@ -970,6 +861,54 @@ impl EcoscaleSystem {
             latency: cost.latency,
             energy: cost.energy,
             completed_at: self.clock,
+        })
+    }
+}
+
+/// The system's complete mutable state: clock, energy, call accounting,
+/// every Worker (SMMU + fabric residency + history), the interconnect,
+/// UNIMEM, the FaultPlane (scrubbers + resilience manager, when armed)
+/// and the CheckPlane tallies. Build-time configuration (topology,
+/// library, cost models) and the tracer are not in the stream: load onto
+/// a system built from the same [`SystemBuilder`] inputs. A load refuses
+/// a stream whose Worker count or fault arming differs from this
+/// system's, or whose self-check plane is not enabled, strict and at the
+/// cadence of this system's, so a resume is checked as its own caller
+/// asked.
+impl Persist for EcoscaleSystem {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.time(&mut self.clock)?;
+        self.energy.persist(io)?;
+        self.call_ns.persist(io)?;
+        for c in [
+            &mut self.calls_cpu,
+            &mut self.calls_fpga_local,
+            &mut self.calls_fpga_remote,
+        ] {
+            c.persist(io)?;
+        }
+        io.expect(self.workers.len(), "worker count")?;
+        for worker in &mut self.workers {
+            worker.persist(io)?;
+        }
+        self.net.persist(io)?;
+        self.mem.persist(io)?;
+        io.expect(self.faults.is_some(), "fault campaign armed")?;
+        if let Some(f) = &mut self.faults {
+            io.expect(f.scrubbers.len(), "scrubber count")?;
+            for s in &mut f.scrubbers {
+                s.persist(io)?;
+            }
+            f.mgr.persist(io)?;
+        }
+        let arming = self.check.arming();
+        self.check.persist(io)?;
+        let loaded = self.check.arming();
+        io.ensure(loaded == arming, || {
+            format!(
+                "snapshot's self-checks are armed as {loaded:?}, this system's as {arming:?} \
+                 (enabled, strict, cadence)"
+            )
         })
     }
 }
@@ -1343,16 +1282,16 @@ mod tests {
         churn(&mut orig);
 
         let mut w = ecoscale_sim::SnapWriter::new();
-        orig.snapshot_state(&mut w);
+        w.save(&mut orig);
         let bytes = w.into_bytes();
 
         let mut fresh = system();
         fresh.enable_faults(&seu_campaign(), ResilienceConfig::full());
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        fresh.restore_state(&mut r).expect("restore");
+        fresh.persist(&mut r).expect("restore");
         assert!(r.is_exhausted());
         let mut w2 = ecoscale_sim::SnapWriter::new();
-        fresh.snapshot_state(&mut w2);
+        w2.save(&mut fresh);
         assert_eq!(
             bytes,
             w2.into_bytes(),
@@ -1381,14 +1320,14 @@ mod tests {
         let mut orig = system();
         orig.load_module(NodeId(0), "scale").unwrap();
         let mut w = ecoscale_sim::SnapWriter::new();
-        orig.snapshot_state(&mut w);
+        w.save(&mut orig);
         let bytes = w.into_bytes();
 
         // a fault-armed system must refuse an unarmed snapshot
         let mut armed = system();
         armed.enable_faults(&seu_campaign(), ResilienceConfig::full());
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        assert!(armed.restore_state(&mut r).is_err());
+        assert!(armed.persist(&mut r).is_err());
 
         // a differently shaped system must refuse it too
         let mut small = SystemBuilder::new()
@@ -1398,14 +1337,14 @@ mod tests {
             .build()
             .unwrap();
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        assert!(small.restore_state(&mut r).is_err());
+        assert!(small.persist(&mut r).is_err());
 
         // sampled truncation sweep: no cut may restore cleanly
         for cut in (0..bytes.len()).step_by(509).chain([bytes.len() - 1]) {
             let mut s = system();
             let mut r = ecoscale_sim::SnapReader::new(&bytes[..cut]);
             assert!(
-                s.restore_state(&mut r).is_err() || !r.is_exhausted(),
+                s.persist(&mut r).is_err() || !r.is_exhausted(),
                 "truncated stream at {cut} restored fully"
             );
         }

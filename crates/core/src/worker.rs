@@ -8,7 +8,7 @@ use ecoscale_noc::NodeId;
 use ecoscale_runtime::{
     CpuModel, DaemonConfig, ExecutionHistory, FpgaExecModel, ReconfigDaemon, ReconfigError,
 };
-use ecoscale_sim::Duration;
+use ecoscale_sim::{Duration, Persist, RestoreError, SnapIo};
 
 /// One Worker node.
 ///
@@ -118,31 +118,17 @@ impl Worker {
     ) -> Result<Duration, ReconfigError> {
         self.daemon.load(library, module)
     }
+}
 
-    /// Serializes this Worker's mutable state: SMMU translation state,
-    /// fabric residency (daemon + floorplan), and execution history. The
-    /// CPU/FPGA cost models are build-time configuration and are not
-    /// serialized — restore onto an identically-built Worker.
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        self.smmu.snapshot_state(w);
-        self.daemon.snapshot_state(w);
-        self.history.snapshot_state(w);
-    }
-
-    /// Overlays state captured by [`Worker::snapshot_state`]. On error
-    /// this Worker may be partially overwritten and must be discarded.
-    ///
-    /// # Errors
-    ///
-    /// [`ecoscale_sim::RestoreError`] if any layer's stream is truncated,
-    /// malformed, or inconsistent with this Worker's build-time shape.
-    pub fn restore_state(
-        &mut self,
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<(), ecoscale_sim::RestoreError> {
-        self.smmu.restore_state(r)?;
-        self.daemon.restore_state(r)?;
-        self.history.restore_state(r)
+/// SMMU translation state, fabric residency (daemon + floorplan), and
+/// execution history. The CPU/FPGA cost models are build-time
+/// configuration and not in the stream: load onto an identically built
+/// Worker.
+impl Persist for Worker {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        self.smmu.persist(io)?;
+        self.daemon.persist(io)?;
+        self.history.persist(io)
     }
 }
 

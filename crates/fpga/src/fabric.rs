@@ -8,6 +8,8 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
+use ecoscale_sim::{Persist, RestoreError, SnapIo};
+
 /// One column's resource kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
@@ -49,6 +51,14 @@ pub struct Resources {
     pub bram: u32,
     /// DSP cells.
     pub dsp: u32,
+}
+
+impl Persist for Resources {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u32(&mut self.clb)?;
+        io.u32(&mut self.bram)?;
+        io.u32(&mut self.dsp)
+    }
 }
 
 impl Resources {

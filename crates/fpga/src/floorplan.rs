@@ -19,13 +19,20 @@ use std::error::Error;
 use std::fmt;
 
 use ecoscale_sim::check::{invariant, CheckPlane};
+use ecoscale_sim::{Persist, RestoreError, SnapIo};
 
 use crate::fabric::{Fabric, Region, Resources};
 use crate::module::ModuleId;
 
 /// Handle to one placed module instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SlotId(pub u32);
+
+impl Persist for SlotId {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u32(&mut self.0)
+    }
+}
 
 impl fmt::Display for SlotId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -34,7 +41,7 @@ impl fmt::Display for SlotId {
 }
 
 /// A placed module instance: which module, where, how wide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Placement {
     /// The placement handle.
     pub slot: SlotId,
@@ -250,94 +257,6 @@ impl Floorplanner {
         1.0 - self.free_columns() as f64 / self.fabric.width() as f64
     }
 
-    /// Serializes the floorplan's mutable state: every placement with
-    /// its recorded demand (slot order), and the slot-id counter. The
-    /// fabric itself is structural and not written.
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        w.put_usize(self.placements.len());
-        for (&slot, p) in &self.placements {
-            w.put_u32(slot.0);
-            w.put_u32(p.module.0);
-            w.put_u32(p.col);
-            w.put_u32(p.width);
-            let need = self.demands.get(&slot).copied().unwrap_or(Resources::ZERO);
-            w.put_u32(need.clb);
-            w.put_u32(need.bram);
-            w.put_u32(need.dsp);
-        }
-        w.put_u32(self.next_slot);
-    }
-
-    /// Overlays state captured by [`Floorplanner::snapshot_state`] onto
-    /// this floorplan, which must wrap an identical fabric.
-    ///
-    /// # Errors
-    ///
-    /// [`ecoscale_sim::RestoreError`] on truncated or unsorted data, a
-    /// placement outside the fabric, or a slot id at/above the counter.
-    pub fn restore_state(
-        &mut self,
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<(), ecoscale_sim::RestoreError> {
-        use ecoscale_sim::snap::malformed;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "floorplan claims {n} placements but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        let mut placements = BTreeMap::new();
-        let mut demands = BTreeMap::new();
-        let mut prev: Option<u32> = None;
-        for i in 0..n {
-            let slot = r.get_u32()?;
-            if prev.is_some_and(|p| p >= slot) {
-                return Err(malformed(format!("placements unsorted at index {i}")));
-            }
-            prev = Some(slot);
-            let module = ModuleId(r.get_u32()?);
-            let col = r.get_u32()?;
-            let width = r.get_u32()?;
-            if width == 0
-                || col
-                    .checked_add(width)
-                    .is_none_or(|e| e > self.fabric.width())
-            {
-                return Err(malformed(format!(
-                    "slot S{slot} at cols {col}+{width} exceeds fabric width {}",
-                    self.fabric.width()
-                )));
-            }
-            let need = Resources::new(r.get_u32()?, r.get_u32()?, r.get_u32()?);
-            let slot = SlotId(slot);
-            placements.insert(
-                slot,
-                Placement {
-                    slot,
-                    module,
-                    col,
-                    width,
-                },
-            );
-            demands.insert(slot, need);
-        }
-        let next_slot = r.get_u32()?;
-        if placements
-            .keys()
-            .next_back()
-            .is_some_and(|s| s.0 >= next_slot)
-        {
-            return Err(malformed(format!(
-                "slot counter {next_slot} not above the highest live slot"
-            )));
-        }
-        self.placements = placements;
-        self.demands = demands;
-        self.next_slot = next_slot;
-        Ok(())
-    }
-
     /// CheckPlane hook: asserts exclusive region ownership. Read-only;
     /// early-outs when `cp` is disabled.
     ///
@@ -435,6 +354,38 @@ impl Floorplanner {
             cursor = new_col + new_width;
         }
         migrations
+    }
+}
+
+/// Every placement with its recorded demand (ascending slot order), and
+/// the slot-id counter. The fabric is structural and not in the stream:
+/// a load refuses a placement outside it, or a slot id at or above the
+/// counter.
+impl Persist for Floorplanner {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        let fabric_width = self.fabric.width();
+        if IO::LOADING {
+            self.demands.clear();
+        }
+        let demands = &mut self.demands;
+        io.map_with(&mut self.placements, "placements", |io, &slot, p| {
+            p.slot = slot;
+            io.u32(&mut p.module.0)?;
+            io.u32(&mut p.col)?;
+            io.u32(&mut p.width)?;
+            let (col, width) = (p.col, p.width);
+            io.ensure(
+                width != 0 && col.checked_add(width).is_some_and(|e| e <= fabric_width),
+                || format!("slot {slot} at cols {col}+{width} exceeds fabric width {fabric_width}"),
+            )?;
+            demands.entry(slot).or_insert(Resources::ZERO).persist(io)
+        })?;
+        io.u32(&mut self.next_slot)?;
+        let next = self.next_slot;
+        let top = self.placements.keys().next_back();
+        io.ensure(top.is_none_or(|s| s.0 < next), || {
+            format!("slot counter {next} not above the highest live slot")
+        })
     }
 }
 
@@ -589,15 +540,15 @@ mod tests {
         fp.remove(slots[3]);
 
         let mut w = ecoscale_sim::SnapWriter::new();
-        fp.snapshot_state(&mut w);
+        w.save(&mut fp);
         let bytes = w.into_bytes();
 
         let mut fresh = planner();
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        fresh.restore_state(&mut r).expect("restore");
+        fresh.persist(&mut r).expect("restore");
         assert!(r.is_exhausted());
         let mut w2 = ecoscale_sim::SnapWriter::new();
-        fresh.snapshot_state(&mut w2);
+        w2.save(&mut fresh);
         assert_eq!(bytes, w2.into_bytes());
 
         let mut cp = CheckPlane::enabled(1);
@@ -618,7 +569,7 @@ mod tests {
             let mut f = planner();
             let mut r = ecoscale_sim::SnapReader::new(&bytes[..cut]);
             assert!(
-                f.restore_state(&mut r).is_err() || !r.is_exhausted(),
+                f.persist(&mut r).is_err() || !r.is_exhausted(),
                 "truncated stream at {cut} restored fully"
             );
         }

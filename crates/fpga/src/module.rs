@@ -8,7 +8,7 @@
 
 use core::fmt;
 
-use ecoscale_sim::Duration;
+use ecoscale_sim::{Duration, Persist, RestoreError, SnapIo};
 
 use crate::bitstream::Bitstream;
 use crate::fabric::Resources;
@@ -16,6 +16,12 @@ use crate::fabric::Resources;
 /// Identifies a module within a module library.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ModuleId(pub u32);
+
+impl Persist for ModuleId {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u32(&mut self.0)
+    }
+}
 
 impl fmt::Display for ModuleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -6,7 +6,7 @@
 //! at port speed, the configuration latency and energy drop by the same
 //! ratio \[11\].
 
-use ecoscale_sim::{Counter, Duration, Energy, MetricsRegistry};
+use ecoscale_sim::{Counter, Duration, Energy, MetricsRegistry, Persist, RestoreError, SnapIo};
 
 use crate::bitstream::{Bitstream, CompressionAlgo};
 
@@ -75,25 +75,13 @@ impl ReconfigStats {
     }
 }
 
-impl ecoscale_sim::Snapshot for ReconfigStats {
-    fn snapshot(&self, w: &mut ecoscale_sim::SnapWriter) {
-        w.put_u64(self.loads);
-        w.put_u64(self.config_bytes);
-        w.put_u64(self.stored_bytes);
-        w.put_duration(self.busy);
-        self.energy.snapshot(w);
-    }
-}
-
-impl ecoscale_sim::Restore for ReconfigStats {
-    fn restore(r: &mut ecoscale_sim::SnapReader<'_>) -> Result<Self, ecoscale_sim::RestoreError> {
-        Ok(ReconfigStats {
-            loads: r.get_u64()?,
-            config_bytes: r.get_u64()?,
-            stored_bytes: r.get_u64()?,
-            busy: r.get_duration()?,
-            energy: Energy::restore(r)?,
-        })
+impl Persist for ReconfigStats {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u64(&mut self.loads)?;
+        io.u64(&mut self.config_bytes)?;
+        io.u64(&mut self.stored_bytes)?;
+        io.duration(&mut self.busy)?;
+        self.energy.persist(io)
     }
 }
 

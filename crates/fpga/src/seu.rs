@@ -15,7 +15,10 @@
 //! runtime crate's resilience module.
 
 use ecoscale_sim::check::{invariant, CheckPlane};
-use ecoscale_sim::{CampaignSpec, Counter, Duration, FaultClock, MetricsRegistry, SimRng, Time};
+use ecoscale_sim::{
+    CampaignSpec, Counter, Duration, FaultClock, MetricsRegistry, Persist, RestoreError, SimRng,
+    SnapIo, Time,
+};
 use std::collections::BTreeMap;
 
 use crate::module::ModuleId;
@@ -165,67 +168,6 @@ impl SeuScrubber {
         m.add(&format!("{prefix}.scrubs"), self.scrubs.get());
     }
 
-    /// Serializes the scrubber's mutable state: the upset clock and
-    /// victim-pick RNG streams, the scrub cursor, pending upsets, and
-    /// counters. The scrub period is structural (from the campaign) and
-    /// not written.
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        use ecoscale_sim::Snapshot as _;
-        self.clock.snapshot(w);
-        self.pick.snapshot(w);
-        w.put_time(self.last_scrub);
-        w.put_usize(self.upset.len());
-        for (&m, &at) in &self.upset {
-            w.put_u32(m.0);
-            w.put_time(at);
-        }
-        self.upsets.snapshot(w);
-        self.detected.snapshot(w);
-        self.scrubs.snapshot(w);
-        self.masked.snapshot(w);
-    }
-
-    /// Overlays state captured by [`SeuScrubber::snapshot_state`] onto
-    /// this scrubber, which must have been built from the same campaign
-    /// and worker index.
-    ///
-    /// # Errors
-    ///
-    /// [`ecoscale_sim::RestoreError`] on truncated or unsorted data.
-    pub fn restore_state(
-        &mut self,
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<(), ecoscale_sim::RestoreError> {
-        use ecoscale_sim::snap::malformed;
-        use ecoscale_sim::Restore;
-        self.clock = r.load(FaultClock::disabled())?;
-        self.pick = r.load(SimRng::seed_from(0))?;
-        self.last_scrub = r.get_time()?;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "scrubber claims {n} pending upsets but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        self.upset.clear();
-        let mut prev: Option<u32> = None;
-        for i in 0..n {
-            let m = r.get_u32()?;
-            let at = r.get_time()?;
-            if prev.is_some_and(|p| p >= m) {
-                return Err(malformed(format!("upset set unsorted at index {i}")));
-            }
-            prev = Some(m);
-            self.upset.insert(ModuleId(m), at);
-        }
-        self.upsets = Counter::restore(r)?;
-        self.detected = Counter::restore(r)?;
-        self.scrubs = Counter::restore(r)?;
-        self.masked = Counter::restore(r)?;
-        Ok(())
-    }
-
     /// CheckPlane hook: scrubber bookkeeping consistency — every pending or
     /// masked upset traces back to an injected one. Read-only; early-outs
     /// when `cp` is disabled (or the scrubber itself is off).
@@ -250,6 +192,27 @@ impl SeuScrubber {
             self.scrub_period > Duration::ZERO,
             || "scrub period is zero on an armed scrubber".to_string(),
         );
+    }
+}
+
+/// The upset clock and victim-pick RNG streams, the scrub cursor, the
+/// pending upsets (ascending module order) and the counters. The scrub
+/// period is structural (from the campaign) and not in the stream.
+impl Persist for SeuScrubber {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        self.clock.persist(io)?;
+        self.pick.persist(io)?;
+        io.time(&mut self.last_scrub)?;
+        io.sorted_map(&mut self.upset, "pending upsets")?;
+        for c in [
+            &mut self.upsets,
+            &mut self.detected,
+            &mut self.scrubs,
+            &mut self.masked,
+        ] {
+            c.persist(io)?;
+        }
+        Ok(())
     }
 }
 
@@ -342,15 +305,15 @@ mod tests {
         orig.advance(Time::from_ms(2), &resident);
 
         let mut w = ecoscale_sim::SnapWriter::new();
-        orig.snapshot_state(&mut w);
+        w.save(&mut orig);
         let bytes = w.into_bytes();
 
         let mut fresh = SeuScrubber::from_campaign(&spec, 3);
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        fresh.restore_state(&mut r).expect("restore");
+        fresh.persist(&mut r).expect("restore");
         assert!(r.is_exhausted());
         let mut w2 = ecoscale_sim::SnapWriter::new();
-        fresh.snapshot_state(&mut w2);
+        w2.save(&mut fresh);
         assert_eq!(bytes, w2.into_bytes());
 
         // both continuations draw the same upsets
@@ -374,7 +337,7 @@ mod tests {
             let mut s = SeuScrubber::from_campaign(&spec, 3);
             let mut r = ecoscale_sim::SnapReader::new(&bytes[..cut]);
             assert!(
-                s.restore_state(&mut r).is_err() || !r.is_exhausted(),
+                s.persist(&mut r).is_err() || !r.is_exhausted(),
                 "truncated stream at {cut} restored fully"
             );
         }

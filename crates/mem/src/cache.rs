@@ -5,7 +5,7 @@
 //! deterministic) and reports evictions of dirty lines so callers can
 //! charge write-back traffic.
 
-use ecoscale_sim::Counter;
+use ecoscale_sim::{Counter, Persist, RestoreError, SnapIo};
 
 /// Cache geometry and timing-free configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,51 +248,24 @@ impl Cache {
             self.hits.get() as f64 / total as f64
         }
     }
+}
 
-    /// Serializes the cache's mutable state: every line row-major
-    /// (set-major, way-minor — a fixed walk, so the bytes are canonical),
-    /// the LRU clock and the counters. The [`CacheConfig`] is structural
-    /// and not written.
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        use ecoscale_sim::Snapshot as _;
-        w.put_u64(self.clock);
-        for set in &self.sets {
-            for line in set {
-                w.put_u64(line.tag);
-                w.put_bool(line.valid);
-                w.put_bool(line.dirty);
-                w.put_u64(line.lru);
-            }
+/// Every line row-major (set-major, way-minor: a fixed walk, so the
+/// bytes are canonical), the LRU clock and the counters. The
+/// [`CacheConfig`] is structural and not in the stream: load onto a
+/// cache of the same geometry.
+impl Persist for Cache {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u64(&mut self.clock)?;
+        for line in self.sets.iter_mut().flatten() {
+            io.u64(&mut line.tag)?;
+            io.bool(&mut line.valid)?;
+            io.bool(&mut line.dirty)?;
+            io.u64(&mut line.lru)?;
         }
-        self.hits.snapshot(w);
-        self.misses.snapshot(w);
-        self.writebacks.snapshot(w);
-    }
-
-    /// Overlays state captured by [`Cache::snapshot_state`] onto this
-    /// cache, which must have been built with the same [`CacheConfig`]
-    /// (the line walk is geometry-shaped).
-    ///
-    /// # Errors
-    ///
-    /// [`ecoscale_sim::RestoreError`] on truncation or corrupt booleans.
-    pub fn restore_state(
-        &mut self,
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<(), ecoscale_sim::RestoreError> {
-        use ecoscale_sim::Restore;
-        self.clock = r.get_u64()?;
-        for set in &mut self.sets {
-            for line in set {
-                line.tag = r.get_u64()?;
-                line.valid = r.get_bool()?;
-                line.dirty = r.get_bool()?;
-                line.lru = r.get_u64()?;
-            }
+        for c in [&mut self.hits, &mut self.misses, &mut self.writebacks] {
+            c.persist(io)?;
         }
-        self.hits = Counter::restore(r)?;
-        self.misses = Counter::restore(r)?;
-        self.writebacks = Counter::restore(r)?;
         Ok(())
     }
 }

@@ -10,6 +10,8 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
+use ecoscale_sim::{Persist, RestoreError, SnapIo};
+
 use crate::addr::PAGE_SHIFT;
 
 /// Page permissions as a compact flag set.
@@ -133,7 +135,7 @@ impl fmt::Display for TranslateError {
 
 impl Error for TranslateError {}
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     out_page: u64,
     perms: PagePerms,
@@ -261,67 +263,33 @@ impl PageTable {
     pub fn mapped_pages(&self) -> usize {
         self.entries.len()
     }
+}
 
-    /// Serializes the table with entries sorted by input page, so the
-    /// bytes are independent of hash-map iteration order.
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        w.put_u32(self.levels);
-        let mut pages: Vec<u64> = self.entries.keys().copied().collect();
-        pages.sort_unstable();
-        w.put_usize(pages.len());
-        for p in pages {
-            let e = &self.entries[&p];
-            w.put_u64(p);
-            w.put_u64(e.out_page);
-            w.put_u8(e.perms.bits());
-        }
+/// The depth, then the entries in ascending input-page order, so the
+/// bytes are independent of hash-map iteration order.
+impl Persist for PageTable {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u32(&mut self.levels)?;
+        io.ensure(self.levels != 0, || {
+            "page table with zero levels".to_owned()
+        })?;
+        io.sorted_map(&mut self.entries, "page table entries")
     }
+}
 
-    /// Rebuilds a table serialized by [`PageTable::snapshot_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`ecoscale_sim::RestoreError`] on truncation, invalid permission
-    /// bits, duplicate or unsorted pages.
-    pub fn restore_state(
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<PageTable, ecoscale_sim::RestoreError> {
-        use ecoscale_sim::snap::malformed;
-        let levels = r.get_u32()?;
-        if levels == 0 {
-            return Err(malformed("page table with zero levels"));
-        }
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "page table claims {n} entries but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        let mut pt = PageTable::new(levels);
-        let mut prev: Option<u64> = None;
-        for i in 0..n {
-            let page = r.get_u64()?;
-            if prev.is_some_and(|p| p >= page) {
-                return Err(malformed(format!(
-                    "page table entries unsorted or duplicated at index {i}"
-                )));
-            }
-            prev = Some(page);
-            let out_page = r.get_u64()?;
-            let bits = r.get_u8()?;
-            if bits > 7 {
-                return Err(malformed(format!("invalid permission bits {bits:#x}")));
-            }
-            pt.entries.insert(
-                page,
-                Entry {
-                    out_page,
-                    perms: PagePerms(bits),
-                },
-            );
-        }
-        Ok(pt)
+impl Persist for Entry {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u64(&mut self.out_page)?;
+        self.perms.persist(io)
+    }
+}
+
+/// The permission bits as one byte; a load refuses bits above `rwx`.
+impl Persist for PagePerms {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u8(&mut self.0)?;
+        let bits = self.0;
+        io.ensure(bits <= 7, || format!("invalid permission bits {bits:#x}"))
     }
 }
 

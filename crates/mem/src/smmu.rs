@@ -17,7 +17,9 @@ use std::error::Error;
 use std::fmt;
 
 use ecoscale_sim::check::{invariant, CheckPlane};
-use ecoscale_sim::{Counter, Duration, Histogram, MetricsRegistry, ProbFault, SimRng};
+use ecoscale_sim::{
+    Counter, Duration, Histogram, MetricsRegistry, Persist, ProbFault, RestoreError, SimRng, SnapIo,
+};
 
 use crate::addr::{PhysAddr, VirtAddr};
 use crate::page_table::{PagePerms, PageTable, TranslateError};
@@ -90,7 +92,7 @@ impl fmt::Display for SmmuFault {
 
 impl Error for SmmuFault {}
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct TlbEntry {
     ppn: u64,
     perms: PagePerms,
@@ -104,7 +106,7 @@ struct TlbEntry {
 /// bookkeeping for the shadowed TLB entry is deferred: `last_used` is
 /// written back to the map entry when the slot moves to another page, so
 /// eviction decisions are identical to a map-only TLB.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct MruSlot {
     vpn: u64,
     ppn: u64,
@@ -426,146 +428,52 @@ impl Smmu {
             );
         }
     }
+}
 
-    /// Serializes the SMMU's mutable state — both page tables, the TLB
-    /// (entries sorted by virtual page), the MRU slot, the LRU clock,
-    /// counters, armed fault injection and the latency histogram. The
-    /// [`SmmuConfig`] is not written: it is structural and rebuilt from
-    /// the run configuration.
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        use ecoscale_sim::Snapshot as _;
-        self.stage1.snapshot_state(w);
-        self.stage2.snapshot_state(w);
-        let mut vpns: Vec<u64> = self.tlb.keys().copied().collect();
-        vpns.sort_unstable();
-        w.put_usize(vpns.len());
-        for vpn in vpns {
-            let e = &self.tlb[&vpn];
-            w.put_u64(vpn);
-            w.put_u64(e.ppn);
-            w.put_u8(e.perms.bits());
-            w.put_u64(e.lru);
+/// Both page tables, the TLB (entries in ascending virtual-page order),
+/// the MRU slot, the LRU clock, counters, armed fault injection and the
+/// latency histogram. The [`SmmuConfig`] is structural and not in the
+/// stream: a load refuses a TLB beyond its capacity.
+impl Persist for Smmu {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        self.stage1.persist(io)?;
+        self.stage2.persist(io)?;
+        io.sorted_map(&mut self.tlb, "TLB entries")?;
+        let (n, cap) = (self.tlb.len(), self.config.tlb_entries);
+        io.ensure(n <= cap, || {
+            format!("snapshot TLB holds {n} entries, capacity {cap}")
+        })?;
+        io.option(&mut self.mru, IO::item)?;
+        io.u64(&mut self.clock)?;
+        for c in [
+            &mut self.tlb_hits,
+            &mut self.tlb_misses,
+            &mut self.mru_hits,
+            &mut self.faults,
+            &mut self.injected,
+        ] {
+            c.persist(io)?;
         }
-        match &self.mru {
-            None => w.put_bool(false),
-            Some(m) => {
-                w.put_bool(true);
-                w.put_u64(m.vpn);
-                w.put_u64(m.ppn);
-                w.put_u8(m.perms.bits());
-                w.put_u64(m.last_used);
-            }
-        }
-        w.put_u64(self.clock);
-        self.tlb_hits.snapshot(w);
-        self.tlb_misses.snapshot(w);
-        self.mru_hits.snapshot(w);
-        self.faults.snapshot(w);
-        self.injected.snapshot(w);
-        match &self.injection {
-            None => w.put_bool(false),
-            Some(p) => {
-                w.put_bool(true);
-                p.snapshot(w);
-            }
-        }
-        self.translate_ns.snapshot(w);
-    }
-
-    /// Overlays state captured by [`Smmu::snapshot_state`] onto this SMMU,
-    /// which must have been built with the same [`SmmuConfig`].
-    ///
-    /// # Errors
-    ///
-    /// [`ecoscale_sim::RestoreError`] on truncation, invalid permission
-    /// bits, unsorted TLB entries, or a TLB exceeding this config's
-    /// capacity.
-    pub fn restore_state(
-        &mut self,
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<(), ecoscale_sim::RestoreError> {
-        use ecoscale_sim::snap::malformed;
-        use ecoscale_sim::Restore;
-        self.stage1 = PageTable::restore_state(r)?;
-        self.stage2 = PageTable::restore_state(r)?;
-        let n = r.get_usize()?;
-        if n > self.config.tlb_entries {
-            return Err(malformed(format!(
-                "snapshot TLB holds {n} entries, capacity {}",
-                self.config.tlb_entries
-            )));
-        }
-        self.tlb.clear();
-        let mut prev: Option<u64> = None;
-        for i in 0..n {
-            let vpn = r.get_u64()?;
-            if prev.is_some_and(|p| p >= vpn) {
-                return Err(malformed(format!(
-                    "TLB entries unsorted or duplicated at index {i}"
-                )));
-            }
-            prev = Some(vpn);
-            let ppn = r.get_u64()?;
-            let bits = r.get_u8()?;
-            if bits > 7 {
-                return Err(malformed(format!("invalid TLB permission bits {bits:#x}")));
-            }
-            let lru = r.get_u64()?;
-            self.tlb.insert(
-                vpn,
-                TlbEntry {
-                    ppn,
-                    perms: perms_from_bits(bits),
-                    lru,
-                },
-            );
-        }
-        self.mru = if r.get_bool()? {
-            let vpn = r.get_u64()?;
-            let ppn = r.get_u64()?;
-            let bits = r.get_u8()?;
-            if bits > 7 {
-                return Err(malformed(format!("invalid MRU permission bits {bits:#x}")));
-            }
-            let last_used = r.get_u64()?;
-            Some(MruSlot {
-                vpn,
-                ppn,
-                perms: perms_from_bits(bits),
-                last_used,
-            })
-        } else {
-            None
-        };
-        self.clock = r.get_u64()?;
-        self.tlb_hits = Counter::restore(r)?;
-        self.tlb_misses = Counter::restore(r)?;
-        self.mru_hits = Counter::restore(r)?;
-        self.faults = Counter::restore(r)?;
-        self.injected = Counter::restore(r)?;
-        self.injection = if r.get_bool()? {
-            Some(r.load(ProbFault::disabled())?)
-        } else {
-            None
-        };
-        self.translate_ns = Histogram::restore(r)?;
-        Ok(())
+        io.option(&mut self.injection, IO::item)?;
+        self.translate_ns.persist(io)
     }
 }
 
-/// Reassembles [`PagePerms`] from validated raw bits.
-fn perms_from_bits(bits: u8) -> PagePerms {
-    let mut p = PagePerms::NONE;
-    if bits & 1 != 0 {
-        p = p | PagePerms::READ;
+impl Persist for TlbEntry {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u64(&mut self.ppn)?;
+        self.perms.persist(io)?;
+        io.u64(&mut self.lru)
     }
-    if bits & 2 != 0 {
-        p = p | PagePerms::WRITE;
+}
+
+impl Persist for MruSlot {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u64(&mut self.vpn)?;
+        io.u64(&mut self.ppn)?;
+        self.perms.persist(io)?;
+        io.u64(&mut self.last_used)
     }
-    if bits & 4 != 0 {
-        p = p | PagePerms::EXEC;
-    }
-    p
 }
 
 /// Costs of launching work on an accelerator via the two paths the paper

@@ -20,7 +20,9 @@ use std::fmt;
 
 use ecoscale_noc::{Network, NodeId, Topology};
 use ecoscale_sim::check::{invariant, CheckPlane};
-use ecoscale_sim::{Counter, Duration, Energy, MetricsRegistry, Time};
+use ecoscale_sim::{
+    Counter, Duration, Energy, MetricsRegistry, Persist, RestoreError, SnapIo, Time,
+};
 
 use crate::addr::GlobalAddr;
 use crate::cache::{Cache, CacheAccess, CacheConfig};
@@ -160,72 +162,6 @@ impl UnimemDirectory {
         self.migrations.get()
     }
 
-    /// Serializes the directory (overrides sorted by `(home, page)`, the
-    /// migration counter). The node count is structural and verified on
-    /// restore rather than rebuilt.
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        use ecoscale_sim::Snapshot as _;
-        w.put_usize(self.nodes);
-        let mut keys: Vec<(NodeId, u64)> = self.overrides.keys().copied().collect();
-        keys.sort_unstable_by_key(|&(home, page)| (home.0, page));
-        w.put_usize(keys.len());
-        for (home, page) in keys {
-            w.put_usize(home.0);
-            w.put_u64(page);
-            w.put_usize(self.overrides[&(home, page)].0);
-        }
-        self.migrations.snapshot(w);
-    }
-
-    /// Overlays state captured by [`UnimemDirectory::snapshot_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`ecoscale_sim::RestoreError`] on node-count mismatch, unsorted or
-    /// out-of-range overrides.
-    pub fn restore_state(
-        &mut self,
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<(), ecoscale_sim::RestoreError> {
-        use ecoscale_sim::snap::malformed;
-        use ecoscale_sim::Restore;
-        let nodes = r.get_usize()?;
-        if nodes != self.nodes {
-            return Err(malformed(format!(
-                "snapshot directory spans {nodes} nodes, this one {}",
-                self.nodes
-            )));
-        }
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "directory claims {n} overrides but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        self.overrides.clear();
-        let mut prev: Option<(usize, u64)> = None;
-        for i in 0..n {
-            let home = r.get_usize()?;
-            let page = r.get_u64()?;
-            let target = r.get_usize()?;
-            if home >= self.nodes || target >= self.nodes {
-                return Err(malformed(format!(
-                    "override {i}: node out of range (home {home}, target {target})"
-                )));
-            }
-            if prev.is_some_and(|p| p >= (home, page)) {
-                return Err(malformed(format!(
-                    "directory overrides unsorted or duplicated at index {i}"
-                )));
-            }
-            prev = Some((home, page));
-            self.overrides.insert((NodeId(home), page), NodeId(target));
-        }
-        self.migrations = Counter::restore(r)?;
-        Ok(())
-    }
-
     /// CheckPlane hook: every directory override must name an in-range node
     /// and must not alias the page's natural home (`set_cache_home` removes
     /// identity overrides, so a surviving one is stale state). Together with
@@ -245,6 +181,27 @@ impl UnimemDirectory {
                 format!("override ({home}, page {page:#x}) aliases the natural home")
             });
         }
+    }
+}
+
+/// The node count (a load refuses a directory over another count), the
+/// overrides in ascending `(home, page)` order, and the migration
+/// counter. A load refuses an override naming a node out of range.
+impl Persist for UnimemDirectory {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        let nodes = self.nodes;
+        io.expect(nodes, "directory node count")?;
+        io.map_with(
+            &mut self.overrides,
+            "directory overrides",
+            |io, &(home, page), to| {
+                to.persist(io)?;
+                io.ensure(home.0 < nodes && to.0 < nodes, || {
+                    format!("override ({home}, page {page:#x}) -> {to}: node out of range")
+                })
+            },
+        )?;
+        self.migrations.persist(io)
     }
 }
 
@@ -593,84 +550,6 @@ impl UnimemSystem {
         }
     }
 
-    /// Serializes the system's mutable state: the directory, every
-    /// node's cache in index order, the per-kind access counters in a
-    /// fixed tag order, and the atomic words sorted by `(home, offset)`.
-    /// Cost constants (DRAM model, hit latency, energy/byte) are
-    /// structural and not written.
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        self.directory.snapshot_state(w);
-        w.put_usize(self.caches.len());
-        for c in &self.caches {
-            c.snapshot_state(w);
-        }
-        for kind in ALL_KINDS {
-            w.put_u64(self.count(kind));
-        }
-        let mut keys: Vec<(NodeId, u64)> = self.atomics.keys().copied().collect();
-        keys.sort_unstable_by_key(|&(home, off)| (home.0, off));
-        w.put_usize(keys.len());
-        for (home, off) in keys {
-            w.put_usize(home.0);
-            w.put_u64(off);
-            w.put_i64(self.atomics[&(home, off)]);
-        }
-    }
-
-    /// Overlays state captured by [`UnimemSystem::snapshot_state`] onto
-    /// this system, which must have been built with the same shape.
-    ///
-    /// # Errors
-    ///
-    /// [`ecoscale_sim::RestoreError`] on any shape mismatch or unsorted
-    /// atomic words.
-    pub fn restore_state(
-        &mut self,
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<(), ecoscale_sim::RestoreError> {
-        use ecoscale_sim::snap::malformed;
-        self.directory.restore_state(r)?;
-        let n = r.get_usize()?;
-        if n != self.caches.len() {
-            return Err(malformed(format!(
-                "snapshot has {n} caches, this system {}",
-                self.caches.len()
-            )));
-        }
-        for c in &mut self.caches {
-            c.restore_state(r)?;
-        }
-        self.kind_counts.clear();
-        for kind in ALL_KINDS {
-            let v = r.get_u64()?;
-            if v > 0 {
-                self.kind_counts.insert(kind, v);
-            }
-        }
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "system claims {n} atomic words but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        self.atomics.clear();
-        let mut prev: Option<(usize, u64)> = None;
-        for i in 0..n {
-            let home = r.get_usize()?;
-            let off = r.get_u64()?;
-            let val = r.get_i64()?;
-            if prev.is_some_and(|p| p >= (home, off)) {
-                return Err(malformed(format!(
-                    "atomic words unsorted or duplicated at index {i}"
-                )));
-            }
-            prev = Some((home, off));
-            self.atomics.insert((NodeId(home), off), val);
-        }
-        Ok(())
-    }
-
     /// Migrates the cache home of `addr`'s page to `new_home`, flushing
     /// the old home's cached copies (modelled as one page write-back to
     /// the owner). Returns the completion time.
@@ -701,6 +580,31 @@ impl UnimemSystem {
             let (lat, _) = self.dram.stream(page_bytes);
             now + lat
         }
+    }
+}
+
+/// The directory, every node's cache in index order (a load refuses
+/// another cache count), the per-kind access counters in a fixed kind
+/// order, and the atomic words in ascending `(home, offset)` order. Cost
+/// constants (DRAM model, hit latency, energy/byte) are structural and
+/// not in the stream.
+impl Persist for UnimemSystem {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        self.directory.persist(io)?;
+        io.expect(self.caches.len(), "cache count")?;
+        for c in &mut self.caches {
+            c.persist(io)?;
+        }
+        for kind in ALL_KINDS {
+            let mut n = self.count(kind);
+            io.u64(&mut n)?;
+            if n > 0 {
+                self.kind_counts.insert(kind, n);
+            } else {
+                self.kind_counts.remove(&kind);
+            }
+        }
+        io.sorted_map(&mut self.atomics, "atomic words")
     }
 }
 
@@ -957,18 +861,18 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trips_and_reserializes_identically() {
-        let mem = churned();
+        let mut mem = churned();
         let mut w = ecoscale_sim::SnapWriter::new();
-        mem.snapshot_state(&mut w);
+        w.save(&mut mem);
         let bytes = w.into_bytes();
 
         let (_, mut fresh) = setup();
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        fresh.restore_state(&mut r).expect("restore");
+        fresh.persist(&mut r).expect("restore");
         assert!(r.is_exhausted());
 
         let mut w2 = ecoscale_sim::SnapWriter::new();
-        fresh.snapshot_state(&mut w2);
+        w2.save(&mut fresh);
         assert_eq!(
             bytes,
             w2.into_bytes(),
@@ -991,15 +895,15 @@ mod tests {
 
     #[test]
     fn restore_rejects_shape_mismatch_and_truncation() {
-        let mem = churned();
+        let mut mem = churned();
         let mut w = ecoscale_sim::SnapWriter::new();
-        mem.snapshot_state(&mut w);
+        w.save(&mut mem);
         let bytes = w.into_bytes();
 
         // wrong node count
         let mut other = UnimemSystem::new(8, CacheConfig::l1_default(), DramModel::default());
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        assert!(other.restore_state(&mut r).is_err());
+        assert!(other.persist(&mut r).is_err());
 
         // truncation fails cleanly (the stream is tens of KB — sample
         // cuts rather than sweeping every byte)
@@ -1007,7 +911,7 @@ mod tests {
             let (_, mut fresh) = setup();
             let mut r = ecoscale_sim::SnapReader::new(&bytes[..cut]);
             assert!(
-                fresh.restore_state(&mut r).is_err() || !r.is_exhausted(),
+                fresh.persist(&mut r).is_err() || !r.is_exhausted(),
                 "truncated stream at {cut} restored fully"
             );
         }

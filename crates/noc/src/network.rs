@@ -10,12 +10,13 @@
 //! * **virtual cut-through** — serialization is charged once at the
 //!   bottleneck link and other links are held only for the header time.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use ecoscale_sim::check::{invariant, CheckPlane};
 use ecoscale_sim::{
     fault::salt, CampaignSpec, Counter, Duration, Energy, FaultClock, Histogram, MetricsRegistry,
-    OnlineStats, ProbFault, SimRng, Time, TraceBuffer, Tracer, TrackId,
+    OnlineStats, Persist, ProbFault, RestoreError, SimRng, SnapIo, Time, TraceBuffer, Tracer,
+    TrackId,
 };
 
 use crate::cost::CostModel;
@@ -65,7 +66,7 @@ pub struct Delivery {
 /// serialization time by the campaign's slowdown factor for a fixed
 /// window (a flapping or retraining link). Independently, every delivery
 /// is corrupted with the campaign's per-message probability.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct LinkFaultModel {
     degrade_clock: FaultClock,
     pick: SimRng,
@@ -479,182 +480,6 @@ impl<T: Topology> Network<T> {
         }
     }
 
-    /// Serializes the network's mutable state: link occupancy and busy
-    /// time (sorted by link id), traffic statistics, memoized route
-    /// *keys* (routes are recomputed on restore so the memo can never go
-    /// stale across a snapshot), instruments, and the fault model's RNG
-    /// streams and degradation windows. The tracer and its track cache
-    /// are host-facing and not serialized.
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        use ecoscale_sim::Snapshot as _;
-        let mut free: Vec<(LinkId, Time)> =
-            self.link_free_at.iter().map(|(k, v)| (*k, *v)).collect();
-        free.sort_unstable_by_key(|&(l, _)| l);
-        w.put_usize(free.len());
-        for (l, t) in free {
-            w.put_u64(l.0);
-            w.put_time(t);
-        }
-        self.stats.snapshot_state(w);
-        let mut memo: Vec<(NodeId, NodeId)> = self.route_memo.keys().copied().collect();
-        memo.sort_unstable();
-        w.put_usize(memo.len());
-        for (s, d) in memo {
-            w.put_usize(s.0);
-            w.put_usize(d.0);
-        }
-        w.put_u64(self.route_memo_hits);
-        w.put_u64(self.route_memo_misses);
-        self.hop_hist.snapshot(w);
-        self.queue_ns.snapshot(w);
-        let mut busy: Vec<(LinkId, Duration)> =
-            self.link_busy.iter().map(|(k, v)| (*k, *v)).collect();
-        busy.sort_unstable_by_key(|&(l, _)| l);
-        w.put_usize(busy.len());
-        for (l, d) in busy {
-            w.put_u64(l.0);
-            w.put_duration(d);
-        }
-        w.put_bool(self.faults.is_some());
-        if let Some(f) = &self.faults {
-            f.degrade_clock.snapshot(w);
-            f.pick.snapshot(w);
-            f.corrupt.snapshot(w);
-            w.put_duration(f.degrade_for);
-            w.put_f64(f.slowdown);
-            let mut degraded: Vec<(LinkId, Time)> =
-                f.degraded.iter().map(|(k, v)| (*k, *v)).collect();
-            degraded.sort_unstable_by_key(|&(l, _)| l);
-            w.put_usize(degraded.len());
-            for (l, t) in degraded {
-                w.put_u64(l.0);
-                w.put_time(t);
-            }
-            f.degrade_events.snapshot(w);
-            f.degraded_hops.snapshot(w);
-            f.corrupted.snapshot(w);
-        }
-    }
-
-    /// Overlays state captured by [`Network::snapshot_state`] onto this
-    /// network, which must wrap the same topology and configuration.
-    /// Memoized routes are recomputed from the live topology.
-    ///
-    /// # Errors
-    ///
-    /// [`ecoscale_sim::RestoreError`] on truncated, unsorted, or
-    /// out-of-range data; `self` may be partially overwritten on error
-    /// and should be discarded.
-    pub fn restore_state(
-        &mut self,
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<(), ecoscale_sim::RestoreError> {
-        use ecoscale_sim::snap::malformed;
-        use ecoscale_sim::Restore;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "network claims {n} occupied links but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        self.link_free_at.clear();
-        let mut prev: Option<u64> = None;
-        for i in 0..n {
-            let l = r.get_u64()?;
-            let t = r.get_time()?;
-            if prev.is_some_and(|p| p >= l) {
-                return Err(malformed(format!("link-free map unsorted at index {i}")));
-            }
-            prev = Some(l);
-            self.link_free_at.insert(LinkId(l), t);
-        }
-        self.stats = TrafficStats::restore_state(r)?;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "network claims {n} memoized routes but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        self.route_memo.clear();
-        let mut prev: Option<(usize, usize)> = None;
-        for i in 0..n {
-            let s = r.get_usize()?;
-            let d = r.get_usize()?;
-            if prev.is_some_and(|p| p >= (s, d)) {
-                return Err(malformed(format!("route memo unsorted at index {i}")));
-            }
-            prev = Some((s, d));
-            let (s, d) = (NodeId(s), NodeId(d));
-            self.route_memo.insert((s, d), self.topo.route(s, d));
-        }
-        self.route_memo_hits = r.get_u64()?;
-        self.route_memo_misses = r.get_u64()?;
-        self.hop_hist = Histogram::restore(r)?;
-        self.queue_ns = OnlineStats::restore(r)?;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "network claims {n} busy links but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        self.link_busy.clear();
-        let mut prev: Option<u64> = None;
-        for i in 0..n {
-            let l = r.get_u64()?;
-            let d = r.get_duration()?;
-            if prev.is_some_and(|p| p >= l) {
-                return Err(malformed(format!("link-busy map unsorted at index {i}")));
-            }
-            prev = Some(l);
-            self.link_busy.insert(LinkId(l), d);
-        }
-        self.faults = if r.get_bool()? {
-            let degrade_clock = r.load(FaultClock::disabled())?;
-            let pick = r.load(SimRng::seed_from(0))?;
-            let corrupt = r.load(ProbFault::disabled())?;
-            let degrade_for = r.get_duration()?;
-            let slowdown = r.get_f64()?;
-            if !slowdown.is_finite() || slowdown < 1.0 {
-                return Err(malformed(format!("fault slowdown {slowdown} out of range")));
-            }
-            let n = r.get_usize()?;
-            if n > r.remaining() {
-                return Err(malformed(format!(
-                    "network claims {n} degraded links but only {} bytes remain",
-                    r.remaining()
-                )));
-            }
-            let mut degraded = HashMap::new();
-            let mut prev: Option<u64> = None;
-            for i in 0..n {
-                let l = r.get_u64()?;
-                let t = r.get_time()?;
-                if prev.is_some_and(|p| p >= l) {
-                    return Err(malformed(format!("degraded set unsorted at index {i}")));
-                }
-                prev = Some(l);
-                degraded.insert(LinkId(l), t);
-            }
-            Some(LinkFaultModel {
-                degrade_clock,
-                pick,
-                corrupt,
-                degrade_for,
-                slowdown,
-                degraded,
-                degrade_events: Counter::restore(r)?,
-                degraded_hops: Counter::restore(r)?,
-                corrupted: Counter::restore(r)?,
-            })
-        } else {
-            None
-        };
-        Ok(())
-    }
-
     /// Clears link occupancy, statistics, instruments and memoized
     /// routes. The tracer (if any) is kept but its per-link track cache
     /// is rebuilt lazily.
@@ -668,6 +493,59 @@ impl<T: Topology> Network<T> {
             f.degraded.clear();
         }
         self.invalidate_routes();
+    }
+}
+
+/// Link occupancy and busy time (in ascending link order), traffic
+/// statistics, the memoized route *keys*, instruments, and the fault
+/// model's RNG streams and degradation windows. The tracer and its track
+/// cache are host-facing and not in the stream.
+///
+/// Routes are recomputed from the live topology on load, so the memo
+/// can never go stale across a snapshot: the stream holds the memo's
+/// canonical form, its key set, and loading rebuilds the map from it.
+impl<T: Topology> Persist for Network<T> {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.sorted_map(&mut self.link_free_at, "occupied links")?;
+        self.stats.persist(io)?;
+        let mut memo: BTreeSet<(NodeId, NodeId)> = self.route_memo.keys().copied().collect();
+        io.sorted_set(&mut memo, "memoized routes")?;
+        if IO::LOADING {
+            let topo = &self.topo;
+            self.route_memo = memo
+                .into_iter()
+                .map(|k| (k, topo.route(k.0, k.1)))
+                .collect();
+        }
+        io.u64(&mut self.route_memo_hits)?;
+        io.u64(&mut self.route_memo_misses)?;
+        self.hop_hist.persist(io)?;
+        self.queue_ns.persist(io)?;
+        io.sorted_map(&mut self.link_busy, "busy links")?;
+        io.option(&mut self.faults, IO::item)
+    }
+}
+
+impl Persist for LinkFaultModel {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        self.degrade_clock.persist(io)?;
+        self.pick.persist(io)?;
+        self.corrupt.persist(io)?;
+        io.duration(&mut self.degrade_for)?;
+        io.f64(&mut self.slowdown)?;
+        let slowdown = self.slowdown;
+        io.ensure(slowdown.is_finite() && slowdown >= 1.0, || {
+            format!("fault slowdown {slowdown} out of range")
+        })?;
+        io.sorted_map(&mut self.degraded, "degraded links")?;
+        for c in [
+            &mut self.degrade_events,
+            &mut self.degraded_hops,
+            &mut self.corrupted,
+        ] {
+            c.persist(io)?;
+        }
+        Ok(())
     }
 }
 
@@ -897,19 +775,19 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_identically() {
-        let orig = churned();
+        let mut orig = churned();
         let mut w = ecoscale_sim::SnapWriter::new();
-        orig.snapshot_state(&mut w);
+        w.save(&mut orig);
         let bytes = w.into_bytes();
 
         let mut fresh = net(false);
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        fresh.restore_state(&mut r).expect("restore");
+        fresh.persist(&mut r).expect("restore");
         assert!(r.is_exhausted());
 
         // re-serialization is byte-identical
         let mut w2 = ecoscale_sim::SnapWriter::new();
-        fresh.snapshot_state(&mut w2);
+        w2.save(&mut fresh);
         assert_eq!(bytes, w2.into_bytes());
 
         // both continuations produce identical deliveries and fault draws
@@ -930,14 +808,14 @@ mod tests {
 
     #[test]
     fn restored_route_memo_is_fresh_and_truncation_fails() {
-        let orig = churned();
+        let mut orig = churned();
         let mut w = ecoscale_sim::SnapWriter::new();
-        orig.snapshot_state(&mut w);
+        w.save(&mut orig);
         let bytes = w.into_bytes();
 
         let mut fresh = net(false);
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        fresh.restore_state(&mut r).expect("restore");
+        fresh.persist(&mut r).expect("restore");
         let mut cp = CheckPlane::enabled(1);
         fresh.check_invariants(&mut cp);
         assert!(
@@ -950,7 +828,7 @@ mod tests {
             let mut n = net(false);
             let mut r = ecoscale_sim::SnapReader::new(&bytes[..cut]);
             assert!(
-                n.restore_state(&mut r).is_err() || !r.is_exhausted(),
+                n.persist(&mut r).is_err() || !r.is_exhausted(),
                 "truncated stream at {cut} restored fully"
             );
         }

@@ -7,9 +7,17 @@
 
 use core::fmt;
 
+use ecoscale_sim::{Persist, RestoreError, SnapIo};
+
 /// Identifies a Worker endpoint on the interconnect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub usize);
+
+impl Persist for NodeId {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.usize(&mut self.0)
+    }
+}
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -19,8 +27,14 @@ impl fmt::Display for NodeId {
 
 /// Identifies one directed link in a topology; stable across calls so the
 /// contention model can track per-link occupancy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LinkId(pub u64);
+
+impl Persist for LinkId {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u64(&mut self.0)
+    }
+}
 
 impl fmt::Display for LinkId {
     /// Hex, because topologies bit-pack direction/level/endpoint fields

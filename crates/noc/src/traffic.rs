@@ -1,6 +1,6 @@
 //! Traffic accounting: who moved how many bytes over which levels.
 
-use ecoscale_sim::{Energy, Histogram};
+use ecoscale_sim::{Energy, Histogram, Persist, RestoreError, SnapIo};
 
 use crate::cost::CostModel;
 use crate::topology::Route;
@@ -108,40 +108,6 @@ impl TrafficStats {
         self.energy
     }
 
-    /// Serializes the accumulator for the snapshot subsystem.
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        use ecoscale_sim::Snapshot as _;
-        w.put_u64(self.messages);
-        w.put_u64(self.local_messages);
-        w.put_u64(self.payload_bytes);
-        w.put_u64(self.byte_hops);
-        self.bytes_per_level.snapshot(w);
-        self.hops.snapshot(w);
-        self.energy.snapshot(w);
-    }
-
-    /// Reconstructs an accumulator captured by
-    /// [`TrafficStats::snapshot_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`ecoscale_sim::RestoreError`] when the stream is truncated or
-    /// malformed.
-    pub fn restore_state(
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<TrafficStats, ecoscale_sim::RestoreError> {
-        use ecoscale_sim::Restore;
-        Ok(TrafficStats {
-            messages: r.get_u64()?,
-            local_messages: r.get_u64()?,
-            payload_bytes: r.get_u64()?,
-            byte_hops: r.get_u64()?,
-            bytes_per_level: <Vec<u64>>::restore(r)?,
-            hops: Histogram::restore(r)?,
-            energy: Energy::restore(r)?,
-        })
-    }
-
     /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &TrafficStats) {
         self.messages += other.messages;
@@ -156,6 +122,18 @@ impl TrafficStats {
         }
         self.hops.merge(&other.hops);
         self.energy += other.energy;
+    }
+}
+
+impl Persist for TrafficStats {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u64(&mut self.messages)?;
+        io.u64(&mut self.local_messages)?;
+        io.u64(&mut self.payload_bytes)?;
+        io.u64(&mut self.byte_hops)?;
+        self.bytes_per_level.persist(io)?;
+        self.hops.persist(io)?;
+        self.energy.persist(io)
     }
 }
 

@@ -17,7 +17,7 @@ use ecoscale_fpga::{
 };
 use ecoscale_hls::ModuleLibrary;
 use ecoscale_sim::check::{invariant, CheckPlane};
-use ecoscale_sim::{Duration, Time};
+use ecoscale_sim::{Duration, Persist, RestoreError, SnapIo, Time};
 
 use crate::device::DeviceClass;
 use crate::history::ExecutionHistory;
@@ -161,71 +161,6 @@ impl ReconfigDaemon {
                 )
             },
         );
-    }
-
-    /// Serializes the daemon's mutable state: the floorplan, residency
-    /// map, reconfiguration stats, and evaluation cursor. The config and
-    /// port parameters are structural and not written.
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        use ecoscale_sim::Snapshot as _;
-        self.floorplan.snapshot_state(w);
-        w.put_usize(self.loaded.len());
-        for (&m, &s) in &self.loaded {
-            w.put_u32(m.0);
-            w.put_u32(s.0);
-        }
-        self.stats.snapshot(w);
-        w.put_time(self.last_eval);
-    }
-
-    /// Overlays state captured by [`ReconfigDaemon::snapshot_state`]
-    /// onto this daemon, which must wrap an identical fabric.
-    ///
-    /// # Errors
-    ///
-    /// [`ecoscale_sim::RestoreError`] on truncated or unsorted data, or
-    /// a residency entry whose slot the floorplan does not host.
-    pub fn restore_state(
-        &mut self,
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<(), ecoscale_sim::RestoreError> {
-        use ecoscale_sim::snap::malformed;
-        use ecoscale_sim::Restore;
-        self.floorplan.restore_state(r)?;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "daemon claims {n} resident modules but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        self.loaded.clear();
-        let mut prev: Option<u32> = None;
-        for i in 0..n {
-            let m = r.get_u32()?;
-            let s = r.get_u32()?;
-            if prev.is_some_and(|p| p >= m) {
-                return Err(malformed(format!("residency map unsorted at index {i}")));
-            }
-            prev = Some(m);
-            let (m, s) = (ModuleId(m), SlotId(s));
-            if self.floorplan.placement(s).is_none_or(|p| p.module != m) {
-                return Err(malformed(format!(
-                    "resident module {m} claims slot {s} but the floorplan disagrees"
-                )));
-            }
-            self.loaded.insert(m, s);
-        }
-        if self.loaded.len() != self.floorplan.placements().count() {
-            return Err(malformed(format!(
-                "{} floorplan placements for {} resident modules",
-                self.floorplan.placements().count(),
-                self.loaded.len()
-            )));
-        }
-        self.stats = ReconfigStats::restore(r)?;
-        self.last_eval = r.get_time()?;
-        Ok(())
     }
 
     /// Explicitly loads `module` from `library`, defragmenting on
@@ -419,6 +354,31 @@ impl ReconfigDaemon {
                 }
             }
         }
+    }
+}
+
+/// The floorplan, the residency map (ascending module order), the
+/// reconfiguration stats and the evaluation cursor. The config and port
+/// parameters are structural and not in the stream. A load refuses a
+/// resident module whose slot the floorplan does not host.
+impl Persist for ReconfigDaemon {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        self.floorplan.persist(io)?;
+        let floorplan = &self.floorplan;
+        io.map_with(&mut self.loaded, "resident modules", |io, &m, s| {
+            s.persist(io)?;
+            let s = *s;
+            io.ensure(
+                floorplan.placement(s).is_some_and(|p| p.module == m),
+                || format!("resident module {m} claims slot {s} but the floorplan disagrees"),
+            )
+        })?;
+        let (placed, resident) = (self.floorplan.placements().count(), self.loaded.len());
+        io.ensure(placed == resident, || {
+            format!("{placed} floorplan placements for {resident} resident modules")
+        })?;
+        self.stats.persist(io)?;
+        io.time(&mut self.last_eval)
     }
 }
 
@@ -653,15 +613,15 @@ mod tests {
         d.load(&lib, cold).unwrap();
         d.unload(cold);
         let mut w = ecoscale_sim::SnapWriter::new();
-        d.snapshot_state(&mut w);
+        w.save(&mut d);
         let bytes = w.into_bytes();
 
         let mut fresh = daemon();
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        fresh.restore_state(&mut r).expect("restore");
+        fresh.persist(&mut r).expect("restore");
         assert!(r.is_exhausted());
         let mut w2 = ecoscale_sim::SnapWriter::new();
-        fresh.snapshot_state(&mut w2);
+        w2.save(&mut fresh);
         assert_eq!(
             bytes,
             w2.into_bytes(),
@@ -677,7 +637,7 @@ mod tests {
             let mut p = daemon();
             let mut r = ecoscale_sim::SnapReader::new(&bytes[..cut]);
             assert!(
-                p.restore_state(&mut r).is_err() || !r.is_exhausted(),
+                p.persist(&mut r).is_err() || !r.is_exhausted(),
                 "truncated stream at {cut} restored fully"
             );
         }

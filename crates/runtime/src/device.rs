@@ -8,12 +8,14 @@
 use core::fmt;
 
 use ecoscale_fpga::AcceleratorModule;
-use ecoscale_sim::{Duration, Energy};
+use ecoscale_sim::snap::malformed;
+use ecoscale_sim::{Duration, Energy, Persist, RestoreError, SnapIo};
 
 /// The classes of execution engine the scheduler chooses between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum DeviceClass {
     /// The Worker's own CPU.
+    #[default]
     Cpu,
     /// The Worker's own reconfigurable block (cached, coherent).
     FpgaLocal,
@@ -29,6 +31,23 @@ impl fmt::Display for DeviceClass {
             DeviceClass::FpgaLocal => "fpga-local",
             DeviceClass::FpgaRemote => "fpga-remote",
         })
+    }
+}
+
+/// A one-byte tag in declaration order; a load refuses an unknown tag.
+impl Persist for DeviceClass {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        const ALL: [DeviceClass; 3] = [
+            DeviceClass::Cpu,
+            DeviceClass::FpgaLocal,
+            DeviceClass::FpgaRemote,
+        ];
+        let mut tag = ALL.iter().position(|d| d == self).unwrap_or(0) as u8;
+        io.u8(&mut tag)?;
+        *self = *ALL
+            .get(usize::from(tag))
+            .ok_or_else(|| malformed(format!("unknown device tag {tag}")))?;
+        Ok(())
     }
 }
 

@@ -8,12 +8,12 @@
 
 use std::collections::HashMap;
 
-use ecoscale_sim::{Duration, Energy, OnlineStats};
+use ecoscale_sim::{Duration, Energy, OnlineStats, Persist, RestoreError, SnapIo};
 
 use crate::device::DeviceClass;
 
 /// One observed execution.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Sample {
     /// Function name.
     pub function: String,
@@ -139,164 +139,34 @@ impl ExecutionHistory {
             .get(&(function.to_owned(), device))
             .filter(|s| s.count() > 0)
     }
+}
 
-    /// Serializes the history: retained samples and lifetime aggregates
-    /// keyed by `(function, device)` in sorted order, then the lifetime
-    /// call counts. The per-key capacity is structural and not written.
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        use ecoscale_sim::Snapshot as _;
-        let mut keys: Vec<&(String, DeviceClass)> = self.samples.keys().collect();
-        keys.sort();
-        w.put_usize(keys.len());
-        for key in keys {
-            w.put_str(&key.0);
-            w.put_u8(device_tag(key.1));
-            let v = &self.samples[key];
-            w.put_usize(v.len());
-            for s in v {
-                w.put_str(&s.function);
-                w.put_u8(device_tag(s.device));
-                w.put_usize(s.features.len());
-                for f in &s.features {
-                    w.put_f64(*f);
-                }
-                w.put_duration(s.time);
-                s.energy.snapshot(w);
-            }
-        }
-        let mut keys: Vec<&(String, DeviceClass)> = self.time_stats.keys().collect();
-        keys.sort();
-        w.put_usize(keys.len());
-        for key in keys {
-            w.put_str(&key.0);
-            w.put_u8(device_tag(key.1));
-            self.time_stats[key].snapshot(w);
-        }
-        let mut names: Vec<&String> = self.call_counts.keys().collect();
-        names.sort();
-        w.put_usize(names.len());
-        for name in names {
-            w.put_str(name);
-            w.put_u64(self.call_counts[name]);
-        }
-    }
-
-    /// Overlays state captured by [`ExecutionHistory::snapshot_state`]
-    /// onto this history, which must have the same per-key capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`ecoscale_sim::RestoreError`] on truncated or unsorted data, an
-    /// unknown device tag, or a key holding more samples than capacity.
-    pub fn restore_state(
-        &mut self,
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<(), ecoscale_sim::RestoreError> {
-        use ecoscale_sim::snap::malformed;
-        use ecoscale_sim::Restore;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "history claims {n} sample keys but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        self.samples.clear();
-        let mut prev: Option<(String, DeviceClass)> = None;
-        for i in 0..n {
-            let key = (r.get_str()?, device_from_tag(r.get_u8()?)?);
-            if prev.as_ref().is_some_and(|p| *p >= key) {
-                return Err(malformed(format!("sample keys unsorted at index {i}")));
-            }
-            prev = Some(key.clone());
-            let m = r.get_usize()?;
-            if m > self.capacity_per_key {
-                return Err(malformed(format!(
-                    "key holds {m} samples, capacity is {}",
-                    self.capacity_per_key
-                )));
-            }
-            let mut v = Vec::with_capacity(m);
-            for _ in 0..m {
-                let function = r.get_str()?;
-                let device = device_from_tag(r.get_u8()?)?;
-                let k = r.get_usize()?;
-                if k > r.remaining() {
-                    return Err(malformed(format!(
-                        "sample claims {k} features but only {} bytes remain",
-                        r.remaining()
-                    )));
-                }
-                let mut features = Vec::with_capacity(k);
-                for _ in 0..k {
-                    features.push(r.get_f64()?);
-                }
-                v.push(Sample {
-                    function,
-                    device,
-                    features,
-                    time: r.get_duration()?,
-                    energy: Energy::restore(r)?,
-                });
-            }
-            self.samples.insert(key, v);
-        }
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "history claims {n} aggregate keys but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        self.time_stats.clear();
-        let mut prev: Option<(String, DeviceClass)> = None;
-        for i in 0..n {
-            let key = (r.get_str()?, device_from_tag(r.get_u8()?)?);
-            if prev.as_ref().is_some_and(|p| *p >= key) {
-                return Err(malformed(format!("aggregate keys unsorted at index {i}")));
-            }
-            prev = Some(key.clone());
-            self.time_stats.insert(key, OnlineStats::restore(r)?);
-        }
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "history claims {n} call counts but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        self.call_counts.clear();
-        let mut prev: Option<String> = None;
-        for i in 0..n {
-            let name = r.get_str()?;
-            if prev.as_ref().is_some_and(|p| *p >= name) {
-                return Err(malformed(format!("call counts unsorted at index {i}")));
-            }
-            prev = Some(name.clone());
-            let c = r.get_u64()?;
-            self.call_counts.insert(name, c);
-        }
-        Ok(())
+/// Retained samples and lifetime aggregates keyed by `(function,
+/// device)` in ascending order, then the lifetime call counts. The
+/// per-key capacity is structural and not in the stream: a load refuses
+/// a key holding more samples.
+impl Persist for ExecutionHistory {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        let cap = self.capacity_per_key;
+        io.map_with(&mut self.samples, "sample keys", |io, _, v| {
+            io.vec(v, "samples", IO::item)?;
+            let n = v.len();
+            io.ensure(n <= cap, || {
+                format!("key holds {n} samples, capacity is {cap}")
+            })
+        })?;
+        io.sorted_map(&mut self.time_stats, "aggregate keys")?;
+        io.sorted_map(&mut self.call_counts, "call counts")
     }
 }
 
-/// Stable one-byte tag for [`DeviceClass`] in snapshots.
-fn device_tag(d: DeviceClass) -> u8 {
-    match d {
-        DeviceClass::Cpu => 0,
-        DeviceClass::FpgaLocal => 1,
-        DeviceClass::FpgaRemote => 2,
-    }
-}
-
-fn device_from_tag(tag: u8) -> Result<DeviceClass, ecoscale_sim::RestoreError> {
-    match tag {
-        0 => Ok(DeviceClass::Cpu),
-        1 => Ok(DeviceClass::FpgaLocal),
-        2 => Ok(DeviceClass::FpgaRemote),
-        other => Err(ecoscale_sim::snap::malformed(format!(
-            "unknown device tag {other}"
-        ))),
+impl Persist for Sample {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.str(&mut self.function)?;
+        self.device.persist(io)?;
+        self.features.persist(io)?;
+        io.duration(&mut self.time)?;
+        self.energy.persist(io)
     }
 }
 
@@ -450,15 +320,15 @@ mod tests {
             Energy::ZERO,
         );
         let mut w = ecoscale_sim::SnapWriter::new();
-        hist.snapshot_state(&mut w);
+        w.save(&mut hist);
         let bytes = w.into_bytes();
 
         let mut fresh = h();
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        fresh.restore_state(&mut r).expect("restore");
+        fresh.persist(&mut r).expect("restore");
         assert!(r.is_exhausted());
         let mut w2 = ecoscale_sim::SnapWriter::new();
-        fresh.snapshot_state(&mut w2);
+        w2.save(&mut fresh);
         assert_eq!(
             bytes,
             w2.into_bytes(),
@@ -474,13 +344,13 @@ mod tests {
         // a smaller-capacity history must refuse keys over its capacity
         let mut small = ExecutionHistory::new(2);
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        assert!(small.restore_state(&mut r).is_err());
+        assert!(small.persist(&mut r).is_err());
 
         for cut in 0..bytes.len() {
             let mut p = h();
             let mut r = ecoscale_sim::SnapReader::new(&bytes[..cut]);
             assert!(
-                p.restore_state(&mut r).is_err() || !r.is_exhausted(),
+                p.persist(&mut r).is_err() || !r.is_exhausted(),
                 "truncated stream at {cut} restored fully"
             );
         }

@@ -18,7 +18,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ecoscale_sim::{Counter, Duration, Histogram, MetricsRegistry, OnlineStats, Time};
+use ecoscale_sim::snap::malformed;
+use ecoscale_sim::{
+    Counter, Duration, Histogram, MetricsRegistry, OnlineStats, Persist, RestoreError, SnapIo, Time,
+};
 
 /// Bounded retry with exponential backoff.
 ///
@@ -351,93 +354,6 @@ impl ResilienceManager {
         (self.mtbf_ns.count() > 0).then(|| Duration::from_ns_f64(self.mtbf_ns.mean()))
     }
 
-    /// Serializes the manager's mutable state: strikes and quarantines
-    /// per domain (ordered), the failure cursor, counters, and the
-    /// recovery/MTBF instruments. The config is structural and not
-    /// written.
-    pub fn snapshot_state(&self, w: &mut ecoscale_sim::SnapWriter) {
-        use ecoscale_sim::Snapshot as _;
-        w.put_usize(self.strikes.len());
-        for (&d, &s) in &self.strikes {
-            put_domain(w, d);
-            w.put_u32(s);
-        }
-        w.put_usize(self.quarantined.len());
-        for &d in &self.quarantined {
-            put_domain(w, d);
-        }
-        w.put_opt_time(self.last_failure);
-        self.failures.snapshot(w);
-        self.retries.snapshot(w);
-        self.fallbacks.snapshot(w);
-        self.repairs.snapshot(w);
-        self.quarantines.snapshot(w);
-        self.lost.snapshot(w);
-        self.recovery_ns.snapshot(w);
-        self.mtbf_ns.snapshot(w);
-    }
-
-    /// Overlays state captured by
-    /// [`ResilienceManager::snapshot_state`] onto this manager, which
-    /// must carry the same config.
-    ///
-    /// # Errors
-    ///
-    /// [`ecoscale_sim::RestoreError`] on truncated or unsorted data or
-    /// an unknown domain tag.
-    pub fn restore_state(
-        &mut self,
-        r: &mut ecoscale_sim::SnapReader<'_>,
-    ) -> Result<(), ecoscale_sim::RestoreError> {
-        use ecoscale_sim::snap::malformed;
-        use ecoscale_sim::Restore;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "manager claims {n} striked domains but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        self.strikes.clear();
-        let mut prev: Option<Domain> = None;
-        for i in 0..n {
-            let d = get_domain(r)?;
-            if prev.is_some_and(|p| p >= d) {
-                return Err(malformed(format!("strike map unsorted at index {i}")));
-            }
-            prev = Some(d);
-            let s = r.get_u32()?;
-            self.strikes.insert(d, s);
-        }
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(malformed(format!(
-                "manager claims {n} quarantined domains but only {} bytes remain",
-                r.remaining()
-            )));
-        }
-        self.quarantined.clear();
-        let mut prev: Option<Domain> = None;
-        for i in 0..n {
-            let d = get_domain(r)?;
-            if prev.is_some_and(|p| p >= d) {
-                return Err(malformed(format!("quarantine set unsorted at index {i}")));
-            }
-            prev = Some(d);
-            self.quarantined.insert(d);
-        }
-        self.last_failure = r.get_opt_time()?;
-        self.failures = Counter::restore(r)?;
-        self.retries = Counter::restore(r)?;
-        self.fallbacks = Counter::restore(r)?;
-        self.repairs = Counter::restore(r)?;
-        self.quarantines = Counter::restore(r)?;
-        self.lost = Counter::restore(r)?;
-        self.recovery_ns = Histogram::restore(r)?;
-        self.mtbf_ns = OnlineStats::restore(r)?;
-        Ok(())
-    }
-
     /// Folds the fault/recovery instruments into `m` under `prefix`:
     /// failure/retry/fallback/repair/quarantine/lost counters, the
     /// observed MTBF stats, and the recovery-latency histogram.
@@ -454,31 +370,58 @@ impl ResilienceManager {
 }
 
 /// Stable tagged encoding of a [`Domain`] for snapshots.
-fn put_domain(w: &mut ecoscale_sim::SnapWriter, d: Domain) {
-    match d {
-        Domain::Worker(i) => {
-            w.put_u8(0);
-            w.put_usize(i);
+/// Strikes and quarantines per domain (ascending), the failure cursor,
+/// counters, and the recovery/MTBF instruments. The config is
+/// structural and not in the stream.
+impl Persist for ResilienceManager {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.sorted_map(&mut self.strikes, "striked domains")?;
+        io.sorted_set(&mut self.quarantined, "quarantined domains")?;
+        io.option(&mut self.last_failure, IO::time)?;
+        for c in [
+            &mut self.failures,
+            &mut self.retries,
+            &mut self.fallbacks,
+            &mut self.repairs,
+            &mut self.quarantines,
+            &mut self.lost,
+        ] {
+            c.persist(io)?;
         }
-        Domain::Module(m) => {
-            w.put_u8(1);
-            w.put_u32(m);
+        self.recovery_ns.persist(io)?;
+        self.mtbf_ns.persist(io)
+    }
+}
+
+/// A one-byte variant tag, then the variant's index.
+impl Persist for Domain {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        let mut tag = match self {
+            Domain::Worker(_) => 0,
+            Domain::Module(_) => 1,
+            Domain::Link(_) => 2,
+        };
+        io.u8(&mut tag)?;
+        if IO::LOADING {
+            *self = match tag {
+                0 => Domain::Worker(0),
+                1 => Domain::Module(0),
+                2 => Domain::Link(0),
+                other => return Err(malformed(format!("unknown domain tag {other}"))),
+            };
         }
-        Domain::Link(l) => {
-            w.put_u8(2);
-            w.put_u64(l);
+        match self {
+            Domain::Worker(i) => io.usize(i),
+            Domain::Module(m) => io.u32(m),
+            Domain::Link(l) => io.u64(l),
         }
     }
 }
 
-fn get_domain(r: &mut ecoscale_sim::SnapReader<'_>) -> Result<Domain, ecoscale_sim::RestoreError> {
-    match r.get_u8()? {
-        0 => Ok(Domain::Worker(r.get_usize()?)),
-        1 => Ok(Domain::Module(r.get_u32()?)),
-        2 => Ok(Domain::Link(r.get_u64()?)),
-        other => Err(ecoscale_sim::snap::malformed(format!(
-            "unknown domain tag {other}"
-        ))),
+impl Default for Domain {
+    /// Worker 0.
+    fn default() -> Domain {
+        Domain::Worker(0)
     }
 }
 
@@ -616,15 +559,15 @@ mod tests {
         mgr.note_repair(Duration::from_us(12));
         mgr.note_lost();
         let mut w = ecoscale_sim::SnapWriter::new();
-        mgr.snapshot_state(&mut w);
+        w.save(&mut mgr);
         let bytes = w.into_bytes();
 
         let mut fresh = ResilienceManager::new(cfg);
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        fresh.restore_state(&mut r).expect("restore");
+        fresh.persist(&mut r).expect("restore");
         assert!(r.is_exhausted());
         let mut w2 = ecoscale_sim::SnapWriter::new();
-        fresh.snapshot_state(&mut w2);
+        w2.save(&mut fresh);
         assert_eq!(
             bytes,
             w2.into_bytes(),
@@ -643,7 +586,7 @@ mod tests {
             let mut p = ResilienceManager::new(cfg);
             let mut r = ecoscale_sim::SnapReader::new(&bytes[..cut]);
             assert!(
-                p.restore_state(&mut r).is_err() || !r.is_exhausted(),
+                p.persist(&mut r).is_err() || !r.is_exhausted(),
                 "truncated stream at {cut} restored fully"
             );
         }

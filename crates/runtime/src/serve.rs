@@ -42,8 +42,8 @@ use ecoscale_sim::fault::{fmt_duration, parse_duration};
 use ecoscale_sim::snap::malformed;
 use ecoscale_sim::telem::TriggerKind;
 use ecoscale_sim::{
-    json, Duration, FlightRecorder, Histogram, MetricsRegistry, Restore, RestoreError, SimRng,
-    SnapReader, SnapWriter, Snapshot, Time, TimeSeries,
+    json, Duration, FlightRecorder, Histogram, MetricsRegistry, Persist, RestoreError, SimRng,
+    SnapIo, Time, TimeSeries,
 };
 
 /// Component salts for [`ServeSpec::rng`]; the tenant id is folded in by
@@ -334,7 +334,7 @@ impl std::error::Error for ServeSpecError {}
 /// One request: a kernel call on behalf of a tenant, stamped with its
 /// arrival time, SLO deadline, and the causal span timestamps the
 /// telemetry plane turns into [`RequestJourney`] exemplars.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Request {
     /// Monotone per-plane id (submission order; shed requests consume
     /// ids too, so every journey — including shed ones — is nameable).
@@ -352,6 +352,19 @@ pub struct Request {
     pub deadline: Time,
 }
 
+/// Every field in declaration order (a request in flight; queued
+/// requests travel without their tenant and dispatch time).
+impl Persist for Request {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u64(&mut self.id)?;
+        io.u32(&mut self.tenant)?;
+        io.u32(&mut self.kernel)?;
+        io.time(&mut self.arrival)?;
+        io.time(&mut self.dispatched)?;
+        io.time(&mut self.deadline)
+    }
+}
+
 /// Why admission shed a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
@@ -362,9 +375,10 @@ pub enum ShedReason {
 }
 
 /// Terminal outcome of one request journey.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum JourneyOutcome {
     /// Completed within its deadline.
+    #[default]
     Completed,
     /// Completed past its deadline.
     DeadlineMiss,
@@ -414,7 +428,7 @@ impl JourneyOutcome {
 /// admission to its terminal outcome. Exemplar journeys are what the
 /// flight recorder dumps when a window breaches its SLO, so an operator
 /// can name the concrete requests behind an anomalous percentile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RequestJourney {
     /// Plane-wide request id (submission order).
     pub id: u64,
@@ -543,33 +557,21 @@ impl Ledger {
     }
 }
 
-impl Snapshot for Ledger {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_u64(self.submitted);
-        w.put_u64(self.admitted);
-        w.put_u64(self.shed_queue);
-        w.put_u64(self.shed_throttle);
-        w.put_u64(self.completed);
-        w.put_u64(self.failed);
-        w.put_u64(self.deadline_miss);
-        w.put_u64(self.goodput);
-        self.latency_ns.snapshot(w);
-    }
-}
-
-impl Restore for Ledger {
-    fn restore(r: &mut SnapReader<'_>) -> Result<Ledger, RestoreError> {
-        Ok(Ledger {
-            submitted: r.get_u64()?,
-            admitted: r.get_u64()?,
-            shed_queue: r.get_u64()?,
-            shed_throttle: r.get_u64()?,
-            completed: r.get_u64()?,
-            failed: r.get_u64()?,
-            deadline_miss: r.get_u64()?,
-            goodput: r.get_u64()?,
-            latency_ns: Histogram::restore(r)?,
-        })
+impl Persist for Ledger {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        for v in [
+            &mut self.submitted,
+            &mut self.admitted,
+            &mut self.shed_queue,
+            &mut self.shed_throttle,
+            &mut self.completed,
+            &mut self.failed,
+            &mut self.deadline_miss,
+            &mut self.goodput,
+        ] {
+            io.u64(v)?;
+        }
+        self.latency_ns.persist(io)
     }
 }
 
@@ -598,60 +600,42 @@ impl SloTracker {
     }
 }
 
-impl Snapshot for SloTracker {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_usize(EXEMPLAR_CAP);
-        self.ledger.snapshot(w);
-        w.put_usize(self.exemplars.len());
-        for j in &self.exemplars {
-            w.put_u64(j.id);
-            w.put_u32(j.tenant);
-            w.put_u32(j.kernel);
-            w.put_time(j.arrival);
-            w.put_time(j.dispatched);
-            w.put_time(j.completed);
-            w.put_time(j.deadline);
-            w.put_u8(j.outcome.tag());
-        }
+impl Persist for SloTracker {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.expect(EXEMPLAR_CAP, "exemplars kept per SLO window")?;
+        self.ledger.persist(io)?;
+        io.vec(&mut self.exemplars, "exemplars", IO::item)?;
+        let n = self.exemplars.len();
+        io.ensure(n <= EXEMPLAR_CAP, || {
+            format!("slo window holds {n} exemplars, cap is {EXEMPLAR_CAP}")
+        })
     }
 }
 
-impl Restore for SloTracker {
-    fn restore(r: &mut SnapReader<'_>) -> Result<SloTracker, RestoreError> {
-        let cap = r.get_usize()?;
-        if cap != EXEMPLAR_CAP {
-            return Err(malformed(format!(
-                "slo window keeps {cap} exemplars, this build keeps {EXEMPLAR_CAP}"
-            )));
+impl Persist for RequestJourney {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.u64(&mut self.id)?;
+        io.u32(&mut self.tenant)?;
+        io.u32(&mut self.kernel)?;
+        for t in [
+            &mut self.arrival,
+            &mut self.dispatched,
+            &mut self.completed,
+            &mut self.deadline,
+        ] {
+            io.time(t)?;
         }
-        let ledger = Ledger::restore(r)?;
-        let n = r.get_usize()?;
-        if n > EXEMPLAR_CAP {
-            return Err(malformed(format!(
-                "slo window holds {n} exemplars, cap is {EXEMPLAR_CAP}"
-            )));
-        }
-        let mut exemplars = Vec::with_capacity(n);
-        for _ in 0..n {
-            exemplars.push(RequestJourney {
-                id: r.get_u64()?,
-                tenant: r.get_u32()?,
-                kernel: r.get_u32()?,
-                arrival: r.get_time()?,
-                dispatched: r.get_time()?,
-                completed: r.get_time()?,
-                deadline: r.get_time()?,
-                outcome: JourneyOutcome::from_tag(r.get_u8()?)
-                    .ok_or_else(|| malformed("unknown journey outcome tag"))?,
-            });
-        }
-        Ok(SloTracker { ledger, exemplars })
+        let mut tag = self.outcome.tag();
+        io.u8(&mut tag)?;
+        self.outcome = JourneyOutcome::from_tag(tag)
+            .ok_or_else(|| malformed("unknown journey outcome tag"))?;
+        Ok(())
     }
 }
 
 /// A coalesced dispatch unit: same-kernel requests batched across
 /// tenants, executed as one backend call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Batch {
     /// Kernel-mix index shared by every request in the batch.
     pub kernel: u32,
@@ -1218,139 +1202,6 @@ impl ServePlane {
         total
     }
 
-    /// Serializes the plane's mutable state: dispatcher scalars, then
-    /// every tenant's arrival/mix RNG streams, queue contents, token
-    /// bucket, and ledgers, in hosted order. The spec and tenant ids are
-    /// structural — the restore target must be built with
-    /// [`ServePlane::for_tenants`] over the same spec and ids (the
-    /// system snapshot embeds the spec string for exactly that).
-    pub fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.put_u32(self.mix_len);
-        w.put_usize(self.cursor);
-        w.put_u64(self.next_id);
-        w.put_u64(self.in_flight);
-        w.put_bool(self.pressure);
-        w.put_u64(self.batches);
-        w.put_u64(self.batched_requests);
-        self.batch_size.snapshot(w);
-        self.slo.snapshot(w);
-        w.put_usize(self.tenants.len());
-        for t in &self.tenants {
-            w.put_u32(t.id);
-            t.gen.rng.snapshot(w);
-            w.put_opt_time(t.gen.next);
-            t.mix_rng.snapshot(w);
-            w.put_usize(t.queue.len());
-            for r in &t.queue {
-                w.put_u64(r.id);
-                w.put_u32(r.kernel);
-                w.put_time(r.arrival);
-                w.put_time(r.deadline);
-            }
-            w.put_f64(t.bucket.level);
-            w.put_time(t.bucket.last);
-            t.ledger.snapshot(w);
-        }
-    }
-
-    /// Overlays state captured by [`ServePlane::snapshot_state`] onto
-    /// this plane, which must have been built over the same spec, mix
-    /// length, and tenant ids.
-    ///
-    /// # Errors
-    ///
-    /// [`RestoreError`] on any shape mismatch (mix length, tenant count
-    /// or ids), truncation, an out-of-range kernel index, a queued
-    /// request violating FIFO arrival order, or an SLO window keeping
-    /// another number of exemplars than this build.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), RestoreError> {
-        let mix_len = r.get_u32()?;
-        if mix_len != self.mix_len {
-            return Err(malformed(format!(
-                "snapshot serves a {mix_len}-kernel mix, this plane {}",
-                self.mix_len
-            )));
-        }
-        let cursor = r.get_usize()?;
-        if cursor >= self.tenants.len() {
-            return Err(malformed(format!(
-                "dispatch cursor {cursor} out of range for {} tenants",
-                self.tenants.len()
-            )));
-        }
-        self.cursor = cursor;
-        self.next_id = r.get_u64()?;
-        self.in_flight = r.get_u64()?;
-        self.pressure = r.get_bool()?;
-        self.batches = r.get_u64()?;
-        self.batched_requests = r.get_u64()?;
-        self.batch_size = Histogram::restore(r)?;
-        self.slo = SloTracker::restore(r)?;
-        let n = r.get_usize()?;
-        if n != self.tenants.len() {
-            return Err(malformed(format!(
-                "snapshot hosts {n} tenants, this plane {}",
-                self.tenants.len()
-            )));
-        }
-        for t in &mut self.tenants {
-            let id = r.get_u32()?;
-            if id != t.id {
-                return Err(malformed(format!(
-                    "snapshot tenant {id} does not match hosted tenant {}",
-                    t.id
-                )));
-            }
-            t.gen.rng = r.load(SimRng::seed_from(0))?;
-            t.gen.next = r.get_opt_time()?;
-            t.mix_rng = r.load(SimRng::seed_from(0))?;
-            let m = r.get_usize()?;
-            if m > r.remaining() {
-                return Err(malformed(format!(
-                    "tenant {id} claims {m} queued requests but only {} bytes remain",
-                    r.remaining()
-                )));
-            }
-            t.queue.clear();
-            let mut prev: Option<(Time, u64)> = None;
-            for _ in 0..m {
-                let rid = r.get_u64()?;
-                if rid >= self.next_id {
-                    return Err(malformed(format!(
-                        "queued request {rid} at/above the id counter {}",
-                        self.next_id
-                    )));
-                }
-                let kernel = r.get_u32()?;
-                if kernel >= self.mix_len {
-                    return Err(malformed(format!(
-                        "queued request {rid} draws kernel {kernel} of a {}-kernel mix",
-                        self.mix_len
-                    )));
-                }
-                let arrival = r.get_time()?;
-                if prev.is_some_and(|p| p > (arrival, rid)) {
-                    return Err(malformed(format!(
-                        "tenant {id} queue breaks FIFO order at request {rid}"
-                    )));
-                }
-                prev = Some((arrival, rid));
-                t.queue.push_back(Request {
-                    id: rid,
-                    tenant: id,
-                    kernel,
-                    arrival,
-                    dispatched: Time::ZERO,
-                    deadline: r.get_time()?,
-                });
-            }
-            t.bucket.level = r.get_f64()?;
-            t.bucket.last = r.get_time()?;
-            t.ledger = Ledger::restore(r)?;
-        }
-        Ok(())
-    }
-
     /// Snapshots the tenants' ledgers as a [`ServingReport`].
     pub fn report(&self) -> ServingReport {
         ServingReport {
@@ -1367,6 +1218,66 @@ impl ServePlane {
                 })
                 .collect(),
         }
+    }
+}
+
+/// Dispatcher scalars, then every tenant's arrival/mix RNG streams,
+/// queue contents, token bucket, and ledgers, in hosted order. The spec
+/// and tenant ids are structural: load onto a plane built with
+/// [`ServePlane::for_tenants`] over the same spec and ids (the system
+/// snapshot embeds the spec string for exactly that). A load refuses
+/// another mix length or tenant set, an out-of-range kernel index, a
+/// queued request violating FIFO arrival order, or an SLO window
+/// keeping another number of exemplars than this build.
+impl Persist for ServePlane {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.expect(self.mix_len, "kernel mix length")?;
+        io.usize(&mut self.cursor)?;
+        let (cursor, tenants) = (self.cursor, self.tenants.len());
+        io.ensure(cursor < tenants, || {
+            format!("dispatch cursor {cursor} out of range for {tenants} tenants")
+        })?;
+        io.u64(&mut self.next_id)?;
+        io.u64(&mut self.in_flight)?;
+        io.bool(&mut self.pressure)?;
+        io.u64(&mut self.batches)?;
+        io.u64(&mut self.batched_requests)?;
+        self.batch_size.persist(io)?;
+        self.slo.persist(io)?;
+        io.expect(tenants, "tenant count")?;
+        let (next_id, mix_len) = (self.next_id, self.mix_len);
+        for t in &mut self.tenants {
+            io.expect(t.id, "tenant id")?;
+            t.gen.rng.persist(io)?;
+            io.option(&mut t.gen.next, IO::time)?;
+            t.mix_rng.persist(io)?;
+            let id = t.id;
+            let mut prev: Option<(Time, u64)> = None;
+            io.vec(&mut t.queue, "queued requests", |io, q| {
+                q.tenant = id;
+                io.u64(&mut q.id)?;
+                let rid = q.id;
+                io.ensure(rid < next_id, || {
+                    format!("queued request {rid} at/above the id counter {next_id}")
+                })?;
+                io.u32(&mut q.kernel)?;
+                let kernel = q.kernel;
+                io.ensure(kernel < mix_len, || {
+                    format!("queued request {rid} draws kernel {kernel} of a {mix_len}-kernel mix")
+                })?;
+                io.time(&mut q.arrival)?;
+                let here = (q.arrival, rid);
+                io.ensure(prev.is_none_or(|p| p <= here), || {
+                    format!("tenant {id} queue breaks FIFO order at request {rid}")
+                })?;
+                prev = Some(here);
+                io.time(&mut q.deadline)
+            })?;
+            io.f64(&mut t.bucket.level)?;
+            io.time(&mut t.bucket.last)?;
+            t.ledger.persist(io)?;
+        }
+        Ok(())
     }
 }
 
@@ -1884,18 +1795,18 @@ mod tests {
             let b = p.take_batch(mid).expect("queued");
             (p, b)
         };
-        let (orig, pending) = build();
+        let (mut orig, pending) = build();
 
         let mut w = ecoscale_sim::SnapWriter::new();
-        orig.snapshot_state(&mut w);
+        w.save(&mut orig);
         let bytes = w.into_bytes();
 
         let mut fresh = ServePlane::new(&spec, 2);
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        fresh.restore_state(&mut r).expect("restore");
+        fresh.persist(&mut r).expect("restore");
         assert!(r.is_exhausted());
         let mut w2 = ecoscale_sim::SnapWriter::new();
-        fresh.snapshot_state(&mut w2);
+        w2.save(&mut fresh);
         assert_eq!(
             bytes,
             w2.into_bytes(),
@@ -1928,23 +1839,23 @@ mod tests {
         let mut orig = ServePlane::new(&spec, 2);
         orig.pop_arrivals(Time::from_us(500));
         let mut w = ecoscale_sim::SnapWriter::new();
-        orig.snapshot_state(&mut w);
+        w.save(&mut orig);
         let bytes = w.into_bytes();
 
         // wrong mix length
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
-        assert!(ServePlane::new(&spec, 3).restore_state(&mut r).is_err());
+        assert!(ServePlane::new(&spec, 3).persist(&mut r).is_err());
         // wrong tenant set
         let mut r = ecoscale_sim::SnapReader::new(&bytes);
         assert!(ServePlane::for_tenants(&spec, 2, &[0, 1, 5])
-            .restore_state(&mut r)
+            .persist(&mut r)
             .is_err());
 
         for cut in 0..bytes.len() {
             let mut p = ServePlane::new(&spec, 2);
             let mut r = ecoscale_sim::SnapReader::new(&bytes[..cut]);
             assert!(
-                p.restore_state(&mut r).is_err() || !r.is_exhausted(),
+                p.persist(&mut r).is_err() || !r.is_exhausted(),
                 "truncated stream at {cut} restored fully"
             );
         }
@@ -1952,12 +1863,13 @@ mod tests {
 
     #[test]
     fn slo_window_refuses_a_foreign_exemplar_cap() {
-        let mut w = SnapWriter::new();
-        SloTracker::default().snapshot(&mut w);
+        let mut w = ecoscale_sim::SnapWriter::new();
+        w.save(&mut SloTracker::default());
         let mut bytes = w.into_bytes();
-        assert!(SloTracker::restore(&mut SnapReader::new(&bytes)).is_ok());
+        let load = |b: &[u8]| ecoscale_sim::SnapReader::new(b).load(SloTracker::default());
+        assert!(load(&bytes).is_ok());
         bytes[..8].copy_from_slice(&(EXEMPLAR_CAP as u64 + 1).to_le_bytes());
-        match SloTracker::restore(&mut SnapReader::new(&bytes)) {
+        match load(&bytes) {
             Err(RestoreError::Malformed { context }) => assert!(context.contains("exemplars")),
             other => panic!("a foreign exemplar cap gave {other:?}"),
         }

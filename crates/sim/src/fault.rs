@@ -458,6 +458,20 @@ impl Persist for ProbFault {
     }
 }
 
+impl Default for FaultClock {
+    /// The clock that never fires.
+    fn default() -> FaultClock {
+        FaultClock::disabled()
+    }
+}
+
+impl Default for ProbFault {
+    /// The injector that never strikes.
+    fn default() -> ProbFault {
+        ProbFault::disabled()
+    }
+}
+
 /// A per-operation Bernoulli fault injector.
 ///
 /// With probability zero it draws nothing, so a disabled injector leaves

@@ -25,6 +25,14 @@ pub struct SimRng {
     state: [u64; 4],
 }
 
+impl Default for SimRng {
+    /// The stream of seed 0, the blank a state loaded from a snapshot
+    /// overwrites.
+    fn default() -> SimRng {
+        SimRng::seed_from(0)
+    }
+}
+
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
