@@ -93,8 +93,7 @@ pub use prof::{Layer, ProfileReport, Profiler, ShardOccupancy};
 pub use rng::{SimRng, ZipfTable};
 pub use shard::{ClusterCtx, ClusterModel, ShardedEngine, StopReason};
 pub use snap::{
-    Persist, Restore, RestoreError, SnapIo, SnapReader, SnapWriter, Snapshot, SnapshotBuilder,
-    SnapshotFile,
+    Persist, RestoreError, SnapIo, SnapReader, SnapWriter, SnapshotBuilder, SnapshotFile,
 };
 pub use stats::{Counter, Histogram, OnlineStats};
 pub use telem::{

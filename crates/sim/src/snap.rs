@@ -425,34 +425,6 @@ pub trait SnapIo: Sized {
     }
 }
 
-/// Bridge for the crates still on the two-half codec; goes with them.
-pub trait Snapshot {
-    /// Appends this value's state to `w`.
-    fn snapshot(&self, w: &mut SnapWriter);
-}
-
-impl<T: Persist + Clone> Snapshot for T {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.save(&mut self.clone());
-    }
-}
-
-/// Bridge for the crates still on the two-half codec; goes with them.
-pub trait Restore: Sized {
-    /// Reads one value off `r`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Persist::persist`].
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError>;
-}
-
-impl<T: Persist + Default> Restore for T {
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, RestoreError> {
-        r.load(T::default())
-    }
-}
-
 /// A sequence [`SnapIo::vec`] persists: a `Vec` or a `VecDeque`.
 pub trait SnapSeq {
     /// Element type.

@@ -10,7 +10,7 @@
 //!   instrument model of its own: every window is a
 //!   [`MetricsRegistry`], kept in a bounded ring of closed windows, and
 //!   a lifetime registry (the infinite window) holds counter totals.
-//!   Merge and [`Persist`](crate::snap::Persist) are the registry's; only the
+//!   Merge and [`Persist`] are the registry's; only the
 //!   canonical JSON export splits a window by instrument kind.
 //!   Everything is driven by simulated time, so exports are
 //!   byte-identical at any `ECOSCALE_THREADS`/`ECOSCALE_SHARDS` setting.

@@ -54,6 +54,20 @@ if [[ -n "$env_reads" ]]; then
     exit 1
 fi
 
+echo "== one codec per snapshotted type =="
+# Each type lists its snapshot fields once, in one Persist::persist body
+# (sim::snap) that both saves and loads. Hand-paired save/load halves
+# are what it replaced; test code (as above) may still name them.
+halves=$(awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 }
+    !t && /fn (snapshot|restore)_state|impl.*[ :](Snapshot|Restore) for / {
+        print FILENAME ":" FNR ": " $0 }' \
+    $(find crates/*/src -name '*.rs'))
+if [[ -n "$halves" ]]; then
+    echo "$halves"
+    echo "error: paired snapshot/restore halves; write one Persist::persist body instead"
+    exit 1
+fi
+
 echo "== tier-1: release build =="
 cargo build --release
 
