@@ -443,7 +443,7 @@ impl Persist for Smmu {
         io.ensure(n <= cap, || {
             format!("snapshot TLB holds {n} entries, capacity {cap}")
         })?;
-        io.option(&mut self.mru, IO::item)?;
+        self.mru.persist(io)?;
         io.u64(&mut self.clock)?;
         for c in [
             &mut self.tlb_hits,
@@ -454,7 +454,7 @@ impl Persist for Smmu {
         ] {
             c.persist(io)?;
         }
-        io.option(&mut self.injection, IO::item)?;
+        self.injection.persist(io)?;
         self.translate_ns.persist(io)
     }
 }

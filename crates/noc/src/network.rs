@@ -522,7 +522,7 @@ impl<T: Topology> Persist for Network<T> {
         self.hop_hist.persist(io)?;
         self.queue_ns.persist(io)?;
         io.sorted_map(&mut self.link_busy, "busy links")?;
-        io.option(&mut self.faults, IO::item)
+        self.faults.persist(io)
     }
 }
 

@@ -377,7 +377,7 @@ impl Persist for ResilienceManager {
     fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
         io.sorted_map(&mut self.strikes, "striked domains")?;
         io.sorted_set(&mut self.quarantined, "quarantined domains")?;
-        io.option(&mut self.last_failure, IO::time)?;
+        self.last_failure.persist(io)?;
         for c in [
             &mut self.failures,
             &mut self.retries,

@@ -1249,7 +1249,7 @@ impl Persist for ServePlane {
         for t in &mut self.tenants {
             io.expect(t.id, "tenant id")?;
             t.gen.rng.persist(io)?;
-            io.option(&mut t.gen.next, IO::time)?;
+            t.gen.next.persist(io)?;
             t.mix_rng.persist(io)?;
             let id = t.id;
             let mut prev: Option<(Time, u64)> = None;

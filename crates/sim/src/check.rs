@@ -606,16 +606,16 @@ mod tests {
 
         // An invariant name outside the catalog is malformed, not invented.
         let mut w = SnapWriter::new();
-        w.put_bool(true);
-        w.put_bool(false);
-        w.put_u64(1);
-        w.put_u64(0);
-        w.put_u64(0);
-        w.put_u64(1);
-        w.put_usize(1);
-        w.put_str("made.up_invariant");
-        w.put_str("detail");
-        w.put_usize(0);
+        w.save(&mut true);
+        w.save(&mut false);
+        w.save(&mut 1u64);
+        w.save(&mut 0u64);
+        w.save(&mut 0u64);
+        w.save(&mut 1u64);
+        w.save(&mut 1usize);
+        w.save(&mut "made.up_invariant".to_owned());
+        w.save(&mut "detail".to_owned());
+        w.save(&mut 0usize);
         let bytes = w.into_bytes();
         let err = SnapReader::new(&bytes)
             .load(CheckPlane::disabled())

@@ -444,7 +444,7 @@ impl Persist for FaultClock {
     fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
         self.rng.persist(io)?;
         io.duration(&mut self.mtbf)?;
-        io.option(&mut self.next, IO::time)
+        self.next.persist(io)
     }
 }
 

@@ -219,13 +219,6 @@ pub trait SnapIo: Sized {
     /// As [`SnapIo::str`].
     fn static_str(&mut self, s: &mut &'static str) -> Result<(), RestoreError>;
 
-    /// A length-prefixed byte string.
-    ///
-    /// # Errors
-    ///
-    /// Truncated bytes.
-    fn bytes(&mut self, b: &mut Vec<u8>) -> Result<(), RestoreError>;
-
     /// An entry count: `n` when saving. When loading, the count in the
     /// stream, refused when it exceeds the bytes that remain (every
     /// entry takes at least one), so no corrupt count can ask for an
@@ -523,7 +516,7 @@ where
     }
 }
 
-/// Append-only typed writer over a byte buffer.
+/// The saving [`SnapIo`]: an append-only writer over a byte buffer.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
@@ -550,56 +543,9 @@ impl SnapWriter {
         self.buf.is_empty()
     }
 
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u128`.
-    pub fn put_u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `usize` as `u64`.
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Appends an `f64` as its raw IEEE-754 bits (exact round-trip,
-    /// including NaN payloads and signed zeros/infinities).
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends a bool as one byte (0/1).
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends a length-prefixed raw byte slice.
+    /// Appends a length-prefixed byte string (a nested payload).
     pub fn put_bytes(&mut self, b: &[u8]) {
-        self.put_u64(b.len() as u64);
+        self.save(&mut (b.len() as u64));
         self.buf.extend_from_slice(b);
     }
 
@@ -608,30 +554,15 @@ impl SnapWriter {
         self.buf.extend_from_slice(b);
     }
 
-    /// Appends a [`Time`] as picoseconds.
-    pub fn put_time(&mut self, t: Time) {
-        self.put_u64(t.as_ps());
-    }
-
-    /// Appends a [`Duration`] as picoseconds.
-    pub fn put_duration(&mut self, d: Duration) {
-        self.put_u64(d.as_ps());
-    }
-
-    /// Appends an `Option<Time>` (presence byte + value).
-    pub fn put_opt_time(&mut self, t: Option<Time>) {
-        self.put_bool(t.is_some());
-        if let Some(t) = t {
-            self.put_time(t);
-        }
-    }
-}
-
-impl SnapWriter {
     /// Appends `v`'s state. Saving never fails: every refusal in a
     /// [`Persist`] runs only when loading.
     pub fn save<T: Persist>(&mut self, v: &mut T) {
         v.persist(self).expect("saving never refuses");
+    }
+
+    fn put_str(&mut self, s: &str) {
+        self.save(&mut (s.len() as u32));
+        self.buf.extend_from_slice(s.as_bytes());
     }
 }
 
@@ -653,19 +584,14 @@ impl SnapIo for SnapWriter {
         Ok(())
     }
 
-    fn bytes(&mut self, b: &mut Vec<u8>) -> Result<(), RestoreError> {
-        self.put_bytes(b);
-        Ok(())
-    }
-
     fn len(&mut self, n: usize, _: &str) -> Result<usize, RestoreError> {
-        self.put_usize(n);
+        self.save(&mut (n as u64));
         Ok(n)
     }
 }
 
-/// Cursor-based typed reader over snapshot bytes. Every getter returns
-/// [`RestoreError::Truncated`] past the end rather than panicking.
+/// The loading [`SnapIo`]: a cursor over snapshot bytes. Every read past
+/// the end is [`RestoreError::Truncated`], never a panic.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
@@ -699,89 +625,16 @@ impl<'a> SnapReader<'a> {
         Ok(s)
     }
 
-    /// Reads one byte.
-    pub fn get_u8(&mut self) -> Result<u8, RestoreError> {
-        Ok(self.take(1, "u8")?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, RestoreError> {
-        let b = self.take(4, "u32")?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, RestoreError> {
-        let b = self.take(8, "u64")?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// Reads a little-endian `u128`.
-    pub fn get_u128(&mut self) -> Result<u128, RestoreError> {
-        let b = self.take(16, "u128")?;
-        Ok(u128::from_le_bytes(b.try_into().expect("16 bytes")))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, RestoreError> {
-        let b = self.take(8, "i64")?;
-        Ok(i64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// Reads a `usize` written with [`SnapWriter::put_usize`].
-    pub fn get_usize(&mut self) -> Result<usize, RestoreError> {
-        let v = self.get_u64()?;
-        usize::try_from(v).map_err(|_| malformed(format!("usize {v} out of range")))
-    }
-
-    /// Reads an `f64` from raw bits.
-    pub fn get_f64(&mut self) -> Result<f64, RestoreError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a bool; any byte other than 0/1 is malformed.
-    pub fn get_bool(&mut self) -> Result<bool, RestoreError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(malformed(format!("bool byte {other}"))),
-        }
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, RestoreError> {
-        let len = self.get_u32()? as usize;
-        let b = self.take(len, "str payload")?;
-        String::from_utf8(b.to_vec()).map_err(|_| malformed("non-UTF-8 string"))
-    }
-
-    /// Reads a length-prefixed raw byte vector.
+    /// Reads a length-prefixed byte string (a nested payload).
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError::Truncated`] past the end of the stream.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, RestoreError> {
-        let len = self.get_usize()?;
+        let len = self.load(0usize)?;
         Ok(self.take(len, "byte payload")?.to_vec())
     }
 
-    /// Reads a [`Time`].
-    pub fn get_time(&mut self) -> Result<Time, RestoreError> {
-        Ok(Time::from_ps(self.get_u64()?))
-    }
-
-    /// Reads a [`Duration`].
-    pub fn get_duration(&mut self) -> Result<Duration, RestoreError> {
-        Ok(Duration::from_ps(self.get_u64()?))
-    }
-
-    /// Reads an `Option<Time>`.
-    pub fn get_opt_time(&mut self) -> Result<Option<Time>, RestoreError> {
-        Ok(if self.get_bool()? {
-            Some(self.get_time()?)
-        } else {
-            None
-        })
-    }
-}
-
-impl SnapReader<'_> {
     /// `v` with the stream loaded onto it.
     ///
     /// # Errors
@@ -790,6 +643,12 @@ impl SnapReader<'_> {
     pub fn load<T: Persist>(&mut self, mut v: T) -> Result<T, RestoreError> {
         v.persist(self)?;
         Ok(v)
+    }
+
+    fn get_str(&mut self) -> Result<String, RestoreError> {
+        let len = self.load(0u32)? as usize;
+        let b = self.take(len, "str payload")?;
+        String::from_utf8(b.to_vec()).map_err(|_| malformed("non-UTF-8 string"))
     }
 }
 
@@ -811,13 +670,8 @@ impl SnapIo for SnapReader<'_> {
         Ok(())
     }
 
-    fn bytes(&mut self, b: &mut Vec<u8>) -> Result<(), RestoreError> {
-        *b = self.get_bytes()?;
-        Ok(())
-    }
-
     fn len(&mut self, _: usize, what: &str) -> Result<usize, RestoreError> {
-        let n = self.get_usize()?;
+        let n = self.load(0usize)?;
         if n > self.remaining() {
             return Err(malformed(format!(
                 "{what} claims {n} entries but only {} bytes remain",
@@ -939,7 +793,7 @@ impl<'a> SnapshotFile<'a> {
             return Err(RestoreError::BadMagic);
         }
         let mut r = SnapReader::new(&bytes[8..]);
-        let version = r.get_u32().map_err(|_| RestoreError::Truncated {
+        let version = r.load(0u32).map_err(|_| RestoreError::Truncated {
             context: "header version".to_string(),
         })?;
         if version > SNAP_VERSION {
@@ -953,20 +807,20 @@ impl<'a> SnapshotFile<'a> {
                 "snapshot version {version} is older than supported version {SNAP_VERSION}"
             )));
         }
-        let count = r.get_u32()? as usize;
+        let count = r.load(0u32)? as usize;
         let mut sections = Vec::with_capacity(count);
         for i in 0..count {
             let name = r
-                .get_str()
+                .load(String::new())
                 .map_err(|e| table_err(e, &format!("section {i} name")))?;
             let offset = r
-                .get_u64()
+                .load(0u64)
                 .map_err(|e| table_err(e, &format!("section `{name}` offset")))?;
             let len = r
-                .get_u64()
+                .load(0u64)
                 .map_err(|e| table_err(e, &format!("section `{name}` length")))?;
             let checksum = r
-                .get_u64()
+                .load(0u64)
                 .map_err(|e| table_err(e, &format!("section `{name}` checksum")))?;
             let start = usize::try_from(offset)
                 .map_err(|_| malformed(format!("section `{name}` offset {offset}")))?;
@@ -1073,7 +927,7 @@ macro_rules! persist_via {
 }
 
 persist_via!(
-    u8 => u8, u32 => u32, u64 => u64, i64 => i64, usize => usize, f64 => f64,
+    u8 => u8, u32 => u32, u64 => u64, u128 => u128, i64 => i64, usize => usize, f64 => f64,
     bool => bool, String => str, &'static str => static_str, Time => time,
     Duration => duration
 );
@@ -1082,6 +936,12 @@ impl<A: Persist, B: Persist> Persist for (A, B) {
     fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
         self.0.persist(io)?;
         self.1.persist(io)
+    }
+}
+
+impl<T: Persist + Default> Persist for Option<T> {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.option(self, IO::item)
     }
 }
 
@@ -1098,67 +958,70 @@ mod tests {
     #[test]
     fn primitives_round_trip() {
         let mut w = SnapWriter::new();
-        w.put_u8(7);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(u64::MAX);
-        w.put_u128(1 << 100);
-        w.put_i64(-42);
-        w.put_f64(-0.0);
-        w.put_f64(f64::INFINITY);
-        w.put_bool(true);
-        w.put_str("hello ✓");
+        w.save(&mut 7u8);
+        w.save(&mut 0xDEAD_BEEFu32);
+        w.save(&mut { u64::MAX });
+        w.save(&mut (1u128 << 100));
+        w.save(&mut -42i64);
+        w.save(&mut -0.0f64);
+        w.save(&mut { f64::INFINITY });
+        w.save(&mut true);
+        w.save(&mut "hello ✓".to_owned());
         w.put_bytes(&[1, 2, 3]);
-        w.put_time(Time::from_ns(5));
-        w.put_duration(Duration::from_us(9));
-        w.put_opt_time(None);
-        w.put_opt_time(Some(Time::from_ps(1)));
+        w.save(&mut Time::from_ns(5));
+        w.save(&mut Duration::from_us(9));
+        w.save(&mut None::<Time>);
+        w.save(&mut Some(Time::from_ps(1)));
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64().unwrap(), u64::MAX);
-        assert_eq!(r.get_u128().unwrap(), 1 << 100);
-        assert_eq!(r.get_i64().unwrap(), -42);
-        assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(r.get_f64().unwrap(), f64::INFINITY);
-        assert!(r.get_bool().unwrap());
-        assert_eq!(r.get_str().unwrap(), "hello ✓");
+        assert_eq!(r.load(0u8).unwrap(), 7);
+        assert_eq!(r.load(0u32).unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.load(0u64).unwrap(), u64::MAX);
+        assert_eq!(r.load(0u128).unwrap(), 1 << 100);
+        assert_eq!(r.load(0i64).unwrap(), -42);
+        assert_eq!(r.load(0f64).unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(r.load(0f64).unwrap(), f64::INFINITY);
+        assert!(r.load(false).unwrap());
+        assert_eq!(r.load(String::new()).unwrap(), "hello ✓");
         assert_eq!(r.get_bytes().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.get_time().unwrap(), Time::from_ns(5));
-        assert_eq!(r.get_duration().unwrap(), Duration::from_us(9));
-        assert_eq!(r.get_opt_time().unwrap(), None);
-        assert_eq!(r.get_opt_time().unwrap(), Some(Time::from_ps(1)));
+        assert_eq!(r.load(Time::ZERO).unwrap(), Time::from_ns(5));
+        assert_eq!(r.load(Duration::ZERO).unwrap(), Duration::from_us(9));
+        assert_eq!(r.load(Some(Time::ZERO)).unwrap(), None);
+        assert_eq!(r.load(None).unwrap(), Some(Time::from_ps(1)));
         assert!(r.is_exhausted());
     }
 
     #[test]
     fn reads_past_end_are_truncated_not_panics() {
         let mut r = SnapReader::new(&[1, 2]);
-        assert!(matches!(r.get_u64(), Err(RestoreError::Truncated { .. })));
+        assert!(matches!(r.load(0u64), Err(RestoreError::Truncated { .. })));
         // failed read consumes nothing
         assert_eq!(r.remaining(), 2);
-        assert_eq!(r.get_u8().unwrap(), 1);
+        assert_eq!(r.load(0u8).unwrap(), 1);
     }
 
     #[test]
     fn bad_bool_and_bad_utf8_are_malformed() {
         let mut r = SnapReader::new(&[7]);
-        assert!(matches!(r.get_bool(), Err(RestoreError::Malformed { .. })));
+        assert!(matches!(r.load(false), Err(RestoreError::Malformed { .. })));
         let mut w = SnapWriter::new();
-        w.put_u32(2);
+        w.save(&mut 2u32);
         let mut bytes = w.into_bytes();
         bytes.extend_from_slice(&[0xFF, 0xFE]);
         let mut r = SnapReader::new(&bytes);
-        assert!(matches!(r.get_str(), Err(RestoreError::Malformed { .. })));
+        assert!(matches!(
+            r.load(String::new()),
+            Err(RestoreError::Malformed { .. })
+        ));
     }
 
     #[test]
     fn container_round_trips_and_verifies() {
         let mut b = SnapshotBuilder::new();
-        b.section("alpha", |w| w.put_u64(11));
+        b.section("alpha", |w| w.save(&mut 11u64));
         b.section("beta", |w| {
-            w.put_str("two");
-            w.put_f64(2.5);
+            w.save(&mut "two".to_owned());
+            w.save(&mut 2.5f64);
         });
         let bytes = b.finish();
         let file = SnapshotFile::parse(&bytes).expect("parses");
@@ -1166,10 +1029,10 @@ mod tests {
         let names: Vec<&str> = file.sections().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["alpha", "beta"]);
         let mut r = file.section("alpha").unwrap();
-        assert_eq!(r.get_u64().unwrap(), 11);
+        assert_eq!(r.load(0u64).unwrap(), 11);
         let mut r = file.section("beta").unwrap();
-        assert_eq!(r.get_str().unwrap(), "two");
-        assert_eq!(r.get_f64().unwrap(), 2.5);
+        assert_eq!(r.load(String::new()).unwrap(), "two");
+        assert_eq!(r.load(0f64).unwrap(), 2.5);
         assert!(matches!(
             file.section("gamma"),
             Err(RestoreError::MissingSection { .. })
@@ -1228,8 +1091,8 @@ mod tests {
     fn every_payload_bit_flip_is_caught() {
         let mut b = SnapshotBuilder::new();
         b.section("s", |w| {
-            w.put_u64(0x0123_4567_89AB_CDEF);
-            w.put_str("payload");
+            w.save(&mut 0x0123_4567_89AB_CDEFu64);
+            w.save(&mut "payload".to_owned());
         });
         let bytes = b.finish();
         let file = SnapshotFile::parse(&bytes).expect("pristine parses");
@@ -1265,8 +1128,8 @@ mod tests {
     #[test]
     fn header_json_is_deterministic_and_lists_sections() {
         let mut b = SnapshotBuilder::new();
-        b.section("one", |w| w.put_u64(1));
-        b.section("two", |w| w.put_u64(2));
+        b.section("one", |w| w.save(&mut 1u64));
+        b.section("two", |w| w.save(&mut 2u64));
         let bytes = b.finish();
         let file = SnapshotFile::parse(&bytes).expect("parses");
         let j = file.header_json();
@@ -1280,7 +1143,7 @@ mod tests {
     #[test]
     fn vec_restore_rejects_absurd_lengths() {
         let mut w = SnapWriter::new();
-        w.put_u64(u64::MAX);
+        w.save(&mut { u64::MAX });
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         let got = Vec::<u64>::new().persist(&mut r);

@@ -585,13 +585,13 @@ mod tests {
         }
         // a node timestamped before the clock is refused
         let mut sw = SnapWriter::new();
-        sw.put_u64(1000); // cur
-        sw.put_u64(1); // scheduled_total
-        sw.put_usize(0); // ready
-        sw.put_usize(1); // nodes
-        sw.put_u64(999); // before cur
-        sw.put_u64(0);
-        sw.put_u64(7);
+        sw.save(&mut 1000u64); // cur
+        sw.save(&mut 1u64); // scheduled_total
+        sw.save(&mut 0usize); // ready
+        sw.save(&mut 1usize); // nodes
+        sw.save(&mut 999u64); // before cur
+        sw.save(&mut 0u64);
+        sw.save(&mut 7u64);
         assert!(matches!(
             unsnap(&sw.into_bytes()),
             Err(RestoreError::Malformed { .. })
