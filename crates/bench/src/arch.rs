@@ -66,7 +66,7 @@ pub fn e01_hierarchy(run: &ExpRun) -> Table {
         for &(s, d) in &pairs {
             let r = tree.route(NodeId(s), NodeId(d));
             tree_lat += tree_cost.latency(&r, halo).as_ns_f64();
-            tree_stats.record(&r, halo, &tree_cost);
+            tree_stats.record(&r, halo, tree_cost.energy(&r, halo));
         }
 
         let flat = CrossbarTopology::new(w);
@@ -77,7 +77,7 @@ pub fn e01_hierarchy(run: &ExpRun) -> Table {
         for &(s, d) in &pairs {
             let r = flat.route(NodeId(s), NodeId(d));
             flat_lat += flat_cost.latency(&r, halo).as_ns_f64();
-            flat_stats.record(&r, halo, &flat_cost);
+            flat_stats.record(&r, halo, flat_cost.energy(&r, halo));
         }
 
         let n = pairs.len() as f64;

@@ -689,7 +689,10 @@ impl<'a> CellSim<'a> {
 /// its telemetry. Pair with a section of a versioned [`SnapshotBuilder`]
 /// stream for checksummed storage. A load refuses a snapshot that
 /// disagrees with this cell's build configuration (tenant set, lane
-/// count, kernel mix, fault and telemetry arming).
+/// count, kernel mix, fault and telemetry arming), and an in-flight
+/// ledger no lane schedule could produce: a completion that is not after
+/// now, or that is not a lane's `free_at` left for it by an earlier
+/// batch (so also more in-flight batches than lanes).
 impl Persist for CellSim<'_> {
     fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
         io.expect(self.ids.len(), "tenant count")?;
@@ -706,6 +709,10 @@ impl Persist for CellSim<'_> {
         }
         let (now, seq, mix) = (self.now, self.seq, self.cfg.kernels.len());
         let (mut i, mut prev_seq) = (0, None);
+        // Each in-flight batch holds its own lane until it completes, and
+        // dispatch set that lane's `free_at` to the completion time.
+        let free_at = &self.free_at;
+        let mut held = vec![false; free_at.len()];
         io.vec(&mut self.in_flight, "in-flight batches", |io, batch| {
             let (t, s, b) = batch;
             io.time(t)?;
@@ -713,6 +720,13 @@ impl Persist for CellSim<'_> {
             io.ensure(t > now, || {
                 format!("in-flight batch {i} completes at {t}, not after now")
             })?;
+            let lane = (0..free_at.len()).find(|&l| !held[l] && free_at[l] == t);
+            io.ensure(lane.is_some(), || {
+                format!("in-flight batch {i} completes at {t}, when no unclaimed lane frees")
+            })?;
+            if let Some(l) = lane {
+                held[l] = true;
+            }
             io.u64(s)?;
             io.ensure(prev_seq.is_none_or(|p| p < *s) && *s < seq, || {
                 format!("in-flight sequence unsorted at {i}")
@@ -1157,6 +1171,46 @@ mod tests {
             resume(&other, &bytes),
             Err(RestoreError::Malformed { .. })
         ));
+    }
+
+    #[test]
+    fn resume_refuses_an_in_flight_ledger_no_lane_could_hold() {
+        let cfg = quick_cfg();
+        let ids = partition_tenants(&cfg).swap_remove(0);
+        let own = detached(&cfg);
+        let mut cell = CellSim::new(&own, ids.clone());
+        let mut at = Time::from_us(20);
+        while {
+            cell.run(Some(at));
+            cell.in_flight.is_empty()
+        } {
+            at += Duration::from_us(5);
+        }
+        let load = |cell: &mut CellSim<'_>| {
+            let mut w = SnapWriter::new();
+            w.save(cell);
+            let mut fresh = CellSim::new(&own, ids.clone());
+            fresh.persist(&mut SnapReader::new(&w.into_bytes()))
+        };
+        let refused = |got: Result<(), RestoreError>, what: &str| match got {
+            Err(RestoreError::Malformed { context }) => {
+                assert!(context.contains("no unclaimed lane"), "{what}: {context}")
+            }
+            other => panic!("{what} gave {other:?}"),
+        };
+        assert!(load(&mut cell).is_ok());
+        // a completion one picosecond after its lane frees
+        let t = cell.in_flight[0].0;
+        cell.in_flight[0].0 = t + Duration::from_ps(1);
+        refused(load(&mut cell), "a completion no lane frees at");
+        cell.in_flight[0].0 = t;
+        // more batches in flight than lanes, all due when the first is
+        let batch = cell.in_flight[0].2.clone();
+        for _ in 0..cell.free_at.len() {
+            cell.in_flight.push((t, cell.seq, batch.clone()));
+            cell.seq += 1;
+        }
+        refused(load(&mut cell), "more in-flight batches than lanes");
     }
 
     #[test]

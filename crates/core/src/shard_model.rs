@@ -17,14 +17,13 @@
 //! count.
 
 use ecoscale_mem::{CacheConfig, DramModel, GlobalAddr, UnimemSystem};
-use ecoscale_noc::{CostModel, Network, NetworkConfig, NodeId, Topology, TreeTopology};
+use ecoscale_noc::{CostModel, Network, NetworkConfig, NodeId, Route, Topology, TreeTopology};
 use ecoscale_runtime::{partitioned_traces, CpuModel, TaskSpec};
 use ecoscale_sim::check::CheckPlane;
 use ecoscale_sim::prof::{Profiler, ShardOccupancy};
 use ecoscale_sim::shard::{ClusterCtx, ClusterModel, ShardedEngine};
 use ecoscale_sim::{
-    Duration, Energy, MetricsRegistry, SimRng, StopReason, Time, TimeSeries, TraceBuffer, Tracer,
-    TrackId,
+    Duration, Energy, MetricsRegistry, SimRng, StopReason, Time, TimeSeries, TraceBuffer, TrackId,
 };
 
 /// Occupancy band widths every shard run accounts for (clamped to the
@@ -131,8 +130,13 @@ pub struct ClusterSimModel {
     rng: SimRng,
     global_topo: TreeTopology,
     global_cost: CostModel,
+    /// Global-NoC route to each destination cluster, computed on the
+    /// first message there (`None` until then).
+    transit_routes: Vec<Option<Route>>,
     next_free: Vec<Time>,
-    tracer: Tracer,
+    /// This cluster's task spans. The cluster alone writes it, so it
+    /// needs no lock; the outcome drains it after the run.
+    spans: TraceBuffer,
     tracks: Vec<TrackId>,
     completed: u64,
     remote_requests: u64,
@@ -143,9 +147,9 @@ pub struct ClusterSimModel {
 
 impl ClusterSimModel {
     fn new(cluster: usize, cfg: &ShardSimConfig, trace: Vec<TaskSpec>) -> ClusterSimModel {
-        let tracer = Tracer::buffering();
+        let mut spans = TraceBuffer::default();
         let tracks = (0..cfg.workers_per_cluster)
-            .map(|w| tracer.track(&format!("c{cluster}/w{w}")))
+            .map(|w| spans.track(&format!("c{cluster}/w{w}")))
             .collect();
         ClusterSimModel {
             cluster,
@@ -166,8 +170,9 @@ impl ClusterSimModel {
             rng: SimRng::seed_from(cfg.seed ^ 0x5AA5 ^ ((cluster as u64) << 32)),
             global_topo: cfg.topology(),
             global_cost: CostModel::ecoscale_defaults(),
+            transit_routes: vec![None; cfg.clusters],
             next_free: vec![Time::ZERO; cfg.workers_per_cluster],
-            tracer,
+            spans,
             tracks,
             completed: 0,
             remote_requests: 0,
@@ -180,11 +185,11 @@ impl ClusterSimModel {
     /// Transit latency of `bytes` between this cluster and `dst` over the
     /// global NoC (representative leaf pair; in a two-level tree every
     /// inter-cluster pair crosses the same ladder).
-    fn transit(&self, dst: usize, bytes: u64) -> Duration {
-        let src = NodeId(self.cluster * self.workers);
-        let to = NodeId(dst * self.workers);
-        self.global_cost
-            .latency(&self.global_topo.route(src, to), bytes)
+    fn transit(&mut self, dst: usize, bytes: u64) -> Duration {
+        let (topo, workers, src) = (&self.global_topo, self.workers, self.cluster);
+        let route = self.transit_routes[dst]
+            .get_or_insert_with(|| topo.route(NodeId(src * workers), NodeId(dst * workers)));
+        self.global_cost.latency(route, bytes)
     }
 
     /// Execution cost of trace task `i` on a Worker CPU.
@@ -295,7 +300,7 @@ impl ClusterModel for ClusterSimModel {
                 let (d, _) = self.exec_cost(task);
                 if let Some(&track) = self.tracks.get(worker as usize) {
                     let start = Time::from_ps(now.as_ps().saturating_sub(d.as_ps()));
-                    self.tracer.complete(track, "task", start, d);
+                    self.spans.complete(track, "task", start, d);
                 }
             }
         }
@@ -436,11 +441,11 @@ fn run_shard_sim_inner(
     let mut trace = TraceBuffer::default();
     let mut completed = 0;
     for c in 0..cfg.clusters {
-        let model = engine.model(c);
+        let model = engine.model_mut(c);
         model.export_metrics(&mut metrics);
         completed += model.completed;
         model.mem.check_invariants(cp);
-        trace.merge(model.tracer.take());
+        trace.merge(std::mem::take(&mut model.spans));
     }
     let occupancy = engine
         .occupancy()

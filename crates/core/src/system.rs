@@ -561,7 +561,9 @@ impl EcoscaleSystem {
         let lat = self.workers[worker.0].load_module(&self.library, id)?;
         self.clock += lat;
         if let Some(&track) = self.fabric_tracks.get(worker.0) {
-            self.tracer.complete(track, function, start, lat);
+            if self.tracer.is_enabled() {
+                self.tracer.complete(track, function.to_owned(), start, lat);
+            }
         }
         Ok(lat)
     }
@@ -846,7 +848,10 @@ impl EcoscaleSystem {
             DeviceClass::FpgaRemote => self.calls_fpga_remote.incr(),
         }
         if let Some(&track) = self.worker_tracks.get(worker.0) {
-            self.tracer.complete(track, function, started, cost.latency);
+            if self.tracer.is_enabled() {
+                let name = function.to_owned();
+                self.tracer.complete(track, name, started, cost.latency);
+            }
         }
         self.workers[worker.0].history_mut().record(
             function,

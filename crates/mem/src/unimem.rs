@@ -28,7 +28,8 @@ use crate::addr::GlobalAddr;
 use crate::cache::{Cache, CacheAccess, CacheConfig};
 use crate::dram::DramModel;
 
-/// How an access was satisfied.
+/// How an access was satisfied. The discriminants index the per-kind
+/// counters, in `ALL_KINDS` order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Hit in the cache at the page's cache home.
@@ -132,6 +133,9 @@ impl UnimemDirectory {
 
     /// The single node allowed to cache `addr`'s page.
     pub fn cache_home(&self, addr: GlobalAddr) -> NodeId {
+        if self.overrides.is_empty() {
+            return addr.home();
+        }
         self.overrides
             .get(&(addr.home(), addr.page()))
             .copied()
@@ -231,7 +235,8 @@ pub struct UnimemSystem {
     dram: DramModel,
     cache_hit_latency: Duration,
     cache_energy_per_byte: Energy,
-    kind_counts: HashMap<AccessKind, u64>,
+    /// Accesses served per kind, indexed by `AccessKind as usize`.
+    kind_counts: [u64; ALL_KINDS.len()],
     /// Functional storage for atomics (word-granular; ordinary
     /// loads/stores are cost-only, but synchronization words must be
     /// real so fetch-and-add races resolve deterministically).
@@ -248,7 +253,7 @@ impl UnimemSystem {
             dram,
             cache_hit_latency: Duration::from_ns(2),
             cache_energy_per_byte: Energy::from_pj(1.0),
-            kind_counts: HashMap::new(),
+            kind_counts: [0; ALL_KINDS.len()],
             atomics: HashMap::new(),
         }
     }
@@ -274,7 +279,7 @@ impl UnimemSystem {
 
     /// How many accesses of each kind have been served.
     pub fn count(&self, kind: AccessKind) -> u64 {
-        self.kind_counts.get(&kind).copied().unwrap_or(0)
+        self.kind_counts[kind as usize]
     }
 
     /// Folds UNIMEM instruments into `m` under `prefix`: one counter
@@ -393,7 +398,7 @@ impl UnimemSystem {
     }
 
     fn bump(&mut self, kind: AccessKind) {
-        *self.kind_counts.entry(kind).or_insert(0) += 1;
+        self.kind_counts[kind as usize] += 1;
     }
 
     fn access<T: Topology>(
@@ -596,13 +601,7 @@ impl Persist for UnimemSystem {
             c.persist(io)?;
         }
         for kind in ALL_KINDS {
-            let mut n = self.count(kind);
-            io.u64(&mut n)?;
-            if n > 0 {
-                self.kind_counts.insert(kind, n);
-            } else {
-                self.kind_counts.remove(&kind);
-            }
+            io.u64(&mut self.kind_counts[kind as usize])?;
         }
         io.sorted_map(&mut self.atomics, "atomic words")
     }
@@ -612,6 +611,13 @@ impl Persist for UnimemSystem {
 mod tests {
     use super::*;
     use ecoscale_noc::{NetworkConfig, TreeTopology};
+
+    #[test]
+    fn kinds_index_their_counters_in_snapshot_order() {
+        for (i, kind) in ALL_KINDS.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
+        }
+    }
 
     fn setup() -> (Network<TreeTopology>, UnimemSystem) {
         let net = Network::new(TreeTopology::new(&[4, 4]), NetworkConfig::default());

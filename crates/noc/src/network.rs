@@ -10,9 +10,11 @@
 //! * **virtual cut-through** — serialization is charged once at the
 //!   bottleneck link and other links are held only for the header time.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ecoscale_sim::check::{invariant, CheckPlane};
+use ecoscale_sim::hash::FxHashMap;
 use ecoscale_sim::{
     fault::salt, CampaignSpec, Counter, Duration, Energy, FaultClock, Histogram, MetricsRegistry,
     OnlineStats, Persist, ProbFault, RestoreError, SimRng, SnapIo, Time, TraceBuffer, Tracer,
@@ -65,7 +67,9 @@ pub struct Delivery {
 /// transfer in flight when it comes due and multiplies that link's
 /// serialization time by the campaign's slowdown factor for a fixed
 /// window (a flapping or retraining link). Independently, every delivery
-/// is corrupted with the campaign's per-message probability.
+/// is corrupted with the campaign's per-message probability. The windows
+/// themselves live in the network's link slots
+/// ([`LinkSlot::degraded_until`]).
 #[derive(Debug, Default)]
 struct LinkFaultModel {
     degrade_clock: FaultClock,
@@ -73,11 +77,100 @@ struct LinkFaultModel {
     corrupt: ProbFault,
     degrade_for: Duration,
     slowdown: f64,
-    /// Links currently degraded, and when they recover.
-    degraded: HashMap<LinkId, Time>,
     degrade_events: Counter,
     degraded_hops: Counter,
     corrupted: Counter,
+}
+
+/// The state of one link, in the dense slot a memoised route gave it
+/// when it first named the link.
+#[derive(Debug, Clone)]
+struct LinkSlot {
+    link: LinkId,
+    /// When the link is next free; `None` until a message holds it.
+    free_at: Option<Time>,
+    /// Cumulative busy time (the intervals a message held the link), the
+    /// basis of per-link utilization; `None` until a message holds it.
+    busy: Option<Duration>,
+    /// The link's `noc/<link>` trace track, made on its first traced use.
+    track: Option<TrackId>,
+    /// When a fault campaign's latest degradation of the link ends.
+    degraded_until: Option<Time>,
+}
+
+/// A memoised route and the slot of each hop's link, in hop order.
+#[derive(Debug)]
+struct MemoRoute {
+    route: Route,
+    slots: Vec<u32>,
+}
+
+/// Per-link state in dense slots, and the map from a link to its slot.
+/// Only a route-memo miss or a snapshot load looks a link up; transfers
+/// index slots through their memoised route.
+#[derive(Debug, Default)]
+struct LinkTable {
+    slots: Vec<LinkSlot>,
+    /// Slot of each link; the metrics export walks it in ascending
+    /// [`LinkId`] order (the snapshot sorts its own link maps).
+    slot_of: BTreeMap<LinkId, u32>,
+}
+
+impl LinkTable {
+    /// The slot of `link`, giving it a fresh one on first sight.
+    fn slot(&mut self, link: LinkId) -> u32 {
+        let next = self.slots.len() as u32;
+        let slot = *self.slot_of.entry(link).or_insert(next);
+        if slot == next {
+            self.slots.push(LinkSlot {
+                link,
+                free_at: None,
+                busy: None,
+                track: None,
+                degraded_until: None,
+            });
+        }
+        slot
+    }
+
+    /// The state of `link`, in a fresh slot on first sight.
+    fn slot_mut(&mut self, link: LinkId) -> &mut LinkSlot {
+        let slot = self.slot(link);
+        &mut self.slots[slot as usize]
+    }
+
+    fn get(&self, link: LinkId) -> Option<&LinkSlot> {
+        self.slot_of.get(&link).map(|&s| &self.slots[s as usize])
+    }
+
+    /// Slots in ascending [`LinkId`] order.
+    fn ascending(&self) -> impl Iterator<Item = &LinkSlot> + '_ {
+        self.slot_of.values().map(|&s| &self.slots[s as usize])
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.slot_of.clear();
+    }
+}
+
+impl LinkSlot {
+    /// Records that a message held this link from `from` until `until`:
+    /// the link's next free time, its busy time and, when tracing, an
+    /// `xfer` span on the link's track.
+    #[inline]
+    fn hold(&mut self, tracer: &Tracer, from: Time, until: Time) {
+        let held = until - from;
+        self.free_at = Some(until);
+        self.busy = Some(self.busy.unwrap_or(Duration::ZERO) + held);
+        if tracer.is_enabled() {
+            let link = self.link;
+            let track = *self
+                .track
+                .get_or_insert_with(|| tracer.track(&format!("noc/{link}")));
+            tracer.complete(track, "xfer", from, held);
+        }
+    }
 }
 
 /// A contention-aware network instance.
@@ -98,21 +191,18 @@ struct LinkFaultModel {
 pub struct Network<T: Topology> {
     topo: T,
     config: NetworkConfig,
-    link_free_at: HashMap<LinkId, Time>,
+    links: LinkTable,
     stats: TrafficStats,
     /// Memoized routes per (src, dst) pair. Topologies are static between
     /// [`Network::invalidate_routes`] calls, and traffic patterns reuse
-    /// the same pairs heavily, so transfers skip recomputing the route.
-    route_memo: HashMap<(NodeId, NodeId), Route>,
+    /// the same pairs heavily, so transfers skip recomputing the route
+    /// and looking up its links. The one hashed lookup of a transfer.
+    route_memo: FxHashMap<(NodeId, NodeId), MemoRoute>,
     route_memo_hits: u64,
     route_memo_misses: u64,
     hop_hist: Histogram,
     queue_ns: OnlineStats,
-    /// Cumulative busy time per link (the intervals a link was held by a
-    /// message), the basis of per-link utilization.
-    link_busy: HashMap<LinkId, Duration>,
     tracer: Tracer,
-    link_tracks: HashMap<LinkId, TrackId>,
     faults: Option<LinkFaultModel>,
 }
 
@@ -122,16 +212,14 @@ impl<T: Topology> Network<T> {
         Network {
             topo,
             config,
-            link_free_at: HashMap::new(),
+            links: LinkTable::default(),
             stats: TrafficStats::new(),
-            route_memo: HashMap::new(),
+            route_memo: FxHashMap::default(),
             route_memo_hits: 0,
             route_memo_misses: 0,
             hop_hist: Histogram::new(),
             queue_ns: OnlineStats::new(),
-            link_busy: HashMap::new(),
             tracer: Tracer::disabled(),
-            link_tracks: HashMap::new(),
             faults: None,
         }
     }
@@ -143,6 +231,9 @@ impl<T: Topology> Network<T> {
     pub fn set_faults(&mut self, spec: &CampaignSpec) {
         let degrade = !spec.link_degrade_mtbf.is_zero();
         let corrupt = spec.packet_corrupt_p > 0.0;
+        for s in &mut self.links.slots {
+            s.degraded_until = None;
+        }
         self.faults = if degrade || corrupt {
             Some(LinkFaultModel {
                 degrade_clock: if degrade {
@@ -158,7 +249,6 @@ impl<T: Topology> Network<T> {
                 },
                 degrade_for: spec.link_degrade_for,
                 slowdown: spec.link_slowdown.max(1.0),
-                degraded: HashMap::new(),
                 degrade_events: Counter::new(),
                 degraded_hops: Counter::new(),
                 corrupted: Counter::new(),
@@ -186,7 +276,9 @@ impl<T: Topology> Network<T> {
     /// disabled and costs one branch per hop.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-        self.link_tracks.clear();
+        for s in &mut self.links.slots {
+            s.track = None;
+        }
     }
 
     /// Drains the tracer's buffered events (empty when disabled).
@@ -222,8 +314,26 @@ impl<T: Topology> Network<T> {
     /// the contention model to be meaningful; out-of-order submissions are
     /// allowed but see the link in its latest known state.
     pub fn transfer(&mut self, start: Time, src: NodeId, dst: NodeId, bytes: u64) -> Delivery {
-        let route = self.memoized_route(src, dst);
-        self.stats.record(&route, bytes, &self.config.cost);
+        let memo = match self.route_memo.entry((src, dst)) {
+            Entry::Occupied(e) => {
+                self.route_memo_hits += 1;
+                e.into_mut()
+            }
+            Entry::Vacant(e) => {
+                self.route_memo_misses += 1;
+                let route = self.topo.route(src, dst);
+                let slots = route.iter().map(|h| self.links.slot(h.link)).collect();
+                e.insert(MemoRoute { route, slots })
+            }
+        };
+        let route = &memo.route;
+        let cost = &self.config.cost;
+        let energy = if route.is_local() {
+            Energy::ZERO
+        } else {
+            cost.energy(route, bytes)
+        };
+        self.stats.record(route, bytes, energy);
         self.hop_hist.record(route.hop_count() as u64);
         if route.is_local() {
             self.queue_ns.record(0.0);
@@ -235,19 +345,18 @@ impl<T: Topology> Network<T> {
                 corrupted: false,
             };
         }
+        let links = &mut self.links.slots;
         // Drain due link-degradation events: each picks a hop of this
         // transfer's route and slows that link for a recovery window.
         if let Some(f) = &mut self.faults {
             while let Some(at) = f.degrade_clock.pop_due(start) {
                 f.degrade_events.incr();
-                let hops: Vec<LinkId> = route.iter().map(|h| h.link).collect();
-                let victim = hops[f.pick.gen_range_usize(0, hops.len())];
+                let victim = memo.slots[f.pick.gen_range_usize(0, memo.slots.len())];
                 let until = at + f.degrade_for;
-                let e = f.degraded.entry(victim).or_insert(until);
-                *e = (*e).max(until);
+                let window = &mut links[victim as usize].degraded_until;
+                *window = Some(window.map_or(until, |u| u.max(until)));
             }
         }
-        let energy = self.config.cost.energy(&route, bytes);
         let mut cursor = start;
         let mut queueing = Duration::ZERO;
         if self.config.cut_through {
@@ -255,27 +364,23 @@ impl<T: Topology> Network<T> {
             // bottleneck.
             let mut min_bw = u64::MAX;
             let mut degraded_any = false;
-            for hop in route.iter() {
-                let p = *self.config.cost.level_params(hop.level);
-                let free = self
-                    .link_free_at
-                    .get(&hop.link)
-                    .copied()
-                    .unwrap_or(Time::ZERO);
+            for (hop, &slot) in route.iter().zip(&memo.slots) {
+                let p = *cost.level_params(hop.level);
+                let link = &mut links[slot as usize];
+                let free = link.free_at.unwrap_or(Time::ZERO);
                 if free > cursor {
                     queueing += free - cursor;
                     cursor = free;
                 }
                 if let Some(f) = &mut self.faults {
-                    if f.degraded.get(&hop.link).is_some_and(|&u| u > cursor) {
+                    if link.degraded_until.is_some_and(|u| u > cursor) {
                         f.degraded_hops.incr();
                         degraded_any = true;
                     }
                 }
                 let held_from = cursor;
                 cursor += p.hop_latency;
-                self.link_free_at.insert(hop.link, cursor);
-                self.note_link_use(hop.link, held_from, cursor - held_from);
+                link.hold(&self.tracer, held_from, cursor);
                 min_bw = min_bw.min(p.bandwidth);
             }
             if bytes > 0 {
@@ -288,13 +393,10 @@ impl<T: Topology> Network<T> {
             }
         } else {
             // Store-and-forward: each link serializes the whole payload.
-            for hop in route.iter() {
-                let p = *self.config.cost.level_params(hop.level);
-                let free = self
-                    .link_free_at
-                    .get(&hop.link)
-                    .copied()
-                    .unwrap_or(Time::ZERO);
+            for (hop, &slot) in route.iter().zip(&memo.slots) {
+                let p = *cost.level_params(hop.level);
+                let link = &mut links[slot as usize];
+                let free = link.free_at.unwrap_or(Time::ZERO);
                 if free > cursor {
                     queueing += free - cursor;
                     cursor = free;
@@ -304,25 +406,27 @@ impl<T: Topology> Network<T> {
                 if bytes > 0 {
                     let mut ser = Duration::from_bytes_at_bandwidth(bytes, p.bandwidth);
                     if let Some(f) = &mut self.faults {
-                        if f.degraded.get(&hop.link).is_some_and(|&u| u > cursor) {
+                        if link.degraded_until.is_some_and(|u| u > cursor) {
                             f.degraded_hops.incr();
                             ser = ser.mul_f64(f.slowdown);
                         }
                     }
                     cursor += ser;
                 }
-                self.link_free_at.insert(hop.link, cursor);
-                self.note_link_use(hop.link, held_from, cursor - held_from);
+                link.hold(&self.tracer, held_from, cursor);
             }
         }
         self.queue_ns.record(queueing.as_ns_f64());
         let corrupted = match &mut self.faults {
-            Some(f) => f.corrupt.strikes(),
+            Some(f) => {
+                let hit = f.corrupt.strikes();
+                if hit {
+                    f.corrupted.incr();
+                }
+                hit
+            }
             None => false,
         };
-        if corrupted {
-            self.faults.as_mut().expect("faults armed").corrupted.incr();
-        }
         Delivery {
             arrival: cursor,
             energy,
@@ -332,26 +436,12 @@ impl<T: Topology> Network<T> {
         }
     }
 
-    /// Records one link occupancy interval: accumulates per-link busy
-    /// time and, when tracing, emits a span on the link's track.
-    fn note_link_use(&mut self, link: LinkId, from: Time, held: Duration) {
-        *self.link_busy.entry(link).or_insert(Duration::ZERO) += held;
-        if self.tracer.is_enabled() {
-            let track = match self.link_tracks.get(&link) {
-                Some(&t) => t,
-                None => {
-                    let t = self.tracer.track(&format!("noc/{link}"));
-                    self.link_tracks.insert(link, t);
-                    t
-                }
-            };
-            self.tracer.complete(track, "xfer", from, held);
-        }
-    }
-
     /// Cumulative busy time of `link` so far.
     pub fn link_busy(&self, link: LinkId) -> Duration {
-        self.link_busy.get(&link).copied().unwrap_or(Duration::ZERO)
+        self.links
+            .get(link)
+            .and_then(|s| s.busy)
+            .unwrap_or(Duration::ZERO)
     }
 
     /// Folds NoC instruments into `m` under `prefix`: message/byte
@@ -371,12 +461,11 @@ impl<T: Topology> Network<T> {
         m.add(&format!("{prefix}.byte_hops"), self.stats.byte_hops());
         m.merge_hist(&format!("{prefix}.hops"), &self.hop_hist);
         m.merge_stats(&format!("{prefix}.queue_ns"), &self.queue_ns);
-        m.add(&format!("{prefix}.links_used"), self.link_busy.len() as u64);
+        let busy: Vec<Duration> = self.links.ascending().filter_map(|s| s.busy).collect();
+        m.add(&format!("{prefix}.links_used"), busy.len() as u64);
         let busy_name = format!("{prefix}.link_busy_us");
-        let mut links: Vec<(&LinkId, &Duration)> = self.link_busy.iter().collect();
-        links.sort_by_key(|(id, _)| **id);
-        for (_, busy) in links {
-            m.record(&busy_name, busy.as_ns() / 1_000);
+        for b in busy {
+            m.record(&busy_name, b.as_ns() / 1_000);
         }
         m.add(&format!("{prefix}.route_memo_hits"), self.route_memo_hits);
         m.add(
@@ -395,18 +484,6 @@ impl<T: Topology> Network<T> {
         self.topo.route(src, dst)
     }
 
-    /// Route lookup through the per-(src, dst) memo.
-    fn memoized_route(&mut self, src: NodeId, dst: NodeId) -> Route {
-        if let Some(r) = self.route_memo.get(&(src, dst)) {
-            self.route_memo_hits += 1;
-            return r.clone();
-        }
-        self.route_memo_misses += 1;
-        let r = self.topo.route(src, dst);
-        self.route_memo.insert((src, dst), r.clone());
-        r
-    }
-
     /// Transfers served from the route memo / computed fresh.
     pub fn route_memo_stats(&self) -> (u64, u64) {
         (self.route_memo_hits, self.route_memo_misses)
@@ -414,31 +491,46 @@ impl<T: Topology> Network<T> {
 
     /// Drops all memoized routes. Call after reconfiguring the topology
     /// (e.g. remapping a failed link) so stale paths are never reused.
+    /// Link state is kept: a link keeps its slot.
     pub fn invalidate_routes(&mut self) {
         self.route_memo.clear();
     }
 
     /// CheckPlane hook: asserts the optimized transfer path's caches and
     /// accounting agree with first principles. Read-only; early-outs when
-    /// `cp` is disabled.
+    /// `cp` is disabled. One check per memoised route and per busy link,
+    /// plus three, so an armed run counts as many checks as before link
+    /// state moved into slots (armed snapshots carry the count).
     ///
     /// * `noc.route_memo_fresh` — every memoized route equals a fresh
     ///   computation on the topology.
     /// * `noc.conservation` — every transfer is counted exactly once in the
     ///   hop histogram and queueing stats, and the memo counters cover at
     ///   least every recorded message (they survive [`Network::reset`]).
-    /// * `noc.link_bookkeeping` — busy-time and free-at maps track the same
-    ///   link set.
+    /// * `noc.link_bookkeeping` — every memoised route's slots hold the
+    ///   fresh route's links, hop by hop, and every busy link's slot maps
+    ///   back to it and has an occupancy record.
     pub fn check_invariants(&self, cp: &mut CheckPlane) {
         if !cp.is_enabled() {
             return;
         }
-        for (&(src, dst), route) in &self.route_memo {
-            cp.check(
-                invariant::NOC_ROUTE_MEMO_FRESH,
-                self.topo.route(src, dst) == *route,
-                || format!("memoized route {src} -> {dst} is stale"),
-            );
+        let slots = &self.links.slots;
+        for (&(src, dst), memo) in &self.route_memo {
+            let fresh = self.topo.route(src, dst);
+            let slots_agree = memo.slots.len() == fresh.hop_count() as usize
+                && fresh
+                    .iter()
+                    .zip(&memo.slots)
+                    .all(|(h, &s)| slots.get(s as usize).is_some_and(|l| l.link == h.link));
+            // one check per route: a stale route, else stale slots
+            let (inv, what) = if fresh == memo.route {
+                (invariant::NOC_LINK_BOOKKEEPING, "has stale link slots")
+            } else {
+                (invariant::NOC_ROUTE_MEMO_FRESH, "is stale")
+            };
+            cp.check(inv, fresh == memo.route && slots_agree, || {
+                format!("memoized route {src} -> {dst} {what}")
+            });
         }
         let messages = self.stats.messages();
         cp.check(
@@ -471,63 +563,106 @@ impl<T: Topology> Network<T> {
                 )
             },
         );
-        for link in self.link_busy.keys() {
+        for (i, s) in slots.iter().enumerate().filter(|(_, s)| s.busy.is_some()) {
+            let link = s.link;
             cp.check(
                 invariant::NOC_LINK_BOOKKEEPING,
-                self.link_free_at.contains_key(link),
-                || format!("{link} has busy-time but no occupancy record"),
+                self.links.slot_of.get(&link) == Some(&(i as u32)) && s.free_at.is_some(),
+                || format!("{link} in slot {i} is not found there, or has no occupancy record"),
             );
         }
     }
 
     /// Clears link occupancy, statistics, instruments and memoized
-    /// routes. The tracer (if any) is kept but its per-link track cache
-    /// is rebuilt lazily.
+    /// routes. The tracer (if any) is kept; a link's track is found again
+    /// by name on its next traced use.
     pub fn reset(&mut self) {
-        self.link_free_at.clear();
+        self.links.clear();
         self.stats = TrafficStats::new();
         self.hop_hist = Histogram::new();
         self.queue_ns = OnlineStats::new();
-        self.link_busy.clear();
-        if let Some(f) = &mut self.faults {
-            f.degraded.clear();
-        }
         self.invalidate_routes();
     }
 }
 
 /// Link occupancy and busy time (in ascending link order), traffic
 /// statistics, the memoized route *keys*, instruments, and the fault
-/// model's RNG streams and degradation windows. The tracer and its track
-/// cache are host-facing and not in the stream.
+/// model's RNG streams and degradation windows. The tracer and its
+/// tracks are host-facing and not in the stream.
 ///
 /// Routes are recomputed from the live topology on load, so the memo
 /// can never go stale across a snapshot: the stream holds the memo's
-/// canonical form, its key set, and loading rebuilds the map from it.
+/// canonical form, its key set, and loading rebuilds the map and the
+/// link slots from it and the link maps. A load refuses a memoised
+/// route naming a node out of range.
 impl<T: Topology> Persist for Network<T> {
     fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
-        io.sorted_map(&mut self.link_free_at, "occupied links")?;
+        let mut occupied = BTreeMap::new();
+        let mut busy = BTreeMap::new();
+        let mut degraded = BTreeMap::new();
+        if !IO::LOADING {
+            for s in &self.links.slots {
+                if let Some(t) = s.free_at {
+                    occupied.insert(s.link, t);
+                }
+                if let Some(d) = s.busy {
+                    busy.insert(s.link, d);
+                }
+                if let Some(u) = s.degraded_until {
+                    degraded.insert(s.link, u);
+                }
+            }
+        }
+        io.sorted_map(&mut occupied, "occupied links")?;
         self.stats.persist(io)?;
         let mut memo: BTreeSet<(NodeId, NodeId)> = self.route_memo.keys().copied().collect();
         io.sorted_set(&mut memo, "memoized routes")?;
-        if IO::LOADING {
-            let topo = &self.topo;
-            self.route_memo = memo
-                .into_iter()
-                .map(|k| (k, topo.route(k.0, k.1)))
-                .collect();
+        let n = self.topo.num_nodes();
+        if let Some(&(src, dst)) = memo.iter().find(|(s, d)| s.0 >= n || d.0 >= n) {
+            io.ensure(false, || {
+                format!("memoized route {src} -> {dst} leaves the {n}-node topology")
+            })?;
         }
         io.u64(&mut self.route_memo_hits)?;
         io.u64(&mut self.route_memo_misses)?;
         self.hop_hist.persist(io)?;
         self.queue_ns.persist(io)?;
-        io.sorted_map(&mut self.link_busy, "busy links")?;
-        self.faults.persist(io)
+        io.sorted_map(&mut busy, "busy links")?;
+        io.option(&mut self.faults, |io, f| f.persist(io, &mut degraded))?;
+        if IO::LOADING {
+            let links = &mut self.links;
+            links.clear();
+            for (link, t) in occupied {
+                links.slot_mut(link).free_at = Some(t);
+            }
+            for (link, d) in busy {
+                links.slot_mut(link).busy = Some(d);
+            }
+            for (link, u) in degraded {
+                links.slot_mut(link).degraded_until = Some(u);
+            }
+            let topo = &self.topo;
+            self.route_memo = memo
+                .into_iter()
+                .map(|(src, dst)| {
+                    let route = topo.route(src, dst);
+                    let slots = route.iter().map(|h| links.slot(h.link)).collect();
+                    ((src, dst), MemoRoute { route, slots })
+                })
+                .collect();
+        }
+        Ok(())
     }
 }
 
-impl Persist for LinkFaultModel {
-    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+impl LinkFaultModel {
+    /// The model's fields, with the degradation windows (ascending by
+    /// link) that the network keeps in its link slots in `degraded`.
+    fn persist<IO: SnapIo>(
+        &mut self,
+        io: &mut IO,
+        degraded: &mut BTreeMap<LinkId, Time>,
+    ) -> Result<(), RestoreError> {
         self.degrade_clock.persist(io)?;
         self.pick.persist(io)?;
         self.corrupt.persist(io)?;
@@ -537,7 +672,7 @@ impl Persist for LinkFaultModel {
         io.ensure(slowdown.is_finite() && slowdown >= 1.0, || {
             format!("fault slowdown {slowdown} out of range")
         })?;
-        io.sorted_map(&mut self.degraded, "degraded links")?;
+        io.sorted_map(degraded, "degraded links")?;
         for c in [
             &mut self.degrade_events,
             &mut self.degraded_hops,
@@ -672,7 +807,8 @@ mod tests {
                 _ => Duration::ZERO,
             })
             .fold(Duration::ZERO, |a, b| a + b);
-        let busy: Duration = n.link_busy.values().fold(Duration::ZERO, |a, b| a + *b);
+        let busy: Duration =
+            (n.links.slots.iter().filter_map(|s| s.busy)).fold(Duration::ZERO, |a, b| a + b);
         assert_eq!(total, busy);
     }
 
@@ -831,6 +967,21 @@ mod tests {
                 n.persist(&mut r).is_err() || !r.is_exhausted(),
                 "truncated stream at {cut} restored fully"
             );
+        }
+    }
+
+    #[test]
+    fn a_memoised_route_off_the_topology_is_refused() {
+        let mut w = ecoscale_sim::SnapWriter::new();
+        w.save(&mut churned());
+        let bytes = w.into_bytes();
+        // the churned memo names nodes up to 15; this tree has 4
+        let mut small = Network::new(TreeTopology::new(&[2, 2]), NetworkConfig::default());
+        match small.persist(&mut ecoscale_sim::SnapReader::new(&bytes)) {
+            Err(RestoreError::Malformed { context }) => {
+                assert!(context.contains("leaves the 4-node topology"), "{context}")
+            }
+            other => panic!("got {other:?}"),
         }
     }
 

@@ -2,7 +2,6 @@
 
 use ecoscale_sim::{Energy, Histogram, Persist, RestoreError, SnapIo};
 
-use crate::cost::CostModel;
 use crate::topology::Route;
 
 /// Accumulated interconnect traffic statistics.
@@ -15,8 +14,10 @@ use crate::topology::Route;
 /// let topo = TreeTopology::new(&[4, 4]);
 /// let cost = CostModel::ecoscale_defaults();
 /// let mut stats = TrafficStats::new();
-/// stats.record(&topo.route(NodeId(0), NodeId(1)), 256, &cost);
-/// stats.record(&topo.route(NodeId(0), NodeId(14)), 256, &cost);
+/// for dst in [1, 14] {
+///     let route = topo.route(NodeId(0), NodeId(dst));
+///     stats.record(&route, 256, cost.energy(&route, 256));
+/// }
 /// assert_eq!(stats.messages(), 2);
 /// assert!(stats.bytes_at_level(1) > 0);
 /// ```
@@ -38,9 +39,10 @@ impl TrafficStats {
         TrafficStats::default()
     }
 
-    /// Records one message of `bytes` along `route`, charging energy with
-    /// `cost`.
-    pub fn record(&mut self, route: &Route, bytes: u64, cost: &CostModel) {
+    /// Records one message of `bytes` along `route` that was charged
+    /// `energy` ([`crate::CostModel::energy`] of the route; ignored for a local
+    /// route).
+    pub fn record(&mut self, route: &Route, bytes: u64, energy: Energy) {
         self.messages += 1;
         self.payload_bytes += bytes;
         self.hops.record(route.hop_count() as u64);
@@ -56,7 +58,7 @@ impl TrafficStats {
             self.bytes_per_level[lvl] += bytes;
             self.byte_hops += bytes;
         }
-        self.energy += cost.energy(route, bytes);
+        self.energy += energy;
     }
 
     /// Total messages recorded (including local ones).
@@ -140,18 +142,31 @@ impl Persist for TrafficStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
     use crate::topology::{NodeId, Topology, TreeTopology};
 
     fn setup() -> (TreeTopology, CostModel) {
         (TreeTopology::new(&[4, 4]), CostModel::ecoscale_defaults())
     }
 
+    /// Records `bytes` from `src` to `dst`, charged as the network does.
+    fn record(
+        s: &mut TrafficStats,
+        (t, c): (&TreeTopology, &CostModel),
+        src: usize,
+        dst: usize,
+        bytes: u64,
+    ) {
+        let route = t.route(NodeId(src), NodeId(dst));
+        s.record(&route, bytes, c.energy(&route, bytes));
+    }
+
     #[test]
     fn records_local_and_remote() {
         let (t, c) = setup();
         let mut s = TrafficStats::new();
-        s.record(&t.route(NodeId(0), NodeId(0)), 100, &c);
-        s.record(&t.route(NodeId(0), NodeId(1)), 100, &c);
+        record(&mut s, (&t, &c), 0, 0, 100);
+        record(&mut s, (&t, &c), 0, 1, 100);
         assert_eq!(s.messages(), 2);
         assert_eq!(s.local_messages(), 1);
         assert_eq!(s.payload_bytes(), 200);
@@ -166,7 +181,7 @@ mod tests {
         let mut s = TrafficStats::new();
         // crosses level 1: hops at levels [0, 1, 1, 0] -> wait, route is
         // up(l0), up(l1)... our tree: top=2 means hops levels 0,1 then 1,0.
-        s.record(&t.route(NodeId(0), NodeId(15)), 10, &c);
+        record(&mut s, (&t, &c), 0, 15, 10);
         assert_eq!(s.bytes_at_level(0), 20);
         assert_eq!(s.bytes_at_level(1), 20);
         assert_eq!(s.bytes_at_level(2), 0);
@@ -179,8 +194,8 @@ mod tests {
         let (t, c) = setup();
         let mut a = TrafficStats::new();
         let mut b = TrafficStats::new();
-        a.record(&t.route(NodeId(0), NodeId(1)), 50, &c);
-        b.record(&t.route(NodeId(0), NodeId(15)), 70, &c);
+        record(&mut a, (&t, &c), 0, 1, 50);
+        record(&mut b, (&t, &c), 0, 15, 70);
         let solo_energy = a.energy() + b.energy();
         a.merge(&b);
         assert_eq!(a.messages(), 2);

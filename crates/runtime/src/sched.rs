@@ -607,7 +607,7 @@ impl<'a> Run<'a> {
         if let Some(&track) = self.tracks.get(w) {
             self.sim
                 .tracer
-                .complete(track, spec.task.function(), start, d);
+                .complete(track, spec.task.function().to_owned(), start, d);
         }
         if let Some(track) = self.wait_track.filter(|_| waited > Duration::ZERO) {
             self.sim

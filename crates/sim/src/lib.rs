@@ -26,6 +26,8 @@
 //! * [`check`] — the CheckPlane: declarative cross-layer invariant
 //!   checks ([`CheckPlane`]) and a delta-debugging op-stream reducer,
 //!   zero-cost when disabled,
+//! * [`hash`] — a small deterministic hasher for hot-path integer-keyed
+//!   maps,
 //! * [`stats`] — counters, online moments, and log-binned histograms,
 //! * [`metrics`] — a deterministic [`MetricsRegistry`] of named
 //!   instruments with snapshot/merge semantics,
@@ -70,6 +72,7 @@
 pub mod check;
 pub mod energy;
 pub mod fault;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod pool;

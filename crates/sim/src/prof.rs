@@ -635,7 +635,12 @@ mod tests {
 
     fn span(t: &Tracer, track: &str, name: &str, start_ns: u64, dur_ns: u64) {
         let id = t.track(track);
-        t.complete(id, name, Time::from_ns(start_ns), Duration::from_ns(dur_ns));
+        t.complete(
+            id,
+            name.to_owned(),
+            Time::from_ns(start_ns),
+            Duration::from_ns(dur_ns),
+        );
     }
 
     #[test]

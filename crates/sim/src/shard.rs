@@ -513,6 +513,12 @@ impl<M: ClusterModel> ShardedEngine<M> {
         &self.clusters[c].model
     }
 
+    /// The model of cluster `c`, mutably: for draining what a model
+    /// accumulated (its trace buffer, say) after a run.
+    pub fn model_mut(&mut self, c: usize) -> &mut M {
+        &mut self.clusters[c].model
+    }
+
     /// Total events delivered across all clusters.
     pub fn events_processed(&self) -> u64 {
         self.windows.events

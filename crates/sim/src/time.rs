@@ -171,6 +171,21 @@ impl Time {
     }
 }
 
+/// `x * 1e12 / per_sec` picoseconds, saturating at `u64::MAX`. When the
+/// product fits in a `u64` the quotient is computed there; it equals the
+/// `u128` quotient exactly, so only an overflowing product pays for the
+/// wide division.
+#[inline]
+fn scale_ps(x: u64, per_sec: u64) -> u64 {
+    match x.checked_mul(1_000_000_000_000) {
+        Some(ps) => ps / per_sec,
+        None => {
+            let ps = (x as u128 * 1_000_000_000_000u128) / per_sec as u128;
+            ps.min(u64::MAX as u128) as u64
+        }
+    }
+}
+
 impl Duration {
     /// Computes a duration for transferring `bytes` over a link of
     /// `bytes_per_sec` bandwidth.
@@ -181,9 +196,7 @@ impl Duration {
     #[inline]
     pub fn from_bytes_at_bandwidth(bytes: u64, bytes_per_sec: u64) -> Self {
         assert!(bytes_per_sec > 0, "bandwidth must be positive");
-        // ps = bytes * 1e12 / (bytes/s); use u128 to avoid overflow.
-        let ps = (bytes as u128 * 1_000_000_000_000u128) / bytes_per_sec as u128;
-        Duration(ps.min(u64::MAX as u128) as u64)
+        Duration(scale_ps(bytes, bytes_per_sec))
     }
 
     /// Computes a duration for `cycles` cycles at `hz` clock frequency.
@@ -194,8 +207,7 @@ impl Duration {
     #[inline]
     pub fn from_cycles(cycles: u64, hz: u64) -> Self {
         assert!(hz > 0, "clock frequency must be positive");
-        let ps = (cycles as u128 * 1_000_000_000_000u128) / hz as u128;
-        Duration(ps.min(u64::MAX as u128) as u64)
+        Duration(scale_ps(cycles, hz))
     }
 
     /// Multiplies by a float scale factor, rounding to picoseconds.
@@ -365,6 +377,35 @@ impl fmt::Display for Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The conversion as it was before the `u64` fast path.
+    fn wide_ps(x: u64, per_sec: u64) -> u64 {
+        let ps = (x as u128 * 1_000_000_000_000u128) / per_sec as u128;
+        ps.min(u64::MAX as u128) as u64
+    }
+
+    #[test]
+    fn fast_conversions_match_the_wide_formula() {
+        let mut rng = crate::rng::SimRng::seed_from(0x71AE);
+        let edge = u64::MAX / 1_000_000_000_000;
+        let mut xs: Vec<u64> = vec![0, 1, edge - 1, edge, edge + 1, edge + 2, u64::MAX];
+        let mut rates: Vec<u64> = vec![1, 2, 3, 7, 1_000_000_000_000, u64::MAX];
+        for _ in 0..2000 {
+            // spread draws over every magnitude, not just the top bits
+            let bits = rng.gen_range_u64(0, 64) as u32;
+            xs.push(rng.next_u64() >> bits);
+            let bits = rng.gen_range_u64(0, 64) as u32;
+            rates.push((rng.next_u64() >> bits).max(1));
+        }
+        for &x in &xs {
+            for &r in rates.iter().step_by(37).chain(&rates[..6]) {
+                let want = wide_ps(x, r);
+                assert_eq!(scale_ps(x, r), want, "x={x} per_sec={r}");
+                assert_eq!(Duration::from_bytes_at_bandwidth(x, r).as_ps(), want);
+                assert_eq!(Duration::from_cycles(x, r).as_ps(), want);
+            }
+        }
+    }
 
     #[test]
     fn constructors_agree_across_units() {

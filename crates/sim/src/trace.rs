@@ -21,6 +21,7 @@
 //! digits, i.e. exact picoseconds — no float rounding, so output is
 //! deterministic.
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 use crate::json;
@@ -53,8 +54,9 @@ pub enum EventKind {
 pub struct TraceEvent {
     /// The track (lane) the event belongs to.
     pub track: TrackId,
-    /// Event name shown in the viewer.
-    pub name: String,
+    /// Event name shown in the viewer. A literal name is borrowed, so
+    /// recording it allocates nothing.
+    pub name: Cow<'static, str>,
     /// Simulated start time.
     pub ts: Time,
     /// Payload: span, instant, or counter sample.
@@ -83,6 +85,25 @@ impl TraceBuffer {
     /// Appends an event.
     pub fn push(&mut self, ev: TraceEvent) {
         self.events.push(ev);
+    }
+
+    /// Appends a span of length `dur` starting at `start`: what
+    /// [`Tracer::complete`] records, for a buffer its owner writes
+    /// directly (one cluster of the sharded model) with no lock.
+    #[inline]
+    pub fn complete(
+        &mut self,
+        track: TrackId,
+        name: impl Into<Cow<'static, str>>,
+        start: Time,
+        dur: Duration,
+    ) {
+        self.events.push(TraceEvent {
+            track,
+            name: name.into(),
+            ts: start,
+            kind: EventKind::Complete { dur },
+        });
     }
 
     /// Registered track names, indexed by [`TrackId`].
@@ -229,24 +250,27 @@ impl Tracer {
 
     /// Records a span of length `dur` starting at `start`.
     #[inline]
-    pub fn complete(&self, track: TrackId, name: &str, start: Time, dur: Duration) {
+    pub fn complete(
+        &self,
+        track: TrackId,
+        name: impl Into<Cow<'static, str>>,
+        start: Time,
+        dur: Duration,
+    ) {
         if let Some(buf) = &self.shared {
-            buf.lock().unwrap().push(TraceEvent {
-                track,
-                name: name.to_owned(),
-                ts: start,
-                kind: EventKind::Complete { dur },
-            });
+            buf.lock()
+                .expect("no recording thread panicked")
+                .complete(track, name, start, dur);
         }
     }
 
     /// Records an instant marker at `ts`.
     #[inline]
-    pub fn instant(&self, track: TrackId, name: &str, ts: Time) {
+    pub fn instant(&self, track: TrackId, name: impl Into<Cow<'static, str>>, ts: Time) {
         if let Some(buf) = &self.shared {
             buf.lock().unwrap().push(TraceEvent {
                 track,
-                name: name.to_owned(),
+                name: name.into(),
                 ts,
                 kind: EventKind::Instant,
             });
@@ -255,11 +279,17 @@ impl Tracer {
 
     /// Records a counter sample at `ts`.
     #[inline]
-    pub fn counter(&self, track: TrackId, name: &str, ts: Time, value: f64) {
+    pub fn counter(
+        &self,
+        track: TrackId,
+        name: impl Into<Cow<'static, str>>,
+        ts: Time,
+        value: f64,
+    ) {
         if let Some(buf) = &self.shared {
             buf.lock().unwrap().push(TraceEvent {
                 track,
-                name: name.to_owned(),
+                name: name.into(),
                 ts,
                 kind: EventKind::Counter { value },
             });

@@ -3,8 +3,9 @@
 #
 #   scripts/ci.sh            # full gate
 #   scripts/ci.sh --bless    # regenerate tests/golden/ schema snapshots,
-#                            # the pinned `exp_all` stdout (quick and full)
-#                            # and the perfbench seed-1 digests
+#                            # the pinned `exp_all` stdout (quick and full),
+#                            # the quick capture digests and the perfbench
+#                            # seed-1 digests
 #
 # Mirrors what the roadmap calls the tier-1 command (`cargo build
 # --release && cargo test -q`) and adds deny-warnings clippy, rustfmt,
@@ -20,6 +21,17 @@ perfbench_smoke() {
 }
 DIGESTS=scripts/sim_digests.txt
 
+# `cksum` lines (CRC, size, name) of the quick e01 trace, metrics and
+# profile captures, written under target/quick_capture/.
+quick_capture_digests() {
+    mkdir -p target/quick_capture
+    ./target/release/exp_all --scale quick --trace target/quick_capture/trace.json \
+        --metrics target/quick_capture/metrics.json \
+        --profile target/quick_capture/profile.json e01 > /dev/null 2>&1
+    (cd target/quick_capture && cksum trace.json metrics.json profile.json)
+}
+CAPTURES=scripts/capture_digests.txt
+
 if [[ "${1:-}" == "--bless" ]]; then
     echo "== bless golden schemas (tests/golden/) =="
     ECOSCALE_BLESS=1 cargo test -q --test golden
@@ -28,13 +40,16 @@ if [[ "${1:-}" == "--bless" ]]; then
     echo "== bless exp_all full stdout (crates/bench/tests/golden/) =="
     cargo build --release -q -p ecoscale-bench --bin exp_all
     ./target/release/exp_all > crates/bench/tests/golden/exp_all_full.txt
+    echo "== bless quick capture digests ($CAPTURES) =="
+    quick_capture_digests > "$CAPTURES"
     echo "== bless perfbench seed-1 digests ($DIGESTS) =="
     cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
     for workload in serve_saturated check_sweep des_cluster; do
         digest=$(perfbench_smoke "$workload" | grep -o '"sim_digest":"[0-9a-f]*"' | cut -d'"' -f4)
         echo "$workload $digest"
     done > "$DIGESTS"
-    git --no-pager diff --stat -- tests/golden/ crates/bench/tests/golden/ "$DIGESTS" || true
+    git --no-pager diff --stat -- tests/golden/ crates/bench/tests/golden/ "$DIGESTS" \
+        "$CAPTURES" || true
     exit 0
 fi
 
@@ -180,6 +195,17 @@ for f in stdout.txt profile.json telemetry.json trace.json metrics.json serve.js
     cmp "target/ctx_smoke/SHARDS=1/$f" "target/ctx_smoke/SHARDS=4/$f"
     cmp "target/ctx_smoke/THREADS=1/$f" "target/ctx_smoke/THREADS=4/$f"
 done
+
+echo "== tier-1: quick capture bytes (pinned) =="
+# The steps above compare captures only across shard and thread counts
+# and against schemas, so a renamed span or a reordered link would pass
+# them. The quick e01 trace, metrics and profile must also reproduce the
+# committed digests ($CAPTURES; rewrite them with --bless after an
+# intentional change).
+if ! quick_capture_digests | diff "$CAPTURES" -; then
+    echo "ci.sh: quick capture digests differ from $CAPTURES" >&2
+    exit 1
+fi
 
 echo "== tier-1: parallel DES bench smoke =="
 # Reduced workload; asserts 1-vs-N-shard byte identity and validates the

@@ -1250,6 +1250,443 @@ fn cache_matches_linear_scan_oracle() {
 }
 
 #[derive(Debug, Clone, Copy)]
+enum NetOp {
+    /// A transfer starting `dt_ns` after the previous one.
+    Transfer {
+        dt_ns: u64,
+        src: usize,
+        dst: usize,
+        bytes: u64,
+    },
+    InvalidateRoutes,
+    Reset,
+    /// Save the network, compare the bytes with the oracle's, and carry
+    /// on with a fresh network loaded from them.
+    RoundTrip,
+}
+
+/// The network as it was when per-link state lived in maps keyed by
+/// link, and each transfer cloned its memoised route: the slow path
+/// that `Network`'s link slots must match.
+#[derive(Default)]
+struct MapNetwork {
+    link_free_at: std::collections::HashMap<ecoscale::noc::LinkId, Time>,
+    link_busy: std::collections::HashMap<ecoscale::noc::LinkId, Duration>,
+    stats: ecoscale::noc::TrafficStats,
+    route_memo: std::collections::HashMap<(NodeId, NodeId), ecoscale::noc::Route>,
+    route_memo_hits: u64,
+    route_memo_misses: u64,
+    hop_hist: ecoscale::sim::Histogram,
+    queue_ns: OnlineStats,
+    link_tracks: std::collections::HashMap<ecoscale::noc::LinkId, ecoscale::sim::TrackId>,
+    faults: Option<MapLinkFaults>,
+}
+
+#[derive(Default)]
+struct MapLinkFaults {
+    degrade_clock: ecoscale::sim::FaultClock,
+    pick: SimRng,
+    corrupt: ecoscale::sim::ProbFault,
+    degrade_for: Duration,
+    slowdown: f64,
+    degraded: std::collections::HashMap<ecoscale::noc::LinkId, Time>,
+    degrade_events: ecoscale::sim::Counter,
+    degraded_hops: ecoscale::sim::Counter,
+    corrupted: ecoscale::sim::Counter,
+}
+
+impl MapNetwork {
+    fn new(spec: &ecoscale::sim::CampaignSpec) -> MapNetwork {
+        use ecoscale::sim::fault::salt;
+        use ecoscale::sim::{FaultClock, ProbFault};
+        let degrade = !spec.link_degrade_mtbf.is_zero();
+        let corrupt = spec.packet_corrupt_p > 0.0;
+        let faults = (degrade || corrupt).then(|| MapLinkFaults {
+            degrade_clock: if degrade {
+                FaultClock::new(spec.link_degrade_mtbf, spec.rng(salt::LINK_DEGRADE))
+            } else {
+                FaultClock::disabled()
+            },
+            pick: spec.rng(salt::LINK_PICK),
+            corrupt: if corrupt {
+                ProbFault::new(spec.packet_corrupt_p, spec.rng(salt::PACKET_CORRUPT))
+            } else {
+                ProbFault::disabled()
+            },
+            degrade_for: spec.link_degrade_for,
+            slowdown: spec.link_slowdown.max(1.0),
+            ..MapLinkFaults::default()
+        });
+        MapNetwork {
+            faults,
+            ..MapNetwork::default()
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn transfer<T: Topology>(
+        &mut self,
+        topo: &T,
+        cfg: &ecoscale::noc::NetworkConfig,
+        tracer: &ecoscale::sim::Tracer,
+        start: Time,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+    ) -> ecoscale::noc::Delivery {
+        use ecoscale::noc::Delivery;
+        use ecoscale::sim::Energy;
+        let route = match self.route_memo.get(&(src, dst)) {
+            Some(r) => {
+                self.route_memo_hits += 1;
+                r.clone()
+            }
+            None => {
+                self.route_memo_misses += 1;
+                let r = topo.route(src, dst);
+                self.route_memo.insert((src, dst), r.clone());
+                r
+            }
+        };
+        if route.is_local() {
+            self.stats.record(&route, bytes, Energy::ZERO);
+        } else {
+            self.stats
+                .record(&route, bytes, cfg.cost.energy(&route, bytes));
+        }
+        self.hop_hist.record(route.hop_count() as u64);
+        if route.is_local() {
+            self.queue_ns.record(0.0);
+            return Delivery {
+                arrival: start,
+                energy: Energy::ZERO,
+                hops: 0,
+                queueing: Duration::ZERO,
+                corrupted: false,
+            };
+        }
+        if let Some(f) = &mut self.faults {
+            while let Some(at) = f.degrade_clock.pop_due(start) {
+                f.degrade_events.incr();
+                let hops: Vec<_> = route.iter().map(|h| h.link).collect();
+                let victim = hops[f.pick.gen_range_usize(0, hops.len())];
+                let until = at + f.degrade_for;
+                let e = f.degraded.entry(victim).or_insert(until);
+                *e = (*e).max(until);
+            }
+        }
+        let energy = cfg.cost.energy(&route, bytes);
+        let mut cursor = start;
+        let mut queueing = Duration::ZERO;
+        let mut held = Vec::new();
+        let mut min_bw = u64::MAX;
+        let mut degraded_any = false;
+        for hop in route.iter() {
+            let p = *cfg.cost.level_params(hop.level);
+            let free = self
+                .link_free_at
+                .get(&hop.link)
+                .copied()
+                .unwrap_or(Time::ZERO);
+            if free > cursor {
+                queueing += free - cursor;
+                cursor = free;
+            }
+            let degraded =
+                |f: &MapLinkFaults, at: Time| f.degraded.get(&hop.link).is_some_and(|&u| u > at);
+            let held_from = cursor;
+            cursor += p.hop_latency;
+            if cfg.cut_through {
+                if let Some(f) = &mut self.faults {
+                    if degraded(f, held_from) {
+                        f.degraded_hops.incr();
+                        degraded_any = true;
+                    }
+                }
+                min_bw = min_bw.min(p.bandwidth);
+            } else if bytes > 0 {
+                let mut ser = Duration::from_bytes_at_bandwidth(bytes, p.bandwidth);
+                if let Some(f) = &mut self.faults {
+                    if degraded(f, cursor) {
+                        f.degraded_hops.incr();
+                        ser = ser.mul_f64(f.slowdown);
+                    }
+                }
+                cursor += ser;
+            }
+            self.link_free_at.insert(hop.link, cursor);
+            *self.link_busy.entry(hop.link).or_insert(Duration::ZERO) += cursor - held_from;
+            held.push((hop.link, held_from, cursor - held_from));
+        }
+        if cfg.cut_through && bytes > 0 {
+            let mut ser = Duration::from_bytes_at_bandwidth(bytes, min_bw);
+            if degraded_any {
+                ser = ser.mul_f64(self.faults.as_ref().map_or(1.0, |f| f.slowdown));
+            }
+            cursor += ser;
+        }
+        if tracer.is_enabled() {
+            for (link, from, dur) in held {
+                let track = *self
+                    .link_tracks
+                    .entry(link)
+                    .or_insert_with(|| tracer.track(&format!("noc/{link}")));
+                tracer.complete(track, "xfer", from, dur);
+            }
+        }
+        self.queue_ns.record(queueing.as_ns_f64());
+        let corrupted = self.faults.as_mut().is_some_and(|f| f.corrupt.strikes());
+        if corrupted {
+            self.faults.as_mut().expect("faults armed").corrupted.incr();
+        }
+        Delivery {
+            arrival: cursor,
+            energy,
+            hops: route.hop_count(),
+            queueing,
+            corrupted,
+        }
+    }
+
+    fn export_metrics(&self, m: &mut ecoscale::sim::MetricsRegistry) {
+        m.add("noc.messages", self.stats.messages());
+        m.add("noc.local_messages", self.stats.local_messages());
+        m.add("noc.payload_bytes", self.stats.payload_bytes());
+        m.add("noc.byte_hops", self.stats.byte_hops());
+        m.merge_hist("noc.hops", &self.hop_hist);
+        m.merge_stats("noc.queue_ns", &self.queue_ns);
+        m.add("noc.links_used", self.link_busy.len() as u64);
+        let busy: BTreeMap<_, _> = self.link_busy.iter().collect();
+        for b in busy.values() {
+            m.record("noc.link_busy_us", b.as_ns() / 1_000);
+        }
+        m.add("noc.route_memo_hits", self.route_memo_hits);
+        m.add("noc.route_memo_misses", self.route_memo_misses);
+        if let Some(f) = &self.faults {
+            m.add("noc.degrade_events", f.degrade_events.get());
+            m.add("noc.degraded_hops", f.degraded_hops.get());
+            m.add("noc.corrupted", f.corrupted.get());
+        }
+    }
+
+    fn reset(&mut self) {
+        self.link_free_at.clear();
+        self.stats = ecoscale::noc::TrafficStats::new();
+        self.hop_hist = ecoscale::sim::Histogram::new();
+        self.queue_ns = OnlineStats::new();
+        self.link_busy.clear();
+        if let Some(f) = &mut self.faults {
+            f.degraded.clear();
+        }
+        self.route_memo.clear();
+    }
+}
+
+/// Saving only: the byte layout `Network` has always written.
+impl ecoscale::sim::Persist for MapNetwork {
+    fn persist<IO: ecoscale::sim::SnapIo>(
+        &mut self,
+        io: &mut IO,
+    ) -> Result<(), ecoscale::sim::RestoreError> {
+        io.sorted_map(&mut self.link_free_at, "occupied links")?;
+        self.stats.persist(io)?;
+        let mut memo: std::collections::BTreeSet<_> = self.route_memo.keys().copied().collect();
+        io.sorted_set(&mut memo, "memoized routes")?;
+        io.u64(&mut self.route_memo_hits)?;
+        io.u64(&mut self.route_memo_misses)?;
+        self.hop_hist.persist(io)?;
+        self.queue_ns.persist(io)?;
+        io.sorted_map(&mut self.link_busy, "busy links")?;
+        io.option(&mut self.faults, |io, f| {
+            f.degrade_clock.persist(io)?;
+            f.pick.persist(io)?;
+            f.corrupt.persist(io)?;
+            io.duration(&mut f.degrade_for)?;
+            io.f64(&mut f.slowdown)?;
+            io.sorted_map(&mut f.degraded, "degraded links")?;
+            for c in [
+                &mut f.degrade_events,
+                &mut f.degraded_hops,
+                &mut f.corrupted,
+            ] {
+                c.persist(io)?;
+            }
+            Ok(())
+        })
+    }
+}
+
+/// Runs `ops` on a `Network` over `topo` and on [`MapNetwork`] in
+/// lockstep. When every delivery, the metrics, every snapshot's bytes
+/// and (when `traced`) the trace agree, returns how many hops crossed a
+/// degraded link and how many reloads the network went through.
+fn network_lockstep<T: Topology + Clone>(
+    topo: &T,
+    cut_through: bool,
+    spec: &ecoscale::sim::CampaignSpec,
+    traced: bool,
+    ops: &[NetOp],
+) -> Result<(u64, u64), String> {
+    use ecoscale::noc::{CostModel, Network, NetworkConfig};
+    use ecoscale::sim::{check::CheckPlane, MetricsRegistry, SnapReader, SnapWriter, Tracer};
+    let cfg = NetworkConfig {
+        cost: CostModel::ecoscale_defaults(),
+        cut_through,
+    };
+    let (tracer, oracle_tracer) = if traced {
+        (Tracer::buffering(), Tracer::buffering())
+    } else {
+        (Tracer::disabled(), Tracer::disabled())
+    };
+    let mut net = Network::new(topo.clone(), cfg.clone());
+    net.set_faults(spec);
+    net.set_tracer(tracer.clone());
+    let mut oracle = MapNetwork::new(spec);
+    let mut now = Time::ZERO;
+    let n = topo.num_nodes();
+    let mut reloads = 0;
+    for (step, &op) in ops.iter().enumerate() {
+        match op {
+            NetOp::Transfer {
+                dt_ns,
+                src,
+                dst,
+                bytes,
+            } => {
+                now += Duration::from_ns(dt_ns);
+                let (s, d) = (NodeId(src % n), NodeId(dst % n));
+                let got = net.transfer(now, s, d, bytes);
+                let want = oracle.transfer(topo, &cfg, &oracle_tracer, now, s, d, bytes);
+                if got != want {
+                    return Err(format!("step {step} {op:?}: {got:?} != {want:?}"));
+                }
+            }
+            NetOp::InvalidateRoutes => {
+                net.invalidate_routes();
+                oracle.route_memo.clear();
+            }
+            NetOp::Reset => {
+                net.reset();
+                oracle.reset();
+            }
+            NetOp::RoundTrip => {
+                let mut w = SnapWriter::new();
+                w.save(&mut net);
+                let bytes = w.into_bytes();
+                let mut w = SnapWriter::new();
+                w.save(&mut oracle);
+                if bytes != w.into_bytes() {
+                    return Err(format!("step {step}: snapshot bytes differ"));
+                }
+                let mut fresh = Network::new(topo.clone(), cfg.clone());
+                fresh.set_tracer(tracer.clone());
+                let mut r = SnapReader::new(&bytes);
+                if let Err(e) = ecoscale::sim::Persist::persist(&mut fresh, &mut r) {
+                    return Err(format!("step {step}: reload refused: {e:?}"));
+                }
+                net = fresh;
+                reloads += 1;
+            }
+        }
+        let mut cp = CheckPlane::enabled(1);
+        net.check_invariants(&mut cp);
+        if !cp.ok() {
+            return Err(format!("step {step}: {:?}", cp.violations()));
+        }
+    }
+    let (mut got, mut want) = (MetricsRegistry::new(), MetricsRegistry::new());
+    net.export_metrics(&mut got, "noc");
+    oracle.export_metrics(&mut want);
+    if got.to_json() != want.to_json() {
+        return Err(format!(
+            "metrics differ:\n{}\n{}",
+            got.to_json(),
+            want.to_json()
+        ));
+    }
+    let fault_stats = net.fault_stats();
+    if fault_stats
+        != oracle.faults.as_ref().map_or((0, 0, 0), |f| {
+            (
+                f.degrade_events.get(),
+                f.degraded_hops.get(),
+                f.corrupted.get(),
+            )
+        })
+    {
+        return Err("fault stats differ".to_owned());
+    }
+    let (got, want) = (tracer.take(), oracle_tracer.take());
+    if got.to_chrome_json() != want.to_chrome_json() {
+        return Err(format!(
+            "traces differ: tracks {:?} vs {:?}",
+            got.tracks(),
+            want.tracks()
+        ));
+    }
+    Ok((fault_stats.1, reloads))
+}
+
+/// `Network` keeps per-link state in dense slots and borrows its
+/// memoised routes. In lockstep with [`MapNetwork`], over all five
+/// topologies, both forwarding disciplines, with and without a
+/// link-degrade and corruption campaign, and with route invalidation,
+/// resets and snapshot round trips interleaved, every delivery, the
+/// exported metrics, every snapshot's bytes and the link trace agree.
+#[test]
+fn network_matches_map_oracle() {
+    use ecoscale::noc::{CrossbarTopology, FatTreeTopology};
+    use ecoscale::sim::CampaignSpec;
+    let (mut degraded_hops, mut reloads) = (0, 0);
+    for case in 0..CASES {
+        let mut rng = case_rng(19, case);
+        let cut_through = (case / 5) % 2 == 1;
+        let mut spec = CampaignSpec::off();
+        if (case / 10) % 2 == 1 {
+            spec.seed = case;
+            spec.link_degrade_mtbf = Duration::from_ns(rng.gen_range_u64(200, 5_000));
+            spec.link_degrade_for = Duration::from_ns(rng.gen_range_u64(100, 3_000));
+            spec.link_slowdown = 1.0 + rng.gen_range_u64(0, 8) as f64;
+            spec.packet_corrupt_p = 0.1;
+        }
+        let traced = rng.gen_bool(0.5);
+        let len = rng.gen_range_usize(1, 160);
+        let ops: Vec<NetOp> = (0..len)
+            .map(|_| match rng.gen_range_usize(0, 40) {
+                0 => NetOp::InvalidateRoutes,
+                1 => NetOp::Reset,
+                2 | 3 => NetOp::RoundTrip,
+                _ => NetOp::Transfer {
+                    dt_ns: rng.gen_range_u64(0, 400),
+                    src: rng.gen_range_usize(0, 64),
+                    dst: rng.gen_range_usize(0, 64),
+                    bytes: [0, 16, 64, 4096, 1 << 16][rng.gen_range_usize(0, 5)],
+                },
+            })
+            .collect();
+        let run = |ops: &[NetOp]| match case % 5 {
+            0 => network_lockstep(&TreeTopology::new(&[4, 4]), cut_through, &spec, traced, ops),
+            1 => network_lockstep(&CrossbarTopology::new(8), cut_through, &spec, traced, ops),
+            2 => network_lockstep(&Mesh2d::new(4, 3), cut_through, &spec, traced, ops),
+            3 => network_lockstep(&Dragonfly::new(3, 2, 2), cut_through, &spec, traced, ops),
+            _ => network_lockstep(
+                &FatTreeTopology::new(&[4, 4], 2),
+                cut_through,
+                &spec,
+                traced,
+                ops,
+            ),
+        };
+        assert_lockstep("Network", case, &ops, |ops| run(ops).err());
+        let (hops, loads) = run(&ops).expect("agreed above");
+        degraded_hops += hops;
+        reloads += loads;
+    }
+    assert!(degraded_hops > 100, "only {degraded_hops} degraded hops");
+    assert!(reloads > 100, "only {reloads} reloads");
+}
+
+#[derive(Debug, Clone, Copy)]
 enum PtOp {
     Map {
         page: u64,
