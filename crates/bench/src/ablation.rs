@@ -215,7 +215,7 @@ pub fn a3_benefit_margin(run: &ExpRun) -> Table {
                     } else {
                         DeviceClass::Cpu
                     },
-                    vec![65_536.0],
+                    &[65_536.0],
                     dt,
                     Energy::ZERO,
                 );

@@ -297,8 +297,8 @@ impl ClusterModel for ClusterSimModel {
             }
             ClusterEv::Finish { worker, task } => {
                 self.completed += 1;
-                let (d, _) = self.exec_cost(task);
                 if let Some(&track) = self.tracks.get(worker as usize) {
+                    let (d, _) = self.exec_cost(task);
                     let start = Time::from_ps(now.as_ps().saturating_sub(d.as_ps()));
                     self.spans.complete(track, "task", start, d);
                 }

@@ -10,7 +10,7 @@
 //! are real, charges the path's simulated cost, and feeds the outcome
 //! back into the history that the reconfiguration daemon reads.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -290,11 +290,7 @@ impl SystemBuilder {
             kernels: artifacts
                 .parsed
                 .iter()
-                .map(|(name, kernel)| {
-                    let kernel = Arc::clone(kernel);
-                    let analyses = Vec::new();
-                    (name.clone(), CallableKernel { kernel, analyses })
-                })
+                .map(|(name, kernel)| (name.clone(), CallableKernel::new(kernel)))
                 .collect(),
             unilogic: UnilogicModel::default(),
             clock: Time::ZERO,
@@ -338,44 +334,65 @@ impl SystemArtifacts {
 const ANALYSES_PER_KERNEL: usize = 16;
 
 /// A kernel the system calls: the shared parsed kernel, which compiles
-/// itself for the interpreter on its first run, and the analyses of its
-/// recent calls.
+/// itself for the interpreter on its first run, the analyses of its
+/// recent calls, and the current call's key and features in buffers
+/// every call reuses.
 #[derive(Debug)]
 struct CallableKernel {
     kernel: Arc<Kernel>,
     /// Per distinct call: the bits of each signature scalar's argument
     /// (`None` when unbound) and the analysis those arguments give,
     /// oldest first.
-    analyses: Vec<(Vec<Option<u64>>, KernelAnalysis)>,
+    analyses: VecDeque<(Vec<Option<u64>>, KernelAnalysis)>,
+    /// The current call's key, as in `analyses`.
+    key: Vec<Option<u64>>,
+    /// The current call's bound scalars, in parameter order: its
+    /// features for the device predictor and the history.
+    features: Vec<f64>,
 }
 
 impl CallableKernel {
-    /// The bits of `args`' binding of each signature scalar, in
-    /// parameter order: what a call's analysis depends on.
-    fn key(&self, args: &KernelArgs) -> Vec<Option<u64>> {
-        self.kernel
-            .scalars()
-            .map(|p| args.scalar(&p.name).map(f64::to_bits))
-            .collect()
+    fn new(kernel: &Arc<Kernel>) -> CallableKernel {
+        CallableKernel {
+            kernel: Arc::clone(kernel),
+            analyses: VecDeque::new(),
+            key: Vec::new(),
+            features: Vec::new(),
+        }
     }
 
-    /// The analysis for the scalar arguments `key`, as
-    /// [`KernelAnalysis::analyze`] gives it with those arguments as hints.
-    fn analysis(&mut self, key: Vec<Option<u64>>) -> &KernelAnalysis {
-        let at = match self.analyses.iter().position(|(k, _)| *k == key) {
+    /// Reads the bits of `args`' binding of each signature scalar, in
+    /// parameter order, into the call's key (what a call's analysis
+    /// depends on) and the bound values into its features.
+    fn bind(&mut self, args: &KernelArgs) {
+        self.key.clear();
+        self.key.extend(
+            self.kernel
+                .scalars()
+                .map(|p| args.scalar(&p.name).map(f64::to_bits)),
+        );
+        self.features.clear();
+        self.features
+            .extend(self.key.iter().flatten().map(|&v| f64::from_bits(v)));
+    }
+
+    /// The analysis for the bound key, as [`KernelAnalysis::analyze`]
+    /// gives it with those arguments as hints.
+    fn analysis(&mut self) -> &KernelAnalysis {
+        let at = match self.analyses.iter().position(|(k, _)| *k == self.key) {
             Some(at) => at,
             None => {
                 let hints = self
                     .kernel
                     .scalars()
-                    .zip(&key)
+                    .zip(&self.key)
                     .filter_map(|(p, v)| v.map(|v| (p.name.clone(), f64::from_bits(v))))
                     .collect();
                 let analysis = KernelAnalysis::analyze(&self.kernel, &hints);
                 if self.analyses.len() == ANALYSES_PER_KERNEL {
-                    self.analyses.remove(0);
+                    self.analyses.pop_front();
                 }
-                self.analyses.push((key, analysis));
+                self.analyses.push_back((self.key.clone(), analysis));
                 self.analyses.len() - 1
             }
         };
@@ -703,16 +720,6 @@ impl EcoscaleSystem {
         loads
     }
 
-    /// Finds a Worker (other than `except`) holding `function`'s module.
-    fn remote_holder(&self, function: &str, except: NodeId) -> Option<NodeId> {
-        let id = self.library.get(function)?.module.id();
-        self.workers
-            .iter()
-            .filter(|w| w.id() != except && w.daemon().is_loaded(id))
-            .min_by_key(|w| self.net.topology().route(except, w.id()).hop_count())
-            .map(|w| w.id())
-    }
-
     /// Calls `function` from `worker` with `args`: selects the device,
     /// executes functionally, charges costs, updates history.
     ///
@@ -731,12 +738,10 @@ impl EcoscaleSystem {
                 .ok_or_else(|| CallError::UnknownFunction {
                     name: function.to_owned(),
                 })?;
-        let kernel = Arc::clone(&callable.kernel);
 
         // features and work estimate from the actual arguments
-        let key = callable.key(args);
-        let features: Vec<f64> = key.iter().flatten().map(|&v| f64::from_bits(v)).collect();
-        let analysis = callable.analysis(key);
+        callable.bind(args);
+        let analysis = callable.analysis();
         let total = analysis.total().copied().unwrap_or_default();
         // A software core pays ~25 cycles per transcendental (libm on an
         // A53); a pipelined datapath pays one issue slot. Weight the CPU
@@ -762,14 +767,20 @@ impl EcoscaleSystem {
 
         // device selection
         let entry = self.library.get(function);
-        let local_loaded = entry
-            .map(|e| self.workers[worker.0].daemon().is_loaded(e.module.id()))
-            .unwrap_or(false);
-        let remote = self.remote_holder(function, worker);
-        let device = self.workers[worker.0].daemon().select_device(
-            self.workers[worker.0].history(),
+        let id = entry.map(|e| e.module.id());
+        let local_loaded = id.is_some_and(|id| self.workers[worker.0].daemon().is_loaded(id));
+        // the nearest other Worker holding the module
+        let topo = self.net.topology();
+        let remote = id.and_then(|id| {
+            self.workers
+                .iter()
+                .filter(|w| w.id() != worker && w.daemon().is_loaded(id))
+                .min_by_key(|w| topo.hops(worker, w.id()))
+                .map(|w| w.id())
+        });
+        let device = self.workers[worker.0].select_device(
             function,
-            &features,
+            &callable.features,
             local_loaded,
             remote.is_some(),
         );
@@ -784,8 +795,7 @@ impl EcoscaleSystem {
         // the (wrong) hardware result is still costed on the FPGA path —
         // silent data corruption, visible only through verification.
         if let Some(f) = &mut self.faults {
-            if f.mgr.config().software_fallback && entry.is_some() {
-                let id = entry.map(|e| e.module.id()).expect("checked");
+            if let Some(id) = id.filter(|_| f.mgr.config().software_fallback) {
                 let serving = match device {
                     DeviceClass::FpgaLocal => Some(worker),
                     DeviceClass::FpgaRemote => remote,
@@ -801,7 +811,7 @@ impl EcoscaleSystem {
         }
 
         // functional execution: results are real regardless of device
-        args.run(&kernel)?;
+        args.run(&callable.kernel)?;
 
         // cost the chosen path
         let (path, served_by) = match device {
@@ -856,7 +866,7 @@ impl EcoscaleSystem {
         self.workers[worker.0].history_mut().record(
             function,
             device,
-            features,
+            &callable.features,
             cost.latency,
             cost.energy,
         );
@@ -1101,7 +1111,7 @@ mod tests {
         s.worker_mut(NodeId(5)).history_mut().record(
             "scale",
             DeviceClass::FpgaLocal,
-            vec![4096.0],
+            &[4096.0],
             sample_time,
             Energy::ZERO,
         );
@@ -1110,7 +1120,7 @@ mod tests {
             s.worker_mut(NodeId(5)).history_mut().record(
                 "scale",
                 DeviceClass::FpgaLocal,
-                vec![4096.0],
+                &[4096.0],
                 sample_time,
                 Energy::ZERO,
             );
@@ -1397,31 +1407,14 @@ mod tests {
 
     #[test]
     fn memoised_analyses_equal_fresh_ones_over_a_serving_run() {
-        use std::cell::RefCell;
+        use crate::linear_test_mix;
 
-        use ecoscale_runtime::ServeSpec;
-        use ecoscale_sim::RunCtx;
-
-        use crate::{linear_test_mix, run_serve_sim_with, ServeSimConfig};
-
-        thread_local! {
-            static CALLS: RefCell<Vec<(usize, usize)>> = const { RefCell::new(Vec::new()) };
-        }
-        fn logged<const K: usize>(items: usize) -> KernelArgs {
-            CALLS.with(|c| c.borrow_mut().push((K, items)));
-            (linear_test_mix()[K].bind)(items)
-        }
-        // log the calls of a batching serving run (on this thread)
-        let mut mix = linear_test_mix();
-        mix[0].bind = logged::<0>;
-        mix[1].bind = logged::<1>;
-        let spec = ServeSpec::parse("seed=7,tenants=3,rate=300000,horizon=400us,batch=8").unwrap();
-        let mut cfg = ServeSimConfig::new(spec, mix);
-        cfg.items = 24;
-        cfg.ctx = RunCtx::parse(Some("1"), Some("1"), None);
-        run_serve_sim_with(&cfg, &mut CheckPlane::disabled());
-        let mut calls = CALLS.with(|c| c.take());
-        assert!(calls.len() > 50, "{} calls", calls.len());
+        // a serving cell's calls: either kernel, batches of 1 to 8
+        // requests of 24 items each
+        let mut rng = ecoscale_sim::SimRng::seed_from(7);
+        let mut calls: Vec<(usize, usize)> = (0..200)
+            .map(|_| (rng.gen_range_usize(0, 2), 24 * rng.gen_range_usize(1, 9)))
+            .collect();
         // then enough distinct sizes, twice over, to cycle the memo
         calls.extend((0..2).flat_map(|_| (1..=2 * ANALYSES_PER_KERNEL).map(|n| (n % 2, n))));
 
@@ -1439,7 +1432,12 @@ mod tests {
             // the analysis the call used, against the per-call hints map
             // it replaces
             let callable = &s.kernels[mix[k].name];
-            let key = callable.key(&args);
+            let key: Vec<Option<u64>> = callable
+                .kernel
+                .scalars()
+                .map(|p| args.scalar(&p.name).map(f64::to_bits))
+                .collect();
+            assert_eq!(callable.key, key, "call {n}");
             let (_, memo) = callable
                 .analyses
                 .iter()

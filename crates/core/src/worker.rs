@@ -6,7 +6,8 @@ use ecoscale_hls::ModuleLibrary;
 use ecoscale_mem::{Smmu, SmmuConfig};
 use ecoscale_noc::NodeId;
 use ecoscale_runtime::{
-    CpuModel, DaemonConfig, ExecutionHistory, FpgaExecModel, ReconfigDaemon, ReconfigError,
+    CpuModel, DaemonConfig, DeviceClass, ExecutionHistory, FpgaExecModel, ReconfigDaemon,
+    ReconfigError,
 };
 use ecoscale_sim::{Duration, Persist, RestoreError, SnapIo};
 
@@ -94,6 +95,24 @@ impl Worker {
         &mut self.history
     }
 
+    /// Chooses the device for one call of `function` with `features`
+    /// ([`ReconfigDaemon::select_device`] over this Worker's history).
+    pub fn select_device(
+        &mut self,
+        function: &str,
+        features: &[f64],
+        local_loaded: bool,
+        remote_loaded: bool,
+    ) -> DeviceClass {
+        self.daemon.select_device(
+            &mut self.history,
+            function,
+            features,
+            local_loaded,
+            remote_loaded,
+        )
+    }
+
     /// Split borrow for the daemon's periodic evaluation, which reads the
     /// history while mutating the floorplan.
     pub fn daemon_and_history(&mut self) -> (&mut ReconfigDaemon, &ExecutionHistory) {
@@ -173,7 +192,7 @@ mod tests {
         w.history_mut().record(
             "x",
             ecoscale_runtime::DeviceClass::Cpu,
-            vec![],
+            &[],
             Duration::from_us(1),
             ecoscale_sim::Energy::ZERO,
         );

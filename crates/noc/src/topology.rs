@@ -238,6 +238,13 @@ impl TreeTopology {
         unreachable!("all nodes share the root subtree");
     }
 
+    /// Hops on the route from `a` to `b` (up to their lowest common
+    /// subtree and down again): `route(a, b).hop_count()` without
+    /// building the route.
+    pub fn hops(&self, a: NodeId, b: NodeId) -> u32 {
+        2 * self.common_level(a, b) as u32
+    }
+
     /// Link id of the up-link from the level-`lvl` subtree containing
     /// `node` to its parent switch. Levels use `lvl` in `0..levels()`.
     fn up_link(&self, node: NodeId, lvl: usize) -> LinkId {
@@ -640,6 +647,19 @@ mod tests {
         assert_eq!(t.num_nodes(), 64);
         assert_eq!(t.levels(), 3);
         assert_eq!(t.fanouts(), &[8, 4, 2]);
+    }
+
+    #[test]
+    fn tree_hops_count_the_route() {
+        for fanouts in [&[4, 2, 3][..], &[8, 4, 2], &[2, 5], &[2]] {
+            let t = TreeTopology::new(fanouts);
+            for s in 0..t.num_nodes() {
+                for d in 0..t.num_nodes() {
+                    let (s, d) = (NodeId(s), NodeId(d));
+                    assert_eq!(t.hops(s, d), t.route(s, d).hop_count(), "{s} -> {d}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -313,10 +313,11 @@ impl ReconfigDaemon {
     ///
     /// With history on both devices, predicted times decide; without, the
     /// call runs on the CPU (measurement-first policy, so the history
-    /// fills in).
+    /// fills in). The history is `&mut` because it caches each key's
+    /// fitted predictor (see [`predict_time`]).
     pub fn select_device(
         &self,
-        history: &ExecutionHistory,
+        history: &mut ExecutionHistory,
         function: &str,
         features: &[f64],
         local_loaded: bool,
@@ -441,7 +442,7 @@ mod tests {
             h.record(
                 "hot",
                 DeviceClass::Cpu,
-                vec![4096.0],
+                &[4096.0],
                 Duration::from_ms(5),
                 Energy::ZERO,
             );
@@ -450,7 +451,7 @@ mod tests {
         h.record(
             "cold",
             DeviceClass::Cpu,
-            vec![4096.0],
+            &[4096.0],
             Duration::from_us(5),
             Energy::ZERO,
         );
@@ -473,7 +474,7 @@ mod tests {
             h.record(
                 "hot",
                 DeviceClass::Cpu,
-                vec![4096.0],
+                &[4096.0],
                 Duration::from_ms(5),
                 Energy::ZERO,
             );
@@ -495,7 +496,7 @@ mod tests {
             h.record(
                 "hot",
                 DeviceClass::Cpu,
-                vec![16.0],
+                &[16.0],
                 Duration::from_us(1),
                 Energy::ZERO,
             );
@@ -514,31 +515,31 @@ mod tests {
             h.record(
                 "f",
                 DeviceClass::Cpu,
-                vec![i as f64],
+                &[i as f64],
                 Duration::from_us(10 * i),
                 Energy::ZERO,
             );
             h.record(
                 "f",
                 DeviceClass::FpgaLocal,
-                vec![i as f64],
+                &[i as f64],
                 Duration::from_us(i),
                 Energy::ZERO,
             );
         }
         assert_eq!(
-            d.select_device(&h, "f", &[5.0], true, false),
+            d.select_device(&mut h, "f", &[5.0], true, false),
             DeviceClass::FpgaLocal
         );
         // not loaded locally but loaded remotely: remote wins only if the
         // penalty keeps it under CPU (10x gap vs 3x penalty -> remote wins)
         assert_eq!(
-            d.select_device(&h, "f", &[5.0], false, true),
+            d.select_device(&mut h, "f", &[5.0], false, true),
             DeviceClass::FpgaRemote
         );
         // nothing loaded: CPU
         assert_eq!(
-            d.select_device(&h, "f", &[5.0], false, false),
+            d.select_device(&mut h, "f", &[5.0], false, false),
             DeviceClass::Cpu
         );
     }
@@ -546,9 +547,9 @@ mod tests {
     #[test]
     fn select_device_measures_first() {
         let d = daemon();
-        let h = ExecutionHistory::new(64);
+        let mut h = ExecutionHistory::new(64);
         assert_eq!(
-            d.select_device(&h, "new_fn", &[1.0], true, true),
+            d.select_device(&mut h, "new_fn", &[1.0], true, true),
             DeviceClass::Cpu
         );
     }

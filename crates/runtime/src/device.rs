@@ -24,6 +24,15 @@ pub enum DeviceClass {
     FpgaRemote,
 }
 
+impl DeviceClass {
+    /// Every class, in declaration (and `Ord`) order: index `d as usize`.
+    pub const ALL: [DeviceClass; 3] = [
+        DeviceClass::Cpu,
+        DeviceClass::FpgaLocal,
+        DeviceClass::FpgaRemote,
+    ];
+}
+
 impl fmt::Display for DeviceClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -37,14 +46,9 @@ impl fmt::Display for DeviceClass {
 /// A one-byte tag in declaration order; a load refuses an unknown tag.
 impl Persist for DeviceClass {
     fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
-        const ALL: [DeviceClass; 3] = [
-            DeviceClass::Cpu,
-            DeviceClass::FpgaLocal,
-            DeviceClass::FpgaRemote,
-        ];
-        let mut tag = ALL.iter().position(|d| d == self).unwrap_or(0) as u8;
+        let mut tag = *self as u8;
         io.u8(&mut tag)?;
-        *self = *ALL
+        *self = *DeviceClass::ALL
             .get(usize::from(tag))
             .ok_or_else(|| malformed(format!("unknown device tag {tag}")))?;
         Ok(())

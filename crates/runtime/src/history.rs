@@ -6,25 +6,45 @@
 //! History file in order to decide at runtime what functions should be
 //! loaded on the reconfiguration block."
 
-use std::collections::HashMap;
+use std::collections::{vec_deque, BTreeMap, VecDeque};
 
 use ecoscale_sim::{Duration, Energy, OnlineStats, Persist, RestoreError, SnapIo};
 
 use crate::device::DeviceClass;
 
-/// One observed execution.
+/// One observed execution of a (function, device) key.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Sample {
-    /// Function name.
-    pub function: String,
-    /// Where it ran.
-    pub device: DeviceClass,
     /// The input features it ran with.
     pub features: Vec<f64>,
     /// Observed execution time.
     pub time: Duration,
     /// Observed energy.
     pub energy: Energy,
+}
+
+/// One (function, device) key: its newest samples in a ring, oldest
+/// first, the lifetime aggregate of every time it recorded, and the
+/// prediction model's fit of the ring.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KeyHistory {
+    /// At most the history's capacity; a full ring recycles its oldest
+    /// sample, so an eviction moves no other sample.
+    pub(crate) samples: VecDeque<Sample>,
+    stats: OnlineStats,
+    /// The ridge weights [`crate::model::predict_time`] fits to
+    /// `samples` (`Some(None)`: the fit was refused), or `None` until
+    /// it first asks. Derived state: a record drops it and a snapshot
+    /// neither holds nor restores it.
+    pub(crate) fit: Option<Option<Vec<f64>>>,
+}
+
+/// One function's lifetime call count and its keys, indexed by
+/// `DeviceClass as usize`.
+#[derive(Debug, Clone, Default)]
+struct FunctionHistory {
+    calls: u64,
+    keys: [Option<KeyHistory>; 3],
 }
 
 /// The per-worker history store, bounded per (function, device) key.
@@ -36,20 +56,19 @@ pub struct Sample {
 /// use ecoscale_sim::{Duration, Energy};
 ///
 /// let mut h = ExecutionHistory::new(64);
-/// h.record("gemm", DeviceClass::Cpu, vec![128.0], Duration::from_us(900), Energy::from_uj(50.0));
+/// h.record("gemm", DeviceClass::Cpu, &[128.0], Duration::from_us(900), Energy::from_uj(50.0));
 /// assert_eq!(h.call_count("gemm"), 1);
 /// assert_eq!(h.samples("gemm", DeviceClass::Cpu).len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExecutionHistory {
     capacity_per_key: usize,
-    samples: HashMap<(String, DeviceClass), Vec<Sample>>,
-    /// Lifetime online time statistics per key. Raw samples above are
-    /// capacity-bounded (they exist for the feature-based prediction
-    /// models); the aggregates answer [`ExecutionHistory::mean_time`]
-    /// in O(1) without re-summing.
-    time_stats: HashMap<(String, DeviceClass), OnlineStats>,
-    call_counts: HashMap<String, u64>,
+    /// Keyed by function name, so a lookup borrows the caller's `&str`
+    /// and only a function's first record allocates its name. Raw
+    /// samples are capacity-bounded (they exist for the feature-based
+    /// prediction models); the per-key aggregates answer
+    /// [`ExecutionHistory::mean_time`] in O(1) without re-summing.
+    functions: BTreeMap<String, FunctionHistory>,
 }
 
 impl ExecutionHistory {
@@ -63,61 +82,74 @@ impl ExecutionHistory {
         assert!(capacity_per_key > 0, "history needs capacity");
         ExecutionHistory {
             capacity_per_key,
-            samples: HashMap::new(),
-            time_stats: HashMap::new(),
-            call_counts: HashMap::new(),
+            functions: BTreeMap::new(),
         }
     }
 
-    /// Records one execution.
+    /// Records one execution, evicting the key's oldest sample when it
+    /// is full.
     pub fn record(
         &mut self,
         function: &str,
         device: DeviceClass,
-        features: Vec<f64>,
+        features: &[f64],
         time: Duration,
         energy: Energy,
     ) {
-        *self.call_counts.entry(function.to_owned()).or_insert(0) += 1;
-        let key = (function.to_owned(), device);
-        self.time_stats
-            .entry(key.clone())
-            .or_default()
-            .record(time.as_ps() as f64);
-        let v = self.samples.entry(key).or_default();
-        if v.len() == self.capacity_per_key {
-            v.remove(0); // drop the oldest
+        if !self.functions.contains_key(function) {
+            self.functions
+                .insert(function.to_owned(), FunctionHistory::default());
         }
-        v.push(Sample {
-            function: function.to_owned(),
-            device,
-            features,
-            time,
-            energy,
-        });
+        let f = self.functions.get_mut(function).expect("inserted above");
+        f.calls += 1;
+        let key = f.keys[device as usize].get_or_insert_with(KeyHistory::default);
+        key.stats.record(time.as_ps() as f64);
+        key.fit = None;
+        let mut sample = if key.samples.len() == self.capacity_per_key {
+            key.samples.pop_front().expect("a full key holds samples")
+        } else {
+            Sample::default()
+        };
+        sample.features.clear();
+        sample.features.extend_from_slice(features);
+        sample.time = time;
+        sample.energy = energy;
+        key.samples.push_back(sample);
+    }
+
+    fn key(&self, function: &str, device: DeviceClass) -> Option<&KeyHistory> {
+        self.functions.get(function)?.keys[device as usize].as_ref()
+    }
+
+    /// The `(function, device)` key, if it ever recorded.
+    pub(crate) fn key_mut(
+        &mut self,
+        function: &str,
+        device: DeviceClass,
+    ) -> Option<&mut KeyHistory> {
+        self.functions.get_mut(function)?.keys[device as usize].as_mut()
     }
 
     /// All retained samples for `(function, device)`, oldest first.
-    pub fn samples(&self, function: &str, device: DeviceClass) -> &[Sample] {
-        self.samples
-            .get(&(function.to_owned(), device))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+    pub fn samples(&self, function: &str, device: DeviceClass) -> vec_deque::Iter<'_, Sample> {
+        self.key(function, device)
+            .map(|k| k.samples.iter())
+            .unwrap_or_default()
     }
 
     /// Total calls of `function` ever recorded (across devices, not
     /// bounded by capacity).
     pub fn call_count(&self, function: &str) -> u64 {
-        self.call_counts.get(function).copied().unwrap_or(0)
+        self.functions.get(function).map_or(0, |f| f.calls)
     }
 
     /// Function names ordered by descending call count (the daemon's
     /// candidate list).
     pub fn hottest_functions(&self) -> Vec<(String, u64)> {
         let mut v: Vec<(String, u64)> = self
-            .call_counts
+            .functions
             .iter()
-            .map(|(k, c)| (k.clone(), *c))
+            .map(|(k, f)| (k.clone(), f.calls))
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
@@ -135,38 +167,90 @@ impl ExecutionHistory {
     /// Lifetime [`OnlineStats`] of execution time in picoseconds for
     /// `(function, device)`, if any executions were recorded.
     pub fn time_stats(&self, function: &str, device: DeviceClass) -> Option<&OnlineStats> {
-        self.time_stats
-            .get(&(function.to_owned(), device))
+        self.key(function, device)
+            .map(|k| &k.stats)
             .filter(|s| s.count() > 0)
     }
 }
 
-/// Retained samples and lifetime aggregates keyed by `(function,
-/// device)` in ascending order, then the lifetime call counts. The
+/// Three maps in ascending key order: each `(function, device)` key's
+/// retained samples, oldest first (each sample repeating its key); each
+/// key's lifetime aggregate; each function's lifetime call count. The
 /// per-key capacity is structural and not in the stream: a load refuses
-/// a key holding more samples.
+/// a key holding more samples, a sample that names another key, and
+/// maps whose keys disagree. The prediction fits are not in the stream;
+/// a loaded history refits on first use.
 impl Persist for ExecutionHistory {
     fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
         let cap = self.capacity_per_key;
-        io.map_with(&mut self.samples, "sample keys", |io, _, v| {
-            io.vec(v, "samples", IO::item)?;
-            let n = v.len();
+        // Saving lends the rings to the stream's maps and takes them back.
+        let mut rings = BTreeMap::new();
+        let mut aggregates = BTreeMap::new();
+        let mut calls = BTreeMap::new();
+        if !IO::LOADING {
+            for (name, f) in &mut self.functions {
+                calls.insert(name.clone(), f.calls);
+                for (device, key) in DeviceClass::ALL.into_iter().zip(&mut f.keys) {
+                    if let Some(key) = key {
+                        let samples = std::mem::take(&mut key.samples);
+                        rings.insert((name.clone(), device), samples);
+                        aggregates.insert((name.clone(), device), key.stats.clone());
+                    }
+                }
+            }
+        }
+        let mut name = String::new();
+        io.map_with(&mut rings, "sample keys", |io, (function, device), ring| {
+            io.vec(ring, "samples", |io, s| {
+                name.clone_from(function);
+                io.str(&mut name)?;
+                let mut d = *device;
+                d.persist(io)?;
+                io.ensure(name == *function && d == *device, || {
+                    format!("a sample of `{function}` on {device} names `{name}` on {d}")
+                })?;
+                s.features.persist(io)?;
+                io.duration(&mut s.time)?;
+                s.energy.persist(io)
+            })?;
+            let n = ring.len();
             io.ensure(n <= cap, || {
                 format!("key holds {n} samples, capacity is {cap}")
             })
         })?;
-        io.sorted_map(&mut self.time_stats, "aggregate keys")?;
-        io.sorted_map(&mut self.call_counts, "call counts")
-    }
-}
-
-impl Persist for Sample {
-    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
-        io.str(&mut self.function)?;
-        self.device.persist(io)?;
-        self.features.persist(io)?;
-        io.duration(&mut self.time)?;
-        self.energy.persist(io)
+        io.sorted_map(&mut aggregates, "aggregate keys")?;
+        io.sorted_map(&mut calls, "call counts")?;
+        if !IO::LOADING {
+            for ((name, device), samples) in rings {
+                let f = self.functions.get_mut(&name).expect("lent above");
+                f.keys[device as usize]
+                    .as_mut()
+                    .expect("lent above")
+                    .samples = samples;
+            }
+            return Ok(());
+        }
+        io.ensure(rings.keys().eq(aggregates.keys()), || {
+            "aggregate keys differ from sample keys".to_owned()
+        })?;
+        let mut functions: Vec<&String> = rings.keys().map(|(f, _)| f).collect();
+        functions.dedup();
+        io.ensure(calls.keys().eq(functions), || {
+            "call-count functions differ from sample keys".to_owned()
+        })?;
+        self.functions.clear();
+        for (((name, device), samples), stats) in rings.into_iter().zip(aggregates.into_values()) {
+            let f = self.functions.entry(name).or_default();
+            f.keys[device as usize] = Some(KeyHistory {
+                samples,
+                stats,
+                fit: None,
+            });
+        }
+        for (f, calls) in self.functions.values_mut().zip(calls.into_values()) {
+            f.calls = calls;
+        }
+        Ok(())
     }
 }
 
@@ -184,14 +268,14 @@ mod tests {
         hist.record(
             "f",
             DeviceClass::Cpu,
-            vec![1.0],
+            &[1.0],
             Duration::from_us(10),
             Energy::from_uj(1.0),
         );
         hist.record(
             "f",
             DeviceClass::FpgaLocal,
-            vec![1.0],
+            &[1.0],
             Duration::from_us(2),
             Energy::from_uj(0.2),
         );
@@ -209,12 +293,12 @@ mod tests {
             hist.record(
                 "f",
                 DeviceClass::Cpu,
-                vec![i as f64],
+                &[i as f64],
                 Duration::from_us(i),
                 Energy::ZERO,
             );
         }
-        let s = hist.samples("f", DeviceClass::Cpu);
+        let s: Vec<&Sample> = hist.samples("f", DeviceClass::Cpu).collect();
         assert_eq!(s.len(), 3);
         assert_eq!(s[0].features, vec![2.0]);
         assert_eq!(s[2].features, vec![4.0]);
@@ -229,7 +313,7 @@ mod tests {
             hist.record(
                 "hot",
                 DeviceClass::Cpu,
-                vec![],
+                &[],
                 Duration::from_us(1),
                 Energy::ZERO,
             );
@@ -237,7 +321,7 @@ mod tests {
         hist.record(
             "cold",
             DeviceClass::Cpu,
-            vec![],
+            &[],
             Duration::from_us(1),
             Energy::ZERO,
         );
@@ -254,14 +338,14 @@ mod tests {
         hist.record(
             "f",
             DeviceClass::Cpu,
-            vec![],
+            &[],
             Duration::from_us(10),
             Energy::ZERO,
         );
         hist.record(
             "f",
             DeviceClass::Cpu,
-            vec![],
+            &[],
             Duration::from_us(20),
             Energy::ZERO,
         );
@@ -278,7 +362,7 @@ mod tests {
             hist.record(
                 "f",
                 DeviceClass::Cpu,
-                vec![],
+                &[],
                 Duration::from_us(us),
                 Energy::ZERO,
             );
@@ -307,7 +391,7 @@ mod tests {
             hist.record(
                 "f",
                 DeviceClass::Cpu,
-                vec![i as f64, 2.0],
+                &[i as f64, 2.0],
                 Duration::from_us(10 + i),
                 Energy::from_uj(i as f64),
             );
@@ -315,7 +399,7 @@ mod tests {
         hist.record(
             "g",
             DeviceClass::FpgaLocal,
-            vec![],
+            &[],
             Duration::from_us(3),
             Energy::ZERO,
         );

@@ -9,7 +9,7 @@
 //! trait the scheduler consumes.
 
 use crate::device::DeviceClass;
-use crate::history::{ExecutionHistory, Sample};
+use crate::history::ExecutionHistory;
 
 use ecoscale_sim::Duration;
 
@@ -91,36 +91,68 @@ fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     Some(w)
 }
 
+/// Ridge-regularised least-squares weights (bias first) for `rows` of
+/// (features, target): the normal equations summed in row order, then
+/// solved. `None` when there are no rows, fewer rows than unknowns, or
+/// the normal matrix is singular.
+fn ridge_weights<'a>(
+    rows: impl ExactSizeIterator<Item = (&'a [f64], f64)> + Clone,
+) -> Option<Vec<f64>> {
+    let d = rows.clone().next()?.0.len() + 1; // bias
+    if rows.len() < d {
+        return None; // underdetermined
+    }
+    let lambda = 1e-8;
+    let mut ata = vec![vec![0.0; d]; d];
+    let mut atb = vec![0.0; d];
+    for (x, y) in rows {
+        assert_eq!(x.len() + 1, d, "inconsistent feature dimension");
+        let row = |i: usize| if i == 0 { 1.0 } else { x[i - 1] };
+        for (i, (ata_i, atb_i)) in ata.iter_mut().zip(&mut atb).enumerate() {
+            for (j, a) in ata_i.iter_mut().enumerate() {
+                *a += row(i) * row(j);
+            }
+            *atb_i += row(i) * y;
+        }
+    }
+    for (i, row) in ata.iter_mut().enumerate() {
+        row[i] += lambda;
+    }
+    solve(ata, atb)
+}
+
+/// The linear prediction `weights[0] + Σ weights[1..] · x`.
+fn linear_predict(weights: &[f64], x: &[f64]) -> f64 {
+    assert_eq!(x.len() + 1, weights.len(), "feature dimension mismatch");
+    let mut y = weights[0];
+    for (w, v) in weights[1..].iter().zip(x) {
+        y += w * v;
+    }
+    y
+}
+
+/// The mean target of the `k` rows nearest `x` (Euclidean, ties to the
+/// earlier row), or `None` without rows.
+fn knn_mean<'a>(k: usize, rows: impl Iterator<Item = (&'a [f64], f64)>, x: &[f64]) -> Option<f64> {
+    let mut dists: Vec<(f64, f64)> = rows
+        .map(|(xi, yi)| {
+            let d: f64 = xi.iter().zip(x).map(|(a, b)| (a - b) * (a - b)).sum();
+            (d, yi)
+        })
+        .collect();
+    if dists.is_empty() {
+        return None;
+    }
+    dists.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN distances"));
+    let k = k.min(dists.len());
+    Some(dists[..k].iter().map(|(_, y)| y).sum::<f64>() / k as f64)
+}
+
 impl Predictor for LinearModel {
     fn fit(&mut self, xs: &[Vec<f64>], ys: &[f64]) {
         assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
-        if xs.is_empty() {
-            return;
-        }
-        let d = xs[0].len() + 1; // bias
-        if xs.len() < d {
-            return; // underdetermined: keep previous weights
-        }
-        // normal equations with ridge regularization
-        let lambda = 1e-8;
-        let mut ata = vec![vec![0.0; d]; d];
-        let mut atb = vec![0.0; d];
-        for (x, &y) in xs.iter().zip(ys) {
-            assert_eq!(x.len() + 1, d, "inconsistent feature dimension");
-            let mut row = Vec::with_capacity(d);
-            row.push(1.0);
-            row.extend_from_slice(x);
-            for i in 0..d {
-                for j in 0..d {
-                    ata[i][j] += row[i] * row[j];
-                }
-                atb[i] += row[i] * y;
-            }
-        }
-        for (i, row) in ata.iter_mut().enumerate() {
-            row[i] += lambda;
-        }
-        if let Some(w) = solve(ata, atb) {
+        // refused: keep previous weights
+        if let Some(w) = ridge_weights(xs.iter().map(Vec::as_slice).zip(ys.iter().copied())) {
             self.weights = w;
         }
     }
@@ -129,16 +161,7 @@ impl Predictor for LinearModel {
         if self.weights.is_empty() {
             return None;
         }
-        assert_eq!(
-            x.len() + 1,
-            self.weights.len(),
-            "feature dimension mismatch"
-        );
-        let mut y = self.weights[0];
-        for (w, v) in self.weights[1..].iter().zip(x) {
-            y += w * v;
-        }
-        Some(y)
+        Some(linear_predict(&self.weights, x))
     }
 }
 
@@ -176,53 +199,55 @@ impl Predictor for KnnPredictor {
     }
 
     fn predict(&self, x: &[f64]) -> Option<f64> {
-        if self.xs.is_empty() {
-            return None;
-        }
-        let mut dists: Vec<(f64, f64)> = self
+        let rows = self
             .xs
             .iter()
-            .zip(&self.ys)
-            .map(|(xi, &yi)| {
-                let d: f64 = xi.iter().zip(x).map(|(a, b)| (a - b) * (a - b)).sum();
-                (d, yi)
-            })
-            .collect();
-        dists.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN distances"));
-        let k = self.k.min(dists.len());
-        Some(dists[..k].iter().map(|(_, y)| y).sum::<f64>() / k as f64)
+            .map(Vec::as_slice)
+            .zip(self.ys.iter().copied());
+        knn_mean(self.k, rows, x)
     }
 }
 
-/// Fits a time predictor for `(function, device)` from the history and
-/// predicts the execution time for `features`: regression when ≥ 8
-/// samples, k-NN when ≥ 1, `None` on an empty history.
+/// Predicts the execution time of `(function, device)` for `features`
+/// from the history: regression when ≥ 8 samples, k-NN (k = 3) when
+/// ≥ 1 or when regression is refused, `None` on an empty history.
+///
+/// The key's ridge fit is cached in the history until the key next
+/// records, so repeated predictions between records refit nothing. Both
+/// models read the samples in place, oldest first: the same bits as a
+/// fresh [`LinearModel`] or [`KnnPredictor`] fitted on them.
 pub fn predict_time(
-    history: &ExecutionHistory,
+    history: &mut ExecutionHistory,
     function: &str,
     device: DeviceClass,
     features: &[f64],
 ) -> Option<Duration> {
-    let samples: &[Sample] = history.samples(function, device);
-    if samples.is_empty() {
-        return None;
-    }
-    let xs: Vec<Vec<f64>> = samples.iter().map(|s| s.features.clone()).collect();
-    let ys: Vec<f64> = samples.iter().map(|s| s.time.as_ns_f64()).collect();
-    let y = if samples.len() >= 8 {
-        let mut m = LinearModel::new();
-        m.fit(&xs, &ys);
-        m.predict(features).or_else(|| {
-            let mut knn = KnnPredictor::new(3);
-            knn.fit(&xs, &ys);
-            knn.predict(features)
-        })?
-    } else {
-        let mut knn = KnnPredictor::new(3);
-        knn.fit(&xs, &ys);
-        knn.predict(features)?
+    predict_ns(history, function, device, features).map(|y| Duration::from_ns_f64(y.max(0.0)))
+}
+
+/// The model output behind [`predict_time`], in nanoseconds and before
+/// it is clamped at zero.
+pub fn predict_ns(
+    history: &mut ExecutionHistory,
+    function: &str,
+    device: DeviceClass,
+    features: &[f64],
+) -> Option<f64> {
+    let key = history.key_mut(function, device)?;
+    let rows = || {
+        key.samples
+            .iter()
+            .map(|s| (s.features.as_slice(), s.time.as_ns_f64()))
     };
-    Some(Duration::from_ns_f64(y.max(0.0)))
+    let linear = if key.samples.len() >= 8 {
+        key.fit
+            .get_or_insert_with(|| ridge_weights(rows()))
+            .as_deref()
+            .map(|w| linear_predict(w, features))
+    } else {
+        None
+    };
+    linear.or_else(|| knn_mean(3, rows(), features))
 }
 
 #[cfg(test)]
@@ -301,15 +326,15 @@ mod tests {
             h.record(
                 "f",
                 DeviceClass::Cpu,
-                vec![size as f64],
+                &[size as f64],
                 Duration::from_ns(100 * size),
                 Energy::ZERO,
             );
         }
-        let t = predict_time(&h, "f", DeviceClass::Cpu, &[50.0]).unwrap();
+        let t = predict_time(&mut h, "f", DeviceClass::Cpu, &[50.0]).unwrap();
         assert!((t.as_ns_f64() - 5000.0).abs() < 10.0);
         // unknown function: None
-        assert!(predict_time(&h, "g", DeviceClass::Cpu, &[1.0]).is_none());
+        assert!(predict_time(&mut h, "g", DeviceClass::Cpu, &[1.0]).is_none());
     }
 
     #[test]
@@ -318,18 +343,18 @@ mod tests {
         h.record(
             "f",
             DeviceClass::FpgaLocal,
-            vec![8.0],
+            &[8.0],
             Duration::from_us(8),
             Energy::ZERO,
         );
         h.record(
             "f",
             DeviceClass::FpgaLocal,
-            vec![16.0],
+            &[16.0],
             Duration::from_us(16),
             Energy::ZERO,
         );
-        let t = predict_time(&h, "f", DeviceClass::FpgaLocal, &[12.0]).unwrap();
+        let t = predict_time(&mut h, "f", DeviceClass::FpgaLocal, &[12.0]).unwrap();
         assert!(t >= Duration::from_us(8) && t <= Duration::from_us(16));
     }
 

@@ -30,11 +30,13 @@
 //! same `exec`, and crashes and quarantines retire a worker through the
 //! same `retire`.
 
+use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 
 use ecoscale_noc::NodeId;
 use ecoscale_sim::check::{invariant, CheckPlane};
 use ecoscale_sim::fault::{salt, CampaignSpec, FaultClock};
+use ecoscale_sim::trace::{EventKind, TraceEvent};
 use ecoscale_sim::{
     Counter, Duration, Histogram, MetricsRegistry, OnlineStats, SimRng, Time, TimingWheel, Tracer,
     TrackId, ZipfTable,
@@ -326,6 +328,9 @@ struct Run<'a> {
     tracks: Vec<TrackId>,
     queue_track: Option<TrackId>,
     wait_track: Option<TrackId>,
+    /// This run's trace events, on the tracer's track ids: appended to
+    /// the tracer once, when the run reports, instead of one lock each.
+    spans: Vec<TraceEvent>,
     steal_policy: RetryPolicy,
     task_backoff: Vec<Backoff>,
     dispatcher_free: Time,
@@ -367,6 +372,7 @@ impl<'a> Run<'a> {
             tracks,
             queue_track,
             wait_track,
+            spans: Vec::new(),
             // The lazy scheduler's probe backoff: 8x, 16x, then capped at
             // 32x the probe latency.
             steal_policy: RetryPolicy::new(
@@ -472,8 +478,15 @@ impl<'a> Run<'a> {
     /// Samples the depth of the queue an arrival just joined.
     fn enqueued(&mut self, now: Time, depth: usize) {
         self.sim.ins.queue_depth.record(depth as u64);
-        if let Some(t) = self.queue_track {
-            self.sim.tracer.counter(t, "queued", now, depth as f64);
+        if let Some(track) = self.queue_track {
+            self.spans.push(TraceEvent {
+                track,
+                name: "queued".into(),
+                ts: now,
+                kind: EventKind::Counter {
+                    value: depth as f64,
+                },
+            });
         }
     }
 
@@ -604,15 +617,19 @@ impl<'a> Run<'a> {
         if spec.task.data_home().0 % self.lanes.len() != w {
             ins.migrations.incr();
         }
+        let span = |track, name: Cow<'static, str>, ts, dur| TraceEvent {
+            track,
+            name,
+            ts,
+            kind: EventKind::Complete { dur },
+        };
         if let Some(&track) = self.tracks.get(w) {
-            self.sim
-                .tracer
-                .complete(track, spec.task.function().to_owned(), start, d);
+            let name = spec.task.function().to_owned().into();
+            self.spans.push(span(track, name, start, d));
         }
         if let Some(track) = self.wait_track.filter(|_| waited > Duration::ZERO) {
-            self.sim
-                .tracer
-                .complete(track, "wait", spec.arrival, waited);
+            self.spans
+                .push(span(track, "wait".into(), spec.arrival, waited));
         }
         self.q
             .schedule(start + d, self.q.scheduled_total(), Ev::Finish(w));
@@ -685,6 +702,7 @@ impl<'a> Run<'a> {
     }
 
     fn report(mut self) -> SchedReport {
+        self.sim.tracer.append(std::mem::take(&mut self.spans));
         // Work still queued when the event stream dries up — possible
         // only once every worker has died — is lost.
         if self.sim.faults.is_some() {

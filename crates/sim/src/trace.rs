@@ -296,6 +296,17 @@ impl Tracer {
         }
     }
 
+    /// Appends `events`, recorded against this tracer's track ids, under
+    /// one lock: how a run that buffers its own spans publishes them.
+    pub fn append(&self, events: Vec<TraceEvent>) {
+        if let Some(buf) = &self.shared {
+            buf.lock()
+                .expect("no recording thread panicked")
+                .events
+                .extend(events);
+        }
+    }
+
     /// Takes the buffered events, leaving the tracer's buffer empty.
     /// Returns an empty buffer on a disabled tracer.
     pub fn take(&self) -> TraceBuffer {

@@ -94,6 +94,11 @@ echo "== tier-1: workspace tests (release) =="
 # tests (the kernel interpreter, EcoscaleSystem::call, ...) and doctests.
 cargo test -q --workspace --release
 
+echo "== tier-1: cached predictor differential, wide (release) =="
+# The device predictor's fit cache against fresh fits: tier-1 runs 64
+# random histories, this #[ignore]d variant 640.
+cargo test -q --release --test properties -- --ignored cached_predictor_matches_fresh_fits_wide
+
 echo "== tier-1: smoke fault campaign =="
 # Small seeded FaultPlane campaign through the resilience sweeps: must
 # run clean, and a repeat must be byte-identical (campaign determinism).

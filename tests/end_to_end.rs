@@ -235,7 +235,7 @@ fn remote_worker_borrows_accelerator_over_unilogic() {
         s.worker_mut(NodeId(10)).history_mut().record(
             "blackscholes",
             DeviceClass::FpgaLocal,
-            vec![0.02, 0.3, 1.0, 16_384.0], // scalar declaration order: r, sigma, t, n
+            &[0.02, 0.3, 1.0, 16_384.0], // scalar declaration order: r, sigma, t, n
             hw_time,
             Energy::ZERO,
         );

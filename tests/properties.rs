@@ -8,7 +8,7 @@
 
 mod common;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ecoscale::fpga::bitstream::lz_compress;
 use ecoscale::fpga::{
@@ -16,7 +16,9 @@ use ecoscale::fpga::{
 };
 use ecoscale::mem::{PagePerms, PageTable, Smmu, SmmuConfig, VirtAddr};
 use ecoscale::noc::{Dragonfly, Mesh2d, NodeId, Topology, TreeTopology};
-use ecoscale::sim::{Duration, OnlineStats, SimRng, Time};
+use ecoscale::runtime::{DeviceClass, ExecutionHistory};
+use ecoscale::sim::snap::{Persist, RestoreError, SnapIo, SnapReader, SnapWriter};
+use ecoscale::sim::{Duration, Energy, OnlineStats, SimRng, Time};
 
 const CASES: u64 = 64;
 /// Cases for tests whose reference oracle takes about 0.3 s per case in a
@@ -678,6 +680,309 @@ fn linear_model_recovers_exact_lines() {
         let y = m.predict(&[50.0]).expect("fitted");
         assert!((y - (w0 + w1 * 50.0)).abs() < 1e-5, "case {case}");
     }
+}
+
+/// The execution history as it was kept before its rings, as the oracle
+/// of the ring history: one `Vec` per key that shifts on eviction, each
+/// sample naming its key, and the same three maps in its snapshot.
+#[derive(Debug, Default)]
+struct VecHistory {
+    cap: usize,
+    samples: HashMap<(String, DeviceClass), Vec<VecSample>>,
+    time_stats: HashMap<(String, DeviceClass), OnlineStats>,
+    call_counts: HashMap<String, u64>,
+}
+
+#[derive(Debug, Clone, Default, PartialEq)]
+struct VecSample {
+    function: String,
+    device: DeviceClass,
+    features: Vec<f64>,
+    time: Duration,
+    energy: Energy,
+}
+
+impl VecHistory {
+    fn record(
+        &mut self,
+        function: &str,
+        device: DeviceClass,
+        x: &[f64],
+        time: Duration,
+        e: Energy,
+    ) {
+        *self.call_counts.entry(function.to_owned()).or_insert(0) += 1;
+        let key = (function.to_owned(), device);
+        let stats = self.time_stats.entry(key.clone()).or_default();
+        stats.record(time.as_ps() as f64);
+        let v = self.samples.entry(key).or_default();
+        if v.len() == self.cap {
+            v.remove(0);
+        }
+        v.push(VecSample {
+            function: function.to_owned(),
+            device,
+            features: x.to_vec(),
+            time,
+            energy: e,
+        });
+    }
+
+    fn samples(&self, function: &str, device: DeviceClass) -> &[VecSample] {
+        let key = (function.to_owned(), device);
+        self.samples.get(&key).map_or(&[], Vec::as_slice)
+    }
+
+    /// What `predict_ns` gave before the fit cache: fresh models fitted
+    /// on clones of the key's samples.
+    fn fresh_prediction(&self, function: &str, device: DeviceClass, x: &[f64]) -> Option<f64> {
+        use ecoscale::runtime::{KnnPredictor, LinearModel, Predictor};
+        let samples = self.samples(function, device);
+        let xs: Vec<Vec<f64>> = samples.iter().map(|s| s.features.clone()).collect();
+        let ys: Vec<f64> = samples.iter().map(|s| s.time.as_ns_f64()).collect();
+        let knn = || {
+            let mut knn = KnnPredictor::new(3);
+            knn.fit(&xs, &ys);
+            knn.predict(x)
+        };
+        if samples.len() >= 8 {
+            let mut m = LinearModel::new();
+            m.fit(&xs, &ys);
+            m.predict(x).or_else(knn)
+        } else {
+            knn()
+        }
+    }
+}
+
+impl Persist for VecSample {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.str(&mut self.function)?;
+        self.device.persist(io)?;
+        self.features.persist(io)?;
+        io.duration(&mut self.time)?;
+        self.energy.persist(io)
+    }
+}
+
+impl Persist for VecHistory {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        io.map_with(&mut self.samples, "sample keys", |io, _, v| {
+            io.vec(v, "samples", IO::item)
+        })?;
+        io.sorted_map(&mut self.time_stats, "aggregate keys")?;
+        io.sorted_map(&mut self.call_counts, "call counts")
+    }
+}
+
+#[derive(Debug, Clone)]
+enum HistOp {
+    /// Record one execution of function `f` on device `d`.
+    Record {
+        f: usize,
+        d: usize,
+        x: Vec<f64>,
+        time_ps: u64,
+        energy_pj: u64,
+    },
+    /// Predict function `f` on device `d` for `x`.
+    Predict { f: usize, d: usize, x: Vec<f64> },
+    /// Save the history and carry on with a fresh one loaded from it.
+    Reload,
+}
+
+/// Function names and feature counts, as the serving mix binds them.
+const HIST_FUNCTIONS: [(&str, usize); 2] = [("fir", 2), ("blackscholes", 4)];
+
+/// A random op stream: records with roughly linear times, predictions
+/// and reloads in the proportions `weights` (record, predict, reload).
+fn arb_hist_ops(rng: &mut SimRng, len: usize, weights: [u64; 3]) -> Vec<HistOp> {
+    let total: u64 = weights.iter().sum();
+    // Mostly the serving mix's own features: fir's `n` and fixed `taps`,
+    // Black–Scholes' fixed `r`, `sigma`, `t` and its `n`. Columns that
+    // never vary make nearly singular normal matrices, where a summing
+    // order that differs shows in the weights' low bits.
+    let features = |rng: &mut SimRng, f: usize| -> Vec<f64> {
+        let n = rng.gen_range_u64(1, 9) as f64 * 24.0;
+        let mut x = match f {
+            0 => vec![n, 16.0],
+            _ => vec![0.02, 0.3, 1.0, n],
+        };
+        if rng.gen_bool(0.3) {
+            for v in &mut x {
+                *v = rng.gen_range_f64(0.0, 128.0);
+            }
+        }
+        x
+    };
+    (0..len)
+        .map(|_| {
+            let f = rng.gen_range_usize(0, HIST_FUNCTIONS.len());
+            let pick = rng.gen_range_u64(0, total);
+            if pick < weights[0] {
+                let x = features(rng, f);
+                let linear = 5_000.0 + 40.0 * x.iter().sum::<f64>();
+                let noise = rng.gen_range_f64(0.0, 500.0);
+                HistOp::Record {
+                    f,
+                    d: rng.gen_range_usize(0, 3),
+                    x,
+                    time_ps: ((linear + noise) * 1e3) as u64,
+                    energy_pj: rng.gen_range_u64(0, 1 << 20),
+                }
+            } else if pick < weights[0] + weights[1] {
+                HistOp::Predict {
+                    f,
+                    // the daemon predicts both device classes
+                    d: rng.gen_range_usize(0, 2),
+                    x: features(rng, f),
+                }
+            } else {
+                HistOp::Reload
+            }
+        })
+        .collect()
+}
+
+/// Runs `ops` on an [`ExecutionHistory`] of capacity `cap` and on the
+/// [`VecHistory`] oracle. After every op the retained samples, means,
+/// aggregates, call counts, hottest functions and snapshot bytes must
+/// agree, and every prediction must equal a fresh fit bit for bit.
+fn history_lockstep(cap: usize, ops: &[HistOp]) -> Option<String> {
+    use ecoscale::runtime::model::predict_ns;
+    let mut hist = ExecutionHistory::new(cap);
+    let mut oracle = VecHistory {
+        cap,
+        ..VecHistory::default()
+    };
+    let save = |h: &mut dyn FnMut(&mut SnapWriter)| {
+        let mut w = SnapWriter::new();
+        h(&mut w);
+        w.into_bytes()
+    };
+    for (step, op) in ops.iter().enumerate() {
+        match op {
+            HistOp::Record {
+                f,
+                d,
+                x,
+                time_ps,
+                energy_pj,
+            } => {
+                let (name, d) = (HIST_FUNCTIONS[*f].0, DeviceClass::ALL[*d]);
+                let (t, e) = (
+                    Duration::from_ps(*time_ps),
+                    Energy::from_pj(*energy_pj as f64),
+                );
+                hist.record(name, d, x, t, e);
+                oracle.record(name, d, x, t, e);
+            }
+            HistOp::Predict { f, d, x } => {
+                let (name, d) = (HIST_FUNCTIONS[*f].0, DeviceClass::ALL[*d]);
+                let got = predict_ns(&mut hist, name, d, x).map(f64::to_bits);
+                let want = oracle.fresh_prediction(name, d, x).map(f64::to_bits);
+                if got != want {
+                    return Some(format!(
+                        "step {step}: {name} on {d} predicts {:?}, a fresh fit {:?}",
+                        got.map(f64::from_bits),
+                        want.map(f64::from_bits)
+                    ));
+                }
+            }
+            HistOp::Reload => {
+                let bytes = save(&mut |w| w.save(&mut hist));
+                let mut loaded = ExecutionHistory::new(cap);
+                let mut r = SnapReader::new(&bytes);
+                if let Err(e) = loaded.persist(&mut r) {
+                    return Some(format!("step {step}: reload refused: {e}"));
+                }
+                hist = loaded;
+            }
+        }
+        for (name, _) in HIST_FUNCTIONS {
+            if hist.call_count(name) != oracle.call_counts.get(name).copied().unwrap_or(0) {
+                return Some(format!(
+                    "step {step}: {name} call count {}",
+                    hist.call_count(name)
+                ));
+            }
+            for d in DeviceClass::ALL {
+                let want = oracle.samples(name, d);
+                let got = hist.samples(name, d);
+                let same = got.len() == want.len()
+                    && got.zip(want).all(|(g, w)| {
+                        g.features == w.features && g.time == w.time && g.energy == w.energy
+                    });
+                if !same {
+                    return Some(format!("step {step}: {name} on {d} samples differ"));
+                }
+                let stats = oracle.time_stats.get(&(name.to_owned(), d));
+                if hist.time_stats(name, d) != stats {
+                    return Some(format!("step {step}: {name} on {d} aggregates differ"));
+                }
+                let mean = stats.map(|s| Duration::from_ps(s.mean().round() as u64));
+                if hist.mean_time(name, d) != mean {
+                    return Some(format!("step {step}: {name} on {d} mean differs"));
+                }
+            }
+        }
+        let mut hottest: Vec<(String, u64)> = oracle
+            .call_counts
+            .iter()
+            .map(|(k, &c)| (k.clone(), c))
+            .collect();
+        hottest.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        if hist.hottest_functions() != hottest {
+            return Some(format!("step {step}: hottest functions differ"));
+        }
+        let got = save(&mut |w| w.save(&mut hist));
+        if got != save(&mut |w| w.save(&mut oracle)) {
+            return Some(format!("step {step}: snapshot bytes differ"));
+        }
+    }
+    None
+}
+
+/// `cases` random streams through [`history_lockstep`], at capacities
+/// from 1 to 24 so keys evict often, with op mix `weights`.
+fn history_cases(salt: u64, cases: u64, weights: [u64; 3]) {
+    for case in 0..cases {
+        let mut rng = case_rng(salt, case);
+        let cap = rng.gen_range_usize(1, 25);
+        let len = rng.gen_range_usize(1, 300);
+        let ops = arb_hist_ops(&mut rng, len, weights);
+        assert_lockstep("ExecutionHistory", case, &ops, |ops| {
+            history_lockstep(cap, ops)
+        });
+    }
+}
+
+/// The ring history keeps what the `Vec` history kept: samples, means,
+/// aggregates, call counts and snapshot bytes, through evictions and
+/// reloads.
+#[test]
+fn ring_history_matches_vec_history_oracle() {
+    history_cases(30, CASES, [8, 1, 1]);
+}
+
+/// Every cached prediction equals a fresh [`LinearModel`] or
+/// [`KnnPredictor`] fit of the key's samples, bit for bit: across
+/// evictions, refused fits, both device classes and reloads that drop
+/// the cache.
+///
+/// [`LinearModel`]: ecoscale::runtime::LinearModel
+/// [`KnnPredictor`]: ecoscale::runtime::KnnPredictor
+#[test]
+fn cached_predictor_matches_fresh_fits() {
+    history_cases(31, CASES, [4, 5, 1]);
+}
+
+/// [`cached_predictor_matches_fresh_fits`] at ten times the cases, for a
+/// release build (`scripts/ci.sh` runs it).
+#[test]
+#[ignore = "wide variant: run in release by scripts/ci.sh"]
+fn cached_predictor_matches_fresh_fits_wide() {
+    history_cases(32, 10 * CASES, [4, 5, 1]);
 }
 
 // ----------------------------------------------------------------------
