@@ -61,10 +61,15 @@ pub fn reference(spots: &[f64], strikes: &[f64], r: f64, sigma: f64, t: f64) -> 
 
 /// Binds kernel arguments.
 pub fn bind_args(spots: &[f64], strikes: &[f64], r: f64, sigma: f64, t: f64) -> KernelArgs {
+    bind_owned(spots.to_vec(), strikes.to_vec(), r, sigma, t)
+}
+
+/// [`bind_args`], taking the buffers instead of copying them.
+pub fn bind_owned(spots: Vec<f64>, strikes: Vec<f64>, r: f64, sigma: f64, t: f64) -> KernelArgs {
     let n = spots.len();
     let mut args = KernelArgs::new();
-    args.bind_array("spot", spots.to_vec())
-        .bind_array("strike", strikes.to_vec())
+    args.bind_array("spot", spots)
+        .bind_array("strike", strikes)
         .bind_array("price", vec![0.0; n])
         .bind_scalar("r", r)
         .bind_scalar("sigma", sigma)

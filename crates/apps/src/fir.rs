@@ -49,12 +49,18 @@ pub fn reference(x: &[f64], h: &[f64], n: usize) -> Vec<f64> {
 
 /// Binds kernel arguments.
 pub fn bind_args(x: &[f64], h: &[f64], n: usize) -> KernelArgs {
+    bind_owned(x.to_vec(), h.to_vec(), n)
+}
+
+/// [`bind_args`], taking the buffers instead of copying them.
+pub fn bind_owned(x: Vec<f64>, h: Vec<f64>, n: usize) -> KernelArgs {
+    let taps = h.len();
     let mut args = KernelArgs::new();
-    args.bind_array("x", x.to_vec())
-        .bind_array("h", h.to_vec())
+    args.bind_array("x", x)
+        .bind_array("h", h)
         .bind_array("y", vec![0.0; n])
         .bind_scalar("n", n as f64)
-        .bind_scalar("taps", h.len() as f64);
+        .bind_scalar("taps", taps as f64);
     args
 }
 

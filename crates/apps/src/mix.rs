@@ -11,8 +11,7 @@
 //!
 //! Binders are pure functions of the item count — fixed generator seeds,
 //! no ambient state — which keeps serving runs byte-identical across
-//! thread and shard counts, and lets a serving cell bind each batch size
-//! once and clone it per dispatch ([`ServeKernel::bind`]).
+//! thread and shard counts.
 
 use ecoscale_core::{serve_hints, ServeKernel};
 use ecoscale_hls::KernelArgs;
@@ -25,12 +24,12 @@ pub const FIR_TAPS: usize = 16;
 
 fn bind_fir(n: usize) -> KernelArgs {
     let (x, h) = fir::generate(n, FIR_TAPS, 7);
-    fir::bind_args(&x, &h, n)
+    fir::bind_owned(x, h, n)
 }
 
 fn bind_blackscholes(n: usize) -> KernelArgs {
     let (spots, strikes) = blackscholes::generate(n, 11);
-    blackscholes::bind_args(&spots, &strikes, 0.02, 0.3, 1.0)
+    blackscholes::bind_owned(spots, strikes, 0.02, 0.3, 1.0)
 }
 
 /// The default serving mix: FIR filtering and Black–Scholes pricing,
@@ -68,45 +67,6 @@ mod tests {
             let mut args = (k.bind)(64);
             args.run(&kernel).expect("mix binder satisfies its kernel");
         }
-    }
-
-    /// Every argument of `kernel`'s signature in `args`, as bits.
-    fn arg_bits(kernel: &ecoscale_hls::Kernel, args: &KernelArgs) -> Vec<Vec<u64>> {
-        kernel
-            .params()
-            .iter()
-            .map(|p| match args.array(&p.name) {
-                Some(a) => a.iter().map(|v| v.to_bits()).collect(),
-                None => args.scalar(&p.name).map(f64::to_bits).into_iter().collect(),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn memoised_binds_equal_fresh_binds() {
-        use ecoscale_core::CellSim;
-        use ecoscale_hls::parse_kernel;
-        let spec = ServeSpec::parse("seed=3,tenants=2,rate=60000,horizon=200us,batch=8").unwrap();
-        let mut cfg = ServeSimConfig::new(spec, serve_mix());
-        cfg.items = 48;
-        cfg.ctx = RunCtx::parse(Some("1"), Some("1"), None);
-        let mut cell = CellSim::new(&cfg, vec![0, 1]);
-        let check = |cell: &mut CellSim<'_>| {
-            for (k, entry) in cfg.kernels.iter().enumerate() {
-                let kernel = parse_kernel(entry.source).unwrap();
-                for requests in 1..=cfg.spec.batch {
-                    let fresh = arg_bits(&kernel, &(entry.bind)(cfg.items * requests));
-                    let memo = arg_bits(&kernel, &cell.batch_args(k, requests));
-                    assert_eq!(memo, fresh, "{} × {requests}", entry.name);
-                }
-            }
-        };
-        // the first pass binds, the second clones the memo
-        check(&mut cell);
-        check(&mut cell);
-        // dispatches write their clones' outputs, never the memo
-        assert!(cell.run(None));
-        check(&mut cell);
     }
 
     #[test]

@@ -61,9 +61,8 @@ pub struct ServeKernel {
     ///
     /// Must be a pure function of `total_items`: the same count gives
     /// the same arguments, bit for bit, on every call, in any process,
-    /// and a call has no effect beyond its result. A serving cell relies
-    /// on this: it binds each (kernel, item count) once and gives every
-    /// later dispatch of that count a clone of the first result.
+    /// and a call has no effect beyond its result. A serving cell calls
+    /// it once per dispatch.
     pub bind: fn(usize) -> KernelArgs,
 }
 
@@ -436,12 +435,6 @@ pub struct CellSim<'a> {
     next_tick: Time,
     last_resil: u64,
     telem: Option<CellTelem>,
-    /// Per mix kernel, indexed by batch length: the arguments its binder
-    /// gives that batch's item count, bound on the first dispatch of
-    /// that length. Binders are pure ([`ServeKernel::bind`]), so a clone
-    /// is exactly a fresh bind. Derived state: not persisted, so a
-    /// resumed or migrated cell binds afresh.
-    binds: Vec<Vec<Option<KernelArgs>>>,
 }
 
 impl<'a> CellSim<'a> {
@@ -482,7 +475,6 @@ impl<'a> CellSim<'a> {
                 last_viol: 0,
                 last_quar: 0,
             }),
-            binds: vec![Vec::new(); cfg.kernels.len()],
             system,
             cfg,
             artifacts,
@@ -556,7 +548,7 @@ impl<'a> CellSim<'a> {
                     .take_batch(self.now)
                     .expect("ready implies queued");
                 let kernel = &self.cfg.kernels[batch.kernel as usize];
-                let mut args = self.batch_args(batch.kernel as usize, batch.len());
+                let mut args = (kernel.bind)(self.cfg.items * batch.len());
                 match self.system.call(NodeId(lane), kernel.name, &mut args) {
                     Ok(out) => {
                         let done = self.now + self.cfg.spec.overhead + out.latency;
@@ -604,25 +596,6 @@ impl<'a> CellSim<'a> {
         }
         debug_assert!(self.plane.drained());
         true
-    }
-
-    /// The arguments this cell dispatches for a batch of `requests`
-    /// requests of mix kernel `kernel` (an index into the config's
-    /// kernels): the kernel's binder over `requests × items` items, bound
-    /// on the first such batch and cloned for every later one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernel` is not an index of the mix.
-    pub fn batch_args(&mut self, kernel: usize, requests: usize) -> KernelArgs {
-        let cfg = self.cfg;
-        let binds = &mut self.binds[kernel];
-        if binds.len() <= requests {
-            binds.resize(requests + 1, None);
-        }
-        binds[requests]
-            .get_or_insert_with(|| (cfg.kernels[kernel].bind)(cfg.items * requests))
-            .clone()
     }
 
     /// One telemetry maintenance tick at `at` (a cadence boundary or

@@ -778,7 +778,9 @@ impl EcoscaleSystem {
                 .min_by_key(|w| topo.hops(worker, w.id()))
                 .map(|w| w.id())
         });
-        let device = self.workers[worker.0].select_device(
+        let (daemon, history) = self.workers[worker.0].daemon_and_history();
+        let device = daemon.select_device(
+            history,
             function,
             &callable.features,
             local_loaded,
@@ -1407,14 +1409,31 @@ mod tests {
 
     #[test]
     fn memoised_analyses_equal_fresh_ones_over_a_serving_run() {
-        use crate::linear_test_mix;
+        use std::cell::RefCell;
 
-        // a serving cell's calls: either kernel, batches of 1 to 8
-        // requests of 24 items each
-        let mut rng = ecoscale_sim::SimRng::seed_from(7);
-        let mut calls: Vec<(usize, usize)> = (0..200)
-            .map(|_| (rng.gen_range_usize(0, 2), 24 * rng.gen_range_usize(1, 9)))
-            .collect();
+        use ecoscale_runtime::ServeSpec;
+        use ecoscale_sim::RunCtx;
+
+        use crate::{linear_test_mix, run_serve_sim_with, ServeSimConfig};
+
+        thread_local! {
+            static CALLS: RefCell<Vec<(usize, usize)>> = const { RefCell::new(Vec::new()) };
+        }
+        fn logged<const K: usize>(items: usize) -> KernelArgs {
+            CALLS.with(|c| c.borrow_mut().push((K, items)));
+            (linear_test_mix()[K].bind)(items)
+        }
+        // log the calls of a batching serving run (on this thread)
+        let mut mix = linear_test_mix();
+        mix[0].bind = logged::<0>;
+        mix[1].bind = logged::<1>;
+        let spec = ServeSpec::parse("seed=7,tenants=3,rate=300000,horizon=400us,batch=8").unwrap();
+        let mut cfg = ServeSimConfig::new(spec, mix);
+        cfg.items = 24;
+        cfg.ctx = RunCtx::parse(Some("1"), Some("1"), None);
+        run_serve_sim_with(&cfg, &mut CheckPlane::disabled());
+        let mut calls = CALLS.with(|c| c.take());
+        assert!(calls.len() > 50, "{} calls", calls.len());
         // then enough distinct sizes, twice over, to cycle the memo
         calls.extend((0..2).flat_map(|_| (1..=2 * ANALYSES_PER_KERNEL).map(|n| (n % 2, n))));
 

@@ -6,8 +6,7 @@ use ecoscale_hls::ModuleLibrary;
 use ecoscale_mem::{Smmu, SmmuConfig};
 use ecoscale_noc::NodeId;
 use ecoscale_runtime::{
-    CpuModel, DaemonConfig, DeviceClass, ExecutionHistory, FpgaExecModel, ReconfigDaemon,
-    ReconfigError,
+    CpuModel, DaemonConfig, ExecutionHistory, FpgaExecModel, ReconfigDaemon, ReconfigError,
 };
 use ecoscale_sim::{Duration, Persist, RestoreError, SnapIo};
 
@@ -95,28 +94,11 @@ impl Worker {
         &mut self.history
     }
 
-    /// Chooses the device for one call of `function` with `features`
-    /// ([`ReconfigDaemon::select_device`] over this Worker's history).
-    pub fn select_device(
-        &mut self,
-        function: &str,
-        features: &[f64],
-        local_loaded: bool,
-        remote_loaded: bool,
-    ) -> DeviceClass {
-        self.daemon.select_device(
-            &mut self.history,
-            function,
-            features,
-            local_loaded,
-            remote_loaded,
-        )
-    }
-
-    /// Split borrow for the daemon's periodic evaluation, which reads the
-    /// history while mutating the floorplan.
-    pub fn daemon_and_history(&mut self) -> (&mut ReconfigDaemon, &ExecutionHistory) {
-        (&mut self.daemon, &self.history)
+    /// Split borrow for the daemon, which reads the history while it
+    /// mutates the floorplan (periodic evaluation) and refreshes the
+    /// history's cached fits while it selects a device.
+    pub fn daemon_and_history(&mut self) -> (&mut ReconfigDaemon, &mut ExecutionHistory) {
+        (&mut self.daemon, &mut self.history)
     }
 
     /// Modules currently resident on this Worker's fabric.

@@ -87,9 +87,11 @@
 //! tree-walker over fuzzed kernels, including one compiled program run
 //! under changing bindings.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
+
+use ecoscale_sim::hash::FxHashMap;
 
 use crate::ir::{BinOp, Expr, Kernel, ParamKind, Stmt, UnOp};
 
@@ -165,8 +167,8 @@ impl Error for ExecKernelError {}
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct KernelArgs {
-    arrays: HashMap<String, Vec<Value>>,
-    scalars: HashMap<String, Value>,
+    arrays: FxHashMap<String, Vec<Value>>,
+    scalars: FxHashMap<String, Value>,
 }
 
 impl KernelArgs {

@@ -222,17 +222,6 @@ pub fn predict_time(
     device: DeviceClass,
     features: &[f64],
 ) -> Option<Duration> {
-    predict_ns(history, function, device, features).map(|y| Duration::from_ns_f64(y.max(0.0)))
-}
-
-/// The model output behind [`predict_time`], in nanoseconds and before
-/// it is clamped at zero.
-pub fn predict_ns(
-    history: &mut ExecutionHistory,
-    function: &str,
-    device: DeviceClass,
-    features: &[f64],
-) -> Option<f64> {
     let key = history.key_mut(function, device)?;
     let rows = || {
         key.samples
@@ -247,7 +236,9 @@ pub fn predict_ns(
     } else {
         None
     };
-    linear.or_else(|| knn_mean(3, rows(), features))
+    linear
+        .or_else(|| knn_mean(3, rows(), features))
+        .map(|y| Duration::from_ns_f64(y.max(0.0)))
 }
 
 #[cfg(test)]

@@ -56,6 +56,7 @@ impl SimRng {
     }
 
     /// The xoshiro256** core step.
+    #[inline]
     fn next_raw(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -115,6 +116,7 @@ impl SimRng {
     }
 
     /// Uniform `f64` in `[0, 1)`: the top 53 bits of a raw draw.
+    #[inline]
     pub fn gen_unit(&mut self) -> f64 {
         (self.next_raw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -124,6 +126,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `lo >= hi` or either bound is not finite.
+    #[inline]
     pub fn gen_range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(
             lo.is_finite() && hi.is_finite() && lo < hi,

@@ -733,9 +733,9 @@ impl VecHistory {
         self.samples.get(&key).map_or(&[], Vec::as_slice)
     }
 
-    /// What `predict_ns` gave before the fit cache: fresh models fitted
-    /// on clones of the key's samples.
-    fn fresh_prediction(&self, function: &str, device: DeviceClass, x: &[f64]) -> Option<f64> {
+    /// What `predict_time` gave before the fit cache: fresh models
+    /// fitted on clones of the key's samples.
+    fn fresh_prediction(&self, function: &str, device: DeviceClass, x: &[f64]) -> Option<Duration> {
         use ecoscale::runtime::{KnnPredictor, LinearModel, Predictor};
         let samples = self.samples(function, device);
         let xs: Vec<Vec<f64>> = samples.iter().map(|s| s.features.clone()).collect();
@@ -745,13 +745,14 @@ impl VecHistory {
             knn.fit(&xs, &ys);
             knn.predict(x)
         };
-        if samples.len() >= 8 {
+        let y = if samples.len() >= 8 {
             let mut m = LinearModel::new();
             m.fit(&xs, &ys);
             m.predict(x).or_else(knn)
         } else {
             knn()
-        }
+        };
+        y.map(|y| Duration::from_ns_f64(y.max(0.0)))
     }
 }
 
@@ -847,9 +848,10 @@ fn arb_hist_ops(rng: &mut SimRng, len: usize, weights: [u64; 3]) -> Vec<HistOp> 
 /// Runs `ops` on an [`ExecutionHistory`] of capacity `cap` and on the
 /// [`VecHistory`] oracle. After every op the retained samples, means,
 /// aggregates, call counts, hottest functions and snapshot bytes must
-/// agree, and every prediction must equal a fresh fit bit for bit.
+/// agree, and every prediction must equal a fresh fit's, picosecond
+/// for picosecond.
 fn history_lockstep(cap: usize, ops: &[HistOp]) -> Option<String> {
-    use ecoscale::runtime::model::predict_ns;
+    use ecoscale::runtime::model::predict_time;
     let mut hist = ExecutionHistory::new(cap);
     let mut oracle = VecHistory {
         cap,
@@ -879,13 +881,11 @@ fn history_lockstep(cap: usize, ops: &[HistOp]) -> Option<String> {
             }
             HistOp::Predict { f, d, x } => {
                 let (name, d) = (HIST_FUNCTIONS[*f].0, DeviceClass::ALL[*d]);
-                let got = predict_ns(&mut hist, name, d, x).map(f64::to_bits);
-                let want = oracle.fresh_prediction(name, d, x).map(f64::to_bits);
+                let got = predict_time(&mut hist, name, d, x);
+                let want = oracle.fresh_prediction(name, d, x);
                 if got != want {
                     return Some(format!(
-                        "step {step}: {name} on {d} predicts {:?}, a fresh fit {:?}",
-                        got.map(f64::from_bits),
-                        want.map(f64::from_bits)
+                        "step {step}: {name} on {d} predicts {got:?}, a fresh fit {want:?}"
                     ));
                 }
             }
@@ -965,10 +965,10 @@ fn ring_history_matches_vec_history_oracle() {
     history_cases(30, CASES, [8, 1, 1]);
 }
 
-/// Every cached prediction equals a fresh [`LinearModel`] or
-/// [`KnnPredictor`] fit of the key's samples, bit for bit: across
-/// evictions, refused fits, both device classes and reloads that drop
-/// the cache.
+/// Every cached prediction equals what a fresh [`LinearModel`] or
+/// [`KnnPredictor`] fit of the key's samples predicts, to the
+/// picosecond `predict_time` returns: across evictions, refused fits,
+/// both device classes and reloads that drop the cache.
 ///
 /// [`LinearModel`]: ecoscale::runtime::LinearModel
 /// [`KnnPredictor`]: ecoscale::runtime::KnnPredictor
