@@ -175,7 +175,9 @@ impl Region {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fabric {
-    columns: Vec<ResourceKind>,
+    /// One-row resources of columns `0..c` at index `c`: a region's
+    /// resources are a difference of two entries, scaled by its height.
+    prefix: Vec<Resources>,
     rows: u32,
 }
 
@@ -188,7 +190,18 @@ impl Fabric {
     pub fn new(columns: Vec<ResourceKind>, rows: u32) -> Fabric {
         assert!(!columns.is_empty(), "fabric needs columns");
         assert!(rows > 0, "fabric needs rows");
-        Fabric { columns, rows }
+        let mut prefix = Vec::with_capacity(columns.len() + 1);
+        let mut sum = Resources::ZERO;
+        prefix.push(sum);
+        for kind in columns {
+            match kind {
+                ResourceKind::Clb => sum.clb += 1,
+                ResourceKind::Bram => sum.bram += 1,
+                ResourceKind::Dsp => sum.dsp += 1,
+            }
+            prefix.push(sum);
+        }
+        Fabric { prefix, rows }
     }
 
     /// A Zynq-like pattern: every 5th column BRAM, every 7th DSP, the
@@ -210,7 +223,7 @@ impl Fabric {
 
     /// Number of columns.
     pub fn width(&self) -> u32 {
-        self.columns.len() as u32
+        self.prefix.len() as u32 - 1
     }
 
     /// Number of rows.
@@ -228,7 +241,7 @@ impl Fabric {
         })
     }
 
-    /// Resources inside `region`.
+    /// Resources inside `region`, in constant time.
     ///
     /// # Panics
     ///
@@ -238,40 +251,8 @@ impl Fabric {
             region.col + region.width <= self.width() && region.row + region.height <= self.rows,
             "region out of fabric bounds"
         );
-        let mut r = Resources::ZERO;
-        for c in region.col..region.col + region.width {
-            let per_col = region.height;
-            match self.columns[c as usize] {
-                ResourceKind::Clb => r.clb += per_col,
-                ResourceKind::Bram => r.bram += per_col,
-                ResourceKind::Dsp => r.dsp += per_col,
-            }
-        }
-        r
-    }
-
-    /// The minimum width (in columns, starting anywhere) of a full-height
-    /// region holding `need`, or `None` if even the whole fabric is too
-    /// small. Used by the floorplanner for bounding-box minimization.
-    pub fn min_width_for(&self, need: &Resources) -> Option<u32> {
-        let full = self.total_resources();
-        if !need.fits_in(&full) {
-            return None;
-        }
-        for width in 1..=self.width() {
-            for col in 0..=(self.width() - width) {
-                let region = Region {
-                    col,
-                    width,
-                    row: 0,
-                    height: self.rows,
-                };
-                if need.fits_in(&self.region_resources(&region)) {
-                    return Some(width);
-                }
-            }
-        }
-        None
+        let (start, end) = (region.col as usize, (region.col + region.width) as usize);
+        (self.prefix[end] - self.prefix[start]).scale(region.height)
     }
 }
 
@@ -390,24 +371,45 @@ mod tests {
         });
     }
 
+    /// Every region of a few small fabrics, against a per-column sum.
     #[test]
-    fn min_width_for_small_and_impossible() {
-        let f = Fabric::zynq_like(40, 60);
-        // a pure-CLB module needs few columns
-        let w = f.min_width_for(&Resources::new(120, 0, 0)).unwrap();
-        assert!(w <= 3);
-        // needing BRAM forces the window to include a BRAM column
-        let wb = f.min_width_for(&Resources::new(0, 60, 0)).unwrap();
-        assert!(wb >= 1);
-        // impossible demand
-        assert_eq!(f.min_width_for(&Resources::new(1_000_000, 0, 0)), None);
-    }
-
-    #[test]
-    fn min_width_monotone_in_demand() {
-        let f = Fabric::zynq_like(40, 60);
-        let w1 = f.min_width_for(&Resources::new(100, 0, 0)).unwrap();
-        let w2 = f.min_width_for(&Resources::new(1000, 10, 5)).unwrap();
-        assert!(w2 >= w1);
+    fn region_resources_match_per_column_sums() {
+        use ResourceKind::{Bram, Clb, Dsp};
+        let cases: [(Vec<ResourceKind>, u32); 3] = [
+            (vec![Dsp], 1),
+            (vec![Bram, Clb, Dsp, Clb, Bram, Bram, Dsp], 5),
+            (
+                (0..23)
+                    .map(|c| [Clb, Clb, Bram, Clb, Dsp][c * 7 % 5])
+                    .collect(),
+                4,
+            ),
+        ];
+        for (kinds, rows) in &cases {
+            let f = Fabric::new(kinds.clone(), *rows);
+            for col in 0..=f.width() {
+                for width in 0..=f.width() - col {
+                    for row in 0..=f.rows() {
+                        for height in 0..=f.rows() - row {
+                            let region = Region {
+                                col,
+                                width,
+                                row,
+                                height,
+                            };
+                            let mut want = Resources::ZERO;
+                            for kind in &kinds[col as usize..(col + width) as usize] {
+                                match kind {
+                                    Clb => want.clb += height,
+                                    Bram => want.bram += height,
+                                    Dsp => want.dsp += height,
+                                }
+                            }
+                            assert_eq!(f.region_resources(&region), want, "{region:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

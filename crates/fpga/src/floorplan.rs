@@ -155,53 +155,64 @@ impl Floorplanner {
         })
     }
 
+    /// The end of the narrowest window at `col` whose resources cover
+    /// `need`, trying ends from `from` up, if any. A window's resources
+    /// only grow with its width, so no end before the first that fits
+    /// can fit.
+    fn window_end(&self, col: u32, from: u32, need: &Resources) -> Option<u32> {
+        let rows = self.fabric.rows();
+        (from..=self.fabric.width()).find(|&end| {
+            need.fits_in(&self.fabric.region_resources(&Region {
+                col,
+                width: end - col,
+                row: 0,
+                height: rows,
+            }))
+        })
+    }
+
     /// Minimal width of a window at `col` whose resources cover `need`,
     /// if any.
     fn width_at(&self, col: u32, need: &Resources) -> Option<u32> {
-        let rows = self.fabric.rows();
-        for width in 1..=(self.fabric.width() - col) {
-            let region = Region {
-                col,
-                width,
-                row: 0,
-                height: rows,
-            };
-            if need.fits_in(&self.fabric.region_resources(&region)) {
-                return Some(width);
-            }
-        }
-        None
+        self.window_end(col, col + 1, need).map(|end| end - col)
     }
 
     /// Places `module` with footprint `need` first-fit, minimizing the
     /// bounding box at each candidate position.
+    ///
+    /// One sweep finds every candidate: the narrowest window's end never
+    /// moves left as its start moves right, and once no window at a
+    /// column fits, none at a later column does.
     ///
     /// # Errors
     ///
     /// [`PlaceError::TooLarge`] if the fabric can never host the module;
     /// [`PlaceError::Fragmented`] if only fragmentation prevents placement.
     pub fn place(&mut self, module: ModuleId, need: Resources) -> Result<SlotId, PlaceError> {
-        if self.fabric.min_width_for(&need).is_none() {
+        if !need.fits_in(&self.fabric.total_resources()) {
             return Err(PlaceError::TooLarge);
         }
-        let width_limit = self.fabric.width();
-        for col in 0..width_limit {
-            if let Some(width) = self.width_at(col, &need) {
-                if !self.occupied(col, width) {
-                    let slot = SlotId(self.next_slot);
-                    self.next_slot += 1;
-                    self.placements.insert(
+        let mut end = 0;
+        for col in 0..self.fabric.width() {
+            let Some(fit) = self.window_end(col, end.max(col + 1), &need) else {
+                break;
+            };
+            end = fit;
+            let width = end - col;
+            if !self.occupied(col, width) {
+                let slot = SlotId(self.next_slot);
+                self.next_slot += 1;
+                self.placements.insert(
+                    slot,
+                    Placement {
                         slot,
-                        Placement {
-                            slot,
-                            module,
-                            col,
-                            width,
-                        },
-                    );
-                    self.demands.insert(slot, need);
-                    return Ok(slot);
-                }
+                        module,
+                        col,
+                        width,
+                    },
+                );
+                self.demands.insert(slot, need);
+                return Ok(slot);
             }
         }
         Err(PlaceError::Fragmented {

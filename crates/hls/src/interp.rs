@@ -87,6 +87,7 @@
 //! tree-walker over fuzzed kernels, including one compiled program run
 //! under changing bindings.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
@@ -165,10 +166,13 @@ impl Error for ExecKernelError {}
 /// assert_eq!(args.array("b").unwrap(), &[10.0, 20.0, 30.0]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+///
+/// Bindings are keyed by `Cow<'static, str>`, so binding under a literal
+/// name allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct KernelArgs {
-    arrays: FxHashMap<String, Vec<Value>>,
-    scalars: FxHashMap<String, Value>,
+    arrays: FxHashMap<Cow<'static, str>, Vec<Value>>,
+    scalars: FxHashMap<Cow<'static, str>, Value>,
 }
 
 impl KernelArgs {
@@ -178,14 +182,18 @@ impl KernelArgs {
     }
 
     /// Binds an array buffer, replacing any previous binding.
-    pub fn bind_array(&mut self, name: &str, data: Vec<Value>) -> &mut Self {
-        self.arrays.insert(name.to_owned(), data);
+    pub fn bind_array(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        data: Vec<Value>,
+    ) -> &mut Self {
+        self.arrays.insert(name.into(), data);
         self
     }
 
     /// Binds a scalar.
-    pub fn bind_scalar(&mut self, name: &str, v: Value) -> &mut Self {
-        self.scalars.insert(name.to_owned(), v);
+    pub fn bind_scalar(&mut self, name: impl Into<Cow<'static, str>>, v: Value) -> &mut Self {
+        self.scalars.insert(name.into(), v);
         self
     }
 
@@ -213,9 +221,9 @@ impl KernelArgs {
     pub fn run(&mut self, kernel: &Kernel) -> Result<(), ExecKernelError> {
         for p in kernel.params() {
             let bound = if p.is_array() {
-                self.arrays.contains_key(&p.name)
+                self.arrays.contains_key(p.name.as_str())
             } else {
-                self.scalars.contains_key(&p.name)
+                self.scalars.contains_key(p.name.as_str())
             };
             if !bound {
                 return Err(ExecKernelError::MissingArg {
@@ -349,7 +357,7 @@ impl Program {
         let mut regs = vec![0.0; self.regs];
         let mut defined = vec![false; self.vars.len()];
         for (v, name) in self.vars.iter().enumerate() {
-            if let Some(&x) = args.scalars.get(name) {
+            if let Some(&x) = args.scalars.get(name.as_str()) {
                 regs[v] = x;
                 defined[v] = true;
             }
@@ -359,7 +367,7 @@ impl Program {
         let (keys, mut bufs): (Vec<_>, Vec<_>) = self
             .arrays
             .iter()
-            .map(|name| match args.arrays.remove_entry(name) {
+            .map(|name| match args.arrays.remove_entry(name.as_str()) {
                 Some((key, buf)) => (Some(key), buf),
                 None => (None, Vec::new()),
             })
@@ -382,7 +390,12 @@ impl Program {
         result
     }
 
-    fn error(&self, fault: Fault, keys: &[Option<String>], bufs: &[Vec<Value>]) -> ExecKernelError {
+    fn error(
+        &self,
+        fault: Fault,
+        keys: &[Option<Cow<'static, str>>],
+        bufs: &[Vec<Value>],
+    ) -> ExecKernelError {
         match fault {
             Fault::Unknown(var) => ExecKernelError::UnknownName {
                 name: self.vars[var as usize].clone(),

@@ -99,6 +99,12 @@ echo "== tier-1: cached predictor differential, wide (release) =="
 # random histories, this #[ignore]d variant 640.
 cargo test -q --release --test properties -- --ignored cached_predictor_matches_fresh_fits_wide
 
+echo "== tier-1: floorplanner differential, wide (release) =="
+# The prefix-sum floorplanner against the per-column scan it replaced:
+# tier-1 runs 64 random fabrics and op streams, this #[ignore]d variant
+# 640 with longer streams.
+cargo test -q --release --test properties -- --ignored floorplanner_matches_scan_oracle_wide
+
 echo "== tier-1: smoke fault campaign =="
 # Small seeded FaultPlane campaign through the resilience sweeps: must
 # run clean, and a repeat must be byte-identical (campaign determinism).
@@ -172,10 +178,10 @@ cmp target/telem_smoke.json target/telem_smoke_resumed.json
 cmp target/telem_smoke.txt target/telem_smoke_resumed.txt
 
 echo "== tier-1: seeded fuzz smoke (CheckPlane) =="
-# 1024 seeded configs across topology x policy x faults x threads x shards,
+# 1152 seeded configs across topology x policy x faults x threads x shards,
 # every invariant armed, exports compared byte-for-byte at THREADS=1 vs k
 # and (for the cluster-partitioned sim) at 1 shard vs k shards.
-./target/release/fuzz_configs --count 1024
+./target/release/fuzz_configs --count 1152
 
 echo "== tier-1: determinism suite (invariants armed) =="
 # The suite compares 1 vs 4 shards and 1 vs N threads itself, passing

@@ -12,13 +12,14 @@ use std::collections::{BTreeMap, HashMap};
 
 use ecoscale::fpga::bitstream::lz_compress;
 use ecoscale::fpga::{
-    Bitstream, CompressionAlgo, Fabric, Floorplanner, ModuleId, Region, Resources,
+    Bitstream, CompressionAlgo, Fabric, Floorplanner, ModuleId, PlaceError, Region, ResourceKind,
+    Resources, SlotId,
 };
 use ecoscale::mem::{PagePerms, PageTable, Smmu, SmmuConfig, VirtAddr};
 use ecoscale::noc::{Dragonfly, Mesh2d, NodeId, Topology, TreeTopology};
 use ecoscale::runtime::{DeviceClass, ExecutionHistory};
 use ecoscale::sim::snap::{Persist, RestoreError, SnapIo, SnapReader, SnapWriter};
-use ecoscale::sim::{Duration, Energy, OnlineStats, SimRng, Time};
+use ecoscale::sim::{CheckPlane, Duration, Energy, OnlineStats, SimRng, Time};
 
 const CASES: u64 = 64;
 /// Cases for tests whose reference oracle takes about 0.3 s per case in a
@@ -597,6 +598,594 @@ fn floorplan_no_overlaps_under_churn() {
         assert_eq!(fp.live(), before, "case {case}");
         assert!(fp.fragmentation() < 1e-9, "case {case}");
     }
+}
+
+// ----------------------------------------------------------------------
+// fpga: the prefix-sum floorplanner against the per-column scan
+// ----------------------------------------------------------------------
+
+/// The fabric and floorplanner as they were before the fabric kept
+/// prefix sums, as the oracle of the fast ones: each region sum walks
+/// its columns, the too-large test searches every window for the
+/// narrowest that fits, and each window search re-sums every width.
+mod scan_oracle {
+    use std::collections::BTreeMap;
+
+    use ecoscale::fpga::{
+        ModuleId, PlaceError, Placement, Region, ResourceKind, Resources, SlotId,
+    };
+    use ecoscale::sim::check::{invariant, CheckPlane};
+    use ecoscale::sim::snap::{Persist, RestoreError, SnapIo};
+
+    #[derive(Debug, Clone)]
+    pub struct ScanFabric {
+        columns: Vec<ResourceKind>,
+        rows: u32,
+    }
+
+    impl ScanFabric {
+        pub fn new(columns: Vec<ResourceKind>, rows: u32) -> ScanFabric {
+            assert!(!columns.is_empty(), "fabric needs columns");
+            assert!(rows > 0, "fabric needs rows");
+            ScanFabric { columns, rows }
+        }
+
+        pub fn width(&self) -> u32 {
+            self.columns.len() as u32
+        }
+
+        pub fn rows(&self) -> u32 {
+            self.rows
+        }
+
+        pub fn total_resources(&self) -> Resources {
+            self.region_resources(&Region {
+                col: 0,
+                width: self.width(),
+                row: 0,
+                height: self.rows,
+            })
+        }
+
+        pub fn region_resources(&self, region: &Region) -> Resources {
+            assert!(
+                region.col + region.width <= self.width()
+                    && region.row + region.height <= self.rows,
+                "region out of fabric bounds"
+            );
+            let mut r = Resources::ZERO;
+            for c in region.col..region.col + region.width {
+                let per_col = region.height;
+                match self.columns[c as usize] {
+                    ResourceKind::Clb => r.clb += per_col,
+                    ResourceKind::Bram => r.bram += per_col,
+                    ResourceKind::Dsp => r.dsp += per_col,
+                }
+            }
+            r
+        }
+
+        pub fn min_width_for(&self, need: &Resources) -> Option<u32> {
+            let full = self.total_resources();
+            if !need.fits_in(&full) {
+                return None;
+            }
+            for width in 1..=self.width() {
+                for col in 0..=(self.width() - width) {
+                    let region = Region {
+                        col,
+                        width,
+                        row: 0,
+                        height: self.rows,
+                    };
+                    if need.fits_in(&self.region_resources(&region)) {
+                        return Some(width);
+                    }
+                }
+            }
+            None
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    pub struct ScanFloorplanner {
+        fabric: ScanFabric,
+        placements: BTreeMap<SlotId, Placement>,
+        demands: BTreeMap<SlotId, Resources>,
+        next_slot: u32,
+    }
+
+    impl ScanFloorplanner {
+        pub fn new(fabric: ScanFabric) -> ScanFloorplanner {
+            ScanFloorplanner {
+                fabric,
+                placements: BTreeMap::new(),
+                demands: BTreeMap::new(),
+                next_slot: 0,
+            }
+        }
+
+        pub fn fabric(&self) -> &ScanFabric {
+            &self.fabric
+        }
+
+        pub fn placements(&self) -> impl Iterator<Item = &Placement> + '_ {
+            self.placements.values()
+        }
+
+        fn occupied(&self, col: u32, width: u32) -> bool {
+            self.placements.values().any(|p| {
+                let r1 = Region {
+                    col,
+                    width,
+                    row: 0,
+                    height: 1,
+                };
+                let r2 = Region {
+                    col: p.col,
+                    width: p.width,
+                    row: 0,
+                    height: 1,
+                };
+                r1.overlaps(&r2)
+            })
+        }
+
+        fn width_at(&self, col: u32, need: &Resources) -> Option<u32> {
+            let rows = self.fabric.rows();
+            for width in 1..=(self.fabric.width() - col) {
+                let region = Region {
+                    col,
+                    width,
+                    row: 0,
+                    height: rows,
+                };
+                if need.fits_in(&self.fabric.region_resources(&region)) {
+                    return Some(width);
+                }
+            }
+            None
+        }
+
+        pub fn place(&mut self, module: ModuleId, need: Resources) -> Result<SlotId, PlaceError> {
+            if self.fabric.min_width_for(&need).is_none() {
+                return Err(PlaceError::TooLarge);
+            }
+            let width_limit = self.fabric.width();
+            for col in 0..width_limit {
+                if let Some(width) = self.width_at(col, &need) {
+                    if !self.occupied(col, width) {
+                        let slot = SlotId(self.next_slot);
+                        self.next_slot += 1;
+                        self.placements.insert(
+                            slot,
+                            Placement {
+                                slot,
+                                module,
+                                col,
+                                width,
+                            },
+                        );
+                        self.demands.insert(slot, need);
+                        return Ok(slot);
+                    }
+                }
+            }
+            Err(PlaceError::Fragmented {
+                free_columns: self.free_columns(),
+                largest_extent: self.largest_free_extent(),
+            })
+        }
+
+        pub fn remove(&mut self, slot: SlotId) -> bool {
+            self.demands.remove(&slot);
+            self.placements.remove(&slot).is_some()
+        }
+
+        pub fn free_columns(&self) -> u32 {
+            self.fabric.width() - self.placements.values().map(|p| p.width).sum::<u32>()
+        }
+
+        pub fn largest_free_extent(&self) -> u32 {
+            let mut occupied = vec![false; self.fabric.width() as usize];
+            for p in self.placements.values() {
+                for c in p.col..p.col + p.width {
+                    occupied[c as usize] = true;
+                }
+            }
+            let mut best = 0u32;
+            let mut run = 0u32;
+            for o in occupied {
+                if o {
+                    best = best.max(run);
+                    run = 0;
+                } else {
+                    run += 1;
+                }
+            }
+            best.max(run)
+        }
+
+        pub fn check_invariants(&self, cp: &mut CheckPlane) {
+            if !cp.is_enabled() {
+                return;
+            }
+            let placed: Vec<(&SlotId, &Placement)> = self.placements.iter().collect();
+            for (i, (slot, p)) in placed.iter().enumerate() {
+                cp.check(
+                    invariant::FABRIC_REGION_EXCLUSIVE,
+                    p.col + p.width <= self.fabric.width(),
+                    || {
+                        format!(
+                            "{slot} at cols {}..{} exceeds fabric width {}",
+                            p.col,
+                            p.col + p.width,
+                            self.fabric.width()
+                        )
+                    },
+                );
+                for (other_slot, q) in &placed[i + 1..] {
+                    cp.check(
+                        invariant::FABRIC_REGION_EXCLUSIVE,
+                        p.col + p.width <= q.col || q.col + q.width <= p.col,
+                        || format!("{slot} and {other_slot} overlap in columns"),
+                    );
+                }
+                let region = Region {
+                    col: p.col,
+                    width: p.width,
+                    row: 0,
+                    height: self.fabric.rows(),
+                };
+                let have = self.fabric.region_resources(&region);
+                match self.demands.get(slot) {
+                    Some(need) => cp.check(
+                        invariant::FABRIC_DEMAND_SATISFIED,
+                        need.fits_in(&have),
+                        || format!("{slot} demands {need} but its window offers {have}"),
+                    ),
+                    None => cp.check(invariant::FABRIC_DEMAND_SATISFIED, false, || {
+                        format!("{slot} has a placement but no recorded demand")
+                    }),
+                }
+            }
+            cp.check(
+                invariant::FABRIC_DEMAND_SATISFIED,
+                self.demands.len() == self.placements.len(),
+                || {
+                    format!(
+                        "{} demands recorded for {} placements",
+                        self.demands.len(),
+                        self.placements.len()
+                    )
+                },
+            );
+        }
+
+        pub fn defragment(&mut self) -> Vec<(SlotId, u32, u32)> {
+            let mut order: Vec<SlotId> = self.placements.keys().copied().collect();
+            order.sort_by_key(|s| self.placements[s].col);
+            let mut migrations = Vec::new();
+            let mut cursor = 0u32;
+            for slot in order {
+                let (old_col, _old_width) = {
+                    let p = &self.placements[&slot];
+                    (p.col, p.width)
+                };
+                let need = self.demands[&slot];
+                let new_col = cursor;
+                let new_width = self
+                    .width_at(new_col, &need)
+                    .expect("compaction target must fit: it fit before at a column to the right");
+                if new_col != old_col {
+                    migrations.push((slot, old_col, new_col));
+                }
+                let p = self.placements.get_mut(&slot).expect("slot is live");
+                p.col = new_col;
+                p.width = new_width;
+                cursor = new_col + new_width;
+            }
+            migrations
+        }
+    }
+
+    impl Persist for ScanFloorplanner {
+        fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+            let fabric_width = self.fabric.width();
+            if IO::LOADING {
+                self.demands.clear();
+            }
+            let demands = &mut self.demands;
+            io.map_with(&mut self.placements, "placements", |io, &slot, p| {
+                p.slot = slot;
+                io.u32(&mut p.module.0)?;
+                io.u32(&mut p.col)?;
+                io.u32(&mut p.width)?;
+                let (col, width) = (p.col, p.width);
+                io.ensure(
+                    width != 0 && col.checked_add(width).is_some_and(|e| e <= fabric_width),
+                    || {
+                        format!(
+                            "slot {slot} at cols {col}+{width} exceeds fabric width {fabric_width}"
+                        )
+                    },
+                )?;
+                demands.entry(slot).or_insert(Resources::ZERO).persist(io)
+            })?;
+            io.u32(&mut self.next_slot)?;
+            let next = self.next_slot;
+            let top = self.placements.keys().next_back();
+            io.ensure(top.is_none_or(|s| s.0 < next), || {
+                format!("slot counter {next} not above the highest live slot")
+            })
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum FloorOp {
+    /// Place a module with this footprint.
+    Place(Resources),
+    /// Remove this slot id, live or not.
+    Remove(u32),
+    Defragment,
+    /// Save both planners and carry on with fresh ones loaded from the
+    /// bytes.
+    Reload,
+}
+
+/// What lockstep runs saw, to show the streams reach every outcome.
+#[derive(Debug, Default)]
+struct FloorTally {
+    placed: u32,
+    too_large: u32,
+    fragmented: u32,
+    removed: u32,
+    migrations: u32,
+    reloads: u32,
+}
+
+/// A random fabric, one to 96 columns of random kinds and one to 80
+/// rows, with a random op stream over it. Footprints come from windows
+/// of the fabric: trimmed or exact, narrow or spanning most of it (so
+/// fragmentation blocks many), or past the whole fabric.
+fn arb_floor_case(rng: &mut SimRng, max_ops: usize) -> (Vec<ResourceKind>, u32, Vec<FloorOp>) {
+    let width = rng.gen_range_u64(1, 97) as u32;
+    let rows = rng.gen_range_u64(1, 81) as u32;
+    // per kind weights, so some fabrics have one kind rare or missing
+    let weights = [
+        rng.gen_range_u64(1, 9),
+        rng.gen_range_u64(0, 4),
+        rng.gen_range_u64(0, 4),
+    ];
+    let kinds: Vec<ResourceKind> = (0..width)
+        .map(|_| {
+            let pick = rng.gen_range_u64(0, weights.iter().sum());
+            if pick < weights[0] {
+                ResourceKind::Clb
+            } else if pick < weights[0] + weights[1] {
+                ResourceKind::Bram
+            } else {
+                ResourceKind::Dsp
+            }
+        })
+        .collect();
+    let fabric = scan_oracle::ScanFabric::new(kinds.clone(), rows);
+    let part = |rng: &mut SimRng, x: u32| -> u32 {
+        if rng.gen_bool(0.3) {
+            x
+        } else {
+            rng.gen_range_u64(0, u64::from(x) + 1) as u32
+        }
+    };
+    let mut places = 0;
+    let len = rng.gen_range_usize(1, max_ops + 1);
+    let ops = (0..len)
+        .map(|_| match rng.gen_range_u64(0, 20) {
+            pick @ 0..=9 => {
+                places += 1;
+                let (lo, hi) = if pick < 8 {
+                    (1, width.div_ceil(5))
+                } else {
+                    (width.div_ceil(2), width)
+                };
+                let w = rng.gen_range_u64(u64::from(lo), u64::from(hi) + 1) as u32;
+                let col = rng.gen_range_u64(0, u64::from(width - w) + 1) as u32;
+                let have = fabric.region_resources(&Region {
+                    col,
+                    width: w,
+                    row: 0,
+                    height: rows,
+                });
+                FloorOp::Place(Resources::new(
+                    part(rng, have.clb),
+                    part(rng, have.bram),
+                    part(rng, have.dsp),
+                ))
+            }
+            10 => {
+                places += 1;
+                let mut need = fabric.total_resources();
+                let extra = rng.gen_range_u64(1, u64::from(rows) + 1) as u32;
+                match rng.gen_range_u64(0, 3) {
+                    0 => need.clb += extra,
+                    1 => need.bram += extra,
+                    _ => need.dsp += extra,
+                }
+                FloorOp::Place(need)
+            }
+            11..=15 => FloorOp::Remove(rng.gen_range_u64(0, places + 2) as u32),
+            16 | 17 => FloorOp::Defragment,
+            _ => FloorOp::Reload,
+        })
+        .collect();
+    (kinds, rows, ops)
+}
+
+/// Runs `ops` on a [`Floorplanner`] and on the per-column
+/// [`scan_oracle::ScanFloorplanner`] over the same fabric. Every op must
+/// return the same slot, error or migration list, and afterwards both
+/// must agree on placements, free space, snapshot bytes, invariant
+/// tallies and the resources of random regions. Returns the first
+/// divergence; adds each op's outcome to `tally`.
+fn floor_lockstep(
+    kinds: &[ResourceKind],
+    rows: u32,
+    ops: &[FloorOp],
+    tally: &mut FloorTally,
+) -> Option<String> {
+    use scan_oracle::{ScanFabric, ScanFloorplanner};
+    let fresh = || {
+        (
+            Floorplanner::new(Fabric::new(kinds.to_vec(), rows)),
+            ScanFloorplanner::new(ScanFabric::new(kinds.to_vec(), rows)),
+        )
+    };
+    let save = |p: &mut dyn FnMut(&mut SnapWriter)| {
+        let mut w = SnapWriter::new();
+        p(&mut w);
+        w.into_bytes()
+    };
+    let (mut fp, mut oracle) = fresh();
+    for (step, &op) in ops.iter().enumerate() {
+        let diverged = |what: &str, got: &dyn std::fmt::Debug, want: &dyn std::fmt::Debug| {
+            format!("step {step} ({op:?}): {what} {got:?}, the scan {want:?}")
+        };
+        match op {
+            FloorOp::Place(need) => {
+                let module = ModuleId(step as u32);
+                let (got, want) = (fp.place(module, need), oracle.place(module, need));
+                if got != want {
+                    return Some(diverged("place gives", &got, &want));
+                }
+                match got {
+                    Ok(_) => tally.placed += 1,
+                    Err(PlaceError::TooLarge) => tally.too_large += 1,
+                    Err(_) => tally.fragmented += 1,
+                }
+            }
+            FloorOp::Remove(slot) => {
+                let (got, want) = (fp.remove(SlotId(slot)), oracle.remove(SlotId(slot)));
+                if got != want {
+                    return Some(diverged("remove gives", &got, &want));
+                }
+                tally.removed += u32::from(got);
+            }
+            FloorOp::Defragment => {
+                let (got, want) = (fp.defragment(), oracle.defragment());
+                if got != want {
+                    return Some(diverged("defragment migrates", &got, &want));
+                }
+                tally.migrations += got.len() as u32;
+            }
+            FloorOp::Reload => {
+                let bytes = save(&mut |w| w.save(&mut fp));
+                let oracle_bytes = save(&mut |w| w.save(&mut oracle));
+                (fp, oracle) = fresh();
+                let mut r = SnapReader::new(&bytes);
+                if let Err(e) = fp.persist(&mut r) {
+                    return Some(format!("step {step}: reload refused: {e}"));
+                }
+                let mut r = SnapReader::new(&oracle_bytes);
+                oracle
+                    .persist(&mut r)
+                    .expect("the scan reloads its own bytes");
+                tally.reloads += 1;
+            }
+        }
+        let got: Vec<_> = fp.placements().copied().collect();
+        let want: Vec<_> = oracle.placements().copied().collect();
+        if got != want {
+            return Some(diverged("placements", &got, &want));
+        }
+        let got = (fp.free_columns(), fp.largest_free_extent());
+        let want = (oracle.free_columns(), oracle.largest_free_extent());
+        if got != want {
+            return Some(diverged("free columns and largest extent", &got, &want));
+        }
+        let got = save(&mut |w| w.save(&mut fp));
+        if got != save(&mut |w| w.save(&mut oracle)) {
+            return Some(format!("step {step} ({op:?}): snapshot bytes differ"));
+        }
+        let (mut got, mut want) = (CheckPlane::enabled(1), CheckPlane::enabled(1));
+        fp.check_invariants(&mut got);
+        oracle.check_invariants(&mut want);
+        let tallies = |cp: &CheckPlane| (cp.checks_run(), format!("{:?}", cp.violations()));
+        if tallies(&got) != tallies(&want) {
+            return Some(diverged(
+                "invariant tallies",
+                &tallies(&got),
+                &tallies(&want),
+            ));
+        }
+        let mut rng = SimRng::seed_from(step as u64);
+        let width = u64::from(fp.fabric().width());
+        for _ in 0..4 {
+            let col = rng.gen_range_u64(0, width + 1);
+            let row = rng.gen_range_u64(0, u64::from(rows) + 1);
+            let region = Region {
+                col: col as u32,
+                width: rng.gen_range_u64(0, width - col + 1) as u32,
+                row: row as u32,
+                height: rng.gen_range_u64(0, u64::from(rows) - row + 1) as u32,
+            };
+            let got = fp.fabric().region_resources(&region);
+            let want = oracle.fabric().region_resources(&region);
+            if got != want {
+                return Some(diverged(&format!("{region:?} holds"), &got, &want));
+            }
+        }
+    }
+    None
+}
+
+/// `cases` random fabrics and op streams through [`floor_lockstep`]; the
+/// streams together must place, refuse as too large, refuse as
+/// fragmented, remove, migrate and reload.
+fn floor_cases(salt: u64, cases: u64, max_ops: usize) {
+    let mut seen = FloorTally::default();
+    for case in 0..cases {
+        let mut rng = case_rng(salt, case);
+        let (kinds, rows, ops) = arb_floor_case(&mut rng, max_ops);
+        if floor_lockstep(&kinds, rows, &ops, &mut seen).is_some() {
+            assert_lockstep(
+                &format!("Floorplanner ({} columns × {rows} rows)", kinds.len()),
+                case,
+                &ops,
+                |ops| floor_lockstep(&kinds, rows, ops, &mut FloorTally::default()),
+            );
+        }
+    }
+    let s = &seen;
+    assert!(
+        [
+            s.placed,
+            s.too_large,
+            s.fragmented,
+            s.removed,
+            s.migrations,
+            s.reloads
+        ]
+        .iter()
+        .all(|&n| n >= cases as u32),
+        "streams miss an outcome: {seen:?}"
+    );
+}
+
+/// The prefix-sum floorplanner places, refuses, removes, compacts and
+/// snapshots exactly as the per-column scan it replaced, on random
+/// fabrics.
+#[test]
+fn floorplanner_matches_scan_oracle() {
+    floor_cases(33, CASES, 60);
+}
+
+/// [`floorplanner_matches_scan_oracle`] at ten times the cases and
+/// longer streams, for a release build (`scripts/ci.sh` runs it).
+#[test]
+#[ignore = "wide variant: run in release by scripts/ci.sh"]
+fn floorplanner_matches_scan_oracle_wide() {
+    floor_cases(34, 10 * CASES, 120);
 }
 
 // ----------------------------------------------------------------------
@@ -2944,7 +3533,7 @@ impl InterpCase {
             let mut arrays = HashMap::new();
             let mut scalars = HashMap::new();
             for (name, data) in &run.arrays {
-                args.bind_array(name, data.clone());
+                args.bind_array(*name, data.clone());
                 arrays.insert(name.to_string(), data.clone());
             }
             for &(name, v) in &run.scalars {
@@ -3003,7 +3592,7 @@ fn register_vm_matches_tree_walker_oracle() {
             .map(|run| {
                 let mut args = ecoscale::hls::KernelArgs::new();
                 for (name, data) in &run.arrays {
-                    args.bind_array(name, data.clone());
+                    args.bind_array(*name, data.clone());
                 }
                 for &(name, v) in &run.scalars {
                     args.bind_scalar(name, v);
