@@ -147,6 +147,9 @@ impl Error for ExecKernelError {}
 
 /// Argument bindings for one kernel invocation.
 ///
+/// Bindings are keyed by `Cow<'static, str>`, so binding under a literal
+/// name allocates nothing.
+///
 /// # Example
 ///
 /// ```
@@ -166,9 +169,6 @@ impl Error for ExecKernelError {}
 /// assert_eq!(args.array("b").unwrap(), &[10.0, 20.0, 30.0]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-///
-/// Bindings are keyed by `Cow<'static, str>`, so binding under a literal
-/// name allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct KernelArgs {
     arrays: FxHashMap<Cow<'static, str>, Vec<Value>>,
