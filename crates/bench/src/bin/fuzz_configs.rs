@@ -13,6 +13,9 @@
 //! count. Each configuration carries its own counts; `ECOSCALE_CHECK=N`,
 //! read once here, also arms every serving cell's system at cadence `N`.
 //!
+//! Every configuration serves the same kernel mix, so the sweep, a
+//! `--repro` run and the shrinker share one build of it.
+//!
 //! On failure the configuration is shrunk to a minimal still-failing one
 //! and a single-line `--repro` command is printed; exit code 1. Clean
 //! sweeps print a one-line summary; exit code 0. Usage errors exit 2.
@@ -24,6 +27,7 @@
 use std::process::ExitCode;
 
 use ecoscale_bench::fuzz::{run_config_with, shrink_config, FuzzConfig};
+use ecoscale_core::ServeArtifacts;
 use ecoscale_sim::check::CHECK_ENV;
 use ecoscale_sim::RunCtx;
 
@@ -97,9 +101,14 @@ fn main() -> ExitCode {
     }
     let check = RunCtx::parse(None, None, std::env::var(CHECK_ENV).ok().as_deref()).check;
 
+    let artifacts = ServeArtifacts::default();
+
     if let Some(spec) = repro {
         let cfg = match FuzzConfig::parse(&spec) {
-            Ok(cfg) => cfg,
+            Ok(cfg) => FuzzConfig {
+                artifacts: artifacts.clone(),
+                ..cfg
+            },
             Err(e) => {
                 eprintln!("error: bad --repro spec: {e}");
                 usage();
@@ -123,7 +132,10 @@ fn main() -> ExitCode {
 
     let mut total_checks = 0u64;
     for i in start..start.saturating_add(count) {
-        let cfg = FuzzConfig::from_index(i);
+        let cfg = FuzzConfig {
+            artifacts: artifacts.clone(),
+            ..FuzzConfig::from_index(i)
+        };
         match run_config_with(&cfg, inject, check) {
             Ok(r) => total_checks += r.checks_run,
             Err(e) => {

@@ -39,7 +39,7 @@
 
 use ecoscale_core::{
     linear_test_mix, run_serve_sim_with, run_shard_sim_with, serve_checkpoint, serve_resume_with,
-    ServeOutcome, ServeSimConfig, ShardSimConfig,
+    ServeArtifacts, ServeOutcome, ServeSimConfig, ShardSimConfig,
 };
 use ecoscale_mem::{
     CacheConfig, DramModel, GlobalAddr, PagePerms, Smmu, SmmuConfig, UnimemSystem, VirtAddr,
@@ -188,7 +188,11 @@ impl FaultKind {
 /// One point in the fuzzed configuration space. The `Display` form is the
 /// canonical spec string accepted by [`FuzzConfig::parse`] and the
 /// binary's `--repro` flag.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Every config serves the same kernel mix, so configs that share
+/// [`FuzzConfig::artifacts`] build it once between them. `Display`,
+/// [`FuzzConfig::parse`] and equality see only the nine spec fields.
+#[derive(Debug, Clone)]
 pub struct FuzzConfig {
     /// Root seed for every phase RNG and fault campaign.
     pub seed: u64,
@@ -212,7 +216,26 @@ pub struct FuzzConfig {
     /// Tenant count for the ServePlane phase (traffic sources over the
     /// shared accelerators; serving cells derive from it).
     pub tenants: usize,
+    /// The serving mix's build, shared by the config's serving phases and
+    /// by every config holding a clone of this handle.
+    pub artifacts: ServeArtifacts,
 }
+
+impl PartialEq for FuzzConfig {
+    fn eq(&self, other: &Self) -> bool {
+        self.seed == other.seed
+            && self.topo == other.topo
+            && self.sched == other.sched
+            && self.faults == other.faults
+            && self.tasks == other.tasks
+            && self.workers == other.workers
+            && self.threads == other.threads
+            && self.shards == other.shards
+            && self.tenants == other.tenants
+    }
+}
+
+impl Eq for FuzzConfig {}
 
 impl fmt::Display for FuzzConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -264,6 +287,7 @@ impl Default for FuzzConfig {
             threads: 1,
             shards: 1,
             tenants: 2,
+            artifacts: ServeArtifacts::default(),
         }
     }
 }
@@ -296,6 +320,7 @@ impl FuzzConfig {
             threads,
             shards,
             tenants,
+            artifacts: ServeArtifacts::default(),
         }
     }
 
@@ -434,11 +459,10 @@ pub fn run_config_with(
         config: cfg.clone(),
         detail,
     };
-    // One serving config for every serving phase: its clones share the
-    // parsed, synthesized kernel mix, so the mix is built once per config.
-    // Its thread count is set in place, never on a clone made before the
-    // first run, which would build the mix again. The serve phase
-    // leaves it at `cfg.threads` for the snapshot phase.
+    // One serving config for every serving phase, holding a clone of
+    // `cfg.artifacts`: the mix is built at most once per handle. The serve
+    // phase leaves its thread count at `cfg.threads` for the snapshot
+    // phase.
     let mut scfg = serve_sim_config(cfg, check);
     let ((_, full), mut checks) = at_one_and_n(
         "serve phase",
@@ -796,8 +820,9 @@ fn serve_fuzz(scfg: &ServeSimConfig, cp: &mut CheckPlane, m: &mut MetricsRegistr
 }
 
 /// The serving configuration a fuzz point drives, shared by the serve,
-/// SnapPlane and TelePlane phases.
-fn serve_sim_config(cfg: &FuzzConfig, check: u64) -> ServeSimConfig {
+/// SnapPlane and TelePlane phases: its systems self-check at cadence
+/// `check`, and it holds a clone of `cfg.artifacts`.
+pub fn serve_sim_config(cfg: &FuzzConfig, check: u64) -> ServeSimConfig {
     let spec = ServeSpec::parse(&format!(
         "seed={},tenants={},rate=60000,horizon=150us,batch=4,deadline=120us,queue=16",
         cfg.seed, cfg.tenants
@@ -810,6 +835,7 @@ fn serve_sim_config(cfg: &FuzzConfig, check: u64) -> ServeSimConfig {
     scfg.cells = cfg.tenants.min(2);
     scfg.cadence = Duration::from_us(25);
     scfg.ctx.check = check;
+    scfg.artifacts = cfg.artifacts.clone();
     if cfg.faults != FaultKind::None {
         scfg.faults = cfg.campaign();
     }
@@ -906,6 +932,20 @@ mod tests {
     }
 
     #[test]
+    fn clones_share_the_serving_build() {
+        let cfg = FuzzConfig::from_index(3);
+        let early = cfg.clone();
+        let stranger = FuzzConfig::from_index(3);
+        assert_eq!(early, stranger, "equality sees only the spec");
+        run_serve_sim_with(&serve_sim_config(&cfg, 0), &mut CheckPlane::disabled());
+        assert!(
+            early.artifacts.is_built(),
+            "a clone made before the build shares it"
+        );
+        assert!(!stranger.artifacts.is_built());
+    }
+
+    #[test]
     fn from_index_is_deterministic_and_varied() {
         assert_eq!(FuzzConfig::from_index(7), FuzzConfig::from_index(7));
         let topos: std::collections::BTreeSet<&str> = (0..64)
@@ -950,6 +990,7 @@ mod tests {
             threads: 4,
             shards: 4,
             tenants: 3,
+            ..FuzzConfig::default()
         };
         let report =
             run_config_with(&cfg, false, crate::test_ctx().check).expect("clean config passes");

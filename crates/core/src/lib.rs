@@ -39,7 +39,8 @@ pub use power::{machine_power_for_exaflop, MachineClass, PowerBreakdown};
 pub use report::{FunctionSummary, SystemReport};
 pub use serve_model::{
     linear_test_mix, run_serve_sim_with, serve_checkpoint, serve_hints, serve_migrate_with,
-    serve_resume_with, CellSim, ServeKernel, ServeOutcome, ServeSimConfig, ServeTelemetry,
+    serve_resume_with, CellSim, ServeArtifacts, ServeKernel, ServeOutcome, ServeSimConfig,
+    ServeTelemetry,
 };
 pub use shard_model::{
     run_shard_sim_observed, run_shard_sim_observed_with, run_shard_sim_with, ClusterEv,

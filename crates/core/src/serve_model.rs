@@ -68,12 +68,12 @@ pub struct ServeKernel {
 
 /// Configuration of one serving simulation.
 ///
-/// The kernel mix is parsed and synthesized on the config's first run and
-/// kept with the config: every later cell, checkpoint, resume and
-/// migration of it shares that one build, and so does every clone made
-/// after the build. A clone made before it builds its own on its first
-/// run. The build is keyed on the kernels' sources and hints and on the
-/// HLS budget: a run after `kernels` changed builds afresh.
+/// The kernel mix is parsed and synthesized on the first run of the
+/// config or of any clone of it, into the [`ServeArtifacts`] they share:
+/// every later cell, checkpoint, resume and migration of any of them
+/// reuses that one build. The build is keyed on the kernels' sources and
+/// hints and on the HLS budget: a run after `kernels` changed builds
+/// afresh (and replaces the shared build).
 #[derive(Debug, Clone)]
 pub struct ServeSimConfig {
     /// The serving workload and policy.
@@ -106,23 +106,51 @@ pub struct ServeSimConfig {
     /// The cells' pool width and their systems' check cadence (default
     /// [`RunCtx::SEQUENTIAL`]). Every export is byte-identical at any width.
     pub ctx: RunCtx,
-    artifacts: ArtifactCache,
+    /// Where the kernel mix's build is kept. Clones of the config share
+    /// it; install a clone of another config's handle to share a build
+    /// across configs that serve the same mix.
+    pub artifacts: ServeArtifacts,
 }
 
-/// The last [`SystemArtifacts`] a config built. A clone starts from the
-/// value held when it was made and caches apart from then on.
-#[derive(Default)]
-struct ArtifactCache(Mutex<Option<Arc<SystemArtifacts>>>);
+/// A shared slot for the build of a serving kernel mix: the parsed
+/// kernels and the synthesized module library. Clones of a handle share
+/// one slot, and a run whose mix differs from the slot's build rebuilds
+/// and replaces it. Exports never depend on whether a build was shared.
+///
+/// # Example
+///
+/// ```
+/// use ecoscale_core::{linear_test_mix, run_serve_sim_with, ServeArtifacts, ServeSimConfig};
+/// use ecoscale_runtime::ServeSpec;
+/// use ecoscale_sim::check::CheckPlane;
+///
+/// let shared = ServeArtifacts::default();
+/// let spec = ServeSpec::parse("seed=1,tenants=2,horizon=50us").unwrap();
+/// let mut a = ServeSimConfig::new(spec.clone(), linear_test_mix());
+/// a.artifacts = shared.clone();
+/// let mut b = ServeSimConfig::new(spec, linear_test_mix());
+/// b.artifacts = shared.clone();
+/// assert!(!shared.is_built());
+/// run_serve_sim_with(&a, &mut CheckPlane::disabled());
+/// assert!(shared.is_built()); // `b`'s runs reuse `a`'s build
+/// ```
+#[derive(Clone, Default)]
+pub struct ServeArtifacts(Arc<Mutex<Option<Arc<SystemArtifacts>>>>);
 
-impl ArtifactCache {
+impl ServeArtifacts {
     fn slot(&self) -> MutexGuard<'_, Option<Arc<SystemArtifacts>>> {
         // Builds run outside the lock and the slot only ever takes a
         // whole value, so a poisoned slot still holds a valid one.
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The cached artifacts if `builder` would build the same ones,
-    /// otherwise freshly built (and cached) ones.
+    /// Whether the slot holds a build.
+    pub fn is_built(&self) -> bool {
+        self.slot().is_some()
+    }
+
+    /// The held artifacts if `builder` would build the same ones,
+    /// otherwise freshly built ones, which replace them.
     fn resolve(&self, builder: &SystemBuilder) -> Arc<SystemArtifacts> {
         if let Some(hit) = self.slot().as_ref().filter(|a| a.built_from(builder)) {
             return Arc::clone(hit);
@@ -133,15 +161,9 @@ impl ArtifactCache {
     }
 }
 
-impl Clone for ArtifactCache {
-    fn clone(&self) -> ArtifactCache {
-        ArtifactCache(Mutex::new(self.slot().clone()))
-    }
-}
-
-impl fmt::Debug for ArtifactCache {
+impl fmt::Debug for ServeArtifacts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("ArtifactCache")
+        f.write_str("ServeArtifacts")
     }
 }
 
@@ -162,7 +184,7 @@ impl ServeSimConfig {
             resilience: ResilienceConfig::full(),
             telemetry: None,
             ctx: RunCtx::SEQUENTIAL,
-            artifacts: ArtifactCache::default(),
+            artifacts: ServeArtifacts::default(),
         }
     }
 }
@@ -1466,10 +1488,11 @@ mod tests {
         assert!(parsed.get("series_tail").and_then(|v| v.as_arr()).is_some());
     }
 
-    /// `cfg` with an empty artifact cache, like a freshly constructed one.
+    /// `cfg` with an empty artifact slot of its own, like a freshly
+    /// constructed one.
     fn detached(cfg: &ServeSimConfig) -> ServeSimConfig {
         ServeSimConfig {
-            artifacts: ArtifactCache::default(),
+            artifacts: ServeArtifacts::default(),
             ..cfg.clone()
         }
     }
@@ -1596,7 +1619,8 @@ mod tests {
             "source: the mutation must be observable"
         );
 
-        // the untouched clone, made before any build, builds its own mix
+        // the untouched clone shares the slot, which now holds the
+        // mutated mix's build: it must rebuild its own mix
         assert!(run(&original) == before, "clone: stale artifacts");
     }
 
@@ -1607,20 +1631,47 @@ mod tests {
         bytes[tail] ^= 0x01;
         let fresh = quick_cfg();
         assert!(serve_resume_with(&fresh, &bytes, &mut CheckPlane::enabled(1)).is_err());
-        assert!(
-            fresh.artifacts.slot().is_none(),
-            "refused stream built the mix"
-        );
+        assert!(!fresh.artifacts.is_built(), "refused stream built the mix");
     }
 
     #[test]
-    fn clones_share_the_build_once_it_exists() {
+    fn every_clone_shares_the_build() {
         let cfg = quick_cfg();
         let early = cfg.clone();
         let built = prepare(&cfg);
         assert!(Arc::ptr_eq(&built, &prepare(&cfg)));
         assert!(Arc::ptr_eq(&built, &prepare(&cfg.clone())));
-        assert!(!Arc::ptr_eq(&built, &prepare(&early)));
+        assert!(
+            Arc::ptr_eq(&built, &prepare(&early)),
+            "a clone made before the build shares it"
+        );
+        let other = ServeSimConfig {
+            artifacts: early.artifacts.clone(),
+            ..detached(&cfg)
+        };
+        assert!(Arc::ptr_eq(&built, &prepare(&other)), "an installed handle");
+        assert!(!Arc::ptr_eq(&built, &prepare(&detached(&cfg))));
+    }
+
+    #[test]
+    fn serving_keeps_only_recipes_of_the_shared_bitstreams() {
+        let mut cfg = quick_cfg();
+        cfg.cells = 2;
+        cfg.faults = CampaignSpec::parse("seed=5,seu=200us,smmu=0.002,scrub=400us").unwrap();
+        let bytes = serve_checkpoint(&cfg, Time::from_us(200));
+        run(&cfg);
+        serve_resume_with(&cfg, &bytes, &mut CheckPlane::disabled()).expect("resume");
+        serve_migrate_with(&cfg, &bytes, 1, &mut CheckPlane::disabled()).expect("migrate");
+        let built = prepare(&cfg);
+        assert_eq!(built.library.len(), cfg.kernels.len());
+        for entry in built.library.iter() {
+            let bs = entry.module.bitstream();
+            assert!(
+                !bs.holds_bytes(),
+                "serving materialized {}'s bitstream",
+                entry.module.name()
+            );
+        }
     }
 
     #[test]

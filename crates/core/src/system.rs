@@ -312,13 +312,15 @@ impl SystemBuilder {
 /// parsed kernels and the synthesized module library, with the sources,
 /// hints and HLS budget they were built from. Systems assembled from one
 /// value share its library, so each bitstream's compressed sizes are
-/// computed once for all of them.
+/// computed once for all of them. Its bitstreams are recipes until their
+/// bytes are asked for, and serving asks only for lengths and compressed
+/// sizes, so a value kept for reuse holds no bitstream bytes.
 #[derive(Debug)]
 pub(crate) struct SystemArtifacts {
     kernels: Vec<(String, HashMap<String, f64>)>,
     hls_budget: Resources,
     parsed: HashMap<String, Arc<Kernel>>,
-    library: Arc<ModuleLibrary>,
+    pub(crate) library: Arc<ModuleLibrary>,
 }
 
 impl SystemArtifacts {

@@ -3,9 +3,10 @@
 //! Real partial bitstreams are frame-structured and highly redundant:
 //! unused frames are all-zero, and regular structures (datapaths repeated
 //! down a column) produce identical frames. [`Bitstream::synthesize`]
-//! generates synthetic bitstreams with those statistics, sized from the
-//! module's resource footprint (the substitution documented in DESIGN.md
-//! §5 — real vendor bitstreams are unavailable in this environment).
+//! describes a synthetic bitstream with those statistics, sized from the
+//! module's resource footprint, and generates its bytes on demand (the
+//! substitution documented in DESIGN.md §5 — real vendor bitstreams are
+//! unavailable in this environment).
 //!
 //! [`CompressionAlgo`] implements the three decompressor families of
 //! Koch, Beckhoff & Teich, "Hardware Decompression Techniques for
@@ -27,29 +28,43 @@ pub const FRAME_BYTES: usize = 256;
 
 /// A partial bitstream: frame-aligned configuration data.
 ///
-/// Compressed sizes are computed lazily, each algorithm on its first
-/// query only, and cached (the runtime daemon queries them on every
-/// scheduling decision). Clones share the cache, so a library cloned
-/// into many systems compresses each bitstream once.
+/// A synthesized bitstream is its recipe (footprint and seed): its length
+/// and frame count come from the recipe, and its bytes are generated on
+/// the first [`Bitstream::as_bytes`] and then kept. Compressed sizes are
+/// computed lazily, each algorithm on its first query only, and cached
+/// (the runtime daemon queries them on every scheduling decision); sizing
+/// a bitstream whose bytes are not held generates them into a temporary
+/// and keeps only the size. Clones share the bytes and the sizes, so a
+/// library cloned into many systems generates and compresses each
+/// bitstream once, and one that is only sized never holds its bytes.
 ///
 /// # Example
 ///
 /// ```
-/// use ecoscale_fpga::{Bitstream, Resources};
+/// use ecoscale_fpga::{Bitstream, CompressionAlgo, Resources};
 ///
 /// let bs = Bitstream::synthesize(Resources::new(500, 8, 16), 7);
 /// assert_eq!(bs.len() % 256, 0); // frame aligned
+/// assert!(bs.compressed_size(CompressionAlgo::Lz) < bs.len());
+/// assert!(!bs.holds_bytes()); // sized, never materialized
 /// ```
 #[derive(Debug, Clone)]
-pub struct Bitstream {
-    data: Arc<[u8]>,
+pub struct Bitstream(Arc<Stream>);
+
+#[derive(Debug)]
+struct Stream {
+    /// `(resources, seed)` of a synthesized stream; `None` for one made
+    /// from bytes, which holds them from the start.
+    recipe: Option<(Resources, u64)>,
+    len: usize,
+    data: OnceLock<Box<[u8]>>,
     // one slot per compressing algorithm: ZeroRle, Lz, FrameDedup
-    compressed_sizes: Arc<[OnceLock<usize>; 3]>,
+    compressed_sizes: [OnceLock<usize>; 3],
 }
 
 impl PartialEq for Bitstream {
     fn eq(&self, other: &Self) -> bool {
-        self.data == other.data
+        Arc::ptr_eq(&self.0, &other.0) || self.as_bytes() == other.as_bytes()
     }
 }
 
@@ -62,90 +77,129 @@ impl Bitstream {
         if rem != 0 {
             data.resize(data.len() + FRAME_BYTES - rem, 0);
         }
-        Bitstream {
-            data: data.into(),
-            compressed_sizes: Arc::default(),
-        }
+        Bitstream(Arc::new(Stream {
+            recipe: None,
+            len: data.len(),
+            data: OnceLock::from(data.into_boxed_slice()),
+            compressed_sizes: Default::default(),
+        }))
     }
 
-    /// Generates a synthetic bitstream for a module of footprint
-    /// `resources`, deterministically from `seed`.
+    /// A synthetic bitstream for a module of footprint `resources`,
+    /// deterministically from `seed`. No bytes are generated until they
+    /// are needed (see [`Bitstream`]).
     ///
     /// Frame statistics mirror published partial-bitstream traits:
     /// roughly a third of frames are all-zero, a sixth repeat an earlier
     /// frame, and the rest are sparse (~60 % zero bytes).
     pub fn synthesize(resources: Resources, seed: u64) -> Bitstream {
-        let size = (resources.total().max(1) as usize) * BYTES_PER_CELL;
-        let frames = size.div_ceil(FRAME_BYTES).max(1);
-        let mut rng = SimRng::seed_from(seed ^ 0xB175_7EA4);
-        let mut data = Vec::with_capacity(frames * FRAME_BYTES);
-        let mut kept: Vec<usize> = Vec::new(); // offsets of non-trivial frames
-        for _ in 0..frames {
-            let roll = rng.gen_unit();
-            if roll < 0.35 {
-                data.extend(std::iter::repeat_n(0u8, FRAME_BYTES));
-            } else if roll < 0.50 && !kept.is_empty() {
-                let src = *rng.choose(&kept);
-                data.extend_from_within(src..src + FRAME_BYTES);
-            } else {
-                // Sparse frame: configuration words come in 16-byte
-                // chunks, most of them zero (unused routing/config words),
-                // the rest dense — matching the run-structured sparsity of
-                // real partial bitstreams.
-                let start = data.len();
-                for _ in 0..FRAME_BYTES / 16 {
-                    if rng.gen_bool(0.55) {
-                        data.extend(std::iter::repeat_n(0u8, 16));
-                    } else {
-                        for _ in 0..16 {
-                            if rng.gen_bool(0.25) {
-                                data.push(0);
-                            } else {
-                                data.push((rng.next_u64() & 0xff) as u8);
-                            }
-                        }
-                    }
-                }
-                kept.push(start);
-            }
-        }
-        Bitstream {
-            data: data.into(),
-            compressed_sizes: Arc::default(),
-        }
+        Bitstream(Arc::new(Stream {
+            recipe: Some((resources, seed)),
+            len: synthetic_frames(resources) * FRAME_BYTES,
+            data: OnceLock::new(),
+            compressed_sizes: Default::default(),
+        }))
     }
 
-    /// The raw configuration bytes.
+    /// The raw configuration bytes, generated on the first call for a
+    /// synthesized bitstream and kept from then on.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.data
+        self.0
+            .data
+            .get_or_init(|| self.generate().into_boxed_slice())
+    }
+
+    /// Whether the raw bytes are held in memory: always for
+    /// [`Bitstream::from_bytes`], and for [`Bitstream::synthesize`] only
+    /// once [`Bitstream::as_bytes`] has run on it or a clone.
+    pub fn holds_bytes(&self) -> bool {
+        self.0.data.get().is_some()
     }
 
     /// Size in bytes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.0.len
     }
 
     /// Returns `true` if the bitstream holds no data.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.0.len == 0
     }
 
     /// Number of whole frames.
     pub fn frames(&self) -> usize {
-        self.data.len() / FRAME_BYTES
+        self.0.len / FRAME_BYTES
     }
 
     /// Compressed size under `algo`, computed on the first query for that
-    /// algorithm and cached; other algorithms are not evaluated.
+    /// algorithm and cached; other algorithms are not evaluated. Bytes not
+    /// yet held are generated for the query and dropped after it.
     pub fn compressed_size(&self, algo: CompressionAlgo) -> usize {
         let slot = match algo {
-            CompressionAlgo::None => return self.data.len(),
+            CompressionAlgo::None => return self.len(),
             CompressionAlgo::ZeroRle => 0,
             CompressionAlgo::Lz => 1,
             CompressionAlgo::FrameDedup => 2,
         };
-        *self.compressed_sizes[slot].get_or_init(|| algo.compress(self).len())
+        *self.0.compressed_sizes[slot].get_or_init(|| match self.0.data.get() {
+            Some(data) => algo.compress_bytes(data).len(),
+            None => algo.compress_bytes(&self.generate()).len(),
+        })
     }
+
+    /// The bytes of a synthesized bitstream's recipe.
+    fn generate(&self) -> Vec<u8> {
+        let (resources, seed) = self
+            .0
+            .recipe
+            .expect("a bitstream without a recipe holds its bytes");
+        synthesize_bytes(resources, seed)
+    }
+}
+
+/// Whole frames of a synthetic bitstream of footprint `resources`.
+fn synthetic_frames(resources: Resources) -> usize {
+    let size = (resources.total().max(1) as usize) * BYTES_PER_CELL;
+    size.div_ceil(FRAME_BYTES).max(1)
+}
+
+/// Generates the configuration bytes of [`Bitstream::synthesize`]'s
+/// recipe.
+fn synthesize_bytes(resources: Resources, seed: u64) -> Vec<u8> {
+    let frames = synthetic_frames(resources);
+    let mut rng = SimRng::seed_from(seed ^ 0xB175_7EA4);
+    let mut data = Vec::with_capacity(frames * FRAME_BYTES);
+    let mut kept: Vec<usize> = Vec::new(); // offsets of non-trivial frames
+    for _ in 0..frames {
+        let roll = rng.gen_unit();
+        if roll < 0.35 {
+            data.extend(std::iter::repeat_n(0u8, FRAME_BYTES));
+        } else if roll < 0.50 && !kept.is_empty() {
+            let src = *rng.choose(&kept);
+            data.extend_from_within(src..src + FRAME_BYTES);
+        } else {
+            // Sparse frame: configuration words come in 16-byte
+            // chunks, most of them zero (unused routing/config words),
+            // the rest dense — matching the run-structured sparsity of
+            // real partial bitstreams.
+            let start = data.len();
+            for _ in 0..FRAME_BYTES / 16 {
+                if rng.gen_bool(0.55) {
+                    data.extend(std::iter::repeat_n(0u8, 16));
+                } else {
+                    for _ in 0..16 {
+                        if rng.gen_bool(0.25) {
+                            data.push(0);
+                        } else {
+                            data.push((rng.next_u64() & 0xff) as u8);
+                        }
+                    }
+                }
+            }
+            kept.push(start);
+        }
+    }
+    data
 }
 
 /// Compression ratio bookkeeping.
@@ -214,11 +268,15 @@ impl CompressionAlgo {
 
     /// Compresses a bitstream.
     pub fn compress(self, bs: &Bitstream) -> Vec<u8> {
+        self.compress_bytes(bs.as_bytes())
+    }
+
+    fn compress_bytes(self, data: &[u8]) -> Vec<u8> {
         match self {
-            CompressionAlgo::None => bs.as_bytes().to_vec(),
-            CompressionAlgo::ZeroRle => zero_rle_compress(bs.as_bytes()),
-            CompressionAlgo::Lz => lz_compress(bs.as_bytes()),
-            CompressionAlgo::FrameDedup => frame_dedup_compress(bs.as_bytes()),
+            CompressionAlgo::None => data.to_vec(),
+            CompressionAlgo::ZeroRle => zero_rle_compress(data),
+            CompressionAlgo::Lz => lz_compress(data),
+            CompressionAlgo::FrameDedup => frame_dedup_compress(data),
         }
     }
 

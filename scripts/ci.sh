@@ -178,10 +178,10 @@ cmp target/telem_smoke.json target/telem_smoke_resumed.json
 cmp target/telem_smoke.txt target/telem_smoke_resumed.txt
 
 echo "== tier-1: seeded fuzz smoke (CheckPlane) =="
-# 1152 seeded configs across topology x policy x faults x threads x shards,
+# 1536 seeded configs across topology x policy x faults x threads x shards,
 # every invariant armed, exports compared byte-for-byte at THREADS=1 vs k
 # and (for the cluster-partitioned sim) at 1 shard vs k shards.
-./target/release/fuzz_configs --count 1152
+./target/release/fuzz_configs --count 1536
 
 echo "== tier-1: determinism suite (invariants armed) =="
 # The suite compares 1 vs 4 shards and 1 vs N threads itself, passing

@@ -548,6 +548,123 @@ fn lz_matcher_matches_reference_on_zero_runs() {
 }
 
 // ----------------------------------------------------------------------
+// fpga: recipe-backed bitstreams against eagerly generated bytes
+// ----------------------------------------------------------------------
+
+/// The eager generator `Bitstream::synthesize` ran before synthesized
+/// bitstreams became recipes, kept verbatim as the oracle for
+/// `recipe_bitstreams_match_eager_bytes`.
+fn eager_synthesize(resources: Resources, seed: u64) -> Vec<u8> {
+    use ecoscale::fpga::bitstream::{BYTES_PER_CELL, FRAME_BYTES};
+    let size = (resources.total().max(1) as usize) * BYTES_PER_CELL;
+    let frames = size.div_ceil(FRAME_BYTES).max(1);
+    let mut rng = SimRng::seed_from(seed ^ 0xB175_7EA4);
+    let mut data = Vec::with_capacity(frames * FRAME_BYTES);
+    let mut kept: Vec<usize> = Vec::new();
+    for _ in 0..frames {
+        let roll = rng.gen_unit();
+        if roll < 0.35 {
+            data.extend(std::iter::repeat_n(0u8, FRAME_BYTES));
+        } else if roll < 0.50 && !kept.is_empty() {
+            let src = *rng.choose(&kept);
+            data.extend_from_within(src..src + FRAME_BYTES);
+        } else {
+            let start = data.len();
+            for _ in 0..FRAME_BYTES / 16 {
+                if rng.gen_bool(0.55) {
+                    data.extend(std::iter::repeat_n(0u8, 16));
+                } else {
+                    for _ in 0..16 {
+                        if rng.gen_bool(0.25) {
+                            data.push(0);
+                        } else {
+                            data.push((rng.next_u64() & 0xff) as u8);
+                        }
+                    }
+                }
+            }
+            kept.push(start);
+        }
+    }
+    data
+}
+
+/// A synthesized bitstream (a recipe) reads like the same bytes wrapped
+/// by `from_bytes`: bytes, length, frames and all four compressed sizes,
+/// whether its sizes are asked for before its bytes or after. Sizing
+/// alone never keeps the bytes.
+#[test]
+fn recipe_bitstreams_match_eager_bytes() {
+    for case in 0..200 {
+        let mut rng = case_rng(34, case);
+        let res = Resources::new(
+            rng.gen_range_u64(0, 320) as u32,
+            rng.gen_range_u64(0, 16) as u32,
+            rng.gen_range_u64(0, 32) as u32,
+        );
+        let seed = rng.next_u64();
+        let eager = Bitstream::from_bytes(eager_synthesize(res, seed));
+        let what = format!("case {case}: {res:?} seed {seed:#x}");
+        let same_sizes = |bs: &Bitstream| {
+            for algo in CompressionAlgo::ALL {
+                assert_eq!(
+                    bs.compressed_size(algo),
+                    eager.compressed_size(algo),
+                    "{what}: {} size",
+                    algo.name()
+                );
+            }
+        };
+        for sizes_first in [true, false] {
+            let recipe = Bitstream::synthesize(res, seed);
+            let copy = recipe.clone();
+            assert_eq!(recipe.len(), eager.len(), "{what}: len");
+            assert_eq!(recipe.frames(), eager.frames(), "{what}: frames");
+            if sizes_first {
+                same_sizes(&recipe);
+                assert!(!copy.holds_bytes(), "{what}: sizing kept the bytes");
+            }
+            assert_eq!(recipe.as_bytes(), eager.as_bytes(), "{what}: bytes");
+            assert!(copy.holds_bytes(), "{what}: clones share the bytes");
+            if !sizes_first {
+                same_sizes(&copy);
+            }
+            assert!(recipe == eager, "{what}: eq");
+        }
+    }
+}
+
+/// The first 64 fuzz configs give the same check counts, and their
+/// serving runs the same serving, metrics and telemetry exports, whether
+/// they share one build of the serving mix or each build their own.
+#[test]
+fn shared_fuzz_artifacts_match_fresh_builds() {
+    use ecoscale::bench::fuzz::{run_config, serve_sim_config, FuzzConfig};
+    use ecoscale::core::{run_serve_sim_with, ServeArtifacts};
+    use ecoscale::sim::TelemetryConfig;
+
+    let exports = |cfg: &FuzzConfig| {
+        let mut scfg = serve_sim_config(cfg, 0);
+        scfg.telemetry = Some(TelemetryConfig::new(Duration::from_us(25)));
+        let out = run_serve_sim_with(&scfg, &mut CheckPlane::enabled(1));
+        let telemetry = out.telemetry.expect("telemetry armed").to_json();
+        [out.serving.to_json(), out.metrics.to_json(), telemetry]
+    };
+    let shared = ServeArtifacts::default();
+    for i in 0..64 {
+        let fresh = FuzzConfig::from_index(i);
+        let sharing = FuzzConfig {
+            artifacts: shared.clone(),
+            ..fresh.clone()
+        };
+        let checks = |cfg: &FuzzConfig| run_config(cfg, false).map(|r| r.checks_run);
+        assert_eq!(checks(&sharing), checks(&fresh), "config {i}: checks");
+        assert!(exports(&sharing) == exports(&fresh), "config {i}: exports");
+    }
+    assert!(shared.is_built());
+}
+
+// ----------------------------------------------------------------------
 // fpga: floorplanner never overlaps, defrag preserves demands
 // ----------------------------------------------------------------------
 #[test]
