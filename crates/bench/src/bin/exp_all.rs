@@ -74,9 +74,9 @@ use ecoscale_core::{
 };
 use ecoscale_runtime::ServeSpec;
 use ecoscale_sim::check::{CheckPlane, CHECK_ENV};
-use ecoscale_sim::fault::parse_duration;
 use ecoscale_sim::pool::THREADS_ENV;
 use ecoscale_sim::shard::SHARDS_ENV;
+use ecoscale_sim::spec::parse_duration;
 use ecoscale_sim::{prof, CampaignSpec, Duration, RunCtx, TelemetryConfig, Time};
 
 fn usage() {

@@ -50,6 +50,7 @@ use ecoscale_noc::{
 };
 use ecoscale_runtime::{skewed_trace, ClusterSim, ResilienceConfig, SchedPolicy, ServeSpec};
 use ecoscale_sim::check::{invariant, CheckPlane};
+use ecoscale_sim::spec::{self, SpecError};
 use ecoscale_sim::{
     CampaignSpec, Duration, MetricsRegistry, RunCtx, SimRng, TelemetryConfig, Time, ZipfTable,
 };
@@ -88,10 +89,6 @@ impl TopoKind {
             TopoKind::Dragonfly => "dfly",
             TopoKind::FatTree => "fat",
         }
-    }
-
-    fn parse(s: &str) -> Option<TopoKind> {
-        TopoKind::ALL.iter().copied().find(|t| t.as_str() == s)
     }
 }
 
@@ -179,10 +176,6 @@ impl FaultKind {
             FaultKind::Mixed => "mixed",
         }
     }
-
-    fn parse(s: &str) -> Option<FaultKind> {
-        FaultKind::ALL.iter().copied().find(|k| k.as_str() == s)
-    }
 }
 
 /// One point in the fuzzed configuration space. The `Display` form is the
@@ -255,26 +248,6 @@ impl fmt::Display for FuzzConfig {
     }
 }
 
-/// A spec-string parse failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuzzSpecError {
-    pair: String,
-    reason: String,
-}
-
-impl fmt::Display for FuzzSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad fuzz config pair `{}`: {}", self.pair, self.reason)
-    }
-}
-
-fn spec_err(pair: &str, reason: impl Into<String>) -> FuzzSpecError {
-    FuzzSpecError {
-        pair: pair.to_string(),
-        reason: reason.into(),
-    }
-}
-
 impl Default for FuzzConfig {
     fn default() -> Self {
         FuzzConfig {
@@ -324,80 +297,39 @@ impl FuzzConfig {
         }
     }
 
-    /// Parses a spec string (`key=value,...` over the `Display` keys).
-    /// Missing keys keep their [`Default`] values, so partial specs are
-    /// valid; unknown keys and malformed values are errors.
-    pub fn parse(s: &str) -> Result<FuzzConfig, FuzzSpecError> {
+    /// The keys of the textual form, in `Display` order.
+    pub const KEYS: &'static [&'static str] = &[
+        "seed", "topo", "sched", "faults", "tasks", "workers", "threads", "shards", "tenants",
+    ];
+
+    /// Parses a spec string (`key=value,...` over the `Display` keys, in
+    /// the [`spec`] grammar). Missing keys keep their [`Default`] values,
+    /// so partial specs are valid; unknown keys and malformed values are
+    /// errors.
+    ///
+    /// # Errors
+    ///
+    /// A [`SpecError`] of kind `"fuzz config"` names the offending pair.
+    pub fn parse(s: &str) -> Result<FuzzConfig, SpecError> {
         let mut cfg = FuzzConfig::default();
-        for pair in s.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
-            }
-            let Some((k, v)) = pair.split_once('=') else {
-                return Err(spec_err(pair, "expected key=value"));
-            };
-            match k {
-                "seed" => {
-                    cfg.seed = v
-                        .parse()
-                        .map_err(|e| spec_err(pair, format!("bad seed: {e}")))?;
-                }
-                "topo" => {
-                    cfg.topo = TopoKind::parse(v)
-                        .ok_or_else(|| spec_err(pair, "want tree|xbar|mesh|dfly|fat"))?;
-                }
+        spec::pairs("fuzz config", s, |p| {
+            match p.key {
+                "seed" => cfg.seed = p.u64()?,
+                "topo" => cfg.topo = p.one_of(&TopoKind::ALL, TopoKind::as_str)?,
                 "sched" => {
-                    cfg.sched = SchedKind::parse(v)
-                        .ok_or_else(|| spec_err(pair, "want lazy<N>|central|random"))?;
+                    cfg.sched = SchedKind::parse(p.value)
+                        .ok_or_else(|| p.err("want lazy<N>|central|random"))?;
                 }
-                "faults" => {
-                    cfg.faults = FaultKind::parse(v)
-                        .ok_or_else(|| spec_err(pair, "want none|crash|stall|link|seu|mixed"))?;
-                }
-                "tasks" => {
-                    cfg.tasks = v
-                        .parse()
-                        .map_err(|e| spec_err(pair, format!("bad tasks: {e}")))?;
-                    if cfg.tasks == 0 {
-                        return Err(spec_err(pair, "tasks must be >= 1"));
-                    }
-                }
-                "workers" => {
-                    cfg.workers = v
-                        .parse()
-                        .map_err(|e| spec_err(pair, format!("bad workers: {e}")))?;
-                    if cfg.workers < 2 {
-                        return Err(spec_err(pair, "workers must be >= 2"));
-                    }
-                }
-                "threads" => {
-                    cfg.threads = v
-                        .parse()
-                        .map_err(|e| spec_err(pair, format!("bad threads: {e}")))?;
-                    if cfg.threads == 0 {
-                        return Err(spec_err(pair, "threads must be >= 1"));
-                    }
-                }
-                "shards" => {
-                    cfg.shards = v
-                        .parse()
-                        .map_err(|e| spec_err(pair, format!("bad shards: {e}")))?;
-                    if cfg.shards == 0 {
-                        return Err(spec_err(pair, "shards must be >= 1"));
-                    }
-                }
-                "tenants" => {
-                    cfg.tenants = v
-                        .parse()
-                        .map_err(|e| spec_err(pair, format!("bad tenants: {e}")))?;
-                    if cfg.tenants == 0 {
-                        return Err(spec_err(pair, "tenants must be >= 1"));
-                    }
-                }
-                _ => return Err(spec_err(pair, "unknown key")),
+                "faults" => cfg.faults = p.one_of(&FaultKind::ALL, FaultKind::as_str)?,
+                "tasks" => cfg.tasks = p.count(1)?,
+                "workers" => cfg.workers = p.count(2)?,
+                "threads" => cfg.threads = p.count(1)?,
+                "shards" => cfg.shards = p.count(1)?,
+                "tenants" => cfg.tenants = p.count(1)?,
+                _ => return Err(p.unknown(FuzzConfig::KEYS)),
             }
-        }
+            Ok(())
+        })?;
         Ok(cfg)
     }
 

@@ -93,10 +93,8 @@ pub struct ServeSimConfig {
     /// invariant checks fire every `cadence` of serving time.
     pub cadence: Duration,
     /// Fault campaign injected into every cell ([`CampaignSpec::off`]
-    /// for a clean run).
+    /// for a clean run), recovered under [`ResilienceConfig::full`].
     pub faults: CampaignSpec,
-    /// Recovery policy when the campaign is active.
-    pub resilience: ResilienceConfig,
     /// Telemetry plane: when set, every cell keeps a windowed
     /// [`TimeSeries`] and an armed [`FlightRecorder`], rolled on the
     /// maintenance cadence and merged in cell order into
@@ -181,7 +179,6 @@ impl ServeSimConfig {
             cells: 1,
             cadence: Duration::from_us(50),
             faults: CampaignSpec::off(),
-            resilience: ResilienceConfig::full(),
             telemetry: None,
             ctx: RunCtx::SEQUENTIAL,
             artifacts: ServeArtifacts::default(),
@@ -479,7 +476,7 @@ impl<'a> CellSim<'a> {
     ) -> CellSim<'a> {
         let mut system = build_cell_system(cfg, &artifacts);
         if !cfg.faults.is_off() {
-            system.enable_faults(&cfg.faults, cfg.resilience);
+            system.enable_faults(&cfg.faults, ResilienceConfig::full());
         }
         let lanes = system.num_workers();
         CellSim {
@@ -1678,7 +1675,6 @@ mod tests {
     fn faulted_campaign_sheds_but_never_loses() {
         let mut cfg = quick_cfg();
         cfg.faults = CampaignSpec::parse("seed=5,seu=200us,smmu=0.002,scrub=400us").unwrap();
-        cfg.resilience = ResilienceConfig::full();
         let mut cp = CheckPlane::enabled(1);
         let out = run_serve_sim_with(&cfg, &mut cp);
         assert!(cp.ok(), "{:?}", cp.first());

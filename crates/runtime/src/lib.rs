@@ -58,7 +58,6 @@ pub use sched::{
     SchedReport, TaskSpec,
 };
 pub use serve::{
-    Batch, JourneyOutcome, Request, RequestJourney, ServePlane, ServeSpec, ServeSpecError,
-    ServingReport,
+    Batch, JourneyOutcome, Request, RequestJourney, ServePlane, ServeSpec, ServingReport,
 };
 pub use task::{Task, TaskId};

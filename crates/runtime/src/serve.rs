@@ -35,11 +35,12 @@
 //! [`invariant::SERVE_QUEUE_BOUNDED`]).
 
 use core::fmt;
+use core::ops::Bound::{Excluded, Unbounded};
 use std::collections::VecDeque;
 
 use ecoscale_sim::check::{invariant, CheckPlane};
-use ecoscale_sim::fault::{fmt_duration, parse_duration};
 use ecoscale_sim::snap::malformed;
+use ecoscale_sim::spec::{self, fmt_duration, SpecError};
 use ecoscale_sim::telem::TriggerKind;
 use ecoscale_sim::{
     json, Duration, FlightRecorder, Histogram, MetricsRegistry, Persist, RestoreError, SimRng,
@@ -65,8 +66,8 @@ fn tenant_salt(component: u64, tenant: u32) -> u64 {
 ///
 /// # Textual form
 ///
-/// Comma-separated `key=value` pairs; durations take `ns`/`us`/`ms`/`s`
-/// suffixes, rates are per-second floats:
+/// Comma-separated `key=value` pairs in the [`spec`] grammar; durations
+/// take `ns`/`us`/`ms`/`s` suffixes, rates are per-second floats:
 ///
 /// ```
 /// use ecoscale_runtime::serve::ServeSpec;
@@ -156,113 +157,52 @@ impl ServeSpec {
         SimRng::seed_from(self.seed).fork(tenant_salt(component, tenant))
     }
 
+    /// The keys of the textual form.
+    pub const KEYS: &'static [&'static str] = &[
+        "seed",
+        "tenants",
+        "horizon",
+        "rate",
+        "burst",
+        "burst_every",
+        "burst_for",
+        "queue",
+        "tokens",
+        "refill",
+        "batch",
+        "batch_wait",
+        "deadline",
+        "overhead",
+    ];
+
     /// Parses the compact `key=value[,key=value...]` form. Unspecified
     /// keys keep their [`ServeSpec::base`] defaults.
     ///
     /// # Errors
     ///
-    /// [`ServeSpecError`] names the offending pair.
-    pub fn parse(s: &str) -> Result<ServeSpec, ServeSpecError> {
+    /// A [`SpecError`] of kind `"serve spec"` names the offending pair.
+    pub fn parse(s: &str) -> Result<ServeSpec, SpecError> {
         let mut spec = ServeSpec::base();
-        for pair in s.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
+        spec::pairs("serve spec", s, |p| {
+            match p.key {
+                "seed" => spec.seed = p.u64()?,
+                "tenants" => spec.tenants = p.count(1)?,
+                "horizon" => spec.horizon = p.nonzero_duration()?,
+                "rate" => spec.rate = p.float((Excluded(0.0), Unbounded), "requests/second > 0")?,
+                "burst" => spec.burst = p.float(1.0.., "a factor >= 1")?,
+                "burst_every" => spec.burst_every = p.duration()?,
+                "burst_for" => spec.burst_for = p.duration()?,
+                "queue" => spec.queue = p.count(1)?,
+                "tokens" => spec.tokens = p.float(0.0.., "a bucket capacity >= 0")?,
+                "refill" => spec.refill = p.float(0.0.., "tokens/second >= 0")?,
+                "batch" => spec.batch = p.count(1)?,
+                "batch_wait" => spec.batch_wait = p.duration()?,
+                "deadline" => spec.deadline = p.nonzero_duration()?,
+                "overhead" => spec.overhead = p.duration()?,
+                _ => return Err(p.unknown(ServeSpec::KEYS)),
             }
-            let (key, value) = pair.split_once('=').ok_or_else(|| ServeSpecError {
-                pair: pair.to_owned(),
-                reason: "expected key=value".to_owned(),
-            })?;
-            let bad = |reason: &str| ServeSpecError {
-                pair: pair.to_owned(),
-                reason: reason.to_owned(),
-            };
-            let value = value.trim();
-            match key.trim() {
-                "seed" => spec.seed = value.parse().map_err(|_| bad("seed wants a u64"))?,
-                "tenants" => {
-                    spec.tenants = value.parse().map_err(|_| bad("tenants wants a count"))?;
-                    if spec.tenants == 0 {
-                        return Err(bad("tenants must be >= 1"));
-                    }
-                }
-                "horizon" => {
-                    spec.horizon = parse_duration(value).ok_or_else(|| bad("duration like 2ms"))?;
-                    if spec.horizon.is_zero() {
-                        return Err(bad("horizon must be > 0"));
-                    }
-                }
-                "rate" => {
-                    spec.rate = parse_rate(value).ok_or_else(|| bad("requests/second > 0"))?;
-                }
-                "burst" => {
-                    spec.burst = value
-                        .parse()
-                        .ok()
-                        .filter(|b: &f64| b.is_finite() && *b >= 1.0)
-                        .ok_or_else(|| bad("factor >= 1"))?;
-                }
-                "burst_every" => {
-                    spec.burst_every =
-                        parse_duration(value).ok_or_else(|| bad("duration like 500us"))?;
-                }
-                "burst_for" => {
-                    spec.burst_for =
-                        parse_duration(value).ok_or_else(|| bad("duration like 100us"))?;
-                }
-                "queue" => {
-                    spec.queue = value.parse().map_err(|_| bad("queue wants a bound"))?;
-                    if spec.queue == 0 {
-                        return Err(bad("queue must be >= 1"));
-                    }
-                }
-                "tokens" => {
-                    spec.tokens = value
-                        .parse()
-                        .ok()
-                        .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                        .ok_or_else(|| bad("bucket capacity >= 0"))?;
-                }
-                "refill" => {
-                    spec.refill = value
-                        .parse()
-                        .ok()
-                        .filter(|r: &f64| r.is_finite() && *r >= 0.0)
-                        .ok_or_else(|| bad("tokens/second >= 0"))?;
-                }
-                "batch" => {
-                    spec.batch = value.parse().map_err(|_| bad("batch wants a size"))?;
-                    if spec.batch == 0 {
-                        return Err(bad("batch must be >= 1"));
-                    }
-                }
-                "batch_wait" => {
-                    spec.batch_wait =
-                        parse_duration(value).ok_or_else(|| bad("duration like 4us"))?;
-                }
-                "deadline" => {
-                    spec.deadline =
-                        parse_duration(value).ok_or_else(|| bad("duration like 250us"))?;
-                    if spec.deadline.is_zero() {
-                        return Err(bad("deadline must be > 0"));
-                    }
-                }
-                "overhead" => {
-                    spec.overhead =
-                        parse_duration(value).ok_or_else(|| bad("duration like 5us"))?;
-                }
-                other => {
-                    return Err(ServeSpecError {
-                        pair: pair.to_owned(),
-                        reason: format!(
-                            "unknown key `{other}` (want seed, tenants, horizon, rate, burst, \
-                             burst_every, burst_for, queue, tokens, refill, batch, batch_wait, \
-                             deadline, overhead)"
-                        ),
-                    });
-                }
-            }
-        }
+            Ok(())
+        })?;
         Ok(spec)
     }
 }
@@ -308,28 +248,6 @@ impl fmt::Display for ServeSpec {
         Ok(())
     }
 }
-
-fn parse_rate(s: &str) -> Option<f64> {
-    let v: f64 = s.parse().ok()?;
-    (v.is_finite() && v > 0.0).then_some(v)
-}
-
-/// A malformed serve spec string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeSpecError {
-    /// The offending `key=value` pair.
-    pub pair: String,
-    /// What was expected.
-    pub reason: String,
-}
-
-impl fmt::Display for ServeSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad serve spec pair `{}`: {}", self.pair, self.reason)
-    }
-}
-
-impl std::error::Error for ServeSpecError {}
 
 /// One request: a kernel call on behalf of a tenant, stamped with its
 /// arrival time, SLO deadline, and the causal span timestamps the

@@ -26,10 +26,11 @@
 //!   streams, shared by the differential-oracle property tests and the
 //!   `fuzz_configs` sweep binary.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::snap::{Persist, RestoreError, SnapIo};
+use crate::snap::{malformed, Persist, RestoreError, SnapIo};
 
 /// Environment variable binaries read for the check cadence; see
 /// [`RunCtx::parse`](crate::pool::RunCtx::parse).
@@ -239,7 +240,7 @@ pub struct CheckPlane {
     checks_run: u64,
     violation_count: u64,
     violations: Vec<Violation>,
-    watermarks: BTreeMap<&'static str, f64>,
+    watermarks: BTreeMap<Name, f64>,
 }
 
 impl CheckPlane {
@@ -344,7 +345,7 @@ impl CheckPlane {
                 prev.unwrap_or(f64::NAN)
             )
         });
-        let slot = self.watermarks.entry(invariant).or_insert(value);
+        let slot = self.watermarks.entry(Name(invariant)).or_insert(value);
         if value > *slot {
             *slot = value;
         }
@@ -400,8 +401,31 @@ impl Default for CheckPlane {
     }
 }
 
-/// Invariant names load as interned strings and are refused unless
-/// [`invariant::CATALOG`] lists them.
+/// An invariant name in a snapshot: saved as its string, loaded as the
+/// [`invariant::CATALOG`] entry of that name. A name the catalog does not
+/// list is refused, never invented.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Name(&'static str);
+
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        self.0
+    }
+}
+
+impl Persist for Name {
+    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
+        let mut name = self.0.to_owned();
+        io.str(&mut name)?;
+        if IO::LOADING {
+            self.0 = (invariant::CATALOG.iter().map(|&(known, _)| known))
+                .find(|known| *known == name)
+                .ok_or_else(|| malformed(format!("unknown invariant `{name}`")))?;
+        }
+        Ok(())
+    }
+}
+
 impl Persist for CheckPlane {
     fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
         io.bool(&mut self.enabled)?;
@@ -415,20 +439,16 @@ impl Persist for CheckPlane {
             io.u64(v)?;
         }
         io.vec(&mut self.violations, "violations", |io, v| {
-            io.static_str(&mut v.invariant)?;
+            let mut name = Name(v.invariant);
+            name.persist(io)?;
+            v.invariant = name.0;
             io.str(&mut v.detail)
         })?;
         let kept = self.violations.len();
         io.ensure(kept <= MAX_RETAINED, || {
             format!("{kept} retained violations exceeds cap {MAX_RETAINED}")
         })?;
-        io.sorted_map(&mut self.watermarks, "watermarks")?;
-        let mut names =
-            (self.violations.iter().map(|v| v.invariant)).chain(self.watermarks.keys().copied());
-        match names.find(|n| invariant::CATALOG.iter().all(|(known, _)| known != n)) {
-            Some(name) => io.ensure(false, || format!("unknown invariant `{name}`")),
-            None => Ok(()),
-        }
+        io.sorted_map(&mut self.watermarks, "watermarks")
     }
 }
 
@@ -578,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_and_rejects_unknown_invariants() {
+    fn snapshot_round_trips_onto_catalog_names() {
         use crate::snap::{SnapReader, SnapWriter};
         let mut cp = CheckPlane::enabled(3);
         cp.due();
@@ -603,24 +623,41 @@ mod tests {
         let mut back = back;
         back.check_monotone(invariant::SYSTEM_TIME_MONOTONE, 7.0);
         assert_eq!(back.violation_count(), cp.violation_count() + 1);
+    }
 
-        // An invariant name outside the catalog is malformed, not invented.
-        let mut w = SnapWriter::new();
-        w.save(&mut true);
-        w.save(&mut false);
-        w.save(&mut 1u64);
-        w.save(&mut 0u64);
-        w.save(&mut 0u64);
-        w.save(&mut 1u64);
-        w.save(&mut 1usize);
-        w.save(&mut "made.up_invariant".to_owned());
-        w.save(&mut "detail".to_owned());
-        w.save(&mut 0usize);
-        let bytes = w.into_bytes();
-        let err = SnapReader::new(&bytes)
-            .load(CheckPlane::disabled())
-            .unwrap_err();
-        assert!(err.to_string().contains("made.up_invariant"), "{err}");
+    #[test]
+    fn snapshot_refuses_uncatalogued_invariant_names() {
+        use crate::snap::{SnapReader, SnapWriter};
+        // A plane stream holding one violation and one watermark, named
+        // `violation` and `watermark`.
+        let stream = |violation: &str, watermark: &str| {
+            let mut w = SnapWriter::new();
+            w.save(&mut true);
+            w.save(&mut false);
+            for mut v in [1u64, 0, 0, 1] {
+                w.save(&mut v);
+            }
+            w.save(&mut 1usize);
+            w.save(&mut violation.to_owned());
+            w.save(&mut "detail".to_owned());
+            w.save(&mut 1usize);
+            w.save(&mut watermark.to_owned());
+            w.save(&mut 2.5f64);
+            w.into_bytes()
+        };
+        let load = |bytes: &[u8]| SnapReader::new(bytes).load(CheckPlane::disabled());
+        let known = invariant::SYSTEM_TIME_MONOTONE;
+        let back = load(&stream(invariant::SABOTAGE, known)).expect("catalogued names load");
+        assert_eq!(back.first().unwrap().invariant, invariant::SABOTAGE);
+        assert_eq!(back.watermarks.get(known), Some(&2.5));
+        for bytes in [
+            stream("made.up_invariant", known),
+            stream(invariant::SABOTAGE, "made.up_invariant"),
+        ] {
+            let err = load(&bytes).unwrap_err();
+            assert!(matches!(err, RestoreError::Malformed { .. }), "{err}");
+            assert!(err.to_string().contains("made.up_invariant"), "{err}");
+        }
     }
 
     #[test]

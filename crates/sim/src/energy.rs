@@ -1,10 +1,11 @@
 //! Energy and power accounting.
 //!
 //! ECOSCALE's central argument is energetic: exascale is gated by power,
-//! so every mechanism in the reproduction charges its energy cost to an
-//! [`EnergyMeter`]. [`Energy`] is a newtype over joules; [`Power`] over
-//! watts. Both are `f64`-backed — the experiments compare relative
-//! magnitudes, and all arithmetic is performed in a deterministic order.
+//! so mechanisms in the reproduction return their energy cost as an
+//! [`Energy`], a newtype over joules, which callers sum (the core system
+//! keeps one running total). [`Power`] is a newtype over watts. Both are
+//! `f64`-backed — the experiments compare relative magnitudes, and all
+//! arithmetic is performed in a deterministic order.
 
 use core::fmt;
 use core::iter::Sum;
@@ -278,84 +279,9 @@ impl fmt::Display for Power {
     }
 }
 
-/// An accumulating energy meter with named categories.
-///
-/// Components charge costs under a category label (`"dram"`, `"link"`,
-/// `"cpu"`, ...); experiments read per-category breakdowns to report where
-/// the joules went.
-///
-/// # Example
-///
-/// ```
-/// use ecoscale_sim::{Energy, EnergyMeter};
-///
-/// let mut m = EnergyMeter::new();
-/// m.charge("dram", Energy::from_nj(10.0));
-/// m.charge("link", Energy::from_nj(4.0));
-/// m.charge("dram", Energy::from_nj(6.0));
-/// assert!((m.total().as_nj() - 20.0).abs() < 1e-9);
-/// assert!((m.category("dram").as_nj() - 16.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct EnergyMeter {
-    total: Energy,
-    categories: std::collections::BTreeMap<&'static str, Energy>,
-}
-
-impl EnergyMeter {
-    /// Creates an empty meter.
-    pub fn new() -> EnergyMeter {
-        EnergyMeter::default()
-    }
-
-    /// Charges `e` under `category`.
-    pub fn charge(&mut self, category: &'static str, e: Energy) {
-        self.total += e;
-        *self.categories.entry(category).or_insert(Energy::ZERO) += e;
-    }
-
-    /// Total energy charged so far.
-    pub fn total(&self) -> Energy {
-        self.total
-    }
-
-    /// Energy charged under `category` ([`Energy::ZERO`] if never charged).
-    pub fn category(&self, category: &str) -> Energy {
-        self.categories
-            .get(category)
-            .copied()
-            .unwrap_or(Energy::ZERO)
-    }
-
-    /// Iterates over `(category, energy)` pairs in category-name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, Energy)> + '_ {
-        self.categories.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Merges another meter into this one.
-    pub fn merge(&mut self, other: &EnergyMeter) {
-        for (k, v) in other.iter() {
-            self.charge(k, v);
-        }
-    }
-
-    /// Resets the meter to zero.
-    pub fn reset(&mut self) {
-        self.total = Energy::ZERO;
-        self.categories.clear();
-    }
-}
-
 impl Persist for Energy {
     fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
         io.f64(&mut self.0)
-    }
-}
-
-impl Persist for EnergyMeter {
-    fn persist<IO: SnapIo>(&mut self, io: &mut IO) -> Result<(), RestoreError> {
-        self.total.persist(io)?;
-        io.sorted_map(&mut self.categories, "meter categories")
     }
 }
 
@@ -417,23 +343,6 @@ mod tests {
         assert_eq!(Energy::from_joules(1.5).to_string(), "1.500J");
         assert_eq!(Power::from_megawatts(1000.0).to_string(), "1000.000MW");
         assert_eq!(Power::from_watts(0.5).to_string(), "500.000mW");
-    }
-
-    #[test]
-    fn meter_categories_and_merge() {
-        let mut m = EnergyMeter::new();
-        m.charge("a", Energy::from_nj(1.0));
-        m.charge("b", Energy::from_nj(2.0));
-        let mut n = EnergyMeter::new();
-        n.charge("b", Energy::from_nj(3.0));
-        m.merge(&n);
-        assert!((m.total().as_nj() - 6.0).abs() < 1e-9);
-        assert!((m.category("b").as_nj() - 5.0).abs() < 1e-9);
-        assert_eq!(m.category("missing"), Energy::ZERO);
-        let cats: Vec<_> = m.iter().map(|(k, _)| k).collect();
-        assert_eq!(cats, vec!["a", "b"]);
-        m.reset();
-        assert_eq!(m.total(), Energy::ZERO);
     }
 
     #[test]

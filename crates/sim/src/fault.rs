@@ -6,8 +6,8 @@
 //!
 //! * [`CampaignSpec`] — a declarative fault campaign (per-component
 //!   rates, durations and probabilities) with a compact textual form
-//!   (`exp_all --faults <spec>`) that round-trips through
-//!   [`CampaignSpec::parse`] / `Display`,
+//!   (`exp_all --faults <spec>`, in the [`spec`] grammar)
+//!   that round-trips through [`CampaignSpec::parse`] / `Display`,
 //! * [`FaultClock`] — a Poisson arrival process on simulated [`Time`],
 //!   driven by the vendored [`SimRng`] so campaigns are pure functions
 //!   of their seed,
@@ -17,7 +17,7 @@
 //!   to runs without the FaultPlane compiled in at all.
 //!
 //! Layer hooks live next to the component they fault: NoC link
-//! degradation in `ecoscale-noc`, SMMU/DRAM faults in `ecoscale-mem`,
+//! degradation in `ecoscale-noc`, SMMU faults in `ecoscale-mem`,
 //! SEU upsets and scrubbing in `ecoscale-fpga`, worker stalls/crashes in
 //! the runtime scheduler. Recovery policy lives in
 //! `ecoscale_runtime::resilience`.
@@ -26,6 +26,7 @@ use core::fmt;
 
 use crate::rng::SimRng;
 use crate::snap::{Persist, RestoreError, SnapIo};
+use crate::spec::{self, fmt_duration, SpecError};
 use crate::time::{Duration, Time};
 
 /// Mixes a component salt into a campaign seed so every injector gets an
@@ -44,8 +45,8 @@ fn mix(seed: u64, salt: u64) -> u64 {
 ///
 /// # Textual form
 ///
-/// Comma-separated `key=value` pairs; durations take `ns`/`us`/`ms`/`s`
-/// suffixes, probabilities are plain floats:
+/// Comma-separated `key=value` pairs in the [`spec`] grammar; durations
+/// take `ns`/`us`/`ms`/`s` suffixes, probabilities are plain floats:
 ///
 /// ```
 /// use ecoscale_sim::fault::CampaignSpec;
@@ -77,8 +78,6 @@ pub struct CampaignSpec {
     pub packet_corrupt_p: f64,
     /// Per-translation transient SMMU fault probability.
     pub smmu_fault_p: f64,
-    /// Per-bit DRAM error probability (feeds the ECC model).
-    pub dram_bit_error_p: f64,
     /// Mean time between SEU upsets in configured fabric modules
     /// (zero = off).
     pub seu_mtbf: Duration,
@@ -99,7 +98,6 @@ impl CampaignSpec {
             link_slowdown: 4.0,
             packet_corrupt_p: 0.0,
             smmu_fault_p: 0.0,
-            dram_bit_error_p: 0.0,
             seu_mtbf: Duration::ZERO,
             scrub_period: Duration::ZERO,
         }
@@ -112,7 +110,6 @@ impl CampaignSpec {
             && self.link_degrade_mtbf.is_zero()
             && self.packet_corrupt_p == 0.0
             && self.smmu_fault_p == 0.0
-            && self.dram_bit_error_p == 0.0
             && self.seu_mtbf.is_zero()
     }
 
@@ -139,7 +136,6 @@ impl CampaignSpec {
             link_slowdown: self.link_slowdown,
             packet_corrupt_p: scale_p(self.packet_corrupt_p),
             smmu_fault_p: scale_p(self.smmu_fault_p),
-            dram_bit_error_p: scale_p(self.dram_bit_error_p),
             seu_mtbf: scale_mtbf(self.seu_mtbf),
             scrub_period: self.scrub_period,
         }
@@ -151,86 +147,47 @@ impl CampaignSpec {
         SimRng::seed_from(mix(self.seed, salt))
     }
 
+    /// The keys of the textual form, in `Display` order.
+    pub const KEYS: &'static [&'static str] = &[
+        "seed",
+        "crash",
+        "stall",
+        "stall_for",
+        "link",
+        "link_for",
+        "link_slowdown",
+        "corrupt",
+        "smmu",
+        "seu",
+        "scrub",
+    ];
+
     /// Parses the compact `key=value[,key=value...]` form.
     ///
     /// # Errors
     ///
-    /// [`SpecParseError`] names the offending pair.
-    pub fn parse(s: &str) -> Result<CampaignSpec, SpecParseError> {
-        let mut spec = CampaignSpec::off();
-        for pair in s.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
+    /// A [`SpecError`] of kind `"fault spec"` names the offending pair.
+    pub fn parse(s: &str) -> Result<CampaignSpec, SpecError> {
+        const PROBABILITY: &str = "a probability in [0,1]";
+        let mut c = CampaignSpec::off();
+        spec::pairs("fault spec", s, |p| {
+            match p.key {
+                "seed" => c.seed = p.u64()?,
+                "crash" => c.worker_crash_mtbf = p.duration()?,
+                "stall" => c.worker_stall_mtbf = p.duration()?,
+                "stall_for" => c.worker_stall_for = p.duration()?,
+                "link" => c.link_degrade_mtbf = p.duration()?,
+                "link_for" => c.link_degrade_for = p.duration()?,
+                "link_slowdown" => c.link_slowdown = p.float(1.0.., "a factor >= 1")?,
+                "corrupt" => c.packet_corrupt_p = p.float(0.0..=1.0, PROBABILITY)?,
+                "smmu" => c.smmu_fault_p = p.float(0.0..=1.0, PROBABILITY)?,
+                "seu" => c.seu_mtbf = p.duration()?,
+                "scrub" => c.scrub_period = p.duration()?,
+                _ => return Err(p.unknown(CampaignSpec::KEYS)),
             }
-            let (key, value) = pair.split_once('=').ok_or_else(|| SpecParseError {
-                pair: pair.to_owned(),
-                reason: "expected key=value".to_owned(),
-            })?;
-            let bad = |reason: &str| SpecParseError {
-                pair: pair.to_owned(),
-                reason: reason.to_owned(),
-            };
-            match key.trim() {
-                "seed" => {
-                    spec.seed = value.trim().parse().map_err(|_| bad("seed wants a u64"))?;
-                }
-                "crash" => {
-                    spec.worker_crash_mtbf =
-                        parse_duration(value).ok_or_else(|| bad("duration like 5ms"))?
-                }
-                "stall" => {
-                    spec.worker_stall_mtbf =
-                        parse_duration(value).ok_or_else(|| bad("duration like 2ms"))?
-                }
-                "stall_for" => {
-                    spec.worker_stall_for =
-                        parse_duration(value).ok_or_else(|| bad("duration like 300us"))?
-                }
-                "link" => {
-                    spec.link_degrade_mtbf =
-                        parse_duration(value).ok_or_else(|| bad("duration like 400us"))?
-                }
-                "link_for" => {
-                    spec.link_degrade_for =
-                        parse_duration(value).ok_or_else(|| bad("duration like 150us"))?
-                }
-                "link_slowdown" => {
-                    spec.link_slowdown = parse_prob_or_factor(value, 1.0, f64::MAX)
-                        .ok_or_else(|| bad("factor >= 1"))?;
-                }
-                "corrupt" => {
-                    spec.packet_corrupt_p = parse_prob_or_factor(value, 0.0, 1.0)
-                        .ok_or_else(|| bad("probability in [0,1]"))?;
-                }
-                "smmu" => {
-                    spec.smmu_fault_p = parse_prob_or_factor(value, 0.0, 1.0)
-                        .ok_or_else(|| bad("probability in [0,1]"))?;
-                }
-                "dram" => {
-                    spec.dram_bit_error_p = parse_prob_or_factor(value, 0.0, 1.0)
-                        .ok_or_else(|| bad("probability in [0,1]"))?;
-                }
-                "seu" => {
-                    spec.seu_mtbf =
-                        parse_duration(value).ok_or_else(|| bad("duration like 500us"))?
-                }
-                "scrub" => {
-                    spec.scrub_period =
-                        parse_duration(value).ok_or_else(|| bad("duration like 200us"))?
-                }
-                other => {
-                    return Err(SpecParseError {
-                        pair: pair.to_owned(),
-                        reason: format!(
-                            "unknown key `{other}` (want seed, crash, stall, stall_for, link, \
-                             link_for, link_slowdown, corrupt, smmu, dram, seu, scrub)"
-                        ),
-                    });
-                }
-            }
-        }
-        Ok(spec)
+            Ok(())
+        })?;
+        Ok(c)
     }
 }
 
@@ -266,9 +223,6 @@ impl fmt::Display for CampaignSpec {
         if self.smmu_fault_p > 0.0 {
             write!(f, ",smmu={}", self.smmu_fault_p)?;
         }
-        if self.dram_bit_error_p > 0.0 {
-            write!(f, ",dram={}", self.dram_bit_error_p)?;
-        }
         d(f, "seu", self.seu_mtbf)?;
         d(f, "scrub", self.scrub_period)?;
         Ok(())
@@ -292,73 +246,10 @@ pub mod salt {
     pub const PACKET_CORRUPT: u64 = 6;
     /// SMMU transient fault Bernoulli stream.
     pub const SMMU_FAULT: u64 = 7;
-    /// DRAM bit error stream.
-    pub const DRAM_ECC: u64 = 8;
     /// SEU upset arrival process.
     pub const SEU: u64 = 9;
     /// SEU victim selection.
     pub const SEU_PICK: u64 = 10;
-}
-
-/// A malformed campaign spec string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecParseError {
-    /// The offending `key=value` pair.
-    pub pair: String,
-    /// What was expected.
-    pub reason: String,
-}
-
-impl fmt::Display for SpecParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad fault spec pair `{}`: {}", self.pair, self.reason)
-    }
-}
-
-impl std::error::Error for SpecParseError {}
-
-/// Parses a duration with an `ns`/`us`/`ms`/`s` suffix (`"300us"`,
-/// `"1.5ms"`). Shared by every `key=value` spec grammar in the workspace
-/// ([`CampaignSpec`], the ServePlane's `ServeSpec`).
-pub fn parse_duration(s: &str) -> Option<Duration> {
-    let s = s.trim();
-    let (num, unit) = s.split_at(s.find(|c: char| c.is_ascii_alphabetic())?);
-    let v: f64 = num.parse().ok()?;
-    if !v.is_finite() || v < 0.0 {
-        return None;
-    }
-    let ns = match unit {
-        "ns" => v,
-        "us" => v * 1e3,
-        "ms" => v * 1e6,
-        "s" => v * 1e9,
-        _ => return None,
-    };
-    Some(Duration::from_ns_f64(ns))
-}
-
-fn parse_prob_or_factor(s: &str, lo: f64, hi: f64) -> Option<f64> {
-    let v: f64 = s.trim().parse().ok()?;
-    (v.is_finite() && v >= lo && v <= hi).then_some(v)
-}
-
-/// Renders a duration in the largest unit that keeps it integral, so
-/// `Display` output re-parses to the same value. The inverse of
-/// [`parse_duration`], shared by every spec grammar.
-pub fn fmt_duration(d: Duration) -> String {
-    if !d.as_ps().is_multiple_of(1_000) {
-        return format!("{}ns", d.as_ns_f64());
-    }
-    let ns = d.as_ns();
-    if ns.is_multiple_of(1_000_000_000) {
-        format!("{}s", ns / 1_000_000_000)
-    } else if ns.is_multiple_of(1_000_000) {
-        format!("{}ms", ns / 1_000_000)
-    } else if ns.is_multiple_of(1_000) {
-        format!("{}us", ns / 1_000)
-    } else {
-        format!("{ns}ns")
-    }
 }
 
 /// A Poisson fault-arrival process on simulated time.
@@ -538,7 +429,7 @@ mod tests {
     #[test]
     fn parse_full_spec_round_trips() {
         let text = "seed=9,crash=5ms,stall=2ms,stall_for=300us,link=400us,link_for=150us,\
-                    link_slowdown=4,corrupt=0.01,smmu=0.002,dram=0.0000001,seu=500us,scrub=200us";
+                    link_slowdown=4,corrupt=0.01,smmu=0.002,seu=500us,scrub=200us";
         let spec = CampaignSpec::parse(text).unwrap();
         assert!(!spec.is_off());
         assert_eq!(spec.worker_crash_mtbf, Duration::from_ms(5));
@@ -629,9 +520,9 @@ mod tests {
     #[test]
     fn strikes_any_amplifies_with_trials() {
         let spec = CampaignSpec::parse("seed=17").unwrap();
-        let mut p = ProbFault::new(1e-6, spec.rng(salt::DRAM_ECC));
+        let mut p = ProbFault::new(1e-6, spec.rng(salt::PACKET_CORRUPT));
         let few = (0..2000).filter(|_| p.strikes_any(8)).count();
-        let mut p = ProbFault::new(1e-6, spec.rng(salt::DRAM_ECC));
+        let mut p = ProbFault::new(1e-6, spec.rng(salt::PACKET_CORRUPT));
         let many = (0..2000).filter(|_| p.strikes_any(1_000_000)).count();
         assert!(many > few, "many={many} few={few}");
     }

@@ -23,6 +23,8 @@
 //! * [`fault`] — seeded fault-campaign primitives ([`CampaignSpec`],
 //!   [`FaultClock`], [`ProbFault`]) that every layer's injection hooks
 //!   build on,
+//! * [`spec`] — the one `key=value` grammar (and its [`SpecError`](spec::SpecError))
+//!   behind the fault, serving and fuzz spec strings,
 //! * [`check`] — the CheckPlane: declarative cross-layer invariant
 //!   checks ([`CheckPlane`]) and a delta-debugging op-stream reducer,
 //!   zero-cost when disabled,
@@ -81,6 +83,7 @@ pub mod report;
 pub mod rng;
 pub mod shard;
 pub mod snap;
+pub mod spec;
 pub mod stats;
 pub mod telem;
 pub mod time;
@@ -88,7 +91,7 @@ pub mod trace;
 pub mod wheel;
 
 pub use check::{CheckPlane, Violation};
-pub use energy::{Energy, EnergyMeter, Power};
+pub use energy::{Energy, Power};
 pub use fault::{CampaignSpec, FaultClock, ProbFault};
 pub use metrics::{Instrument, MetricsRegistry};
 pub use pool::RunCtx;

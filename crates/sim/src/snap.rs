@@ -43,7 +43,6 @@
 use core::fmt;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
-use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::time::{Duration, Time};
 
@@ -210,14 +209,6 @@ pub trait SnapIo: Sized {
     ///
     /// Truncated or non-UTF-8 bytes.
     fn str(&mut self, s: &mut String) -> Result<(), RestoreError>;
-
-    /// A string key with a process-wide lifetime: loading interns it, so
-    /// repeated loads of one name allocate once per process.
-    ///
-    /// # Errors
-    ///
-    /// As [`SnapIo::str`].
-    fn static_str(&mut self, s: &mut &'static str) -> Result<(), RestoreError>;
 
     /// An entry count: `n` when saving. When loading, the count in the
     /// stream, refused when it exceeds the bytes that remain (every
@@ -579,11 +570,6 @@ impl SnapIo for SnapWriter {
         Ok(())
     }
 
-    fn static_str(&mut self, s: &mut &'static str) -> Result<(), RestoreError> {
-        self.put_str(s);
-        Ok(())
-    }
-
     fn len(&mut self, n: usize, _: &str) -> Result<usize, RestoreError> {
         self.save(&mut (n as u64));
         Ok(n)
@@ -665,11 +651,6 @@ impl SnapIo for SnapReader<'_> {
         Ok(())
     }
 
-    fn static_str(&mut self, s: &mut &'static str) -> Result<(), RestoreError> {
-        *s = intern(self.get_str()?);
-        Ok(())
-    }
-
     fn len(&mut self, _: usize, what: &str) -> Result<usize, RestoreError> {
         let n = self.load(0usize)?;
         if n > self.remaining() {
@@ -680,22 +661,6 @@ impl SnapIo for SnapReader<'_> {
         }
         Ok(n)
     }
-}
-
-/// Interns a string for the process, so a loaded `&'static str` key
-/// costs one allocation per distinct name, however often it is loaded.
-fn intern(s: String) -> &'static str {
-    static INTERNED: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let mut set = INTERNED
-        .get_or_init(|| Mutex::new(BTreeSet::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    if let Some(&existing) = set.get(s.as_str()) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(s.into_boxed_str());
-    set.insert(leaked);
-    leaked
 }
 
 /// Builder assembling named, checksummed sections into one snapshot file.
@@ -928,8 +893,7 @@ macro_rules! persist_via {
 
 persist_via!(
     u8 => u8, u32 => u32, u64 => u64, u128 => u128, i64 => i64, usize => usize, f64 => f64,
-    bool => bool, String => str, &'static str => static_str, Time => time,
-    Duration => duration
+    bool => bool, String => str, Time => time, Duration => duration
 );
 
 impl<A: Persist, B: Persist> Persist for (A, B) {

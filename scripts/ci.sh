@@ -69,6 +69,22 @@ if [[ -n "$env_reads" ]]; then
     exit 1
 fi
 
+echo "== no process-global state in library code =="
+# Library state lives in values the caller holds, so runs in one process
+# never share it. Outside test code (as above), library code declares no
+# `static` holding a lock, a lazily set cell, a Cell/RefCell or an
+# atomic, no `static mut` and no `thread_local!`.
+globals=$(awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 }
+    !t && (/static[ \t]+mut[ \t]/ || /thread_local!/ ||
+        /static[ \t]+[A-Za-z_0-9]+[ \t]*:[^=]*(Mutex|RwLock|OnceLock|OnceCell|Cell|Atomic)/) {
+        print FILENAME ":" FNR ": " $0 }' \
+    $(find crates/*/src -name '*.rs' -not -path '*/bin/*'))
+if [[ -n "$globals" ]]; then
+    echo "$globals"
+    echo "error: process-global mutable state in library code; keep it in a value the caller owns"
+    exit 1
+fi
+
 echo "== one codec per snapshotted type =="
 # Each type lists its snapshot fields once, in one Persist::persist body
 # (sim::snap) that both saves and loads. Hand-paired save/load halves
